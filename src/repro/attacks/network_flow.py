@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 import networkx as nx
 
@@ -309,6 +308,10 @@ def network_flow_attack(view: FEOLView,
 
     base_costs, excluded = build_cost_matrix(view, config)
     cost = base_costs[:, slot_driver_index]
+
+    # Imported here, not at module load: scipy.optimize is the package's
+    # only scipy use and costs about half a second of import time.
+    from scipy.optimize import linear_sum_assignment
 
     row_ind, col_ind = linear_sum_assignment(cost)
     assignment: Dict[int, int] = {}

@@ -22,7 +22,9 @@ from repro.core.correction_cells import (
     legalize_correction_cells,
     place_correction_cells,
 )
+from repro.layout.arrays import routing_columns
 from repro.layout.floorplan import Floorplan
+from repro.layout.geometry import Point
 from repro.layout.layout import Layout, build_layout
 from repro.layout.placer import PlacerConfig
 from repro.layout.router import RouterConfig
@@ -84,19 +86,28 @@ def build_naive_lifted_layout(
     layout.lift_layer = lift_layer
     layout.metadata["lifted_nets"] = list(lifted_nets)
 
-    # Place one lifting cell per lifted connection endpoint (driver + sink).
+    # Place one lifting cell per lifted connection endpoint (driver + sink),
+    # read from the routing columns so the layout's backing stays clean.
+    routing = routing_columns(layout.routing)
+    position = {name: index for index, name in enumerate(routing.net_names)}
     anchors = []
     connection_id = 0
     for net_name in lifted_nets:
-        routed = layout.routing.get(net_name)
-        if routed is None or routed.driver_point is None:
+        index = position.get(net_name)
+        if index is None or routing.driver_points[index] is None:
             continue
+        driver_point = routing.driver_points[index]
         net = netlist.nets[net_name]
         driver_gate = net.driver[0] if net.driver is not None else None
-        for connection in routed.connections:
-            anchors.append((connection_id, "driver", driver_gate, routed.driver_point))
-            sink_gate = connection.sink[0] if connection.sink[0] != "PO" else None
-            anchors.append((connection_id, "sink", sink_gate, connection.target))
+        for ci in range(int(routing.conn_starts[index]),
+                        int(routing.conn_starts[index + 1])):
+            anchors.append((connection_id, "driver", driver_gate, driver_point))
+            sink = routing.sink_refs[ci]
+            sink_gate = sink[0] if sink[0] != "PO" else None
+            target = (routing.target_points[ci]
+                      if routing.target_points is not None
+                      else Point(float(routing.tx[ci]), float(routing.ty[ci])))
+            anchors.append((connection_id, "sink", sink_gate, target))
             connection_id += 1
     cells = place_correction_cells(anchors, lift_layer, naive=True)
     cells = legalize_correction_cells(cells, layout.floorplan)

@@ -36,13 +36,7 @@ from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.geometry import Point, manhattan
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacementResult, PlacerConfig, place
-from repro.layout.router import (
-    ConnectionRequest,
-    RoutedNet,
-    RouterConfig,
-    _via_stack,
-    route_connections_batch,
-)
+from repro.layout.router import ConnectionRequest, RouterConfig, route_requests
 from repro.netlist.netlist import Netlist, PinRef
 
 
@@ -108,7 +102,6 @@ def build_protected_layout(
     for record in randomization.swaps:
         moved_onto.setdefault(record.erroneous_net, []).append(record.sink)
 
-    routing: Dict[str, RoutedNet] = {}
     correction_anchors: List[Tuple[int, str, Optional[str], Point]] = []
     connection_id = 0
 
@@ -117,7 +110,7 @@ def build_protected_layout(
     # segment/via geometry is array-built in one batch below.
     requests: List[ConnectionRequest] = []
     protected_flags: List[bool] = []
-    net_entries: List[Tuple[str, Point, int, int, int]] = []  # (net, source, start, stop, max_h)
+    net_starts: List[int] = []  # first request of each routed net
 
     for net_name, net in original.nets.items():
         source = _terminal_position(original, placement, net_name)
@@ -136,9 +129,8 @@ def build_protected_layout(
         if not targets:
             continue
 
-        max_h_layer = router_config.pin_layer
         driver_gate = net.driver[0] if net.driver is not None else None
-        start = len(requests)
+        net_starts.append(len(requests))
 
         for sink, target, is_swapped in targets:
             length = manhattan(source, target)
@@ -170,25 +162,14 @@ def build_protected_layout(
             requests.append((net_name, sink, source, target, pair,
                              source_hint, target_hint))
             protected_flags.append(is_swapped)
-            max_h_layer = max(max_h_layer, pair[0])
 
-        net_entries.append((net_name, source, start, len(requests), max_h_layer))
-
-    # Pass 2: batched geometry construction (bit-exact with the historical
-    # per-connection route_connection loop).
-    connections = route_connections_batch(requests, router_config, half_perimeter)
-    for connection, is_protected in zip(connections, protected_flags):
-        if is_protected:
-            connection.protected = True
-    for net_name, source, start, stop, max_h_layer in net_entries:
-        routed_net = RoutedNet(
-            name=net_name, driver_point=source,
-            connections=connections[start:stop],
-        )
-        routed_net.driver_vias = _via_stack(
-            source.x, source.y, router_config.pin_layer, max_h_layer
-        )
-        routing[net_name] = routed_net
+    # Pass 2: batched geometry construction, kept in column form behind lazy
+    # RoutedNet shells (bit-exact with the historical per-connection
+    # route_connection loop).
+    routing = route_requests(
+        requests, router_config, half_perimeter,
+        net_starts=net_starts, protected=protected_flags,
+    ).lazy_nets() if requests else {}
 
     correction_cells = place_correction_cells(correction_anchors, lift_layer)
     correction_cells = legalize_correction_cells(correction_cells, floorplan)

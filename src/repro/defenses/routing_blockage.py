@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.layout.arrays import routing_columns
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacerConfig, place
@@ -53,11 +54,13 @@ def routing_blockage_defense(
     # Decide per net whether a blockage forces it upwards; implemented as a
     # per-net minimum layer equal to its natural layer + promotion.
     min_layer: Dict[str, int] = {}
-    baseline = route(netlist, placement, config)
-    for net_name, routed in baseline.items():
+    baseline = routing_columns(route(netlist, placement, config))
+    h_layers = baseline.h_layer.tolist()
+    starts = baseline.conn_starts.tolist()
+    for index, net_name in enumerate(baseline.net_names):
         if rng.random() >= blockage_probability:
             continue
-        natural_top = max((c.h_layer for c in routed.connections), default=2)
+        natural_top = max(h_layers[starts[index]:starts[index + 1]], default=2)
         min_layer[net_name] = min(natural_top + promote_layers, 8)
 
     routing = route(netlist, placement, config, min_layer)

@@ -74,14 +74,7 @@ def routing_perturbation_defense(
         # CSR, compute anchors from the coordinate columns and write the
         # decoys back through override_hints — no RoutedConnection is ever
         # materialized.  RNG draw count and order match the object path.
-        position = {name: i for i, name in enumerate(backing.net_names)}
-        index_runs = [
-            np.arange(backing.conn_starts[position[name]],
-                      backing.conn_starts[position[name] + 1])
-            for name in sorted(perturbed) if name in position
-        ]
-        conn_idx = (np.concatenate(index_runs) if index_runs
-                    else np.empty(0, dtype=np.int64))
+        conn_idx = backing.connection_indices(sorted(perturbed))
         if conn_idx.size:
             anchors = np.column_stack((
                 backing.tx[conn_idx], backing.ty[conn_idx],

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
+import numpy as np
+
+from repro.layout.arrays import routing_columns
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.geometry import Point
 from repro.layout.layout import Layout
@@ -74,19 +77,21 @@ def synergistic_defense(
 
     # Routing component: lift protected nets and aim their stubs at decoys.
     min_layer = {name: lift_layer for name in protected}
+    # The decoys are written into the hint columns of the fresh routing's
+    # backing (one (source x, source y, target x, target y) draw per
+    # connection, nets in sorted order), so the backing stays clean.
     routing = route(netlist, placement, RouterConfig(), min_layer)
-    for net_name in sorted(protected):
-        routed = routing.get(net_name)
-        if routed is None:
-            continue
-        for connection in routed.connections:
-            decoy = Point(
-                rng.uniform(die.x_min, die.x_max), rng.uniform(die.y_min, die.y_max)
-            )
-            connection.source_hint = decoy
-            connection.target_hint = Point(
-                rng.uniform(die.x_min, die.x_max), rng.uniform(die.y_min, die.y_max)
-            )
+    backing = routing_columns(routing)
+    conn_idx = backing.connection_indices(sorted(protected))
+    decoys = np.asarray(
+        [[rng.uniform(die.x_min, die.x_max), rng.uniform(die.y_min, die.y_max),
+          rng.uniform(die.x_min, die.x_max), rng.uniform(die.y_min, die.y_max)]
+         for _ci in range(conn_idx.size)],
+        dtype=np.float64,
+    ).reshape(-1, 4)
+    backing.override_hints(
+        conn_idx, decoys[:, 0], decoys[:, 1], decoys[:, 2], decoys[:, 3],
+    )
 
     return Layout(
         name=f"{netlist.name}_synergistic",

@@ -28,6 +28,7 @@ from repro.layout.arrays import (
     UniformGridIndex,
     placement_arrays,
     routing_backing,
+    routing_columns,
 )
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.placer import PlacementResult, place, place_batch
@@ -53,6 +54,7 @@ __all__ = [
     "UniformGridIndex",
     "placement_arrays",
     "routing_backing",
+    "routing_columns",
     "Floorplan",
     "build_floorplan",
     "PlacementResult",

@@ -639,13 +639,17 @@ class RoutingArrays:
       close-x via, close-y via, then the sink pin stack;
     * ``hint_default`` marks connections whose stub hints are the router's
       defaults (source hint = target, target hint = source, materialized as
-      the *same objects*); overridden hints (``override_hints``) and decoded
-      payloads materialize fresh points from the hint columns, with the
-      ``hint_*_present`` masks distinguishing explicit ``None`` hints.
-      Hint columns hold 0.0 wherever the mask is clear;
-    * ``materialized_count`` counts nets whose objects were built; consumers
-      that would read columns behind possibly-mutated objects must require a
-      clean backing (:func:`routing_backing`).
+      the *same objects*); other hints materialize as the
+      ``*_hint_points`` object references when the producer kept them, else
+      as fresh points from the hint columns, with the ``hint_*_present``
+      masks distinguishing explicit ``None`` hints.  Hint columns hold the
+      hint coordinates of every connection (the router defaults included)
+      and 0.0 wherever the mask is clear;
+    * ``materialized_count`` counts nets whose objects were built.  A
+      materialized graph may have been edited behind the columns, so
+      consumers read routings through :func:`routing_columns`, which trusts
+      only a clean backing and rebuilds the columns otherwise
+      (:meth:`from_nets`).
     """
 
     # -- per-net columns ----------------------------------------------------
@@ -693,6 +697,11 @@ class RoutingArrays:
     #: backings leave these None and materialize fresh points from sx/sy….
     source_points: Optional[List[Point]] = None
     target_points: Optional[List[Point]] = None
+    #: Per-connection stub-hint object references for connections whose
+    #: hints are not the router defaults (the protected layout's misleading
+    #: hints are placement points); None → fresh points from the hint columns.
+    source_hint_points: Optional[List[Optional[Point]]] = None
+    target_hint_points: Optional[List[Optional[Point]]] = None
     #: Per-connection net-name references (decoded payloads, where a stored
     #: ``conn_net`` column may name a different net than the owning entry);
     #: None → the owning net's name.
@@ -713,6 +722,93 @@ class RoutingArrays:
     @property
     def num_connections(self) -> int:
         return len(self.sink_refs)
+
+    # -- construction from objects -------------------------------------------
+    @classmethod
+    def from_nets(cls, routing: "Dict[str, RoutedNet]") -> "RoutingArrays":
+        """Columns of any routing dict — the one object → columns builder.
+
+        For routings without a clean backing: hand-assembled nets, unpickled
+        nets, or a backing whose objects were touched (and possibly edited).
+        Every net is read through its objects (materializing lazy shells);
+        net order and names follow the dict's keys.  The result owns fresh
+        columns with explicit hints (no defaults, no object references), so
+        materializing it yields objects *equal* to the input's, though not
+        identical to them.
+        """
+        names = list(routing)
+        driver_points: List[Optional[Point]] = []
+        sink_refs: List[Tuple[str, str]] = []
+        conn_net: List[str] = []
+        rows: Dict[str, list] = {key: [] for key in _FROM_NETS_DTYPES}
+        # Local aliases, in _FROM_NETS_DTYPES order.
+        (driver_x, driver_y, has_driver, conn_count, dvia_count, dvia_x,
+         dvia_y, dvia_lower, dvia_upper, sx, sy, tx, ty, h_layer, v_layer,
+         protected, hint_sx, hint_sy, hint_tx, hint_ty, hint_src, hint_tgt,
+         seg_count, via_count, seg_layer, seg_x1, seg_y1, seg_x2, seg_y2,
+         via_x, via_y, via_lower, via_upper) = rows.values()
+        for net in routing.values():
+            point = net.driver_point
+            driver_points.append(point)
+            has_driver.append(point is not None)
+            driver_x.append(point.x if point is not None else 0.0)
+            driver_y.append(point.y if point is not None else 0.0)
+            conn_count.append(len(net.connections))
+            dvia_count.append(len(net.driver_vias))
+            for via in net.driver_vias:
+                dvia_x.append(via.x)
+                dvia_y.append(via.y)
+                dvia_lower.append(via.lower)
+                dvia_upper.append(via.upper)
+            for connection in net.connections:
+                conn_net.append(connection.net)
+                sink_refs.append(connection.sink)
+                sx.append(connection.source.x)
+                sy.append(connection.source.y)
+                tx.append(connection.target.x)
+                ty.append(connection.target.y)
+                h_layer.append(connection.h_layer)
+                v_layer.append(connection.v_layer)
+                protected.append(bool(connection.protected))
+                for hint, xs, ys, present in (
+                        (connection.source_hint, hint_sx, hint_sy, hint_src),
+                        (connection.target_hint, hint_tx, hint_ty, hint_tgt)):
+                    present.append(hint is not None)
+                    xs.append(hint.x if hint is not None else 0.0)
+                    ys.append(hint.y if hint is not None else 0.0)
+                seg_count.append(len(connection.segments))
+                for segment in connection.segments:
+                    seg_layer.append(segment.layer)
+                    seg_x1.append(segment.x1)
+                    seg_y1.append(segment.y1)
+                    seg_x2.append(segment.x2)
+                    seg_y2.append(segment.y2)
+                via_count.append(len(connection.vias))
+                for via in connection.vias:
+                    via_x.append(via.x)
+                    via_y.append(via.y)
+                    via_lower.append(via.lower)
+                    via_upper.append(via.upper)
+
+        columns = {
+            key: np.asarray(values, dtype=_FROM_NETS_DTYPES[key])
+            for key, values in rows.items()
+        }
+        counts = columns.pop("conn_count")
+        owners = [name for name, count in zip(names, counts.tolist())
+                  for _ in range(count)]
+        return cls(
+            net_names=names,
+            conn_starts=_csr(counts),
+            driver_points=driver_points,
+            dvia_starts=_csr(columns.pop("dvia_count")),
+            sink_refs=sink_refs,
+            hint_default=np.zeros(len(sink_refs), dtype=bool),
+            seg_starts=_csr(columns.pop("seg_count")),
+            via_starts=_csr(columns.pop("via_count")),
+            conn_net_names=None if conn_net == owners else conn_net,
+            **columns,
+        )
 
     # -- lazy object materialization ----------------------------------------
     def lazy_nets(self) -> "Dict[str, RoutedNet]":
@@ -815,6 +911,9 @@ class RoutingArrays:
             if hdef_l[local]:
                 source_hint: Optional[Point] = target
                 target_hint: Optional[Point] = source
+            elif self.source_hint_points is not None:
+                source_hint = self.source_hint_points[ci]
+                target_hint = self.target_hint_points[ci]
             else:
                 source_hint = (_fast_point(hsx_l[local], hsy_l[local])
                                if hsp_l[local] else None)
@@ -866,6 +965,17 @@ class RoutingArrays:
             top, _group_max(self.dvia_upper, self.dvia_starts, floor=1)
         )
 
+    def connection_indices(self, names: Sequence[str]) -> np.ndarray:
+        """Connection indices of the named nets, net by net in the given
+        order (names this routing does not hold are skipped)."""
+        position = {name: i for i, name in enumerate(self.net_names)}
+        runs = [
+            np.arange(self.conn_starts[position[name]],
+                      self.conn_starts[position[name] + 1])
+            for name in names if name in position
+        ]
+        return np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
+
     # -- in-place hint overrides (routing-perturbation defense) -------------
     def override_hints(self, conn_indices: np.ndarray, hint_sx: np.ndarray,
                        hint_sy: np.ndarray, hint_tx: np.ndarray,
@@ -883,6 +993,14 @@ class RoutingArrays:
         self.hint_src_present[conn_indices] = 1
         self.hint_tgt_present[conn_indices] = 1
         self.hint_default[conn_indices] = False
+        if self.source_hint_points is not None:
+            for ci in np.asarray(conn_indices).tolist():
+                self.source_hint_points[ci] = _fast_point(
+                    float(self.hint_sx[ci]), float(self.hint_sy[ci])
+                )
+                self.target_hint_points[ci] = _fast_point(
+                    float(self.hint_tx[ci]), float(self.hint_ty[ci])
+                )
         if not self.materialized_count:
             return
         for ci in np.asarray(conn_indices).tolist():
@@ -903,6 +1021,38 @@ class RoutingArrays:
             )
 
 
+#: Column dtypes of :meth:`RoutingArrays.from_nets` (per-item counts in
+#: place of CSR starts).
+_FROM_NETS_DTYPES: Dict[str, type] = {
+    "driver_x": np.float64, "driver_y": np.float64, "has_driver": bool,
+    "conn_count": np.int64, "dvia_count": np.int64,
+    "dvia_x": np.float64, "dvia_y": np.float64,
+    "dvia_lower": np.int64, "dvia_upper": np.int64,
+    "sx": np.float64, "sy": np.float64, "tx": np.float64, "ty": np.float64,
+    "h_layer": np.int64, "v_layer": np.int64, "protected": np.uint8,
+    "hint_sx": np.float64, "hint_sy": np.float64,
+    "hint_tx": np.float64, "hint_ty": np.float64,
+    "hint_src_present": np.uint8, "hint_tgt_present": np.uint8,
+    "seg_count": np.int64, "via_count": np.int64,
+    "seg_layer": np.int64, "seg_x1": np.float64, "seg_y1": np.float64,
+    "seg_x2": np.float64, "seg_y2": np.float64,
+    "via_x": np.float64, "via_y": np.float64,
+    "via_lower": np.int64, "via_upper": np.int64,
+}
+
+
+def _csr(counts: np.ndarray) -> np.ndarray:
+    """CSR start offsets (leading 0) of per-item ``counts``."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
+def routing_columns(routing: "Dict[str, RoutedNet]") -> RoutingArrays:
+    """The columns of ``routing``: its clean backing when it has one (no
+    shell is materialized), else :meth:`RoutingArrays.from_nets`."""
+    backing = routing_backing(routing)
+    return backing if backing is not None else RoutingArrays.from_nets(routing)
+
+
 def routing_backing(routing: "Dict[str, RoutedNet]",
                     require_clean: bool = True) -> Optional[RoutingArrays]:
     """The shared :class:`RoutingArrays` behind a routing dict, if usable.
@@ -913,7 +1063,7 @@ def routing_backing(routing: "Dict[str, RoutedNet]",
     or re-keyed mapping.  With ``require_clean`` (the default for the
     array-native fast paths) a backing with any materialized net is rejected
     too: materialized object graphs are mutable behind the columns, so
-    consumers must fall back to the object walk.
+    consumers rebuild the columns instead (:func:`routing_columns`).
     """
     if not routing:
         return None
@@ -995,46 +1145,16 @@ class LayoutArrays:
     @staticmethod
     def build(netlist: Netlist, placement: "PlacementResult",
               routing: Dict[str, "RoutedNet"]) -> "LayoutArrays":
-        base = placement_arrays(netlist, placement)
-        backing = routing_backing(routing)
-        if backing is not None:
-            return LayoutArrays._from_routing_arrays(base, backing)
-        routed_net_names = list(routing)
-        seg_layer: List[int] = []
-        seg_length: List[float] = []
-        seg_net: List[int] = []
-        via_lower: List[int] = []
-        via_net: List[int] = []
-        for net_idx, routed in enumerate(routing.values()):
-            for segment in routed.all_segments():
-                seg_layer.append(segment.layer)
-                seg_length.append(segment.length)
-                seg_net.append(net_idx)
-            for via in routed.all_vias():
-                via_lower.append(via.lower)
-                via_net.append(net_idx)
-        return LayoutArrays(
-            placement=base,
-            routed_net_names=routed_net_names,
-            routed_net_index={name: i for i, name in enumerate(routed_net_names)},
-            seg_layer=np.asarray(seg_layer, dtype=np.int64),
-            seg_length=np.asarray(seg_length, dtype=np.float64),
-            seg_net=np.asarray(seg_net, dtype=np.intp),
-            via_lower=np.asarray(via_lower, dtype=np.int64),
-            via_net=np.asarray(via_net, dtype=np.intp),
-        )
+        """Pure column work over the routing's columns
+        (:func:`routing_columns`); no object graph of a lazy net is touched.
 
-    @staticmethod
-    def _from_routing_arrays(base: PlacementArrays,
-                             backing: RoutingArrays) -> "LayoutArrays":
-        """Array-native :meth:`build`: pure column work over a clean
-        :class:`RoutingArrays`, no object graphs touched.
-
-        Reproduces the object walk exactly: per-segment lengths are the same
-        ``|dx| + |dy|`` expression ``Segment.length`` evaluates, and the via
-        column interleaves each net's driver vias before its connection vias
-        (the ``RoutedNet.all_vias`` order).
+        Reproduces the per-object walk exactly: per-segment lengths are the
+        same ``|dx| + |dy|`` expression ``Segment.length`` evaluates, and the
+        via column interleaves each net's driver vias before its connection
+        vias (the ``RoutedNet.all_vias`` order).
         """
+        base = placement_arrays(netlist, placement)
+        backing = routing_columns(routing)
         num_nets = backing.num_nets
         net_ids = np.arange(num_nets, dtype=np.intp)
         seg_bounds = backing.seg_starts[backing.conn_starts]

@@ -21,7 +21,7 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.layout.arrays import LayoutArrays, routing_backing
+from repro.layout.arrays import LayoutArrays, routing_columns
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.geometry import Point
 from repro.layout.placer import PlacementResult, PlacerConfig, place, place_batch
@@ -146,23 +146,16 @@ class Layout:
     def net_lengths_um(self) -> Dict[str, float]:
         """Routed length per net (µm) — consumed by the STA/power models.
 
-        Array-native on column-backed routings (left-fold group sums, so the
-        values are bit-exact with ``RoutedNet.length``); falls back to the
-        per-object walk otherwise.
+        Array-native on the routing columns (left-fold group sums, so the
+        values are bit-exact with ``RoutedNet.length``).
         """
-        backing = routing_backing(self.routing)
-        if backing is not None:
-            return dict(zip(backing.net_names, backing.net_lengths().tolist()))
-        return {name: routed.length for name, routed in self.routing.items()}
+        columns = routing_columns(self.routing)
+        return dict(zip(columns.net_names, columns.net_lengths().tolist()))
 
     def net_top_layers(self) -> Dict[str, int]:
         """Topmost layer used per net — consumed by the wire RC models."""
-        backing = routing_backing(self.routing)
-        if backing is not None:
-            return dict(
-                zip(backing.net_names, backing.net_top_layers().tolist())
-            )
-        return {name: routed.top_layer for name, routed in self.routing.items()}
+        columns = routing_columns(self.routing)
+        return dict(zip(columns.net_names, columns.net_top_layers().tolist()))
 
     def die_area_um2(self) -> float:
         return self.floorplan.area_um2

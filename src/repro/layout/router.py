@@ -28,9 +28,10 @@ Two build paths produce identical routings:
 
 * :func:`route` — the default: layer-pair selection and jog counts are
   evaluated for *all* connections at once on NumPy columns, and the
-  staircase segment/via geometry is assembled from array-built coordinate
-  columns (:func:`route_connections_batch`), then materialized into the
-  usual :class:`Segment`/:class:`Via` objects;
+  staircase segment/via geometry is assembled as array-built coordinate
+  columns, kept in a :class:`~repro.layout.arrays.RoutingArrays` behind
+  lazily materialized :class:`RoutedNet` shells (:func:`route_requests`
+  does the same for explicit connection requests);
 * :func:`route_reference` — the retained seed implementation calling
   :func:`route_connection` per 2-pin connection.
 
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -402,25 +402,119 @@ def route_connections_batch(requests: Sequence[ConnectionRequest],
     """Route many 2-pin connections at once from array-built columns.
 
     Semantically ``[route_connection(*req, config, half_perimeter) for req
-    in requests]`` — and bit-exact with it — but the staircase fractions,
-    segment endpoints and via positions for *all* connections are computed
-    in a handful of NumPy passes over flat coordinate columns; the per-object
-    Python work left is materializing the :class:`Segment`/:class:`Via`
-    dataclasses from the columns.
+    in requests]`` — and bit-exact with it: the connections are routed as
+    one :func:`route_requests` entry and materialized from its columns.
     """
     if not requests:
         return []
-    return _batch_connections(
-        net_names=[req[0] for req in requests],
+    connections, _driver_vias = route_requests(
+        requests, config, half_perimeter
+    )._materialize_net(0)
+    return connections
+
+
+def _driver_stacks(h: np.ndarray, net_starts: np.ndarray, pin_layer: int
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Driver pin via stacks, shared by all connections of a net, reaching
+    the highest H layer any of its connections uses (at least the pin
+    layer): ``(dvia_starts, owning net per via, lower layer per via)``.
+    The per-net max is one ``reduceat`` pass (integer max is
+    order-independent, so it is exact)."""
+    stack_counts = np.maximum(np.maximum.reduceat(h, net_starts), pin_layer) - pin_layer
+    dvia_starts = np.concatenate(([0], np.cumsum(stack_counts))).astype(np.int64)
+    stack_rep = np.repeat(np.arange(len(net_starts)), stack_counts)
+    stack_layer = pin_layer + (
+        np.arange(int(dvia_starts[-1]), dtype=np.int64) - dvia_starts[stack_rep]
+    )
+    return dvia_starts, stack_rep, stack_layer
+
+
+def route_requests(requests: Sequence[ConnectionRequest],
+                   config: RouterConfig, half_perimeter: float,
+                   net_starts: Sequence[int] = (0,),
+                   protected: Optional[Sequence[bool]] = None
+                   ) -> RoutingArrays:
+    """Route connection requests into one :class:`RoutingArrays`.
+
+    ``net_starts`` groups the requests into routed nets (CSR offsets; the
+    default is a single entry).  Each entry is named after its first request
+    and driven from that request's source, with the shared driver via stack
+    reaching the highest H layer of its connections; a request naming
+    another net keeps that name on its connection.  Stub hints follow
+    :func:`route_connection` (a ``None`` hint defaults to the partner
+    endpoint) and keep the given objects, so the lazily materialized nets
+    equal — and pickle byte-identically to — nets assembled from
+    :func:`route_connection` results.
+    """
+    m = len(requests)
+    names = [req[0] for req in requests]
+    sources = [req[2] for req in requests]
+    targets = [req[3] for req in requests]
+    sx = np.asarray([p.x for p in sources], dtype=np.float64)
+    sy = np.asarray([p.y for p in sources], dtype=np.float64)
+    tx = np.asarray([p.x for p in targets], dtype=np.float64)
+    ty = np.asarray([p.y for p in targets], dtype=np.float64)
+    h = np.asarray([req[4][0] for req in requests], dtype=np.int64)
+    v = np.asarray([req[4][1] for req in requests], dtype=np.int64)
+    columns = _connection_columns(h, v, config, half_perimeter, sx, sy, tx, ty)
+
+    starts = np.asarray(net_starts, dtype=np.int64)
+    entry_names = [names[i] for i in starts.tolist()]
+    driver_points = [sources[i] for i in starts.tolist()]
+    dvia_starts, stack_rep, stack_layer = _driver_stacks(
+        h, starts, config.pin_layer
+    )
+    owner = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, m)))
+    conn_net_names = (
+        names if any(names[i] != entry_names[o]
+                     for i, o in enumerate(owner.tolist()))
+        else None
+    )
+
+    default = np.asarray(
+        [req[5] is None and req[6] is None for req in requests], dtype=bool
+    )
+    source_hints = [req[5] if req[5] is not None else req[3] for req in requests]
+    target_hints = [req[6] if req[6] is not None else req[2] for req in requests]
+    driver_x = sx[starts]
+    driver_y = sy[starts]
+    return RoutingArrays(
+        net_names=entry_names,
+        conn_starts=np.append(starts, m),
+        driver_x=driver_x,
+        driver_y=driver_y,
+        has_driver=np.ones(len(starts), dtype=bool),
+        driver_points=driver_points,
+        dvia_starts=dvia_starts,
+        dvia_x=driver_x[stack_rep],
+        dvia_y=driver_y[stack_rep],
+        dvia_lower=stack_layer,
+        dvia_upper=stack_layer + 1,
         sink_refs=[req[1] for req in requests],
-        sources=[req[2] for req in requests],
-        targets=[req[3] for req in requests],
-        h=np.asarray([req[4][0] for req in requests], dtype=np.int64),
-        v=np.asarray([req[4][1] for req in requests], dtype=np.int64),
-        source_hints=[req[5] for req in requests],
-        target_hints=[req[6] for req in requests],
-        config=config,
-        half_perimeter=half_perimeter,
+        sx=sx, sy=sy, tx=tx, ty=ty,
+        h_layer=h,
+        v_layer=v,
+        protected=(np.asarray(protected, dtype=np.uint8) if protected is not None
+                   else np.zeros(m, dtype=np.uint8)),
+        hint_sx=np.asarray([p.x for p in source_hints], dtype=np.float64),
+        hint_sy=np.asarray([p.y for p in source_hints], dtype=np.float64),
+        hint_tx=np.asarray([p.x for p in target_hints], dtype=np.float64),
+        hint_ty=np.asarray([p.y for p in target_hints], dtype=np.float64),
+        hint_src_present=np.ones(m, dtype=np.uint8),
+        hint_tgt_present=np.ones(m, dtype=np.uint8),
+        hint_default=default,
+        seg_starts=columns.seg_starts,
+        via_starts=columns.via_starts,
+        seg_layer=columns.seg_layer,
+        seg_x1=columns.seg_x1, seg_y1=columns.seg_y1,
+        seg_x2=columns.seg_x2, seg_y2=columns.seg_y2,
+        via_x=columns.via_x, via_y=columns.via_y,
+        via_lower=columns.via_lower, via_upper=columns.via_upper,
+        source_points=sources,
+        target_points=targets,
+        source_hint_points=None if default.all() else source_hints,
+        target_hint_points=None if default.all() else target_hints,
+        conn_net_names=conn_net_names,
     )
 
 
@@ -635,82 +729,6 @@ def _connection_columns(h: np.ndarray, v: np.ndarray, config: RouterConfig,
         seg_x2=seg_x2c, seg_y2=seg_y2c,
         via_x=via_x, via_y=via_y, via_lower=via_lower, via_upper=via_upper,
     )
-
-
-def _batch_connections(net_names: List[str], sink_refs: List[SinkRef],
-                       sources: List[Point], targets: List[Point],
-                       h: np.ndarray, v: np.ndarray,
-                       source_hints: Optional[List[Optional[Point]]],
-                       target_hints: Optional[List[Optional[Point]]],
-                       config: RouterConfig, half_perimeter: float,
-                       sx: Optional[np.ndarray] = None,
-                       sy: Optional[np.ndarray] = None,
-                       tx: Optional[np.ndarray] = None,
-                       ty: Optional[np.ndarray] = None) -> List[RoutedConnection]:
-    """Columnar core of :func:`route_connections_batch` (parallel lists in).
-
-    Builds the flat geometry columns and materializes the per-connection
-    object graphs eagerly — the entry point for callers that need the
-    objects themselves (``repro.core.restore`` hand-assembles nets from
-    them); :func:`route` keeps the columns instead and materializes lazily.
-    """
-    if sx is None:
-        sx = np.asarray([p.x for p in sources], dtype=np.float64)
-        sy = np.asarray([p.y for p in sources], dtype=np.float64)
-    if tx is None:
-        tx = np.asarray([p.x for p in targets], dtype=np.float64)
-        ty = np.asarray([p.y for p in targets], dtype=np.float64)
-    columns = _connection_columns(
-        h, v, config, half_perimeter, sx, sy, tx, ty
-    )
-
-    # --- materialization (plain-list indexing only) -------------------------
-    segments_all = _new_segments(
-        columns.seg_layer.tolist(), columns.seg_x1.tolist(),
-        columns.seg_y1.tolist(), columns.seg_x2.tolist(),
-        columns.seg_y2.tolist(),
-    )
-    vias_all = _new_vias(
-        columns.via_x.tolist(), columns.via_y.tolist(),
-        columns.via_lower.tolist(), columns.via_upper.tolist(),
-    )
-    h_l = h.tolist()
-    v_l = v.tolist()
-    if source_hints is None:
-        source_hints = repeat(None)
-    if target_hints is None:
-        target_hints = repeat(None)
-    out: List[RoutedConnection] = []
-    append = out.append
-    new_connection = RoutedConnection.__new__
-    seg_lo = 0
-    via_lo = 0
-    # Same __dict__ fast path as _new_segments/_new_vias, iterated as one
-    # zip over the columns (tuple unpacking beats per-column indexing): this
-    # loop materializes one RoutedConnection per sink pin of the design.
-    for (net_name, sink, source, target, h_layer, v_layer, source_hint,
-         target_hint, seg_hi, via_hi) in zip(
-            net_names, sink_refs, sources, targets, h_l, v_l,
-            source_hints, target_hints,
-            columns.seg_starts.tolist()[1:], columns.via_starts.tolist()[1:]):
-        connection = new_connection(RoutedConnection)
-        connection.__dict__ = {
-            "net": net_name,
-            "sink": sink,
-            "source": source,
-            "target": target,
-            "h_layer": h_layer,
-            "v_layer": v_layer,
-            "segments": segments_all[seg_lo:seg_hi],
-            "vias": vias_all[via_lo:via_hi],
-            "source_hint": source_hint if source_hint is not None else target,
-            "target_hint": target_hint if target_hint is not None else source,
-            "protected": False,
-        }
-        seg_lo = seg_hi
-        via_lo = via_hi
-        append(connection)
-    return out
 
 
 def _terminal_position(netlist: Netlist, placement: PlacementResult,
@@ -1011,21 +1029,11 @@ def _route_with_skeleton(skeleton: _RoutingSkeleton,
         h, v, config, half_perimeter, sx, sy, tx, ty
     )
 
-    # Driver pin via stacks, shared by all connections of a net, reach the
-    # highest H layer any connection uses: per-net max in one reduceat pass
-    # (max over integers is order-independent, so reduceat is exact), then
-    # all stacks at once as flat via columns.  Every skeleton entry has a
-    # driver or is a primary input (anything else has no source and was
-    # skipped), so every routed net gets its stack — like the reference.
-    max_h_per_net = np.maximum(
-        np.maximum.reduceat(h, skeleton.net_starts), config.pin_layer
-    )
-    stack_counts = max_h_per_net - config.pin_layer
-    dvia_starts = np.concatenate(([0], np.cumsum(stack_counts))).astype(np.int64)
-    stack_rep = np.repeat(np.arange(len(skeleton.entries)), stack_counts)
-    stack_layer = config.pin_layer + (
-        np.arange(int(dvia_starts[-1]), dtype=np.int64)
-        - dvia_starts[stack_rep]
+    # Every skeleton entry has a driver or is a primary input (anything else
+    # has no source and was skipped), so every routed net gets its driver
+    # via stack — like the reference.
+    dvia_starts, stack_rep, stack_layer = _driver_stacks(
+        h, skeleton.net_starts, config.pin_layer
     )
 
     # Hint columns hold the router defaults (source hint = target, target

@@ -44,9 +44,28 @@ log = logging.getLogger("repro")
 
 _JSON = "application/json"
 
+#: Largest ``POST /v1/jobs`` body accepted; larger ones get 413 unread.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BadQuery(ValueError):
+    """A malformed query parameter (answered with 400)."""
+
+
+def _query_number(query: Dict[str, str], name: str, kind: type) -> Any:
+    """Parse query parameter ``name`` as ``kind`` (absent or empty → 0)."""
+    try:
+        return kind(query.get(name, 0) or 0)
+    except ValueError:
+        raise _BadQuery(f"invalid ?{name}= value: {query[name]!r}") from None
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # _send_json writes headers and body in two sends; with Nagle's
+    # algorithm on, the body waits for the client's delayed ACK of the
+    # headers (about 40 ms on every keep-alive reply).
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -62,6 +81,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", _JSON)
         self.send_header("Content-Length", str(len(raw)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(raw)
 
@@ -103,6 +124,8 @@ class _Handler(BaseHTTPRequestHandler):
                 if parts[3] == "payload":
                     return self._get_store_payload(parts[2])
             return self._error(404, f"no route for {path}")
+        except _BadQuery as error:
+            return self._error(400, str(error))
         except BrokenPipeError:
             pass  # client went away mid-stream; nothing to clean up
         except Exception as error:  # noqa: BLE001 - handler must not die
@@ -118,6 +141,18 @@ class _Handler(BaseHTTPRequestHandler):
             return self._error(404, f"no route for POST {path}")
         try:
             length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body is left unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
+            if length < 0:
+                return self._error(400, "invalid Content-Length")
+            return self._error(
+                413, f"request body of {length} bytes exceeds the "
+                     f"{MAX_BODY_BYTES}-byte limit")
+        try:
             raw = self.rfile.read(length) if length else b""
             payload = json.loads(raw.decode("utf-8") or "null")
         except (ValueError, UnicodeDecodeError) as error:
@@ -160,7 +195,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, {"jobs": records})
 
     def _get_result(self, job: Job, query: Dict[str, str]) -> None:
-        wait = float(query.get("wait", 0) or 0)
+        wait = _query_number(query, "wait", float)
         if wait > 0:
             job.wait(min(wait, 300.0))
         record = job.record
@@ -178,7 +213,9 @@ class _Handler(BaseHTTPRequestHandler):
         })
 
     def _get_events(self, job: Job, query: Dict[str, str]) -> None:
-        start = int(query.get("start", 0) or 0)
+        start = _query_number(query, "start", int)
+        if start < 0:
+            raise _BadQuery(f"invalid ?start= value: {start}")
         sse = "text/event-stream" in (self.headers.get("Accept") or "")
         self.send_response(200)
         self.send_header(

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.layout.arrays import UniformGridIndex
+from repro.layout.arrays import UniformGridIndex, _fast_point, routing_columns
 from repro.layout.geometry import Point
 from repro.layout.layout import Layout
-from repro.layout.router import RoutedConnection
 
 #: Number of discrete compass directions a dangling stub reveals.  A real
 #: stub tells an attacker only the rough heading of the missing wire, so the
@@ -50,18 +50,6 @@ DIRECTION_QUANTIZATION = 8
 #: protected layouts the continuation recorded in the FEOL is the *erroneous*
 #: one, so the same mechanism actively misleads the attacker.
 DEFAULT_STUB_FRACTION = 0.47
-
-
-def _quantized_direction(source: Point, towards: Point) -> Optional[Tuple[float, float]]:
-    """Unit vector from ``source`` towards ``towards``, snapped to 8 compass points."""
-    dx = towards.x - source.x
-    dy = towards.y - source.y
-    if abs(dx) < 1e-9 and abs(dy) < 1e-9:
-        return None
-    angle = math.atan2(dy, dx)
-    step = 2.0 * math.pi / DIRECTION_QUANTIZATION
-    snapped = round(angle / step) * step
-    return (math.cos(snapped), math.sin(snapped))
 
 
 @dataclass(frozen=True)
@@ -268,25 +256,78 @@ def feol_arrays(view: FEOLView) -> FEOLArrays:
     return arrays
 
 
-def _connection_is_cut(connection: RoutedConnection, split_layer: int) -> bool:
-    """A connection is cut when its lateral routing runs above the split layer."""
-    return connection.h_layer > split_layer or connection.v_layer > split_layer
-
-
-def _stub_tip(anchor: Point, towards: Optional[Point], stub_fraction: float) -> Point:
-    """Position of the dangling-stub tip: part of the way from ``anchor`` to ``towards``."""
-    if towards is None or stub_fraction <= 0.0:
-        return anchor
+def _stub_tips(anchor_x: np.ndarray, anchor_y: np.ndarray,
+               hint_x: np.ndarray, hint_y: np.ndarray, has_hint: np.ndarray,
+               stub_fraction: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Dangling-stub tip positions: part of the way from each anchor towards
+    its hint (the anchor itself without a hint or with a zero fraction)."""
+    if stub_fraction <= 0.0:
+        return anchor_x, anchor_y
     fraction = min(max(stub_fraction, 0.0), 0.5)
-    return Point(
-        anchor.x + fraction * (towards.x - anchor.x),
-        anchor.y + fraction * (towards.y - anchor.y),
+    return (
+        np.where(has_hint, anchor_x + fraction * (hint_x - anchor_x), anchor_x),
+        np.where(has_hint, anchor_y + fraction * (hint_y - anchor_y), anchor_y),
     )
+
+
+#: ``(cos, sin)`` of every snapped compass angle, keyed by its step index.
+_STEP = 2.0 * math.pi / DIRECTION_QUANTIZATION
+_COMPASS = {
+    k: (math.cos(k * _STEP), math.sin(k * _STEP))
+    for k in range(-DIRECTION_QUANTIZATION // 2, DIRECTION_QUANTIZATION // 2 + 1)
+}
+
+
+def _directions(x: np.ndarray, y: np.ndarray, hint_x: np.ndarray,
+                hint_y: np.ndarray, has_hint: np.ndarray
+                ) -> List[Optional[Tuple[float, float]]]:
+    """Unit vector from every position towards its hint, snapped to the
+    :data:`DIRECTION_QUANTIZATION` compass points (``None`` without a hint
+    or when the hint coincides with the position).  The angle is one
+    ``math.atan2`` per vpin, snapped to ``round(angle / step) * step``; its
+    cosine and sine are looked up in :data:`_COMPASS`."""
+    dx = hint_x - x
+    dy = hint_y - y
+    defined = has_hint & ~((np.abs(dx) < 1e-9) & (np.abs(dy) < 1e-9))
+    atan2 = math.atan2
+    return [
+        _COMPASS[round(atan2(ddy, ddx) / _STEP)] if ok else None
+        for ddx, ddy, ok in zip(dx.tolist(), dy.tolist(), defined.tolist())
+    ]
+
+
+def _direction_columns(directions: List[Optional[Tuple[float, float]]]
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """FEOLArrays direction columns: unit vectors ((0, 0) when absent)."""
+    return (
+        np.asarray([d if d is not None else (0.0, 0.0) for d in directions],
+                   dtype=np.float64).reshape(-1, 2),
+        np.asarray([d is not None for d in directions], dtype=bool),
+    )
+
+
+_new_vpin = VPin.__new__
+
+
+def _fast_vpin(fields: Dict[str, object]) -> VPin:
+    """Build a frozen :class:`VPin` through ``__dict__`` (``fields`` in
+    field order), skipping the generated ``__init__``'s per-field
+    ``object.__setattr__`` calls."""
+    vpin = _new_vpin(VPin)
+    vpin.__dict__.update(fields)
+    return vpin
 
 
 def extract_feol(layout: Layout, split_layer: int,
                  stub_fraction: float = DEFAULT_STUB_FRACTION) -> FEOLView:
     """Build the FEOL view of ``layout`` for a split after ``split_layer``.
+
+    Column-native: the cut mask, the stub positions and directions and the
+    :class:`FEOLArrays` cache are computed on the routing's
+    :class:`~repro.layout.arrays.RoutingArrays` columns (its clean backing,
+    or :meth:`~repro.layout.arrays.RoutingArrays.from_nets` for edited or
+    hand-built routings), so no routed net is materialized.  VPin and
+    OpenConnection objects are built for cut connections only.
 
     Args:
         layout: A routed layout (original, naively lifted, or protected).
@@ -297,98 +338,150 @@ def extract_feol(layout: Layout, split_layer: int,
             vpin directly at its cell.
 
     Returns:
-        A populated :class:`FEOLView`.
+        A populated :class:`FEOLView` with its :func:`feol_arrays` cache set.
     """
     if split_layer < 1:
         raise ValueError("split_layer must be >= 1")
     view = FEOLView(layout=layout, split_layer=split_layer)
     netlist = layout.netlist
-    next_id = 0
+    names = list(layout.routing)
+    routing = routing_columns(layout.routing)
 
-    for net_name, routed in layout.routing.items():
-        cut_connections = [
-            c for c in routed.connections if _connection_is_cut(c, split_layer)
-        ]
-        if not cut_connections:
-            view.visible_nets.add(net_name)
-            continue
-        view.cut_nets.add(net_name)
-        protected = net_name in layout.protected_nets
+    # A connection is cut when its lateral routing runs above the split.
+    cut = (routing.h_layer > split_layer) | (routing.v_layer > split_layer)
+    owner = np.repeat(
+        np.arange(len(names), dtype=np.int64), np.diff(routing.conn_starts)
+    )
+    cut_idx = np.flatnonzero(cut)
+    net_is_cut = np.zeros(len(names), dtype=bool)
+    net_is_cut[owner[cut_idx]] = True
+    view.visible_nets.update(compress(names, (~net_is_cut).tolist()))
+    view.cut_nets.update(compress(names, net_is_cut.tolist()))
+
+    # Stub hints per cut connection (the hint columns hold every
+    # connection's hint coordinates, router defaults included).
+    conn_owner = owner[cut_idx]
+    tx, ty = routing.tx[cut_idx], routing.ty[cut_idx]
+    src_hx, src_hy = routing.hint_sx[cut_idx], routing.hint_sy[cut_idx]
+    src_has = routing.hint_src_present[cut_idx].astype(bool)
+    tgt_hx, tgt_hy = routing.hint_tx[cut_idx], routing.hint_ty[cut_idx]
+    tgt_has = routing.hint_tgt_present[cut_idx].astype(bool)
+
+    # Driver-side vpins: one open via per cut connection on the driver's
+    # FEOL trunk, its stub heading where the FEOL routing of this connection
+    # was actually going (the erroneous partner for protected nets).  A net
+    # without a driver point anchors at the origin (columns hold 0.0).
+    d_x, d_y = _stub_tips(
+        routing.driver_x[conn_owner], routing.driver_y[conn_owner],
+        src_hx, src_hy, src_has, stub_fraction,
+    )
+    d_dir = _directions(d_x, d_y, src_hx, src_hy, src_has)
+    s_x, s_y = _stub_tips(tx, ty, tgt_hx, tgt_hy, tgt_has, stub_fraction)
+    s_dir = _directions(s_x, s_y, tgt_hx, tgt_hy, tgt_has)
+
+    drivers: Dict[int, Tuple[Optional[str], Optional[str], object]] = {}
+    for index in np.flatnonzero(net_is_cut).tolist():
+        net_name = names[index]
         net = netlist.nets[net_name]
-
-        driver_gate: Optional[str] = None
-        driver_pin: Optional[str] = None
-        driver_cell = None
         if net.driver is not None:
-            driver_gate, driver_pin = net.driver
-            driver_cell = netlist.gates[driver_gate].cell
-        elif net.is_primary_input:
-            driver_pin = net_name
-        source = routed.driver_point if routed.driver_point is not None else Point(0.0, 0.0)
+            gate, pin = net.driver
+            drivers[index] = (gate, pin, netlist.gates[gate].cell)
+        else:
+            drivers[index] = (
+                None, net_name if net.is_primary_input else None, None
+            )
 
-        for connection in cut_connections:
-            # Driver-side vpin of this connection: one open via per cut
-            # connection on the driver's FEOL trunk, its stub heading where
-            # the FEOL routing of this connection was actually going
-            # (the erroneous partner for protected nets).
-            hint = connection.source_hint
-            driver_position = _stub_tip(source, hint, stub_fraction)
-            driver_vpin = VPin(
-                identifier=next_id,
-                kind="driver",
-                position=driver_position,
-                gate=driver_gate,
-                pin=driver_pin,
-                cell=driver_cell.name if driver_cell is not None else None,
-                direction=(
-                    _quantized_direction(driver_position, hint) if hint is not None else None
-                ),
-                max_load_ff=driver_cell.max_load_ff if driver_cell is not None else 1e9,
-                drive_resistance_kohm=(
-                    driver_cell.drive_resistance_kohm if driver_cell is not None else 0.0
-                ),
-                net=net_name,
-            )
-            next_id += 1
-            view.driver_vpins.append(driver_vpin)
+    protected_nets = layout.protected_nets
+    gate_index: Dict[str, int] = {}
+    driver_vpins = view.driver_vpins
+    sink_vpins = view.sink_vpins
+    max_loads: List[float] = []
+    caps: List[float] = []
+    sink_gates: List[Optional[str]] = []
+    for k, (ci, net_idx, dx, dy, ddir, sxk, syk, sdir, prot) in enumerate(zip(
+            cut_idx.tolist(), conn_owner.tolist(), d_x.tolist(), d_y.tolist(),
+            d_dir, s_x.tolist(), s_y.tolist(), s_dir,
+            routing.protected[cut_idx].tolist())):
+        net_name = names[net_idx]
+        driver_gate, driver_pin, driver_cell = drivers[net_idx]
+        max_load = driver_cell.max_load_ff if driver_cell is not None else 1e9
+        max_loads.append(max_load)
+        driver_vpins.append(_fast_vpin({
+            "identifier": 2 * k,
+            "kind": "driver",
+            "position": _fast_point(dx, dy),
+            "gate": driver_gate,
+            "pin": driver_pin,
+            "cell": driver_cell.name if driver_cell is not None else None,
+            "direction": ddir,
+            "capacitance_ff": 0.0,
+            "max_load_ff": max_load,
+            "drive_resistance_kohm": (
+                driver_cell.drive_resistance_kohm
+                if driver_cell is not None else 0.0
+            ),
+            "net": net_name,
+        }))
 
-            sink_gate: Optional[str] = None
-            sink_pin: Optional[str] = None
-            sink_cell = None
-            cap = 0.0
-            if connection.sink[0] == "PO":
-                sink_pin = connection.sink[1]
-            else:
-                sink_gate, sink_pin = connection.sink
-                sink_cell = netlist.gates[sink_gate].cell
-                cap = sink_cell.pin(sink_pin).capacitance_ff
-            hint = connection.target_hint
-            sink_position = _stub_tip(connection.target, hint, stub_fraction)
-            sink_vpin = VPin(
-                identifier=next_id,
-                kind="sink",
-                position=sink_position,
-                gate=sink_gate,
-                pin=sink_pin,
-                cell=sink_cell.name if sink_cell is not None else None,
-                direction=(
-                    _quantized_direction(sink_position, hint)
-                    if hint is not None else None
-                ),
-                capacitance_ff=cap,
-                net=net_name,
-            )
-            next_id += 1
-            view.sink_vpins.append(sink_vpin)
-            view.open_connections.append(
-                OpenConnection(
-                    net=net_name,
-                    driver_vpin=driver_vpin.identifier,
-                    sink_vpin=sink_vpin.identifier,
-                    # Only the connections the defense actually randomized are
-                    # scored as "protected"; other (honest) sinks of the same
-                    # net are ordinary cut connections.
-                    protected=protected and connection.protected,
-                )
-            )
+        first, second = routing.sink_refs[ci]
+        if first == "PO":
+            sink_gate, sink_cell, cap = None, None, 0.0
+        else:
+            sink_gate = first
+            sink_cell = netlist.gates[first].cell
+            cap = sink_cell.pin(second).capacitance_ff
+        caps.append(cap)
+        sink_gates.append(sink_gate)
+        sink_vpins.append(_fast_vpin({
+            "identifier": 2 * k + 1,
+            "kind": "sink",
+            "position": _fast_point(sxk, syk),
+            "gate": sink_gate,
+            "pin": second,
+            "cell": sink_cell.name if sink_cell is not None else None,
+            "direction": sdir,
+            "capacitance_ff": cap,
+            "max_load_ff": 0.0,
+            "drive_resistance_kohm": 0.0,
+            "net": net_name,
+        }))
+        view.open_connections.append(OpenConnection(
+            net=net_name,
+            driver_vpin=2 * k,
+            sink_vpin=2 * k + 1,
+            # Only the connections the defense actually randomized are
+            # scored as "protected"; other (honest) sinks of the same net
+            # are ordinary cut connections.
+            protected=net_name in protected_nets and bool(prot),
+        ))
+
+    # The FEOLArrays cache, filled from the same columns (gate indices in
+    # first-appearance order over the drivers, then the sinks).
+    def gate_of(gate: Optional[str]) -> int:
+        return -1 if gate is None else gate_index.setdefault(gate, len(gate_index))
+
+    num_cut = cut_idx.size
+    d_dir_xy, d_has = _direction_columns(d_dir)
+    s_dir_xy, s_has = _direction_columns(s_dir)
+    arrays = FEOLArrays(
+        driver_ids=np.arange(0, 2 * num_cut, 2, dtype=np.int64),
+        driver_xy=np.column_stack((d_x, d_y)).astype(np.float64, copy=False),
+        driver_dir=d_dir_xy,
+        driver_has_dir=d_has,
+        driver_max_load=np.asarray(max_loads, dtype=np.float64),
+        driver_gate_idx=np.asarray(
+            [gate_of(v.gate) for v in driver_vpins], dtype=np.int64
+        ),
+        sink_ids=np.arange(1, 2 * num_cut, 2, dtype=np.int64),
+        sink_xy=np.column_stack((s_x, s_y)).astype(np.float64, copy=False),
+        sink_dir=s_dir_xy,
+        sink_has_dir=s_has,
+        sink_cap=np.asarray(caps, dtype=np.float64),
+        sink_gate_idx=np.asarray(
+            [gate_of(gate) for gate in sink_gates], dtype=np.int64
+        ),
+    )
+    view.__dict__["_geometry_cache"] = (
+        (view.geometry_version, num_cut, num_cut), arrays
+    )
     return view

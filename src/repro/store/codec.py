@@ -17,15 +17,14 @@ protocol the pool workers already use:
 :func:`encode_build` flattens a :class:`~repro.api.schemes.SchemeBuild`
 into ``(record, arrays)`` — a JSON-compatible metadata record plus a dict
 of NumPy arrays — and :func:`decode_build` reverses it against a freshly
-regenerated netlist.  Both directions stay columnar on column-backed
-routings: encode copies the :class:`~repro.layout.arrays.RoutingArrays`
-columns near-verbatim into the payload, and decode keeps the payload
-columns as a fresh ``RoutingArrays`` behind lazy
+regenerated netlist.  Both directions stay columnar: encode copies the
+routing's :class:`~repro.layout.arrays.RoutingArrays` columns near-verbatim
+into the payload (routings without a clean backing — hand-assembled nets,
+mutated object graphs — get theirs from
+:meth:`~repro.layout.arrays.RoutingArrays.from_nets`), and decode keeps the
+payload columns as a fresh ``RoutingArrays`` behind lazy
 :class:`~repro.layout.router.RoutedNet` shells — per-object geometry is
-only materialized if a consumer of the loaded build touches it.  Routings
-without a clean column backing (hand-assembled nets, mutated object
-graphs) take the retained object-walk encode path; both paths produce
-byte-identical payloads.
+only materialized if a consumer of the loaded build touches it.
 
 Builds that carry state the columnar format cannot represent — today the
 ``proposed`` scheme's full :class:`~repro.core.flow.ProtectionResult` —
@@ -55,7 +54,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.layout.arrays import RoutingArrays, routing_backing
+from repro.layout.arrays import RoutingArrays, routing_columns
 from repro.layout.floorplan import Floorplan
 from repro.layout.geometry import Point, Rect
 from repro.layout.layout import Layout
@@ -228,136 +227,28 @@ def _encode_layout(layout: Layout, netlist: Netlist,
     )
 
     # -- routing: skeleton columns + coordinate columns --------------------
-    backing = routing_backing(layout.routing)
-    if backing is not None:
-        # Column-backed routing that was never materialized: the payload is
-        # a near-copy of the columns (byte-identical to the object walk
-        # below), no Segment/Via/RoutedConnection object ever built.
-        _encode_routing_fast(backing, net_index, gate_index, arrays, prefix)
-        return _layout_record(layout, netlist, net_index, arrays, prefix)
-
-    rnet_net: List[int] = []
-    rnet_driver = np.empty((len(layout.routing), 2), dtype=np.float64)
-    rnet_has_driver: List[bool] = []
-    rnet_conn_count: List[int] = []
-    rnet_dvia_count: List[int] = []
-    sink_tokens: Dict[str, int] = {}
-    conn_net: List[int] = []
-    conn_sink_gate: List[int] = []
-    conn_sink_token: List[int] = []
-    conn_layers: List[Tuple[int, int]] = []
-    conn_coords: List[Tuple[float, float, float, float]] = []
-    conn_hints: List[Tuple[float, float, float, float]] = []
-    conn_hint_mask: List[Tuple[bool, bool]] = []
-    conn_protected: List[bool] = []
-    conn_seg_count: List[int] = []
-    conn_via_count: List[int] = []
-    seg_rows: List[Tuple[int, float, float, float, float]] = []
-    via_rows: List[Tuple[float, float, int]] = []
-    dvia_rows: List[Tuple[float, float, int]] = []
-
-    def token(text: str) -> int:
-        return sink_tokens.setdefault(text, len(sink_tokens))
-
-    try:
-        for index, (net_name, routed) in enumerate(layout.routing.items()):
-            rnet_net.append(net_index[net_name])
-            if routed.name != net_name:
-                raise UnstorableBuild(
-                    f"routed net {routed.name!r} stored under key {net_name!r}"
-                )
-            if routed.driver_point is not None:
-                rnet_has_driver.append(True)
-                rnet_driver[index, 0] = routed.driver_point.x
-                rnet_driver[index, 1] = routed.driver_point.y
-            else:
-                rnet_has_driver.append(False)
-                rnet_driver[index, 0] = rnet_driver[index, 1] = 0.0
-            rnet_conn_count.append(len(routed.connections))
-            rnet_dvia_count.append(len(routed.driver_vias))
-            for via in routed.driver_vias:
-                dvia_rows.append((via.x, via.y, via.lower))
-            for conn in routed.connections:
-                conn_net.append(net_index[conn.net])
-                first, second = conn.sink
-                if first == "PO":
-                    conn_sink_gate.append(-1)
-                else:
-                    conn_sink_gate.append(gate_index[first])
-                conn_sink_token.append(token(second))
-                conn_layers.append((conn.h_layer, conn.v_layer))
-                conn_coords.append((
-                    conn.source.x, conn.source.y, conn.target.x, conn.target.y
-                ))
-                src_hint = conn.source_hint
-                tgt_hint = conn.target_hint
-                conn_hint_mask.append((src_hint is not None, tgt_hint is not None))
-                conn_hints.append((
-                    src_hint.x if src_hint is not None else 0.0,
-                    src_hint.y if src_hint is not None else 0.0,
-                    tgt_hint.x if tgt_hint is not None else 0.0,
-                    tgt_hint.y if tgt_hint is not None else 0.0,
-                ))
-                conn_protected.append(bool(conn.protected))
-                conn_seg_count.append(len(conn.segments))
-                conn_via_count.append(len(conn.vias))
-                for seg in conn.segments:
-                    seg_rows.append((seg.layer, seg.x1, seg.y1, seg.x2, seg.y2))
-                for via in conn.vias:
-                    via_rows.append((via.x, via.y, via.lower))
-    except KeyError as error:
-        raise UnstorableBuild(f"routing references unknown name: {error}")
-
-    arrays[prefix + "rnet_net"] = np.asarray(rnet_net, dtype=np.int64)
-    arrays[prefix + "rnet_driver"] = rnet_driver
-    arrays[prefix + "rnet_has_driver"] = np.asarray(rnet_has_driver, dtype=np.uint8)
-    arrays[prefix + "rnet_conn_count"] = np.asarray(rnet_conn_count, dtype=np.int64)
-    arrays[prefix + "rnet_dvia_count"] = np.asarray(rnet_dvia_count, dtype=np.int64)
-    arrays[prefix + "sink_tokens"] = np.array(
-        sorted(sink_tokens, key=sink_tokens.get), dtype=np.str_
+    # The payload is a near-copy of the routing columns: the clean backing
+    # of a router/decode product, or RoutingArrays.from_nets for edited and
+    # hand-assembled routings — no lazy net is ever materialized.
+    for net_name, routed in layout.routing.items():
+        if routed.name != net_name:
+            raise UnstorableBuild(
+                f"routed net {routed.name!r} stored under key {net_name!r}"
+            )
+    _encode_routing(
+        routing_columns(layout.routing), net_index, gate_index, arrays, prefix
     )
-    arrays[prefix + "conn_net"] = np.asarray(conn_net, dtype=np.int64)
-    arrays[prefix + "conn_sink_gate"] = np.asarray(conn_sink_gate, dtype=np.int64)
-    arrays[prefix + "conn_sink_token"] = np.asarray(conn_sink_token, dtype=np.int64)
-    arrays[prefix + "conn_layers"] = np.asarray(
-        conn_layers, dtype=np.int16
-    ).reshape(-1, 2)
-    arrays[prefix + "conn_coords"] = np.asarray(
-        conn_coords, dtype=np.float64
-    ).reshape(-1, 4)
-    arrays[prefix + "conn_hints"] = np.asarray(
-        conn_hints, dtype=np.float64
-    ).reshape(-1, 4)
-    arrays[prefix + "conn_hint_mask"] = np.asarray(
-        conn_hint_mask, dtype=np.uint8
-    ).reshape(-1, 2)
-    arrays[prefix + "conn_protected"] = np.asarray(conn_protected, dtype=np.uint8)
-    arrays[prefix + "conn_seg_count"] = np.asarray(conn_seg_count, dtype=np.int64)
-    arrays[prefix + "conn_via_count"] = np.asarray(conn_via_count, dtype=np.int64)
-    arrays[prefix + "seg_rows"] = np.asarray(
-        seg_rows, dtype=np.float64
-    ).reshape(-1, 5)
-    arrays[prefix + "via_rows"] = np.asarray(
-        via_rows, dtype=np.float64
-    ).reshape(-1, 3)
-    arrays[prefix + "dvia_rows"] = np.asarray(
-        dvia_rows, dtype=np.float64
-    ).reshape(-1, 3)
-
     return _layout_record(layout, netlist, net_index, arrays, prefix)
 
 
-def _encode_routing_fast(backing: RoutingArrays, net_index: Dict[str, int],
-                         gate_index: Dict[str, int],
-                         arrays: Dict[str, np.ndarray], prefix: str) -> None:
-    """Routing payload straight from a clean :class:`RoutingArrays`.
+def _encode_routing(backing: RoutingArrays, net_index: Dict[str, int],
+                    gate_index: Dict[str, int],
+                    arrays: Dict[str, np.ndarray], prefix: str) -> None:
+    """Routing payload straight from :class:`RoutingArrays` columns.
 
-    Byte-identical to the object walk in :func:`_encode_layout`: the same
-    arrays with the same dtypes and values, built as column copies/stacks
-    (plus the two name→index translation loops the format needs) instead of
-    a triple-nested object traversal.  Interning the sink tokens from
-    ``sink_refs`` in connection order reproduces the walk's first-appearance
-    token ids exactly.
+    Column copies/stacks plus the two name→index translation loops the
+    format needs.  Sink tokens are interned from ``sink_refs`` in
+    connection order (first-appearance token ids).
     """
     num_conns = backing.num_connections
     try:
@@ -388,8 +279,7 @@ def _encode_routing_fast(backing: RoutingArrays, net_index: Dict[str, int],
         raise UnstorableBuild(f"routing references unknown name: {error}")
 
     arrays[prefix + "rnet_net"] = rnet_net
-    # Column-backed drivers hold (0.0, 0.0) wherever has_driver is false —
-    # the same placeholder the object walk writes.
+    # Driver columns hold (0.0, 0.0) wherever has_driver is false.
     arrays[prefix + "rnet_driver"] = np.column_stack(
         (backing.driver_x, backing.driver_y)
     )

@@ -131,3 +131,29 @@ class TestCRoutingAttack:
         original = extract_feol(protection_c432.original_layout, split)
         protected = extract_feol(protection_c432.protected_layout, split)
         assert crouting_attack(protected).num_vpins >= crouting_attack(original).num_vpins
+
+
+def test_package_import_leaves_scipy_unloaded():
+    """scipy.optimize loads with the first network-flow attack, not with the
+    package: importing the API and the service must not pay for it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source_root, env.get("PYTHONPATH")])
+    )
+    code = (
+        "import sys, repro, repro.api, repro.service; "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    assert result.stdout.strip() == "False"

@@ -247,3 +247,163 @@ def test_defense_backing_path_matches_object_path(netlist, monkeypatch):
             assert a.source_hint == b.source_hint, name
             assert a.target_hint == b.target_hint, name
             assert a.segments == b.segments, name
+
+
+# -- from_nets: the one object → columns builder -----------------------------
+
+
+def test_from_nets_round_trip_equals_eager_objects(netlist, placement):
+    from repro.layout.arrays import RoutingArrays
+
+    eager = _reference_routing(netlist, placement)
+    rebuilt = RoutingArrays.from_nets(eager).lazy_nets()
+    assert list(rebuilt) == list(eager)
+    for name in eager:
+        assert rebuilt[name] == eager[name], name
+
+
+def test_from_nets_reads_edited_objects(netlist, placement):
+    from repro.layout.arrays import RoutingArrays
+    from repro.layout.geometry import Point
+
+    routing = route(netlist, placement, RouterConfig())
+    names = list(routing)
+    # Edit a few nets through their objects, the way the synergistic
+    # defense does: hints re-aimed, one dropped, a flag and a name changed.
+    edited = names[3:5] + names[-1:]
+    for name in edited:
+        for connection in routing[name].connections:
+            connection.source_hint = Point(1.5, 2.5)
+            connection.target_hint = None
+            connection.protected = True
+    routing[names[3]].connections[0].net = names[0]
+    routing[names[4]].driver_point = None
+    columns = RoutingArrays.from_nets(routing)
+    assert columns.conn_net_names is not None
+    rebuilt = columns.lazy_nets()
+    assert list(rebuilt) == names
+    for name in names:
+        assert rebuilt[name] == routing[name], name
+
+
+def test_from_nets_reproduces_the_router_columns(netlist, placement):
+    from repro.layout.arrays import RoutingArrays
+
+    routing = route(netlist, placement, RouterConfig())
+    backing = routing_backing(routing)
+    columns = RoutingArrays.from_nets(routing)
+    for name in ("conn_starts", "dvia_starts", "seg_starts", "via_starts",
+                 "sx", "ty", "h_layer", "v_layer", "seg_x1", "via_lower",
+                 "dvia_upper", "protected"):
+        ours, theirs = getattr(columns, name), getattr(backing, name)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+    # Router default hints become explicit hint columns.
+    assert np.array_equal(columns.hint_sx, backing.tx)
+    assert np.array_equal(columns.hint_ty, backing.sy)
+    assert not columns.hint_default.any()
+
+
+def test_from_nets_of_empty_routing():
+    from repro.layout.arrays import RoutingArrays
+
+    columns = RoutingArrays.from_nets({})
+    assert columns.num_nets == 0 and columns.num_connections == 0
+    assert columns.conn_starts.tolist() == [0]
+    assert columns.lazy_nets() == {}
+
+
+# -- producers: the paper's own layouts are column-backed --------------------
+
+
+def _protect(netlist, **overrides):
+    from repro.core import ProtectionConfig, protect
+
+    config = dict(lift_layer=6, swap_fraction_steps=(0.08,),
+                  oer_patterns=256, seed=1)
+    config.update(overrides)
+    return protect(netlist, ProtectionConfig(**config))
+
+
+def test_protected_layout_shells_pickle_like_eager_nets(netlist, monkeypatch):
+    """The protected layout used to be assembled from eager RoutedNets built
+    by the per-connection router; its lazy shells must pickle to the very
+    same bytes, shared objects (placement points, hint points) included."""
+    from repro.core import restore
+    from repro.layout.router import RoutedNet, _via_stack, route_connection
+
+    calls = []
+    real = restore.route_requests
+
+    def spy(requests, config, half_perimeter, net_starts, protected):
+        calls.append((list(requests), config, half_perimeter,
+                      list(net_starts), list(protected)))
+        return real(requests, config, half_perimeter,
+                    net_starts=net_starts, protected=protected)
+
+    monkeypatch.setattr(restore, "route_requests", spy)
+    layout = _protect(netlist, build_naive_baseline=False).protected_layout
+    assert routing_backing(layout.routing) is not None
+    (requests, config, half_perimeter, starts, protected), = calls
+    assert any(protected)
+
+    eager = {}
+    bounds = starts + [len(requests)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        connections = []
+        for request, is_protected in zip(requests[lo:hi], protected[lo:hi]):
+            connection = route_connection(
+                *request[:5], config, half_perimeter, request[5], request[6])
+            if is_protected:
+                connection.protected = True
+            connections.append(connection)
+        name, _sink, source = requests[lo][:3]
+        net = RoutedNet(name=name, driver_point=source, connections=connections)
+        top = max([config.pin_layer] + [c.h_layer for c in connections])
+        net.driver_vias = _via_stack(source.x, source.y, config.pin_layer, top)
+        eager[name] = net
+
+    assert list(layout.routing) == list(eager)
+    for name in list(eager)[:10]:
+        assert pickle.dumps(layout.routing[name]) == pickle.dumps(eager[name])
+    assert pickle.dumps(layout.routing) == pickle.dumps(eager)
+
+
+def test_attack_and_metric_pipeline_never_materializes(netlist):
+    """extract → proximity / network-flow / crouting → metrics on routed,
+    decoded, protected and lifted layouts leaves every backing clean."""
+    from repro.attacks.crouting import crouting_attack
+    from repro.attacks.network_flow import network_flow_attack
+    from repro.attacks.proximity import proximity_attack
+    from repro.metrics.distances import distance_stats
+    from repro.metrics.ppa import ppa_report
+    from repro.metrics.security import evaluate_attack
+    from repro.metrics.vias import via_counts_by_name
+    from repro.metrics.wirelength import wirelength_by_layer
+    from repro.sm.split import extract_feol
+
+    routed = build_layout(netlist, seed=3)
+    record, arrays = codec.encode_build(_build_of(routed), netlist)
+    decoded = codec.decode_build(record, arrays, netlist).layout
+    protection = _protect(netlist)
+    layouts = {
+        "routed": routed,
+        "decoded": decoded,
+        "protected": protection.protected_layout,
+        "lifted": protection.naive_lifted_layout,
+    }
+    for kind, layout in layouts.items():
+        backing = routing_backing(layout.routing)
+        assert backing is not None, kind
+        for split in (3, 6):
+            view = extract_feol(layout, split)
+            proximity = proximity_attack(view)
+            flow = network_flow_attack(view)
+            crouting_attack(view)
+            evaluate_attack(view, proximity.assignment, None)
+            evaluate_attack(view, flow.assignment, flow.recovered_netlist,
+                            num_patterns=64)
+        distance_stats(layout)
+        wirelength_by_layer(layout)
+        via_counts_by_name(layout)
+        ppa_report(layout)
+        assert backing.materialized_count == 0, kind

@@ -117,6 +117,94 @@ def test_unknown_route_404(service):
     assert status == 404
 
 
+# -- input validation: malformed requests get 4xx, never 500 ----------------
+
+
+@pytest.mark.parametrize("query", ["wait=abc", "wait=1e", "wait=%20x"])
+def test_malformed_wait_is_400(service, query):
+    status, created = request(service, "POST", "/v1/jobs", body=SPEC)
+    assert status in (200, 201), created
+    job_id = created["job"]["id"]
+    status, body = request(service, "GET", f"/v1/jobs/{job_id}/result?{query}")
+    assert status == 400, body
+    assert "wait" in body["error"]
+
+
+@pytest.mark.parametrize("query", ["start=abc", "start=1.5", "start=-1"])
+def test_malformed_events_start_is_400(service, query):
+    status, created = request(service, "POST", "/v1/jobs", body=SPEC)
+    assert status in (200, 201), created
+    job_id = created["job"]["id"]
+    status, body = request(service, "GET", f"/v1/jobs/{job_id}/events?{query}")
+    assert status == 400, body
+    assert "start" in body["error"]
+
+
+def _post_with_declared_length(service, length: str, body: bytes = b""):
+    """POST /v1/jobs whose Content-Length header says ``length``, sending
+    only ``body``; returns (status, parsed body, connection header)."""
+    conn = http.client.HTTPConnection(service.host, service.port, timeout=10)
+    try:
+        conn.putrequest("POST", "/v1/jobs")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length)
+        conn.endheaders(body or None)
+        response = conn.getresponse()
+        return (response.status, json.loads(response.read()),
+                response.getheader("Connection"))
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("length", ["-5", "abc"])
+def test_invalid_content_length_is_400_without_blocking(service, length):
+    # A negative length used to reach rfile.read(-n) and block the handler
+    # until the client hung up; the timeout would fire instead of a reply.
+    status, body, connection = _post_with_declared_length(service, length)
+    assert status == 400
+    assert "Content-Length" in body["error"]
+    assert connection == "close"
+
+
+def test_oversized_body_is_413_unread(service):
+    from repro.service.app import MAX_BODY_BYTES
+
+    # Only a few bytes of the declared body are sent: the server must answer
+    # from the header alone instead of waiting for the rest.
+    status, body, connection = _post_with_declared_length(
+        service, str(MAX_BODY_BYTES + 1), b"{}")
+    assert status == 413
+    assert str(MAX_BODY_BYTES) in body["error"]
+    assert connection == "close"
+    # A body exactly at the limit is read and parsed as usual.
+    status, body, _ = _post_with_declared_length(
+        service, str(MAX_BODY_BYTES), b" " * (MAX_BODY_BYTES - 2) + b"{}")
+    assert status == 400 and "invalid spec" in body["error"]
+    status, _health = request(service, "GET", "/v1/health")
+    assert status == 200
+
+
+def test_keep_alive_replies_are_not_delayed(service):
+    """Headers and body leave in two sends; with Nagle's algorithm on, the
+    second waited for the client's delayed ACK (about 40 ms per reply)."""
+    import statistics
+    import time
+
+    conn = http.client.HTTPConnection(service.host, service.port, timeout=30)
+    try:
+        latencies = []
+        for _ in range(20):
+            started = time.perf_counter()
+            conn.request("GET", "/v1/health")
+            response = conn.getresponse()
+            response.read()
+            latencies.append(time.perf_counter() - started)
+            assert response.status == 200
+    finally:
+        conn.close()
+    assert statistics.median(latencies) < 0.020, latencies
+
+
 # -- differential: HTTP == in-process -------------------------------------
 
 
