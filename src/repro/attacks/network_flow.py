@@ -307,7 +307,9 @@ def network_flow_attack(view: FEOLView,
     slot_driver_index = np.repeat(np.arange(len(drivers), dtype=np.intp), capacities)
 
     base_costs, excluded = build_cost_matrix(view, config)
-    cost = base_costs[:, slot_driver_index]
+    # np.take builds the slot matrix C-contiguous; a fancy-indexed column
+    # gather comes out F-ordered and linear_sum_assignment would copy it.
+    cost = np.take(base_costs, slot_driver_index, axis=1)
 
     # Imported here, not at module load: scipy.optimize is the package's
     # only scipy use and costs about half a second of import time.

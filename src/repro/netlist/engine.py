@@ -35,7 +35,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.netlist.graph import pseudo_topological_order
-from repro.netlist.netlist import Netlist
+from repro.netlist.netlist import Gate, Netlist
 
 #: Patterns packed per machine word.
 BITS_PER_WORD = 64
@@ -229,6 +229,38 @@ def compile_plan(netlist: Netlist) -> SimPlan:
     return plan
 
 
+def gate_arcs(
+    gate: Gate, net_slot: Mapping[str, int], x_slot: int,
+) -> List[Tuple[str, Tuple[str, ...], Tuple[int, ...], int, str]]:
+    """``(kind, input pins, input slots, output slot, output net)`` per op.
+
+    One entry per ``logic_ops`` op of the combinational ``gate`` whose output
+    pin is connected (the legacy interpreter drops unconnected outputs too).
+    An unconnected input pin reads ``x_slot``, the X fill.
+
+    Raises:
+        UnsupportedNetlist: When the cell carries no ``logic_ops`` metadata.
+    """
+    cell = gate.cell
+    if cell.logic_ops is None:
+        raise UnsupportedNetlist(
+            f"cell {cell.name!r} (gate {gate.name!r}) has no logic_ops "
+            "metadata; vectorized simulation is unavailable"
+        )
+    connections = gate.connections
+    arcs = []
+    for out_pin, kind, in_pins in cell.logic_ops:
+        out_net = connections.get(out_pin)
+        if out_net is None:
+            continue
+        in_slots = []
+        for pin in in_pins:
+            net_name = connections.get(pin)
+            in_slots.append(x_slot if net_name is None else net_slot[net_name])
+        arcs.append((kind, in_pins, tuple(in_slots), net_slot[out_net], out_net))
+    return arcs
+
+
 def _compile(netlist: Netlist) -> SimPlan:
     net_slot = {name: i for i, name in enumerate(netlist.nets)}
     x_slot = len(net_slot)
@@ -250,40 +282,26 @@ def _compile(netlist: Netlist) -> SimPlan:
     # On acyclic netlists this degenerates to plain longest-path levelling.
     order = pseudo_topological_order(netlist)
     gates = netlist.gates
-    nets = netlist.nets
+    #: Driving gate per slot; None for undriven nets and the X slot.
+    slot_driver = [
+        None if net.driver is None else net.driver[0] for net in netlist.nets.values()
+    ] + [None]
     level: Dict[str, int] = {}
     deferred_min_level: Dict[str, int] = {}
     arc_program: List[Tuple[str, Tuple[int, ...], int]] = []
     arc_levels: List[int] = []
     for gate_name in order:
         gate = gates[gate_name]
-        cell = gate.cell
-        if cell.is_sequential:
+        if gate.cell.is_sequential:
             continue
-        if cell.logic_ops is None:
-            raise UnsupportedNetlist(
-                f"cell {cell.name!r} (gate {gate_name!r}) has no logic_ops "
-                "metadata; vectorized simulation is unavailable"
-            )
-        arcs: List[Tuple[str, Tuple[int, ...], int, str]] = []
+        arcs = gate_arcs(gate, net_slot, x_slot)
         unresolved_writers: List[str] = []
         gate_level = deferred_min_level.get(gate_name, 0)
-        connections = gate.connections
-        for out_pin, kind, in_pins in cell.logic_ops:
-            out_net = connections.get(out_pin)
-            if out_net is None:
-                continue  # The legacy interpreter drops unconnected outputs too.
-            in_slots = []
-            for pin in in_pins:
-                net_name = connections.get(pin)
-                if net_name is None:
-                    in_slots.append(x_slot)
+        for _kind, _in_pins, in_slots, _out_slot, _out_net in arcs:
+            for slot in in_slots:
+                driver_gate = slot_driver[slot]
+                if driver_gate is None:
                     continue
-                in_slots.append(net_slot[net_name])
-                driver = nets[net_name].driver
-                if driver is None:
-                    continue
-                driver_gate = driver[0]
                 if driver_gate in level:
                     driver_level = level[driver_gate]
                     if driver_level >= gate_level:
@@ -293,13 +311,12 @@ def _compile(netlist: Netlist) -> SimPlan:
                     and not gates[driver_gate].cell.is_sequential
                 ):
                     unresolved_writers.append(driver_gate)
-            arcs.append((kind, tuple(in_slots), net_slot[out_net], out_net))
         level[gate_name] = gate_level
         for writer in unresolved_writers:
             deferred_min_level[writer] = max(
                 deferred_min_level.get(writer, 0), gate_level
             )
-        for kind, in_slots, out_slot, out_net in arcs:
+        for kind, _in_pins, in_slots, out_slot, out_net in arcs:
             value_slots.append((out_net, out_slot))
             arc_program.append((kind, in_slots, out_slot))
             arc_levels.append(gate_level)
@@ -508,8 +525,9 @@ def run_plan(plan: SimPlan, inputs: Mapping[str, int], num_patterns: int,
 # the benchmark generators produce.  Execution is tiered:
 #
 # * the first run of a plan walks the op tuples through a small interpreter
-#   (no start-up cost — important for the randomizer loop, which mutates the
-#   candidate netlist between metric calls and therefore recompiles);
+#   (no start-up cost for plans that run once or twice, such as those of
+#   attack-recovered netlists); the randomizer's incremental candidate program
+#   (:mod:`repro.core.randomizer`) runs these same interpreter ops;
 # * a re-executed plan is specialized via exec() into one Python function
 #   whose locals are the live net slots (`v37 = (v12 & v31) ^ M`), removing
 #   the interpreter's dispatch overhead for hot plans.

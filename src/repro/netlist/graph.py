@@ -133,14 +133,23 @@ def topological_gate_order(netlist: Netlist) -> List[str]:
     """Return gate names in a valid combinational evaluation order.
 
     Sequential cells are placed first (their outputs act as pseudo-primary
-    inputs for the combinational logic they feed).  Raises
+    inputs for the combinational logic they feed).  The combinational gates
+    follow Kahn's algorithm with a FIFO queue, the same order as
+    :func:`networkx.topological_sort` on :func:`netlist_to_digraph`.  Raises
     :class:`networkx.NetworkXUnfeasible` if the combinational logic is cyclic.
     """
-    graph = netlist_to_digraph(netlist)
-    sequential = [n for n, data in graph.nodes(data=True) if data.get("sequential")]
-    comb = graph.copy()
-    comb.remove_nodes_from(sequential)
-    order = list(nx.topological_sort(comb))
+    sequential = [
+        name for name, gate in netlist.gates.items() if gate.cell.is_sequential
+    ]
+    successors, in_degree = _combinational_adjacency(netlist)
+    order = [name for name, degree in in_degree.items() if degree == 0]
+    for gate in order:  # ``order`` grows while walked: a FIFO queue.
+        for succ in successors[gate]:
+            in_degree[succ] -= 1
+            if in_degree[succ] == 0:
+                order.append(succ)
+    if len(order) < len(in_degree):
+        raise nx.NetworkXUnfeasible("combinational logic contains a cycle")
     return sequential + order
 
 

@@ -1,5 +1,6 @@
 """Tests for the attack implementations."""
 
+import numpy as np
 import pytest
 
 from repro.attacks.crouting import CRoutingAttackConfig, crouting_attack
@@ -88,6 +89,25 @@ class TestNetworkFlowAttack:
         # logically (the paper reports ~100 % on the full ISCAS suite).
         assert report.oer_percent > 40.0
         assert 3.0 < report.hd_percent < 60.0
+
+    def test_assignment_gets_a_c_contiguous_cost_matrix(self, views, monkeypatch):
+        """linear_sum_assignment copies any other layout; the slot matrix is large."""
+        import scipy.optimize
+
+        solve = scipy.optimize.linear_sum_assignment
+        received = []
+
+        def recording(cost):
+            received.append((cost.dtype, cost.flags["C_CONTIGUOUS"], cost.shape))
+            return solve(cost)
+
+        _, protected = views
+        expected = network_flow_attack(protected).assignment
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", recording)
+        assert network_flow_attack(protected).assignment == expected
+        [(dtype, contiguous, shape)] = received
+        assert dtype == np.float64 and contiguous
+        assert shape[0] == len(protected.sink_vpins)
 
     def test_empty_view_returns_copy(self, protection_c432):
         view = extract_feol(protection_c432.original_layout, 9)

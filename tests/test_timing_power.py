@@ -1,7 +1,11 @@
 """Tests for the STA and power models."""
 
+import networkx as nx
 import pytest
 
+from repro.circuits import ISCAS85_PROFILES
+from repro.circuits.registry import get_benchmark
+from repro.netlist import graph as netlist_graph
 from repro.netlist.netlist import Netlist
 from repro.timing.power import estimate_power
 from repro.timing.sta import WireModel, static_timing_analysis
@@ -72,6 +76,26 @@ class TestSTA:
             c432_layout.net_top_layers(),
         )
         assert report.critical_path_ps > 0
+
+
+def _networkx_gate_order(netlist):
+    """Sequential gates, then networkx's topological sort of the rest."""
+    graph = netlist_graph.netlist_to_digraph(netlist)
+    sequential = [n for n, data in graph.nodes(data=True) if data.get("sequential")]
+    graph.remove_nodes_from(sequential)
+    return sequential + list(nx.topological_sort(graph))
+
+
+@pytest.mark.parametrize(
+    "name,scale",
+    [(name, None) for name in ISCAS85_PROFILES] + [("superblue18", 0.002)],
+)
+def test_sta_matches_networkx_ordered_oracle(name, scale, monkeypatch):
+    netlist = get_benchmark(name, seed=1, scale=scale)
+    assert netlist_graph.topological_gate_order(netlist) == _networkx_gate_order(netlist)
+    report = static_timing_analysis(netlist)
+    monkeypatch.setattr("repro.timing.sta.topological_gate_order", _networkx_gate_order)
+    assert static_timing_analysis(netlist) == report
 
 
 class TestPower:
