@@ -32,18 +32,19 @@ import networkx as nx
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+# The seed-equivalent references reuse the networkx test oracles.
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 
+from attack_oracle import direction_penalty, visible_reachability  # noqa: E402
+from graph_oracle import netlist_to_digraph  # noqa: E402
 from repro.attacks.network_flow import (  # noqa: E402
     NetworkFlowAttackConfig,
-    _direction_penalty,
-    _visible_reachability,
     build_cost_matrix,
     network_flow_attack,
 )
 from repro.circuits import iscas85_netlist  # noqa: E402
 from repro.core import ProtectionConfig, protect  # noqa: E402
 from repro.netlist import engine  # noqa: E402
-from repro.netlist.graph import netlist_to_digraph  # noqa: E402
 from repro.netlist.simulate import (  # noqa: E402
     _resolved_inputs,
     _shared_input_patterns,
@@ -150,7 +151,7 @@ def _seed_cost_matrix(view, config):
     drivers = view.driver_vpins
     sinks = view.sink_vpins
     half_perimeter = view.layout.floorplan.half_perimeter_um
-    reach = _visible_reachability(view) if config.use_loop_hint else None
+    reach = visible_reachability(view) if config.use_loop_hint else None
     cache: Dict[str, set] = {}
 
     def descendants(gate):
@@ -172,7 +173,7 @@ def _seed_cost_matrix(view, config):
             pair_cost = distance
             infeasible = False
             if config.use_direction_hint:
-                penalty, sink_angle = _direction_penalty(driver, sink)
+                penalty, sink_angle = direction_penalty(driver, sink)
                 pair_cost += config.direction_weight * half_perimeter * 0.1 * penalty
                 if (
                     sink_angle > config.direction_tolerance_deg

@@ -21,11 +21,11 @@ defense on the superblue benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sm.split import FEOLView, VPin
+from repro.sm.split import FEOLView, feol_arrays
 
 
 @dataclass
@@ -53,8 +53,8 @@ class CRoutingAttackResult:
     candidate_counts: Dict[int, List[int]] = field(default_factory=dict)
 
 
-def _positions(vpins: Sequence[VPin]) -> np.ndarray:
-    return np.array([[vpin.position.x, vpin.position.y] for vpin in vpins], dtype=float)
+#: Sink rows per Chebyshev-distance block.
+_BLOCK_ROWS = 64
 
 
 def crouting_attack(view: FEOLView,
@@ -63,7 +63,11 @@ def crouting_attack(view: FEOLView,
 
     Every vpin's candidates are the vpins of the *opposite* kind (drivers for
     a sink, sinks for a driver) within a square bounding box of the given
-    size centred on the vpin.
+    size centred on the vpin.  A pair is inside a box of half-width *r* iff
+    its Chebyshev distance ``max(|dx|, |dy|)`` is at most *r*, and that
+    distance is symmetric, so one sink x driver distance block serves every
+    box and both sides: sink counts are its row counts, driver counts its
+    column counts.  Match-in-list reads the distances of the true pairs.
     """
     config = config if config is not None else CRoutingAttackConfig()
     drivers = view.driver_vpins
@@ -76,47 +80,66 @@ def crouting_attack(view: FEOLView,
             result.candidate_counts[box] = []
         return result
 
-    driver_pos = _positions(drivers)
-    sink_pos = _positions(sinks)
-    true_driver_of_sink = view.true_driver_of_sink()
+    arrays = feol_arrays(view)
+    driver_x, driver_y = arrays.driver_xy[:, 0], arrays.driver_xy[:, 1]
+    sink_x, sink_y = arrays.sink_xy[:, 0], arrays.sink_xy[:, 1]
     driver_index = {vpin.identifier: i for i, vpin in enumerate(drivers)}
-    sink_ids_by_driver: Dict[int, List[int]] = {}
-    for connection in view.open_connections:
-        sink_ids_by_driver.setdefault(connection.driver_vpin, []).append(connection.sink_vpin)
     sink_index = {vpin.identifier: i for i, vpin in enumerate(sinks)}
 
-    for box in config.bounding_boxes:
-        radius = box * config.gcell_um / 2.0
-        counts: List[int] = []
-        matches = 0
-        total_with_truth = 0
+    def pair_distance(sink_rows: np.ndarray, driver_cols: np.ndarray) -> np.ndarray:
+        return np.maximum(
+            np.abs(driver_x[driver_cols] - sink_x[sink_rows]),
+            np.abs(driver_y[driver_cols] - sink_y[sink_rows]),
+        )
 
-        # Sinks look for candidate drivers.
-        for si, sink in enumerate(sinks):
-            dx = np.abs(driver_pos[:, 0] - sink_pos[si, 0])
-            dy = np.abs(driver_pos[:, 1] - sink_pos[si, 1])
-            inside = (dx <= radius) & (dy <= radius)
-            counts.append(int(inside.sum()))
-            true_driver = true_driver_of_sink.get(sink.identifier)
-            if true_driver is not None:
-                total_with_truth += 1
-                if inside[driver_index[true_driver]]:
-                    matches += 1
+    # Sinks whose true driver is known, and the distance to it.
+    true_driver_of_sink = view.true_driver_of_sink()
+    sink_truth = [
+        (si, driver_index[true_driver_of_sink[vpin.identifier]])
+        for si, vpin in enumerate(sinks) if vpin.identifier in true_driver_of_sink
+    ]
+    sink_truth_rows = np.asarray([si for si, _ in sink_truth], dtype=np.intp)
+    sink_truth_distance = pair_distance(
+        sink_truth_rows, np.asarray([di for _, di in sink_truth], dtype=np.intp)
+    )
+    # Drivers with true sinks, and the distance to the nearest of them.
+    pairs = [
+        (driver_index[c.driver_vpin], sink_index[c.sink_vpin])
+        for c in view.open_connections if c.driver_vpin in driver_index
+    ]
+    pair_drivers = np.asarray([di for di, _ in pairs], dtype=np.intp)
+    driver_truth_distance = np.full(len(drivers), np.inf)
+    np.minimum.at(
+        driver_truth_distance, pair_drivers,
+        pair_distance(np.asarray([si for _, si in pairs], dtype=np.intp), pair_drivers),
+    )
+    driver_has_truth = np.zeros(len(drivers), dtype=bool)
+    driver_has_truth[pair_drivers] = True
+    driver_truth_distance = driver_truth_distance[driver_has_truth]
+    total_with_truth = len(sink_truth) + int(driver_has_truth.sum())
 
-        # Drivers look for candidate sinks.
-        for di, driver in enumerate(drivers):
-            dx = np.abs(sink_pos[:, 0] - driver_pos[di, 0])
-            dy = np.abs(sink_pos[:, 1] - driver_pos[di, 1])
-            inside = (dx <= radius) & (dy <= radius)
-            counts.append(int(inside.sum()))
-            true_sinks = sink_ids_by_driver.get(driver.identifier, [])
-            if true_sinks:
-                total_with_truth += 1
-                if any(inside[sink_index[s]] for s in true_sinks):
-                    matches += 1
+    radii = [box * config.gcell_um / 2.0 for box in config.bounding_boxes]
+    sink_counts = np.zeros((len(radii), len(sinks)), dtype=np.int64)
+    driver_counts = np.zeros((len(radii), len(drivers)), dtype=np.int64)
+    for lo in range(0, len(sinks), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(sinks))
+        chebyshev = np.maximum(
+            np.abs(sink_x[lo:hi, None] - driver_x),
+            np.abs(sink_y[lo:hi, None] - driver_y),
+        )
+        for b, radius in enumerate(radii):
+            inside = chebyshev <= radius
+            sink_counts[b, lo:hi] = np.count_nonzero(inside, axis=1)
+            driver_counts[b] += np.count_nonzero(inside, axis=0)
 
-        result.candidate_counts[box] = counts
-        result.expected_list_size[box] = float(np.mean(counts)) if counts else 0.0
+    for b, (box, radius) in enumerate(zip(config.bounding_boxes, radii)):
+        counts = np.concatenate((sink_counts[b], driver_counts[b]))
+        matches = (
+            int(np.count_nonzero(sink_truth_distance <= radius))
+            + int(np.count_nonzero(driver_truth_distance <= radius))
+        )
+        result.candidate_counts[box] = counts.tolist()
+        result.expected_list_size[box] = float(np.mean(counts))
         result.match_in_list[box] = (
             100.0 * matches / total_with_truth if total_with_truth else 0.0
         )

@@ -28,14 +28,15 @@ recovered netlist is rebuilt from the assignment so OER/HD can be measured.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
-import networkx as nx
-
-from repro.netlist.graph import transitive_closure_bitmap
+from repro.netlist.graph import transitive_closure
 from repro.netlist.netlist import Netlist
 from repro.sm.split import FEOLView, VPin, feol_arrays
 
@@ -86,187 +87,254 @@ class NetworkFlowAttackResult:
         return dict(self.assignment)
 
 
-def _direction_penalty(driver: VPin, sink: VPin) -> Tuple[float, float]:
-    """Direction disagreement of a candidate pair with the dangling stubs.
+T = TypeVar("T")
 
-    Returns ``(mean_penalty, sink_angle_deg)`` where ``mean_penalty`` is in
-    [0, 2] (0 = both stubs point exactly along the candidate connection) and
-    ``sink_angle_deg`` is the angle between the sink's stub and the candidate
-    connection (the sink side has exactly one missing wire, so only its angle
-    is used for hard exclusion; the driver side fans out and is only a soft
-    penalty).
+#: Sink rows per cost block: a block's ``(rows, D)`` temporaries stay in
+#: cache instead of streaming ~15 full ``(S, D)`` arrays through memory.
+_BLOCK_ROWS = 32
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+#: Threads computing cost blocks.  NumPy ufuncs release the GIL and blocks
+#: write disjoint rows, so blocks run in parallel on every CPU the process
+#: may use; with one CPU they run inline.
+_WORKERS = _cpu_count()
+_EXECUTOR: Optional[ThreadPoolExecutor] = None
+_EXECUTOR_LOCK = threading.Lock()
+
+
+def _drop_executor() -> None:
+    # A forked child inherits the executor object but not its threads.
+    global _EXECUTOR, _EXECUTOR_LOCK
+    _EXECUTOR = None
+    _EXECUTOR_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_executor)
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _EXECUTOR
+    with _EXECUTOR_LOCK:
+        if _EXECUTOR is None:
+            _EXECUTOR = ThreadPoolExecutor(
+                max_workers=_WORKERS, thread_name_prefix="network-flow"
+            )
+        return _EXECUTOR
+
+
+def _run_blocks(num_rows: int, fill: Callable[[int, int], int]) -> int:
+    """Call ``fill(lo, hi)`` on every row block; return the summed results."""
+    bounds = [(lo, min(lo + _BLOCK_ROWS, num_rows))
+              for lo in range(0, num_rows, _BLOCK_ROWS)]
+    if _WORKERS <= 1 or len(bounds) <= 1:
+        return sum(fill(lo, hi) for lo, hi in bounds)
+    return sum(_executor().map(lambda bound: fill(*bound), bounds))
+
+
+def _in_background(fn: Callable[..., T], *args) -> Callable[[], T]:
+    """Start ``fn(*args)`` on the pool; the returned callable waits for it."""
+    if _WORKERS <= 1:
+        value = fn(*args)
+        return lambda: value
+    return _executor().submit(fn, *args).result
+
+
+def _loop_bitmap(view: FEOLView) -> Tuple[Dict[str, int], np.ndarray]:
+    """Packed closure of the combinational connectivity an attacker can see.
+
+    Nodes are the non-sequential gates; an edge runs from the driver gate of
+    every visible (uncut) net to each of its sink gates.  Returns
+    ``(index, bitmap)``: row ``index[u]`` of the ``uint8`` bitmap has bit
+    ``index[v]`` (little-endian bit order) set iff gate ``v`` is reachable
+    from gate ``u``.  Row and bit ``len(index)`` are always clear, so
+    ports and sequential gates can point there.
     """
-    dx = sink.position.x - driver.position.x
-    dy = sink.position.y - driver.position.y
-    norm = math.hypot(dx, dy)
-    if norm < 1e-9:
-        return 0.0, 0.0
-    ux, uy = dx / norm, dy / norm
-    penalty = 0.0
-    sink_angle = 0.0
-    count = 0
-    if driver.direction is not None:
-        cos = driver.direction[0] * ux + driver.direction[1] * uy
-        penalty += 1.0 - cos
-        count += 1
-    if sink.direction is not None:
-        # The sink's stub should point back towards the driver.
-        cos = sink.direction[0] * -ux + sink.direction[1] * -uy
-        penalty += 1.0 - cos
-        sink_angle = math.degrees(math.acos(max(-1.0, min(1.0, cos))))
-        count += 1
-    if count == 0:
-        return 0.0, 0.0
-    return penalty / count, sink_angle
-
-
-def _visible_reachability(view: FEOLView) -> nx.DiGraph:
-    """Gate-level digraph of the connectivity an attacker can already see."""
     netlist = view.layout.netlist
-    graph = nx.DiGraph()
-    graph.add_nodes_from(
-        name for name, gate in netlist.gates.items() if not gate.cell.is_sequential
-    )
+    index = {
+        name: i for i, name in enumerate(
+            name for name, gate in netlist.gates.items() if not gate.cell.is_sequential
+        )
+    }
+    successors: List[List[int]] = [[] for _ in index]
     for net_name in view.visible_nets:
         net = netlist.nets[net_name]
         if net.driver is None:
             continue
-        driver_gate = net.driver[0]
-        if driver_gate not in graph:
+        driver = index.get(net.driver[0])
+        if driver is None:
             continue
+        fanout = successors[driver]
         for sink_gate, _pin in net.sinks:
-            if sink_gate in graph:
-                graph.add_edge(driver_gate, sink_gate)
-    return graph
+            sink = index.get(sink_gate)
+            if sink is not None:
+                fanout.append(sink)
+    row_bytes = len(index) // 8 + 1
+    packed = b"".join(
+        reach.to_bytes(row_bytes, "little") for reach in transitive_closure(successors)
+    )
+    bitmap = np.frombuffer(packed + bytes(row_bytes), dtype=np.uint8)
+    return index, bitmap.reshape(len(index) + 1, row_bytes)
 
 
-def _loop_exclusion_matrix(view: FEOLView, sinks: List[VPin],
-                           drivers: List[VPin]) -> np.ndarray:
-    """Boolean (sink x driver) matrix of pairs that would close a visible loop.
+class _CostKernel:
+    """Row blocks of the sink x driver cost matrix.
 
-    The loop hint is evaluated from a single transitive-closure pass over the
-    attacker-visible connectivity (a packed reachability bitmap) instead of
-    one ``nx.descendants`` traversal per sink gate: entry ``[s, d]`` is True
-    iff the driver's gate is reachable from the sink's gate through visible
-    logic.
+    ``block(lo, hi)`` returns the costs of sinks ``lo:hi`` against every
+    driver and the number of infeasible pairs among them.  Every element
+    goes through the same IEEE operations in the same order as a whole-matrix
+    broadcast would, so assembling the blocks reproduces it byte for byte.
     """
-    index, bitmap = transitive_closure_bitmap(_visible_reachability(view))
-    sink_rows = np.asarray(
-        [index.get(vpin.gate, -1) if vpin.gate is not None else -1 for vpin in sinks],
-        dtype=np.intp,
-    )
-    driver_cols = np.asarray(
-        [index.get(vpin.gate, -1) if vpin.gate is not None else -1 for vpin in drivers],
-        dtype=np.intp,
-    )
-    result = np.zeros((len(sinks), len(drivers)), dtype=bool)
-    sink_known = sink_rows >= 0
-    driver_known = driver_cols >= 0
-    if not sink_known.any() or not driver_known.any():
-        return result
-    rows = bitmap[sink_rows[sink_known]]  # (s_known, words)
-    cols = driver_cols[driver_known]
-    words = cols >> 6
-    shifts = (cols & 63).astype(np.uint64)
-    bits = (rows[:, words] >> shifts[None, :]) & np.uint64(1)
-    result[np.ix_(sink_known, driver_known)] = bits.astype(bool)
-    return result
+
+    def __init__(self, view: FEOLView, config: NetworkFlowAttackConfig):
+        self.config = config
+        self.half_perimeter = view.layout.floorplan.half_perimeter_um
+        arrays = feol_arrays(view)
+        self.arrays = arrays
+        self.drv_x = arrays.driver_xy[:, 0]
+        self.drv_y = arrays.driver_xy[:, 1]
+        self.drv_dir_x = arrays.driver_dir[:, 0]
+        self.drv_dir_y = arrays.driver_dir[:, 1]
+        self.drv_dir_count = arrays.driver_has_dir.astype(np.int64)
+        self.drv_has_load = arrays.driver_max_load > 0
+        self.loop_rows: Optional[np.ndarray] = None
+        if config.use_loop_hint:
+            index, bitmap = _loop_bitmap(view)
+            clear = len(index)
+
+            def gate_indices(vpins: List[VPin]) -> np.ndarray:
+                return np.asarray(
+                    [index.get(v.gate, clear) if v.gate is not None else clear
+                     for v in vpins],
+                    dtype=np.intp,
+                )
+
+            sink_rows = gate_indices(view.sink_vpins)
+            driver_cols = gate_indices(view.driver_vpins)
+            if sink_rows.min() < clear and driver_cols.min() < clear:
+                self.loop_rows = sink_rows
+                self.loop_cols = driver_cols
+                self.loop_bitmap = bitmap
+
+    def block(self, lo: int, hi: int) -> Tuple[np.ndarray, int]:
+        config = self.config
+        arrays = self.arrays
+        half_perimeter = self.half_perimeter
+        delta_x = arrays.sink_xy[lo:hi, 0, None] - self.drv_x
+        delta_y = arrays.sink_xy[lo:hi, 1, None] - self.drv_y
+        distance = np.abs(delta_x) + np.abs(delta_y)
+
+        if config.use_direction_hint:
+            norm = np.hypot(delta_x, delta_y)
+            degenerate = norm < 1e-9
+            safe_norm = np.where(degenerate, 1.0, norm)
+            unit_x = delta_x / safe_norm
+            unit_y = delta_y / safe_norm
+            sink_has_dir = arrays.sink_has_dir[lo:hi, None]
+            drv_cos = self.drv_dir_x * unit_x + self.drv_dir_y * unit_y
+            # The sink's stub should point back towards the driver.
+            sink_cos = (arrays.sink_dir[lo:hi, 0, None] * -unit_x
+                        + arrays.sink_dir[lo:hi, 1, None] * -unit_y)
+            penalty = (
+                np.where(arrays.driver_has_dir, 1.0 - drv_cos, 0.0)
+                + np.where(sink_has_dir, 1.0 - sink_cos, 0.0)
+            )
+            counts = self.drv_dir_count + sink_has_dir
+            np.divide(penalty, counts, out=penalty, where=counts > 0)
+            penalty[degenerate] = 0.0
+            cost = distance + config.direction_weight * half_perimeter * 0.1 * penalty
+
+            sink_angle = np.degrees(np.arccos(np.clip(sink_cos, -1.0, 1.0)))
+            measured = sink_has_dir & ~degenerate
+            infeasible = (
+                (np.where(measured, sink_angle, 0.0) > config.direction_tolerance_deg)
+                & (distance > config.direction_min_distance_um)
+            )
+        else:
+            cost = distance.copy()
+            infeasible = np.zeros(distance.shape, dtype=bool)
+
+        np.add(cost, config.timing_penalty, out=cost,
+               where=distance > config.timing_fraction * half_perimeter)
+
+        if config.use_load_hint:
+            infeasible |= self.drv_has_load & (
+                arrays.sink_cap[lo:hi, None] > arrays.driver_max_load
+            )
+
+        # Direct self-loops: sink and driver vpins owned by the same gate
+        # (integer gate indices, -1 for port terminals).
+        sink_gate = arrays.sink_gate_idx[lo:hi, None]
+        infeasible |= (sink_gate >= 0) & (sink_gate == arrays.driver_gate_idx)
+        if self.loop_rows is not None:
+            # Combinational loops through visible logic: the driver's gate is
+            # reachable from the sink's gate.
+            reach = np.unpackbits(
+                self.loop_bitmap[self.loop_rows[lo:hi]], axis=1, bitorder="little"
+            )
+            infeasible |= reach[:, self.loop_cols].view(bool)
+
+        cost[infeasible] = config.infeasible_cost
+        return cost, int(np.count_nonzero(infeasible))
 
 
 def build_cost_matrix(view: FEOLView,
                       config: Optional[NetworkFlowAttackConfig] = None
                       ) -> Tuple[np.ndarray, int]:
-    """Build the sink x driver cost matrix of the attack, vectorized.
+    """Build the sink x driver cost matrix of the attack.
 
     Returns ``(base_costs, excluded)`` where ``base_costs[s, d]`` is the
     assignment cost of connecting sink vpin *s* to driver vpin *d* (the
     paper's hints applied as soft penalties) and ``excluded`` counts the
     infeasible pairs (loop-forming / load-violating / geometry-contradicting
     candidates) that were pinned to ``config.infeasible_cost``.
-
-    The construction broadcasts over position, direction and capacitance
-    arrays instead of looping over every pair, and evaluates the
-    loop-avoidance hint against a cached reachability bitmap; it is
-    numerically equivalent to the historical per-pair construction (see the
-    regression test in ``tests/test_engine.py``).
+    :func:`network_flow_attack` writes the same row blocks straight into its
+    driver-slot matrix instead of materializing this one.
     """
     config = config if config is not None else NetworkFlowAttackConfig()
-    drivers = view.driver_vpins
-    sinks = view.sink_vpins
-    if not drivers or not sinks:
-        return np.zeros((len(sinks), len(drivers))), 0
-    half_perimeter = view.layout.floorplan.half_perimeter_um
+    num_sinks = len(view.sink_vpins)
+    num_drivers = len(view.driver_vpins)
+    if not num_drivers or not num_sinks:
+        return np.zeros((num_sinks, num_drivers)), 0
+    kernel = _CostKernel(view, config)
+    costs = np.empty((num_sinks, num_drivers))
 
-    # Position/direction/capacitance columns come straight from the shared
-    # columnar FEOL view instead of being re-extracted per call.
+    def fill(lo: int, hi: int) -> int:
+        costs[lo:hi], excluded = kernel.block(lo, hi)
+        return excluded
+
+    return costs, _run_blocks(num_sinks, fill)
+
+
+def _driver_capacities(view: FEOLView, config: NetworkFlowAttackConfig) -> np.ndarray:
+    """Fanout slots per driver vpin.
+
+    Bounded by the flow capacity and, when the load hint is enabled, by how
+    many typical sink loads the driver can take; scaled up uniformly when the
+    total would leave sinks unassignable.
+    """
+    typical_cap = 1.2
     arrays = feol_arrays(view)
-    sink_x = arrays.sink_xy[:, 0]
-    sink_y = arrays.sink_xy[:, 1]
-    drv_x = arrays.driver_xy[:, 0]
-    drv_y = arrays.driver_xy[:, 1]
-    delta_x = sink_x[:, None] - drv_x[None, :]
-    delta_y = sink_y[:, None] - drv_y[None, :]
-    distance = np.abs(delta_x) + np.abs(delta_y)
-    cost = distance.copy()
-    infeasible = np.zeros(distance.shape, dtype=bool)
-
-    if config.use_direction_hint:
-        norm = np.hypot(delta_x, delta_y)
-        degenerate = norm < 1e-9
-        safe_norm = np.where(degenerate, 1.0, norm)
-        unit_x = delta_x / safe_norm
-        unit_y = delta_y / safe_norm
-
-        drv_dir_x = arrays.driver_dir[:, 0]
-        drv_dir_y = arrays.driver_dir[:, 1]
-        drv_has_dir = arrays.driver_has_dir
-        sink_dir_x = arrays.sink_dir[:, 0]
-        sink_dir_y = arrays.sink_dir[:, 1]
-        sink_has_dir = arrays.sink_has_dir
-
-        drv_cos = drv_dir_x[None, :] * unit_x + drv_dir_y[None, :] * unit_y
-        # The sink's stub should point back towards the driver.
-        sink_cos = sink_dir_x[:, None] * -unit_x + sink_dir_y[:, None] * -unit_y
-        penalty = (
-            np.where(drv_has_dir[None, :], 1.0 - drv_cos, 0.0)
-            + np.where(sink_has_dir[:, None], 1.0 - sink_cos, 0.0)
-        )
-        counts = drv_has_dir[None, :].astype(np.int64) + sink_has_dir[:, None]
-        np.divide(penalty, counts, out=penalty, where=counts > 0)
-        penalty[degenerate] = 0.0
-        cost += config.direction_weight * half_perimeter * 0.1 * penalty
-
-        sink_angle = np.zeros(distance.shape)
-        measured = sink_has_dir[:, None] & ~degenerate
-        sink_angle[measured] = np.degrees(
-            np.arccos(np.clip(sink_cos[measured], -1.0, 1.0))
-        )
-        infeasible |= (
-            (sink_angle > config.direction_tolerance_deg)
-            & (distance > config.direction_min_distance_um)
-        )
-
-    cost[distance > config.timing_fraction * half_perimeter] += config.timing_penalty
-
+    capacities = np.full(len(view.driver_vpins), config.max_fanout_per_driver,
+                         dtype=np.int64)
     if config.use_load_hint:
-        sink_cap = arrays.sink_cap
-        drv_load = arrays.driver_max_load
-        infeasible |= (drv_load[None, :] > 0) & (sink_cap[:, None] > drv_load[None, :])
-
-    # Direct self-loops: sink and driver vpins owned by the same gate.  The
-    # integer gate indices of the columnar view (-1 for port terminals) make
-    # this a broadcast compare instead of a per-pair string comparison.
-    same_gate = (
-        (arrays.sink_gate_idx[:, None] >= 0)
-        & (arrays.sink_gate_idx[:, None] == arrays.driver_gate_idx[None, :])
-    )
-    infeasible |= same_gate
-    if config.use_loop_hint:
-        # Combinational loops through visible logic.
-        infeasible |= _loop_exclusion_matrix(view, sinks, drivers)
-
-    cost[infeasible] = config.infeasible_cost
-    return cost, int(infeasible.sum())
+        load_bound = np.maximum(
+            1, (arrays.driver_max_load / typical_cap / 4).astype(np.int64)
+        )
+        has_load = arrays.driver_max_load > 0
+        capacities[has_load] = np.minimum(capacities[has_load], load_bound[has_load])
+    total_capacity = int(capacities.sum())
+    if total_capacity < len(view.sink_vpins):
+        scale = int(math.ceil(len(view.sink_vpins) / max(total_capacity, 1)))
+        capacities *= scale
+    return capacities
 
 
 def network_flow_attack(view: FEOLView,
@@ -286,35 +354,30 @@ def network_flow_attack(view: FEOLView,
         )
         return result
 
-    # Fanout capacity per driver: bounded by the flow capacity and, when the
-    # load hint is enabled, by how many typical sink loads the driver can take.
-    typical_cap = 1.2
-    arrays = feol_arrays(view)
-    capacities = np.full(len(drivers), config.max_fanout_per_driver, dtype=np.int64)
-    if config.use_load_hint:
-        load_bound = np.maximum(
-            1, (arrays.driver_max_load / typical_cap / 4).astype(np.int64)
-        )
-        has_load = arrays.driver_max_load > 0
-        capacities[has_load] = np.minimum(capacities[has_load], load_bound[has_load])
-    total_capacity = int(capacities.sum())
-    if total_capacity < len(sinks):
-        # Ensure feasibility: scale capacities up uniformly.
-        scale = int(math.ceil(len(sinks) / max(total_capacity, 1)))
-        capacities *= scale
-
     # Expand drivers into capacity slots and solve a rectangular assignment.
+    # Each cost block is repeated across its drivers' slots straight into its
+    # rows of the C-contiguous slot matrix (linear_sum_assignment would copy
+    # any other layout); no sink x driver matrix is kept.
+    capacities = _driver_capacities(view, config)
     slot_driver_index = np.repeat(np.arange(len(drivers), dtype=np.intp), capacities)
+    kernel = _CostKernel(view, config)
+    cost = np.empty((len(sinks), slot_driver_index.size))
 
-    base_costs, excluded = build_cost_matrix(view, config)
-    # np.take builds the slot matrix C-contiguous; a fancy-indexed column
-    # gather comes out F-ordered and linear_sum_assignment would copy it.
-    cost = np.take(base_costs, slot_driver_index, axis=1)
+    def fill(lo: int, hi: int) -> int:
+        block, excluded = kernel.block(lo, hi)
+        cost[lo:hi] = np.repeat(block, capacities, axis=1)
+        return excluded
+
+    excluded = _run_blocks(len(sinks), fill)
 
     # Imported here, not at module load: scipy.optimize is the package's
     # only scipy use and costs about half a second of import time.
     from scipy.optimize import linear_sum_assignment
 
+    # The copy the recovered netlist starts from does not depend on the
+    # assignment, and the solver releases the GIL: copy while it runs.
+    netlist = view.layout.netlist
+    copied = _in_background(netlist.copy, f"{netlist.name}_recovered")
     row_ind, col_ind = linear_sum_assignment(cost)
     assignment: Dict[int, int] = {}
     for si, slot in zip(row_ind, col_ind):
@@ -322,19 +385,19 @@ def network_flow_attack(view: FEOLView,
         assignment[sinks[si].identifier] = driver.identifier
     result.assignment = assignment
     result.excluded_pairs = excluded
-    result.recovered_netlist = _rebuild_netlist(view, assignment)
+    result.recovered_netlist = _rebuild_netlist(view, assignment, copied())
     return result
 
 
-def _rebuild_netlist(view: FEOLView, assignment: Dict[int, int]) -> Netlist:
+def _rebuild_netlist(view: FEOLView, assignment: Dict[int, int],
+                     recovered: Netlist) -> Netlist:
     """Reconstruct the attacker's netlist from a sink→driver assignment.
 
     The attacker starts from the FEOL-visible connectivity (which equals the
     layout's netlist minus the cut connections) and connects every open sink
-    to the net of the driver vpin it was assigned to.
+    to the net of the driver vpin it was assigned to.  ``recovered`` is a
+    fresh copy of the layout's netlist, edited in place and returned.
     """
-    netlist = view.layout.netlist
-    recovered = netlist.copy(f"{netlist.name}_recovered")
     driver_net: Dict[int, str] = {}
     for connection in view.open_connections:
         driver_net[connection.driver_vpin] = connection.net
@@ -343,9 +406,10 @@ def _rebuild_netlist(view: FEOLView, assignment: Dict[int, int]) -> Netlist:
     }
     # The copied netlist still contains the true BEOL connections; the attacker
     # does not know them, so every cut sink is first detached and then attached
-    # to whatever net the attack assigned (or left dangling when unassigned or
-    # when the assignment would close a combinational loop the attacker would
-    # have rejected).
+    # to whatever net the attack assigned, or left dangling when the sink has
+    # no assignment.  Assignments are not re-checked here: the loop hint acts
+    # only through the cost matrix, so a recovered netlist can contain
+    # combinational loops.
     for connection in view.open_connections:
         sink_vpin = vpin_by_id[connection.sink_vpin]
         assigned_driver = assignment.get(connection.sink_vpin)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from repro.netlist.netlist import Netlist
-from repro.netlist.simulate import hamming_distance, output_error_rate
+from repro.netlist.simulate import error_rate_and_hamming
 from repro.sm.split import FEOLView
 
 
@@ -88,9 +88,9 @@ def evaluate_attack(view: FEOLView, assignment: Mapping[int, int],
     oer = 0.0
     hd = 0.0
     if recovered_netlist is not None:
-        reference = view.layout.netlist
-        oer = output_error_rate(reference, recovered_netlist, num_patterns, seed)
-        hd = hamming_distance(reference, recovered_netlist, num_patterns, seed)
+        oer, hd = error_rate_and_hamming(
+            view.layout.netlist, recovered_netlist, num_patterns, seed
+        )
     return SecurityReport(
         ccr_percent=ccr,
         oer_percent=oer,

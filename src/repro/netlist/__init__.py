@@ -9,7 +9,7 @@ from a logic-design point of view:
   and *naive-lifting* cells;
 * :mod:`repro.netlist.netlist` — the :class:`Netlist` / :class:`Gate` /
   :class:`Net` data model with driver/sink connectivity editing;
-* :mod:`repro.netlist.graph` — DAG views, combinational-loop detection,
+* :mod:`repro.netlist.graph` — combinational-loop detection,
   topological ordering, reachability (used to keep randomization loop-free);
 * :mod:`repro.netlist.simulate` — bit-parallel logic simulation used for the
   OER and Hamming-distance security metrics;
@@ -22,9 +22,9 @@ from a logic-design point of view:
 from repro.netlist.cells import Cell, CellLibrary, CellPin, nangate45_library
 from repro.netlist.netlist import Gate, Net, Netlist, PortDirection
 from repro.netlist.graph import (
+    CombinationalLoopError,
     combinational_loops,
     has_combinational_loop,
-    netlist_to_digraph,
     topological_gate_order,
     transitive_fanin,
     transitive_fanout,
@@ -43,9 +43,9 @@ __all__ = [
     "Net",
     "Netlist",
     "PortDirection",
+    "CombinationalLoopError",
     "combinational_loops",
     "has_combinational_loop",
-    "netlist_to_digraph",
     "topological_gate_order",
     "transitive_fanin",
     "transitive_fanout",

@@ -1,146 +1,38 @@
-"""Graph views of a netlist: DAG construction, loops, reachability.
+"""Graph views of a netlist: loops, orderings, reachability.
 
 The randomizer must guarantee that no driver→sink swap introduces a
 combinational loop (the paper notes that loops would reveal the modification
 to an attacker, as the network-flow attack explicitly excludes loop-forming
-candidates).  These helpers provide:
+candidates).  Everything here works on plain successor dicts or integer
+indices built straight from the netlist:
 
-* :func:`netlist_to_digraph` — a :class:`networkx.DiGraph` whose nodes are
-  gate names (plus pseudo nodes for primary inputs/outputs);
 * :func:`has_combinational_loop` / :func:`combinational_loops` — cycle checks
   restricted to combinational cells (flip-flops break cycles);
-* :func:`transitive_fanin` / :func:`transitive_fanout` — reachability sets
-  used both by the randomizer (fast loop pre-check) and by the attack's
-  loop-avoidance hint;
-* :func:`topological_gate_order` — evaluation order for simulation and STA.
+* :func:`transitive_fanin` / :func:`transitive_fanout` — reachability sets;
+* :func:`transitive_closure` — every node's reachable set at once, as integer
+  bitsets (the network-flow attack's loop-avoidance hint);
+* :func:`topological_gate_order` / :func:`pseudo_topological_order` —
+  evaluation orders for STA and simulation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
-import numpy as np
+import heapq
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.netlist.netlist import Netlist
 
-#: Prefix for pseudo-nodes representing primary inputs/outputs in graph views.
-PI_PREFIX = "PI::"
-PO_PREFIX = "PO::"
+
+class CombinationalLoopError(ValueError):
+    """Raised when an order or depth needs acyclic combinational logic."""
 
 
-def netlist_to_digraph(netlist: Netlist, include_ports: bool = False) -> nx.DiGraph:
-    """Build a gate-level directed graph of ``netlist``.
+def _kahn_order(netlist: Netlist) -> Tuple[List[str], Dict[str, Dict[str, None]], int]:
+    """Kahn's algorithm (FIFO queue) over the combinational gates.
 
-    Nodes are gate names; an edge ``u → v`` exists when an output net of gate
-    ``u`` feeds an input pin of gate ``v``.  Sequential cells are included as
-    nodes but — by construction of the callers — their edges are treated as
-    cut points when checking for *combinational* loops (see
-    :func:`combinational_loops`).
-
-    Args:
-        netlist: The netlist to convert.
-        include_ports: When True, primary inputs/outputs are added as pseudo
-            nodes named ``PI::<name>`` / ``PO::<name>`` with corresponding
-            edges, which is convenient for plotting and path queries.
+    Returns ``(order, successors, num_gates)``; ``order`` is shorter than
+    ``num_gates`` exactly when the combinational logic is cyclic.
     """
-    graph = nx.DiGraph()
-    for gate_name, gate in netlist.gates.items():
-        graph.add_node(gate_name, cell=gate.cell.name, sequential=gate.cell.is_sequential)
-    if include_ports:
-        for pi in netlist.primary_inputs:
-            graph.add_node(PI_PREFIX + pi, cell="__PI__", sequential=False)
-        for po in netlist.primary_outputs:
-            graph.add_node(PO_PREFIX + po, cell="__PO__", sequential=False)
-
-    for net in netlist.nets.values():
-        driver = net.driver
-        if driver is None:
-            if not net.is_primary_input or not include_ports:
-                driver_node = None
-            else:
-                driver_node = PI_PREFIX + net.name
-        else:
-            driver_node = driver[0]
-        if driver_node is None and not include_ports:
-            # Net driven by a primary input (or floating): no gate-to-gate edge.
-            continue
-        for sink_gate, _pin in net.sinks:
-            if driver_node is not None:
-                graph.add_edge(driver_node, sink_gate, net=net.name)
-        if include_ports:
-            for po in net.primary_outputs:
-                if driver_node is not None:
-                    graph.add_edge(driver_node, PO_PREFIX + po, net=net.name)
-    return graph
-
-
-def _combinational_subgraph(netlist: Netlist, graph: Optional[nx.DiGraph] = None) -> nx.DiGraph:
-    """Return the gate graph with sequential cells removed (cycle cut points)."""
-    if graph is None:
-        graph = netlist_to_digraph(netlist)
-    sequential = [n for n, data in graph.nodes(data=True) if data.get("sequential")]
-    if not sequential:
-        return graph
-    sub = graph.copy()
-    sub.remove_nodes_from(sequential)
-    return sub
-
-
-def combinational_loops(netlist: Netlist) -> List[List[str]]:
-    """Return a list of combinational cycles (each a list of gate names).
-
-    Sequential cells legitimately close feedback paths and are excluded.  An
-    empty list means the combinational portion of the design is acyclic.
-    """
-    sub = _combinational_subgraph(netlist)
-    try:
-        cycle = nx.find_cycle(sub, orientation="original")
-    except nx.NetworkXNoCycle:
-        return []
-    # Report the single cycle found; enumerating all simple cycles can blow up
-    # and callers only need to know *whether* and *where* a loop exists.
-    return [[edge[0] for edge in cycle]]
-
-
-def has_combinational_loop(netlist: Netlist) -> bool:
-    """True when the combinational portion of ``netlist`` contains a cycle."""
-    sub = _combinational_subgraph(netlist)
-    return not nx.is_directed_acyclic_graph(sub)
-
-
-def transitive_fanout(netlist: Netlist, gate_name: str,
-                      graph: Optional[nx.DiGraph] = None) -> Set[str]:
-    """Return all gates reachable downstream of ``gate_name`` (exclusive)."""
-    if graph is None:
-        graph = netlist_to_digraph(netlist)
-    if gate_name not in graph:
-        return set()
-    return set(nx.descendants(graph, gate_name))
-
-
-def transitive_fanin(netlist: Netlist, gate_name: str,
-                     graph: Optional[nx.DiGraph] = None) -> Set[str]:
-    """Return all gates in the upstream cone of ``gate_name`` (exclusive)."""
-    if graph is None:
-        graph = netlist_to_digraph(netlist)
-    if gate_name not in graph:
-        return set()
-    return set(nx.ancestors(graph, gate_name))
-
-
-def topological_gate_order(netlist: Netlist) -> List[str]:
-    """Return gate names in a valid combinational evaluation order.
-
-    Sequential cells are placed first (their outputs act as pseudo-primary
-    inputs for the combinational logic they feed).  The combinational gates
-    follow Kahn's algorithm with a FIFO queue, the same order as
-    :func:`networkx.topological_sort` on :func:`netlist_to_digraph`.  Raises
-    :class:`networkx.NetworkXUnfeasible` if the combinational logic is cyclic.
-    """
-    sequential = [
-        name for name, gate in netlist.gates.items() if gate.cell.is_sequential
-    ]
     successors, in_degree = _combinational_adjacency(netlist)
     order = [name for name, degree in in_degree.items() if degree == 0]
     for gate in order:  # ``order`` grows while walked: a FIFO queue.
@@ -148,20 +40,109 @@ def topological_gate_order(netlist: Netlist) -> List[str]:
             in_degree[succ] -= 1
             if in_degree[succ] == 0:
                 order.append(succ)
-    if len(order) < len(in_degree):
-        raise nx.NetworkXUnfeasible("combinational logic contains a cycle")
-    return sequential + order
+    return order, successors, len(in_degree)
+
+
+def _acyclic_order(netlist: Netlist) -> Tuple[List[str], Dict[str, Dict[str, None]]]:
+    """:func:`_kahn_order`, raising :class:`CombinationalLoopError` on a cycle."""
+    order, successors, num_gates = _kahn_order(netlist)
+    if len(order) < num_gates:
+        raise CombinationalLoopError("combinational logic contains a cycle")
+    return order, successors
+
+
+def combinational_loops(netlist: Netlist) -> List[List[str]]:
+    """Return a list of combinational cycles (each a list of gate names).
+
+    Sequential cells legitimately close feedback paths and are excluded.  An
+    empty list means the combinational portion of the design is acyclic.
+    Only one cycle is reported: enumerating all simple cycles can blow up and
+    callers only need to know *whether* and *where* a loop exists.
+    """
+    order, successors, num_gates = _kahn_order(netlist)
+    if len(order) == num_gates:
+        return []
+    # Every gate Kahn could not peel has an unpeeled predecessor, so walking
+    # predecessors from any of them must revisit a gate: that walk is a cycle.
+    peeled = set(order)
+    predecessor: Dict[str, str] = {}
+    for gate, fanout in successors.items():
+        if gate in peeled:
+            continue
+        for succ in fanout:
+            if succ not in peeled:
+                predecessor.setdefault(succ, gate)
+    gate = next(iter(predecessor))
+    walk: Dict[str, None] = {}
+    while gate not in walk:
+        walk[gate] = None
+        gate = predecessor[gate]
+    path = list(walk)
+    cycle = path[path.index(gate):]
+    cycle.reverse()
+    return [cycle]
+
+
+def has_combinational_loop(netlist: Netlist) -> bool:
+    """True when the combinational portion of ``netlist`` contains a cycle."""
+    order, _successors, num_gates = _kahn_order(netlist)
+    return len(order) < num_gates
+
+
+def _reachable(start: str, step: Callable[[str], Iterable[str]]) -> Set[str]:
+    """Gates reachable from ``start`` through ``step`` (``start`` excluded)."""
+    seen: Set[str] = set()
+    stack = list(step(start))
+    while stack:
+        gate = stack.pop()
+        if gate not in seen:
+            seen.add(gate)
+            stack.extend(step(gate))
+    seen.discard(start)
+    return seen
+
+
+def transitive_fanout(netlist: Netlist, gate_name: str) -> Set[str]:
+    """Return all gates reachable downstream of ``gate_name`` (exclusive).
+
+    Sequential cells are traversed like any other gate.
+    """
+    if gate_name not in netlist.gates:
+        return set()
+    return _reachable(gate_name, netlist.fanout_gates)
+
+
+def transitive_fanin(netlist: Netlist, gate_name: str) -> Set[str]:
+    """Return all gates in the upstream cone of ``gate_name`` (exclusive).
+
+    Sequential cells are traversed like any other gate.
+    """
+    if gate_name not in netlist.gates:
+        return set()
+    return _reachable(gate_name, netlist.fanin_gates)
+
+
+def topological_gate_order(netlist: Netlist) -> List[str]:
+    """Return gate names in a valid combinational evaluation order.
+
+    Sequential cells are placed first (their outputs act as pseudo-primary
+    inputs for the combinational logic they feed).  The combinational gates
+    follow Kahn's algorithm with a FIFO queue.  Raises
+    :class:`CombinationalLoopError` if the combinational logic is cyclic.
+    """
+    sequential = [
+        name for name, gate in netlist.gates.items() if gate.cell.is_sequential
+    ]
+    return sequential + _acyclic_order(netlist)[0]
 
 
 def _combinational_adjacency(netlist: Netlist):
     """Successor lists and in-degrees of the combinational gate graph.
 
-    Pure-dict equivalent of building :func:`netlist_to_digraph` and removing
-    the sequential nodes, but ~20x faster — this sits on the hot path of
-    simulation-plan compilation.  Iteration order (nets in insertion order,
-    sinks in connection order, edges deduplicated on first insertion) matches
-    the networkx construction exactly so the resulting evaluation orders are
-    identical.
+    Sequential cells are left out (they cut every cycle).  Iteration order —
+    gates in insertion order, nets in insertion order, sinks in connection
+    order, edges deduplicated on first insertion — is part of the contract:
+    the evaluation orders built on it are compared bit for bit.
     """
     successors: Dict[str, Dict[str, None]] = {
         name: {} for name, gate in netlist.gates.items()
@@ -186,8 +167,13 @@ def pseudo_topological_order(netlist: Netlist) -> List[str]:
     Attack-recovered netlists can accidentally contain combinational cycles.
     To still be able to simulate them (and measure their OER/HD), cycles are
     broken greedily: gates are peeled off in Kahn order and, when only cyclic
-    gates remain, the gate with the fewest unresolved fan-ins is emitted next
-    (its unresolved inputs will read as the simulator's default value).
+    gates remain, the gate with the fewest unresolved fan-ins (ties broken by
+    name) is emitted next; its unresolved inputs read as the simulator's
+    default value.  The candidates sit in a lazy min-heap of
+    ``(in_degree, name)`` entries, built at the first cycle break and fed on
+    every later in-degree decrement.  Degrees only fall, so an unscheduled
+    gate's current entry sorts before its stale ones: popping past the
+    entries of scheduled gates yields the gate a linear scan would pick.
     """
     sequential = [
         name for name, gate in netlist.gates.items() if gate.cell.is_sequential
@@ -197,13 +183,16 @@ def pseudo_topological_order(netlist: Netlist) -> List[str]:
     scheduled = set(ready)
     order: List[str] = []
     num_comb = len(in_degree)
+    heap: Optional[List[Tuple[int, str]]] = None
     while len(order) < num_comb:
         if not ready:
             # Break a cycle: pick the unscheduled gate with the fewest open fanins.
-            victim = min(
-                (n for n in in_degree if n not in scheduled),
-                key=lambda n: (in_degree[n], n),
-            )
+            if heap is None:
+                heap = [(d, n) for n, d in in_degree.items() if n not in scheduled]
+                heapq.heapify(heap)
+            victim = heapq.heappop(heap)[1]
+            while victim in scheduled:
+                victim = heapq.heappop(heap)[1]
             scheduled.add(victim)
             ready.append(victim)
         gate = ready.pop()
@@ -215,24 +204,23 @@ def pseudo_topological_order(netlist: Netlist) -> List[str]:
             if in_degree[succ] <= 0:
                 scheduled.add(succ)
                 ready.append(succ)
+            elif heap is not None:
+                heapq.heappush(heap, (in_degree[succ], succ))
     return sequential + order
 
 
-def logic_depth(netlist: Netlist) -> int:
-    """Return the maximum combinational depth (number of gates on the longest path)."""
-    sub = _combinational_subgraph(netlist)
-    if sub.number_of_nodes() == 0:
-        return 0
-    return nx.dag_longest_path_length(sub) + 1
-
-
 def gate_levels(netlist: Netlist) -> Dict[str, int]:
-    """Return the topological level (longest distance from any input) per gate."""
-    sub = _combinational_subgraph(netlist)
-    levels: Dict[str, int] = {}
-    for gate in nx.topological_sort(sub):
-        preds = list(sub.predecessors(gate))
-        levels[gate] = 0 if not preds else 1 + max(levels[p] for p in preds)
+    """Return the topological level (longest distance from any input) per gate.
+
+    Raises :class:`CombinationalLoopError` on cyclic combinational logic.
+    """
+    order, successors = _acyclic_order(netlist)
+    levels = dict.fromkeys(order, 0)
+    for gate in order:
+        level = levels[gate] + 1
+        for succ in successors[gate]:
+            if levels[succ] < level:
+                levels[succ] = level
     # Sequential gates sit at level 0 (treated as pseudo inputs).
     for gate_name, gate in netlist.gates.items():
         if gate.cell.is_sequential:
@@ -240,60 +228,93 @@ def gate_levels(netlist: Netlist) -> Dict[str, int]:
     return levels
 
 
-def transitive_closure_bitmap(graph: nx.DiGraph) -> Tuple[Dict[str, int], np.ndarray]:
-    """Packed transitive closure of ``graph`` in one pass.
+def logic_depth(netlist: Netlist) -> int:
+    """Return the maximum combinational depth (number of gates on the longest path)."""
+    levels = gate_levels(netlist)
+    depths = [
+        level for name, level in levels.items()
+        if not netlist.gates[name].cell.is_sequential
+    ]
+    return max(depths) + 1 if depths else 0
 
-    Returns ``(index, bitmap)`` where ``index`` maps each node to a row/bit
-    position and ``bitmap`` is a ``(n, ceil(n / 64))`` ``uint64`` array whose
-    row *i* has bit *j* set iff node *j* is in ``nx.descendants(graph, i)``
-    (reachable from *i*, excluding *i* itself).  Cycles are handled through
-    the strongly-connected-component condensation, so the helper is safe on
-    attack-recovered graphs; for the common DAG case the condensation is the
-    identity.  One call replaces *n* per-node ``nx.descendants`` traversals.
+
+def transitive_closure(successors: Sequence[Iterable[int]]) -> List[int]:
+    """Every node's reachable set, as integer bitsets, in one pass.
+
+    ``successors[i]`` lists the successors of node ``i`` (``0 <= i < n``).
+    Returns ``reach`` where bit ``j`` of ``reach[i]`` is set iff node ``j``
+    is reachable from node ``i`` by a path of at least one edge, ``i``
+    itself excluded even when it sits on a cycle.
+
+    An iterative Tarjan walk emits the strongly connected components in
+    reverse topological order, so every edge leaving a component points at a
+    component that is already closed: a component's reach is the OR of its
+    members' bits and the closed reach of those successors.
     """
-    nodes = list(graph.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    words = max(1, (n + 63) // 64)
-    bitmap = np.zeros((n, words), dtype=np.uint64)
-    if n == 0:
-        return index, bitmap
-
-    condensation = nx.condensation(graph)
-    # Bits of each component's member nodes, in node-index space.
-    member_bits = np.zeros((condensation.number_of_nodes(), words), dtype=np.uint64)
-    for comp_id, data in condensation.nodes(data=True):
-        for node in data["members"]:
-            i = index[node]
-            member_bits[comp_id, i >> 6] |= np.uint64(1 << (i & 63))
-    # Reachable-set per component, accumulated in reverse topological order.
-    comp_reach = np.zeros_like(member_bits)
-    for comp_id in reversed(list(nx.topological_sort(condensation))):
-        row = comp_reach[comp_id]
-        for succ in condensation.successors(comp_id):
-            np.bitwise_or(row, comp_reach[succ], out=row)
-            np.bitwise_or(row, member_bits[succ], out=row)
-
-    comp_of = condensation.graph["mapping"]
-    for node in nodes:
-        i = index[node]
-        comp_id = comp_of[node]
-        row = bitmap[i]
-        np.bitwise_or(comp_reach[comp_id], member_bits[comp_id], out=row)
-        # A node never counts as its own descendant (nx.descendants semantics).
-        row[i >> 6] &= ~np.uint64(1 << (i & 63))
-    return index, bitmap
+    n = len(successors)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    closed = [0] * n  # reach of the node's component, members included
+    reach = [0] * n
+    stack: List[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        calls = [(root, iter(successors[root]))]
+        while calls:
+            node, edges = calls[-1]
+            for succ in edges:
+                if index[succ] < 0:
+                    index[succ] = low[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack[succ] = True
+                    calls.append((succ, iter(successors[succ])))
+                    break
+                if on_stack[succ] and index[succ] < low[node]:
+                    low[node] = index[succ]
+            else:
+                calls.pop()
+                if calls:
+                    parent = calls[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] != index[node]:
+                    continue
+                members = []
+                bits = 0
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    members.append(member)
+                    bits |= 1 << member
+                    if member == node:
+                        break
+                for member in members:
+                    for succ in successors[member]:
+                        if not bits >> succ & 1:
+                            bits |= closed[succ]
+                for member in members:
+                    closed[member] = bits
+                    reach[member] = bits & ~(1 << member)
+    return reach
 
 
 def would_create_loop(netlist: Netlist, driver_gate: Optional[str],
-                      sink_gate: str, graph: Optional[nx.DiGraph] = None) -> bool:
+                      sink_gate: str) -> bool:
     """Check whether connecting ``driver_gate`` output to an input of ``sink_gate``
     would create a combinational loop.
 
     ``driver_gate`` may be ``None`` (primary-input driver), which can never
     create a loop.  The check is a reachability query: a loop appears iff
-    ``driver_gate`` is reachable *from* ``sink_gate``, or they are the same
-    combinational gate.
+    ``driver_gate`` is reachable *from* ``sink_gate`` through combinational
+    gates, or they are the same combinational gate.
     """
     if driver_gate is None:
         return False
@@ -303,8 +324,14 @@ def would_create_loop(netlist: Netlist, driver_gate: Optional[str],
         return False
     if netlist.gates[sink_gate].cell.is_sequential:
         return False
-    if graph is None:
-        graph = _combinational_subgraph(netlist)
-    if sink_gate not in graph or driver_gate not in graph:
-        return False
-    return nx.has_path(graph, sink_gate, driver_gate)
+    gates = netlist.gates
+    seen = {sink_gate}
+    stack = [sink_gate]
+    while stack:
+        for succ in netlist.fanout_gates(stack.pop()):
+            if succ == driver_gate:
+                return True
+            if succ not in seen and not gates[succ].cell.is_sequential:
+                seen.add(succ)
+                stack.append(succ)
+    return False

@@ -398,21 +398,49 @@ class Netlist:
     # Copying
     # ------------------------------------------------------------------
     def copy(self, new_name: Optional[str] = None) -> "Netlist":
-        """Return a deep, independent copy of the netlist."""
+        """Return a deep, independent copy of the netlist.
+
+        The copy is rebuilt from the gates' pin connections, as if every pin
+        were reconnected through :meth:`connect_pin` in gate order: net
+        drivers come from output pins, sink lists follow gate iteration order
+        and each net's primary outputs follow ``output_nets`` order.  The
+        source netlist is consistent, so the per-pin checks are skipped.  The
+        copy's ``topology_version`` counts one edit per net and per pin, as
+        that replay would.
+        """
         clone = Netlist(new_name if new_name is not None else self.name, self.library)
+        nets = clone.nets
         for net in self.nets.values():
-            new_net = clone.add_net(net.name)
-            new_net.is_primary_input = net.is_primary_input
+            nets[net.name] = Net(net.name, is_primary_input=net.is_primary_input)
         clone.primary_inputs = list(self.primary_inputs)
         clone.primary_outputs = list(self.primary_outputs)
         clone.output_nets = dict(self.output_nets)
         for po, net_name in self.output_nets.items():
-            clone.nets[net_name].primary_outputs.append(po)
+            nets[net_name].primary_outputs.append(po)
+        output_pins: Dict[int, frozenset] = {}  # keyed by id(cell)
+        edits = len(nets)
         for gate in self.gates.values():
-            new_gate = Gate(name=gate.name, cell=gate.cell, dont_touch=gate.dont_touch)
-            clone.gates[gate.name] = new_gate
-            for pin, net_name in gate.connections.items():
-                clone.connect_pin(gate.name, pin, net_name)
+            cell = gate.cell
+            outputs = output_pins.get(id(cell))
+            if outputs is None:
+                outputs = output_pins[id(cell)] = frozenset(
+                    pin.name for pin in cell.output_pins
+                )
+            name = gate.name
+            connections = dict(gate.connections)
+            clone.gates[name] = Gate(name=name, cell=cell, connections=connections,
+                                     dont_touch=gate.dont_touch)
+            for pin, net_name in connections.items():
+                net = nets.get(net_name)
+                if net is None:
+                    net = nets[net_name] = Net(net_name)
+                    edits += 1
+                if pin in outputs:
+                    net.driver = (name, pin)
+                else:
+                    net.sinks.append((name, pin))
+            edits += len(connections)
+        clone._topology_version = edits
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

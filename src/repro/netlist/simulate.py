@@ -220,6 +220,25 @@ def _output_pair(
     return ref_outputs, cand_outputs
 
 
+def _error_rate(ref_outputs: Mapping[str, int], cand_outputs: Mapping[str, int],
+                num_patterns: int) -> float:
+    error_mask = 0
+    for po, ref_value in ref_outputs.items():
+        error_mask |= ref_value ^ cand_outputs[po]
+    return 100.0 * _popcount(error_mask) / num_patterns
+
+
+def _hamming(ref_outputs: Mapping[str, int], cand_outputs: Mapping[str, int],
+             num_patterns: int) -> float:
+    if not ref_outputs:
+        return 0.0
+    differing = 0
+    for po, ref_value in ref_outputs.items():
+        differing += _popcount(ref_value ^ cand_outputs[po])
+    total_bits = num_patterns * len(ref_outputs)
+    return 100.0 * differing / total_bits
+
+
 def output_error_rate(reference: Netlist, candidate: Netlist,
                       num_patterns: int = DEFAULT_NUM_PATTERNS,
                       seed: Optional[int] = 0) -> float:
@@ -232,10 +251,7 @@ def output_error_rate(reference: Netlist, candidate: Netlist,
     outcome when an attacker simulates a recovered netlist.
     """
     ref_outputs, cand_outputs = _output_pair(reference, candidate, num_patterns, seed)
-    error_mask = 0
-    for po, ref_value in ref_outputs.items():
-        error_mask |= ref_value ^ cand_outputs[po]
-    return 100.0 * _popcount(error_mask) / num_patterns
+    return _error_rate(ref_outputs, cand_outputs, num_patterns)
 
 
 def hamming_distance(reference: Netlist, candidate: Netlist,
@@ -248,13 +264,22 @@ def hamming_distance(reference: Netlist, candidate: Netlist,
     inversion); 50 % is the ideal defensive value.
     """
     ref_outputs, cand_outputs = _output_pair(reference, candidate, num_patterns, seed)
-    if not ref_outputs:
-        return 0.0
-    differing = 0
-    for po, ref_value in ref_outputs.items():
-        differing += _popcount(ref_value ^ cand_outputs[po])
-    total_bits = num_patterns * len(ref_outputs)
-    return 100.0 * differing / total_bits
+    return _hamming(ref_outputs, cand_outputs, num_patterns)
+
+
+def error_rate_and_hamming(reference: Netlist, candidate: Netlist,
+                           num_patterns: int = DEFAULT_NUM_PATTERNS,
+                           seed: Optional[int] = 0) -> Tuple[float, float]:
+    """``(OER, HD)`` from one simulation of each netlist.
+
+    Equal to :func:`output_error_rate` and :func:`hamming_distance` called
+    separately, at half the simulation work.
+    """
+    ref_outputs, cand_outputs = _output_pair(reference, candidate, num_patterns, seed)
+    return (
+        _error_rate(ref_outputs, cand_outputs, num_patterns),
+        _hamming(ref_outputs, cand_outputs, num_patterns),
+    )
 
 
 def toggle_rates(netlist: Netlist, num_patterns: int = DEFAULT_NUM_PATTERNS,

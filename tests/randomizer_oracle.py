@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Set
 
 import networkx as nx
 
+from graph_oracle import netlist_to_digraph
 from repro.core.randomizer import (
     RandomizationResult,
     RandomizerConfig,
@@ -22,7 +23,6 @@ from repro.core.randomizer import (
     _driver_gate,
     _swappable_sinks,
 )
-from repro.netlist.graph import netlist_to_digraph
 from repro.netlist.netlist import Netlist, PinRef
 from repro.netlist.simulate import output_error_rate
 from repro.utils.rng import make_rng

@@ -1,0 +1,409 @@
+"""Row-block attack kernels == the full-matrix oracles.
+
+:func:`repro.attacks.network_flow.build_cost_matrix` and the attack's
+driver-slot matrix are computed in row blocks (on a thread pool when the
+process may use more than one CPU), the loop hint reads an integer
+transitive closure, crouting counts candidates from one Chebyshev-distance
+block per sink block, and :func:`repro.netlist.graph.pseudo_topological_order`
+breaks cycles from a lazy heap.  The implementations they replaced live on
+in ``tests/attack_oracle.py`` and ``tests/graph_oracle.py``.  Every cost
+byte, excluded-pair count, assignment, recovered netlist, crouting field and
+evaluation order must be identical, for every hint toggle, one and two
+worker threads, split layers 3-8 and empty views.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import attack_oracle
+import graph_oracle
+from repro.api.registry import DEFENSES, ensure_builtins
+from repro.attacks import crouting, network_flow
+from repro.circuits import ISCAS85_PROFILES, SUPERBLUE_PROFILES
+from repro.circuits.registry import get_benchmark
+from repro.core import ProtectionConfig, protect
+from repro.netlist.cells import NUM_METAL_LAYERS
+from repro.netlist.graph import pseudo_topological_order, transitive_closure
+from repro.netlist.netlist import Netlist
+from repro.sm.split import extract_feol
+
+ensure_builtins()
+
+SPLIT_LAYERS = range(3, 9)
+#: Every on/off combination of the three optional hints.
+HINT_CONFIGS = tuple(
+    network_flow.NetworkFlowAttackConfig(
+        use_loop_hint=loop, use_direction_hint=direction, use_load_hint=load
+    )
+    for loop, direction, load in itertools.product((True, False), repeat=3)
+)
+WORKERS = (1, 2)
+SUPERBLUE_SCALE = 0.002
+#: Largest view checked, a little above the largest the paper's quick flow
+#: attacks (1,445 sinks).  The oracle's ~15 full ``(S, D)`` temporaries and
+#: the 12x wider slot matrix both grow with S squared: at c7552's 3,686
+#: sinks they take several GB.
+MAX_SINKS = 1600
+
+
+def layouts_of(benchmark: str, scale=None):
+    """The unprotected and the protected layout of one benchmark."""
+    netlist = get_benchmark(benchmark, seed=1, scale=scale)
+    result = protect(netlist, ProtectionConfig(
+        lift_layer=6, swap_fraction_steps=(0.08,), oer_patterns=256, seed=1,
+    ))
+    return {"original": result.original_layout, "proposed": result.protected_layout}
+
+
+def connectivity(netlist: Netlist):
+    return (
+        {name: (net.driver, list(net.sinks), net.is_primary_input,
+                list(net.primary_outputs))
+         for name, net in netlist.nets.items()},
+        {name: list(gate.connections.items()) for name, gate in netlist.gates.items()},
+        dict(netlist.output_nets),
+    )
+
+
+def check_cost_matrices(view, monkeypatch, configs=HINT_CONFIGS):
+    for config in configs:
+        expected, expected_excluded = attack_oracle.build_cost_matrix(view, config)
+        for workers in WORKERS:
+            monkeypatch.setattr(network_flow, "_WORKERS", workers)
+            costs, excluded = network_flow.build_cost_matrix(view, config)
+            assert costs.dtype == expected.dtype and costs.shape == expected.shape
+            assert costs.tobytes() == expected.tobytes(), (config, workers)
+            assert excluded == expected_excluded, (config, workers)
+
+
+def slot_digest(cost: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(cost)).hexdigest()
+
+
+def oracle_slot_digest(view, config) -> str:
+    """Digest of the oracle's ``np.take`` slot matrix, gathered in row
+    chunks so the full matrix is never held twice."""
+    base, _excluded = attack_oracle.build_cost_matrix(view, config)
+    slot_index = np.repeat(
+        np.arange(len(view.driver_vpins), dtype=np.intp),
+        attack_oracle.driver_capacities(view, config),
+    )
+    digest = hashlib.sha256()
+    for lo in range(0, base.shape[0], 64):
+        digest.update(np.take(base[lo:lo + 64], slot_index, axis=1))
+    return digest.hexdigest()
+
+
+def check_attack(view, config, workers, monkeypatch):
+    """Same slot matrix into the solver, same assignment, same netlist."""
+    import scipy.optimize
+
+    solve = scipy.optimize.linear_sum_assignment
+    received = []
+
+    def recording(cost):
+        assert cost.dtype == np.float64 and cost.flags["C_CONTIGUOUS"]
+        received.append(slot_digest(cost))
+        return solve(cost)
+
+    expected = attack_oracle.network_flow_attack(view, config)
+    monkeypatch.setattr(network_flow, "_WORKERS", workers)
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", recording)
+    result = network_flow.network_flow_attack(view, config)
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", solve)
+    if view.sink_vpins:
+        assert received == [oracle_slot_digest(view, config)]
+    assert result.assignment == expected.assignment
+    assert list(result.assignment) == list(expected.assignment)
+    assert result.excluded_pairs == expected.excluded_pairs
+    assert (result.num_sinks, result.num_drivers) == (expected.num_sinks, expected.num_drivers)
+    recovered, oracle_recovered = result.recovered_netlist, expected.recovered_netlist
+    assert recovered.name == oracle_recovered.name
+    assert connectivity(recovered) == connectivity(oracle_recovered)
+    assert pseudo_topological_order(recovered) == graph_oracle.pseudo_topological_order(
+        oracle_recovered
+    )
+
+
+def check_crouting(view, config=None):
+    result = crouting.crouting_attack(view, config)
+    expected = attack_oracle.crouting_attack(view, config)
+    assert result.num_vpins == expected.num_vpins
+    for name in ("expected_list_size", "match_in_list", "candidate_counts"):
+        ours, theirs = getattr(result, name), getattr(expected, name)
+        assert list(ours.items()) == list(theirs.items()), name
+    for counts in result.candidate_counts.values():
+        assert all(type(count) is int for count in counts)
+
+
+def check_layout(layout, monkeypatch, full=True):
+    """Cost matrices for every hint toggle and thread count on every split
+    layer; attack and crouting per split layer (``full`` adds every hint
+    toggle to the attack on the lowest split layer).  Views above
+    ``MAX_SINKS`` are skipped; at least one split layer must be checked."""
+    checked = 0
+    for split in SPLIT_LAYERS:
+        view = extract_feol(layout, split)
+        if len(view.sink_vpins) > MAX_SINKS:
+            continue
+        checked += 1
+        check_cost_matrices(view, monkeypatch)
+        check_attack(view, HINT_CONFIGS[0], WORKERS[split % 2], monkeypatch)
+        check_crouting(view)
+        if full and split == SPLIT_LAYERS[0]:
+            for config in HINT_CONFIGS[1:]:
+                check_attack(view, config, 2, monkeypatch)
+            check_crouting(view, crouting.CRoutingAttackConfig(
+                gcell_um=0.5, bounding_boxes=(1, 7, 15, 15)))
+    assert checked
+
+
+@pytest.fixture(scope="module")
+def c432_layouts():
+    return layouts_of("c432")
+
+
+@pytest.fixture(scope="module")
+def c880_layouts():
+    return layouts_of("c880")
+
+
+@pytest.mark.parametrize("kind", ("original", "proposed"))
+def test_c432(c432_layouts, kind, monkeypatch):
+    check_layout(c432_layouts[kind], monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ("original", "proposed"))
+def test_c880(c880_layouts, kind, monkeypatch):
+    check_layout(c880_layouts[kind], monkeypatch, full=kind == "proposed")
+
+
+def test_superblue_slice(monkeypatch):
+    netlist = get_benchmark("superblue18", seed=1, scale=SUPERBLUE_SCALE)
+    entry = DEFENSES.get("original")
+    layout = entry.fn(netlist, entry.make_params(), 1).layout
+    check_layout(layout, monkeypatch, full=False)
+
+
+def test_empty_view(c432_layouts, monkeypatch):
+    view = extract_feol(c432_layouts["original"], NUM_METAL_LAYERS)
+    assert not view.sink_vpins and not view.driver_vpins
+    check_cost_matrices(view, monkeypatch)
+    for workers in WORKERS:
+        check_attack(view, HINT_CONFIGS[0], workers, monkeypatch)
+    check_crouting(view)
+
+
+@pytest.mark.parametrize("block_rows", (1, 5, 33, 10_000))
+def test_block_boundaries(c432_layouts, block_rows, monkeypatch):
+    monkeypatch.setattr(network_flow, "_BLOCK_ROWS", block_rows)
+    view = extract_feol(c432_layouts["proposed"], 3)
+    check_cost_matrices(view, monkeypatch, HINT_CONFIGS[:1])
+    check_attack(view, HINT_CONFIGS[0], 2, monkeypatch)
+
+
+def test_coincident_and_undirected_vpins(c432_layouts, monkeypatch):
+    """Zero-length candidates (degenerate direction) and stubs without a
+    direction, which extracted views rarely contain, on both sides."""
+    view = extract_feol(c432_layouts["proposed"], 3)
+    sinks, drivers = view.sink_vpins, view.driver_vpins
+    for i in range(0, len(sinks), 7):
+        position = drivers[(3 * i) % len(drivers)].position
+        sinks[i] = dataclasses.replace(sinks[i], position=position)
+    for i in range(0, len(sinks), 5):
+        sinks[i] = dataclasses.replace(sinks[i], direction=None)
+    for i in range(0, len(drivers), 4):
+        drivers[i] = dataclasses.replace(drivers[i], direction=None)
+    view.bump_geometry_version()
+    check_cost_matrices(view, monkeypatch)
+    check_attack(view, HINT_CONFIGS[0], 2, monkeypatch)
+    check_crouting(view)
+
+
+def test_concurrent_callers_share_the_pool(c880_layouts, monkeypatch):
+    """Several threads filling matrices through one pool, with more workers
+    than CPUs and frequent thread switches, still get the oracle's bytes."""
+    import threading
+
+    view = extract_feol(c880_layouts["proposed"], 3)
+    expected, expected_excluded = attack_oracle.build_cost_matrix(view)
+    monkeypatch.setattr(network_flow, "_WORKERS", 4)
+    monkeypatch.setattr(network_flow, "_EXECUTOR", None)
+    results = []
+
+    def worker():
+        for _ in range(3):
+            results.append(network_flow.build_cost_matrix(view))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 12
+    for costs, excluded in results:
+        assert costs.tobytes() == expected.tobytes()
+        assert excluded == expected_excluded
+
+
+def _forked_cost_digest(view):
+    network_flow._WORKERS = 2
+    return slot_digest(network_flow.build_cost_matrix(view)[0])
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs fork")
+def test_forked_child_builds_its_own_pool(c432_layouts, monkeypatch):
+    """A child forked after the pool started inherits no live threads; it
+    must start a pool of its own instead of waiting on the parent's."""
+    import multiprocessing
+
+    view = extract_feol(c432_layouts["proposed"], 3)
+    monkeypatch.setattr(network_flow, "_WORKERS", 2)
+    expected = slot_digest(network_flow.build_cost_matrix(view)[0])
+    assert network_flow._EXECUTOR is not None
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        result = pool.apply_async(_forked_cost_digest, (view,))
+        assert result.get(timeout=120) == expected
+
+
+def test_loop_hint_excludes_reachable_pairs(c432_layouts):
+    """The integer closure agrees with the networkx closure on a real view."""
+    view = extract_feol(c432_layouts["original"], 3)
+    sinks, drivers = view.sink_vpins, view.driver_vpins
+    expected = attack_oracle.loop_exclusion_matrix(view, sinks, drivers)
+    assert expected.any()
+    index, bitmap = network_flow._loop_bitmap(view)
+    clear = len(index)
+    rows = [index.get(v.gate, clear) if v.gate is not None else clear for v in sinks]
+    cols = [index.get(v.gate, clear) if v.gate is not None else clear for v in drivers]
+    reach = np.unpackbits(bitmap[rows], axis=1, bitorder="little")[:, cols]
+    assert np.array_equal(reach.view(bool), expected)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("circuit", sorted(set(ISCAS85_PROFILES) - {"c432", "c880"}))
+def test_every_iscas_circuit(circuit, monkeypatch):
+    for layout in layouts_of(circuit).values():
+        check_layout(layout, monkeypatch, full=False)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("design", sorted(SUPERBLUE_PROFILES))
+def test_every_superblue_slice(design, monkeypatch):
+    for layout in layouts_of(design, SUPERBLUE_SCALE).values():
+        check_layout(layout, monkeypatch, full=False)
+
+
+# ---------------------------------------------------------------------------
+# Graph kernels
+# ---------------------------------------------------------------------------
+
+def _bfs_reach(successors, source):
+    seen = set()
+    stack = list(successors[source])
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(successors[node])
+    seen.discard(source)
+    return seen
+
+
+@st.composite
+def digraphs(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    if n == 0:
+        return []
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n))
+    successors = [[] for _ in range(n)]
+    for u, v in edges:
+        successors[u].append(v)
+    return successors
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs())
+def test_transitive_closure_equals_bfs(successors):
+    reach = transitive_closure(successors)
+    assert len(reach) == len(successors)
+    for node, bits in enumerate(reach):
+        assert {j for j in range(len(successors)) if bits >> j & 1} == _bfs_reach(
+            successors, node)
+
+
+@st.composite
+def loopy_netlists(draw):
+    """Random INV/NAND2 netlists whose inputs may read any net: cycles galore."""
+    num_gates = draw(st.integers(min_value=1, max_value=25))
+    netlist = Netlist("loopy")
+    nets = ["a", "b"] + [f"n{i}" for i in range(num_gates)]
+    for pi in ("a", "b"):
+        netlist.add_primary_input(pi)
+    for i in range(num_gates):
+        if draw(st.booleans()):
+            netlist.add_gate(f"g{i}", "INV_X1", {
+                "A": draw(st.sampled_from(nets)), "ZN": f"n{i}"})
+        else:
+            netlist.add_gate(f"g{i}", "NAND2_X1", {
+                "A1": draw(st.sampled_from(nets)),
+                "A2": draw(st.sampled_from(nets)), "ZN": f"n{i}"})
+    netlist.add_primary_output("o", f"n{num_gates - 1}")
+    return netlist
+
+
+@settings(max_examples=200, deadline=None)
+@given(loopy_netlists())
+def test_pseudo_topological_order_equals_linear_scan(netlist):
+    assert pseudo_topological_order(netlist) == graph_oracle.pseudo_topological_order(
+        netlist)
+
+
+@pytest.mark.parametrize("circuit", sorted(ISCAS85_PROFILES))
+def test_pseudo_topological_order_on_iscas(circuit):
+    netlist = get_benchmark(circuit, seed=1)
+    assert pseudo_topological_order(netlist) == graph_oracle.pseudo_topological_order(
+        netlist)
+
+
+# ---------------------------------------------------------------------------
+# Dependencies
+# ---------------------------------------------------------------------------
+
+def test_package_import_leaves_networkx_unloaded():
+    """networkx is a test-only dependency: the package must not import it."""
+    import repro
+
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source_root, env.get("PYTHONPATH")])
+    )
+    code = (
+        "import sys, repro, repro.api, repro.service, repro.experiments.runner; "
+        "print('networkx' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    assert result.stdout.strip() == "False"

@@ -17,10 +17,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from attack_oracle import direction_penalty, visible_reachability
+from graph_oracle import netlist_to_digraph, transitive_closure_bitmap
 from repro.attacks.network_flow import (
     NetworkFlowAttackConfig,
-    _direction_penalty,
-    _visible_reachability,
     build_cost_matrix,
     network_flow_attack,
 )
@@ -28,11 +28,7 @@ from repro.circuits import c17_netlist, iscas85_netlist
 from repro.circuits.iscas85 import PAPER_ISCAS85_SET
 from repro.netlist import engine
 from repro.netlist.cells import Cell, CellPin, NaryLogicFn, default_library
-from repro.netlist.graph import (
-    netlist_to_digraph,
-    pseudo_topological_order,
-    transitive_closure_bitmap,
-)
+from repro.netlist.graph import pseudo_topological_order
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import (
     _resolved_inputs,
@@ -367,7 +363,7 @@ class TestAttackCostMatrixRegression:
         drivers = view.driver_vpins
         sinks = view.sink_vpins
         half_perimeter = view.layout.floorplan.half_perimeter_um
-        reach = _visible_reachability(view) if config.use_loop_hint else None
+        reach = visible_reachability(view) if config.use_loop_hint else None
         cache = {}
 
         def descendants(gate):
@@ -389,7 +385,7 @@ class TestAttackCostMatrixRegression:
                 pair_cost = distance
                 infeasible = False
                 if config.use_direction_hint:
-                    penalty, sink_angle = _direction_penalty(driver, sink)
+                    penalty, sink_angle = direction_penalty(driver, sink)
                     pair_cost += config.direction_weight * half_perimeter * 0.1 * penalty
                     if (
                         sink_angle > config.direction_tolerance_deg

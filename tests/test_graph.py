@@ -3,12 +3,13 @@
 import networkx as nx
 import pytest
 
+from graph_oracle import netlist_to_digraph
 from repro.netlist.graph import (
+    CombinationalLoopError,
     combinational_loops,
     gate_levels,
     has_combinational_loop,
     logic_depth,
-    netlist_to_digraph,
     pseudo_topological_order,
     topological_gate_order,
     transitive_fanin,
@@ -85,7 +86,7 @@ class TestOrderings:
         assert order.index("g1") < order.index("g2") < order.index("g3")
 
     def test_topological_order_raises_on_loop(self, looped):
-        with pytest.raises(nx.NetworkXUnfeasible):
+        with pytest.raises(CombinationalLoopError):
             topological_gate_order(looped)
 
     def test_pseudo_topological_handles_loop(self, looped):

@@ -1,11 +1,15 @@
 """Tests for the security and layout metrics."""
 
+import importlib
 import math
 
 import pytest
 
 from repro.metrics.distances import DistanceStats, distance_histogram, distance_stats
 from repro.metrics.ppa import ppa_overheads, ppa_report
+from repro.attacks.network_flow import network_flow_attack
+from repro.circuits import ISCAS85_PROFILES
+from repro.circuits.registry import get_benchmark
 from repro.metrics.security import correct_connection_rate, evaluate_attack
 from repro.metrics.solution_space import (
     log10_num_perfect_matchings,
@@ -25,6 +29,9 @@ from repro.metrics.wirelength import (
     wirelength_share_by_layer,
 )
 from repro.sm.split import extract_feol
+
+# The module, not the ``repro.netlist.simulate`` function of the same name.
+simulate = importlib.import_module("repro.netlist.simulate")
 
 
 class TestSecurityMetrics:
@@ -64,6 +71,49 @@ class TestSecurityMetrics:
         protected_ccr = correct_connection_rate(view, truth, restrict_to_protected=True)
         assert all_ccr == pytest.approx(100.0)
         assert protected_ccr == pytest.approx(100.0)
+
+
+class TestErrorRateAndHamming:
+    @pytest.mark.parametrize("circuit", sorted(ISCAS85_PROFILES))
+    def test_equals_separate_metrics(self, circuit):
+        reference = get_benchmark(circuit, seed=1)
+        candidate = reference.copy()
+        # Wire every output to a primary input: a wrong netlist.
+        for index, po in enumerate(candidate.primary_outputs):
+            pis = candidate.primary_inputs
+            candidate.retarget_primary_output(po, pis[index % len(pis)])
+        for other in (reference, candidate):
+            for num_patterns, seed in ((512, 0), (100, 3)):
+                expected = (
+                    simulate.output_error_rate(reference, other, num_patterns, seed),
+                    simulate.hamming_distance(reference, other, num_patterns, seed),
+                )
+                assert simulate.error_rate_and_hamming(
+                    reference, other, num_patterns, seed) == expected
+        assert expected[0] > 0.0
+
+    def test_evaluate_attack_simulates_each_netlist_once(self, protection_c432,
+                                                         monkeypatch):
+        view = extract_feol(protection_c432.protected_layout, 4)
+        outcome = network_flow_attack(view)
+        expected = (
+            simulate.output_error_rate(
+                view.layout.netlist, outcome.recovered_netlist, 512, 0),
+            simulate.hamming_distance(
+                view.layout.netlist, outcome.recovered_netlist, 512, 0),
+        )
+        calls = []
+        plan_outputs = simulate._plan_outputs
+
+        def counting(*args):
+            calls.append(args[0])
+            return plan_outputs(*args)
+
+        monkeypatch.setattr(simulate, "_plan_outputs", counting)
+        report = evaluate_attack(view, outcome.assignment, outcome.recovered_netlist,
+                                 num_patterns=512, seed=0)
+        assert len(calls) == 2
+        assert (report.oer_percent, report.hd_percent) == expected
 
 
 class TestDistances:

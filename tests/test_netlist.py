@@ -2,7 +2,11 @@
 
 import pytest
 
+from graph_oracle import netlist_copy
+from repro.circuits import ISCAS85_PROFILES
+from repro.circuits.registry import get_benchmark
 from repro.netlist.netlist import Netlist, NetlistError, connection_pairs
+from repro.store.codec import netlist_fingerprint
 
 
 @pytest.fixture()
@@ -144,3 +148,50 @@ class TestCopy:
 
     def test_copy_of_benchmark_validates(self, c432):
         assert c432.copy().validate() == []
+
+
+def assert_same_copy(netlist, name=None):
+    """``Netlist.copy`` equals the copy replayed through ``connect_pin``."""
+    clone, expected = netlist.copy(name), netlist_copy(netlist, name)
+    assert clone.name == expected.name and clone.library is expected.library
+    assert list(clone.nets) == list(expected.nets)
+    for net_name, net in expected.nets.items():
+        ours = clone.nets[net_name]
+        assert ours is not netlist.nets[net_name]
+        assert (ours.driver, ours.sinks, ours.is_primary_input, ours.primary_outputs) == (
+            net.driver, net.sinks, net.is_primary_input, net.primary_outputs)
+    assert list(clone.gates) == list(expected.gates)
+    for gate_name, gate in expected.gates.items():
+        ours = clone.gates[gate_name]
+        assert ours is not netlist.gates[gate_name]
+        assert ours.connections is not netlist.gates[gate_name].connections
+        assert list(ours.connections.items()) == list(gate.connections.items())
+        assert (ours.cell, ours.dont_touch) == (gate.cell, gate.dont_touch)
+    assert clone.primary_inputs == expected.primary_inputs
+    assert clone.primary_outputs == expected.primary_outputs
+    assert list(clone.output_nets.items()) == list(expected.output_nets.items())
+    assert clone.topology_version == expected.topology_version
+    assert netlist_fingerprint(clone) == netlist_fingerprint(expected)
+    assert clone.validate() == []
+
+
+class TestCopyMatchesConnectPinReplay:
+    @pytest.mark.parametrize(
+        "name,scale",
+        [(name, None) for name in sorted(ISCAS85_PROFILES)] + [("superblue18", 0.002)],
+    )
+    def test_benchmarks(self, name, scale):
+        assert_same_copy(get_benchmark(name, seed=1, scale=scale), "copied")
+
+    def test_after_edits(self, c432):
+        """Sink lists are rebuilt in gate order, PO lists in output-net order."""
+        edited = c432.copy()
+        gate_name, gate = next(
+            (n, g) for n, g in edited.gates.items() if len(g.input_pin_names) > 1)
+        pin = gate.input_pin_names[0]
+        edited.move_sink(gate_name, pin, edited.primary_inputs[0])
+        first, second = edited.primary_outputs[:2]
+        edited.retarget_primary_output(first, edited.output_nets[second])
+        edited.retarget_primary_output(second, edited.output_nets[first])
+        edited.gates[gate_name].dont_touch = True
+        assert_same_copy(edited)

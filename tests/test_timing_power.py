@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from graph_oracle import netlist_to_digraph
 from repro.circuits import ISCAS85_PROFILES
 from repro.circuits.registry import get_benchmark
 from repro.netlist import graph as netlist_graph
@@ -80,7 +81,7 @@ class TestSTA:
 
 def _networkx_gate_order(netlist):
     """Sequential gates, then networkx's topological sort of the rest."""
-    graph = netlist_graph.netlist_to_digraph(netlist)
+    graph = netlist_to_digraph(netlist)
     sequential = [n for n, data in graph.nodes(data=True) if data.get("sequential")]
     graph.remove_nodes_from(sequential)
     return sequential + list(nx.topological_sort(graph))
