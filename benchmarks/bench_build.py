@@ -1,10 +1,10 @@
 """Micro-benchmarks for the vectorized place-and-route build path.
 
-Measures the retained seed implementations (``place_reference`` /
-``route_reference``, per-object Python loops) against the vectorized column
-builders that now back ``Workspace.prewarm``, plus the amortized per-seed
-cost of a Monte-Carlo seed sweep versus the sequential single-seed baseline,
-and writes a ``BENCH_build.json`` perf-trajectory artifact next to
+Measures the seed implementations (``place_reference`` / ``route_reference``,
+per-object Python loops, kept as test oracles in ``tests/build_oracle.py``)
+against the vectorized column builders that now back ``Workspace.prewarm``,
+plus the amortized per-seed cost of a Monte-Carlo seed sweep versus the
+sequential single-seed baseline, and writes a ``BENCH_build.json`` perf-trajectory artifact next to
 ``BENCH_sim.json`` / ``BENCH_layout.json``::
 
     PYTHONPATH=src python benchmarks/bench_build.py             # writes BENCH_build.json
@@ -38,6 +38,8 @@ from typing import Callable, Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+# The per-object references are the test oracles.
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 from repro.api.spec import ScenarioSpec                      # noqa: E402
 from repro.api.workspace import Workspace                     # noqa: E402
@@ -48,12 +50,9 @@ _log = logging.getLogger("repro.bench.build")
 from repro.circuits import iscas85_netlist                    # noqa: E402
 from repro.circuits.superblue import superblue_netlist        # noqa: E402
 from repro.layout.floorplan import build_floorplan            # noqa: E402
-from repro.layout.placer import (                             # noqa: E402
-    PlacerConfig,
-    place,
-    place_reference,
-)
-from repro.layout.router import route, route_reference        # noqa: E402
+from repro.layout.placer import PlacerConfig, place           # noqa: E402
+from repro.layout.router import route                         # noqa: E402
+from build_oracle import place_reference, route_reference     # noqa: E402
 
 
 def _timeit(fn: Callable[[], object], repeat: int) -> float:

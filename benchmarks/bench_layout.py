@@ -32,11 +32,11 @@ from typing import Callable, Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+# The per-pair proximity reference is a test oracle (needs the test extra).
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 
-from repro.attacks.proximity import (  # noqa: E402
-    proximity_attack,
-    proximity_attack_reference,
-)
+from attack_oracle import proximity_attack_reference  # noqa: E402
+from repro.attacks.proximity import proximity_attack  # noqa: E402
 from repro.circuits.superblue import superblue_netlist  # noqa: E402
 from repro.layout import build_layout  # noqa: E402
 from repro.layout.geometry import manhattan  # noqa: E402

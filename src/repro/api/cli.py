@@ -18,8 +18,8 @@ rebuild (CI uses this to prove a rerun touched no build path).
 ``run`` targets:
 
 * an experiment name (``table1`` … ``figure6``, ``headline``) or ``all`` —
-  regenerates the corresponding paper tables, exactly like the legacy
-  ``python -m repro.experiments.runner`` entry point; with ``--seeds 0:8``
+  regenerates the corresponding paper tables through
+  :func:`repro.experiments.runner.run_all`; with ``--seeds 0:8``
   the experiment's scenario grid runs as a Monte-Carlo sweep instead and the
   report shows per-seed values plus mean/std/CI per metric;
 * a ``.json`` file containing either one :class:`~repro.api.spec.
@@ -149,8 +149,8 @@ def _build_experiment_config(args: argparse.Namespace,
 
 
 def _resolved_jobs(args: argparse.Namespace) -> int:
-    """Parallel prewarm width: explicit --jobs, else the legacy runner's
-    parallel-by-default worker count."""
+    """Parallel prewarm width: explicit --jobs, else the parallel-by-default
+    worker count."""
     from repro.api.workspace import default_jobs
 
     return args.jobs if args.jobs is not None else default_jobs()

@@ -149,9 +149,9 @@ class ScenarioResult:
                       layout: str = "protected") -> Dict[str, float]:
         """CCR/OER/HD of the ``security`` metric averaged over split layers.
 
-        Replicates the historical ``attack_layout_average`` arithmetic
-        (plain sum over runs divided by run count) so tables built from
-        scenario results are bit-identical with the legacy path.
+        Plain sum over runs divided by run count — the arithmetic the
+        tables were first computed with, so their numbers stay
+        bit-identical.
         """
         totals = {"ccr": 0.0, "oer": 0.0, "hd": 0.0}
         count = 0
@@ -883,9 +883,8 @@ class Workspace:
                    *, scale: Optional[float] = None) -> ProtectionResult:
         """Run (or fetch) the paper's protection flow for ``benchmark``.
 
-        This is the typed convenience entry the legacy
-        ``protection_artifacts`` shim delegates to; the cache key covers
-        every :class:`ProtectionConfig` field.
+        The typed convenience entry to the ``proposed`` build; the cache key
+        covers every :class:`ProtectionConfig` field.
         """
         config = config if config is not None else ProtectionConfig()
         build = self.build(self._proposed_spec(benchmark, config, scale))

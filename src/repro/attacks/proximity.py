@@ -11,19 +11,20 @@ Tie-breaking is explicitly deterministic: when several drivers are at the
 same (minimal) Manhattan distance from a sink, the **first driver in
 ``view.driver_vpins`` order wins** — i.e. the driver vpin with the lowest
 list position, which for FEOL views produced by :func:`~repro.sm.split.
-extract_feol` is also the lowest vpin identifier.  The vectorized
-implementation (a batched nearest-driver query against the shared
+extract_feol` is also the lowest vpin identifier.  The attack (a batched
+nearest-driver query against the shared
 :class:`~repro.layout.arrays.UniformGridIndex` of the FEOL view) and the
-reference double loop both implement exactly this rule, so their assignments
-are bit-exact equal (see ``tests/test_layout_arrays.py``).
+historical per-pair double loop, kept as the test oracle
+``proximity_attack_reference`` in ``tests/attack_oracle.py``, both implement
+exactly this rule, so their assignments are bit-exact equal (see
+``tests/test_layout_arrays.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.layout.geometry import manhattan
 from repro.sm.split import FEOLView, feol_arrays
 
 
@@ -50,8 +51,7 @@ def proximity_attack(view: FEOLView) -> ProximityAttackResult:
     The computation is a batched nearest-neighbor query over the columnar
     vpin arrays: a uniform-grid spatial index over the driver positions
     answers all sink queries at once, replacing the historical
-    O(sinks x drivers) Python double loop (kept as
-    :func:`proximity_attack_reference`) with identical results.
+    O(sinks x drivers) Python double loop with identical results.
     """
     result = ProximityAttackResult(
         num_sinks=len(view.sink_vpins), num_drivers=len(view.driver_vpins)
@@ -65,29 +65,4 @@ def proximity_attack(view: FEOLView) -> ProximityAttackResult:
         int(sink_id): int(driver_id)
         for sink_id, driver_id in zip(arrays.sink_ids, driver_ids)
     }
-    return result
-
-
-def proximity_attack_reference(view: FEOLView) -> ProximityAttackResult:
-    """Reference implementation: the historical per-pair double loop.
-
-    Kept for equivalence testing and benchmarking; the strict ``<``
-    comparison makes the first driver with the minimal distance win, which is
-    the tie-breaking rule the vectorized path reproduces.
-    """
-    result = ProximityAttackResult(
-        num_sinks=len(view.sink_vpins), num_drivers=len(view.driver_vpins)
-    )
-    if not view.driver_vpins:
-        return result
-    for sink in view.sink_vpins:
-        best_driver: Optional[int] = None
-        best_distance = float("inf")
-        for driver in view.driver_vpins:
-            distance = manhattan(sink.position, driver.position)
-            if distance < best_distance:
-                best_distance = distance
-                best_driver = driver.identifier
-        if best_driver is not None:
-            result.assignment[sink.identifier] = best_driver
     return result

@@ -164,12 +164,12 @@ def build_protected_layout(
             protected_flags.append(is_swapped)
 
     # Pass 2: batched geometry construction, kept in column form behind lazy
-    # RoutedNet shells (bit-exact with the historical per-connection
-    # route_connection loop).
+    # RoutedNet shells (bit-exact with the per-connection route_connection
+    # oracle in tests/build_oracle.py).
     routing = route_requests(
         requests, router_config, half_perimeter,
         net_starts=net_starts, protected=protected_flags,
-    ).lazy_nets() if requests else {}
+    ).lazy_nets()
 
     correction_cells = place_correction_cells(correction_anchors, lift_layer)
     correction_cells = legalize_correction_cells(correction_cells, floorplan)

@@ -15,16 +15,15 @@ directions still succeeds on most nets.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.layout.arrays import routing_backing
 from repro.layout.floorplan import Floorplan, build_floorplan
-from repro.layout.geometry import Point
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacerConfig, place
-from repro.layout.router import RouterConfig, RoutedConnection, route
+from repro.layout.router import RouterConfig, route
 from repro.netlist.netlist import Netlist
 from repro.utils.rng import make_rng
 
@@ -69,11 +68,10 @@ def routing_perturbation_defense(
     die = floorplan.die
     decoy_reach = floorplan.half_perimeter_um * decoy_distance_fraction
     backing = routing_backing(routing)
-    if backing is not None:
-        # Array-native: gather the perturbed connection indices from the
-        # CSR, compute anchors from the coordinate columns and write the
-        # decoys back through override_hints — no RoutedConnection is ever
-        # materialized.  RNG draw count and order match the object path.
+    if backing is not None:  # route() output is always backed unless empty
+        # Gather the perturbed connection indices from the CSR, compute
+        # anchors from the coordinate columns and write the decoys back
+        # through override_hints — no RoutedConnection is ever materialized.
         conn_idx = backing.connection_indices(sorted(perturbed))
         if conn_idx.size:
             anchors = np.column_stack((
@@ -92,29 +90,6 @@ def routing_perturbation_defense(
                 conn_idx, decoys[:, 0], decoys[:, 1],
                 decoys[:, 2], decoys[:, 3],
             )
-    else:
-        connections: List[RoutedConnection] = []
-        for net_name in sorted(perturbed):
-            routed = routing.get(net_name)
-            if routed is not None:
-                connections.extend(routed.connections)
-        if connections:
-            # Anchors: (target.x, target.y, source.x, source.y) per connection.
-            anchors = np.asarray(
-                [(c.target.x, c.target.y, c.source.x, c.source.y) for c in connections],
-                dtype=np.float64,
-            )
-            offsets = np.asarray(
-                [[rng.uniform(-decoy_reach, decoy_reach) for _ in range(4)]
-                 for _c in connections],
-                dtype=np.float64,
-            )
-            decoys = anchors + offsets
-            decoys[:, 0::2] = np.clip(decoys[:, 0::2], die.x_min, die.x_max)
-            decoys[:, 1::2] = np.clip(decoys[:, 1::2], die.y_min, die.y_max)
-            for connection, (sx, sy, tx, ty) in zip(connections, decoys):
-                connection.source_hint = Point(float(sx), float(sy))
-                connection.target_hint = Point(float(tx), float(ty))
 
     return Layout(
         name=f"{netlist.name}_routing_perturbed",

@@ -2,9 +2,10 @@
 
 Every module exposes a ``run(config) -> Table`` (or a small list of tables)
 function that regenerates the corresponding rows of the paper's evaluation
-with this reproduction's substrates.  ``repro.experiments.runner`` executes
-all of them and prints the results; the paper's own quoted numbers are kept
-in :mod:`repro.experiments.paper_data` so reports can show both side by side.
+with this reproduction's substrates.  ``repro.experiments.runner.run_all``
+executes all of them (``repro run all`` prints the results); the paper's own
+quoted numbers are kept in :mod:`repro.experiments.paper_data` so reports
+can show both side by side.
 
 | Module | Paper content |
 | --- | --- |
@@ -24,6 +25,6 @@ table is assembled from — the table modules are thin formatters over
 ``repro.api`` scenario results.
 """
 
-from repro.experiments.common import ExperimentConfig, protection_artifacts
+from repro.experiments.common import ExperimentConfig
 
-__all__ = ["ExperimentConfig", "protection_artifacts"]
+__all__ = ["ExperimentConfig"]

@@ -1,16 +1,14 @@
-"""Shared configuration and artefact access for the experiment harness.
+"""Shared configuration for the experiment harness.
 
-The artefact cache now lives in the :class:`repro.api.Workspace` (see
-``repro/api/workspace.py``): builds are keyed by the full canonical build
-hash of their scenario spec, so every :class:`ProtectionConfig` field is part
-of the key — the historical module-global cache keyed only on
-``(benchmark, scale, seed)`` and silently served stale artefacts across
-configs that differed in e.g. ``iscas_lift_layer``.
-
-Everything exported here (``protection_artifacts``, ``prewarm_artifacts``,
-``clear_artifact_cache``) keeps its historical signature and delegates to the
-process-wide default workspace, so legacy call sites keep working unchanged.
-New code should talk to the workspace / scenario API directly.
+:class:`ExperimentConfig` holds the knobs every table and figure shares and
+turns them into :class:`~repro.api.spec.ScenarioSpec` cells
+(:meth:`ExperimentConfig.scenario`).  The artefacts themselves live in the
+:class:`repro.api.Workspace` (see ``repro/api/workspace.py``): builds are
+keyed by the full canonical build hash of their scenario spec, so every
+:class:`ProtectionConfig` field is part of the key.  Code that wants the
+protection flow's artefacts asks the workspace directly, e.g.
+``default_workspace().protection(b, cfg.protection_config(b),
+scale=cfg.benchmark_scale(b))``.
 """
 
 from __future__ import annotations
@@ -22,9 +20,9 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.api.registry import params_to_dict
 from repro.api.schemes import ProposedParams
 from repro.api.spec import AttackSpec, MetricSpec, ScenarioSpec
-from repro.api.workspace import default_jobs, default_workspace
+from repro.api.workspace import default_workspace
 from repro.circuits.superblue import SUPERBLUE_PROFILES
-from repro.core.flow import ProtectionConfig, ProtectionResult
+from repro.core.flow import ProtectionConfig
 
 
 @dataclass(frozen=True)
@@ -164,10 +162,6 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def _proposed_spec(benchmark: str, config: ExperimentConfig) -> ScenarioSpec:
-    return config.scenario(benchmark)
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo seed sweeps
 # ---------------------------------------------------------------------------
@@ -277,54 +271,3 @@ def sweep_report_table(sweeps: List["SweepResult"], title: str) -> "Table":
                 f"{failure.message}",
             ])
     return table
-
-
-def protection_artifacts(benchmark: str, config: Optional[ExperimentConfig] = None,
-                         use_cache: bool = True) -> ProtectionResult:
-    """Return (and cache) the protection-flow artefacts for ``benchmark``.
-
-    Legacy shim over :meth:`repro.api.Workspace.protection`; the cache key
-    covers every build-relevant configuration field.
-    """
-    from repro.api.workspace import Workspace
-
-    config = config if config is not None else ExperimentConfig()
-    # use_cache=False runs the flow on a throwaway workspace so the shared
-    # cache is neither read nor polluted.
-    workspace = default_workspace() if use_cache else Workspace()
-    return workspace.protection(
-        benchmark, config.protection_config(benchmark),
-        scale=config.benchmark_scale(benchmark),
-    )
-
-
-def default_prewarm_jobs() -> int:
-    """Worker count used when ``prewarm_artifacts(jobs=None)``."""
-    return default_jobs()
-
-
-def prewarm_artifacts(benchmarks: Iterable[str],
-                      config: Optional[ExperimentConfig] = None,
-                      jobs: Optional[int] = None,
-                      on_error: Optional[str] = None) -> List[str]:
-    """Build the protection artefacts of ``benchmarks`` in parallel.
-
-    Legacy shim over :meth:`repro.api.Workspace.prewarm` (which retries,
-    respawns crashed pools and quarantines poison builds under the
-    workspace's retry policy).  Returns the list of benchmark names that
-    were successfully built (deduplicated, input order).
-    """
-    config = config if config is not None else ExperimentConfig()
-    ordered: List[ScenarioSpec] = []
-    seen = set()
-    for benchmark in benchmarks:
-        if benchmark not in seen:
-            seen.add(benchmark)
-            ordered.append(_proposed_spec(benchmark, config))
-    built = default_workspace().prewarm(ordered, jobs=jobs, on_error=on_error)
-    return [spec.benchmark for spec in built]
-
-
-def clear_artifact_cache() -> None:
-    """Drop every cached build from the default workspace (used by tests)."""
-    default_workspace().clear()

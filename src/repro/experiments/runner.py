@@ -1,26 +1,21 @@
-"""Run every experiment and print (or save) the regenerated tables.
+"""Run every experiment and return the regenerated tables.
 
-Usage::
-
-    python -m repro.experiments.runner              # full default configuration
-    python -m repro.experiments.runner --quick      # reduced benchmark sets
-    python -m repro.experiments.runner --jobs 4     # parallel artefact builds
+``repro run <experiment>`` (see :mod:`repro.api.cli`) is the command-line
+entry point; :func:`run_all` is the library one.
 
 The runner shares one artefact cache across all experiments, so the expensive
 protection flows run once per benchmark regardless of how many tables consume
-them.  With ``--jobs`` > 1 the independent per-benchmark protection flows are
+them.  With ``jobs`` > 1 the independent per-benchmark protection flows are
 prewarmed in parallel worker processes before the (cheap) table generation
 runs serially against the warm cache.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import sys
 import time
 from typing import Callable, Dict, List, Optional
 
+from repro.api.workspace import default_workspace
 from repro.experiments import (
     figure4_distance_distributions,
     figure5_wirelength_layers,
@@ -33,12 +28,8 @@ from repro.experiments import (
     table5_routing_schemes,
     table6_magana,
 )
-from repro.experiments.common import (
-    ExperimentConfig,
-    default_prewarm_jobs,
-    prewarm_artifacts,
-)
-from repro.utils.tables import Table, format_table
+from repro.experiments.common import ExperimentConfig
+from repro.utils.tables import Table
 
 #: Experiment id → run() callable, in the order they are reported.
 EXPERIMENTS: Dict[str, Callable[[Optional[ExperimentConfig]], Table]] = {
@@ -133,61 +124,14 @@ def run_all(config: Optional[ExperimentConfig] = None,
         if name not in EXPERIMENTS:
             raise KeyError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     if jobs > 1:
-        prewarm_artifacts(benchmarks_for(selected, config), config, jobs=jobs)
+        default_workspace().prewarm(
+            [config.scenario(benchmark)
+             for benchmark in benchmarks_for(selected, config)],
+            jobs=jobs,
+        )
     results: Dict[str, Table] = {}
     for name in selected:
         start = time.time()
         results[name] = EXPERIMENTS[name](config)
         results[name].title += f"   [{time.time() - start:.1f}s]"
     return results
-
-
-def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Resolve the experiment configuration from parsed CLI arguments."""
-    config = quick_config() if args.quick else ExperimentConfig()
-    if args.superblue_scale is not None:
-        # dataclasses.replace keeps every other field (split layers, swap
-        # fractions, budgets...) exactly as configured instead of silently
-        # resetting them to defaults.
-        config = dataclasses.replace(config, superblue_scale=args.superblue_scale)
-    return config
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import logging
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="reduced benchmark sets")
-    parser.add_argument("--only", nargs="*", default=None,
-                        help=f"subset of experiments ({', '.join(EXPERIMENTS)})")
-    parser.add_argument("--superblue-scale", type=float, default=None,
-                        help="override the superblue down-scaling factor")
-    parser.add_argument("--jobs", "-j", type=int, default=None,
-                        help="worker processes for the artefact prewarm "
-                             f"(default {default_prewarm_jobs()}; 1 = serial)")
-    parser.add_argument("--retries", type=int, default=None,
-                        help="retry a failed artefact build up to N times "
-                             "(total attempts N+1; default 0)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-build timeout in seconds for the parallel "
-                             "prewarm (hung workers are killed and re-queued)")
-    parser.add_argument("--keep-going", action="store_true",
-                        help="tolerate failed prewarm builds (the failing "
-                             "experiment still errors when it consumes them)")
-    args = parser.parse_args(argv)
-
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    from repro.api.cli import apply_resilience_flags
-
-    apply_resilience_flags(args)
-    config = build_config(args)
-    jobs = args.jobs if args.jobs is not None else default_prewarm_jobs()
-    results = run_all(config, args.only, jobs=jobs)
-    for table in results.values():
-        print(format_table(table))
-        print()
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry point
-    sys.exit(main())

@@ -21,54 +21,15 @@ layout the legacy path scored).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
-from repro.api.registry import ATTACKS, METRICS
 from repro.api.spec import ScenarioSpec
 from repro.api.workspace import default_workspace
 from repro.experiments.common import ExperimentConfig, make_experiment_sweep
-from repro.layout.layout import Layout
-from repro.sm.split import extract_feol
 from repro.utils.tables import Table
 
 #: Sengupta et al. strategies in the paper's column order.
 RANDOMIZATION_STRATEGIES = ("random", "g_color", "g_type1", "g_type2")
-
-
-def attack_layout_average(layout: Layout, split_layers: Sequence[int],
-                          num_patterns: int, restrict_to_protected: bool = False,
-                          seed: int = 0) -> Dict[str, float]:
-    """Run the network-flow attack at several split layers and average CCR/OER/HD.
-
-    Legacy helper kept for backward compatibility (examples, ad-hoc
-    studies); new code should declare a :class:`ScenarioSpec` and use
-    :meth:`~repro.api.workspace.ScenarioResult.security_mean` instead.
-    """
-    attack_entry = ATTACKS.get("network_flow")
-    metric_entry = METRICS.get("security")
-    from repro.api.metrics import MetricContext
-
-    ccr: List[float] = []
-    oer: List[float] = []
-    hd: List[float] = []
-    for split in split_layers:
-        view = extract_feol(layout, split)
-        outcome = attack_entry.fn(view, attack_entry.make_params())
-        ctx = MetricContext(
-            benchmark=layout.netlist.name, scheme="", layout_name="protected",
-            num_patterns=num_patterns, seed=seed,
-            restrict_to_protected=restrict_to_protected, split_layer=split,
-        )
-        report = metric_entry.fn(view, outcome, metric_entry.make_params(), ctx)
-        ccr.append(report["ccr"])
-        oer.append(report["oer"])
-        hd.append(report["hd"])
-    count = max(len(ccr), 1)
-    return {
-        "ccr": sum(ccr) / count,
-        "oer": sum(oer) / count,
-        "hd": sum(hd) / count,
-    }
 
 
 def _scheme_cells(config: ExperimentConfig, benchmark: str) -> List[ScenarioSpec]:

@@ -635,8 +635,9 @@ class RoutingArrays:
     * per-net and per-connection columns are CSR-sliced (``conn_starts``,
       ``seg_starts``, ``via_starts``, ``dvia_starts``) and the flat geometry
       columns are per-connection contiguous, in routing iteration order;
-    * per-connection via order matches :func:`route_connection`: bend vias,
-      close-x via, close-y via, then the sink pin stack;
+    * per-connection via order matches the ``route_connection`` oracle in
+      ``tests/build_oracle.py``: bend vias, close-x via, close-y via, then
+      the sink pin stack;
     * ``hint_default`` marks connections whose stub hints are the router's
       defaults (source hint = target, target hint = source, materialized as
       the *same objects*); other hints materialize as the
@@ -852,8 +853,7 @@ class RoutingArrays:
     def _materialize_net(self, index: int
                          ) -> "Tuple[List[RoutedConnection], List[Via]]":
         """Bit-exact object graph of net ``index`` (same values, order and
-        ``__dict__`` layout as the eager :func:`route_connections_batch`
-        materialization)."""
+        ``__dict__`` layout as the seed router's eagerly built objects)."""
         from repro.layout.router import (
             RoutedConnection,
             _new_segments,
@@ -1053,17 +1053,15 @@ def routing_columns(routing: "Dict[str, RoutedNet]") -> RoutingArrays:
     return backing if backing is not None else RoutingArrays.from_nets(routing)
 
 
-def routing_backing(routing: "Dict[str, RoutedNet]",
-                    require_clean: bool = True) -> Optional[RoutingArrays]:
-    """The shared :class:`RoutingArrays` behind a routing dict, if usable.
+def routing_backing(routing: "Dict[str, RoutedNet]") -> Optional[RoutingArrays]:
+    """The shared :class:`RoutingArrays` behind a routing dict, if clean.
 
     Returns the backing only when **every** net of ``routing`` is the lazy
     shell of one common backing, in the backing's net order — i.e. the dict
     is (a shallow copy of) a ``route()``/decode product, not a hand-assembled
-    or re-keyed mapping.  With ``require_clean`` (the default for the
-    array-native fast paths) a backing with any materialized net is rejected
-    too: materialized object graphs are mutable behind the columns, so
-    consumers rebuild the columns instead (:func:`routing_columns`).
+    or re-keyed mapping — and no net has been materialized: materialized
+    object graphs are mutable behind the columns, so consumers rebuild the
+    columns instead (:func:`routing_columns`).
     """
     if not routing:
         return None
@@ -1080,7 +1078,7 @@ def routing_backing(routing: "Dict[str, RoutedNet]",
             return None
     if backing is None or backing.num_nets != len(routing):
         return None
-    if require_clean and backing.materialized_count:
+    if backing.materialized_count:
         return None
     return backing
 

@@ -22,22 +22,20 @@ up physically close to each other*.  The recipe:
 
 The result is deterministic for a given netlist and seed.
 
-Two implementations share this recipe:
+:func:`place` runs this recipe on coordinate *columns*: the serpentine fold,
+the centroid iterations, the rank-based spreading and the row packing are
+all batched NumPy passes (the only per-object Python loops left are the DFS
+ordering and the final ``gate_positions`` dict build), and
+:func:`place_batch` shares everything seed-independent across a seed batch.
 
-* :func:`place` — the default, operating on coordinate *columns*: the
-  serpentine fold, the centroid iterations, the rank-based spreading and the
-  row packing are all batched NumPy passes (the only per-object Python loops
-  left are the DFS ordering and the final ``gate_positions`` dict build).
-* :func:`place_reference` — the retained seed implementation with per-gate /
-  per-net Python loops.
-
-The vectorized path is **bit-exact** with the reference at equal seed: every
-floating-point expression is evaluated with the same operations in the same
-order (the legalization cursor chain, for example, is an interleaved
-``cumsum`` that reproduces the sequential ``((pos + width) + gap)``
-grouping), and the sort-based steps use stable sorts with the reference's
-tie-breaking.  ``tests/test_build_vectorized.py`` asserts equality on all
-ISCAS-85 circuits.
+Both are **bit-exact** with the seed placer's per-gate / per-net loops,
+kept as the test oracle ``place_reference`` in ``tests/build_oracle.py``:
+every floating-point expression is evaluated with the same operations in
+the same order (the legalization cursor chain, for example, is an
+interleaved ``cumsum`` that reproduces the sequential ``((pos + width) +
+gap)`` grouping), and the sort-based steps use stable sorts with the
+oracle's tie-breaking.  ``tests/test_build_vectorized.py`` asserts equality
+on all ISCAS-85 circuits.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.geometry import Point
 from repro.netlist.netlist import Netlist
 from repro.utils.degrade import warn_once
-from repro.utils.rng import make_rng, spawn_numpy_seed
+from repro.utils.rng import make_rng
 
 logger = logging.getLogger("repro.layout")
 
@@ -212,29 +210,13 @@ def _dfs_walk(adjacency: Dict[str, List[str]], gate_names: List[str],
     return order
 
 
-def _dfs_ordering(netlist: Netlist, max_fanout: int, seed: int) -> List[str]:
-    """Order gates by iterative DFS over the connectivity graph.
-
-    Connected gates end up adjacent in the ordering; disconnected components
-    are appended one after another.  The traversal is deterministic for a
-    given seed.
-    """
-    adjacency = _adjacency(netlist, max_fanout)
-    gate_names = list(netlist.gates.keys())
-    return _dfs_walk(
-        _rotated_adjacency(adjacency, netlist.name, seed),
-        gate_names,
-        _dfs_starts(netlist, gate_names),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Main entry point
+# I/O assignment and attraction nets
 # ---------------------------------------------------------------------------
 
 
 def _io_assignment(netlist: Netlist, floorplan: Floorplan):
-    """Step 1 (shared): pin the primary I/O evenly on the die boundary."""
+    """Step 1: pin the primary I/O evenly on the die boundary."""
     port_names = list(netlist.primary_inputs) + [f"PO::{po}" for po in netlist.primary_outputs]
     boundary = floorplan.boundary_positions(len(port_names))
     port_positions = {name: pos for name, pos in zip(port_names, boundary)}
@@ -245,23 +227,13 @@ def _io_assignment(netlist: Netlist, floorplan: Floorplan):
     return port_positions, visible_ports
 
 
-def _initial_ordering(netlist: Netlist, gate_names: List[str],
-                      config: PlacerConfig) -> List[str]:
-    """Step 2 (shared): the connectivity-driven gate ordering."""
-    if config.ordering == "dfs":
-        return _dfs_ordering(netlist, config.max_fanout_for_attraction, config.seed)
-    if config.ordering == "insertion":
-        return gate_names
-    raise ValueError(f"unknown placer ordering {config.ordering!r}")
-
-
 def _attraction_nets(netlist: Netlist, gate_index: Dict[str, int],
                      port_positions: Dict[str, Point],
                      max_fanout: int) -> Tuple[List[np.ndarray], List[Tuple[float, float, int]]]:
     """Nets participating in centroid attraction: member indices + fixed pull.
 
-    Mirrors the reference construction exactly (same net gating, same member
-    order, same Python ``sum`` over port coordinates).
+    Shared with the test oracle, so both refine over the same nets (same net
+    gating, same member order, same Python ``sum`` over port coordinates).
     """
     net_members: List[np.ndarray] = []
     net_fixed: List[Tuple[float, float, int]] = []
@@ -293,9 +265,9 @@ class _CentroidColumns:
     Per-net member sums are evaluated by grouping nets of equal pin count
     into ``(num_nets, k)`` index matrices and reducing along the last axis —
     NumPy applies the same pairwise summation to each contiguous row as the
-    reference's per-net ``x[idx].sum()``, so the sums are bit-identical.
+    oracle's per-net ``x[idx].sum()``, so the sums are bit-identical.
     The scatter back onto cells runs through ``np.bincount``, whose
-    sequential input-order accumulation reproduces the reference's net-major
+    sequential input-order accumulation reproduces the oracle's net-major
     ``acc[idx] += c`` loop (duplicate members deduplicated per net, exactly
     like NumPy's buffered fancy assignment).
     """
@@ -365,21 +337,6 @@ class _CentroidColumns:
                 damping * y + (1 - damping) * new_y)
 
 
-def _row_partition(x: np.ndarray, row_of: np.ndarray,
-                   num_rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort cells by (row, x, index) and return (order, sorted_rows, starts).
-
-    ``np.lexsort`` is stable, so full ties keep ascending cell index — the
-    same ordering the reference gets from ``np.where`` (ascending members)
-    followed by a stable per-row ``argsort`` on x.
-    """
-    order = np.lexsort((x, row_of))
-    sorted_rows = row_of[order]
-    counts = np.bincount(sorted_rows, minlength=num_rows)
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    return order, sorted_rows, starts
-
-
 # ---------------------------------------------------------------------------
 # Seed-batched build path
 # ---------------------------------------------------------------------------
@@ -423,7 +380,7 @@ class _PlacerSkeleton:
             / self.cells_per_row
         odd = (self.rank_rows % 2) == 1
         frac[odd] = 1.0 - frac[odd]
-        # Fold positions by rank — identical expressions to the reference's
+        # Fold positions by rank — identical expressions to the oracle's
         # per-gate fold; the seed only decides which gate takes which rank.
         self.fold_x = self.die.x_min + frac * self.die.width
         self.fold_y = self.die.y_min + (self.rank_rows + 0.5) * self.row_pitch
@@ -465,12 +422,14 @@ class _PlacerSkeleton:
 
 def _row_partition_batch(X: np.ndarray, row_of: np.ndarray,
                          num_rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-seed :func:`_row_partition` over ``(n_seeds, n)`` coordinate rows.
+    """Sort each seed's cells by (row, x, index) over ``(n_seeds, n)``
+    coordinate rows and return ``(order, sorted_rows, starts)``.
 
-    One flat ``np.lexsort`` keyed (seed, row, x) reproduces each seed's
-    ``np.lexsort((x, row_of))`` exactly: grouping by seed first leaves the
-    per-seed (row, x) order untouched, and the stable tie-break on flat
-    position equals the per-seed tie-break on cell index.
+    One flat ``np.lexsort`` keyed (seed, row, x) sorts every seed at once:
+    grouping by seed first leaves the per-seed (row, x) order untouched, and
+    the stable tie-break on flat position is the per-seed tie-break on cell
+    index — the order the oracle gets from ``np.where`` (ascending members)
+    followed by a stable per-row ``argsort`` on x.
     """
     n_seeds, n = X.shape
     seed_ids = np.repeat(np.arange(n_seeds, dtype=np.int64), n)
@@ -492,7 +451,7 @@ def _spread_batch(X: np.ndarray, Y: np.ndarray, skeleton: _PlacerSkeleton
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-based spreading over ``(n_seeds, n)`` coordinate rows.
 
-    Per seed this is exactly the reference ``spread``: ``np.argsort`` along
+    Per seed this is exactly the oracle's ``spread``: ``np.argsort`` along
     the last axis applies the same stable sort to each row, and every
     floating-point expression is elementwise, so batching over the leading
     seed axis cannot change any seed's values.
@@ -546,7 +505,7 @@ def _legalize_rows(order: np.ndarray, starts: np.ndarray,
         cursors = np.cumsum(seq)[0::2][:count]
         limit = die.x_max - scaled
         if np.any(cursors > limit):
-            # A cell would spill past the die edge: replay the reference's
+            # A cell would spill past the die edge: replay the oracle's
             # clamped scalar walk for this row (clamping alters every
             # subsequent cursor, so the closed form no longer applies).
             warn_once(
@@ -637,8 +596,8 @@ def place(netlist: Netlist, floorplan: Optional[Floorplan] = None,
 
     This is the vectorized build path: refinement, spreading and row packing
     run on coordinate columns (a seed batch of one — see :func:`place_batch`).
-    Bit-exact with :func:`place_reference` at equal seed (see the module
-    docstring for the equivalence argument).
+    Bit-exact with the seed placer at equal seed (see the module docstring
+    for the equivalence argument).
 
     Args:
         netlist: Design to place.
@@ -691,121 +650,6 @@ def place_batch(netlist: Netlist, seeds: Sequence[int],
     config = config if config is not None else PlacerConfig()
     configs = [replace(config, seed=seed) for seed in seeds]
     return _place_batch(netlist, list(seeds), floorplan, utilization, configs)
-
-
-def place_reference(netlist: Netlist, floorplan: Optional[Floorplan] = None,
-                    utilization: float = 0.70,
-                    config: Optional[PlacerConfig] = None) -> PlacementResult:
-    """The retained seed placer (per-gate / per-net Python loops).
-
-    Kept verbatim as the behavioural reference for :func:`place`; the
-    equivalence suite asserts bit-identical results on every ISCAS circuit.
-    """
-    config = config if config is not None else PlacerConfig()
-    if floorplan is None:
-        floorplan = build_floorplan(netlist, utilization)
-
-    gate_names = list(netlist.gates.keys())
-    n = len(gate_names)
-
-    # --- 1. I/O assignment -------------------------------------------------
-    port_positions, visible_ports = _io_assignment(netlist, floorplan)
-    if n == 0:
-        return PlacementResult(floorplan, {}, visible_ports, config)
-
-    # --- 2. Connectivity-driven initial ordering on a serpentine curve -----
-    ordering = _initial_ordering(netlist, gate_names, config)
-    order_index = {name: i for i, name in enumerate(ordering)}
-    gate_index = {name: i for i, name in enumerate(gate_names)}
-
-    num_rows = floorplan.num_rows
-    cells_per_row = int(np.ceil(n / num_rows))
-    x = np.empty(n)
-    y = np.empty(n)
-    row_pitch = floorplan.row_height_um
-    for name, rank in order_index.items():
-        row = min(rank // cells_per_row, num_rows - 1)
-        pos_in_row = rank - row * cells_per_row
-        frac = (pos_in_row + 0.5) / cells_per_row
-        if row % 2 == 1:
-            frac = 1.0 - frac  # serpentine: alternate direction per row
-        i = gate_index[name]
-        x[i] = floorplan.die.x_min + frac * floorplan.die.width
-        y[i] = floorplan.die.y_min + (row + 0.5) * row_pitch
-
-    # --- 3. Centroid refinement with interleaved spreading ------------------
-    net_members, net_fixed = _attraction_nets(
-        netlist, gate_index, port_positions, config.max_fanout_for_attraction
-    )
-
-    cell_net_count = np.zeros(n)
-    for idx in net_members:
-        cell_net_count[idx] += 1.0
-    cell_net_count[cell_net_count == 0] = 1.0
-
-    def centroid_step(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        acc_x = np.zeros(n)
-        acc_y = np.zeros(n)
-        for idx, (fx, fy, fc) in zip(net_members, net_fixed):
-            cx = (x[idx].sum() + fx) / (len(idx) + fc)
-            cy = (y[idx].sum() + fy) / (len(idx) + fc)
-            acc_x[idx] += cx
-            acc_y[idx] += cy
-        new_x = acc_x / cell_net_count
-        new_y = acc_y / cell_net_count
-        return (config.damping * x + (1 - config.damping) * new_x,
-                config.damping * y + (1 - config.damping) * new_y)
-
-    def spread(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rank-based spreading back to uniform density; returns row assignment."""
-        order_y = np.argsort(y, kind="stable")
-        row_of = np.empty(n, dtype=np.int64)
-        for rank, cell in enumerate(order_y):
-            row_of[cell] = min(rank // cells_per_row, num_rows - 1)
-        new_x = np.empty(n)
-        new_y = np.empty(n)
-        for row in range(num_rows):
-            members = np.where(row_of == row)[0]
-            if len(members) == 0:
-                continue
-            members = members[np.argsort(x[members], kind="stable")]
-            count = len(members)
-            for pos, cell in enumerate(members):
-                frac = (pos + 0.5) / count
-                new_x[cell] = floorplan.die.x_min + frac * floorplan.die.width
-                new_y[cell] = floorplan.die.y_min + (row + 0.5) * row_pitch
-        return new_x, new_y, row_of
-
-    row_of = None
-    for _round in range(config.refinement_rounds):
-        for _it in range(config.iterations_per_round):
-            x, y = centroid_step(x, y)
-        x, y, row_of = spread(x, y)
-    if row_of is None:
-        _, _, row_of = spread(x, y)
-
-    # --- 4. Row legalization (pack by x order, scaled to fit) ----------------
-    widths = np.array([netlist.gates[name].cell.width_um for name in gate_names])
-    row_width = floorplan.die.width
-    gate_positions: Dict[str, Point] = {}
-    for row in range(num_rows):
-        members = np.where(row_of == row)[0]
-        if len(members) == 0:
-            continue
-        members = members[np.argsort(x[members], kind="stable")]
-        total_width = widths[members].sum()
-        slack = max(row_width - total_width, 0.0)
-        gap = slack / (len(members) + 1)
-        scale = min(1.0, row_width / total_width) if total_width > 0 else 1.0
-        cursor = floorplan.die.x_min + gap
-        row_y = floorplan.die.y_min + row * floorplan.row_height_um
-        for cell in members:
-            width = widths[cell] * scale
-            pos_x = min(cursor, floorplan.die.x_max - width)
-            gate_positions[gate_names[cell]] = Point(float(pos_x), float(row_y))
-            cursor = pos_x + width + gap
-
-    return PlacementResult(floorplan, gate_positions, visible_ports, config)
 
 
 def placement_hpwl(netlist: Netlist, placement: PlacementResult) -> float:

@@ -24,21 +24,19 @@ The router is congestion-oblivious; the paper sizes its layouts so that they
 are congestion-free, and none of the reproduced metrics depend on detailed
 track assignment.
 
-Two build paths produce identical routings:
+:func:`route` evaluates layer-pair selection and jog counts for *all*
+connections at once on NumPy columns and assembles the staircase
+segment/via geometry as array-built coordinate columns, kept in a
+:class:`~repro.layout.arrays.RoutingArrays` behind lazily materialized
+:class:`RoutedNet` shells (:func:`route_requests` does the same for
+explicit connection requests, :func:`route_batch` for a seed batch).
 
-* :func:`route` — the default: layer-pair selection and jog counts are
-  evaluated for *all* connections at once on NumPy columns, and the
-  staircase segment/via geometry is assembled as array-built coordinate
-  columns, kept in a :class:`~repro.layout.arrays.RoutingArrays` behind
-  lazily materialized :class:`RoutedNet` shells (:func:`route_requests`
-  does the same for explicit connection requests);
-* :func:`route_reference` — the retained seed implementation calling
-  :func:`route_connection` per 2-pin connection.
-
-The batch path evaluates every floating-point expression with the same
-operations, in the same order, as :func:`route_connection` (fractions are
-integer-derived, prior positions are reconstructed from the identical
-``source + delta * frac`` expressions), so the two paths are bit-exact;
+The columns are bit-exact with the seed router, which routed one 2-pin
+connection at a time and is kept as the test oracle ``route_reference`` /
+``route_connection`` in ``tests/build_oracle.py``: every floating-point
+expression is evaluated with the same operations, in the same order
+(fractions are integer-derived, prior positions are reconstructed from the
+identical ``source + delta * frac`` expressions).
 ``tests/test_build_vectorized.py`` asserts equality on all ISCAS circuits.
 """
 
@@ -46,13 +44,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.layout.arrays import RoutingArrays
-from repro.layout.floorplan import Floorplan
-from repro.layout.geometry import Point, manhattan
+from repro.layout.geometry import Point
 from repro.layout.placer import PlacementResult
 from repro.netlist.cells import NUM_METAL_LAYERS
 from repro.netlist.netlist import Netlist
@@ -267,11 +264,6 @@ class RouterConfig:
         return 1 + int(length / (self.jog_pitch_fraction * half_perimeter))
 
 
-def _via_stack(x: float, y: float, from_layer: int, to_layer: int) -> List[Via]:
-    """Vias stacking straight up from ``from_layer`` to ``to_layer`` at (x, y)."""
-    return [Via(x, y, layer, layer + 1) for layer in range(from_layer, to_layer)]
-
-
 def _new_segments(layers: List[int], x1s: List[float], y1s: List[float],
                   x2s: List[float], y2s: List[float]) -> List[Segment]:
     """Materialize :class:`Segment` objects from flat columns.
@@ -319,98 +311,11 @@ def _new_vias(xs: List[float], ys: List[float], lowers: List[int],
     return out
 
 
-def route_connection(net: str, sink: SinkRef, source: Point, target: Point,
-                     pair: Tuple[int, int], config: RouterConfig,
-                     half_perimeter: float,
-                     source_hint: Optional[Point] = None,
-                     target_hint: Optional[Point] = None) -> RoutedConnection:
-    """Route a single 2-pin connection on layer pair ``pair``.
-
-    The route runs in a staircase of ``num_jogs`` steps between ``source`` and
-    ``target``; horizontal pieces go on ``pair[0]``, vertical pieces on
-    ``pair[1]``, with one via per direction change.  The sink-side via stack
-    (pin layer up to the H layer) is included; the driver-side stack is the
-    caller's responsibility because it is shared between a net's connections.
-    """
-    h_layer, v_layer = pair
-    length = manhattan(source, target)
-    jogs = max(1, config.num_jogs(length, half_perimeter))
-    segments: List[Segment] = []
-    vias: List[Via] = []
-
-    dx = target.x - source.x
-    dy = target.y - source.y
-    if abs(dx) < 1e-9 and abs(dy) < 1e-9:
-        # Same location: no lateral routing, only the sink via stack below.
-        pass
-    elif abs(dx) < 1e-9 or abs(dy) < 1e-9:
-        layer = h_layer if abs(dy) < 1e-9 else v_layer
-        segments.append(Segment(layer, source.x, source.y, target.x, target.y))
-    else:
-        # Staircase with `jogs` direction changes.
-        x, y = source.x, source.y
-        steps = jogs + 1
-        for step in range(steps):
-            frac_next = (step + 1) / steps
-            if step % 2 == 0:
-                new_x = source.x + dx * frac_next
-                segments.append(Segment(h_layer, x, y, new_x, y))
-                x = new_x
-            else:
-                new_y = source.y + dy * frac_next
-                segments.append(Segment(v_layer, x, y, x, new_y))
-                y = new_y
-            if step < steps - 1:
-                vias.append(Via(x, y, h_layer, v_layer))
-        # Close any remaining offset in the non-final direction.
-        if abs(x - target.x) > 1e-9:
-            segments.append(Segment(h_layer, x, y, target.x, y))
-            vias.append(Via(x, y, h_layer, v_layer))
-            x = target.x
-        if abs(y - target.y) > 1e-9:
-            segments.append(Segment(v_layer, x, y, x, target.y))
-            vias.append(Via(x, y, h_layer, v_layer))
-            y = target.y
-
-    # Sink pin stack from the pin layer up to the H layer of the pair.
-    vias.extend(_via_stack(target.x, target.y, config.pin_layer, h_layer))
-
-    return RoutedConnection(
-        net=net,
-        sink=sink,
-        source=source,
-        target=target,
-        h_layer=h_layer,
-        v_layer=v_layer,
-        segments=segments,
-        vias=vias,
-        source_hint=source_hint if source_hint is not None else target,
-        target_hint=target_hint if target_hint is not None else source,
-    )
-
-
-#: One :func:`route_connection` call as plain data: ``(net, sink, source,
+#: One 2-pin connection to route, as plain data: ``(net, sink, source,
 #: target, (h_layer, v_layer), source_hint, target_hint)``.
 ConnectionRequest = Tuple[
     str, SinkRef, Point, Point, Tuple[int, int], Optional[Point], Optional[Point]
 ]
-
-
-def route_connections_batch(requests: Sequence[ConnectionRequest],
-                            config: RouterConfig,
-                            half_perimeter: float) -> List[RoutedConnection]:
-    """Route many 2-pin connections at once from array-built columns.
-
-    Semantically ``[route_connection(*req, config, half_perimeter) for req
-    in requests]`` — and bit-exact with it: the connections are routed as
-    one :func:`route_requests` entry and materialized from its columns.
-    """
-    if not requests:
-        return []
-    connections, _driver_vias = route_requests(
-        requests, config, half_perimeter
-    )._materialize_net(0)
-    return connections
 
 
 def _driver_stacks(h: np.ndarray, net_starts: np.ndarray, pin_layer: int
@@ -440,12 +345,14 @@ def route_requests(requests: Sequence[ConnectionRequest],
     default is a single entry).  Each entry is named after its first request
     and driven from that request's source, with the shared driver via stack
     reaching the highest H layer of its connections; a request naming
-    another net keeps that name on its connection.  Stub hints follow
-    :func:`route_connection` (a ``None`` hint defaults to the partner
-    endpoint) and keep the given objects, so the lazily materialized nets
-    equal — and pickle byte-identically to — nets assembled from
-    :func:`route_connection` results.
+    another net keeps that name on its connection.  A ``None`` stub hint
+    defaults to the partner endpoint; given hints keep their objects, so
+    the lazily materialized nets equal — and pickle byte-identically to —
+    nets assembled one connection at a time (the ``route_connection``
+    oracle in ``tests/build_oracle.py``).  No requests route to no nets.
     """
+    if not requests:
+        return RoutingArrays.from_nets({})
     m = len(requests)
     names = [req[0] for req in requests]
     sources = [req[2] for req in requests]
@@ -524,9 +431,9 @@ class _ConnectionColumns:
 
     The complete output of the batched staircase construction with **zero**
     Python objects: segment ``i`` of connection ``c`` lives at flat index
-    ``seg_starts[c] + i``.  Per-connection piece order matches
-    :func:`route_connection` exactly — staircase steps, close-x, close-y for
-    segments; bend vias, close-x via, close-y via, sink pin stack for vias.
+    ``seg_starts[c] + i``.  Per-connection piece order is the seed
+    router's — staircase steps, close-x, close-y for segments; bend vias,
+    close-x via, close-y via, sink pin stack for vias.
     """
 
     seg_starts: np.ndarray  # (m + 1,) int64
@@ -548,11 +455,11 @@ def _connection_columns(h: np.ndarray, v: np.ndarray, config: RouterConfig,
     """Batched staircase geometry as flat columns (no objects built).
 
     Every floating-point expression is evaluated with the same operations,
-    in the same order, as :func:`route_connection`; the columns are scattered
-    straight into their final per-connection CSR slots, so materializing
-    objects from them (eagerly in :func:`route_connections_batch`, lazily
-    through :class:`~repro.layout.arrays.RoutingArrays`) reproduces the
-    reference bit for bit.
+    in the same order, as the seed router's per-connection loop; the
+    columns are scattered straight into their final per-connection CSR
+    slots, so materializing objects from them (lazily, through
+    :class:`~repro.layout.arrays.RoutingArrays`) reproduces that loop bit
+    for bit.
     """
     m = len(h)
     dx = tx - sx
@@ -633,7 +540,7 @@ def _connection_columns(h: np.ndarray, v: np.ndarray, config: RouterConfig,
         sxr, syr = sx[conn], sy[conn]
         dxr, dyr = dx[conn], dy[conn]
         even = (k % 2) == 0
-        # The same integer-derived fractions route_connection evaluates:
+        # The same integer-derived fractions the seed router evaluates:
         # frac_next for the move of step k, k/steps and (k-1)/steps for the
         # positions the moves started from.
         frac_next = (k + 1) / steps_r
@@ -667,7 +574,7 @@ def _connection_columns(h: np.ndarray, v: np.ndarray, config: RouterConfig,
         via_lower[bdest] = h[conn][bend]
         via_upper[bdest] = v[conn][bend]
         # Closing pieces: the remaining offset after the staircase, appended
-        # right after the steps (close-x first, like the reference).
+        # right after the steps (close-x first, like the seed router).
         sel = stair_idx[cx_mask]
         sdest = seg_starts[sel] + ssteps[cx_mask]
         seg_layer[sdest] = h[sel]
@@ -731,53 +638,6 @@ def _connection_columns(h: np.ndarray, v: np.ndarray, config: RouterConfig,
     )
 
 
-def _terminal_position(netlist: Netlist, placement: PlacementResult,
-                       net_name: str) -> Optional[Point]:
-    """Position of a net's driver (gate origin or primary-input pad)."""
-    net = netlist.nets[net_name]
-    if net.driver is not None:
-        return placement.gate_positions.get(net.driver[0])
-    if net.is_primary_input:
-        return placement.port_positions.get(net_name)
-    return None
-
-
-def _gather_connections(netlist: Netlist, placement: PlacementResult):
-    """Collect every routable (net, sink, source, target) 2-pin connection.
-
-    Returns ``(entries, sources, sinks, targets)`` where ``entries`` holds one
-    ``(net_name, net, source, start, stop)`` slice per routed net over the
-    flat connection lists.  Skip logic matches the reference exactly.
-    """
-    entries = []
-    net_names: List[str] = []
-    sink_refs: List[SinkRef] = []
-    sources: List[Point] = []
-    targets: List[Point] = []
-    for net_name, net in netlist.nets.items():
-        source = _terminal_position(netlist, placement, net_name)
-        if source is None:
-            continue
-        start = len(sink_refs)
-        for sink_gate, sink_pin in net.sinks:
-            pos = placement.gate_positions.get(sink_gate)
-            if pos is not None:
-                sink_refs.append((sink_gate, sink_pin))
-                targets.append(pos)
-        for po in net.primary_outputs:
-            pos = placement.port_positions.get(po)
-            if pos is not None:
-                sink_refs.append(("PO", po))
-                targets.append(pos)
-        stop = len(sink_refs)
-        if stop == start:
-            continue
-        net_names.extend([net_name] * (stop - start))
-        sources.extend([source] * (stop - start))
-        entries.append((net_name, net, source, start, stop))
-    return entries, net_names, sink_refs, sources, targets
-
-
 def _select_pairs(config: RouterConfig, lengths: np.ndarray,
                   half_perimeter: float,
                   lift: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -797,8 +657,8 @@ def _select_pairs(config: RouterConfig, lengths: np.ndarray,
         ratio = lengths / half_perimeter
         pick = np.searchsorted(thresholds, ratio, side="right")
         # A ratio past every threshold falls through to the *last* pair —
-        # even when there are fewer thresholds than pairs (the reference
-        # zip() scan stops at the shorter sequence).
+        # even when there are fewer thresholds than pairs (the zip() scan of
+        # RouterConfig.pair_for_length stops at the shorter sequence).
         pick = np.where(pick >= len(thresholds), len(pairs) - 1, pick)
     else:
         pick = np.zeros(m, dtype=np.int64)
@@ -859,12 +719,13 @@ def _selection_vectorizable_or_warn(config: RouterConfig) -> bool:
 class _RoutingSkeleton:
     """Seed-independent routing structure shared across a placement batch.
 
-    Which 2-pin connections exist — the reference's skip logic over unplaced
+    Which 2-pin connections exist — the seed router's skip logic over unplaced
     drivers/sinks — depends only on the *key sets* of a placement's
     ``gate_positions``/``port_positions``, not on the coordinates.  The
     skeleton records every routable connection as name references once, and
-    :meth:`resolve` turns them into concrete ``Point`` endpoints against any
-    placement with the same key sets (each member of a ``place_batch`` run).
+    :meth:`points` plus the slot lists turn them into concrete ``Point``
+    endpoints against any placement with the same key sets (each member of
+    a ``place_batch`` run).
     """
 
     def __init__(self, netlist: Netlist, placement: PlacementResult):
@@ -949,21 +810,6 @@ class _RoutingSkeleton:
             and self.port_keys == placement.port_positions.keys()
         )
 
-    def resolve(self, placement: PlacementResult
-                ) -> Tuple[List[Point], List[Point], List[Point]]:
-        """Endpoint ``Point`` columns for one placement of the family.
-
-        Returns ``(entry_sources, sources, targets)``: the driver point per
-        routed net, then the flat per-connection source/target columns the
-        batch geometry pass consumes (sources repeat the driver point per
-        sink, exactly like the reference gather).
-        """
-        points = self.points(placement)
-        entry_sources = [points[i] for i in self.entry_source_slots]
-        sources = [points[i] for i in self.source_slots]
-        targets = [points[i] for i in self.target_slots]
-        return entry_sources, sources, targets
-
     def points(self, placement: PlacementResult) -> List[Point]:
         """The placement's points in the skeleton's slot order."""
         gate_positions = placement.gate_positions
@@ -1031,7 +877,7 @@ def _route_with_skeleton(skeleton: _RoutingSkeleton,
 
     # Every skeleton entry has a driver or is a primary input (anything else
     # has no source and was skipped), so every routed net gets its driver
-    # via stack — like the reference.
+    # via stack — like the seed router.
     dvia_starts, stack_rep, stack_layer = _driver_stacks(
         h, skeleton.net_starts, config.pin_layer
     )
@@ -1084,9 +930,8 @@ def route(netlist: Netlist, placement: PlacementResult,
     """Route every net of ``netlist`` over ``placement``.
 
     This is the batched build path: layer pairs and jog counts are selected
-    on NumPy columns and the segment/via geometry is array-built
-    (:func:`route_connections_batch`).  Bit-exact with
-    :func:`route_reference` at equal inputs.
+    on NumPy columns and the segment/via geometry is array-built.  Bit-exact
+    with the seed router at equal inputs (see the module docstring).
 
     Args:
         netlist: The design to route.
@@ -1150,56 +995,3 @@ def route_batch(netlist: Netlist, placements: Sequence[PlacementResult],
             member_skeleton, placement, config, min_layer_per_net, vectorizable
         ))
     return results
-
-
-def route_reference(netlist: Netlist, placement: PlacementResult,
-                    config: Optional[RouterConfig] = None,
-                    min_layer_per_net: Optional[Mapping[str, int]] = None) -> Dict[str, RoutedNet]:
-    """The retained seed router (one :func:`route_connection` per sink).
-
-    Kept verbatim as the behavioural reference for :func:`route`; the
-    equivalence suite asserts bit-identical routings on every ISCAS circuit.
-    """
-    config = config if config is not None else RouterConfig()
-    min_layer_per_net = min_layer_per_net or {}
-    half_perimeter = placement.floorplan.half_perimeter_um
-    routed: Dict[str, RoutedNet] = {}
-
-    for net_name, net in netlist.nets.items():
-        source = _terminal_position(netlist, placement, net_name)
-        if source is None:
-            continue
-        targets: List[Tuple[SinkRef, Point]] = []
-        for sink_gate, sink_pin in net.sinks:
-            pos = placement.gate_positions.get(sink_gate)
-            if pos is not None:
-                targets.append(((sink_gate, sink_pin), pos))
-        for po in net.primary_outputs:
-            pos = placement.port_positions.get(po)
-            if pos is not None:
-                targets.append((("PO", po), pos))
-        if not targets:
-            continue
-
-        routed_net = RoutedNet(name=net_name, driver_point=source)
-        lift_layer = min_layer_per_net.get(net_name)
-        max_h_layer = config.pin_layer
-        for sink_ref, target in targets:
-            length = manhattan(source, target)
-            if lift_layer is not None:
-                pair = config.pair_for_lifted(length, half_perimeter, lift_layer)
-            else:
-                pair = config.pair_for_length(length, half_perimeter)
-            connection = route_connection(
-                net_name, sink_ref, source, target, pair, config, half_perimeter
-            )
-            routed_net.connections.append(connection)
-            max_h_layer = max(max_h_layer, pair[0])
-        # Driver pin via stack, shared by all connections of the net, reaches
-        # the highest H layer any connection uses.
-        if net.driver is not None or net.is_primary_input:
-            routed_net.driver_vias = _via_stack(
-                source.x, source.y, config.pin_layer, max_h_layer
-            )
-        routed[net_name] = routed_net
-    return routed

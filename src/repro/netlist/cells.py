@@ -98,8 +98,8 @@ class Cell:
             arcs ``(output_pin, op_kind, input_pins)``; the vectorized
             simulation engine (:mod:`repro.netlist.engine`) compiles these
             into NumPy kernels.  ``None`` means the cell can only be evaluated
-            through ``function`` (the engine then falls back to the legacy
-            bigint interpreter).
+            through ``function`` (:func:`~repro.netlist.simulate.simulate`
+            then runs the per-gate bigint interpreter).
     """
 
     name: str

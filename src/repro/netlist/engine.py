@@ -8,7 +8,8 @@ is compiled once into an **evaluation plan**:
   ``uint64`` value matrix (pattern *i* lives in bit ``i % 64`` of word
   ``i // 64``);
 * gates are walked in the same loop-tolerant pseudo-topological order as the
-  legacy interpreter and grouped into *batches* of mutually independent gates;
+  per-gate interpreter and grouped into *batches* of mutually independent
+  gates;
 * within a batch, gates of the same logic kind (NAND2, INV, AOI21, ...) are
   fused into a single gather → NumPy-kernel → scatter operation over index
   arrays, so one ``np.bitwise_and`` call evaluates every NAND2 of a level at
@@ -16,14 +17,16 @@ is compiled once into an **evaluation plan**:
 
 Plans are cached per netlist (keyed on :attr:`Netlist.topology_version`, so
 any structural edit transparently invalidates the cache) and executed over
-``uint64``-packed pattern blocks.  Execution is **bit-exact** with the legacy
-interpreter: batches preserve the sequential read/write semantics of the
-pseudo-topological order even on (attacker-induced) combinational loops
-because every batch gathers all of its inputs before scattering any output.
+``uint64``-packed pattern blocks.  Execution is **bit-exact** with the
+per-gate interpreter: batches preserve the sequential read/write semantics
+of the pseudo-topological order even on (attacker-induced) combinational
+loops because every batch gathers all of its inputs before scattering any
+output.
 
 Netlists containing cells without :attr:`~repro.netlist.cells.Cell.logic_ops`
 metadata (user-defined custom functions) raise :class:`UnsupportedNetlist`;
-:mod:`repro.netlist.simulate` falls back to the legacy interpreter for those.
+:mod:`repro.netlist.simulate` runs those through its per-gate interpreter,
+the only path that can call a cell's ``function``.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ class SimPlan:
     op list:
 
     * :attr:`arc_program` — the flat per-gate op list with integer net
-      indices, in the legacy interpreter's evaluation order.  It is executed
+      indices, in the per-gate interpreter's evaluation order.  It is executed
       either by a tuple-program interpreter (first execution) or by a
       code-generated Python function over packed bigints (re-executed plans;
       see :func:`run_plan_bigints`).  For narrow, deep netlists the bigint
@@ -137,8 +140,8 @@ class SimPlan:
     x_slot: int
     #: ``(input name, slot)`` for primary inputs + sequential pseudo inputs.
     input_slots: List[Tuple[str, int]]
-    #: Flat ``(kind, input slots, output slot)`` list in legacy evaluation
-    #: order (the sequential reference program).
+    #: Flat ``(kind, input slots, output slot)`` list in the per-gate
+    #: interpreter's evaluation order (the sequential program).
     arc_program: List[Tuple[str, Tuple[int, ...], int]] = field(default_factory=list)
     #: Batch (level) index per arc; arcs sharing a level are independent.
     arc_levels: List[int] = field(default_factory=list)
@@ -146,7 +149,7 @@ class SimPlan:
     num_batches: int = 0
     #: ``(primary output name, slot)``.
     output_slots: List[Tuple[str, int]] = field(default_factory=list)
-    #: ``(net name, slot)`` of every net the legacy interpreter would have
+    #: ``(net name, slot)`` of every net the per-gate interpreter would have
     #: recorded in its values dict (inputs first, then driven nets).
     value_slots: List[Tuple[str, int]] = field(default_factory=list)
     #: Slots produced by the bigint executors, in order.
@@ -187,7 +190,7 @@ class SimPlan:
 
 @dataclass
 class _UnsupportedMarker:
-    """Cached negative compile verdict, so legacy-fallback netlists don't
+    """Cached negative compile verdict, so interpreter-only netlists don't
     pay a full compile attempt on every simulate/metric call."""
 
     version: int
@@ -235,7 +238,7 @@ def gate_arcs(
     """``(kind, input pins, input slots, output slot, output net)`` per op.
 
     One entry per ``logic_ops`` op of the combinational ``gate`` whose output
-    pin is connected (the legacy interpreter drops unconnected outputs too).
+    pin is connected (the per-gate interpreter drops unconnected outputs too).
     An unconnected input pin reads ``x_slot``, the X fill.
 
     Raises:
@@ -269,7 +272,7 @@ def _compile(netlist: Netlist) -> SimPlan:
     value_slots: List[Tuple[str, int]] = list(input_slots)
 
     # Schedule every gate into a batch (level).  Walking the same
-    # pseudo-topological order as the legacy interpreter, a gate lands in the
+    # pseudo-topological order as the per-gate interpreter, a gate lands in the
     # earliest batch compatible with the sequential read semantics:
     #
     # * a read from an *earlier* gate of the order must observe that gate's
@@ -532,7 +535,7 @@ def run_plan(plan: SimPlan, inputs: Mapping[str, int], num_patterns: int,
 #   whose locals are the live net slots (`v37 = (v12 & v31) ^ M`), removing
 #   the interpreter's dispatch overhead for hot plans.
 #
-# Both forms replay the legacy interpreter's statement sequence, so
+# Both forms replay the per-gate interpreter's statement sequence, so
 # bit-exactness is structural.
 # ---------------------------------------------------------------------------
 
@@ -661,7 +664,7 @@ def run_plan_bigints(plan: SimPlan, inputs: Mapping[str, int], num_patterns: int
     """Execute the plan's bigint program; returns ``{slot: bit-vector}``.
 
     Covers every slot in ``plan.value_slots`` and ``plan.output_slots``.
-    Bit-exact with both :func:`run_plan` and the legacy interpreter.  The
+    Bit-exact with both :func:`run_plan` and the per-gate interpreter.  The
     first execution of a plan is interpreted; re-executions are served by a
     code-generated specialization (see the section comment above).
     """
@@ -695,7 +698,7 @@ def extract_outputs(plan: SimPlan, values: np.ndarray,
 
 def extract_values(plan: SimPlan, values: np.ndarray,
                    num_patterns: int) -> Dict[str, int]:
-    """Per-net bigints matching the legacy interpreter's values dict."""
+    """Per-net bigints matching the per-gate interpreter's values dict."""
     return {
         net: unpack_bigint(values[slot], num_patterns)
         for net, slot in plan.value_slots

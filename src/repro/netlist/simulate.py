@@ -6,18 +6,20 @@ applying 1,000,000 random test patterns in Synopsys VCS.  Here the same
 metrics are computed with a bit-parallel simulator: each net carries a
 bit-vector whose bit *i* is the net's value under pattern *i*.
 
-Two execution engines share this interface:
+Two execution paths share this interface:
 
 * the **vectorized engine** (:mod:`repro.netlist.engine`) compiles the
   netlist once into a cached evaluation plan and executes it over NumPy
-  ``uint64``-packed pattern blocks — the default, and fast enough to push
-  pattern counts toward the paper's regime;
-* the **legacy interpreter** in this module walks gates one at a time over
-  Python dicts and arbitrary-precision integers — retained as the semantic
-  reference and as the fallback for netlists containing custom cells without
-  :attr:`~repro.netlist.cells.Cell.logic_ops` metadata.
+  ``uint64``-packed pattern blocks — used for every netlist it can compile,
+  and fast enough to push pattern counts toward the paper's regime;
+* the **per-gate interpreter** in this module walks gates one at a time over
+  Python dicts and arbitrary-precision integers.  It is the runtime path for
+  netlists containing custom cells whose
+  :attr:`~repro.netlist.cells.Cell.logic_ops` is ``None``: such a cell can
+  only be evaluated through its ``function`` callable, which the engine
+  cannot compile.
 
-Both engines are bit-exact with each other at equal seed (covered by the
+Both paths are bit-exact with each other at equal seed (covered by the
 equivalence tests in ``tests/test_engine.py``).
 
 Sequential cells are treated as pseudo primary inputs (their ``Q`` outputs are
@@ -98,7 +100,13 @@ def _resolved_inputs(netlist: Netlist, patterns: Optional[Mapping[str, int]],
 
 def _simulate_legacy(netlist: Netlist, inputs: Dict[str, int],
                      num_patterns: int, x_value: int) -> SimulationResult:
-    """Reference interpreter: per-gate evaluation over Python bigints."""
+    """Per-gate evaluation over Python bigints.
+
+    The path :func:`simulate` takes when :func:`~repro.netlist.engine.
+    compile_plan` raises :class:`~repro.netlist.engine.UnsupportedNetlist`,
+    i.e. for netlists with cells whose ``logic_ops`` is ``None``: each gate
+    calls its cell's ``function`` in pseudo-topological order.
+    """
     mask = (1 << num_patterns) - 1
     values: Dict[str, int] = dict(inputs)
 
@@ -198,8 +206,8 @@ def _output_pair(
 ) -> Tuple[Dict[str, int], Dict[str, int]]:
     """Output bit-vectors of both netlists under shared patterns.
 
-    Uses the compiled engine when both netlists support it and falls back to
-    the legacy interpreter otherwise.  Raises :class:`SimulationError` when
+    Uses the compiled engine when both netlists support it and the per-gate
+    interpreter otherwise.  Raises :class:`SimulationError` when
     the primary-output sets differ.
     """
     patterns = _shared_input_patterns(reference, candidate, num_patterns, seed)

@@ -1,13 +1,15 @@
 """Full-matrix attack kernels: test oracles for ``repro.attacks``.
 
-These are the network-flow and crouting implementations the row-block
-kernels replaced.  The network-flow oracle builds the whole ``(S, D)`` cost
-matrix with one broadcast per hint, evaluates the loop hint on a networkx
-reachability graph through :func:`graph_oracle.transitive_closure_bitmap`,
-and gathers the driver-slot matrix with ``np.take``.  The crouting oracle
-makes one NumPy pass per vpin, side and bounding box.  Tests assert that
-the shipped attacks produce the same bytes, counts, assignments and
-recovered netlists.
+These are the proximity, network-flow and crouting implementations the
+grid-index and row-block kernels replaced.  The proximity oracle is the
+per-pair double loop over the FEOL view's vpins.  The network-flow oracle
+builds the whole ``(S, D)`` cost matrix with one broadcast per hint,
+evaluates the loop hint on a networkx reachability graph through
+:func:`graph_oracle.transitive_closure_bitmap`, and gathers the
+driver-slot matrix with ``np.take``.  The crouting oracle makes one NumPy
+pass per vpin, side and bounding box.  Tests assert that the shipped
+attacks produce the same bytes, counts, assignments and recovered
+netlists.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import numpy as np
 from graph_oracle import netlist_copy, transitive_closure_bitmap
 from repro.attacks.crouting import CRoutingAttackConfig, CRoutingAttackResult
 from repro.attacks.network_flow import NetworkFlowAttackConfig, NetworkFlowAttackResult
+from repro.attacks.proximity import ProximityAttackResult
+from repro.layout.geometry import manhattan
 from repro.netlist.netlist import Netlist
 from repro.sm.split import FEOLView, VPin, feol_arrays
 
@@ -298,4 +302,29 @@ def crouting_attack(view: FEOLView,
         result.match_in_list[box] = (
             100.0 * matches / total_with_truth if total_with_truth else 0.0
         )
+    return result
+
+
+def proximity_attack_reference(view: FEOLView) -> ProximityAttackResult:
+    """The historical per-pair double loop of the proximity attack.
+
+    The strict ``<`` comparison makes the first driver with the minimal
+    distance win, which is the tie-breaking rule the grid-index attack
+    reproduces.
+    """
+    result = ProximityAttackResult(
+        num_sinks=len(view.sink_vpins), num_drivers=len(view.driver_vpins)
+    )
+    if not view.driver_vpins:
+        return result
+    for sink in view.sink_vpins:
+        best_driver: Optional[int] = None
+        best_distance = float("inf")
+        for driver in view.driver_vpins:
+            distance = manhattan(sink.position, driver.position)
+            if distance < best_distance:
+                best_distance = distance
+                best_driver = driver.identifier
+        if best_driver is not None:
+            result.assignment[sink.identifier] = best_driver
     return result

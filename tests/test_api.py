@@ -8,7 +8,7 @@ Covers the PR's acceptance criteria:
 * the artefact-cache under-keying regression: two configs differing only in
   ``iscas_lift_layer`` must not share a ``ProtectionResult``;
 * ``python -m repro run`` (JSON spec path) reproduces Table 1 and Table 4
-  bit-identically to the legacy ``runner.py`` path at equal seed.
+  bit-identically to the ``runner.run_all`` library path at equal seed.
 """
 
 from __future__ import annotations
@@ -45,11 +45,7 @@ from repro.api import (
 from repro.api.cli import main as cli_main
 from repro.api.schemes import ProposedParams
 from repro.api.workspace import default_workspace
-from repro.experiments.common import (
-    ExperimentConfig,
-    clear_artifact_cache,
-    protection_artifacts,
-)
+from repro.experiments.common import ExperimentConfig
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -241,17 +237,20 @@ class TestWorkspaceCache:
         """Two configs differing only in ``iscas_lift_layer`` must not share
         a ProtectionResult (the historical cache keyed only on
         (benchmark, scale, seed) and served stale artefacts here)."""
-        clear_artifact_cache()
-        config_m6 = tiny_config
-        config_m8 = dataclasses.replace(tiny_config, iscas_lift_layer=8)
-        result_m6 = protection_artifacts("c432", config_m6)
-        result_m8 = protection_artifacts("c432", config_m8)
+        workspace = default_workspace()
+        workspace.clear()
+        config_m6 = tiny_config.protection_config("c432")
+        config_m8 = dataclasses.replace(
+            tiny_config, iscas_lift_layer=8
+        ).protection_config("c432")
+        result_m6 = workspace.protection("c432", config_m6)
+        result_m8 = workspace.protection("c432", config_m8)
         assert result_m6 is not result_m8
         assert result_m6.config.lift_layer == 6
         assert result_m8.config.lift_layer == 8
         # Same config again: cache hit, identity-stable.
-        assert protection_artifacts("c432", config_m6) is result_m6
-        assert protection_artifacts("c432", config_m8) is result_m8
+        assert workspace.protection("c432", config_m6) is result_m6
+        assert workspace.protection("c432", config_m8) is result_m8
 
     def test_distinct_num_patterns_distinct_builds(self, tiny_config):
         """oer_patterns feeds the build; differing values must not collide."""
@@ -350,7 +349,7 @@ class TestCLIEquivalence:
     @pytest.mark.parametrize("experiment", ["table1", "table4"])
     def test_json_spec_matches_legacy_runner(self, experiment, tiny_config, tmp_path):
         """Acceptance: a JSON spec through ``python -m repro run`` reproduces
-        Table 1 / Table 4 bit-identically to the legacy runner.py path."""
+        Table 1 / Table 4 bit-identically to ``runner.run_all``."""
         from repro.experiments.runner import run_all
         from repro.utils.tables import format_table
 

@@ -1,9 +1,10 @@
-"""Equivalence suite: vectorized place-and-route vs the retained references.
+"""Equivalence suite: vectorized place-and-route vs the per-object oracles.
 
-The vectorized build path (``place`` / ``route`` / ``route_connections_batch``)
-must be **bit-exact** with the seed implementations kept as
-``place_reference`` / ``route_reference`` / ``route_connection`` — same gate
-ordering, identical IEEE coordinates, identical segment/via object graphs.
+The vectorized build path (``place`` / ``route`` / ``route_requests``) must
+be **bit-exact** with the seed implementations kept in
+``tests/build_oracle.py`` as ``place_reference`` / ``route_reference`` /
+``route_connection`` — same gate ordering, identical IEEE coordinates,
+identical segment/via object graphs.
 
 Tier-1 covers a fast circuit subset; the ``slow``-marked cases extend the
 check to every ISCAS-85 circuit (full CI) per the acceptance criteria.
@@ -15,18 +16,13 @@ import random
 
 import pytest
 
+from build_oracle import place_reference, route_connection, route_reference
 from repro.circuits import iscas85_netlist
 from repro.circuits.iscas85 import ISCAS85_PROFILES
 from repro.layout.floorplan import build_floorplan
 from repro.layout.geometry import Point
-from repro.layout.placer import PlacerConfig, place, place_reference
-from repro.layout.router import (
-    RouterConfig,
-    route,
-    route_connection,
-    route_connections_batch,
-    route_reference,
-)
+from repro.layout.placer import PlacerConfig, place
+from repro.layout.router import RouterConfig, route, route_requests
 
 ISCAS_CIRCUITS = tuple(ISCAS85_PROFILES)
 FAST_CIRCUITS = ("c432", "c880")
@@ -239,8 +235,15 @@ def test_empty_batch():
     assert route_batch(netlist, []) == []
 
 
+def _routed_connections(requests, config, half_perimeter):
+    """The connections of ``requests`` routed as one ``route_requests`` net,
+    materialized from the columns."""
+    routing = route_requests(requests, config, half_perimeter).lazy_nets()
+    return [c for routed in routing.values() for c in routed.connections]
+
+
 class TestConnectionBatch:
-    """route_connections_batch vs per-connection route_connection."""
+    """Batched ``route_requests`` columns vs per-connection route_connection."""
 
     def _random_requests(self, rng, count, span=100.0):
         requests = []
@@ -270,7 +273,8 @@ class TestConnectionBatch:
         config = RouterConfig()
         half_perimeter = 200.0
         requests = self._random_requests(rng, 200)
-        batched = route_connections_batch(requests, config, half_perimeter)
+        batched = _routed_connections(requests, config, half_perimeter)
+        assert len(batched) == len(requests)
         for request, got in zip(requests, batched):
             expected = route_connection(
                 request[0], request[1], request[2], request[3], request[4],
@@ -289,7 +293,7 @@ class TestConnectionBatch:
         requests = [
             ("n0", ("g0", "A"), Point(0.0, 0.0), Point(5.0, 7.0), (2, 3), None, None)
         ]
-        batched = route_connections_batch(requests, config, 0.0)
+        batched = _routed_connections(requests, config, 0.0)
         expected = route_connection(
             "n0", ("g0", "A"), Point(0.0, 0.0), Point(5.0, 7.0), (2, 3), config, 0.0
         )
@@ -297,7 +301,7 @@ class TestConnectionBatch:
         assert batched[0].vias == expected.vias
 
     def test_empty_batch(self):
-        assert route_connections_batch([], RouterConfig(), 100.0) == []
+        assert route_requests([], RouterConfig(), 100.0).lazy_nets() == {}
 
 
 def test_selection_with_fewer_thresholds_than_pairs():

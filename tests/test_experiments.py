@@ -1,16 +1,15 @@
 """Tests for the experiment harness (small configurations)."""
 
 import argparse
+import dataclasses
+import re
 
 import pytest
 
+from repro.api.cli import _build_experiment_config
+from repro.api.workspace import Workspace, default_workspace
 from repro.experiments import paper_data
-from repro.experiments.common import (
-    ExperimentConfig,
-    clear_artifact_cache,
-    prewarm_artifacts,
-    protection_artifacts,
-)
+from repro.experiments.common import ExperimentConfig
 from repro.experiments import (
     figure4_distance_distributions,
     figure5_wirelength_layers,
@@ -25,7 +24,6 @@ from repro.experiments.runner import (
     EXPERIMENTS,
     EXPERIMENT_SUITES,
     benchmarks_for,
-    build_config,
     quick_config,
     run_all,
 )
@@ -46,6 +44,19 @@ def tiny_config():
     )
 
 
+def protection(benchmark, config, workspace=None):
+    """The protection-flow artefacts of ``benchmark`` under ``config``."""
+    workspace = workspace if workspace is not None else default_workspace()
+    return workspace.protection(
+        benchmark, config.protection_config(benchmark),
+        scale=config.benchmark_scale(benchmark),
+    )
+
+
+def _strip_timings(text: str) -> str:
+    return re.sub(r"\s+\[\d+\.\ds\]", "", text)
+
+
 class TestCommon:
     def test_protection_config_differs_per_family(self, tiny_config):
         iscas = tiny_config.protection_config("c432")
@@ -55,14 +66,14 @@ class TestCommon:
         assert superblue.ppa_budget_percent < iscas.ppa_budget_percent
 
     def test_artifacts_are_cached(self, tiny_config):
-        first = protection_artifacts("c432", tiny_config)
-        second = protection_artifacts("c432", tiny_config)
+        first = protection("c432", tiny_config)
+        second = protection("c432", tiny_config)
         assert first is second
 
     def test_cache_can_be_cleared(self, tiny_config):
-        first = protection_artifacts("c432", tiny_config)
-        clear_artifact_cache()
-        second = protection_artifacts("c432", tiny_config)
+        first = protection("c432", tiny_config)
+        default_workspace().clear()
+        second = protection("c432", tiny_config)
         assert first is not second
 
 
@@ -161,7 +172,7 @@ class TestRunner:
 
     def test_superblue_scale_override_keeps_other_fields(self):
         args = argparse.Namespace(quick=True, superblue_scale=0.0125)
-        config = build_config(args)
+        config = _build_experiment_config(args)
         quick = quick_config()
         assert config.superblue_scale == 0.0125
         assert config.iscas_split_layers == quick.iscas_split_layers
@@ -171,31 +182,52 @@ class TestRunner:
 
     def test_no_scale_override_returns_config_unchanged(self):
         args = argparse.Namespace(quick=False, superblue_scale=None)
-        assert build_config(args) == ExperimentConfig()
+        assert _build_experiment_config(args) == ExperimentConfig()
 
 
 class TestPrewarm:
     def test_prewarm_populates_cache_serially(self, tiny_config):
-        clear_artifact_cache()
-        built = prewarm_artifacts(["c432", "c432"], tiny_config, jobs=1)
-        assert built == ["c432"]
+        workspace = default_workspace()
+        workspace.clear()
+        c432 = tiny_config.scenario("c432")
+        built = workspace.prewarm([c432, c432], jobs=1)
+        assert [spec.benchmark for spec in built] == ["c432"]
         # Subsequent lookups are cache hits (identity-stable results).
-        first = protection_artifacts("c432", tiny_config)
-        assert protection_artifacts("c432", tiny_config) is first
-        assert prewarm_artifacts(["c432"], tiny_config, jobs=1) == []
+        first = protection("c432", tiny_config)
+        assert protection("c432", tiny_config) is first
+        assert workspace.prewarm([c432], jobs=1) == []
 
     def test_prewarm_parallel_matches_serial_artifacts(self, tiny_config):
         """Two missing benchmarks with jobs=2 exercises the real process
         pool: worker dispatch, ProtectionResult pickling across the process
         boundary, and lock-guarded cache publication."""
-        clear_artifact_cache()
-        built = prewarm_artifacts(["c432", "c880"], tiny_config, jobs=2)
-        assert sorted(built) == ["c432", "c880"]
-        parallel_result = protection_artifacts("c432", tiny_config)
-        serial_result = protection_artifacts("c432", tiny_config, use_cache=False)
+        workspace = default_workspace()
+        workspace.clear()
+        built = workspace.prewarm(
+            [tiny_config.scenario("c432"), tiny_config.scenario("c880")], jobs=2
+        )
+        assert sorted(spec.benchmark for spec in built) == ["c432", "c880"]
+        parallel_result = protection("c432", tiny_config)
+        # A throwaway workspace neither reads nor pollutes the shared cache.
+        serial_result = protection("c432", tiny_config, Workspace())
         assert parallel_result.summary() == serial_result.summary()
-        assert protection_artifacts("c880", tiny_config) is protection_artifacts(
-            "c880", tiny_config
+        assert protection("c880", tiny_config) is protection("c880", tiny_config)
+
+    def test_pooled_run_all_renders_serial_tables(self, tiny_config):
+        """``run_all(jobs > 1)`` prewarms the proposed builds in the pool
+        first; the tables it renders equal the serial run's."""
+        config = dataclasses.replace(tiny_config, iscas_benchmarks=("c432", "c880"))
+        workspace = default_workspace()
+        workspace.clear()
+        pooled = run_all(config, only=["table4"], jobs=2)
+        assert sorted(workspace.last_report.outcomes) == sorted(
+            config.scenario(b).build_key() for b in config.iscas_benchmarks
+        )
+        workspace.clear()
+        serial = run_all(config, only=["table4"], jobs=1)
+        assert list(pooled) == list(serial) == ["table4"]
+        assert _strip_timings(format_table(pooled["table4"])) == _strip_timings(
+            format_table(serial["table4"])
         )
 
 

@@ -18,7 +18,8 @@ import statistics
 import numpy as np
 import pytest
 
-from repro.attacks.proximity import proximity_attack, proximity_attack_reference
+from attack_oracle import proximity_attack_reference
+from repro.attacks.proximity import proximity_attack
 from repro.circuits import iscas85_netlist
 from repro.circuits.iscas85 import ISCAS85_PROFILES
 from repro.layout import build_layout

@@ -167,13 +167,14 @@ class TestBatchDeltaProtocol:
 def test_batched_router_objects_pickle():
     """Fast-path Segment/Via objects (built via __dict__) pickle like normal."""
     from repro.layout.geometry import Point
-    from repro.layout.router import RouterConfig, route_connections_batch
+    from repro.layout.router import RouterConfig, route_requests
 
-    (connection,) = route_connections_batch(
+    (routed,) = route_requests(
         [("n0", ("g0", "A"), Point(0.0, 0.0), Point(30.0, 40.0), (4, 5),
           None, None)],
         RouterConfig(), 100.0,
-    )
+    ).lazy_nets().values()
+    (connection,) = routed.connections
     clone = pickle.loads(pickle.dumps(connection))
     assert clone.segments == connection.segments
     assert clone.vias == connection.vias

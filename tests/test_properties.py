@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.circuits.random_logic import RandomLogicSpec, generate_random_logic
 from repro.layout.geometry import Point, Rect, bounding_box, half_perimeter, manhattan
-from repro.layout.router import RouterConfig, route_connection
+from repro.layout.router import RouterConfig, route_requests
 from repro.metrics.solution_space import (
     log10_num_perfect_matchings,
     log10_solution_space_from_candidates,
@@ -77,9 +77,11 @@ class TestRouterProperties:
     @settings(max_examples=60, suppress_health_check=[HealthCheck.filter_too_much])
     def test_route_length_equals_manhattan_distance(self, x1, y1, x2, y2, pair):
         config = RouterConfig()
-        connection = route_connection(
-            "n", ("g", "A"), Point(x1, y1), Point(x2, y2), pair, config, 400.0
-        )
+        (routed,) = route_requests(
+            [("n", ("g", "A"), Point(x1, y1), Point(x2, y2), pair, None, None)],
+            config, 400.0,
+        ).lazy_nets().values()
+        (connection,) = routed.connections
         # Manhattan-optimal: the staircase never overshoots.
         assert math.isclose(
             connection.length, manhattan(Point(x1, y1), Point(x2, y2)),

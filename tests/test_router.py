@@ -5,7 +5,7 @@ import pytest
 from repro.layout.floorplan import build_floorplan
 from repro.layout.geometry import Point
 from repro.layout.placer import PlacerConfig, place
-from repro.layout.router import RouterConfig, route, route_connection
+from repro.layout.router import RouterConfig, route, route_requests
 from repro.netlist.cells import NUM_METAL_LAYERS
 
 
@@ -49,10 +49,19 @@ class TestRouterConfig:
         assert config.num_jogs(5.0, 100.0) >= 1
 
 
+def route_one(net, sink, source, target, pair, config, half_perimeter):
+    """One 2-pin connection routed by ``route_requests`` and materialized."""
+    (routed,) = route_requests(
+        [(net, sink, source, target, pair, None, None)], config, half_perimeter
+    ).lazy_nets().values()
+    (connection,) = routed.connections
+    return connection
+
+
 class TestRouteConnection:
     def test_l_shape_route(self):
         config = RouterConfig()
-        connection = route_connection(
+        connection = route_one(
             "n", ("g", "A"), Point(0, 0), Point(10, 4), (2, 3), config, 100.0
         )
         assert connection.length == pytest.approx(14.0)
@@ -64,7 +73,7 @@ class TestRouteConnection:
 
     def test_straight_route_has_no_bend(self):
         config = RouterConfig()
-        connection = route_connection(
+        connection = route_one(
             "n", ("g", "A"), Point(0, 0), Point(10, 0), (2, 3), config, 100.0
         )
         bend_vias = [v for v in connection.vias if v.lower == 2]
@@ -73,14 +82,14 @@ class TestRouteConnection:
 
     def test_coincident_pins(self):
         config = RouterConfig()
-        connection = route_connection(
+        connection = route_one(
             "n", ("g", "A"), Point(5, 5), Point(5, 5), (2, 3), config, 100.0
         )
         assert connection.length == 0.0
 
     def test_default_hints_point_at_partner(self):
         config = RouterConfig()
-        connection = route_connection(
+        connection = route_one(
             "n", ("g", "A"), Point(0, 0), Point(10, 4), (2, 3), config, 100.0
         )
         assert connection.source_hint == Point(10, 4)
@@ -88,7 +97,7 @@ class TestRouteConnection:
 
     def test_top_layer(self):
         config = RouterConfig()
-        connection = route_connection(
+        connection = route_one(
             "n", ("g", "A"), Point(0, 0), Point(30, 30), (6, 7), config, 100.0
         )
         assert connection.top_layer == 7

@@ -23,12 +23,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from build_oracle import (
+    _via_stack,
+    route_connection,
+    route_reference,
+    routing_perturbation_reference,
+)
 from repro.circuits import iscas85_netlist
 from repro.layout.arrays import routing_backing
 from repro.layout.floorplan import build_floorplan
 from repro.layout.layout import build_layout, build_layout_batch
 from repro.layout.placer import PlacerConfig, place
-from repro.layout.router import RouterConfig, route, route_reference
+from repro.layout.router import RouterConfig, route
 from repro.store import codec
 
 CIRCUIT = "c432"
@@ -98,14 +104,12 @@ def test_attribute_access_materializes_and_dirties_backing(netlist, placement):
     name = next(iter(routing))
     _ = routing[name].connections
     assert backing.materialized_count == 1
-    # A dirtied backing is rejected by the clean lookup (fast paths must not
-    # trust columns whose object twins may have been edited)...
+    # A dirtied backing is rejected (fast paths must not trust columns whose
+    # object twins may have been edited).
     assert routing_backing(routing) is None
-    # ...but remains reachable for callers that handle staleness themselves.
-    assert routing_backing(routing, require_clean=False) is backing
 
 
-# -- bit-exactness vs the reference object walk -----------------------------
+# -- bit-exactness vs the router oracle --------------------------------------
 
 
 def test_lazy_equals_reference_objects(netlist, placement):
@@ -231,17 +235,21 @@ def test_decode_yields_clean_lazy_backing(netlist):
         assert ours.connections == theirs.connections
 
 
-# -- defense: columnar hint overrides == object-path hints -------------------
+# -- defense: columnar hint overrides == object-walk oracle ------------------
 
 
-def test_defense_backing_path_matches_object_path(netlist, monkeypatch):
-    from repro.defenses import routing_perturbation as rp
+def test_defense_backing_path_matches_object_path(netlist):
+    from repro.defenses.routing_perturbation import routing_perturbation_defense
 
-    fast = rp.routing_perturbation_defense(netlist, seed=7)
-    monkeypatch.setattr(rp, "routing_backing", lambda routing: None)
-    slow = rp.routing_perturbation_defense(netlist, seed=7)
+    fast = routing_perturbation_defense(netlist, seed=7)
+    assert routing_backing(fast.routing).materialized_count == 0
+    slow = routing_perturbation_reference(netlist, seed=7)
+    assert fast.metadata == slow.metadata
     assert list(fast.routing) == list(slow.routing)
     for name in fast.routing:
+        assert len(fast.routing[name].connections) == len(
+            slow.routing[name].connections
+        ), name
         for a, b in zip(fast.routing[name].connections,
                         slow.routing[name].connections):
             assert a.source_hint == b.source_hint, name
@@ -329,7 +337,7 @@ def test_protected_layout_shells_pickle_like_eager_nets(netlist, monkeypatch):
     by the per-connection router; its lazy shells must pickle to the very
     same bytes, shared objects (placement points, hint points) included."""
     from repro.core import restore
-    from repro.layout.router import RoutedNet, _via_stack, route_connection
+    from repro.layout.router import RoutedNet
 
     calls = []
     real = restore.route_requests
