@@ -19,10 +19,11 @@ It uses the hints the paper lists (Sec. 2):
    a configurable fraction of the die half-perimeter) are deprioritised, as
    they would violate the delay budget of the original design.
 
-The assignment is solved globally with the Hungarian algorithm on a
-sink × (driver-slot) cost matrix — an equivalent formulation of the
-min-cost-flow problem that maps directly onto ``scipy.optimize`` — and the
-recovered netlist is rebuilt from the assignment so OER/HD can be measured.
+The assignment is solved globally by ``scipy.optimize.linear_sum_assignment``
+(a shortest-augmenting-path solver) on a sink × (driver-slot) cost matrix,
+each driver repeated once per fanout slot — an equivalent formulation of
+the min-cost-flow problem — and the recovered netlist is rebuilt from the
+assignment so OER/HD can be measured.
 """
 
 from __future__ import annotations

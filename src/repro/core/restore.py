@@ -26,17 +26,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.correction_cells import (
-    CorrectionCellInstance,
-    legalize_correction_cells,
-    place_correction_cells,
-)
+import numpy as np
+
+from repro.core.correction_cells import legalize_correction_cells, place_correction_cells
 from repro.core.randomizer import RandomizationResult
+from repro.layout.arrays import RoutingArrays, routing_backing
 from repro.layout.floorplan import Floorplan, build_floorplan
-from repro.layout.geometry import Point, manhattan
+from repro.layout.geometry import Point
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacementResult, PlacerConfig, place
-from repro.layout.router import ConnectionRequest, RouterConfig, route_requests
+from repro.layout.router import RouterConfig, route
 from repro.netlist.netlist import Netlist, PinRef
 
 
@@ -54,6 +53,69 @@ def _sink_position(placement: PlacementResult, sink: PinRef) -> Optional[Point]:
     if sink[0] == "PO":
         return placement.port_positions.get(sink[1])
     return placement.gate_positions.get(sink[0])
+
+
+def _restore_swapped_connections(
+    randomization: RandomizationResult,
+    placement: PlacementResult,
+    backing: RoutingArrays,
+) -> List[Tuple[int, str, Optional[str], Point]]:
+    """Mark the swapped connections of ``backing`` as restored through the
+    BEOL and re-aim their FEOL stubs at the erroneous partners.
+
+    The driver stub heads towards the first placed sink the randomizer moved
+    onto the net, the sink stub towards its erroneous driver; a partner that
+    is not placed keeps the router's default hint.  Returns the
+    correction-cell anchors ``(connection id, side, gate, point)``, two per
+    swapped connection in routing order.
+    """
+    swapped = randomization.swapped_sinks()
+    #: erroneous net name -> first placed sink moved *onto* it
+    decoy_sinks: Dict[str, Point] = {}
+    for record in randomization.swaps:
+        if record.erroneous_net not in decoy_sinks:
+            position = _sink_position(placement, record.sink)
+            if position is not None:
+                decoy_sinks[record.erroneous_net] = position
+    swapped_nets = {record.original_net for record in randomization.swaps}
+
+    anchors: List[Tuple[int, str, Optional[str], Point]] = []
+    overridden: List[int] = []
+    hints: List[Tuple[float, float, float, float]] = []
+    conn_starts = backing.conn_starts.tolist()
+    for index, net_name in enumerate(backing.net_names):
+        if net_name not in swapped_nets:
+            continue
+        driver = randomization.original.nets[net_name].driver
+        for ci in range(conn_starts[index], conn_starts[index + 1]):
+            sink = backing.sink_refs[ci]
+            record = swapped.get(sink)
+            if record is None or record.original_net != net_name:
+                continue
+            backing.protected[ci] = 1
+            source = backing.source_points[ci]
+            target = backing.target_points[ci]
+            source_hint = decoy_sinks.get(net_name)
+            target_hint = _terminal_position(
+                randomization.erroneous, placement, record.erroneous_net
+            )
+            if source_hint is not None or target_hint is not None:
+                source_hint = source_hint if source_hint is not None else target
+                target_hint = target_hint if target_hint is not None else source
+                overridden.append(ci)
+                hints.append((source_hint.x, source_hint.y,
+                              target_hint.x, target_hint.y))
+            connection_id = len(anchors) // 2
+            anchors.append((connection_id, "driver",
+                            driver[0] if driver is not None else None, source))
+            anchors.append((connection_id, "sink", sink[0], target))
+    if overridden:
+        hint_sx, hint_sy, hint_tx, hint_ty = np.asarray(hints, dtype=np.float64).T
+        backing.override_hints(
+            np.asarray(overridden, dtype=np.int64),
+            hint_sx, hint_sy, hint_tx, hint_ty,
+        )
+    return anchors
 
 
 def build_protected_layout(
@@ -91,86 +153,23 @@ def build_protected_layout(
     if floorplan is None:
         floorplan = build_floorplan(original, utilization)
 
-    # Step (ii): place and route the erroneous, misleading netlist.  Only the
-    # placement is kept; routing is assembled below against the original nets.
+    # Step (ii): place the erroneous, misleading netlist.  Only the placement
+    # is kept; the routing below implements the original nets.
     placement = place(erroneous, floorplan, utilization, placer_config)
-    half_perimeter = floorplan.half_perimeter_um
 
-    swapped = randomization.swapped_sinks()
-    #: erroneous net name -> sinks that were moved *onto* it by the randomizer
-    moved_onto: Dict[str, List[PinRef]] = {}
-    for record in randomization.swaps:
-        moved_onto.setdefault(record.erroneous_net, []).append(record.sink)
-
-    correction_anchors: List[Tuple[int, str, Optional[str], Point]] = []
-    connection_id = 0
-
-    # Pass 1: per-connection policy (lift floors, misleading FEOL hints,
-    # correction anchors) gathered as plain connection requests; the actual
-    # segment/via geometry is array-built in one batch below.
-    requests: List[ConnectionRequest] = []
-    protected_flags: List[bool] = []
-    net_starts: List[int] = []  # first request of each routed net
-
-    for net_name, net in original.nets.items():
-        source = _terminal_position(original, placement, net_name)
-        if source is None:
-            continue
-        targets: List[Tuple[PinRef, Point, bool]] = []  # (sink, position, is_swapped)
-        for sink in net.sinks:
-            pos = _sink_position(placement, sink)
-            if pos is None:
-                continue
-            targets.append((sink, pos, sink in swapped and swapped[sink].original_net == net_name))
-        for po in net.primary_outputs:
-            pos = placement.port_positions.get(po)
-            if pos is not None:
-                targets.append((("PO", po), pos, False))
-        if not targets:
-            continue
-
-        driver_gate = net.driver[0] if net.driver is not None else None
-        net_starts.append(len(requests))
-
-        for sink, target, is_swapped in targets:
-            length = manhattan(source, target)
-            source_hint: Optional[Point] = None
-            target_hint: Optional[Point] = None
-            if is_swapped:
-                record = swapped[sink]
-                pair = router_config.pair_for_lifted(length, half_perimeter, lift_layer)
-                # Misleading FEOL hints: the driver stub was routed towards the
-                # erroneous sink that replaced this one; the sink stub was
-                # routed towards its erroneous driver.
-                erroneous_sinks = moved_onto.get(net_name, [])
-                for err_sink in erroneous_sinks:
-                    hint_pos = _sink_position(placement, err_sink)
-                    if hint_pos is not None:
-                        source_hint = hint_pos
-                        break
-                target_hint = _terminal_position(erroneous, placement, record.erroneous_net)
-                correction_anchors.append((connection_id, "driver", driver_gate, source))
-                sink_gate = sink[0] if sink[0] != "PO" else None
-                correction_anchors.append((connection_id, "sink", sink_gate, target))
-                connection_id += 1
-            elif net_name in randomization.protected_nets:
-                # The paper lifts the whole randomized net: its honest sinks
-                # also route through the correction-cell layer (true hints).
-                pair = router_config.pair_for_lifted(length, half_perimeter, lift_layer)
-            else:
-                pair = router_config.pair_for_length(length, half_perimeter)
-            requests.append((net_name, sink, source, target, pair,
-                             source_hint, target_hint))
-            protected_flags.append(is_swapped)
-
-    # Pass 2: batched geometry construction, kept in column form behind lazy
-    # RoutedNet shells (bit-exact with the per-connection route_connection
-    # oracle in tests/build_oracle.py).
-    routing = route_requests(
-        requests, router_config, half_perimeter,
-        net_starts=net_starts, protected=protected_flags,
-    ).lazy_nets()
-
+    # Step (iii): route the original netlist over that placement with every
+    # randomized net lifted to the correction-cell layer.  Every swapped
+    # sink's original net is randomized, and the paper lifts the whole net
+    # (its honest sinks too), so a per-net lift floor is exact.
+    routing = route(
+        original, placement, router_config,
+        {net: lift_layer for net in randomization.protected_nets},
+    )
+    backing = routing_backing(routing)
+    correction_anchors = (
+        _restore_swapped_connections(randomization, placement, backing)
+        if backing is not None else []
+    )
     correction_cells = place_correction_cells(correction_anchors, lift_layer)
     correction_cells = legalize_correction_cells(correction_cells, floorplan)
 

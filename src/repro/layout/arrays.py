@@ -640,12 +640,12 @@ class RoutingArrays:
       the sink pin stack;
     * ``hint_default`` marks connections whose stub hints are the router's
       defaults (source hint = target, target hint = source, materialized as
-      the *same objects*); other hints materialize as the
-      ``*_hint_points`` object references when the producer kept them, else
-      as fresh points from the hint columns, with the ``hint_*_present``
-      masks distinguishing explicit ``None`` hints.  Hint columns hold the
-      hint coordinates of every connection (the router defaults included)
-      and 0.0 wherever the mask is clear;
+      the *same objects* as the endpoints); every other hint materializes as
+      a fresh point from the hint columns (equal to, never aliasing, any
+      placement point), with the ``hint_*_present`` masks distinguishing
+      explicit ``None`` hints.  Hint columns hold the hint coordinates of
+      every connection (the router defaults included) and 0.0 wherever the
+      mask is clear;
     * ``materialized_count`` counts nets whose objects were built.  A
       materialized graph may have been edited behind the columns, so
       consumers read routings through :func:`routing_columns`, which trusts
@@ -698,11 +698,6 @@ class RoutingArrays:
     #: backings leave these None and materialize fresh points from sx/sy….
     source_points: Optional[List[Point]] = None
     target_points: Optional[List[Point]] = None
-    #: Per-connection stub-hint object references for connections whose
-    #: hints are not the router defaults (the protected layout's misleading
-    #: hints are placement points); None → fresh points from the hint columns.
-    source_hint_points: Optional[List[Optional[Point]]] = None
-    target_hint_points: Optional[List[Optional[Point]]] = None
     #: Per-connection net-name references (decoded payloads, where a stored
     #: ``conn_net`` column may name a different net than the owning entry);
     #: None → the owning net's name.
@@ -911,9 +906,6 @@ class RoutingArrays:
             if hdef_l[local]:
                 source_hint: Optional[Point] = target
                 target_hint: Optional[Point] = source
-            elif self.source_hint_points is not None:
-                source_hint = self.source_hint_points[ci]
-                target_hint = self.target_hint_points[ci]
             else:
                 source_hint = (_fast_point(hsx_l[local], hsy_l[local])
                                if hsp_l[local] else None)
@@ -976,7 +968,7 @@ class RoutingArrays:
         ]
         return np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
 
-    # -- in-place hint overrides (routing-perturbation defense) -------------
+    # -- in-place hint overrides (protected layout, defenses) ---------------
     def override_hints(self, conn_indices: np.ndarray, hint_sx: np.ndarray,
                        hint_sy: np.ndarray, hint_tx: np.ndarray,
                        hint_ty: np.ndarray) -> None:
@@ -993,14 +985,6 @@ class RoutingArrays:
         self.hint_src_present[conn_indices] = 1
         self.hint_tgt_present[conn_indices] = 1
         self.hint_default[conn_indices] = False
-        if self.source_hint_points is not None:
-            for ci in np.asarray(conn_indices).tolist():
-                self.source_hint_points[ci] = _fast_point(
-                    float(self.hint_sx[ci]), float(self.hint_sy[ci])
-                )
-                self.target_hint_points[ci] = _fast_point(
-                    float(self.hint_tx[ci]), float(self.hint_ty[ci])
-                )
         if not self.materialized_count:
             return
         for ci in np.asarray(conn_indices).tolist():

@@ -25,11 +25,14 @@ are congestion-free, and none of the reproduced metrics depend on detailed
 track assignment.
 
 :func:`route` evaluates layer-pair selection and jog counts for *all*
-connections at once on NumPy columns and assembles the staircase
-segment/via geometry as array-built coordinate columns, kept in a
+connections at once on NumPy columns (:func:`_select_pairs` and
+:func:`_jog_counts` are the whole routing policy) and assembles the
+staircase segment/via geometry as array-built coordinate columns, kept in a
 :class:`~repro.layout.arrays.RoutingArrays` behind lazily materialized
-:class:`RoutedNet` shells (:func:`route_requests` does the same for
-explicit connection requests, :func:`route_batch` for a seed batch).
+:class:`RoutedNet` shells; :func:`route_batch` does the same for a seed
+batch.  It is the only router entry: the protected layout routes through it
+too and re-aims its swapped stubs afterwards
+(:meth:`~repro.layout.arrays.RoutingArrays.override_hints`).
 
 The columns are bit-exact with the seed router, which routed one 2-pin
 connection at a time and is kept as the test oracle ``route_reference`` /
@@ -213,9 +216,10 @@ class RouterConfig:
     Attributes:
         layer_pairs: (H, V) pairs in order of increasing preference for longer
             connections.
-        length_thresholds: Fractions of the die half-perimeter; connection i
-            uses pair i when its length is below ``length_thresholds[i]``
-            (the last pair takes everything longer).
+        length_thresholds: Non-decreasing fractions of the die
+            half-perimeter; a connection uses the first pair i whose
+            ``length_thresholds[i]`` its length is below (the last pair takes
+            everything longer).
         jog_pitch_fraction: One extra jog (Z-bend) is inserted per this
             fraction of the die half-perimeter of connection length.
         lift_escalation_fraction: Lifted connections longer than this fraction
@@ -231,37 +235,12 @@ class RouterConfig:
     lift_escalation_fraction: float = 0.40
     pin_layer: int = 1
 
-    def pair_for_length(self, length: float, half_perimeter: float) -> Tuple[int, int]:
-        """Pick the (H, V) pair for an unconstrained connection."""
-        if half_perimeter <= 0:
-            return self.layer_pairs[0]
-        ratio = length / half_perimeter
-        for pair, threshold in zip(self.layer_pairs, self.length_thresholds):
-            if ratio < threshold:
-                return pair
-        return self.layer_pairs[-1]
-
-    def pair_for_lifted(self, length: float, half_perimeter: float,
-                        lift_layer: int) -> Tuple[int, int]:
-        """Pick the (H, V) pair for a connection lifted to ``lift_layer``.
-
-        The lift layer is a *floor*: a connection long enough to deserve a
-        higher pair anyway keeps that higher pair, and very long lifted
-        connections are promoted one layer above the lift layer (detour
-        routing of the restored BEOL wiring).
-        """
-        natural_h, _natural_v = self.pair_for_length(length, half_perimeter)
-        h_layer = max(natural_h, lift_layer)
-        if half_perimeter > 0 and length / half_perimeter >= self.lift_escalation_fraction:
-            h_layer = max(h_layer, min(lift_layer + 1, NUM_METAL_LAYERS - 1))
-        v_layer = min(h_layer + 1, NUM_METAL_LAYERS)
-        return (h_layer, v_layer)
-
-    def num_jogs(self, length: float, half_perimeter: float) -> int:
-        """Number of bends in the route (at least one for non-degenerate L)."""
-        if half_perimeter <= 0:
-            return 1
-        return 1 + int(length / (self.jog_pitch_fraction * half_perimeter))
+    def __post_init__(self) -> None:
+        thresholds = tuple(self.length_thresholds)
+        if any(b < a for a, b in zip(thresholds, thresholds[1:])):
+            raise ValueError(
+                f"length_thresholds must be non-decreasing, got {thresholds}"
+            )
 
 
 def _new_segments(layers: List[int], x1s: List[float], y1s: List[float],
@@ -311,13 +290,6 @@ def _new_vias(xs: List[float], ys: List[float], lowers: List[int],
     return out
 
 
-#: One 2-pin connection to route, as plain data: ``(net, sink, source,
-#: target, (h_layer, v_layer), source_hint, target_hint)``.
-ConnectionRequest = Tuple[
-    str, SinkRef, Point, Point, Tuple[int, int], Optional[Point], Optional[Point]
-]
-
-
 def _driver_stacks(h: np.ndarray, net_starts: np.ndarray, pin_layer: int
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Driver pin via stacks, shared by all connections of a net, reaching
@@ -332,97 +304,6 @@ def _driver_stacks(h: np.ndarray, net_starts: np.ndarray, pin_layer: int
         np.arange(int(dvia_starts[-1]), dtype=np.int64) - dvia_starts[stack_rep]
     )
     return dvia_starts, stack_rep, stack_layer
-
-
-def route_requests(requests: Sequence[ConnectionRequest],
-                   config: RouterConfig, half_perimeter: float,
-                   net_starts: Sequence[int] = (0,),
-                   protected: Optional[Sequence[bool]] = None
-                   ) -> RoutingArrays:
-    """Route connection requests into one :class:`RoutingArrays`.
-
-    ``net_starts`` groups the requests into routed nets (CSR offsets; the
-    default is a single entry).  Each entry is named after its first request
-    and driven from that request's source, with the shared driver via stack
-    reaching the highest H layer of its connections; a request naming
-    another net keeps that name on its connection.  A ``None`` stub hint
-    defaults to the partner endpoint; given hints keep their objects, so
-    the lazily materialized nets equal — and pickle byte-identically to —
-    nets assembled one connection at a time (the ``route_connection``
-    oracle in ``tests/build_oracle.py``).  No requests route to no nets.
-    """
-    if not requests:
-        return RoutingArrays.from_nets({})
-    m = len(requests)
-    names = [req[0] for req in requests]
-    sources = [req[2] for req in requests]
-    targets = [req[3] for req in requests]
-    sx = np.asarray([p.x for p in sources], dtype=np.float64)
-    sy = np.asarray([p.y for p in sources], dtype=np.float64)
-    tx = np.asarray([p.x for p in targets], dtype=np.float64)
-    ty = np.asarray([p.y for p in targets], dtype=np.float64)
-    h = np.asarray([req[4][0] for req in requests], dtype=np.int64)
-    v = np.asarray([req[4][1] for req in requests], dtype=np.int64)
-    columns = _connection_columns(h, v, config, half_perimeter, sx, sy, tx, ty)
-
-    starts = np.asarray(net_starts, dtype=np.int64)
-    entry_names = [names[i] for i in starts.tolist()]
-    driver_points = [sources[i] for i in starts.tolist()]
-    dvia_starts, stack_rep, stack_layer = _driver_stacks(
-        h, starts, config.pin_layer
-    )
-    owner = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, m)))
-    conn_net_names = (
-        names if any(names[i] != entry_names[o]
-                     for i, o in enumerate(owner.tolist()))
-        else None
-    )
-
-    default = np.asarray(
-        [req[5] is None and req[6] is None for req in requests], dtype=bool
-    )
-    source_hints = [req[5] if req[5] is not None else req[3] for req in requests]
-    target_hints = [req[6] if req[6] is not None else req[2] for req in requests]
-    driver_x = sx[starts]
-    driver_y = sy[starts]
-    return RoutingArrays(
-        net_names=entry_names,
-        conn_starts=np.append(starts, m),
-        driver_x=driver_x,
-        driver_y=driver_y,
-        has_driver=np.ones(len(starts), dtype=bool),
-        driver_points=driver_points,
-        dvia_starts=dvia_starts,
-        dvia_x=driver_x[stack_rep],
-        dvia_y=driver_y[stack_rep],
-        dvia_lower=stack_layer,
-        dvia_upper=stack_layer + 1,
-        sink_refs=[req[1] for req in requests],
-        sx=sx, sy=sy, tx=tx, ty=ty,
-        h_layer=h,
-        v_layer=v,
-        protected=(np.asarray(protected, dtype=np.uint8) if protected is not None
-                   else np.zeros(m, dtype=np.uint8)),
-        hint_sx=np.asarray([p.x for p in source_hints], dtype=np.float64),
-        hint_sy=np.asarray([p.y for p in source_hints], dtype=np.float64),
-        hint_tx=np.asarray([p.x for p in target_hints], dtype=np.float64),
-        hint_ty=np.asarray([p.y for p in target_hints], dtype=np.float64),
-        hint_src_present=np.ones(m, dtype=np.uint8),
-        hint_tgt_present=np.ones(m, dtype=np.uint8),
-        hint_default=default,
-        seg_starts=columns.seg_starts,
-        via_starts=columns.via_starts,
-        seg_layer=columns.seg_layer,
-        seg_x1=columns.seg_x1, seg_y1=columns.seg_y1,
-        seg_x2=columns.seg_x2, seg_y2=columns.seg_y2,
-        via_x=columns.via_x, via_y=columns.via_y,
-        via_lower=columns.via_lower, via_upper=columns.via_upper,
-        source_points=sources,
-        target_points=targets,
-        source_hint_points=None if default.all() else source_hints,
-        target_hint_points=None if default.all() else target_hints,
-        conn_net_names=conn_net_names,
-    )
 
 
 @dataclass
@@ -466,28 +347,7 @@ def _connection_columns(h: np.ndarray, v: np.ndarray, config: RouterConfig,
     dy = ty - sy
     lengths = np.abs(sx - tx) + np.abs(sy - ty)  # == manhattan(source, target)
 
-    # jogs = max(1, config.num_jogs(length, half_perimeter)) for every
-    # connection; int() truncates towards zero, as does the int64 cast.
-    if type(config) is RouterConfig:
-        if half_perimeter <= 0:
-            jogs = np.ones(m, dtype=np.int64)
-        else:
-            jogs = 1 + (
-                lengths / (config.jog_pitch_fraction * half_perimeter)
-            ).astype(np.int64)
-    else:  # subclassed policy: defer to the (possibly overridden) method
-        warn_once(
-            logger, f"router.num_jogs.loop:{type(config).__qualname__}",
-            f"router jog counting degraded to per-connection "
-            f"{type(config).__qualname__}.num_jogs() calls (subclassed "
-            f"RouterConfig may override the policy); geometry construction "
-            f"stays batched, results are unchanged",
-        )
-        jogs = np.asarray(
-            [config.num_jogs(float(length), half_perimeter) for length in lengths],
-            dtype=np.int64,
-        )
-    jogs = np.maximum(1, jogs)
+    jogs = _jog_counts(config, lengths, half_perimeter)
 
     abs_dx = np.abs(dx)
     abs_dy = np.abs(dy)
@@ -644,9 +504,12 @@ def _select_pairs(config: RouterConfig, lengths: np.ndarray,
     """(H, V) layer pair per connection, batched.
 
     ``lift`` holds the per-connection lift floor (``-1`` = unconstrained).
-    Reproduces :meth:`RouterConfig.pair_for_length` (strict ``ratio <
-    threshold`` scan == right-bisect over the thresholds) and
-    :meth:`RouterConfig.pair_for_lifted`.
+    An unconstrained connection takes the first pair whose threshold its
+    length ratio is below (a right-bisect over the thresholds, which
+    :class:`RouterConfig` keeps non-decreasing); a lifted one takes the lift
+    layer as a floor and is escalated one layer above it when longer than
+    ``lift_escalation_fraction``.  The seed router's per-connection scan is
+    kept as a scalar oracle in ``tests/build_oracle.py``.
     """
     m = len(lengths)
     pairs = np.asarray(config.layer_pairs, dtype=np.int64)
@@ -657,8 +520,8 @@ def _select_pairs(config: RouterConfig, lengths: np.ndarray,
         ratio = lengths / half_perimeter
         pick = np.searchsorted(thresholds, ratio, side="right")
         # A ratio past every threshold falls through to the *last* pair —
-        # even when there are fewer thresholds than pairs (the zip() scan of
-        # RouterConfig.pair_for_length stops at the shorter sequence).
+        # even when there are fewer thresholds than pairs (the seed router's
+        # zip() scan stops at the shorter sequence).
         pick = np.where(pick >= len(thresholds), len(pairs) - 1, pick)
     else:
         pick = np.zeros(m, dtype=np.int64)
@@ -681,39 +544,17 @@ def _select_pairs(config: RouterConfig, lengths: np.ndarray,
     return h, v
 
 
-def _selection_is_vectorizable(config: RouterConfig) -> bool:
-    """True when the batched pair selection reproduces the config's methods.
-
-    A subclass may override the policy methods, and the right-bisect trick
-    needs non-decreasing thresholds; anything else falls back to calling the
-    per-connection methods (geometry construction stays batched).
-    """
-    if type(config) is not RouterConfig:
-        return False
-    thresholds = config.length_thresholds[:len(config.layer_pairs)]
-    return all(a <= b for a, b in zip(thresholds, thresholds[1:]))
-
-
-def _selection_vectorizable_or_warn(config: RouterConfig) -> bool:
-    """:func:`_selection_is_vectorizable` plus the degradation warning."""
-    if type(config) is not RouterConfig:
-        warn_once(
-            logger, f"router.select_pairs.loop:{type(config).__qualname__}",
-            f"router layer-pair selection degraded to per-connection "
-            f"{type(config).__qualname__} method calls (subclassed "
-            f"RouterConfig may override the selection policy); geometry "
-            f"construction stays batched, results are unchanged",
-        )
-        return False
-    if not _selection_is_vectorizable(config):
-        warn_once(
-            logger, "router.select_pairs.loop:thresholds",
-            "router layer-pair selection degraded to per-connection method "
-            "calls (length_thresholds are not non-decreasing, the bisect "
-            "shortcut does not apply); results are unchanged",
-        )
-        return False
-    return True
+def _jog_counts(config: RouterConfig, lengths: np.ndarray,
+                half_perimeter: float) -> np.ndarray:
+    """Bends per connection: one plus one per ``jog_pitch_fraction`` of the
+    die half-perimeter of length, at least one, and exactly one when the die
+    has no extent.  The int64 cast truncates towards zero like ``int()``."""
+    if half_perimeter <= 0:
+        return np.ones(len(lengths), dtype=np.int64)
+    jogs = 1 + (
+        lengths / (config.jog_pitch_fraction * half_perimeter)
+    ).astype(np.int64)
+    return np.maximum(1, jogs)
 
 
 class _RoutingSkeleton:
@@ -831,8 +672,8 @@ class _RoutingSkeleton:
 
 def _route_with_skeleton(skeleton: _RoutingSkeleton,
                          placement: PlacementResult, config: RouterConfig,
-                         min_layer_per_net: Mapping[str, int],
-                         vectorizable: bool) -> Dict[str, RoutedNet]:
+                         min_layer_per_net: Mapping[str, int]
+                         ) -> Dict[str, RoutedNet]:
     """Route one placement through a (shared) routing skeleton.
 
     The geometry never leaves column form here: the returned dict holds lazy
@@ -859,17 +700,7 @@ def _route_with_skeleton(skeleton: _RoutingSkeleton,
         )
     else:
         lift = np.full(m, -1, dtype=np.int64)
-    if vectorizable:
-        h, v = _select_pairs(config, lengths, half_perimeter, lift)
-    else:
-        selected = [
-            config.pair_for_lifted(float(length), half_perimeter, int(net_lift))
-            if net_lift >= 0
-            else config.pair_for_length(float(length), half_perimeter)
-            for length, net_lift in zip(lengths, lift)
-        ]
-        h = np.asarray([pair[0] for pair in selected], dtype=np.int64)
-        v = np.asarray([pair[1] for pair in selected], dtype=np.int64)
+    h, v = _select_pairs(config, lengths, half_perimeter, lift)
 
     columns = _connection_columns(
         h, v, config, half_perimeter, sx, sy, tx, ty
@@ -948,10 +779,7 @@ def route(netlist: Netlist, placement: PlacementResult,
     config = config if config is not None else RouterConfig()
     min_layer_per_net = min_layer_per_net or {}
     skeleton = _RoutingSkeleton(netlist, placement)
-    return _route_with_skeleton(
-        skeleton, placement, config, min_layer_per_net,
-        _selection_vectorizable_or_warn(config),
-    )
+    return _route_with_skeleton(skeleton, placement, config, min_layer_per_net)
 
 
 def route_batch(netlist: Netlist, placements: Sequence[PlacementResult],
@@ -979,7 +807,6 @@ def route_batch(netlist: Netlist, placements: Sequence[PlacementResult],
     config = config if config is not None else RouterConfig()
     min_layer_per_net = min_layer_per_net or {}
     skeleton = _RoutingSkeleton(netlist, placements[0])
-    vectorizable = _selection_vectorizable_or_warn(config)
     results: List[Dict[str, RoutedNet]] = []
     for index, placement in enumerate(placements):
         member_skeleton = skeleton
@@ -992,6 +819,6 @@ def route_batch(netlist: Netlist, placements: Sequence[PlacementResult],
             )
             member_skeleton = _RoutingSkeleton(netlist, placement)
         results.append(_route_with_skeleton(
-            member_skeleton, placement, config, min_layer_per_net, vectorizable
+            member_skeleton, placement, config, min_layer_per_net
         ))
     return results

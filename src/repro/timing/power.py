@@ -18,10 +18,10 @@ nets, which this model captures directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.netlist.netlist import Netlist
-from repro.timing.sta import WireModel, DEFAULT_FANOUT_WIRELENGTH_UM
+from repro.timing.sta import WireModel, _net_length, _sink_pin_cap
 
 
 @dataclass
@@ -80,15 +80,8 @@ def estimate_power(
 
     switching_uw = 0.0
     for net_name, net in netlist.nets.items():
-        pin_cap_ff = 0.0
-        for sink_gate, sink_pin in net.sinks:
-            pin_cap_ff += netlist.gates[sink_gate].cell.pin(sink_pin).capacitance_ff
-        if net_lengths_um is not None and net_name in net_lengths_um:
-            length = net_lengths_um[net_name]
-            layer = net_layers.get(net_name, 2) if net_layers else 2
-        else:
-            length = DEFAULT_FANOUT_WIRELENGTH_UM * max(1, net.fanout)
-            layer = 2
+        pin_cap_ff = _sink_pin_cap(netlist, net)
+        length, layer = _net_length(net_name, netlist, net_lengths_um, net_layers)
         wire_cap_ff = wire_model.wire_capacitance(length, layer)
         total_cap_f = (pin_cap_ff + wire_cap_ff) * 1e-15
         alpha = toggle_rates.get(net_name, DEFAULT_TOGGLE_RATE)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.netlist.graph import topological_gate_order
-from repro.netlist.netlist import Netlist
+from repro.netlist.netlist import Net, Netlist
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,19 @@ class TimingReport:
 DEFAULT_FANOUT_WIRELENGTH_UM = 4.0
 
 
+def _sink_pin_cap(netlist: Netlist, net: Net) -> float:
+    """Summed input-pin capacitance (fF) of a net's gate sinks."""
+    pin_cap = 0.0
+    for sink_gate, sink_pin in net.sinks:
+        pin_cap += netlist.gates[sink_gate].cell.pin(sink_pin).capacitance_ff
+    return pin_cap
+
+
 def _net_length(net_name: str, netlist: Netlist,
                 net_lengths_um: Optional[Mapping[str, float]],
                 net_layers: Optional[Mapping[str, int]]) -> Tuple[float, int]:
+    """Routed (length, dominant layer) of a net, or the fanout-based
+    estimate on layer 2 when the net has no routed length."""
     if net_lengths_um is not None and net_name in net_lengths_um:
         layer = net_layers.get(net_name, 2) if net_layers else 2
         return net_lengths_um[net_name], layer
@@ -112,9 +122,7 @@ def static_timing_analysis(
     net_loads: Dict[str, float] = {}
     net_wire_delay: Dict[str, float] = {}
     for net_name, net in netlist.nets.items():
-        pin_cap = 0.0
-        for sink_gate, sink_pin in net.sinks:
-            pin_cap += netlist.gates[sink_gate].cell.pin(sink_pin).capacitance_ff
+        pin_cap = _sink_pin_cap(netlist, net)
         length, layer = _net_length(net_name, netlist, net_lengths_um, net_layers)
         wire_cap = wire_model.wire_capacitance(length, layer)
         wire_res = wire_model.wire_resistance(length, layer)

@@ -2,13 +2,18 @@
 
 These are the placer and router implementations the column builders
 replaced.  :func:`place_reference` folds, refines, spreads and legalizes
-with per-gate and per-net Python loops; :func:`route_reference` calls
-:func:`route_connection` once per 2-pin connection and assembles eager
-``RoutedNet`` object graphs.  :func:`routing_perturbation_reference`
-replays the routing-perturbation defense's hint re-aiming as an object walk
-over a materialized ``route()`` result.  Tests assert that
-:func:`repro.layout.placer.place`, :func:`repro.layout.router.route` (and
-their seed-batched twins), :func:`repro.layout.router.route_requests` and
+with per-gate and per-net Python loops; :func:`route_reference` picks each
+2-pin connection's layer pair with the scalar policy functions
+(:func:`pair_for_length`, :func:`pair_for_lifted`, :func:`num_jogs`), calls
+:func:`route_connection` once per connection and assembles eager
+``RoutedNet`` object graphs.  :func:`protected_routing_reference` is the
+protected layout's per-connection restore loop (lift floors, misleading
+stub hints, protected flags) on the same primitives, and
+:func:`routing_perturbation_reference` replays the routing-perturbation
+defense's hint re-aiming as an object walk over a materialized ``route()``
+result.  Tests assert that :func:`repro.layout.placer.place`,
+:func:`repro.layout.router.route` (and their seed-batched twins),
+:func:`repro.core.restore.build_protected_layout` and
 :func:`repro.defenses.routing_perturbation.routing_perturbation_defense`
 produce the same gate positions, the same segment/via graphs, the same
 stub hints and the same pickle bytes.
@@ -16,10 +21,11 @@ stub hints and the same pickle bytes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.randomizer import RandomizationResult
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.geometry import Point, manhattan
 from repro.layout.layout import Layout
@@ -41,8 +47,12 @@ from repro.layout.router import (
     Segment,
     SinkRef,
     Via,
+    _connection_columns,
+    _new_segments,
+    _new_vias,
     route,
 )
+from repro.netlist.cells import NUM_METAL_LAYERS
 from repro.netlist.netlist import Netlist
 from repro.utils.rng import make_rng
 
@@ -193,6 +203,43 @@ def place_reference(netlist: Netlist, floorplan: Optional[Floorplan] = None,
 # ---------------------------------------------------------------------------
 
 
+def pair_for_length(config: RouterConfig, length: float,
+                    half_perimeter: float) -> Tuple[int, int]:
+    """The (H, V) pair of an unconstrained connection: the first pair whose
+    threshold the length ratio is below, else the last pair."""
+    if half_perimeter <= 0:
+        return config.layer_pairs[0]
+    ratio = length / half_perimeter
+    for pair, threshold in zip(config.layer_pairs, config.length_thresholds):
+        if ratio < threshold:
+            return pair
+    return config.layer_pairs[-1]
+
+
+def pair_for_lifted(config: RouterConfig, length: float, half_perimeter: float,
+                    lift_layer: int) -> Tuple[int, int]:
+    """The (H, V) pair of a connection lifted to ``lift_layer``.
+
+    The lift layer is a *floor*: a connection long enough to deserve a
+    higher pair anyway keeps that higher pair, and very long lifted
+    connections are promoted one layer above the lift layer (detour routing
+    of the restored BEOL wiring).
+    """
+    natural_h, _natural_v = pair_for_length(config, length, half_perimeter)
+    h_layer = max(natural_h, lift_layer)
+    if half_perimeter > 0 and length / half_perimeter >= config.lift_escalation_fraction:
+        h_layer = max(h_layer, min(lift_layer + 1, NUM_METAL_LAYERS - 1))
+    v_layer = min(h_layer + 1, NUM_METAL_LAYERS)
+    return (h_layer, v_layer)
+
+
+def num_jogs(config: RouterConfig, length: float, half_perimeter: float) -> int:
+    """Number of bends in the route (at least one for non-degenerate L)."""
+    if half_perimeter <= 0:
+        return 1
+    return 1 + int(length / (config.jog_pitch_fraction * half_perimeter))
+
+
 def _via_stack(x: float, y: float, from_layer: int, to_layer: int) -> List[Via]:
     """Vias stacking straight up from ``from_layer`` to ``to_layer`` at (x, y)."""
     return [Via(x, y, layer, layer + 1) for layer in range(from_layer, to_layer)]
@@ -213,7 +260,7 @@ def route_connection(net: str, sink: SinkRef, source: Point, target: Point,
     """
     h_layer, v_layer = pair
     length = manhattan(source, target)
-    jogs = max(1, config.num_jogs(length, half_perimeter))
+    jogs = max(1, num_jogs(config, length, half_perimeter))
     segments: List[Segment] = []
     vias: List[Via] = []
 
@@ -310,9 +357,9 @@ def route_reference(netlist: Netlist, placement: PlacementResult,
         for sink_ref, target in targets:
             length = manhattan(source, target)
             if lift_layer is not None:
-                pair = config.pair_for_lifted(length, half_perimeter, lift_layer)
+                pair = pair_for_lifted(config, length, half_perimeter, lift_layer)
             else:
-                pair = config.pair_for_length(length, half_perimeter)
+                pair = pair_for_length(config, length, half_perimeter)
             connection = route_connection(
                 net_name, sink_ref, source, target, pair, config, half_perimeter
             )
@@ -324,6 +371,127 @@ def route_reference(netlist: Netlist, placement: PlacementResult,
             routed_net.driver_vias = _via_stack(
                 source.x, source.y, config.pin_layer, max_h_layer
             )
+        routed[net_name] = routed_net
+    return routed
+
+
+def kernel_connections(endpoints: Sequence[Tuple[Point, Point]],
+                       pairs: Sequence[Tuple[int, int]], config: RouterConfig,
+                       half_perimeter: float) -> List[RoutedConnection]:
+    """Route ``(source, target)`` endpoints on ``pairs`` through the shipped
+    staircase kernel (``repro.layout.router._connection_columns``) and wrap
+    each connection's column slices, built by the router's fast-path
+    constructors, in a :class:`RoutedConnection`.  Stub hints are not a
+    kernel input, so the wrappers carry none."""
+    sx, sy, tx, ty = (
+        np.asarray(values, dtype=np.float64)
+        for values in zip(*[(s.x, s.y, t.x, t.y) for s, t in endpoints])
+    )
+    h = np.asarray([pair[0] for pair in pairs], dtype=np.int64)
+    v = np.asarray([pair[1] for pair in pairs], dtype=np.int64)
+    columns = _connection_columns(h, v, config, half_perimeter, sx, sy, tx, ty)
+    segments = _new_segments(
+        columns.seg_layer.tolist(), columns.seg_x1.tolist(),
+        columns.seg_y1.tolist(), columns.seg_x2.tolist(), columns.seg_y2.tolist(),
+    )
+    vias = _new_vias(
+        columns.via_x.tolist(), columns.via_y.tolist(),
+        columns.via_lower.tolist(), columns.via_upper.tolist(),
+    )
+    seg_starts = columns.seg_starts.tolist()
+    via_starts = columns.via_starts.tolist()
+    return [
+        RoutedConnection(
+            net=f"n{i}", sink=(f"g{i}", "A"), source=source, target=target,
+            h_layer=pair[0], v_layer=pair[1],
+            segments=segments[seg_starts[i]:seg_starts[i + 1]],
+            vias=vias[via_starts[i]:via_starts[i + 1]],
+        )
+        for i, ((source, target), pair) in enumerate(zip(endpoints, pairs))
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Protected layout (restore through the BEOL)
+# ---------------------------------------------------------------------------
+
+
+def _sink_position(placement: PlacementResult, sink: SinkRef) -> Optional[Point]:
+    """Position of a sink (gate origin or primary-output pad)."""
+    if sink[0] == "PO":
+        return placement.port_positions.get(sink[1])
+    return placement.gate_positions.get(sink[0])
+
+
+def protected_routing_reference(randomization: RandomizationResult,
+                                placement: PlacementResult, lift_layer: int,
+                                config: Optional[RouterConfig] = None
+                                ) -> Dict[str, RoutedNet]:
+    """The protected layout's routing, assembled one connection at a time.
+
+    The original nets are routed over the erroneous netlist's placement.  A
+    swapped connection is lifted to ``lift_layer``, flagged ``protected``
+    and given misleading stub hints: the driver stub heads towards the first
+    placed sink the randomizer moved onto the net, the sink stub towards
+    its erroneous driver (an unplaced partner leaves the router default).
+    The honest sinks of randomized nets are lifted with true hints; every
+    other connection is routed by length.
+    """
+    config = config if config is not None else RouterConfig()
+    original = randomization.original
+    half_perimeter = placement.floorplan.half_perimeter_um
+    swapped = randomization.swapped_sinks()
+    #: erroneous net name -> sinks that were moved *onto* it by the randomizer
+    moved_onto: Dict[str, List[SinkRef]] = {}
+    for record in randomization.swaps:
+        moved_onto.setdefault(record.erroneous_net, []).append(record.sink)
+
+    routed: Dict[str, RoutedNet] = {}
+    for net_name, net in original.nets.items():
+        source = _terminal_position(original, placement, net_name)
+        if source is None:
+            continue
+        targets: List[Tuple[SinkRef, Point, bool]] = []  # (sink, position, is_swapped)
+        for sink in net.sinks:
+            pos = _sink_position(placement, sink)
+            if pos is not None:
+                targets.append((sink, pos, sink in swapped
+                                and swapped[sink].original_net == net_name))
+        for po in net.primary_outputs:
+            pos = placement.port_positions.get(po)
+            if pos is not None:
+                targets.append((("PO", po), pos, False))
+        if not targets:
+            continue
+
+        routed_net = RoutedNet(name=net_name, driver_point=source)
+        for sink, target, is_swapped in targets:
+            length = manhattan(source, target)
+            source_hint: Optional[Point] = None
+            target_hint: Optional[Point] = None
+            if is_swapped:
+                record = swapped[sink]
+                pair = pair_for_lifted(config, length, half_perimeter, lift_layer)
+                for err_sink in moved_onto.get(net_name, []):
+                    hint_pos = _sink_position(placement, err_sink)
+                    if hint_pos is not None:
+                        source_hint = hint_pos
+                        break
+                target_hint = _terminal_position(
+                    randomization.erroneous, placement, record.erroneous_net
+                )
+            elif net_name in randomization.protected_nets:
+                pair = pair_for_lifted(config, length, half_perimeter, lift_layer)
+            else:
+                pair = pair_for_length(config, length, half_perimeter)
+            connection = route_connection(
+                net_name, sink, source, target, pair, config, half_perimeter,
+                source_hint, target_hint,
+            )
+            connection.protected = is_swapped
+            routed_net.connections.append(connection)
+        top = max([config.pin_layer] + [c.h_layer for c in routed_net.connections])
+        routed_net.driver_vias = _via_stack(source.x, source.y, config.pin_layer, top)
         routed[net_name] = routed_net
     return routed
 

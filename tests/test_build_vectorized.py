@@ -1,7 +1,7 @@
 """Equivalence suite: vectorized place-and-route vs the per-object oracles.
 
-The vectorized build path (``place`` / ``route`` / ``route_requests``) must
-be **bit-exact** with the seed implementations kept in
+The vectorized build path (``place`` / ``route`` and its staircase kernel)
+must be **bit-exact** with the seed implementations kept in
 ``tests/build_oracle.py`` as ``place_reference`` / ``route_reference`` /
 ``route_connection`` — same gate ordering, identical IEEE coordinates,
 identical segment/via object graphs.
@@ -16,13 +16,18 @@ import random
 
 import pytest
 
-from build_oracle import place_reference, route_connection, route_reference
+from build_oracle import (
+    kernel_connections,
+    place_reference,
+    route_connection,
+    route_reference,
+)
 from repro.circuits import iscas85_netlist
 from repro.circuits.iscas85 import ISCAS85_PROFILES
 from repro.layout.floorplan import build_floorplan
 from repro.layout.geometry import Point
 from repro.layout.placer import PlacerConfig, place
-from repro.layout.router import RouterConfig, route, route_requests
+from repro.layout.router import RouterConfig, route
 
 ISCAS_CIRCUITS = tuple(ISCAS85_PROFILES)
 FAST_CIRCUITS = ("c432", "c880")
@@ -235,19 +240,12 @@ def test_empty_batch():
     assert route_batch(netlist, []) == []
 
 
-def _routed_connections(requests, config, half_perimeter):
-    """The connections of ``requests`` routed as one ``route_requests`` net,
-    materialized from the columns."""
-    routing = route_requests(requests, config, half_perimeter).lazy_nets()
-    return [c for routed in routing.values() for c in routed.connections]
-
-
 class TestConnectionBatch:
-    """Batched ``route_requests`` columns vs per-connection route_connection."""
+    """The batched staircase kernel vs per-connection route_connection."""
 
-    def _random_requests(self, rng, count, span=100.0):
-        requests = []
-        for i in range(count):
+    def _random_connections(self, rng, count, span=100.0):
+        endpoints, pairs = [], []
+        for _ in range(count):
             source = Point(rng.uniform(0, span), rng.uniform(0, span))
             kind = rng.randrange(4)
             if kind == 0:      # degenerate (same point)
@@ -258,50 +256,36 @@ class TestConnectionBatch:
                 target = Point(source.x, rng.uniform(0, span))
             else:              # general staircase
                 target = Point(rng.uniform(0, span), rng.uniform(0, span))
-            pair = rng.choice(RouterConfig().layer_pairs)
-            hints = (
-                (Point(1.0, 2.0), None), (None, Point(3.0, 4.0)), (None, None)
-            )[rng.randrange(3)]
-            requests.append(
-                (f"n{i}", (f"g{i}", "A"), source, target, pair, *hints)
-            )
-        return requests
+            endpoints.append((source, target))
+            pairs.append(rng.choice(RouterConfig().layer_pairs))
+        return endpoints, pairs
 
     @pytest.mark.parametrize("seed", range(3))
     def test_batch_matches_per_connection(self, seed):
         rng = random.Random(seed)
         config = RouterConfig()
         half_perimeter = 200.0
-        requests = self._random_requests(rng, 200)
-        batched = _routed_connections(requests, config, half_perimeter)
-        assert len(batched) == len(requests)
-        for request, got in zip(requests, batched):
+        endpoints, pairs = self._random_connections(rng, 200)
+        batched = kernel_connections(endpoints, pairs, config, half_perimeter)
+        assert len(batched) == len(endpoints)
+        for (source, target), pair, got in zip(endpoints, pairs, batched):
             expected = route_connection(
-                request[0], request[1], request[2], request[3], request[4],
-                config, half_perimeter,
-                source_hint=request[5], target_hint=request[6],
+                got.net, got.sink, source, target, pair, config, half_perimeter
             )
             assert got.segments == expected.segments
             assert got.vias == expected.vias
-            assert got.source_hint == expected.source_hint
-            assert got.target_hint == expected.target_hint
             assert got.h_layer == expected.h_layer
             assert got.v_layer == expected.v_layer
 
     def test_zero_half_perimeter(self):
         config = RouterConfig()
-        requests = [
-            ("n0", ("g0", "A"), Point(0.0, 0.0), Point(5.0, 7.0), (2, 3), None, None)
-        ]
-        batched = _routed_connections(requests, config, 0.0)
+        source, target = Point(0.0, 0.0), Point(5.0, 7.0)
+        (got,) = kernel_connections([(source, target)], [(2, 3)], config, 0.0)
         expected = route_connection(
-            "n0", ("g0", "A"), Point(0.0, 0.0), Point(5.0, 7.0), (2, 3), config, 0.0
+            "n0", ("g0", "A"), source, target, (2, 3), config, 0.0
         )
-        assert batched[0].segments == expected.segments
-        assert batched[0].vias == expected.vias
-
-    def test_empty_batch(self):
-        assert route_requests([], RouterConfig(), 100.0).lazy_nets() == {}
+        assert got.segments == expected.segments
+        assert got.vias == expected.vias
 
 
 def test_selection_with_fewer_thresholds_than_pairs():
@@ -314,22 +298,6 @@ def test_selection_with_fewer_thresholds_than_pairs():
     netlist = iscas85_netlist("c432", seed=1)
     placement = place(netlist, config=PlacerConfig(seed=1))
     config = RouterConfig(length_thresholds=(0.05, 0.1))  # 5 pairs, 2 thresholds
-    assert_routings_identical(
-        route_reference(netlist, placement, config),
-        route(netlist, placement, config),
-    )
-
-
-def test_selection_fallback_for_subclassed_config():
-    """A subclassed router policy still routes identically (method fallback)."""
-
-    class TightJogs(RouterConfig):
-        def num_jogs(self, length, half_perimeter):
-            return 2 + super().num_jogs(length, half_perimeter)
-
-    netlist = iscas85_netlist("c432", seed=1)
-    placement = place(netlist, config=PlacerConfig(seed=1))
-    config = TightJogs()
     assert_routings_identical(
         route_reference(netlist, placement, config),
         route(netlist, placement, config),

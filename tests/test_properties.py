@@ -2,12 +2,21 @@
 
 import math
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from build_oracle import (
+    kernel_connections,
+    num_jogs,
+    pair_for_length,
+    pair_for_lifted,
+    route_connection,
+)
 from repro.circuits.random_logic import RandomLogicSpec, generate_random_logic
-from repro.layout.geometry import Point, Rect, bounding_box, half_perimeter, manhattan
-from repro.layout.router import RouterConfig, route_requests
+from repro.layout.geometry import Point, bounding_box, half_perimeter, manhattan
+from repro.layout.router import RouterConfig, _jog_counts, _select_pairs
+from repro.netlist.cells import NUM_METAL_LAYERS
 from repro.metrics.solution_space import (
     log10_num_perfect_matchings,
     log10_solution_space_from_candidates,
@@ -66,6 +75,18 @@ class TestSolutionSpaceProperties:
         assert extended >= base
 
 
+#: Non-decreasing length thresholds, fewer than the five layer pairs included.
+thresholds = st.lists(
+    st.floats(min_value=0, max_value=1.5, allow_nan=False), max_size=5
+).map(lambda values: tuple(sorted(values)))
+#: (length, lift floor) per connection; -1 means unconstrained.
+connections = st.lists(
+    st.tuples(st.floats(min_value=0, max_value=600, allow_nan=False),
+              st.sampled_from([-1, 2, 3, 4, 5, 6, 7, 8, 9])),
+    min_size=1, max_size=30,
+)
+
+
 class TestRouterProperties:
     @given(
         st.floats(min_value=0, max_value=200, allow_nan=False),
@@ -77,31 +98,53 @@ class TestRouterProperties:
     @settings(max_examples=60, suppress_health_check=[HealthCheck.filter_too_much])
     def test_route_length_equals_manhattan_distance(self, x1, y1, x2, y2, pair):
         config = RouterConfig()
-        (routed,) = route_requests(
-            [("n", ("g", "A"), Point(x1, y1), Point(x2, y2), pair, None, None)],
-            config, 400.0,
-        ).lazy_nets().values()
-        (connection,) = routed.connections
+        source, target = Point(x1, y1), Point(x2, y2)
+        (connection,) = kernel_connections([(source, target)], [pair], config, 400.0)
+        expected = route_connection(
+            "n0", ("g0", "A"), source, target, pair, config, 400.0
+        )
+        assert connection.segments == expected.segments
+        assert connection.vias == expected.vias
         # Manhattan-optimal: the staircase never overshoots.
         assert math.isclose(
-            connection.length, manhattan(Point(x1, y1), Point(x2, y2)),
+            connection.length, manhattan(source, target),
             rel_tol=1e-6, abs_tol=1e-6,
         )
         # Segments alternate between the two layers of the pair.
         assert {segment.layer for segment in connection.segments} <= set(pair)
 
     @given(
-        st.floats(min_value=0.1, max_value=400, allow_nan=False),
-        st.integers(min_value=2, max_value=8),
+        connections,
+        st.one_of(st.just(0.0), st.floats(min_value=1, max_value=400)),
+        thresholds,
+        st.floats(min_value=0.05, max_value=1.0),
+        st.floats(min_value=0, max_value=1.0),
     )
-    @settings(max_examples=60)
-    def test_layer_assignment_within_stack(self, length, lift_layer):
-        config = RouterConfig()
-        natural = config.pair_for_length(length, 400.0)
-        lifted = config.pair_for_lifted(length, 400.0, lift_layer)
-        assert 2 <= natural[0] < natural[1] <= 10
-        assert lifted[0] >= min(lift_layer, 9)
-        assert lifted[0] < lifted[1] <= 10
+    @settings(max_examples=150)
+    def test_layer_assignment_within_stack(self, conns, hp,
+                                           length_thresholds, jog_pitch,
+                                           escalation):
+        """The batched policy equals the seed router's scalar functions and
+        keeps every pair inside the metal stack."""
+        config = RouterConfig(
+            length_thresholds=length_thresholds, jog_pitch_fraction=jog_pitch,
+            lift_escalation_fraction=escalation,
+        )
+        lengths = np.asarray([length for length, _lift in conns], dtype=np.float64)
+        lift = np.asarray([lift for _length, lift in conns], dtype=np.int64)
+        h, v = _select_pairs(config, lengths, hp, lift)
+        expected = [
+            pair_for_lifted(config, length, hp, floor) if floor >= 0
+            else pair_for_length(config, length, hp)
+            for length, floor in conns
+        ]
+        assert list(zip(h.tolist(), v.tolist())) == expected
+        assert ((2 <= h) & (h < v) & (v <= NUM_METAL_LAYERS)).all()
+        lifted = lift >= 0
+        assert (h[lifted] >= np.minimum(lift[lifted], NUM_METAL_LAYERS - 1)).all()
+        assert _jog_counts(config, lengths, hp).tolist() == [
+            max(1, num_jogs(config, length, hp)) for length, _f in conns
+        ]
 
 
 class TestGeneratorProperties:

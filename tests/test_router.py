@@ -1,11 +1,12 @@
 """Tests for the global router."""
 
+import numpy as np
 import pytest
 
-from repro.layout.floorplan import build_floorplan
+from build_oracle import kernel_connections
 from repro.layout.geometry import Point
 from repro.layout.placer import PlacerConfig, place
-from repro.layout.router import RouterConfig, route, route_requests
+from repro.layout.router import RouterConfig, _jog_counts, _select_pairs, route
 from repro.netlist.cells import NUM_METAL_LAYERS
 
 
@@ -19,51 +20,52 @@ def routed_c432(c432_module=None):
     return netlist, placement, route(netlist, placement)
 
 
+def select(lengths, half_perimeter, lift=-1, config=None):
+    """``_select_pairs`` on ``lengths`` with one lift floor for all."""
+    lengths = np.asarray(lengths, dtype=np.float64)
+    return _select_pairs(
+        config if config is not None else RouterConfig(), lengths,
+        half_perimeter, np.full(len(lengths), lift, dtype=np.int64),
+    )
+
+
 class TestRouterConfig:
     def test_pair_for_length_monotonic(self):
-        config = RouterConfig()
-        hp = 100.0
-        pairs = [config.pair_for_length(length, hp) for length in (1, 20, 45, 70, 95)]
-        layers = [p[0] for p in pairs]
-        assert layers == sorted(layers)
-        assert pairs[0] == (2, 3)
+        h, v = select([1, 20, 45, 70, 95], 100.0)
+        assert h.tolist() == sorted(h.tolist())
+        assert (h[0], v[0]) == (2, 3)
 
     def test_pair_for_lifted_is_floor(self):
-        config = RouterConfig()
-        assert config.pair_for_lifted(1.0, 100.0, 6)[0] >= 6
+        assert select([1.0], 100.0, lift=6)[0][0] >= 6
         # A long net that would naturally sit higher keeps its natural pair.
-        natural = config.pair_for_length(90.0, 100.0)
-        lifted = config.pair_for_lifted(90.0, 100.0, 6)
-        assert lifted[0] >= natural[0]
+        assert select([90.0], 100.0, lift=6)[0][0] >= select([90.0], 100.0)[0][0]
 
     def test_lifted_escalation(self):
-        config = RouterConfig()
-        short = config.pair_for_lifted(5.0, 100.0, 8)
-        long = config.pair_for_lifted(60.0, 100.0, 8)
-        assert long[0] >= short[0]
-        assert long[1] <= NUM_METAL_LAYERS
+        h, v = select([5.0, 60.0], 100.0, lift=8)
+        assert h[1] >= h[0]
+        assert v.max() <= NUM_METAL_LAYERS
 
     def test_num_jogs_grows_with_length(self):
-        config = RouterConfig()
-        assert config.num_jogs(5.0, 100.0) <= config.num_jogs(80.0, 100.0)
-        assert config.num_jogs(5.0, 100.0) >= 1
+        jogs = _jog_counts(RouterConfig(), np.array([5.0, 80.0]), 100.0)
+        assert 1 <= jogs[0] <= jogs[1]
+
+    def test_decreasing_thresholds_rejected(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            RouterConfig(length_thresholds=(0.4, 0.2))
 
 
-def route_one(net, sink, source, target, pair, config, half_perimeter):
-    """One 2-pin connection routed by ``route_requests`` and materialized."""
-    (routed,) = route_requests(
-        [(net, sink, source, target, pair, None, None)], config, half_perimeter
-    ).lazy_nets().values()
-    (connection,) = routed.connections
+def route_one(source, target, pair, config, half_perimeter):
+    """One 2-pin connection through the shipped staircase kernel."""
+    (connection,) = kernel_connections(
+        [(source, target)], [pair], config, half_perimeter
+    )
     return connection
 
 
 class TestRouteConnection:
     def test_l_shape_route(self):
         config = RouterConfig()
-        connection = route_one(
-            "n", ("g", "A"), Point(0, 0), Point(10, 4), (2, 3), config, 100.0
-        )
+        connection = route_one(Point(0, 0), Point(10, 4), (2, 3), config, 100.0)
         assert connection.length == pytest.approx(14.0)
         layers = {segment.layer for segment in connection.segments}
         assert layers <= {2, 3}
@@ -73,33 +75,26 @@ class TestRouteConnection:
 
     def test_straight_route_has_no_bend(self):
         config = RouterConfig()
-        connection = route_one(
-            "n", ("g", "A"), Point(0, 0), Point(10, 0), (2, 3), config, 100.0
-        )
+        connection = route_one(Point(0, 0), Point(10, 0), (2, 3), config, 100.0)
         bend_vias = [v for v in connection.vias if v.lower == 2]
         assert not bend_vias
         assert connection.length == pytest.approx(10.0)
 
     def test_coincident_pins(self):
         config = RouterConfig()
-        connection = route_one(
-            "n", ("g", "A"), Point(5, 5), Point(5, 5), (2, 3), config, 100.0
-        )
+        connection = route_one(Point(5, 5), Point(5, 5), (2, 3), config, 100.0)
         assert connection.length == 0.0
 
-    def test_default_hints_point_at_partner(self):
-        config = RouterConfig()
-        connection = route_one(
-            "n", ("g", "A"), Point(0, 0), Point(10, 4), (2, 3), config, 100.0
-        )
-        assert connection.source_hint == Point(10, 4)
-        assert connection.target_hint == Point(0, 0)
+    def test_default_hints_point_at_partner(self, routed_c432):
+        _netlist, _placement, routing = routed_c432
+        for routed in routing.values():
+            for connection in routed.connections:
+                assert connection.source_hint is connection.target
+                assert connection.target_hint is connection.source
 
     def test_top_layer(self):
         config = RouterConfig()
-        connection = route_one(
-            "n", ("g", "A"), Point(0, 0), Point(30, 30), (6, 7), config, 100.0
-        )
+        connection = route_one(Point(0, 0), Point(30, 30), (6, 7), config, 100.0)
         assert connection.top_layer == 7
 
 

@@ -24,12 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from build_oracle import (
-    _via_stack,
-    route_connection,
+    protected_routing_reference,
     route_reference,
     routing_perturbation_reference,
 )
 from repro.circuits import iscas85_netlist
+from repro.circuits.iscas85 import ISCAS85_PROFILES
 from repro.layout.arrays import routing_backing
 from repro.layout.floorplan import build_floorplan
 from repro.layout.layout import build_layout, build_layout_batch
@@ -332,48 +332,63 @@ def _protect(netlist, **overrides):
     return protect(netlist, ProtectionConfig(**config))
 
 
-def test_protected_layout_shells_pickle_like_eager_nets(netlist, monkeypatch):
-    """The protected layout used to be assembled from eager RoutedNets built
-    by the per-connection router; its lazy shells must pickle to the very
-    same bytes, shared objects (placement points, hint points) included."""
-    from repro.core import restore
-    from repro.layout.router import RoutedNet
+def assert_protected_routing_matches_oracle(randomization, layout, lift_layer):
+    """The protected layout's routing equals the per-connection restore
+    oracle: hint and protected columns (read while the backing is still
+    clean), every net, and the routing after a pickle round trip."""
+    from repro.layout.arrays import RoutingArrays
 
-    calls = []
-    real = restore.route_requests
+    oracle = protected_routing_reference(
+        randomization, layout.placement, lift_layer
+    )
+    backing = routing_backing(layout.routing)
+    assert backing is not None
+    expected = RoutingArrays.from_nets(oracle)
+    for name in ("protected", "hint_sx", "hint_sy", "hint_tx", "hint_ty",
+                 "hint_src_present", "hint_tgt_present"):
+        ours, theirs = getattr(backing, name), getattr(expected, name)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+    assert backing.protected.sum() == len(randomization.swaps)
+    assert list(layout.routing) == list(oracle)
+    for name, net in oracle.items():
+        assert layout.routing[name] == net, name
+    assert pickle.loads(pickle.dumps(layout.routing)) == oracle
 
-    def spy(requests, config, half_perimeter, net_starts, protected):
-        calls.append((list(requests), config, half_perimeter,
-                      list(net_starts), list(protected)))
-        return real(requests, config, half_perimeter,
-                    net_starts=net_starts, protected=protected)
 
-    monkeypatch.setattr(restore, "route_requests", spy)
-    layout = _protect(netlist, build_naive_baseline=False).protected_layout
-    assert routing_backing(layout.routing) is not None
-    (requests, config, half_perimeter, starts, protected), = calls
-    assert any(protected)
+def test_protected_layout_shells_pickle_like_eager_nets(netlist):
+    """The protected layout of a ``protect`` run: its lazy shells
+    materialize, and survive a pickle round trip, equal to the eager nets of
+    the per-connection restore oracle."""
+    protection = _protect(netlist, build_naive_baseline=False)
+    assert_protected_routing_matches_oracle(
+        protection.randomization, protection.protected_layout, lift_layer=6
+    )
 
-    eager = {}
-    bounds = starts + [len(requests)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        connections = []
-        for request, is_protected in zip(requests[lo:hi], protected[lo:hi]):
-            connection = route_connection(
-                *request[:5], config, half_perimeter, request[5], request[6])
-            if is_protected:
-                connection.protected = True
-            connections.append(connection)
-        name, _sink, source = requests[lo][:3]
-        net = RoutedNet(name=name, driver_point=source, connections=connections)
-        top = max([config.pin_layer] + [c.h_layer for c in connections])
-        net.driver_vias = _via_stack(source.x, source.y, config.pin_layer, top)
-        eager[name] = net
 
-    assert list(layout.routing) == list(eager)
-    for name in list(eager)[:10]:
-        assert pickle.dumps(layout.routing[name]) == pickle.dumps(eager[name])
-    assert pickle.dumps(layout.routing) == pickle.dumps(eager)
+PROTECTED_FAST = ("c17", "c432", "c880")
+
+
+@pytest.mark.parametrize("name, scale, lift_layer", [
+    *[pytest.param(circuit, None, 6, id=circuit) for circuit in PROTECTED_FAST],
+    *[pytest.param(circuit, None, 6, id=circuit, marks=pytest.mark.slow)
+      for circuit in ISCAS85_PROFILES if circuit not in PROTECTED_FAST],
+    pytest.param("superblue18", 0.002, 8, id="superblue18@0.002",
+                 marks=pytest.mark.slow),
+])
+def test_protected_routing_matches_oracle(name, scale, lift_layer):
+    """``build_protected_layout`` (one ``route()`` call plus hint overrides)
+    vs the per-connection restore oracle, ISCAS-85 at lift 6 and a
+    superblue slice at lift 8."""
+    from repro.circuits import get_benchmark
+    from repro.core.randomizer import RandomizerConfig, randomize_netlist
+    from repro.core.restore import build_protected_layout
+
+    design = get_benchmark(name, seed=1, scale=scale)
+    randomization = randomize_netlist(design, RandomizerConfig(
+        min_swaps=max(2, len(design.gates) // 10), oer_patterns=256, seed=1,
+    ))
+    layout = build_protected_layout(randomization, lift_layer, seed=1)
+    assert_protected_routing_matches_oracle(randomization, layout, lift_layer)
 
 
 def test_attack_and_metric_pipeline_never_materializes(netlist):
