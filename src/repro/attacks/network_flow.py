@@ -19,11 +19,15 @@ It uses the hints the paper lists (Sec. 2):
    a configurable fraction of the die half-perimeter) are deprioritised, as
    they would violate the delay budget of the original design.
 
-The assignment is solved globally by ``scipy.optimize.linear_sum_assignment``
-(a shortest-augmenting-path solver) on a sink × (driver-slot) cost matrix,
-each driver repeated once per fanout slot — an equivalent formulation of
-the min-cost-flow problem — and the recovered netlist is rebuilt from the
-assignment so OER/HD can be measured.
+The assignment is the min-cost flow's: every sink takes one unit of a
+driver's fanout capacity at least total cost, with ties broken as Crouse's
+shortest-augmenting-path solver (``linear_sum_assignment`` on a sink ×
+driver-slot matrix, each driver repeated once per fanout slot) breaks them.
+When no driver is chosen more often than its capacity allows, that
+assignment is each sink's cheapest driver, lowest index first, read off the
+cost blocks as they are computed; otherwise an exact port of the solver runs
+on the whole matrix.  The recovered netlist is rebuilt from the assignment
+so OER/HD can be measured.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,8 +92,6 @@ class NetworkFlowAttackResult:
         return dict(self.assignment)
 
 
-T = TypeVar("T")
-
 #: Sink rows per cost block: a block's ``(rows, D)`` temporaries stay in
 #: cache instead of streaming ~15 full ``(S, D)`` arrays through memory.
 _BLOCK_ROWS = 32
@@ -138,14 +140,6 @@ def _run_blocks(num_rows: int, fill: Callable[[int, int], int]) -> int:
     if _WORKERS <= 1 or len(bounds) <= 1:
         return sum(fill(lo, hi) for lo, hi in bounds)
     return sum(_executor().map(lambda bound: fill(*bound), bounds))
-
-
-def _in_background(fn: Callable[..., T], *args) -> Callable[[], T]:
-    """Start ``fn(*args)`` on the pool; the returned callable waits for it."""
-    if _WORKERS <= 1:
-        value = fn(*args)
-        return lambda: value
-    return _executor().submit(fn, *args).result
 
 
 def _loop_bitmap(view: FEOLView) -> Tuple[Dict[str, int], np.ndarray]:
@@ -296,8 +290,9 @@ def build_cost_matrix(view: FEOLView,
     paper's hints applied as soft penalties) and ``excluded`` counts the
     infeasible pairs (loop-forming / load-violating / geometry-contradicting
     candidates) that were pinned to ``config.infeasible_cost``.
-    :func:`network_flow_attack` writes the same row blocks straight into its
-    driver-slot matrix instead of materializing this one.
+    :func:`network_flow_attack` keeps only each row's cheapest driver from
+    the same row blocks, and builds this matrix only when the fanout
+    capacities bind.
     """
     config = config if config is not None else NetworkFlowAttackConfig()
     num_sinks = len(view.sink_vpins)
@@ -355,39 +350,119 @@ def network_flow_attack(view: FEOLView,
         )
         return result
 
-    # Expand drivers into capacity slots and solve a rectangular assignment.
-    # Each cost block is repeated across its drivers' slots straight into its
-    # rows of the C-contiguous slot matrix (linear_sum_assignment would copy
-    # any other layout); no sink x driver matrix is kept.
     capacities = _driver_capacities(view, config)
-    slot_driver_index = np.repeat(np.arange(len(drivers), dtype=np.intp), capacities)
     kernel = _CostKernel(view, config)
-    cost = np.empty((len(sinks), slot_driver_index.size))
+    choice = np.empty(len(sinks), dtype=np.intp)
 
     def fill(lo: int, hi: int) -> int:
         block, excluded = kernel.block(lo, hi)
-        cost[lo:hi] = np.repeat(block, capacities, axis=1)
+        choice[lo:hi] = _cheapest_drivers(block)
         return excluded
 
     excluded = _run_blocks(len(sinks), fill)
-
-    # Imported here, not at module load: scipy.optimize is the package's
-    # only scipy use and costs about half a second of import time.
-    from scipy.optimize import linear_sum_assignment
-
-    # The copy the recovered netlist starts from does not depend on the
-    # assignment, and the solver releases the GIL: copy while it runs.
-    netlist = view.layout.netlist
-    copied = _in_background(netlist.copy, f"{netlist.name}_recovered")
-    row_ind, col_ind = linear_sum_assignment(cost)
-    assignment: Dict[int, int] = {}
-    for si, slot in zip(row_ind, col_ind):
-        driver = drivers[slot_driver_index[slot]]
-        assignment[sinks[si].identifier] = driver.identifier
-    result.assignment = assignment
+    if (np.bincount(choice, minlength=len(drivers)) > capacities).any():
+        choice = _exact_assignment(build_cost_matrix(view, config)[0], capacities)
+    result.assignment = {
+        sink.identifier: drivers[driver].identifier
+        for sink, driver in zip(sinks, choice.tolist())
+    }
     result.excluded_pairs = excluded
-    result.recovered_netlist = _rebuild_netlist(view, assignment, copied())
+    netlist = view.layout.netlist
+    result.recovered_netlist = _rebuild_netlist(
+        view, result.assignment, netlist.copy(f"{netlist.name}_recovered")
+    )
     return result
+
+
+def _cheapest_drivers(block: np.ndarray) -> np.ndarray:
+    """The lowest-index cheapest driver of every row of a cost block.
+
+    While no driver is chosen more often than its capacity, this is the
+    solver's assignment: with all duals still zero, each row's shortest
+    augmenting path is one step to the lowest free slot at its minimum, and
+    a driver's k-th use takes its k-th slot.  Raises ``ValueError`` where
+    the solver did: on a NaN or ``-inf`` cost (``argmin`` picks either) and
+    on a row without a finite cost.
+    """
+    choice = np.argmin(block, axis=1)
+    if not np.isfinite(block[np.arange(len(choice)), choice]).all():
+        raise ValueError(
+            "cost matrix has a NaN or -inf entry or a row without a finite cost"
+        )
+    return choice
+
+
+def _exact_assignment(costs: np.ndarray, capacities: np.ndarray) -> np.ndarray:
+    """Driver per row of the min-cost assignment of rows to driver slots.
+
+    A port of ``linear_sum_assignment``'s rectangular solver (Crouse's
+    shortest augmenting path) on the ``(S, slots)`` matrix that repeats driver ``d``'s cost
+    column ``capacities[d]`` times, read through the slot -> driver index
+    instead of built.  It keeps the solver's scan order, the order of its
+    floating-point operations and its tie rule, so it returns what
+    ``linear_sum_assignment`` returns on that matrix.  ``costs`` must hold
+    no NaN or ``-inf`` and ``capacities`` must sum to at least ``S``.
+    """
+    slot_driver = np.repeat(np.arange(costs.shape[1], dtype=np.intp), capacities)
+    num_rows, num_cols = costs.shape[0], slot_driver.size
+    u = np.zeros(num_rows)
+    v = np.zeros(num_cols)
+    path = np.full(num_cols, -1, dtype=np.intp)
+    col4row = np.full(num_rows, -1, dtype=np.intp)
+    row4col = np.full(num_cols, -1, dtype=np.intp)
+    for cur_row in range(num_rows):
+        # Reverse column order, so that ties go to the lowest free column.
+        remaining = np.arange(num_cols - 1, -1, -1, dtype=np.intp)
+        num_remaining = num_cols
+        shortest = np.full(num_cols, np.inf)
+        # The solver's SR and SC sets: the rows scanned and the columns
+        # settled on this row's path, each at most once.
+        visited_rows: List[int] = []
+        visited_cols: List[int] = []
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            visited_rows.append(i)
+            cols = remaining[:num_remaining]
+            reduced = ((min_val + costs[i, slot_driver[cols]]) - u[i]) - v[cols]
+            shorter = reduced < shortest[cols]
+            path[cols[shorter]] = i
+            shortest[cols[shorter]] = reduced[shorter]
+            # The solver's scan keeps the first tied minimum it meets unless
+            # a later one is unassigned: the last unassigned tie wins.
+            candidates = shortest[cols]
+            lowest = candidates.min()
+            if lowest == np.inf:
+                raise ValueError("cost matrix is infeasible")
+            ties = np.flatnonzero(candidates == lowest)
+            free = ties[row4col[cols[ties]] == -1]
+            index = int(free[-1] if free.size else ties[0])
+            min_val = float(lowest)
+            j = int(cols[index])
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = int(row4col[j])
+            visited_cols.append(j)
+            num_remaining -= 1
+            remaining[index] = remaining[num_remaining]
+
+        u[cur_row] += min_val
+        # Every visited row but the current one is assigned.
+        rows = np.asarray(visited_rows[1:], dtype=np.intp)
+        u[rows] += min_val - shortest[col4row[rows]]
+        columns = np.asarray(visited_cols, dtype=np.intp)
+        v[columns] -= min_val - shortest[columns]
+
+        j = sink
+        while True:
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, int(col4row[i])
+            if i == cur_row:
+                break
+    return slot_driver[col4row]
 
 
 def _rebuild_netlist(view: FEOLView, assignment: Dict[int, int],

@@ -193,23 +193,24 @@ def driver_capacities(view: FEOLView, config: NetworkFlowAttackConfig) -> np.nda
     return capacities
 
 
-def slot_cost_matrix(view: FEOLView, config: NetworkFlowAttackConfig
-                     ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """``(slot_costs, slot_driver_index, excluded)`` gathered with ``np.take``."""
-    capacities = driver_capacities(view, config)
+def slot_assignment(costs: np.ndarray, capacities: np.ndarray) -> np.ndarray:
+    """Driver per row: ``linear_sum_assignment`` on the matrix that repeats
+    driver ``d``'s cost column ``capacities[d]`` times (gathered with
+    ``np.take``)."""
+    from scipy.optimize import linear_sum_assignment
+
     slot_driver_index = np.repeat(
-        np.arange(len(view.driver_vpins), dtype=np.intp), capacities
+        np.arange(costs.shape[1], dtype=np.intp), capacities
     )
-    base_costs, excluded = build_cost_matrix(view, config)
-    return np.take(base_costs, slot_driver_index, axis=1), slot_driver_index, excluded
+    row_ind, col_ind = linear_sum_assignment(np.take(costs, slot_driver_index, axis=1))
+    assert np.array_equal(row_ind, np.arange(costs.shape[0]))
+    return slot_driver_index[col_ind]
 
 
 def network_flow_attack(view: FEOLView,
                         config: Optional[NetworkFlowAttackConfig] = None
                         ) -> NetworkFlowAttackResult:
     """The attack on the full-matrix kernel and the validating netlist copy."""
-    from scipy.optimize import linear_sum_assignment
-
     config = config if config is not None else NetworkFlowAttackConfig()
     drivers = view.driver_vpins
     sinks = view.sink_vpins
@@ -218,14 +219,13 @@ def network_flow_attack(view: FEOLView,
     if not drivers or not sinks:
         result.recovered_netlist = netlist_copy(netlist, f"{netlist.name}_recovered")
         return result
-    cost, slot_driver_index, excluded = slot_cost_matrix(view, config)
-    row_ind, col_ind = linear_sum_assignment(cost)
-    assignment: Dict[int, int] = {}
-    for si, slot in zip(row_ind, col_ind):
-        assignment[sinks[si].identifier] = drivers[slot_driver_index[slot]].identifier
-    result.assignment = assignment
+    costs, excluded = build_cost_matrix(view, config)
+    chosen = slot_assignment(costs, driver_capacities(view, config))
+    result.assignment = {
+        sink.identifier: drivers[driver].identifier for sink, driver in zip(sinks, chosen)
+    }
     result.excluded_pairs = excluded
-    result.recovered_netlist = _rebuild_netlist(view, assignment)
+    result.recovered_netlist = _rebuild_netlist(view, result.assignment)
     return result
 
 

@@ -1,15 +1,18 @@
 """Row-block attack kernels == the full-matrix oracles.
 
 :func:`repro.attacks.network_flow.build_cost_matrix` and the attack's
-driver-slot matrix are computed in row blocks (on a thread pool when the
-process may use more than one CPU), the loop hint reads an integer
-transitive closure, crouting counts candidates from one Chebyshev-distance
-block per sink block, and :func:`repro.netlist.graph.pseudo_topological_order`
-breaks cycles from a lazy heap.  The implementations they replaced live on
-in ``tests/attack_oracle.py`` and ``tests/graph_oracle.py``.  Every cost
-byte, excluded-pair count, assignment, recovered netlist, crouting field and
+cheapest driver per sink are computed in row blocks (on a thread pool when
+the process may use more than one CPU), the assignment falls back to a port
+of the shortest-augmenting-path solver when fanout capacities bind, the loop
+hint reads an integer transitive closure, crouting counts candidates from
+one Chebyshev-distance block per sink block, and
+:func:`repro.netlist.graph.pseudo_topological_order` breaks cycles from a
+lazy heap.  The implementations they replaced live on in
+``tests/attack_oracle.py`` (``linear_sum_assignment`` on the driver-slot
+matrix included) and ``tests/graph_oracle.py``.  Every cost byte,
+excluded-pair count, assignment, recovered netlist, crouting field and
 evaluation order must be identical, for every hint toggle, one and two
-worker threads, split layers 3-8 and empty views.
+worker threads, split layers 3-8, binding capacities and empty views.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import attack_oracle
 import graph_oracle
@@ -53,7 +57,7 @@ WORKERS = (1, 2)
 SUPERBLUE_SCALE = 0.002
 #: Largest view checked, a little above the largest the paper's quick flow
 #: attacks (1,445 sinks).  The oracle's ~15 full ``(S, D)`` temporaries and
-#: the 12x wider slot matrix both grow with S squared: at c7552's 3,686
+#: its 12x wider slot matrix both grow with S squared: at c7552's 3,686
 #: sinks they take several GB.
 MAX_SINKS = 1600
 
@@ -88,43 +92,15 @@ def check_cost_matrices(view, monkeypatch, configs=HINT_CONFIGS):
             assert excluded == expected_excluded, (config, workers)
 
 
-def slot_digest(cost: np.ndarray) -> str:
+def cost_digest(cost: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(cost)).hexdigest()
 
 
-def oracle_slot_digest(view, config) -> str:
-    """Digest of the oracle's ``np.take`` slot matrix, gathered in row
-    chunks so the full matrix is never held twice."""
-    base, _excluded = attack_oracle.build_cost_matrix(view, config)
-    slot_index = np.repeat(
-        np.arange(len(view.driver_vpins), dtype=np.intp),
-        attack_oracle.driver_capacities(view, config),
-    )
-    digest = hashlib.sha256()
-    for lo in range(0, base.shape[0], 64):
-        digest.update(np.take(base[lo:lo + 64], slot_index, axis=1))
-    return digest.hexdigest()
-
-
 def check_attack(view, config, workers, monkeypatch):
-    """Same slot matrix into the solver, same assignment, same netlist."""
-    import scipy.optimize
-
-    solve = scipy.optimize.linear_sum_assignment
-    received = []
-
-    def recording(cost):
-        assert cost.dtype == np.float64 and cost.flags["C_CONTIGUOUS"]
-        received.append(slot_digest(cost))
-        return solve(cost)
-
+    """Same assignment, in the same order, and the same recovered netlist."""
     expected = attack_oracle.network_flow_attack(view, config)
     monkeypatch.setattr(network_flow, "_WORKERS", workers)
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", recording)
     result = network_flow.network_flow_attack(view, config)
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", solve)
-    if view.sink_vpins:
-        assert received == [oracle_slot_digest(view, config)]
     assert result.assignment == expected.assignment
     assert list(result.assignment) == list(expected.assignment)
     assert result.excluded_pairs == expected.excluded_pairs
@@ -266,7 +242,7 @@ def test_concurrent_callers_share_the_pool(c880_layouts, monkeypatch):
 
 def _forked_cost_digest(view):
     network_flow._WORKERS = 2
-    return slot_digest(network_flow.build_cost_matrix(view)[0])
+    return cost_digest(network_flow.build_cost_matrix(view)[0])
 
 
 @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs fork")
@@ -277,11 +253,104 @@ def test_forked_child_builds_its_own_pool(c432_layouts, monkeypatch):
 
     view = extract_feol(c432_layouts["proposed"], 3)
     monkeypatch.setattr(network_flow, "_WORKERS", 2)
-    expected = slot_digest(network_flow.build_cost_matrix(view)[0])
+    expected = cost_digest(network_flow.build_cost_matrix(view)[0])
     assert network_flow._EXECUTOR is not None
     with multiprocessing.get_context("fork").Pool(1) as pool:
         result = pool.apply_async(_forked_cost_digest, (view,))
         assert result.get(timeout=120) == expected
+
+
+@pytest.mark.parametrize("fanout", (1, 2))
+@pytest.mark.parametrize("circuit", ("c432", "c880"))
+def test_binding_capacities_match_the_solver(circuit, fanout, request, monkeypatch):
+    """Fanout caps of 1 and 2 make some driver every sink's cheapest too
+    often, so every attack here runs the exact solver port."""
+    view = extract_feol(request.getfixturevalue(f"{circuit}_layouts")["proposed"], 3)
+    solve, solved = network_flow._exact_assignment, []
+
+    def counting(costs, capacities):
+        solved.append(1)
+        return solve(costs, capacities)
+
+    monkeypatch.setattr(network_flow, "_exact_assignment", counting)
+    for config in HINT_CONFIGS:
+        for workers in WORKERS:
+            check_attack(view, dataclasses.replace(
+                config, max_fanout_per_driver=fanout), workers, monkeypatch)
+    assert len(solved) == len(HINT_CONFIGS) * len(WORKERS)
+
+
+@st.composite
+def assignment_problems(draw):
+    """Small sink x driver cost matrices, ties everywhere, with big-M and
+    occasional ``+inf`` entries, and capacities that total at least S
+    (often exactly S)."""
+    capacities = draw(hnp.arrays(np.int64, st.integers(1, 6), elements=st.integers(1, 3)))
+    total = int(capacities.sum())
+    num_sinks = draw(st.just(total) | st.integers(1, total))
+    values = st.sampled_from((0.0, 1.0, 2.0, 3.0, 1e7, 1e7, np.inf))
+    costs = draw(hnp.arrays(np.float64, (num_sinks, capacities.size), elements=values))
+    return costs, capacities
+
+
+def _solved_or_error(solve, costs, capacities):
+    try:
+        return solve(costs, capacities)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=400, deadline=None)
+@given(assignment_problems())
+def test_assignment_equals_the_solver_on_the_slot_matrix(problem):
+    """The solver port always, and the cheapest-driver choice whenever no
+    driver is chosen beyond its capacity, return ``linear_sum_assignment``'s
+    drivers, and raise where it raises (a row without a finite cost, or no
+    finite assignment at all)."""
+    costs, capacities = problem
+    expected = _solved_or_error(attack_oracle.slot_assignment, costs, capacities)
+    exact = _solved_or_error(network_flow._exact_assignment, costs, capacities)
+
+    def cheapest(costs, capacities):
+        choice = network_flow._cheapest_drivers(costs)
+        if (np.bincount(choice, minlength=capacities.size) > capacities).any():
+            return network_flow._exact_assignment(costs, capacities)
+        return choice
+
+    combined = _solved_or_error(cheapest, costs, capacities)
+    for ours in (exact, combined):
+        if expected is ValueError:
+            assert ours is ValueError
+        else:
+            assert ours is not ValueError and np.array_equal(ours, expected)
+
+
+@pytest.mark.parametrize("poison", ("nan", "-inf", "inf row"))
+def test_invalid_costs_raise_like_the_solver(c432_layouts, poison, monkeypatch):
+    """``linear_sum_assignment`` rejected NaN and ``-inf`` costs and rows
+    without a finite cost; so does the attack, from any block and thread."""
+    view = extract_feol(c432_layouts["proposed"], 3)
+    row = len(view.sink_vpins) - 3
+    block = network_flow._CostKernel.block
+
+    def poisoned(self, lo, hi):
+        cost, excluded = block(self, lo, hi)
+        if lo <= row < hi:
+            if poison == "inf row":
+                cost[row - lo] = np.inf
+            else:
+                cost[row - lo, 7] = float(poison)
+        return cost, excluded
+
+    monkeypatch.setattr(network_flow._CostKernel, "block", poisoned)
+    config = network_flow.NetworkFlowAttackConfig()
+    costs, _excluded = network_flow.build_cost_matrix(view, config)
+    with pytest.raises(ValueError):
+        attack_oracle.slot_assignment(costs, network_flow._driver_capacities(view, config))
+    for workers in WORKERS:
+        monkeypatch.setattr(network_flow, "_WORKERS", workers)
+        with pytest.raises(ValueError):
+            network_flow.network_flow_attack(view, config)
 
 
 def test_loop_hint_excludes_reachable_pairs(c432_layouts):
