@@ -14,7 +14,7 @@ Python.  This module provides the columnar alternative:
 * :class:`LayoutArrays` — :class:`PlacementArrays` plus routed-segment and
   via columns (layer, length, owning-net index);
 * :class:`UniformGridIndex` — a uniform-grid spatial index over 2-D points
-  for batched Manhattan nearest-neighbor and range queries, with
+  for batched Manhattan nearest-neighbor queries, with
   first-occurrence (lowest index) tie-breaking that matches a naive
   ``for``-loop scan with a strict ``<`` comparison.
 
@@ -40,6 +40,7 @@ defenses must follow suit.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
@@ -74,20 +75,13 @@ class UniformGridIndex:
     result identical to a naive first-occurrence scan
     (``if distance < best: best = ...``) over the points in input order.
 
-    For small problems (``n * m`` distance evaluations below
-    :data:`BRUTE_FORCE_LIMIT`) nearest queries fall back to a chunked
-    vectorized brute-force pass, which has the same tie-breaking semantics
-    (``np.argmin`` returns the first minimum).
+    The ring walk runs as one array program per ring over every query still
+    active, so there is no per-query Python loop and no size-dependent
+    brute-force path.  Coordinates must be finite.
     """
 
-    #: Below this many pairwise distance evaluations a batched brute-force
-    #: pass beats the per-query ring walk.
-    BRUTE_FORCE_LIMIT = 1_000_000
-
     def __init__(self, xy: np.ndarray, cell_size: Optional[float] = None):
-        xy = np.ascontiguousarray(np.asarray(xy, dtype=np.float64))
-        if xy.ndim != 2 or xy.shape[1] != 2:
-            raise ValueError("xy must have shape (n, 2)")
+        xy = _finite_points(xy, "xy")
         self.xy = xy
         self.num_points = len(xy)
         if self.num_points == 0:
@@ -128,137 +122,111 @@ class UniformGridIndex:
         cells = np.floor((values - origin) / pitch).astype(np.int64)
         return np.clip(cells, 0, count - 1)
 
-    def _row_span(self, iy: int, x0: int, x1: int) -> np.ndarray:
-        """Point indices of cells ``(x0..x1, iy)`` — contiguous in the order array."""
-        base = iy * self.nx
-        return self._order[self._starts[base + x0]: self._starts[base + x1 + 1]]
-
-    # -- nearest ------------------------------------------------------------
     def nearest(self, query_xy: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Batched Manhattan nearest neighbor for every query point.
 
         Returns ``(indices, distances)``; ties resolve to the lowest point
         index (first occurrence in the input order).
+
+        Each ring ``r`` is one array program over the queries still active:
+        gather the CSR spans of the ring's cells (top and bottom row spans,
+        left and right column cells), expand them into (query, candidate)
+        pairs grouped by query, and take each query's lexicographic
+        ``(distance, index)`` minimum with two ``np.minimum.reduceat``
+        passes.  A query keeps the ring's winner when it is strictly closer,
+        or equally close with a lower index, and stops once the next ring's
+        distance lower bound ``(r - 1) * min_pitch`` strictly exceeds its
+        best distance, so ties in farther rings are still seen.
         """
         if self.num_points == 0:
             raise ValueError("nearest query on an empty index")
-        query = np.ascontiguousarray(np.asarray(query_xy, dtype=np.float64))
-        if query.ndim != 2 or query.shape[1] != 2:
-            raise ValueError("query_xy must have shape (m, 2)")
+        query = _finite_points(query_xy, "query_xy")
         m = len(query)
-        if m == 0:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-        if m * self.num_points <= self.BRUTE_FORCE_LIMIT:
-            return self._nearest_brute(query)
-        indices = np.empty(m, dtype=np.intp)
-        distances = np.empty(m, dtype=np.float64)
+        best_idx = np.full(m, -1, dtype=np.intp)
+        best_dist = np.full(m, math.inf, dtype=np.float64)
+        active = np.arange(m, dtype=np.intp)
         qix = self._axis_cells(query[:, 0], self.x_min, self.cell_x, self.nx)
         qiy = self._axis_cells(query[:, 1], self.y_min, self.cell_y, self.ny)
-        xs = self.xy[:, 0]
-        ys = self.xy[:, 1]
         min_pitch = min(self.cell_x, self.cell_y)
         max_ring = max(self.nx, self.ny)
-        for i in range(m):
-            qx = query[i, 0]
-            qy = query[i, 1]
-            cx = int(qix[i])
-            cy = int(qiy[i])
-            best_idx = -1
-            best_dist = math.inf
-            ring = 0
-            while True:
-                candidates = self._ring_candidates(cx, cy, ring)
-                if candidates.size:
-                    # Ascending original index so argmin == lowest-index tie.
-                    candidates = np.sort(candidates)
-                    dist = (
-                        np.abs(qx - xs[candidates]) + np.abs(qy - ys[candidates])
-                    )
-                    j = int(np.argmin(dist))
-                    d = float(dist[j])
-                    c = int(candidates[j])
-                    if d < best_dist or (d == best_dist and c < best_idx):
-                        best_dist = d
-                        best_idx = c
-                ring += 1
-                if ring > max_ring:
-                    break
-                # Points in ring ``r`` are at Manhattan distance of at least
-                # ``(r - 1) * min_pitch``; only stop once that lower bound
-                # *strictly* exceeds the best distance, so ties in farther
-                # rings (which could carry a lower index) are still seen.
-                if best_idx >= 0 and (ring - 1) * min_pitch > best_dist:
-                    break
-            indices[i] = best_idx
-            distances[i] = best_dist
-        return indices, distances
+        ring = 0
+        while active.size:
+            lo, hi = self._ring_spans(qix[active], qiy[active], ring)
+            lengths = hi - lo                      # one row per active query
+            counts = lengths.sum(axis=1)
+            has = np.flatnonzero(counts)
+            if has.size:
+                rows = active[has]
+                sizes = counts[has]
+                flat_len = lengths.ravel()
+                # Position of every candidate in ``_order``: its span's start
+                # plus its rank inside that span.
+                shift = np.repeat(
+                    lo.ravel() - (np.cumsum(flat_len) - flat_len), flat_len
+                )
+                candidates = self._order[np.arange(shift.size) + shift]
+                owner = np.repeat(rows, sizes)
+                dist = (
+                    np.abs(query[owner, 0] - self.xy[candidates, 0])
+                    + np.abs(query[owner, 1] - self.xy[candidates, 1])
+                )
+                group_starts = np.cumsum(sizes) - sizes
+                d = np.minimum.reduceat(dist, group_starts)
+                tied = np.where(dist == np.repeat(d, sizes), candidates,
+                                self.num_points)
+                c = np.minimum.reduceat(tied, group_starts)
+                prev = best_dist[rows]
+                better = (d < prev) | ((d == prev) & (c < best_idx[rows]))
+                best_dist[rows[better]] = d[better]
+                best_idx[rows[better]] = c[better]
+            ring += 1
+            if ring > max_ring:
+                break
+            # Points in ring ``r`` are at Manhattan distance of at least
+            # ``(r - 1) * min_pitch``; only stop once that lower bound
+            # *strictly* exceeds the best distance.
+            bound = (ring - 1) * min_pitch
+            done = (best_idx[active] >= 0) & (bound > best_dist[active])
+            active = active[~done]
+        return best_idx, best_dist
 
-    def _ring_candidates(self, cx: int, cy: int, ring: int) -> np.ndarray:
-        """Point indices of the cells at Chebyshev cell-distance ``ring``."""
-        if ring == 0:
-            return self._row_span(cy, cx, cx)
-        spans: List[np.ndarray] = []
-        x0 = max(cx - ring, 0)
-        x1 = min(cx + ring, self.nx - 1)
-        top = cy - ring
-        bottom = cy + ring
-        if top >= 0:
-            spans.append(self._row_span(top, x0, x1))
-        if bottom <= self.ny - 1 and bottom != top:
-            spans.append(self._row_span(bottom, x0, x1))
-        y0 = max(top + 1, 0)
-        y1 = min(bottom - 1, self.ny - 1)
-        left = cx - ring
-        right = cx + ring
-        for iy in range(y0, y1 + 1):
-            if left >= 0:
-                spans.append(self._row_span(iy, left, left))
-            if right <= self.nx - 1 and right != left:
-                spans.append(self._row_span(iy, right, right))
-        if not spans:
-            return np.empty(0, dtype=np.intp)
-        return np.concatenate(spans)
+    def _ring_spans(self, cx: np.ndarray, cy: np.ndarray,
+                    ring: int) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR ``[lo, hi)`` spans of the cells at Chebyshev distance ``ring``.
 
-    def _nearest_brute(self, query: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Chunked vectorized brute force (same tie-breaking as the grid walk)."""
-        m = len(query)
-        indices = np.empty(m, dtype=np.intp)
-        distances = np.empty(m, dtype=np.float64)
-        chunk = max(1, self.BRUTE_FORCE_LIMIT // max(self.num_points, 1))
-        xs = self.xy[:, 0][None, :]
-        ys = self.xy[:, 1][None, :]
-        for start in range(0, m, chunk):
-            stop = min(start + chunk, m)
-            block = query[start:stop]
-            dist = (
-                np.abs(block[:, 0][:, None] - xs)
-                + np.abs(block[:, 1][:, None] - ys)
-            )
-            idx = np.argmin(dist, axis=1)
-            indices[start:stop] = idx
-            distances[start:stop] = dist[np.arange(len(block)), idx]
-        return indices, distances
-
-    # -- range --------------------------------------------------------------
-    def query_radius(self, x: float, y: float, radius: float) -> np.ndarray:
-        """Indices of all points within Manhattan distance ``radius`` of (x, y).
-
-        Returned in ascending index order.
+        One row per query; cells off the grid give empty spans.  The top
+        and bottom rows contribute one span each, the rows in between their
+        left and right column cells.
         """
-        if self.num_points == 0 or radius < 0:
-            return np.empty(0, dtype=np.intp)
-        x0 = int(np.clip(math.floor((x - radius - self.x_min) / self.cell_x), 0, self.nx - 1))
-        x1 = int(np.clip(math.floor((x + radius - self.x_min) / self.cell_x), 0, self.nx - 1))
-        y0 = int(np.clip(math.floor((y - radius - self.y_min) / self.cell_y), 0, self.ny - 1))
-        y1 = int(np.clip(math.floor((y + radius - self.y_min) / self.cell_y), 0, self.ny - 1))
-        spans = [self._row_span(iy, x0, x1) for iy in range(y0, y1 + 1)]
-        candidates = np.concatenate(spans) if spans else np.empty(0, dtype=np.intp)
-        if not candidates.size:
-            return candidates
-        dist = (
-            np.abs(x - self.xy[candidates, 0]) + np.abs(y - self.xy[candidates, 1])
-        )
-        return np.sort(candidates[dist <= radius])
+        nx, ny, starts = self.nx, self.ny, self._starts
+        rows = cy[:, None] + np.arange(-ring, ring + 1)
+        on_grid = (rows >= 0) & (rows < ny)
+        edge = np.zeros(2 * ring + 1, dtype=bool)
+        edge[[0, -1]] = True
+        base = np.clip(rows, 0, ny - 1) * nx
+        left = (cx - ring)[:, None]
+        right = (cx + ring)[:, None]
+        lo, hi = [], []
+        for first, last, keep in (
+            (left, right, on_grid & edge),
+            (left, left, on_grid & ~edge & (left >= 0)),
+            (right, right, on_grid & ~edge & (right < nx)),
+        ):
+            first = base + np.clip(first, 0, nx - 1)
+            last = base + np.clip(last, 0, nx - 1)
+            lo.append(np.where(keep, starts[first], 0))
+            hi.append(np.where(keep, starts[last + 1], 0))
+        return np.concatenate(lo, axis=1), np.concatenate(hi, axis=1)
+
+
+def _finite_points(xy: np.ndarray, name: str) -> np.ndarray:
+    """``xy`` as a contiguous ``(n, 2)`` float64 array of finite coordinates."""
+    xy = np.ascontiguousarray(np.asarray(xy, dtype=np.float64))
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"{name} must have shape (n, 2)")
+    if not np.isfinite(xy).all():
+        raise ValueError(f"{name} contains non-finite coordinates")
+    return xy
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +331,73 @@ class PlacementSkeleton:
         )
 
 
+#: The skeleton :meth:`PlacementSkeleton.build` produced last, as an
+#: immutable ``(weakref to netlist, topology_version, skeleton)`` tuple.  One
+#: entry on purpose: a seed sweep places one netlist many times, and a
+#: per-netlist cache would pin a skeleton for every netlist a long-lived
+#: Workspace ever touches.
+_last_built: Optional[Tuple["weakref.ref[Netlist]", int, PlacementSkeleton]] = None
+
+
+def _relabelled_skeleton(netlist: Netlist,
+                         placement: "PlacementResult") -> Optional[PlacementSkeleton]:
+    """The last built skeleton relabelled to ``placement``'s gate order.
+
+    Connection pairs and HPWL terminals follow the netlist's net order, not
+    the gate order, so when ``placement`` places exactly the base skeleton's
+    gates (in any order) against the same netlist topology and port list, a
+    fresh build equals the base with every gate index mapped through one
+    gather.  Returns None when that does not hold.
+    """
+    last = _last_built
+    if last is None:
+        return None
+    ref, version, base = last
+    gate_names = list(placement.gate_positions)
+    num_gates = len(gate_names)
+    if (ref() is not netlist or version != netlist.topology_version
+            or base.missing_gates
+            or num_gates != len(base.gate_names)
+            or base.port_names != list(placement.port_positions)):
+        return None
+    base_index = base.gate_index
+    try:
+        old_of_new = np.fromiter(
+            (base_index[name] for name in gate_names),
+            dtype=np.intp, count=num_gates,
+        )
+    except KeyError:
+        return None
+    new_of_old = np.empty(num_gates, dtype=np.intp)
+    new_of_old[old_of_new] = np.arange(num_gates, dtype=np.intp)
+    term_indices = base.term_indices.copy()
+    is_gate = term_indices < num_gates
+    term_indices[is_gate] = new_of_old[term_indices[is_gate]]
+    return PlacementSkeleton(
+        gate_names=gate_names,
+        gate_index={name: i for i, name in enumerate(gate_names)},
+        gate_widths=base.gate_widths[old_of_new],
+        missing_gates=[],
+        port_names=base.port_names,
+        port_index=base.port_index,
+        net_names=base.net_names,
+        net_index_by_name=base.net_index_by_name,
+        pair_driver=new_of_old[base.pair_driver],
+        pair_sink=new_of_old[base.pair_sink],
+        pair_net=base.pair_net,
+        term_indices=term_indices,
+        term_offsets=base.term_offsets,
+    )
+
+
 def _placement_skeleton(netlist: Netlist,
                         placement: "PlacementResult") -> PlacementSkeleton:
-    """Cached :class:`PlacementSkeleton` (survives geometry-only edits)."""
+    """Cached :class:`PlacementSkeleton` (survives geometry-only edits).
+
+    A placement of the same gates as the last built skeleton (every seed of a
+    sweep) gets that skeleton relabelled instead of a new netlist walk.
+    """
+    global _last_built
     key = (
         netlist.name,
         netlist.topology_version,
@@ -375,7 +407,10 @@ def _placement_skeleton(netlist: Netlist,
     cached = placement.__dict__.get("_skeleton_cache")
     if cached is not None and cached[0] == key:
         return cached[1]
-    skeleton = PlacementSkeleton.build(netlist, placement)
+    skeleton = _relabelled_skeleton(netlist, placement)
+    if skeleton is None:
+        skeleton = PlacementSkeleton.build(netlist, placement)
+        _last_built = (weakref.ref(netlist), netlist.topology_version, skeleton)
     placement.__dict__["_skeleton_cache"] = (key, skeleton)
     return skeleton
 

@@ -2,7 +2,9 @@
 
 These are the proximity, network-flow and crouting implementations the
 grid-index and row-block kernels replaced.  The proximity oracle is the
-per-pair double loop over the FEOL view's vpins.  The network-flow oracle
+per-pair double loop over the FEOL view's vpins; ``grid_nearest_reference``
+is the per-query ring walk over a :class:`UniformGridIndex` that the
+one-program-per-ring ``nearest`` replaced.  The network-flow oracle
 builds the whole ``(S, D)`` cost matrix with one broadcast per hint,
 evaluates the loop hint on a networkx reachability graph through
 :func:`graph_oracle.transitive_closure_bitmap`, and gathers the
@@ -24,6 +26,7 @@ from graph_oracle import netlist_copy, transitive_closure_bitmap
 from repro.attacks.crouting import CRoutingAttackConfig, CRoutingAttackResult
 from repro.attacks.network_flow import NetworkFlowAttackConfig, NetworkFlowAttackResult
 from repro.attacks.proximity import ProximityAttackResult
+from repro.layout.arrays import UniformGridIndex
 from repro.layout.geometry import manhattan
 from repro.netlist.netlist import Netlist
 from repro.sm.split import FEOLView, VPin, feol_arrays
@@ -328,3 +331,79 @@ def proximity_attack_reference(view: FEOLView) -> ProximityAttackResult:
         if best_driver is not None:
             result.assignment[sink.identifier] = best_driver
     return result
+
+
+def _ring_candidates(index: UniformGridIndex, cx: int, cy: int,
+                     ring: int) -> np.ndarray:
+    """Point indices of the cells at Chebyshev cell-distance ``ring``."""
+    def row_span(iy: int, x0: int, x1: int) -> np.ndarray:
+        base = iy * index.nx
+        return index._order[index._starts[base + x0]: index._starts[base + x1 + 1]]
+
+    if ring == 0:
+        return row_span(cy, cx, cx)
+    spans: List[np.ndarray] = []
+    x0 = max(cx - ring, 0)
+    x1 = min(cx + ring, index.nx - 1)
+    top = cy - ring
+    bottom = cy + ring
+    if top >= 0:
+        spans.append(row_span(top, x0, x1))
+    if bottom <= index.ny - 1 and bottom != top:
+        spans.append(row_span(bottom, x0, x1))
+    left = cx - ring
+    right = cx + ring
+    for iy in range(max(top + 1, 0), min(bottom - 1, index.ny - 1) + 1):
+        if left >= 0:
+            spans.append(row_span(iy, left, left))
+        if right <= index.nx - 1 and right != left:
+            spans.append(row_span(iy, right, right))
+    if not spans:
+        return np.empty(0, dtype=np.intp)
+    return np.concatenate(spans)
+
+
+def grid_nearest_reference(index: UniformGridIndex,
+                           query_xy: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The historical per-query ring walk of ``UniformGridIndex.nearest``.
+
+    One Python loop per query: expand Chebyshev rings of cells, keep the
+    ring's first-occurrence minimum when it is strictly closer (or equally
+    close with a lower index), and stop once ``(ring - 1) * min_pitch``
+    strictly exceeds the best distance.
+    """
+    query = np.asarray(query_xy, dtype=np.float64)
+    m = len(query)
+    indices = np.empty(m, dtype=np.intp)
+    distances = np.empty(m, dtype=np.float64)
+    qix = index._axis_cells(query[:, 0], index.x_min, index.cell_x, index.nx)
+    qiy = index._axis_cells(query[:, 1], index.y_min, index.cell_y, index.ny)
+    xs = index.xy[:, 0]
+    ys = index.xy[:, 1]
+    min_pitch = min(index.cell_x, index.cell_y)
+    max_ring = max(index.nx, index.ny)
+    for i in range(m):
+        qx = query[i, 0]
+        qy = query[i, 1]
+        best_idx = -1
+        best_dist = math.inf
+        ring = 0
+        while True:
+            candidates = _ring_candidates(index, int(qix[i]), int(qiy[i]), ring)
+            if candidates.size:
+                candidates = np.sort(candidates)
+                dist = np.abs(qx - xs[candidates]) + np.abs(qy - ys[candidates])
+                j = int(np.argmin(dist))
+                d = float(dist[j])
+                c = int(candidates[j])
+                if d < best_dist or (d == best_dist and c < best_idx):
+                    best_dist = d
+                    best_idx = c
+            ring += 1
+            if ring > max_ring:
+                break
+            if best_idx >= 0 and (ring - 1) * min_pitch > best_dist:
+                break
+        indices[i] = best_idx
+        distances[i] = best_dist
+    return indices, distances

@@ -1,13 +1,16 @@
 """Tests for the columnar geometry core (``repro.layout.arrays``).
 
-Three groups:
+Four groups:
 
-* property tests comparing :class:`UniformGridIndex` nearest/range queries
-  against brute force on random point sets (including heavy ties);
+* property tests comparing :class:`UniformGridIndex` nearest queries
+  against brute force on random point sets (including heavy ties) and
+  against the per-query ring walk it replaced;
 * legacy-vs-columnar equivalence tests — proximity assignments, connected
   gate distances, distance stats, HPWL, legality, wirelength — on **every**
   ISCAS-85 circuit in the registry;
-* the ``geometry_version`` invalidation contract.
+* the ``geometry_version`` invalidation contract;
+* placement skeletons relabelled from the last build, which must equal a
+  fresh build in every case.
 """
 
 import math
@@ -17,19 +20,32 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from attack_oracle import proximity_attack_reference
+from attack_oracle import grid_nearest_reference, proximity_attack_reference
 from repro.attacks.proximity import proximity_attack
-from repro.circuits import iscas85_netlist
+from repro.circuits import get_benchmark, iscas85_netlist
 from repro.circuits.iscas85 import ISCAS85_PROFILES
+from repro.layout import arrays as arrays_module
 from repro.layout import build_layout
-from repro.layout.arrays import UniformGridIndex, placement_arrays
+from repro.layout.arrays import (
+    PlacementSkeleton,
+    UniformGridIndex,
+    placement_arrays,
+)
 from repro.layout.geometry import Point, manhattan
-from repro.layout.placer import check_legality, placement_hpwl
+from repro.layout.layout import build_layout_batch
+from repro.layout.placer import (
+    PlacementResult,
+    check_legality,
+    place_batch,
+    placement_hpwl,
+)
 from repro.metrics.distances import distance_histogram, distance_stats
 from repro.metrics.wirelength import wirelength_by_layer
 from repro.netlist.cells import NUM_METAL_LAYERS
-from repro.sm.split import FEOLView, VPin, extract_feol
+from repro.sm.split import FEOLView, VPin, extract_feol, feol_arrays
 
 ISCAS_CIRCUITS = tuple(ISCAS85_PROFILES)
 
@@ -53,18 +69,23 @@ def iscas_layouts():
 
 
 def _brute_nearest(points, queries):
-    """First-occurrence Manhattan nearest, the reference semantics."""
+    """First-occurrence Manhattan nearest, the reference semantics.
+
+    ``np.argmin`` returns the first minimum, the same answer as a ``for``
+    loop over the points with a strict ``<``; chunked so thousands of
+    points times thousands of queries stay small.
+    """
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    queries = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
     indices = []
     distances = []
-    for qx, qy in queries:
-        best_i, best_d = -1, math.inf
-        for i, (px, py) in enumerate(points):
-            d = abs(qx - px) + abs(qy - py)
-            if d < best_d:
-                best_d = d
-                best_i = i
-        indices.append(best_i)
-        distances.append(best_d)
+    for start in range(0, len(queries), 256):
+        block = queries[start:start + 256]
+        dist = (np.abs(block[:, :1] - points[:, 0])
+                + np.abs(block[:, 1:] - points[:, 1]))
+        best = np.argmin(dist, axis=1)
+        indices.extend(best.tolist())
+        distances.extend(dist[np.arange(len(block)), best].tolist())
     return indices, distances
 
 
@@ -94,21 +115,6 @@ class TestUniformGridIndex:
         assert got_idx.tolist() == want_idx
         assert got_dist.tolist() == want_dist
 
-    def test_nearest_forced_ring_walk_matches_brute_force(self):
-        """Push past BRUTE_FORCE_LIMIT=0 so the grid ring walk itself is used."""
-        rng = random.Random(42)
-        points = _random_points(rng, 300, snap=5.0)
-        queries = _random_points(rng, 150, snap=5.0)
-        index = UniformGridIndex(np.asarray(points))
-        try:
-            index.BRUTE_FORCE_LIMIT = 0
-            got_idx, got_dist = index.nearest(np.asarray(queries))
-        finally:
-            del index.BRUTE_FORCE_LIMIT
-        want_idx, want_dist = _brute_nearest(points, queries)
-        assert got_idx.tolist() == want_idx
-        assert got_dist.tolist() == want_dist
-
     def test_tie_breaks_to_lowest_index(self):
         # Four candidates at identical distance 1 from the query; a duplicate
         # pair guarantees an exact tie no matter the float representation.
@@ -117,21 +123,6 @@ class TestUniformGridIndex:
         idx, dist = index.nearest(np.asarray([(1.0, 1.0)]))
         assert idx[0] == 0
         assert dist[0] == 1.0
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_query_radius_matches_brute_force(self, seed):
-        rng = random.Random(100 + seed)
-        points = _random_points(rng, rng.randrange(1, 300), snap=2.0)
-        index = UniformGridIndex(np.asarray(points))
-        for _ in range(50):
-            qx = rng.uniform(-10.0, 110.0)
-            qy = rng.uniform(-10.0, 110.0)
-            radius = rng.uniform(0.0, 40.0)
-            want = sorted(
-                i for i, (px, py) in enumerate(points)
-                if abs(qx - px) + abs(qy - py) <= radius
-            )
-            assert index.query_radius(qx, qy, radius).tolist() == want
 
     def test_collinear_points_stay_bounded_and_correct(self):
         """Near-collinear sets must not blow the grid up to O(span) cells."""
@@ -156,7 +147,64 @@ class TestUniformGridIndex:
         index = UniformGridIndex(np.empty((0, 2)))
         with pytest.raises(ValueError):
             index.nearest(np.asarray([(0.0, 0.0)]))
-        assert index.query_radius(0.0, 0.0, 10.0).size == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_are_rejected(self, bad):
+        points = np.asarray([(0.0, 0.0), (bad, 1.0), (2.0, 2.0)])
+        with pytest.raises(ValueError, match="xy contains non-finite"):
+            UniformGridIndex(points)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_queries_are_rejected(self, bad):
+        index = UniformGridIndex(np.asarray([(0.0, 0.0), (2.0, 2.0)]))
+        with pytest.raises(ValueError, match="query_xy contains non-finite"):
+            index.nearest(np.asarray([(1.0, 1.0), (1.0, bad)]))
+
+    def test_empty_query_batch(self):
+        index = UniformGridIndex(np.asarray([(0.0, 0.0), (2.0, 2.0)]))
+        idx, dist = index.nearest(np.empty((0, 2)))
+        assert idx.size == 0 and dist.size == 0
+
+
+@st.composite
+def nearest_problems(draw):
+    """Point and query sets on an integer lattice, so exact ties are common.
+
+    Shapes: square boxes, a 1000:3 aspect ratio and collinear sets; queries
+    reach past the points' bounding box.  A small lattice makes duplicate
+    points likely.
+    """
+    num_points = draw(st.one_of(st.integers(1, 40), st.integers(1, 3000)))
+    num_queries = draw(st.one_of(st.integers(0, 40), st.integers(0, 3000)))
+    shape = draw(st.sampled_from(["square", "wide", "collinear"]))
+    lattice = draw(st.integers(1, 60))
+    pitch = draw(st.sampled_from([1.0, 0.5, 7.25]))
+    margin = draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width, height = {
+        "square": (lattice, lattice),
+        "wide": (1000 * lattice, 3),
+        "collinear": (lattice, 0),
+    }[shape]
+    points = np.column_stack([
+        rng.integers(0, width + 1, num_points),
+        rng.integers(0, height + 1, num_points),
+    ]) * pitch
+    queries = np.column_stack([
+        rng.integers(-margin, width + margin + 1, num_queries),
+        rng.integers(-margin, height + margin + 1, num_queries),
+    ]) * pitch
+    return points.astype(np.float64), queries.astype(np.float64)
+
+
+@settings(max_examples=120, deadline=None)
+@given(nearest_problems())
+def test_nearest_matches_brute_force_property(problem):
+    points, queries = problem
+    got_idx, got_dist = UniformGridIndex(points).nearest(queries)
+    want_idx, want_dist = _brute_nearest(points, queries)
+    assert got_idx.tolist() == want_idx
+    assert got_dist.tolist() == want_dist
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +387,23 @@ def test_proximity_tie_breaks_to_first_driver(iscas_layouts):
     assert proximity_attack_reference(view).assignment == {20: 10}
 
 
+def test_proximity_matches_ring_walk_on_batched_superblue_views():
+    """The ring program equals the per-query walk on four seeds' M6 views."""
+    netlist = get_benchmark("superblue18", seed=1, scale=0.002)
+    for layout in build_layout_batch(netlist, [1, 2, 3, 4]):
+        view = extract_feol(layout, 6)
+        arrays = feol_arrays(view)
+        grid = arrays.driver_grid()
+        got_idx, got_dist = grid.nearest(arrays.sink_xy)
+        want_idx, want_dist = grid_nearest_reference(grid, arrays.sink_xy)
+        assert got_idx.tolist() == want_idx.tolist()
+        assert got_dist.tolist() == want_dist.tolist()
+        assert proximity_attack(view).assignment == {
+            int(sink): int(driver)
+            for sink, driver in zip(arrays.sink_ids, arrays.driver_ids[want_idx])
+        }
+
+
 # ---------------------------------------------------------------------------
 # geometry_version invalidation contract
 # ---------------------------------------------------------------------------
@@ -417,3 +482,108 @@ def test_distance_histogram_matches_legacy_binning():
         legacy[min(int(num_bins * value / top), num_bins - 1)] += 1
     assert distance_histogram(values, num_bins) == legacy
     assert distance_histogram([], num_bins) == [0] * num_bins
+
+
+# ---------------------------------------------------------------------------
+# Placement skeletons relabelled from the last build
+# ---------------------------------------------------------------------------
+
+
+def _assert_fresh(netlist, placement):
+    """``placement_arrays`` equals a view built from a fresh skeleton."""
+    got = placement_arrays(netlist, placement)
+    fresh = PlacementSkeleton.build(netlist, placement)
+    for name in PlacementSkeleton.__dataclass_fields__:
+        have, want = getattr(got.skeleton, name), getattr(fresh, name)
+        if isinstance(want, np.ndarray):
+            assert have.dtype == want.dtype, name
+            assert have.tolist() == want.tolist(), name
+        else:
+            assert have == want, name
+    combined = np.concatenate([got.gate_xy, got.port_xy])
+    assert got.term_x.tolist() == combined[fresh.term_indices, 0].tolist()
+    assert got.term_y.tolist() == combined[fresh.term_indices, 1].tolist()
+    return got.skeleton
+
+
+def _copy_placement(placement, gate_positions=None, port_positions=None):
+    return PlacementResult(
+        floorplan=placement.floorplan,
+        gate_positions=dict(placement.gate_positions
+                            if gate_positions is None else gate_positions),
+        port_positions=dict(placement.port_positions
+                            if port_positions is None else port_positions),
+    )
+
+
+class TestSkeletonRelabel:
+    @pytest.fixture()
+    def netlist(self, monkeypatch):
+        monkeypatch.setattr(arrays_module, "_last_built", None)
+        return iscas85_netlist("c432", seed=1)
+
+    def test_every_batch_seed_equals_a_fresh_build(self, netlist):
+        placements = place_batch(netlist, [1, 2, 3, 4])
+        orders = {tuple(p.gate_positions) for p in placements}
+        assert len(orders) > 1  # the seeds really do reorder the gates
+        first = _assert_fresh(netlist, placements[0])
+        for placement in placements[1:]:
+            skeleton = _assert_fresh(netlist, placement)
+            assert skeleton.net_names is first.net_names  # relabelled
+
+    def test_extra_and_missing_gates_build_fresh(self, netlist):
+        base, other = place_batch(netlist, [1, 2])
+        extra = {**other.gate_positions, "ghost": Point(0.0, 0.0)}
+        missing = dict(other.gate_positions)
+        missing.pop(next(iter(missing)))
+        for gates in (extra, missing):
+            _assert_fresh(netlist, _copy_placement(base))
+            _assert_fresh(netlist, _copy_placement(other, gates))
+        # A base holding a gate the netlist lacks is not relabelled either.
+        _assert_fresh(netlist, _copy_placement(other, extra))
+        reordered = {**base.gate_positions, "ghost": Point(0.0, 0.0)}
+        assert _assert_fresh(netlist, _copy_placement(base, reordered)).missing_gates == [
+            "ghost"
+        ]
+
+    def test_different_port_list_builds_fresh(self, netlist):
+        base, other = place_batch(netlist, [1, 2])
+        _assert_fresh(netlist, base)
+        ports = list(other.port_positions.items())
+        _assert_fresh(netlist, _copy_placement(other, port_positions=ports[::-1]))
+        _assert_fresh(netlist, _copy_placement(other, port_positions=ports[1:]))
+
+    def test_netlist_copy_with_the_same_name_builds_fresh(self, netlist):
+        """A same-named copy at the same version but another topology."""
+        base, other = place_batch(netlist, [1, 2])
+        clone = netlist.copy()
+        assert clone.name == netlist.name
+        spare = 0
+        clone.add_net("spare0")
+        while clone.topology_version != netlist.topology_version:
+            spare += 1
+            lower = min(clone, netlist, key=lambda n: n.topology_version)
+            lower.add_net(f"spare{spare}")
+        _assert_fresh(netlist, base)
+        _assert_fresh(clone, other)
+
+    def test_topology_edit_between_builds(self, netlist):
+        base, other = place_batch(netlist, [1, 2])
+        _assert_fresh(netlist, base)
+        gate, pin = next(
+            (name, g.input_pin_names[0]) for name, g in netlist.gates.items()
+            if g.input_pin_names and g.net_on(g.input_pin_names[0]) is not None
+        )
+        old_net = netlist.gates[gate].net_on(pin)
+        target = next(name for name, net in netlist.nets.items()
+                      if name != old_net and net.driver is not None)
+        netlist.move_sink(gate, pin, target)
+        _assert_fresh(netlist, other)
+
+    def test_interleaved_netlists(self, netlist):
+        other_netlist = iscas85_netlist("c499", seed=1)
+        a1, a2 = place_batch(netlist, [1, 2])
+        (b1,) = place_batch(other_netlist, [1])
+        _assert_fresh(netlist, a1)
+        _assert_fresh(other_netlist, b1)
+        _assert_fresh(netlist, a2)
