@@ -39,7 +39,7 @@ from attack_oracle import proximity_attack_reference  # noqa: E402
 from repro.attacks.proximity import proximity_attack  # noqa: E402
 from repro.circuits.superblue import superblue_netlist  # noqa: E402
 from repro.layout import build_layout  # noqa: E402
-from repro.layout.geometry import manhattan  # noqa: E402
+from repro.layout.geometry import Point, manhattan  # noqa: E402
 from repro.layout.placer import placement_hpwl  # noqa: E402
 from repro.metrics.distances import distance_stats  # noqa: E402
 from repro.sm.split import extract_feol  # noqa: E402
@@ -61,27 +61,31 @@ def _timeit(fn: Callable[[], object], repeat: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Seed-equivalent legacy implementations (the pre-columnar hot paths).
+# Seed-equivalent legacy implementations (the pre-columnar hot paths).  They
+# walk plain name -> Point dicts, built once from the placement's position
+# views outside the timed region, as the seed's placements were.
 # ---------------------------------------------------------------------------
 
 
-def _legacy_connected_gate_distances(layout) -> List[float]:
+def _legacy_connected_gate_distances(netlist, gate_positions: Dict[str, Point]
+                                     ) -> List[float]:
     distances: List[float] = []
-    for _net_name, net in layout.netlist.nets.items():
+    for _net_name, net in netlist.nets.items():
         if net.driver is None:
             continue
-        driver_pos = layout.placement.gate_positions.get(net.driver[0])
+        driver_pos = gate_positions.get(net.driver[0])
         if driver_pos is None:
             continue
         for sink_gate, _pin in net.sinks:
-            sink_pos = layout.placement.gate_positions.get(sink_gate)
+            sink_pos = gate_positions.get(sink_gate)
             if sink_pos is not None:
                 distances.append(manhattan(driver_pos, sink_pos))
     return distances
 
 
-def _legacy_distance_stats(layout) -> Dict[str, float]:
-    values = _legacy_connected_gate_distances(layout)
+def _legacy_distance_stats(netlist, gate_positions: Dict[str, Point]
+                           ) -> Dict[str, float]:
+    values = _legacy_connected_gate_distances(netlist, gate_positions)
     if not values:
         return {"mean": 0.0, "median": 0.0, "std_dev": 0.0}
     return {
@@ -91,28 +95,29 @@ def _legacy_distance_stats(layout) -> Dict[str, float]:
     }
 
 
-def _legacy_placement_hpwl(netlist, placement) -> float:
+def _legacy_placement_hpwl(netlist, gate_positions: Dict[str, Point],
+                           port_positions: Dict[str, Point]) -> float:
     total = 0.0
     for net in netlist.nets.values():
         xs: List[float] = []
         ys: List[float] = []
         if net.driver is not None:
-            p = placement.gate_positions.get(net.driver[0])
+            p = gate_positions.get(net.driver[0])
             if p is not None:
                 xs.append(p.x)
                 ys.append(p.y)
         elif net.is_primary_input:
-            p = placement.port_positions.get(net.name)
+            p = port_positions.get(net.name)
             if p is not None:
                 xs.append(p.x)
                 ys.append(p.y)
         for sink_gate, _pin in net.sinks:
-            p = placement.gate_positions.get(sink_gate)
+            p = gate_positions.get(sink_gate)
             if p is not None:
                 xs.append(p.x)
                 ys.append(p.y)
         for po in net.primary_outputs:
-            p = placement.port_positions.get(po)
+            p = port_positions.get(po)
             if p is not None:
                 xs.append(p.x)
                 ys.append(p.y)
@@ -138,6 +143,8 @@ def bench_config(benchmark: str, scale: float, seed: int,
     netlist = superblue_netlist(benchmark, scale=scale, seed=seed)
     layout = build_layout(netlist, seed=seed)
     view = extract_feol(layout, SPLIT_LAYER)
+    gate_positions = dict(layout.placement.gate_positions)
+    port_positions = dict(layout.placement.port_positions)
     num_sinks = len(view.sink_vpins)
     num_drivers = len(view.driver_vpins)
     _log.info(
@@ -150,7 +157,7 @@ def bench_config(benchmark: str, scale: float, seed: int,
         proximity_attack_reference(view).assignment
     ), "columnar proximity attack diverged from the reference loop"
     assert layout.connected_gate_distances() == (
-        _legacy_connected_gate_distances(layout)
+        _legacy_connected_gate_distances(netlist, gate_positions)
     ), "columnar distances diverged from the reference loop"
 
     timings: Dict[str, float] = {}
@@ -170,7 +177,8 @@ def bench_config(benchmark: str, scale: float, seed: int,
     )
 
     timings["distance_stats_legacy_s"] = _timeit(
-        lambda: _legacy_distance_stats(layout), max(1, repeat // 3)
+        lambda: _legacy_distance_stats(netlist, gate_positions),
+        max(1, repeat // 3)
     )
 
     def distances_cold():
@@ -184,7 +192,8 @@ def bench_config(benchmark: str, scale: float, seed: int,
     )
 
     timings["hpwl_legacy_s"] = _timeit(
-        lambda: _legacy_placement_hpwl(netlist, layout.placement), max(1, repeat // 3)
+        lambda: _legacy_placement_hpwl(netlist, gate_positions, port_positions),
+        max(1, repeat // 3)
     )
 
     def hpwl_cold():

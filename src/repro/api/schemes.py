@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-import numpy as np
 
 from repro.api.registry import DEFENSES
 from repro.core.flow import ProtectionConfig, ProtectionResult, protect
@@ -218,9 +217,10 @@ def batch_placement_deltas(netlist: Netlist, params: OriginalParams,
     netlist/floorplan skeleton stays implicit (the parent regenerates it from
     the same inputs), so the only bytes crossing the process boundary per
     seed are three flat arrays — gate indices in placement insertion order
-    plus x/y coordinates.  ``float64`` arrays round-trip through pickle
-    bit-exactly, so :func:`builds_from_placement_deltas` reconstructs
-    placements bit-identical to the worker's.
+    plus x/y coordinates, which are the placement's own columns.  ``float64``
+    arrays round-trip through pickle bit-exactly, so
+    :func:`builds_from_placement_deltas` adopts them as placements
+    bit-identical to the worker's.
 
     Returns:
         ``{"seeds", "orders", "xs", "ys"}`` with one entry per seed.
@@ -233,38 +233,25 @@ def batch_placement_deltas(netlist: Netlist, params: OriginalParams,
     placements = place_batch(
         netlist, list(seeds), floorplan, params.utilization, PlacerConfig()
     )
-    gate_index = {name: i for i, name in enumerate(netlist.gates)}
-    orders: List[np.ndarray] = []
-    xs: List[np.ndarray] = []
-    ys: List[np.ndarray] = []
-    for placement in placements:
-        count = len(placement.gate_positions)
-        orders.append(np.fromiter(
-            (gate_index[name] for name in placement.gate_positions),
-            dtype=np.int64, count=count,
-        ))
-        xs.append(np.fromiter(
-            (point.x for point in placement.gate_positions.values()),
-            dtype=np.float64, count=count,
-        ))
-        ys.append(np.fromiter(
-            (point.y for point in placement.gate_positions.values()),
-            dtype=np.float64, count=count,
-        ))
-    return {"seeds": list(seeds), "orders": orders, "xs": xs, "ys": ys}
+    # The placer's gate_index holds netlist gate indices.
+    return {
+        "seeds": list(seeds),
+        "orders": [placement.gate_index for placement in placements],
+        "xs": [placement.gate_x for placement in placements],
+        "ys": [placement.gate_y for placement in placements],
+    }
 
 
 def builds_from_placement_deltas(netlist: Netlist, params: OriginalParams,
                                  deltas: Dict[str, Any]) -> List[SchemeBuild]:
     """Parent half of the seed-batched pool protocol.
 
-    Rebuilds each placement from its coordinate delta (same dict insertion
-    order, same float bits), then routes the whole chunk as one batch with a
+    Adopts each coordinate delta as a placement's columns (same row order,
+    same float bits), then routes the whole chunk as one batch with a
     shared routing skeleton.  Output is bit-identical per seed to
     :func:`build_original` on the same netlist.
     """
-    from repro.layout.geometry import Point
-    from repro.layout.placer import PlacementResult, _io_assignment
+    from repro.layout.placer import PlacementResult, _columns_of, _io_assignment
     from repro.layout.router import route_batch
 
     floorplan_util = (
@@ -273,18 +260,15 @@ def builds_from_placement_deltas(netlist: Netlist, params: OriginalParams,
     )
     floorplan = build_floorplan(netlist, floorplan_util)
     _, visible_ports = _io_assignment(netlist, floorplan)
+    ports = _columns_of(visible_ports)
     gate_names = list(netlist.gates)
-    placements: List[PlacementResult] = []
-    for seed, order, x, y in zip(
-        deltas["seeds"], deltas["orders"], deltas["xs"], deltas["ys"]
-    ):
-        positions = {
-            gate_names[index]: Point(px, py)
-            for index, px, py in zip(order.tolist(), x.tolist(), y.tolist())
-        }
-        placements.append(PlacementResult(
-            floorplan, positions, dict(visible_ports), PlacerConfig(seed=seed)
-        ))
+    placements = [
+        PlacementResult(floorplan, gate_names, order, x, y, *ports,
+                        PlacerConfig(seed=seed))
+        for seed, order, x, y in zip(
+            deltas["seeds"], deltas["orders"], deltas["xs"], deltas["ys"]
+        )
+    ]
     routings = route_batch(netlist, placements, RouterConfig())
     builds: List[SchemeBuild] = []
     for seed, placement, routing in zip(deltas["seeds"], placements, routings):

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.registry import ATTACKS, DEFENSES, METRICS, ensure_builtins
+from repro.netlist.cells import NUM_METAL_LAYERS
 
 #: Layout variants a scenario can target.  ``protected`` is the scheme's own
 #: layout; ``original`` and ``lifted`` are only available for schemes that
@@ -139,12 +140,15 @@ class ScenarioSpec:
         scale: Down-scaling factor for superblue designs (``None`` keeps the
             benchmark default; ignored for ISCAS).
         layouts: Which layout variants to measure/attack.
-        split_layers: FEOL/BEOL split layers the attacks run at.
+        split_layers: FEOL/BEOL split layers the attacks run at, each in
+            ``1 .. NUM_METAL_LAYERS - 1``.
         attacks: Attacks to run on every (layout, split layer) pair.
         metrics: Metrics to evaluate; their registered scope decides whether
             they run per layout, per layout-vs-baseline or per attack run.
-        num_patterns: Simulation patterns for OER/HD style metrics.
-        seed: Master seed (benchmark generation, placement, randomization).
+        num_patterns: Simulation patterns for OER/HD style metrics (at
+            least 1).
+        seed: Master seed (benchmark generation, placement, randomization);
+            an ``int``, like ``netlist_seed``.
         seeds: Optional Monte-Carlo seed sweep: a list of ints or a
             ``{"start": s, "count": n}`` range (normalized to the explicit
             list, so both spellings hash identically).  A spec with ``seeds``
@@ -181,9 +185,17 @@ class ScenarioSpec:
         return self.seed if self.netlist_seed is None else self.netlist_seed
 
     def __post_init__(self) -> None:
+        for name in ("seed", "netlist_seed"):
+            value = getattr(self, name)
+            if value is None and name == "netlist_seed":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if self.num_patterns < 1:
+            raise ValueError(
+                f"num_patterns must be at least 1, got {self.num_patterns}"
+            )
         object.__setattr__(self, "seeds", _normalize_seeds(self.seeds))
-        if self.netlist_seed is not None:
-            object.__setattr__(self, "netlist_seed", int(self.netlist_seed))
         object.__setattr__(self, "scheme_params", _freeze_params(self.scheme_params))
         layouts = tuple(
             _LAYOUT_ALIASES.get(str(layout), str(layout)) for layout in self.layouts
@@ -195,9 +207,14 @@ class ScenarioSpec:
                     f"choose from {', '.join(LAYOUT_VARIANTS)} (alias: proposed)"
                 )
         object.__setattr__(self, "layouts", layouts)
-        object.__setattr__(
-            self, "split_layers", tuple(int(layer) for layer in self.split_layers)
-        )
+        split_layers = tuple(int(layer) for layer in self.split_layers)
+        for layer in split_layers:
+            if not 1 <= layer < NUM_METAL_LAYERS:
+                raise ValueError(
+                    f"split layer {layer} is outside 1..{NUM_METAL_LAYERS - 1} "
+                    f"(the stack has {NUM_METAL_LAYERS} metal layers)"
+                )
+        object.__setattr__(self, "split_layers", split_layers)
         attacks = tuple(AttackSpec.coerce(a) for a in self.attacks)
         metrics = tuple(MetricSpec.coerce(m) for m in self.metrics)
         # Scenario results key attack records and metric values by name, so

@@ -22,7 +22,6 @@ from repro.core.correction_cells import (
     legalize_correction_cells,
     place_correction_cells,
 )
-from repro.layout.arrays import routing_columns
 from repro.layout.floorplan import Floorplan
 from repro.layout.geometry import Point
 from repro.layout.layout import Layout, build_layout
@@ -87,27 +86,27 @@ def build_naive_lifted_layout(
     layout.metadata["lifted_nets"] = list(lifted_nets)
 
     # Place one lifting cell per lifted connection endpoint (driver + sink),
-    # read from the routing columns so the layout's backing stays clean.
-    routing = routing_columns(layout.routing)
-    position = {name: index for index, name in enumerate(routing.net_names)}
+    # read from the routing columns.
+    routing = layout.routing
+    position = routing.positions()
     anchors = []
     connection_id = 0
     for net_name in lifted_nets:
         index = position.get(net_name)
-        if index is None or routing.driver_points[index] is None:
+        if index is None or not routing.has_driver[index]:
             continue
-        driver_point = routing.driver_points[index]
+        driver_point = Point(float(routing.driver_x[index]),
+                             float(routing.driver_y[index]))
         net = netlist.nets[net_name]
         driver_gate = net.driver[0] if net.driver is not None else None
         for ci in range(int(routing.conn_starts[index]),
                         int(routing.conn_starts[index + 1])):
             anchors.append((connection_id, "driver", driver_gate, driver_point))
-            sink = routing.sink_refs[ci]
-            sink_gate = sink[0] if sink[0] != "PO" else None
-            target = (routing.target_points[ci]
-                      if routing.target_points is not None
-                      else Point(float(routing.tx[ci]), float(routing.ty[ci])))
-            anchors.append((connection_id, "sink", sink_gate, target))
+            sink_gate = int(routing.sink_gate[ci])
+            target = Point(float(routing.tx[ci]), float(routing.ty[ci]))
+            anchors.append((connection_id, "sink",
+                            routing.gate_names[sink_gate] if sink_gate >= 0
+                            else None, target))
             connection_id += 1
     cells = place_correction_cells(anchors, lift_layer, naive=True)
     cells = legalize_correction_cells(cells, layout.floorplan)

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.correction_cells import legalize_correction_cells, place_correction_cells
 from repro.core.randomizer import RandomizationResult
-from repro.layout.arrays import RoutingArrays, routing_backing
+from repro.layout.arrays import RoutingArrays
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.geometry import Point
 from repro.layout.layout import Layout
@@ -58,9 +58,9 @@ def _sink_position(placement: PlacementResult, sink: PinRef) -> Optional[Point]:
 def _restore_swapped_connections(
     randomization: RandomizationResult,
     placement: PlacementResult,
-    backing: RoutingArrays,
+    routing: RoutingArrays,
 ) -> List[Tuple[int, str, Optional[str], Point]]:
-    """Mark the swapped connections of ``backing`` as restored through the
+    """Mark the swapped connections of ``routing`` as restored through the
     BEOL and re-aim their FEOL stubs at the erroneous partners.
 
     The driver stub heads towards the first placed sink the randomizer moved
@@ -82,19 +82,19 @@ def _restore_swapped_connections(
     anchors: List[Tuple[int, str, Optional[str], Point]] = []
     overridden: List[int] = []
     hints: List[Tuple[float, float, float, float]] = []
-    conn_starts = backing.conn_starts.tolist()
-    for index, net_name in enumerate(backing.net_names):
+    conn_starts = routing.conn_starts.tolist()
+    for index, net_name in enumerate(routing):
         if net_name not in swapped_nets:
             continue
         driver = randomization.original.nets[net_name].driver
         for ci in range(conn_starts[index], conn_starts[index + 1]):
-            sink = backing.sink_refs[ci]
+            sink = routing.sink_ref(ci)
             record = swapped.get(sink)
             if record is None or record.original_net != net_name:
                 continue
-            backing.protected[ci] = 1
-            source = backing.source_points[ci]
-            target = backing.target_points[ci]
+            routing.protected[ci] = 1
+            source = Point(float(routing.sx[ci]), float(routing.sy[ci]))
+            target = Point(float(routing.tx[ci]), float(routing.ty[ci]))
             source_hint = decoy_sinks.get(net_name)
             target_hint = _terminal_position(
                 randomization.erroneous, placement, record.erroneous_net
@@ -111,7 +111,7 @@ def _restore_swapped_connections(
             anchors.append((connection_id, "sink", sink[0], target))
     if overridden:
         hint_sx, hint_sy, hint_tx, hint_ty = np.asarray(hints, dtype=np.float64).T
-        backing.override_hints(
+        routing.override_hints(
             np.asarray(overridden, dtype=np.int64),
             hint_sx, hint_sy, hint_tx, hint_ty,
         )
@@ -165,10 +165,8 @@ def build_protected_layout(
         original, placement, router_config,
         {net: lift_layer for net in randomization.protected_nets},
     )
-    backing = routing_backing(routing)
-    correction_anchors = (
-        _restore_swapped_connections(randomization, placement, backing)
-        if backing is not None else []
+    correction_anchors = _restore_swapped_connections(
+        randomization, placement, routing
     )
     correction_cells = place_correction_cells(correction_anchors, lift_layer)
     correction_cells = legalize_correction_cells(correction_cells, floorplan)

@@ -23,7 +23,6 @@ import enum
 from typing import Dict, List, Optional
 
 from repro.layout.floorplan import Floorplan, build_floorplan
-from repro.layout.geometry import Point, manhattan
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacerConfig, place
 from repro.layout.router import RouterConfig, route
@@ -93,22 +92,25 @@ def layout_randomization_defense(
         floorplan = build_floorplan(netlist, utilization)
     placement = place(netlist, floorplan, utilization, PlacerConfig(seed=seed))
     rng = make_rng(seed, "layout_randomization", netlist.name, strategy.value)
-    positions = dict(placement.gate_positions)
+    row_of = {name: row for row, name in enumerate(placement.gate_positions)}
+    xs = placement.gate_x.tolist()
+    ys = placement.gate_y.tolist()
     max_displacement = floorplan.half_perimeter_um * max_displacement_fraction
 
     swapped = 0
     for members in _groups(netlist, strategy, seed).values():
-        members = [m for m in members if m in positions]
+        members = [m for m in members if m in row_of]
         participating = members[: max(0, int(len(members) * randomize_fraction))]
         rng.shuffle(participating)
         for first, second in zip(participating[0::2], participating[1::2]):
-            displacement = manhattan(positions[first], positions[second])
+            a, b = row_of[first], row_of[second]
+            displacement = abs(xs[a] - xs[b]) + abs(ys[a] - ys[b])  # manhattan
             if displacement > max_displacement:
                 continue
-            positions[first], positions[second] = positions[second], positions[first]
+            xs[a], xs[b] = xs[b], xs[a]
+            ys[a], ys[b] = ys[b], ys[a]
             swapped += 1
-    placement.gate_positions = positions
-    placement.bump_geometry_version()
+    placement.set_coordinates(gate_x=xs, gate_y=ys)
 
     routing = route(netlist, placement, RouterConfig())
     return Layout(

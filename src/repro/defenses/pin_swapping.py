@@ -47,16 +47,19 @@ def pin_swapping_defense(
     placement = place(netlist, floorplan, utilization, PlacerConfig(seed=seed))
     rng = make_rng(seed, "pin_swapping", netlist.name)
 
-    ports = list(placement.port_positions)
+    row_of = {name: row for row, name in enumerate(placement.port_names)}
+    ports = list(placement.port_names)
     rng.shuffle(ports)
     participating = ports[: int(len(ports) * swap_fraction)]
     swapped_ports = []
-    positions = dict(placement.port_positions)
+    xs = placement.port_x.tolist()
+    ys = placement.port_y.tolist()
     for first, second in zip(participating[0::2], participating[1::2]):
-        positions[first], positions[second] = positions[second], positions[first]
+        a, b = row_of[first], row_of[second]
+        xs[a], xs[b] = xs[b], xs[a]
+        ys[a], ys[b] = ys[b], ys[a]
         swapped_ports.extend((first, second))
-    placement.port_positions = positions
-    placement.bump_geometry_version()
+    placement.set_coordinates(port_x=xs, port_y=ys)
 
     # Nets attached to swapped ports are re-routed through higher layers.
     min_layer: Dict[str, int] = {}

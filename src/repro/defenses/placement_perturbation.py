@@ -17,12 +17,11 @@ exactly the comparison point of the paper's Table 4.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.layout.floorplan import Floorplan, build_floorplan
-from repro.layout.geometry import Point
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacerConfig, place
 from repro.layout.router import RouterConfig, route
@@ -59,34 +58,30 @@ def placement_perturbation_defense(
     rng = make_rng(seed, "placement_perturbation", netlist.name)
 
     gate_names = list(placement.gate_positions)
+    row_of = {name: row for row, name in enumerate(gate_names)}
     rng.shuffle(gate_names)
     num_perturbed = int(len(gate_names) * perturb_fraction)
     die = floorplan.die
     max_dx = die.width * max_displacement_fraction
     max_dy = die.height * max_displacement_fraction
-    perturbed: Dict[str, Point] = dict(placement.gate_positions)
+    gate_x = placement.gate_x.copy()
+    gate_y = placement.gate_y.copy()
     selected = gate_names[:num_perturbed]
     if selected:
         # The random offsets keep the legacy draw order (x then y per gate);
         # displacement, die clamping and row snapping happen in one pass over
-        # the coordinate arrays — the same clip/round-half-even operations the
-        # per-gate Point loop performed, so the result is bit-identical.
-        base = np.asarray(
-            [(perturbed[g].x, perturbed[g].y) for g in selected], dtype=np.float64
-        )
+        # the coordinate columns — the same clip/round-half-even operations
+        # the per-gate Point loop performed, so the result is bit-identical.
+        rows = np.asarray([row_of[gate] for gate in selected], dtype=np.intp)
         offsets = np.asarray(
             [(rng.uniform(-max_dx, max_dx), rng.uniform(-max_dy, max_dy))
              for _gate in selected],
             dtype=np.float64,
         )
-        moved = base + offsets
-        new_x = np.clip(moved[:, 0], die.x_min, die.x_max)
-        snapped_y = np.clip(moved[:, 1], die.y_min, die.y_max)
-        new_y = floorplan.row_ys(floorplan.nearest_rows(snapped_y))
-        for gate, gx, gy in zip(selected, new_x, new_y):
-            perturbed[gate] = Point(float(gx), float(gy))
-    placement.gate_positions = perturbed
-    placement.bump_geometry_version()
+        gate_x[rows] = np.clip(gate_x[rows] + offsets[:, 0], die.x_min, die.x_max)
+        snapped_y = np.clip(gate_y[rows] + offsets[:, 1], die.y_min, die.y_max)
+        gate_y[rows] = floorplan.row_ys(floorplan.nearest_rows(snapped_y))
+    placement.set_coordinates(gate_x=gate_x, gate_y=gate_y)
 
     routing = route(netlist, placement, RouterConfig())
     return Layout(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.layout.arrays import routing_columns
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacerConfig, place
@@ -54,10 +53,10 @@ def routing_blockage_defense(
     # Decide per net whether a blockage forces it upwards; implemented as a
     # per-net minimum layer equal to its natural layer + promotion.
     min_layer: Dict[str, int] = {}
-    baseline = routing_columns(route(netlist, placement, config))
+    baseline = route(netlist, placement, config)
     h_layers = baseline.h_layer.tolist()
     starts = baseline.conn_starts.tolist()
-    for index, net_name in enumerate(baseline.net_names):
+    for index, net_name in enumerate(baseline):
         if rng.random() >= blockage_probability:
             continue
         natural_top = max(h_layers[starts[index]:starts[index + 1]], default=2)

@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.layout.arrays import routing_backing
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacerConfig, place
@@ -67,29 +66,27 @@ def routing_perturbation_defense(
     # die clamping run in a single pass over the coordinate arrays.
     die = floorplan.die
     decoy_reach = floorplan.half_perimeter_um * decoy_distance_fraction
-    backing = routing_backing(routing)
-    if backing is not None:  # route() output is always backed unless empty
-        # Gather the perturbed connection indices from the CSR, compute
-        # anchors from the coordinate columns and write the decoys back
-        # through override_hints — no RoutedConnection is ever materialized.
-        conn_idx = backing.connection_indices(sorted(perturbed))
-        if conn_idx.size:
-            anchors = np.column_stack((
-                backing.tx[conn_idx], backing.ty[conn_idx],
-                backing.sx[conn_idx], backing.sy[conn_idx],
-            ))
-            offsets = np.asarray(
-                [[rng.uniform(-decoy_reach, decoy_reach) for _ in range(4)]
-                 for _i in range(conn_idx.size)],
-                dtype=np.float64,
-            )
-            decoys = anchors + offsets
-            decoys[:, 0::2] = np.clip(decoys[:, 0::2], die.x_min, die.x_max)
-            decoys[:, 1::2] = np.clip(decoys[:, 1::2], die.y_min, die.y_max)
-            backing.override_hints(
-                conn_idx, decoys[:, 0], decoys[:, 1],
-                decoys[:, 2], decoys[:, 3],
-            )
+    # Gather the perturbed connection indices from the CSR, compute anchors
+    # from the coordinate columns and write the decoys back through
+    # override_hints.
+    conn_idx = routing.connection_indices(sorted(perturbed))
+    if conn_idx.size:
+        anchors = np.column_stack((
+            routing.tx[conn_idx], routing.ty[conn_idx],
+            routing.sx[conn_idx], routing.sy[conn_idx],
+        ))
+        offsets = np.asarray(
+            [[rng.uniform(-decoy_reach, decoy_reach) for _ in range(4)]
+             for _i in range(conn_idx.size)],
+            dtype=np.float64,
+        )
+        decoys = anchors + offsets
+        decoys[:, 0::2] = np.clip(decoys[:, 0::2], die.x_min, die.x_max)
+        decoys[:, 1::2] = np.clip(decoys[:, 1::2], die.y_min, die.y_max)
+        routing.override_hints(
+            conn_idx, decoys[:, 0], decoys[:, 1],
+            decoys[:, 2], decoys[:, 3],
+        )
 
     return Layout(
         name=f"{netlist.name}_routing_perturbed",

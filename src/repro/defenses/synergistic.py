@@ -16,7 +16,6 @@ from typing import Optional, Set
 
 import numpy as np
 
-from repro.layout.arrays import routing_columns
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.geometry import Point
 from repro.layout.layout import Layout
@@ -59,37 +58,37 @@ def synergistic_defense(
     # are visited in sorted order so the RNG stream (and therefore the
     # layout) is independent of string-hash randomization across processes.
     reach = floorplan.half_perimeter_um * displacement_fraction
-    positions = dict(placement.gate_positions)
+    row_of = {name: row for row, name in enumerate(placement.gate_positions)}
+    xs = placement.gate_x.tolist()
+    ys = placement.gate_y.tolist()
     for net_name in sorted(protected):
         for sink_gate, _pin in netlist.nets[net_name].sinks:
-            if sink_gate not in positions:
+            r = row_of.get(sink_gate)
+            if r is None:
                 continue
-            position = positions[sink_gate]
             candidate = Point(
-                position.x + rng.uniform(-reach, reach),
-                position.y + rng.uniform(-reach, reach),
+                xs[r] + rng.uniform(-reach, reach),
+                ys[r] + rng.uniform(-reach, reach),
             )
             snapped = die.clamp(candidate)
-            row = floorplan.nearest_row(snapped.y)
-            positions[sink_gate] = Point(snapped.x, floorplan.row_y(row))
-    placement.gate_positions = positions
-    placement.bump_geometry_version()
+            xs[r] = snapped.x
+            ys[r] = floorplan.row_y(floorplan.nearest_row(snapped.y))
+    placement.set_coordinates(gate_x=xs, gate_y=ys)
 
     # Routing component: lift protected nets and aim their stubs at decoys.
     min_layer = {name: lift_layer for name in protected}
-    # The decoys are written into the hint columns of the fresh routing's
-    # backing (one (source x, source y, target x, target y) draw per
-    # connection, nets in sorted order), so the backing stays clean.
+    # The decoys are written into the hint columns of the fresh routing
+    # (one (source x, source y, target x, target y) draw per connection,
+    # nets in sorted order).
     routing = route(netlist, placement, RouterConfig(), min_layer)
-    backing = routing_columns(routing)
-    conn_idx = backing.connection_indices(sorted(protected))
+    conn_idx = routing.connection_indices(sorted(protected))
     decoys = np.asarray(
         [[rng.uniform(die.x_min, die.x_max), rng.uniform(die.y_min, die.y_max),
           rng.uniform(die.x_min, die.x_max), rng.uniform(die.y_min, die.y_max)]
          for _ci in range(conn_idx.size)],
         dtype=np.float64,
     ).reshape(-1, 4)
-    backing.override_hints(
+    routing.override_hints(
         conn_idx, decoys[:, 0], decoys[:, 1], decoys[:, 2], decoys[:, 3],
     )
 

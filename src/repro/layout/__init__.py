@@ -27,8 +27,6 @@ from repro.layout.arrays import (
     RoutingArrays,
     UniformGridIndex,
     placement_arrays,
-    routing_backing,
-    routing_columns,
 )
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.placer import PlacementResult, place, place_batch
@@ -53,8 +51,6 @@ __all__ = [
     "RoutingArrays",
     "UniformGridIndex",
     "placement_arrays",
-    "routing_backing",
-    "routing_columns",
     "Floorplan",
     "build_floorplan",
     "PlacementResult",

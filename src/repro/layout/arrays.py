@@ -11,6 +11,9 @@ Python.  This module provides the columnar alternative:
   and per-net terminal lists in CSR form, all in the same deterministic
   iteration order the legacy per-object loops used (so vectorized consumers
   are bit-exact drop-ins);
+* :class:`RoutingArrays` — one routing's segment/via/connection columns,
+  the only representation of a routing (and its read-only name →
+  ``RoutedNet`` mapping);
 * :class:`LayoutArrays` — :class:`PlacementArrays` plus routed-segment and
   via columns (layer, length, owning-net index);
 * :class:`UniformGridIndex` — a uniform-grid spatial index over 2-D points
@@ -29,12 +32,14 @@ Building the arrays is linear in the design size, so the views are cached:
   :class:`~repro.layout.layout.Layout`, additionally keyed by the layout's
   own ``geometry_version``.
 
-``geometry_version`` mirrors PR 1's ``topology_version`` contract on the
-netlist side: **any code that moves gates, re-routes nets, or otherwise
-mutates geometry in place must call ``bump_geometry_version()`` on the
-object it mutated** so stale array views are never consumed.  The
-perturbation defenses and every in-repo mutation site already comply; new
-defenses must follow suit.
+``geometry_version`` mirrors the netlist's ``topology_version``.  A
+placement's coordinate columns are read-only; its one setter,
+:meth:`PlacementResult.set_coordinates
+<repro.layout.placer.PlacementResult.set_coordinates>`, bumps the
+placement's counter itself.  Code that edits a routing's columns in place
+calls :meth:`Layout.bump_geometry_version
+<repro.layout.layout.Layout.bump_geometry_version>`, so stale array views
+are never consumed.
 """
 
 from __future__ import annotations
@@ -42,7 +47,10 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence,
+    Set, Tuple,
+)
 
 import numpy as np
 
@@ -51,7 +59,7 @@ from repro.netlist.netlist import Netlist
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.layout.placer import PlacementResult
-    from repro.layout.router import RoutedConnection, RoutedNet, Via
+    from repro.layout.router import RoutedNet
 
 
 #: Attribute name under which cached array views are stored on their owning
@@ -274,7 +282,7 @@ class PlacementSkeleton:
             dtype=np.float64,
         )
         missing_gates = [name for name in gate_names if name not in gates]
-        port_names = list(placement.port_positions)
+        port_names = placement.port_names
         port_index = {name: i for i, name in enumerate(port_names)}
 
         num_gates = len(gate_names)
@@ -332,11 +340,13 @@ class PlacementSkeleton:
 
 
 #: The skeleton :meth:`PlacementSkeleton.build` produced last, as an
-#: immutable ``(weakref to netlist, topology_version, skeleton)`` tuple.  One
-#: entry on purpose: a seed sweep places one netlist many times, and a
+#: immutable ``(weakref to netlist, topology_version, skeleton, gate name
+#: table, gate index column)`` tuple (the last two are the placement's).
+#: One entry on purpose: a seed sweep places one netlist many times, and a
 #: per-netlist cache would pin a skeleton for every netlist a long-lived
 #: Workspace ever touches.
-_last_built: Optional[Tuple["weakref.ref[Netlist]", int, PlacementSkeleton]] = None
+_last_built: Optional[Tuple["weakref.ref[Netlist]", int, PlacementSkeleton,
+                            Sequence[str], np.ndarray]] = None
 
 
 def _relabelled_skeleton(netlist: Netlist,
@@ -345,34 +355,34 @@ def _relabelled_skeleton(netlist: Netlist,
 
     Connection pairs and HPWL terminals follow the netlist's net order, not
     the gate order, so when ``placement`` places exactly the base skeleton's
-    gates (in any order) against the same netlist topology and port list, a
-    fresh build equals the base with every gate index mapped through one
-    gather.  Returns None when that does not hold.
+    gates (in any order, over the same name table) against the same netlist
+    topology and port list, a fresh build equals the base with every gate
+    index mapped through one gather.  Returns None when that does not hold.
     """
     last = _last_built
     if last is None:
         return None
-    ref, version, base = last
-    gate_names = list(placement.gate_positions)
-    num_gates = len(gate_names)
+    ref, version, base, table, base_order = last
+    num_gates = len(placement.gate_index)
     if (ref() is not netlist or version != netlist.topology_version
             or base.missing_gates
             or num_gates != len(base.gate_names)
-            or base.port_names != list(placement.port_positions)):
+            or (placement.gate_names is not table
+                and placement.gate_names != table)
+            or base.port_names != placement.port_names):
         return None
-    base_index = base.gate_index
-    try:
-        old_of_new = np.fromiter(
-            (base_index[name] for name in gate_names),
-            dtype=np.intp, count=num_gates,
-        )
-    except KeyError:
+    rows = np.arange(num_gates, dtype=np.intp)
+    row_of = np.full(len(table), -1, dtype=np.intp)
+    row_of[base_order] = rows
+    old_of_new = row_of[placement.gate_index]
+    new_of_old = np.full(num_gates, -1, dtype=np.intp)
+    new_of_old[old_of_new] = rows
+    if (old_of_new < 0).any() or (new_of_old < 0).any():
         return None
-    new_of_old = np.empty(num_gates, dtype=np.intp)
-    new_of_old[old_of_new] = np.arange(num_gates, dtype=np.intp)
     term_indices = base.term_indices.copy()
     is_gate = term_indices < num_gates
     term_indices[is_gate] = new_of_old[term_indices[is_gate]]
+    gate_names = list(placement.gate_positions)
     return PlacementSkeleton(
         gate_names=gate_names,
         gate_index={name: i for i, name in enumerate(gate_names)},
@@ -401,8 +411,8 @@ def _placement_skeleton(netlist: Netlist,
     key = (
         netlist.name,
         netlist.topology_version,
-        len(placement.gate_positions),
-        len(placement.port_positions),
+        len(placement.gate_index),
+        len(placement.port_names),
     )
     cached = placement.__dict__.get("_skeleton_cache")
     if cached is not None and cached[0] == key:
@@ -410,7 +420,8 @@ def _placement_skeleton(netlist: Netlist,
     skeleton = _relabelled_skeleton(netlist, placement)
     if skeleton is None:
         skeleton = PlacementSkeleton.build(netlist, placement)
-        _last_built = (weakref.ref(netlist), netlist.topology_version, skeleton)
+        _last_built = (weakref.ref(netlist), netlist.topology_version,
+                       skeleton, placement.gate_names, placement.gate_index)
     placement.__dict__["_skeleton_cache"] = (key, skeleton)
     return skeleton
 
@@ -536,38 +547,16 @@ class PlacementArrays:
     @staticmethod
     def build(netlist: Netlist, placement: "PlacementResult") -> "PlacementArrays":
         skeleton = _placement_skeleton(netlist, placement)
-        # Coordinates are gathered in the skeleton's (insertion) gate order —
-        # by name, so a reordered-but-equal positions dict still lines up.
-        positions = placement.gate_positions
-        if skeleton.gate_names:
-            gate_xy = np.asarray(
-                [(positions[name].x, positions[name].y)
-                 for name in skeleton.gate_names],
-                dtype=np.float64,
-            )
-        else:
-            gate_xy = np.empty((0, 2), dtype=np.float64)
-        ports = placement.port_positions
-        if skeleton.port_names:
-            port_xy = np.asarray(
-                [(ports[name].x, ports[name].y) for name in skeleton.port_names],
-                dtype=np.float64,
-            )
-        else:
-            port_xy = np.empty((0, 2), dtype=np.float64)
-        if skeleton.term_indices.size:
-            combined_xy = np.concatenate([gate_xy, port_xy])
-            term_x = combined_xy[skeleton.term_indices, 0]
-            term_y = combined_xy[skeleton.term_indices, 1]
-        else:
-            term_x = np.empty(0, dtype=np.float64)
-            term_y = np.empty(0, dtype=np.float64)
+        # The skeleton lists the gates in placement row order.
+        gate_xy = np.column_stack((placement.gate_x, placement.gate_y))
+        port_xy = np.column_stack((placement.port_x, placement.port_y))
+        combined_xy = np.concatenate([gate_xy, port_xy])
         return PlacementArrays(
             skeleton=skeleton,
             gate_xy=gate_xy,
             port_xy=port_xy,
-            term_x=term_x,
-            term_y=term_y,
+            term_x=combined_xy[skeleton.term_indices, 0],
+            term_y=combined_xy[skeleton.term_indices, 1],
         )
 
 
@@ -589,7 +578,7 @@ def placement_arrays(netlist: Netlist, placement: "PlacementResult") -> Placemen
 
 
 # ---------------------------------------------------------------------------
-# Routing arrays (columnar routing + lazy object materialization)
+# Routing arrays (the routing columns; objects built on lookup)
 # ---------------------------------------------------------------------------
 
 
@@ -652,56 +641,61 @@ def _group_max(values: np.ndarray, bounds: np.ndarray,
 
 
 @dataclass(eq=False)
-class RoutingArrays:
-    """Columnar form of one routing: the segment/via/connection columns the
-    batched router computes, kept as the primary representation.
+class RoutingArrays(Mapping):
+    """One routing, as the segment/via/connection columns the batched router
+    computes — its only representation.
 
-    :func:`repro.layout.router.route` / ``route_batch`` produce one
-    ``RoutingArrays`` per placement and return **lazy**
-    :class:`~repro.layout.router.RoutedNet` shells backed by it: array-native
-    consumers (wirelength/via metrics, the PPA/STA wire loads, the store
-    codec) read the columns directly and never build a ``Segment``/``Via``/
-    ``RoutedConnection`` object; the first attribute access on a shell's
-    ``connections``/``driver_vias`` materializes that net's object graph
-    bit-exactly (see ``RoutedNet.__getattr__``).
+    :func:`repro.layout.router.route` / ``route_batch`` return one
+    ``RoutingArrays`` per placement, the store codec decodes into one, and
+    :class:`~repro.layout.layout.Layout` converts a hand-built ``{name:
+    RoutedNet}`` dict into one (:meth:`from_nets`).  Every consumer
+    (wirelength/via metrics, the PPA/STA wire loads, FEOL extraction, the
+    store codec) reads the columns.
+
+    It is also the read-only ``Mapping`` of net name → ``RoutedNet`` that
+    ``Layout.routing`` exposes: a lookup builds a fresh object graph from
+    the columns (:meth:`materialize_into`), so objects handed out are equal
+    to the seed router's eager graph but never alias each other or the
+    placement, and editing them changes nothing.  The columns change only
+    through :meth:`override_hints`.
 
     Layout invariants:
 
+    * names are integer keys into shared name tables in netlist order:
+      ``net_index``/``conn_net`` into ``net_names``, ``sink_gate`` into
+      ``gate_names`` (``-1`` for a primary-output sink), ``sink_token``
+      into ``sink_tokens`` (the sink pin or primary-output name), whose
+      order is first appearance over the connections;
     * per-net and per-connection columns are CSR-sliced (``conn_starts``,
       ``seg_starts``, ``via_starts``, ``dvia_starts``) and the flat geometry
       columns are per-connection contiguous, in routing iteration order;
     * per-connection via order matches the ``route_connection`` oracle in
       ``tests/build_oracle.py``: bend vias, close-x via, close-y via, then
       the sink pin stack;
-    * ``hint_default`` marks connections whose stub hints are the router's
-      defaults (source hint = target, target hint = source, materialized as
-      the *same objects* as the endpoints); every other hint materializes as
-      a fresh point from the hint columns (equal to, never aliasing, any
-      placement point), with the ``hint_*_present`` masks distinguishing
-      explicit ``None`` hints.  Hint columns hold the hint coordinates of
-      every connection (the router defaults included) and 0.0 wherever the
-      mask is clear;
-    * ``materialized_count`` counts nets whose objects were built.  A
-      materialized graph may have been edited behind the columns, so
-      consumers read routings through :func:`routing_columns`, which trusts
-      only a clean backing and rebuilds the columns otherwise
-      (:meth:`from_nets`).
+    * hint columns hold every connection's stub hint coordinates (the
+      router default is source hint = target, target hint = source) and 0.0
+      wherever the ``hint_*_present`` mask marks an explicit ``None``.
     """
 
+    # -- name tables --------------------------------------------------------
+    net_names: Sequence[str] = field(repr=False)
+    gate_names: Sequence[str] = field(repr=False)
+    sink_tokens: List[str] = field(repr=False)
     # -- per-net columns ----------------------------------------------------
-    net_names: List[str]
+    net_index: np.ndarray         # (num_nets,) int64 into net_names
     conn_starts: np.ndarray       # (num_nets + 1,) int64
     driver_x: np.ndarray          # (num_nets,) float64 (0.0 without driver)
     driver_y: np.ndarray
     has_driver: np.ndarray        # (num_nets,) bool
-    driver_points: List[Optional[Point]]
     dvia_starts: np.ndarray       # (num_nets + 1,) int64
     dvia_x: np.ndarray
     dvia_y: np.ndarray
     dvia_lower: np.ndarray        # int64
     dvia_upper: np.ndarray        # int64
     # -- per-connection columns --------------------------------------------
-    sink_refs: List[Tuple[str, str]]
+    conn_net: np.ndarray          # int64 into net_names
+    sink_gate: np.ndarray         # int64 into gate_names, -1: primary output
+    sink_token: np.ndarray        # int64 into sink_tokens
     sx: np.ndarray                # float64 source/target coordinates
     sy: np.ndarray
     tx: np.ndarray
@@ -715,7 +709,6 @@ class RoutingArrays:
     hint_ty: np.ndarray
     hint_src_present: np.ndarray  # uint8
     hint_tgt_present: np.ndarray  # uint8
-    hint_default: np.ndarray      # bool
     seg_starts: np.ndarray        # (num_connections + 1,) int64
     via_starts: np.ndarray        # (num_connections + 1,) int64
     # -- flat geometry columns (per-connection contiguous) ------------------
@@ -728,59 +721,78 @@ class RoutingArrays:
     via_y: np.ndarray
     via_lower: np.ndarray         # int64
     via_upper: np.ndarray         # int64
-    # -- endpoint object references (identity-preserving) -------------------
-    #: Router-built backings share the placement's Point objects; decoded
-    #: backings leave these None and materialize fresh points from sx/sy….
-    source_points: Optional[List[Point]] = None
-    target_points: Optional[List[Point]] = None
-    #: Per-connection net-name references (decoded payloads, where a stored
-    #: ``conn_net`` column may name a different net than the owning entry);
-    #: None → the owning net's name.
-    conn_net_names: Optional[List[str]] = None
-    # -- materialization bookkeeping ----------------------------------------
-    #: Number of nets whose object graphs have been materialized.  The
-    #: array-native fast paths require 0 (a materialized graph may have been
-    #: mutated behind the columns); tests assert it stays 0 on those paths.
-    materialized_count: int = field(default=0)
-    _shells: List[object] = field(default_factory=list, repr=False)
-    _materialized: List[bool] = field(default_factory=list, repr=False)
     _conn_lengths: Optional[np.ndarray] = field(default=None, repr=False)
+    _positions: Optional[Dict[str, int]] = field(default=None, repr=False)
 
     @property
     def num_nets(self) -> int:
-        return len(self.net_names)
+        return len(self.net_index)
 
     @property
     def num_connections(self) -> int:
-        return len(self.sink_refs)
+        return len(self.sx)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["_conn_lengths"] = state["_positions"] = None  # rebuilt lazily
+        return state
+
+    # -- the net name -> RoutedNet mapping -----------------------------------
+    def positions(self) -> Dict[str, int]:
+        """Net name → position in this routing (built once, cached)."""
+        if self._positions is None:
+            self._positions = {name: i for i, name in enumerate(self)}
+        return self._positions
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.net_names.__getitem__, self.net_index.tolist())
+
+    def __len__(self) -> int:
+        return len(self.net_index)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.positions()
+
+    def __getitem__(self, name: str) -> "RoutedNet":
+        from repro.layout.router import RoutedNet
+
+        net = RoutedNet.__new__(RoutedNet)
+        self.materialize_into(net, self.positions()[name])
+        return net
+
+    def sink_ref(self, ci: int) -> Tuple[str, str]:
+        """The ``(gate, pin)`` / ``("PO", name)`` sink of connection ``ci``."""
+        gate = int(self.sink_gate[ci])
+        token = self.sink_tokens[int(self.sink_token[ci])]
+        return ("PO", token) if gate < 0 else (self.gate_names[gate], token)
 
     # -- construction from objects -------------------------------------------
     @classmethod
-    def from_nets(cls, routing: "Dict[str, RoutedNet]") -> "RoutingArrays":
-        """Columns of any routing dict — the one object → columns builder.
+    def from_nets(cls, routing: "Mapping[str, RoutedNet]",
+                  netlist: Netlist) -> "RoutingArrays":
+        """Columns of a ``{name: RoutedNet}`` mapping routed for ``netlist``.
 
-        For routings without a clean backing: hand-assembled nets, unpickled
-        nets, or a backing whose objects were touched (and possibly edited).
-        Every net is read through its objects (materializing lazy shells);
-        net order and names follow the dict's keys.  The result owns fresh
-        columns with explicit hints (no defaults, no object references), so
-        materializing it yields objects *equal* to the input's, though not
-        identical to them.
+        Net order and names follow the mapping's keys; connection net and
+        sink names are resolved against ``netlist``.  Hints become explicit
+        hint columns, so materializing the result yields objects *equal* to
+        the input's.
         """
-        names = list(routing)
-        driver_points: List[Optional[Point]] = []
-        sink_refs: List[Tuple[str, str]] = []
-        conn_net: List[str] = []
+        net_names = list(netlist.nets)
+        gate_names = list(netlist.gates)
+        net_lookup = {name: i for i, name in enumerate(net_names)}
+        gate_lookup = {name: i for i, name in enumerate(gate_names)}
+        sink_tokens: Dict[str, int] = {}
         rows: Dict[str, list] = {key: [] for key in _FROM_NETS_DTYPES}
         # Local aliases, in _FROM_NETS_DTYPES order.
-        (driver_x, driver_y, has_driver, conn_count, dvia_count, dvia_x,
-         dvia_y, dvia_lower, dvia_upper, sx, sy, tx, ty, h_layer, v_layer,
-         protected, hint_sx, hint_sy, hint_tx, hint_ty, hint_src, hint_tgt,
-         seg_count, via_count, seg_layer, seg_x1, seg_y1, seg_x2, seg_y2,
-         via_x, via_y, via_lower, via_upper) = rows.values()
-        for net in routing.values():
+        (net_index, driver_x, driver_y, has_driver, conn_count, dvia_count,
+         dvia_x, dvia_y, dvia_lower, dvia_upper, conn_net, sink_gate,
+         sink_token, sx, sy, tx, ty, h_layer, v_layer, protected, hint_sx,
+         hint_sy, hint_tx, hint_ty, hint_src, hint_tgt, seg_count, via_count,
+         seg_layer, seg_x1, seg_y1, seg_x2, seg_y2, via_x, via_y, via_lower,
+         via_upper) = rows.values()
+        for name, net in routing.items():
+            net_index.append(net_lookup[name])
             point = net.driver_point
-            driver_points.append(point)
             has_driver.append(point is not None)
             driver_x.append(point.x if point is not None else 0.0)
             driver_y.append(point.y if point is not None else 0.0)
@@ -792,8 +804,10 @@ class RoutingArrays:
                 dvia_lower.append(via.lower)
                 dvia_upper.append(via.upper)
             for connection in net.connections:
-                conn_net.append(connection.net)
-                sink_refs.append(connection.sink)
+                conn_net.append(net_lookup[connection.net])
+                first, second = connection.sink
+                sink_gate.append(-1 if first == "PO" else gate_lookup[first])
+                sink_token.append(sink_tokens.setdefault(second, len(sink_tokens)))
                 sx.append(connection.source.x)
                 sy.append(connection.source.y)
                 tx.append(connection.target.x)
@@ -825,65 +839,22 @@ class RoutingArrays:
             key: np.asarray(values, dtype=_FROM_NETS_DTYPES[key])
             for key, values in rows.items()
         }
-        counts = columns.pop("conn_count")
-        owners = [name for name, count in zip(names, counts.tolist())
-                  for _ in range(count)]
         return cls(
-            net_names=names,
-            conn_starts=_csr(counts),
-            driver_points=driver_points,
+            net_names=net_names,
+            gate_names=gate_names,
+            sink_tokens=list(sink_tokens),
+            conn_starts=_csr(columns.pop("conn_count")),
             dvia_starts=_csr(columns.pop("dvia_count")),
-            sink_refs=sink_refs,
-            hint_default=np.zeros(len(sink_refs), dtype=bool),
             seg_starts=_csr(columns.pop("seg_count")),
             via_starts=_csr(columns.pop("via_count")),
-            conn_net_names=None if conn_net == owners else conn_net,
             **columns,
         )
 
-    # -- lazy object materialization ----------------------------------------
-    def lazy_nets(self) -> "Dict[str, RoutedNet]":
-        """Build the routing dict of lazy ``RoutedNet`` shells over this view.
-
-        Each shell carries only ``name``/``driver_point`` plus a reference
-        back here; ``connections``/``driver_vias`` appear in its ``__dict__``
-        on first access (``RoutedNet.__getattr__`` →
-        :meth:`materialize_into`).
-        """
-        from repro.layout.router import RoutedNet
-
-        new_net = RoutedNet.__new__
-        routing: Dict[str, RoutedNet] = {}
-        shells: List[RoutedNet] = []
-        for index, (name, point) in enumerate(
-                zip(self.net_names, self.driver_points)):
-            net = new_net(RoutedNet)
-            net.__dict__ = {
-                "name": name,
-                "driver_point": point,
-                "_lazy_backing": self,
-                "_lazy_index": index,
-            }
-            shells.append(net)
-            routing[name] = net
-        self._shells = shells
-        self._materialized = [False] * len(shells)
-        return routing
-
-    def materialize_into(self, shell: "RoutedNet") -> None:
-        """Populate ``shell.connections``/``shell.driver_vias`` from columns."""
-        index = shell.__dict__["_lazy_index"]
-        connections, driver_vias = self._materialize_net(index)
-        shell.__dict__["connections"] = connections
-        shell.__dict__["driver_vias"] = driver_vias
-        if self._materialized and not self._materialized[index]:
-            self._materialized[index] = True
-            self.materialized_count += 1
-
-    def _materialize_net(self, index: int
-                         ) -> "Tuple[List[RoutedConnection], List[Via]]":
-        """Bit-exact object graph of net ``index`` (same values, order and
-        ``__dict__`` layout as the seed router's eagerly built objects)."""
+    # -- object materialization ----------------------------------------------
+    def materialize_into(self, net: "RoutedNet", index: int) -> None:
+        """Fill the blank ``net`` with the object graph of routed net
+        ``index``: bit-exact values, order and ``__dict__`` layout of the
+        seed router's eagerly built objects, every ``Point`` fresh."""
         from repro.layout.router import (
             RoutedConnection,
             _new_segments,
@@ -913,56 +884,44 @@ class RoutingArrays:
         )
         seg_local = (self.seg_starts[c0:c1 + 1] - s0).tolist()
         via_local = (self.via_starts[c0:c1 + 1] - v0).tolist()
-        net_name = self.net_names[index]
-        h_l = self.h_layer[c0:c1].tolist()
-        v_l = self.v_layer[c0:c1].tolist()
-        sx_l = self.sx[c0:c1].tolist()
-        sy_l = self.sy[c0:c1].tolist()
-        tx_l = self.tx[c0:c1].tolist()
-        ty_l = self.ty[c0:c1].tolist()
-        hsx_l = self.hint_sx[c0:c1].tolist()
-        hsy_l = self.hint_sy[c0:c1].tolist()
-        htx_l = self.hint_tx[c0:c1].tolist()
-        hty_l = self.hint_ty[c0:c1].tolist()
         hsp_l = self.hint_src_present[c0:c1].tolist()
         htp_l = self.hint_tgt_present[c0:c1].tolist()
-        hdef_l = self.hint_default[c0:c1].tolist()
-        prot_l = self.protected[c0:c1].tolist()
         new_connection = RoutedConnection.__new__
         connections: List[RoutedConnection] = []
-        append = connections.append
-        for local, ci in enumerate(range(c0, c1)):
-            if self.source_points is not None:
-                source = self.source_points[ci]
-                target = self.target_points[ci]
-            else:
-                source = _fast_point(sx_l[local], sy_l[local])
-                target = _fast_point(tx_l[local], ty_l[local])
-            if hdef_l[local]:
-                source_hint: Optional[Point] = target
-                target_hint: Optional[Point] = source
-            else:
-                source_hint = (_fast_point(hsx_l[local], hsy_l[local])
-                               if hsp_l[local] else None)
-                target_hint = (_fast_point(htx_l[local], hty_l[local])
-                               if htp_l[local] else None)
+        for local, (ci, net_id, h, v, sx, sy, tx, ty, hsx, hsy, htx, hty,
+                    prot) in enumerate(zip(
+                range(c0, c1), self.conn_net[c0:c1].tolist(),
+                self.h_layer[c0:c1].tolist(), self.v_layer[c0:c1].tolist(),
+                self.sx[c0:c1].tolist(), self.sy[c0:c1].tolist(),
+                self.tx[c0:c1].tolist(), self.ty[c0:c1].tolist(),
+                self.hint_sx[c0:c1].tolist(), self.hint_sy[c0:c1].tolist(),
+                self.hint_tx[c0:c1].tolist(), self.hint_ty[c0:c1].tolist(),
+                self.protected[c0:c1].tolist())):
             connection = new_connection(RoutedConnection)
             connection.__dict__ = {
-                "net": (self.conn_net_names[ci]
-                        if self.conn_net_names is not None else net_name),
-                "sink": self.sink_refs[ci],
-                "source": source,
-                "target": target,
-                "h_layer": h_l[local],
-                "v_layer": v_l[local],
+                "net": self.net_names[net_id],
+                "sink": self.sink_ref(ci),
+                "source": _fast_point(sx, sy),
+                "target": _fast_point(tx, ty),
+                "h_layer": h,
+                "v_layer": v,
                 "segments": segments_all[seg_local[local]:seg_local[local + 1]],
                 "vias": vias_all[via_local[local]:via_local[local + 1]],
-                "source_hint": source_hint,
-                "target_hint": target_hint,
-                "protected": bool(prot_l[local]),
+                "source_hint": _fast_point(hsx, hsy) if hsp_l[local] else None,
+                "target_hint": _fast_point(htx, hty) if htp_l[local] else None,
+                "protected": bool(prot),
             }
-            append(connection)
-        return connections, driver_vias
+            connections.append(connection)
+        net.__dict__ = {
+            "name": self.net_names[int(self.net_index[index])],
+            "driver_point": (
+                _fast_point(float(self.driver_x[index]),
+                            float(self.driver_y[index]))
+                if self.has_driver[index] else None
+            ),
+            "connections": connections,
+            "driver_vias": driver_vias,
+        }
 
     # -- array-native reductions --------------------------------------------
     def connection_lengths(self) -> np.ndarray:
@@ -977,7 +936,7 @@ class RoutingArrays:
         return self._conn_lengths
 
     def net_lengths(self) -> np.ndarray:
-        """Routed length per net, in ``net_names`` order — bit-exact with
+        """Routed length per net, in iteration order — bit-exact with
         ``RoutedNet.length``."""
         return _group_sum(self.connection_lengths(), self.conn_starts)
 
@@ -995,7 +954,7 @@ class RoutingArrays:
     def connection_indices(self, names: Sequence[str]) -> np.ndarray:
         """Connection indices of the named nets, net by net in the given
         order (names this routing does not hold are skipped)."""
-        position = {name: i for i, name in enumerate(self.net_names)}
+        position = self.positions()
         runs = [
             np.arange(self.conn_starts[position[name]],
                       self.conn_starts[position[name] + 1])
@@ -1007,46 +966,25 @@ class RoutingArrays:
     def override_hints(self, conn_indices: np.ndarray, hint_sx: np.ndarray,
                        hint_sy: np.ndarray, hint_tx: np.ndarray,
                        hint_ty: np.ndarray) -> None:
-        """Re-aim the FEOL stub hints of ``conn_indices`` without
-        materializing: the hint columns are updated in place and future
-        materializations build the overridden points.  Nets already
-        materialized get their connection objects patched too, so columns
-        and objects never disagree.
-        """
+        """Re-aim the FEOL stub hints of ``conn_indices``: the hint columns
+        are updated in place (and marked present)."""
         self.hint_sx[conn_indices] = hint_sx
         self.hint_sy[conn_indices] = hint_sy
         self.hint_tx[conn_indices] = hint_tx
         self.hint_ty[conn_indices] = hint_ty
         self.hint_src_present[conn_indices] = 1
         self.hint_tgt_present[conn_indices] = 1
-        self.hint_default[conn_indices] = False
-        if not self.materialized_count:
-            return
-        for ci in np.asarray(conn_indices).tolist():
-            net_idx = int(
-                np.searchsorted(self.conn_starts, ci, side="right") - 1
-            )
-            if not self._materialized or not self._materialized[net_idx]:
-                continue
-            shell = self._shells[net_idx]
-            connection = shell.__dict__["connections"][
-                ci - int(self.conn_starts[net_idx])
-            ]
-            connection.source_hint = _fast_point(
-                float(self.hint_sx[ci]), float(self.hint_sy[ci])
-            )
-            connection.target_hint = _fast_point(
-                float(self.hint_tx[ci]), float(self.hint_ty[ci])
-            )
 
 
 #: Column dtypes of :meth:`RoutingArrays.from_nets` (per-item counts in
 #: place of CSR starts).
 _FROM_NETS_DTYPES: Dict[str, type] = {
+    "net_index": np.int64,
     "driver_x": np.float64, "driver_y": np.float64, "has_driver": bool,
     "conn_count": np.int64, "dvia_count": np.int64,
     "dvia_x": np.float64, "dvia_y": np.float64,
     "dvia_lower": np.int64, "dvia_upper": np.int64,
+    "conn_net": np.int64, "sink_gate": np.int64, "sink_token": np.int64,
     "sx": np.float64, "sy": np.float64, "tx": np.float64, "ty": np.float64,
     "h_layer": np.int64, "v_layer": np.int64, "protected": np.uint8,
     "hint_sx": np.float64, "hint_sy": np.float64,
@@ -1065,43 +1003,6 @@ def _csr(counts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
-def routing_columns(routing: "Dict[str, RoutedNet]") -> RoutingArrays:
-    """The columns of ``routing``: its clean backing when it has one (no
-    shell is materialized), else :meth:`RoutingArrays.from_nets`."""
-    backing = routing_backing(routing)
-    return backing if backing is not None else RoutingArrays.from_nets(routing)
-
-
-def routing_backing(routing: "Dict[str, RoutedNet]") -> Optional[RoutingArrays]:
-    """The shared :class:`RoutingArrays` behind a routing dict, if clean.
-
-    Returns the backing only when **every** net of ``routing`` is the lazy
-    shell of one common backing, in the backing's net order — i.e. the dict
-    is (a shallow copy of) a ``route()``/decode product, not a hand-assembled
-    or re-keyed mapping — and no net has been materialized: materialized
-    object graphs are mutable behind the columns, so consumers rebuild the
-    columns instead (:func:`routing_columns`).
-    """
-    if not routing:
-        return None
-    backing: Optional[RoutingArrays] = None
-    for index, net in enumerate(routing.values()):
-        net_backing = net.__dict__.get("_lazy_backing")
-        if net_backing is None:
-            return None
-        if backing is None:
-            backing = net_backing
-        elif net_backing is not backing:
-            return None
-        if net.__dict__.get("_lazy_index") != index:
-            return None
-    if backing is None or backing.num_nets != len(routing):
-        return None
-    if backing.materialized_count:
-        return None
-    return backing
-
-
 # ---------------------------------------------------------------------------
 # Layout arrays (placement + routing columns)
 # ---------------------------------------------------------------------------
@@ -1112,18 +1013,17 @@ class LayoutArrays:
     """Array-backed view of a routed layout (placement + segment/via columns)."""
 
     placement: PlacementArrays
-    routed_net_names: List[str]
-    routed_net_index: Dict[str, int]
+    routing: RoutingArrays
     seg_layer: np.ndarray    # (num_segments,) int64
     seg_length: np.ndarray   # (num_segments,) float64
-    seg_net: np.ndarray      # (num_segments,) intp — index into routed_net_names
+    seg_net: np.ndarray      # (num_segments,) intp — routed-net position
     via_lower: np.ndarray    # (num_vias,) int64
     via_net: np.ndarray      # (num_vias,) intp
 
     def _selected_net_indices(self, nets: Set[str]) -> np.ndarray:
+        position = self.routing.positions()
         return np.asarray(
-            sorted(self.routed_net_index[name] for name in nets
-                   if name in self.routed_net_index),
+            sorted(position[name] for name in nets if name in position),
             dtype=np.intp,
         )
 
@@ -1161,9 +1061,8 @@ class LayoutArrays:
 
     @staticmethod
     def build(netlist: Netlist, placement: "PlacementResult",
-              routing: Dict[str, "RoutedNet"]) -> "LayoutArrays":
-        """Pure column work over the routing's columns
-        (:func:`routing_columns`); no object graph of a lazy net is touched.
+              routing: RoutingArrays) -> "LayoutArrays":
+        """Pure column work over the routing columns.
 
         Reproduces the per-object walk exactly: per-segment lengths are the
         same ``|dx| + |dy|`` expression ``Segment.length`` evaluates, and the
@@ -1171,14 +1070,13 @@ class LayoutArrays:
         vias (the ``RoutedNet.all_vias`` order).
         """
         base = placement_arrays(netlist, placement)
-        backing = routing_columns(routing)
-        num_nets = backing.num_nets
+        num_nets = routing.num_nets
         net_ids = np.arange(num_nets, dtype=np.intp)
-        seg_bounds = backing.seg_starts[backing.conn_starts]
+        seg_bounds = routing.seg_starts[routing.conn_starts]
         seg_per_net = np.diff(seg_bounds)
-        via_bounds = backing.via_starts[backing.conn_starts]
+        via_bounds = routing.via_starts[routing.conn_starts]
         cvia_per_net = np.diff(via_bounds)
-        dvia_per_net = np.diff(backing.dvia_starts)
+        dvia_per_net = np.diff(routing.dvia_starts)
         out_starts = np.concatenate(
             ([0], np.cumsum(dvia_per_net + cvia_per_net))
         )
@@ -1187,26 +1085,23 @@ class LayoutArrays:
         dpos = (
             out_starts[:-1][drep]
             + np.arange(drep.size, dtype=np.int64)
-            - backing.dvia_starts[:-1][drep]
+            - routing.dvia_starts[:-1][drep]
         )
-        via_lower[dpos] = backing.dvia_lower
+        via_lower[dpos] = routing.dvia_lower
         crep = np.repeat(net_ids, cvia_per_net)
         cpos = (
             out_starts[:-1][crep] + dvia_per_net[crep]
             + np.arange(crep.size, dtype=np.int64)
             - via_bounds[:-1][crep]
         )
-        via_lower[cpos] = backing.via_lower
+        via_lower[cpos] = routing.via_lower
         return LayoutArrays(
             placement=base,
-            routed_net_names=list(backing.net_names),
-            routed_net_index={
-                name: i for i, name in enumerate(backing.net_names)
-            },
-            seg_layer=backing.seg_layer,
+            routing=routing,
+            seg_layer=routing.seg_layer,
             seg_length=(
-                np.abs(backing.seg_x2 - backing.seg_x1)
-                + np.abs(backing.seg_y2 - backing.seg_y1)
+                np.abs(routing.seg_x2 - routing.seg_x1)
+                + np.abs(routing.seg_y2 - routing.seg_y1)
             ),
             seg_net=np.repeat(net_ids, seg_per_net),
             via_lower=via_lower,

@@ -21,11 +21,11 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.layout.arrays import LayoutArrays, routing_columns
+from repro.layout.arrays import LayoutArrays, RoutingArrays
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.geometry import Point
 from repro.layout.placer import PlacementResult, PlacerConfig, place, place_batch
-from repro.layout.router import RoutedNet, RouterConfig, route, route_batch
+from repro.layout.router import RouterConfig, route, route_batch
 from repro.netlist.cells import NUM_METAL_LAYERS
 from repro.netlist.netlist import Netlist
 
@@ -39,8 +39,11 @@ class Layout:
         netlist: The *functional* netlist the layout implements.  For the
             paper's protected layouts this is the original (restored) netlist
             even though placement was optimized for the erroneous one.
-        placement: Cell and I/O positions.
-        routing: Routed nets by name.
+        placement: Cell and I/O positions (coordinate columns).
+        routing: The routing columns, also the read-only mapping net name
+            → :class:`~repro.layout.router.RoutedNet`.  A hand-built
+            ``{name: RoutedNet}`` dict is converted once, on construction
+            (:meth:`RoutingArrays.from_nets`).
         protected_nets: Names of nets whose connectivity was randomized and
             restored through the BEOL (empty for unprotected layouts).
         lift_layer: Correction/lifting cell pin layer, when applicable.
@@ -50,15 +53,19 @@ class Layout:
     name: str
     netlist: Netlist
     placement: PlacementResult
-    routing: Dict[str, RoutedNet]
+    routing: RoutingArrays
     protected_nets: Set[str] = field(default_factory=set)
     lift_layer: Optional[int] = None
     metadata: Dict[str, object] = field(default_factory=dict)
     #: Monotonic counter bumped on every in-place mutation of the routing
-    #: (re-routes, segment edits).  Placement moves are tracked separately by
+    #: columns.  Placement moves are tracked separately by
     #: ``placement.geometry_version``; together the two counters key the
     #: cached columnar view returned by :meth:`arrays`.
     geometry_version: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.routing, RoutingArrays):
+            self.routing = RoutingArrays.from_nets(self.routing, self.netlist)
 
     def bump_geometry_version(self) -> int:
         """Record an in-place routing/geometry mutation (invalidates caches)."""
@@ -149,13 +156,11 @@ class Layout:
         Array-native on the routing columns (left-fold group sums, so the
         values are bit-exact with ``RoutedNet.length``).
         """
-        columns = routing_columns(self.routing)
-        return dict(zip(columns.net_names, columns.net_lengths().tolist()))
+        return dict(zip(self.routing, self.routing.net_lengths().tolist()))
 
     def net_top_layers(self) -> Dict[str, int]:
         """Topmost layer used per net — consumed by the wire RC models."""
-        columns = routing_columns(self.routing)
-        return dict(zip(columns.net_names, columns.net_top_layers().tolist()))
+        return dict(zip(self.routing, self.routing.net_top_layers().tolist()))
 
     def die_area_um2(self) -> float:
         return self.floorplan.area_um2

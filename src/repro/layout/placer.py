@@ -24,8 +24,8 @@ The result is deterministic for a given netlist and seed.
 
 :func:`place` runs this recipe on coordinate *columns*: the serpentine fold,
 the centroid iterations, the rank-based spreading and the row packing are
-all batched NumPy passes (the only per-object Python loops left are the DFS
-ordering and the final ``gate_positions`` dict build), and
+all batched NumPy passes (the only per-object Python loop left is the DFS
+ordering), the result stays in column form (:class:`PlacementResult`), and
 :func:`place_batch` shares everything seed-independent across a seed batch.
 
 Both are **bit-exact** with the seed placer's per-gate / per-net loops,
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -78,38 +78,170 @@ class PlacerConfig:
     seed: int = 0
 
 
-@dataclass
-class PlacementResult:
-    """Placement of every gate plus the fixed I/O pin positions.
+class PositionView(Mapping[str, Point]):
+    """Read-only name → :class:`Point` view over coordinate columns.
 
-    Attributes:
-        geometry_version: Monotonic counter bumped on every in-place geometry
-            mutation (gates moved, positions replaced).  The columnar array
-            views in :mod:`repro.layout.arrays` key their caches on it, so
-            **any code that mutates ``gate_positions`` or ``port_positions``
-            after construction must call :meth:`bump_geometry_version`** —
-            the same contract ``Netlist.topology_version`` enforces for
-            structural netlist edits.
+    Row ``r`` is named ``names[index[r]]`` (``names[r]`` when ``index`` is
+    None) and sits at ``(x[r], y[r])``; iteration follows the rows.  Every
+    lookup builds a fresh ``Point``; nothing is stored per row.
+    """
+
+    __slots__ = ("_names", "_index", "_x", "_y", "_rows")
+
+    def __init__(self, names: Sequence[str], index: Optional[np.ndarray],
+                 x: np.ndarray, y: np.ndarray):
+        self._names = names
+        self._index = index
+        self._x = x
+        self._y = y
+        self._rows: Optional[Dict[str, int]] = None
+
+    def _row_of(self) -> Dict[str, int]:
+        if self._rows is None:
+            self._rows = {name: row for row, name in enumerate(self)}
+        return self._rows
+
+    def __getitem__(self, name: str) -> Point:
+        row = self._row_of()[name]
+        return Point(float(self._x[row]), float(self._y[row]))
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._row_of()
+
+    def __iter__(self) -> Iterator[str]:
+        if self._index is None:
+            return iter(self._names)
+        return map(self._names.__getitem__, self._index.tolist())
+
+    def __len__(self) -> int:
+        return len(self._x)
+
+
+def _column(values: Sequence[float]) -> np.ndarray:
+    """A read-only float64 coordinate column."""
+    column = np.array(values, dtype=np.float64)
+    column.flags.writeable = False
+    return column
+
+
+def _columns_of(positions: Mapping[str, Point]
+                ) -> Tuple[List[str], np.ndarray, np.ndarray]:
+    """``(names, x, y)`` columns of a name → ``Point`` mapping."""
+    points = list(positions.values())
+    return (list(positions), _column([p.x for p in points]),
+            _column([p.y for p in points]))
+
+
+@dataclass(eq=False)
+class PlacementResult:
+    """Placement of every gate plus the fixed I/O pin positions, as columns.
+
+    Row ``r`` places gate ``gate_names[gate_index[r]]`` at ``(gate_x[r],
+    gate_y[r])``; rows are in placement order (row by row, left to right,
+    for the placer).  ``gate_names`` is the name table ``gate_index``
+    points into: the placed netlist's gates in netlist order for placer,
+    pool and store products (so ``gate_index`` holds netlist gate indices),
+    the given names for :meth:`from_positions`.  Port ``k`` is
+    ``port_names[k]`` at ``(port_x[k], port_y[k])``.
+
+    The columns are read-only and may be shared between placements.
+    :meth:`set_coordinates` is the one way to move gates or ports: it
+    installs new columns and bumps ``geometry_version``, the counter the
+    columnar views in :mod:`repro.layout.arrays` key their caches on.
+    ``gate_positions``/``port_positions`` are read-only name → ``Point``
+    views over the columns.
     """
 
     floorplan: Floorplan
-    gate_positions: Dict[str, Point]
-    port_positions: Dict[str, Point]
+    gate_names: Sequence[str] = field(repr=False)
+    gate_index: np.ndarray     # (num_placed,) int64 into gate_names
+    gate_x: np.ndarray         # (num_placed,) float64
+    gate_y: np.ndarray
+    port_names: List[str]
+    port_x: np.ndarray         # (num_ports,) float64
+    port_y: np.ndarray
     config: PlacerConfig = field(default_factory=PlacerConfig)
     geometry_version: int = 0
+
+    def __post_init__(self) -> None:
+        for column in (self.gate_index, self.gate_x, self.gate_y,
+                       self.port_x, self.port_y):
+            column.flags.writeable = False
+
+    @classmethod
+    def from_positions(cls, floorplan: Floorplan,
+                       gate_positions: Mapping[str, Point],
+                       port_positions: Mapping[str, Point],
+                       config: Optional[PlacerConfig] = None) -> "PlacementResult":
+        """Columns of hand-built position mappings (rows in mapping order)."""
+        gate_names, gate_x, gate_y = _columns_of(gate_positions)
+        return cls(
+            floorplan, gate_names, np.arange(len(gate_names), dtype=np.int64),
+            gate_x, gate_y, *_columns_of(port_positions),
+            config if config is not None else PlacerConfig(),
+        )
+
+    @property
+    def gate_positions(self) -> Mapping[str, Point]:
+        """Read-only gate name → ``Point`` view, in placement order."""
+        view = self.__dict__.get("_gate_view")
+        if view is None:
+            view = self.__dict__["_gate_view"] = PositionView(
+                self.gate_names, self.gate_index, self.gate_x, self.gate_y
+            )
+        return view
+
+    @property
+    def port_positions(self) -> Mapping[str, Point]:
+        """Read-only port name → ``Point`` view."""
+        view = self.__dict__.get("_port_view")
+        if view is None:
+            view = self.__dict__["_port_view"] = PositionView(
+                self.port_names, None, self.port_x, self.port_y
+            )
+        return view
 
     def position_of(self, gate_name: str) -> Point:
         return self.gate_positions[gate_name]
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PlacementResult):
+            return NotImplemented
+        return (self.floorplan == other.floorplan
+                and self.config == other.config
+                and self.geometry_version == other.geometry_version
+                and self.gate_positions == other.gate_positions
+                and self.port_positions == other.port_positions)
+
+    def set_coordinates(self, gate_x: Optional[Sequence[float]] = None,
+                        gate_y: Optional[Sequence[float]] = None,
+                        port_x: Optional[Sequence[float]] = None,
+                        port_y: Optional[Sequence[float]] = None) -> int:
+        """Move gates and/or ports: each given column replaces the current
+        one row for row (same rows, same order).  Bumps
+        ``geometry_version`` and returns it."""
+        for name, values in (("gate_x", gate_x), ("gate_y", gate_y),
+                             ("port_x", port_x), ("port_y", port_y)):
+            if values is None:
+                continue
+            column = _column(values)
+            if column.shape != getattr(self, name).shape:
+                raise ValueError(f"{name} must keep {len(getattr(self, name))} rows")
+            setattr(self, name, column)
+        self.__dict__.pop("_gate_view", None)
+        self.__dict__.pop("_port_view", None)
+        return self.bump_geometry_version()
+
     def bump_geometry_version(self) -> int:
-        """Record an in-place geometry mutation (invalidates array caches)."""
+        """Record a geometry change (invalidates array caches)."""
         self.geometry_version += 1
         return self.geometry_version
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_geometry_cache", None)  # cached arrays are rebuilt lazily
-        state.pop("_skeleton_cache", None)
+        for cached in ("_geometry_cache", "_skeleton_cache", "_gate_view",
+                       "_port_view"):
+            state.pop(cached, None)  # rebuilt lazily
         return state
 
     def __setstate__(self, state):
@@ -361,7 +493,9 @@ class _PlacerSkeleton:
         self.gate_names = list(netlist.gates.keys())
         self.n = len(self.gate_names)
         self.gate_index = {name: i for i, name in enumerate(self.gate_names)}
-        self.port_positions, self.visible_ports = _io_assignment(netlist, floorplan)
+        self.port_positions, visible_ports = _io_assignment(netlist, floorplan)
+        # Shared (read-only) port columns of every placement of the batch.
+        self.port_names, self.port_x, self.port_y = _columns_of(visible_ports)
         self._adjacency: Optional[Dict[str, List[str]]] = None
         self._starts: Optional[List[str]] = None
         self._columns: Optional[_CentroidColumns] = None
@@ -476,26 +610,29 @@ def _spread_batch(X: np.ndarray, Y: np.ndarray, skeleton: _PlacerSkeleton
 
 
 def _legalize_rows(order: np.ndarray, starts: np.ndarray,
-                   skeleton: _PlacerSkeleton) -> Dict[str, Point]:
-    """Row legalization for one seed (pack by x order, scaled to fit)."""
+                   skeleton: _PlacerSkeleton) -> Tuple[np.ndarray, np.ndarray]:
+    """Row legalization for one seed (pack by x order, scaled to fit).
+
+    Returns the ``(x, y)`` columns of the gates in ``order``, which lists
+    them row by row in packing order."""
     die = skeleton.die
     floorplan = skeleton.floorplan
     widths = skeleton.widths
-    gate_names = skeleton.gate_names
     row_width = die.width
-    gate_positions: Dict[str, Point] = {}
+    xs = np.empty(len(order), dtype=np.float64)
+    ys = np.empty(len(order), dtype=np.float64)
     for row in range(skeleton.num_rows):
-        members = order[starts[row]:starts[row + 1]]
-        count = len(members)
+        lo, hi = int(starts[row]), int(starts[row + 1])
+        count = hi - lo
         if count == 0:
             continue
-        member_widths = widths[members]
+        member_widths = widths[order[lo:hi]]
         total_width = member_widths.sum()
         slack = max(row_width - total_width, 0.0)
         gap = slack / (count + 1)
         scale = min(1.0, row_width / total_width) if total_width > 0 else 1.0
         scaled = member_widths * scale
-        row_y = float(die.y_min + row * floorplan.row_height_um)
+        ys[lo:hi] = float(die.y_min + row * floorplan.row_height_um)
         # The sequential cursor chain  cursor = ((pos + width) + gap)  as an
         # interleaved cumsum: identical left-to-right FP grouping.
         seq = np.empty(2 * count + 1)
@@ -515,14 +652,13 @@ def _legalize_rows(order: np.ndarray, starts: np.ndarray,
                 "results are unchanged, packing that row is just slower",
             )
             cursor = die.x_min + gap
-            for cell, width in zip(members.tolist(), scaled.tolist()):
+            for k, width in enumerate(scaled.tolist()):
                 pos_x = min(cursor, die.x_max - width)
-                gate_positions[gate_names[cell]] = Point(float(pos_x), row_y)
+                xs[lo + k] = pos_x
                 cursor = pos_x + width + gap
             continue
-        for cell, pos_x in zip(members.tolist(), cursors.tolist()):
-            gate_positions[gate_names[cell]] = Point(pos_x, row_y)
-    return gate_positions
+        xs[lo:hi] = cursors
+    return xs, ys
 
 
 def _place_batch(netlist: Netlist, seeds: Sequence[int],
@@ -538,11 +674,18 @@ def _place_batch(netlist: Netlist, seeds: Sequence[int],
     if floorplan is None:
         floorplan = build_floorplan(netlist, utilization)
     skeleton = _PlacerSkeleton(netlist, floorplan, shape)
+
+    def placement(config: PlacerConfig, order: np.ndarray, xs: np.ndarray,
+                  ys: np.ndarray) -> PlacementResult:
+        return PlacementResult(
+            floorplan, skeleton.gate_names, order, xs, ys,
+            skeleton.port_names, skeleton.port_x, skeleton.port_y, config,
+        )
+
     if skeleton.n == 0:
-        return [
-            PlacementResult(floorplan, {}, dict(skeleton.visible_ports), config)
-            for config in configs
-        ]
+        empty = np.empty(0, dtype=np.float64)
+        return [placement(config, np.empty(0, dtype=np.int64), empty, empty)
+                for config in configs]
 
     n_seeds = len(seeds)
     n = skeleton.n
@@ -575,16 +718,13 @@ def _place_batch(netlist: Netlist, seeds: Sequence[int],
         _, _, row_of = _spread_batch(X, Y, skeleton)
 
     # --- 4. Row legalization (pack by x order, scaled to fit) ----------------
+    # Each seed's packing order, row by row, is its placement order.
     order, _sorted_rows, starts = _row_partition_batch(
         X, row_of, skeleton.num_rows
     )
     return [
-        PlacementResult(
-            floorplan,
-            _legalize_rows(order[s], starts[s], skeleton),
-            dict(skeleton.visible_ports),
-            configs[s],
-        )
+        placement(configs[s], order[s].copy(),
+                  *_legalize_rows(order[s], starts[s], skeleton))
         for s in range(n_seeds)
     ]
 

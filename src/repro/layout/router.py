@@ -27,11 +27,12 @@ track assignment.
 :func:`route` evaluates layer-pair selection and jog counts for *all*
 connections at once on NumPy columns (:func:`_select_pairs` and
 :func:`_jog_counts` are the whole routing policy) and assembles the
-staircase segment/via geometry as array-built coordinate columns, kept in a
-:class:`~repro.layout.arrays.RoutingArrays` behind lazily materialized
-:class:`RoutedNet` shells; :func:`route_batch` does the same for a seed
-batch.  It is the only router entry: the protected layout routes through it
-too and re-aims its swapped stubs afterwards
+staircase segment/via geometry as array-built coordinate columns, returned
+as a :class:`~repro.layout.arrays.RoutingArrays` (which builds
+:class:`RoutedNet` objects only when a net is looked up);
+:func:`route_batch` does the same for a seed batch.  It is the only router
+entry: the protected layout routes through it too and re-aims its swapped
+stubs afterwards
 (:meth:`~repro.layout.arrays.RoutingArrays.override_hints`).
 
 The columns are bit-exact with the seed router, which routed one 2-pin
@@ -130,48 +131,15 @@ class RoutedConnection:
 class RoutedNet:
     """All routed connections of one net plus the shared driver via stack.
 
-    :func:`route`/:func:`route_batch` return **lazy** instances backed by a
-    :class:`~repro.layout.arrays.RoutingArrays` view: ``connections`` and
-    ``driver_vias`` are absent from the instance until first attribute
-    access, at which point the backing materializes the net's object graph
-    bit-exactly (``__getattr__`` below).  Array-native consumers that go
-    through :func:`~repro.layout.arrays.routing_backing` read the columns
-    directly and never trigger materialization; every object-level consumer
-    — including equality, ``repr`` and pickling — observes exactly the
-    eagerly-built graph.
+    The object form of one routed net, as a lookup in a routing
+    (:class:`~repro.layout.arrays.RoutingArrays`) builds it from the
+    columns, and as hand-built routings and the test oracles construct it.
     """
 
     name: str
     driver_point: Optional[Point]
     connections: List[RoutedConnection] = field(default_factory=list)
     driver_vias: List[Via] = field(default_factory=list)
-
-    def __getattr__(self, name: str):
-        # Only reached when normal lookup fails: on a lazy shell the two
-        # list fields are missing from __dict__ until materialized.
-        if name in ("connections", "driver_vias"):
-            backing = self.__dict__.get("_lazy_backing")
-            if backing is not None:
-                backing.materialize_into(self)
-                return self.__dict__[name]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def __getstate__(self):
-        # Pickle the exact field dict a legacy eager instance carried (same
-        # keys, same order), materializing if needed — lazy and eager nets
-        # produce identical pickle bytes, and unpickled nets are plain
-        # object-backed nets.
-        return {
-            "name": self.name,
-            "driver_point": self.driver_point,
-            "connections": self.connections,
-            "driver_vias": self.driver_vias,
-        }
-
-    def __setstate__(self, state) -> None:
-        self.__dict__ = state
 
     @property
     def length(self) -> float:
@@ -338,8 +306,8 @@ def _connection_columns(h: np.ndarray, v: np.ndarray, config: RouterConfig,
     Every floating-point expression is evaluated with the same operations,
     in the same order, as the seed router's per-connection loop; the
     columns are scattered straight into their final per-connection CSR
-    slots, so materializing objects from them (lazily, through
-    :class:`~repro.layout.arrays.RoutingArrays`) reproduces that loop bit
+    slots, so objects built from them (on lookup in a
+    :class:`~repro.layout.arrays.RoutingArrays`) reproduce that loop bit
     for bit.
     """
     m = len(h)
@@ -557,112 +525,122 @@ def _jog_counts(config: RouterConfig, lengths: np.ndarray,
     return np.maximum(1, jogs)
 
 
+def _read_only(values: Sequence[int]) -> np.ndarray:
+    column = np.asarray(values, dtype=np.int64)
+    column.flags.writeable = False
+    return column
+
+
 class _RoutingSkeleton:
     """Seed-independent routing structure shared across a placement batch.
 
     Which 2-pin connections exist — the seed router's skip logic over unplaced
-    drivers/sinks — depends only on the *key sets* of a placement's
-    ``gate_positions``/``port_positions``, not on the coordinates.  The
-    skeleton records every routable connection as name references once, and
-    :meth:`points` plus the slot lists turn them into concrete ``Point``
-    endpoints against any placement with the same key sets (each member of
-    a ``place_batch`` run).
+    drivers/sinks — depends only on *which* gates and ports a placement
+    places, not on their coordinates or row order.  The skeleton records
+    every routable connection once, as indices: an endpoint is a netlist
+    gate index, or ``num_gates + k`` for port ``k``.  :meth:`coordinates`
+    scatters any placement that places the same gates and port list (each
+    member of a ``place_batch`` run) into that slot order.  Its read-only
+    index columns are shared by every routing built from it.
     """
 
     def __init__(self, netlist: Netlist, placement: PlacementResult):
-        self.netlist = netlist
-        self.gate_keys = frozenset(placement.gate_positions)
-        self.port_keys = frozenset(placement.port_positions)
-        gate_positions = placement.gate_positions
-        port_positions = placement.port_positions
-        #: Per routed net: (net_name, net, source_is_port, source_name,
-        #: start, stop) with [start, stop) slicing the flat columns.
-        self.entries: List[Tuple[str, object, bool, str, int, int]] = []
-        self.net_names: List[str] = []
-        self.sink_refs: List[SinkRef] = []
-        #: Per connection: (target_is_port, lookup_name).
-        self.target_refs: List[Tuple[bool, str]] = []
-        for net_name, net in netlist.nets.items():
+        gate_names = list(netlist.gates)
+        if placement.gate_names == gate_names:
+            gate_names = placement.gate_names  # share the placement's table
+        self.gate_names = gate_names
+        self.net_names = list(netlist.nets)
+        self.port_names = placement.port_names
+        self._gate_lookup = {name: i for i, name in enumerate(gate_names)}
+        num_gates = len(gate_names)
+        self.placed = self._placed_mask(placement)
+        placed = self.placed.tolist()
+        gate_lookup = self._gate_lookup
+        port_slot = {
+            name: num_gates + k for k, name in enumerate(self.port_names)
+        }
+        tokens: Dict[str, int] = {}
+        token = tokens.setdefault
+        entry_net: List[int] = []
+        entry_source: List[int] = []
+        conn_count: List[int] = []
+        targets: List[int] = []
+        sink_gate: List[int] = []
+        sink_token: List[int] = []
+        for net_idx, (net_name, net) in enumerate(netlist.nets.items()):
             if net.driver is not None:
-                source_is_port = False
-                source_name = net.driver[0]
-                if source_name not in gate_positions:
+                source = gate_lookup.get(net.driver[0])
+                if source is None or not placed[source]:
                     continue
             elif net.is_primary_input:
-                source_is_port = True
-                source_name = net_name
-                if source_name not in port_positions:
+                source = port_slot.get(net_name)
+                if source is None:
                     continue
             else:
                 continue
-            start = len(self.sink_refs)
-            for sink_gate, sink_pin in net.sinks:
-                if sink_gate in gate_positions:
-                    self.sink_refs.append((sink_gate, sink_pin))
-                    self.target_refs.append((False, sink_gate))
+            start = len(targets)
+            for gate, pin in net.sinks:
+                index = gate_lookup.get(gate)
+                if index is not None and placed[index]:
+                    targets.append(index)
+                    sink_gate.append(index)
+                    sink_token.append(token(pin, len(tokens)))
             for po in net.primary_outputs:
-                if po in port_positions:
-                    self.sink_refs.append(("PO", po))
-                    self.target_refs.append((True, po))
-            stop = len(self.sink_refs)
-            if stop == start:
+                slot = port_slot.get(po)
+                if slot is not None:
+                    targets.append(slot)
+                    sink_gate.append(-1)
+                    sink_token.append(token(po, len(tokens)))
+            if len(targets) == start:
                 continue
-            self.net_names.extend([net_name] * (stop - start))
-            self.entries.append(
-                (net_name, net, source_is_port, source_name, start, stop)
-            )
-        self.net_starts = np.asarray(
-            [entry[4] for entry in self.entries], dtype=np.intp
-        )
-        # Slot-indexed resolution: every endpoint is one of the placement's
-        # points.  Listing the points once per placement (name order fixed
-        # here) turns per-connection dict lookups into list indexing and the
-        # coordinate columns into NumPy gathers.
-        self.gate_names = list(self.gate_keys)
-        self.port_names = list(self.port_keys)
-        gate_slot = {name: i for i, name in enumerate(self.gate_names)}
-        n_gates = len(self.gate_names)
-        port_slot = {
-            name: n_gates + i for i, name in enumerate(self.port_names)
-        }
-        self.target_slots = [
-            port_slot[name] if is_port else gate_slot[name]
-            for is_port, name in self.target_refs
-        ]
-        self.entry_source_slots = [
-            port_slot[source_name] if source_is_port else gate_slot[source_name]
-            for _nn, _net, source_is_port, source_name, _start, _stop
-            in self.entries
-        ]
-        self.source_slots = np.repeat(
-            np.asarray(self.entry_source_slots, dtype=np.intp),
-            [stop - start for _nn, _net, _p, _s, start, stop in self.entries],
-        ).tolist()
-        self._target_idx = np.asarray(self.target_slots, dtype=np.intp)
-        self._source_idx = np.asarray(self.source_slots, dtype=np.intp)
-        self._entry_source_idx = np.asarray(
-            self.entry_source_slots, dtype=np.intp
-        )
+            entry_net.append(net_idx)
+            entry_source.append(source)
+            conn_count.append(len(targets) - start)
+        self.sink_tokens = list(tokens)
+        self.net_index = _read_only(entry_net)
+        self.conn_starts = _read_only(np.concatenate(([0], np.cumsum(conn_count))))
+        self.conn_net = _read_only(np.repeat(self.net_index, conn_count))
+        self.sink_gate = _read_only(sink_gate)
+        self.sink_token = _read_only(sink_token)
+        self.has_driver = np.ones(len(entry_net), dtype=bool)
+        self.has_driver.flags.writeable = False
+        self._entry_source_idx = np.asarray(entry_source, dtype=np.intp)
+        self._source_idx = np.repeat(self._entry_source_idx, conn_count)
+        self._target_idx = np.asarray(targets, dtype=np.intp)
+
+    def _rows(self, placement: PlacementResult) -> np.ndarray:
+        """Netlist gate index of every placement row (-1: not a netlist gate)."""
+        table = placement.gate_names
+        if table is self.gate_names or table == self.gate_names:
+            return placement.gate_index
+        lookup = self._gate_lookup
+        per_name = np.fromiter((lookup.get(name, -1) for name in table),
+                               dtype=np.int64, count=len(table))
+        return per_name[placement.gate_index]
+
+    def _placed_mask(self, placement: PlacementResult) -> np.ndarray:
+        rows = self._rows(placement)
+        placed = np.zeros(len(self.gate_names), dtype=bool)
+        placed[rows[rows >= 0]] = True
+        return placed
 
     def matches(self, placement: PlacementResult) -> bool:
-        """True when ``placement`` places exactly the skeleton's keys."""
-        return (
-            self.gate_keys == placement.gate_positions.keys()
-            and self.port_keys == placement.port_positions.keys()
-        )
+        """True when ``placement`` places exactly the skeleton's gates and
+        ports."""
+        return (placement.port_names == self.port_names
+                and np.array_equal(self._placed_mask(placement), self.placed))
 
-    def points(self, placement: PlacementResult) -> List[Point]:
-        """The placement's points in the skeleton's slot order."""
-        gate_positions = placement.gate_positions
-        port_positions = placement.port_positions
-        points = [gate_positions[name] for name in self.gate_names]
-        points += [port_positions[name] for name in self.port_names]
-        return points
-
-    def coordinate_columns(self, points: List[Point]) -> Tuple[np.ndarray, ...]:
+    def coordinates(self, placement: PlacementResult) -> Tuple[np.ndarray, ...]:
         """``(sx, sy, tx, ty, esx, esy)`` float64 columns via slot gathers."""
-        px = np.asarray([p.x for p in points], dtype=np.float64)
-        py = np.asarray([p.y for p in points], dtype=np.float64)
+        num_gates = len(self.gate_names)
+        rows = self._rows(placement)
+        known = rows >= 0
+        px = np.zeros(num_gates + len(self.port_names), dtype=np.float64)
+        py = np.zeros_like(px)
+        px[rows[known]] = placement.gate_x[known]
+        py[rows[known]] = placement.gate_y[known]
+        px[num_gates:] = placement.port_x
+        py[num_gates:] = placement.port_y
         return (
             px[self._source_idx], py[self._source_idx],
             px[self._target_idx], py[self._target_idx],
@@ -673,29 +651,18 @@ class _RoutingSkeleton:
 def _route_with_skeleton(skeleton: _RoutingSkeleton,
                          placement: PlacementResult, config: RouterConfig,
                          min_layer_per_net: Mapping[str, int]
-                         ) -> Dict[str, RoutedNet]:
-    """Route one placement through a (shared) routing skeleton.
-
-    The geometry never leaves column form here: the returned dict holds lazy
-    :class:`RoutedNet` shells over one :class:`RoutingArrays` backing, and
-    per-object graphs are only materialized if a consumer actually touches
-    ``connections``/``driver_vias``.
-    """
-    if not skeleton.entries:
-        return {}
+                         ) -> RoutingArrays:
+    """Route one placement through a (shared) routing skeleton; the
+    geometry never leaves column form."""
     half_perimeter = placement.floorplan.half_perimeter_um
-    points = skeleton.points(placement)
-    entry_sources = [points[i] for i in skeleton.entry_source_slots]
-    sources = [points[i] for i in skeleton.source_slots]
-    targets = [points[i] for i in skeleton.target_slots]
-    net_names = skeleton.net_names
-    m = len(net_names)
-
-    sx, sy, tx, ty, esx, esy = skeleton.coordinate_columns(points)
+    sx, sy, tx, ty, esx, esy = skeleton.coordinates(placement)
+    m = len(sx)
     lengths = np.abs(sx - tx) + np.abs(sy - ty)  # == manhattan(source, target)
     if min_layer_per_net:
+        net_names = skeleton.net_names
         lift = np.asarray(
-            [min_layer_per_net.get(name, -1) for name in net_names],
+            [min_layer_per_net.get(net_names[i], -1)
+             for i in skeleton.conn_net.tolist()],
             dtype=np.int64,
         )
     else:
@@ -710,29 +677,28 @@ def _route_with_skeleton(skeleton: _RoutingSkeleton,
     # has no source and was skipped), so every routed net gets its driver
     # via stack — like the seed router.
     dvia_starts, stack_rep, stack_layer = _driver_stacks(
-        h, skeleton.net_starts, config.pin_layer
+        h, skeleton.conn_starts[:-1], config.pin_layer
     )
 
-    # Hint columns hold the router defaults (source hint = target, target
-    # hint = source); hint_default additionally makes materialization reuse
-    # the endpoint Point objects instead of building fresh ones, exactly
-    # like the eager path.
-    num_nets = len(skeleton.entries)
-    backing = RoutingArrays(
-        net_names=[entry[0] for entry in skeleton.entries],
-        conn_starts=np.concatenate(
-            (skeleton.net_starts, [m])
-        ).astype(np.int64),
+    # Hint columns hold the router defaults: source hint = target, target
+    # hint = source.
+    return RoutingArrays(
+        net_names=skeleton.net_names,
+        gate_names=skeleton.gate_names,
+        sink_tokens=skeleton.sink_tokens,
+        net_index=skeleton.net_index,
+        conn_starts=skeleton.conn_starts,
         driver_x=esx,
         driver_y=esy,
-        has_driver=np.ones(num_nets, dtype=bool),
-        driver_points=entry_sources,
+        has_driver=skeleton.has_driver,
         dvia_starts=dvia_starts,
         dvia_x=esx[stack_rep],
         dvia_y=esy[stack_rep],
         dvia_lower=stack_layer,
         dvia_upper=stack_layer + 1,
-        sink_refs=skeleton.sink_refs,
+        conn_net=skeleton.conn_net,
+        sink_gate=skeleton.sink_gate,
+        sink_token=skeleton.sink_token,
         sx=sx, sy=sy, tx=tx, ty=ty,
         h_layer=h,
         v_layer=v,
@@ -741,7 +707,6 @@ def _route_with_skeleton(skeleton: _RoutingSkeleton,
         hint_tx=sx.copy(), hint_ty=sy.copy(),
         hint_src_present=np.ones(m, dtype=np.uint8),
         hint_tgt_present=np.ones(m, dtype=np.uint8),
-        hint_default=np.ones(m, dtype=bool),
         seg_starts=columns.seg_starts,
         via_starts=columns.via_starts,
         seg_layer=columns.seg_layer,
@@ -749,15 +714,12 @@ def _route_with_skeleton(skeleton: _RoutingSkeleton,
         seg_x2=columns.seg_x2, seg_y2=columns.seg_y2,
         via_x=columns.via_x, via_y=columns.via_y,
         via_lower=columns.via_lower, via_upper=columns.via_upper,
-        source_points=sources,
-        target_points=targets,
     )
-    return backing.lazy_nets()
 
 
 def route(netlist: Netlist, placement: PlacementResult,
           config: Optional[RouterConfig] = None,
-          min_layer_per_net: Optional[Mapping[str, int]] = None) -> Dict[str, RoutedNet]:
+          min_layer_per_net: Optional[Mapping[str, int]] = None) -> RoutingArrays:
     """Route every net of ``netlist`` over ``placement``.
 
     This is the batched build path: layer pairs and jog counts are selected
@@ -773,8 +735,9 @@ def route(netlist: Netlist, placement: PlacementResult,
             cells).
 
     Returns:
-        Mapping net name → :class:`RoutedNet`.  Nets without a placed driver
-        or without sinks are skipped.
+        The routing columns, also a read-only mapping net name →
+        :class:`RoutedNet`.  Nets without a placed driver or without sinks
+        are skipped.
     """
     config = config if config is not None else RouterConfig()
     min_layer_per_net = min_layer_per_net or {}
@@ -785,14 +748,14 @@ def route(netlist: Netlist, placement: PlacementResult,
 def route_batch(netlist: Netlist, placements: Sequence[PlacementResult],
                 config: Optional[RouterConfig] = None,
                 min_layer_per_net: Optional[Mapping[str, int]] = None
-                ) -> List[Dict[str, RoutedNet]]:
+                ) -> List[RoutingArrays]:
     """Route every net of ``netlist`` over each placement of a seed batch.
 
     Semantically ``[route(netlist, p, config, min_layer_per_net) for p in
     placements]`` — and bit-exact with it, placement by placement — but the
     connection skeleton (which driver→sink pairs exist, in which net order)
     is gathered once and shared: per placement only the coordinate columns,
-    the layer-pair selection and the geometry materialization run.
+    the layer-pair selection and the geometry columns are computed.
 
     Placements are expected to place the same gate/port sets (the members of
     one :func:`repro.layout.placer.place_batch` call); a member that does not
@@ -800,14 +763,14 @@ def route_batch(netlist: Netlist, placements: Sequence[PlacementResult],
     degradation warning.
 
     Returns:
-        One net-name → :class:`RoutedNet` mapping per placement, in order.
+        One routing per placement, in order.
     """
     if not placements:
         return []
     config = config if config is not None else RouterConfig()
     min_layer_per_net = min_layer_per_net or {}
     skeleton = _RoutingSkeleton(netlist, placements[0])
-    results: List[Dict[str, RoutedNet]] = []
+    results: List[RoutingArrays] = []
     for index, placement in enumerate(placements):
         member_skeleton = skeleton
         if index > 0 and not skeleton.matches(placement):

@@ -47,6 +47,28 @@ _JSON = "application/json"
 #: Largest ``POST /v1/jobs`` body accepted; larger ones get 413 unread.
 MAX_BODY_BYTES = 1 << 20
 
+#: Largest seed set a submitted sweep may name; larger ones get 400 before
+#: the seeds are expanded or hashed (a short body can name millions).
+MAX_SWEEP_SEEDS = 10_000
+
+
+def _seed_count(payload: Any) -> int:
+    """How many seeds the spec in a request body names, read off its raw
+    ``seeds`` field (0 when it names none or the field is malformed; the
+    spec parser rejects malformed fields)."""
+    if not isinstance(payload, dict):
+        return 0
+    spec = payload
+    if "spec" in payload and "benchmark" not in payload:
+        spec = payload["spec"]
+    seeds = spec.get("seeds") if isinstance(spec, dict) else None
+    if isinstance(seeds, dict):
+        try:
+            return int(seeds.get("count", 0))
+        except (TypeError, ValueError):
+            return 0
+    return len(seeds) if isinstance(seeds, list) else 0
+
 
 class _BadQuery(ValueError):
     """A malformed query parameter (answered with 400)."""
@@ -157,6 +179,11 @@ class _Handler(BaseHTTPRequestHandler):
             payload = json.loads(raw.decode("utf-8") or "null")
         except (ValueError, UnicodeDecodeError) as error:
             return self._error(400, f"invalid JSON body: {error}")
+        seeds = _seed_count(payload)
+        if seeds > MAX_SWEEP_SEEDS:
+            return self._error(
+                400, f"invalid spec: a sweep of {seeds} seeds exceeds the "
+                     f"{MAX_SWEEP_SEEDS}-seed limit")
         try:
             job, created = self.service.manager.submit(payload)
         except (TypeError, ValueError, KeyError) as error:

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.layout.arrays import UniformGridIndex, _fast_point, routing_columns
+from repro.layout.arrays import UniformGridIndex, _fast_point
 from repro.layout.geometry import Point
 from repro.layout.layout import Layout
 
@@ -324,10 +324,9 @@ def extract_feol(layout: Layout, split_layer: int,
 
     Column-native: the cut mask, the stub positions and directions and the
     :class:`FEOLArrays` cache are computed on the routing's
-    :class:`~repro.layout.arrays.RoutingArrays` columns (its clean backing,
-    or :meth:`~repro.layout.arrays.RoutingArrays.from_nets` for edited or
-    hand-built routings), so no routed net is materialized.  VPin and
-    OpenConnection objects are built for cut connections only.
+    :class:`~repro.layout.arrays.RoutingArrays` columns, so no routed net is
+    materialized.  VPin and OpenConnection objects are built for cut
+    connections only.
 
     Args:
         layout: A routed layout (original, naively lifted, or protected).
@@ -344,8 +343,8 @@ def extract_feol(layout: Layout, split_layer: int,
         raise ValueError("split_layer must be >= 1")
     view = FEOLView(layout=layout, split_layer=split_layer)
     netlist = layout.netlist
-    names = list(layout.routing)
-    routing = routing_columns(layout.routing)
+    routing = layout.routing
+    names = list(routing)
 
     # A connection is cut when its lateral routing runs above the split.
     cut = (routing.h_layer > split_layer) | (routing.v_layer > split_layer)
@@ -398,10 +397,14 @@ def extract_feol(layout: Layout, split_layer: int,
     max_loads: List[float] = []
     caps: List[float] = []
     sink_gates: List[Optional[str]] = []
-    for k, (ci, net_idx, dx, dy, ddir, sxk, syk, sdir, prot) in enumerate(zip(
-            cut_idx.tolist(), conn_owner.tolist(), d_x.tolist(), d_y.tolist(),
-            d_dir, s_x.tolist(), s_y.tolist(), s_dir,
-            routing.protected[cut_idx].tolist())):
+    gate_names = routing.gate_names
+    sink_tokens = routing.sink_tokens
+    for k, (gate_id, token, net_idx, dx, dy, ddir, sxk, syk, sdir,
+            prot) in enumerate(zip(
+            routing.sink_gate[cut_idx].tolist(),
+            routing.sink_token[cut_idx].tolist(), conn_owner.tolist(),
+            d_x.tolist(), d_y.tolist(), d_dir, s_x.tolist(), s_y.tolist(),
+            s_dir, routing.protected[cut_idx].tolist())):
         net_name = names[net_idx]
         driver_gate, driver_pin, driver_cell = drivers[net_idx]
         max_load = driver_cell.max_load_ff if driver_cell is not None else 1e9
@@ -423,12 +426,12 @@ def extract_feol(layout: Layout, split_layer: int,
             "net": net_name,
         }))
 
-        first, second = routing.sink_refs[ci]
-        if first == "PO":
+        second = sink_tokens[token]
+        if gate_id < 0:
             sink_gate, sink_cell, cap = None, None, 0.0
         else:
-            sink_gate = first
-            sink_cell = netlist.gates[first].cell
+            sink_gate = gate_names[gate_id]
+            sink_cell = netlist.gates[sink_gate].cell
             cap = sink_cell.pin(second).capacitance_ff
         caps.append(cap)
         sink_gates.append(sink_gate)

@@ -17,14 +17,11 @@ protocol the pool workers already use:
 :func:`encode_build` flattens a :class:`~repro.api.schemes.SchemeBuild`
 into ``(record, arrays)`` — a JSON-compatible metadata record plus a dict
 of NumPy arrays — and :func:`decode_build` reverses it against a freshly
-regenerated netlist.  Both directions stay columnar: encode copies the
-routing's :class:`~repro.layout.arrays.RoutingArrays` columns near-verbatim
-into the payload (routings without a clean backing — hand-assembled nets,
-mutated object graphs — get theirs from
-:meth:`~repro.layout.arrays.RoutingArrays.from_nets`), and decode keeps the
-payload columns as a fresh ``RoutingArrays`` behind lazy
-:class:`~repro.layout.router.RoutedNet` shells — per-object geometry is
-only materialized if a consumer of the loaded build touches it.
+regenerated netlist.  Both directions are column copies: the placement's
+and the routing's (:class:`~repro.layout.arrays.RoutingArrays`) columns go
+into the payload near-verbatim, with their integer name keys, and decode
+keeps the payload columns as the placement and routing columns of the
+loaded layout.
 
 Builds that carry state the columnar format cannot represent — today the
 ``proposed`` scheme's full :class:`~repro.core.flow.ProtectionResult` —
@@ -50,13 +47,13 @@ from __future__ import annotations
 import hashlib
 import json
 import weakref
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.layout.arrays import RoutingArrays, routing_columns
+from repro.layout.arrays import RoutingArrays, _csr
 from repro.layout.floorplan import Floorplan
-from repro.layout.geometry import Point, Rect
+from repro.layout.geometry import Rect
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacementResult, PlacerConfig
 from repro.netlist.netlist import Netlist
@@ -192,137 +189,98 @@ def _decode_jsonable(value: Any) -> Any:
 # Layout encoding
 # ---------------------------------------------------------------------------
 
+def _netlist_indices(table: Sequence[str], index: np.ndarray,
+                     names: List[str], what: str) -> np.ndarray:
+    """``index`` (into the name ``table``) as int64 indices into ``names``;
+    negative entries stay as they are.  A copy-free pass when the table is
+    ``names`` itself, as it is for every router, placer and store product."""
+    if table is names or table == names:
+        return index
+    lookup = {name: i for i, name in enumerate(names)}
+    keep = index >= 0
+    used = np.unique(index[keep])
+    try:
+        mapped = np.fromiter((lookup[table[i]] for i in used.tolist()),
+                             dtype=np.int64, count=len(used))
+    except KeyError as error:
+        raise UnstorableBuild(f"{what} {error} unknown to the netlist")
+    out = index.astype(np.int64)
+    out[keep] = mapped[np.searchsorted(used, index[keep])]
+    return out
+
+
 def _encode_layout(layout: Layout, netlist: Netlist,
                    arrays: Dict[str, np.ndarray], prefix: str) -> Dict[str, Any]:
-    gate_index = {name: i for i, name in enumerate(netlist.gates)}
-    net_index = {name: i for i, name in enumerate(netlist.nets)}
+    gate_names = list(netlist.gates)
+    net_names = list(netlist.nets)
 
     placement = layout.placement
-    try:
-        gate_order = np.fromiter(
-            (gate_index[name] for name in placement.gate_positions),
-            dtype=np.int64, count=len(placement.gate_positions),
-        )
-    except KeyError as error:
-        raise UnstorableBuild(f"placement gate {error} unknown to the netlist")
-    arrays[prefix + "gate_order"] = gate_order
-    arrays[prefix + "gate_x"] = np.fromiter(
-        (p.x for p in placement.gate_positions.values()),
-        dtype=np.float64, count=len(placement.gate_positions),
+    arrays[prefix + "gate_order"] = _netlist_indices(
+        placement.gate_names, placement.gate_index, gate_names, "placement gate"
     )
-    arrays[prefix + "gate_y"] = np.fromiter(
-        (p.y for p in placement.gate_positions.values()),
-        dtype=np.float64, count=len(placement.gate_positions),
-    )
-    arrays[prefix + "port_names"] = np.array(
-        list(placement.port_positions), dtype=np.str_
-    )
-    arrays[prefix + "port_x"] = np.fromiter(
-        (p.x for p in placement.port_positions.values()),
-        dtype=np.float64, count=len(placement.port_positions),
-    )
-    arrays[prefix + "port_y"] = np.fromiter(
-        (p.y for p in placement.port_positions.values()),
-        dtype=np.float64, count=len(placement.port_positions),
-    )
-
-    # -- routing: skeleton columns + coordinate columns --------------------
-    # The payload is a near-copy of the routing columns: the clean backing
-    # of a router/decode product, or RoutingArrays.from_nets for edited and
-    # hand-assembled routings — no lazy net is ever materialized.
-    for net_name, routed in layout.routing.items():
-        if routed.name != net_name:
-            raise UnstorableBuild(
-                f"routed net {routed.name!r} stored under key {net_name!r}"
-            )
-    _encode_routing(
-        routing_columns(layout.routing), net_index, gate_index, arrays, prefix
-    )
-    return _layout_record(layout, netlist, net_index, arrays, prefix)
+    arrays[prefix + "gate_x"] = placement.gate_x
+    arrays[prefix + "gate_y"] = placement.gate_y
+    arrays[prefix + "port_names"] = np.array(placement.port_names, dtype=np.str_)
+    arrays[prefix + "port_x"] = placement.port_x
+    arrays[prefix + "port_y"] = placement.port_y
+    _encode_routing(layout.routing, gate_names, net_names, arrays, prefix)
+    return _layout_record(layout, netlist, arrays, prefix)
 
 
-def _encode_routing(backing: RoutingArrays, net_index: Dict[str, int],
-                    gate_index: Dict[str, int],
+def _encode_routing(routing: RoutingArrays, gate_names: List[str],
+                    net_names: List[str],
                     arrays: Dict[str, np.ndarray], prefix: str) -> None:
-    """Routing payload straight from :class:`RoutingArrays` columns.
-
-    Column copies/stacks plus the two name→index translation loops the
-    format needs.  Sink tokens are interned from ``sink_refs`` in
-    connection order (first-appearance token ids).
-    """
-    num_conns = backing.num_connections
-    try:
-        rnet_net = np.fromiter(
-            (net_index[name] for name in backing.net_names),
-            dtype=np.int64, count=backing.num_nets,
-        )
-        if backing.conn_net_names is not None:
-            conn_net = np.fromiter(
-                (net_index[name] for name in backing.conn_net_names),
-                dtype=np.int64, count=num_conns,
-            )
-        else:
-            conn_net = np.repeat(rnet_net, np.diff(backing.conn_starts))
-        sink_tokens: Dict[str, int] = {}
-        token = sink_tokens.setdefault
-        conn_sink_gate = np.fromiter(
-            (-1 if first == "PO" else gate_index[first]
-             for first, _second in backing.sink_refs),
-            dtype=np.int64, count=num_conns,
-        )
-        conn_sink_token = np.fromiter(
-            (token(second, len(sink_tokens))
-             for _first, second in backing.sink_refs),
-            dtype=np.int64, count=num_conns,
-        )
-    except KeyError as error:
-        raise UnstorableBuild(f"routing references unknown name: {error}")
-
-    arrays[prefix + "rnet_net"] = rnet_net
+    """Routing payload: column copies and stacks of the routing columns
+    (its sink-token table is already in first-appearance order)."""
+    arrays[prefix + "rnet_net"] = _netlist_indices(
+        routing.net_names, routing.net_index, net_names, "routed net"
+    )
     # Driver columns hold (0.0, 0.0) wherever has_driver is false.
     arrays[prefix + "rnet_driver"] = np.column_stack(
-        (backing.driver_x, backing.driver_y)
+        (routing.driver_x, routing.driver_y)
     )
-    arrays[prefix + "rnet_has_driver"] = backing.has_driver.astype(np.uint8)
-    arrays[prefix + "rnet_conn_count"] = np.diff(backing.conn_starts)
-    arrays[prefix + "rnet_dvia_count"] = np.diff(backing.dvia_starts)
-    arrays[prefix + "sink_tokens"] = np.array(
-        sorted(sink_tokens, key=sink_tokens.get), dtype=np.str_
+    arrays[prefix + "rnet_has_driver"] = routing.has_driver.astype(np.uint8)
+    arrays[prefix + "rnet_conn_count"] = np.diff(routing.conn_starts)
+    arrays[prefix + "rnet_dvia_count"] = np.diff(routing.dvia_starts)
+    arrays[prefix + "sink_tokens"] = np.array(routing.sink_tokens, dtype=np.str_)
+    arrays[prefix + "conn_net"] = _netlist_indices(
+        routing.net_names, routing.conn_net, net_names, "routed net"
     )
-    arrays[prefix + "conn_net"] = conn_net
-    arrays[prefix + "conn_sink_gate"] = conn_sink_gate
-    arrays[prefix + "conn_sink_token"] = conn_sink_token
+    arrays[prefix + "conn_sink_gate"] = _netlist_indices(
+        routing.gate_names, routing.sink_gate, gate_names, "sink gate"
+    )
+    arrays[prefix + "conn_sink_token"] = routing.sink_token
     arrays[prefix + "conn_layers"] = np.column_stack(
-        (backing.h_layer, backing.v_layer)
+        (routing.h_layer, routing.v_layer)
     ).astype(np.int16)
     arrays[prefix + "conn_coords"] = np.column_stack(
-        (backing.sx, backing.sy, backing.tx, backing.ty)
+        (routing.sx, routing.sy, routing.tx, routing.ty)
     )
     arrays[prefix + "conn_hints"] = np.column_stack(
-        (backing.hint_sx, backing.hint_sy, backing.hint_tx, backing.hint_ty)
+        (routing.hint_sx, routing.hint_sy, routing.hint_tx, routing.hint_ty)
     )
     arrays[prefix + "conn_hint_mask"] = np.column_stack(
-        (backing.hint_src_present, backing.hint_tgt_present)
+        (routing.hint_src_present, routing.hint_tgt_present)
     )
-    arrays[prefix + "conn_protected"] = backing.protected.astype(np.uint8)
-    arrays[prefix + "conn_seg_count"] = np.diff(backing.seg_starts)
-    arrays[prefix + "conn_via_count"] = np.diff(backing.via_starts)
+    arrays[prefix + "conn_protected"] = routing.protected.astype(np.uint8)
+    arrays[prefix + "conn_seg_count"] = np.diff(routing.seg_starts)
+    arrays[prefix + "conn_via_count"] = np.diff(routing.via_starts)
     arrays[prefix + "seg_rows"] = np.column_stack((
-        backing.seg_layer, backing.seg_x1, backing.seg_y1,
-        backing.seg_x2, backing.seg_y2,
+        routing.seg_layer, routing.seg_x1, routing.seg_y1,
+        routing.seg_x2, routing.seg_y2,
     ))
     arrays[prefix + "via_rows"] = np.column_stack(
-        (backing.via_x, backing.via_y, backing.via_lower)
+        (routing.via_x, routing.via_y, routing.via_lower)
     )
     arrays[prefix + "dvia_rows"] = np.column_stack(
-        (backing.dvia_x, backing.dvia_y, backing.dvia_lower)
+        (routing.dvia_x, routing.dvia_y, routing.dvia_lower)
     )
 
 
 def _layout_record(layout: Layout, netlist: Netlist,
-                   net_index: Dict[str, int],
                    arrays: Dict[str, np.ndarray], prefix: str) -> Dict[str, Any]:
     placement = layout.placement
+    net_index = {name: i for i, name in enumerate(netlist.nets)}
     try:
         protected = sorted(net_index[name] for name in layout.protected_nets)
     except KeyError as error:
@@ -366,23 +324,19 @@ def _require(arrays: Mapping[str, np.ndarray], name: str) -> np.ndarray:
         raise CodecError(f"payload is missing array {name!r}")
 
 
+def _indices(arrays: Mapping[str, np.ndarray], name: str, low: int,
+             high: int) -> np.ndarray:
+    """An index column whose entries must lie in ``[low, high)``."""
+    column = _require(arrays, name)
+    if column.size and (column.min() < low or column.max() >= high):
+        raise CodecError(f"{name} index out of range for the regenerated netlist")
+    return column
+
+
 def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
                    netlist: Netlist, prefix: str) -> Layout:
     gate_names = list(netlist.gates)
     net_names = list(netlist.nets)
-
-    # Same __dict__ fast path as the router's bulk constructors: Point is a
-    # frozen dataclass whose generated __init__ funnels every field through
-    # object.__setattr__, and decode builds one Point per gate/port plus up
-    # to four per routed connection — it dominates at superblue scale.
-    _point_new = Point.__new__
-
-    def fast_point(x: float, y: float) -> Point:
-        point = _point_new(Point)
-        d = point.__dict__
-        d["x"] = x
-        d["y"] = y
-        return point
 
     try:
         placement_record = record["placement"]
@@ -399,48 +353,43 @@ def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
     except (KeyError, TypeError) as error:
         raise CodecError(f"malformed placement record: {error!r}")
 
-    gate_order = _require(arrays, prefix + "gate_order")
-    gate_x = _require(arrays, prefix + "gate_x").tolist()
-    gate_y = _require(arrays, prefix + "gate_y").tolist()
+    # The payload columns become the placement and routing columns as they
+    # are; names stay integer keys into the regenerated netlist's tables.
+    gate_order = _indices(arrays, prefix + "gate_order", 0, len(gate_names))
+    gate_x = _require(arrays, prefix + "gate_x")
+    gate_y = _require(arrays, prefix + "gate_y")
     if not (len(gate_order) == len(gate_x) == len(gate_y)):
         raise CodecError("placement coordinate columns are misaligned")
-    try:
-        gate_positions = {
-            gate_names[index]: fast_point(x, y)
-            for index, x, y in zip(gate_order.tolist(), gate_x, gate_y)
-        }
-    except IndexError:
-        raise CodecError("gate index out of range for the regenerated netlist")
     port_names = _require(arrays, prefix + "port_names").tolist()
-    port_x = _require(arrays, prefix + "port_x").tolist()
-    port_y = _require(arrays, prefix + "port_y").tolist()
+    port_x = _require(arrays, prefix + "port_x")
+    port_y = _require(arrays, prefix + "port_y")
     if not (len(port_names) == len(port_x) == len(port_y)):
         raise CodecError("port coordinate columns are misaligned")
-    port_positions = {
-        name: fast_point(x, y) for name, x, y in zip(port_names, port_x, port_y)
-    }
     placement = PlacementResult(
-        floorplan, gate_positions, port_positions, config,
+        floorplan, gate_names, gate_order, gate_x, gate_y,
+        port_names, port_x, port_y, config,
         geometry_version=int(placement_record.get("geometry_version", 0)),
     )
 
     # -- routing -----------------------------------------------------------
-    rnet_net = _require(arrays, prefix + "rnet_net").tolist()
-    rnet_driver = _require(arrays, prefix + "rnet_driver")
-    rnet_has_driver = _require(arrays, prefix + "rnet_has_driver").tolist()
-    rnet_conn_count = _require(arrays, prefix + "rnet_conn_count").tolist()
-    rnet_dvia_count = _require(arrays, prefix + "rnet_dvia_count").tolist()
     sink_tokens = _require(arrays, prefix + "sink_tokens").tolist()
-    conn_net = _require(arrays, prefix + "conn_net").tolist()
-    conn_sink_gate = _require(arrays, prefix + "conn_sink_gate").tolist()
-    conn_sink_token = _require(arrays, prefix + "conn_sink_token").tolist()
+    rnet_net = _indices(arrays, prefix + "rnet_net", 0, len(net_names))
+    rnet_driver = _require(arrays, prefix + "rnet_driver")
+    rnet_has_driver = _require(arrays, prefix + "rnet_has_driver")
+    rnet_conn_count = _require(arrays, prefix + "rnet_conn_count")
+    rnet_dvia_count = _require(arrays, prefix + "rnet_dvia_count")
+    conn_net = _indices(arrays, prefix + "conn_net", 0, len(net_names))
+    conn_sink_gate = _indices(arrays, prefix + "conn_sink_gate", -1,
+                              len(gate_names))
+    conn_sink_token = _indices(arrays, prefix + "conn_sink_token", 0,
+                               len(sink_tokens))
     conn_layers = _require(arrays, prefix + "conn_layers")
     conn_coords = _require(arrays, prefix + "conn_coords")
     conn_hints = _require(arrays, prefix + "conn_hints")
     conn_hint_mask = _require(arrays, prefix + "conn_hint_mask")
-    conn_protected = _require(arrays, prefix + "conn_protected").tolist()
-    conn_seg_count = _require(arrays, prefix + "conn_seg_count").tolist()
-    conn_via_count = _require(arrays, prefix + "conn_via_count").tolist()
+    conn_protected = _require(arrays, prefix + "conn_protected")
+    conn_seg_count = _require(arrays, prefix + "conn_seg_count")
+    conn_via_count = _require(arrays, prefix + "conn_via_count")
     seg_rows = _require(arrays, prefix + "seg_rows")
     via_rows = _require(arrays, prefix + "via_rows")
     dvia_rows = _require(arrays, prefix + "dvia_rows")
@@ -453,13 +402,16 @@ def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
         == len(conn_seg_count) == len(conn_via_count)
     ):
         raise CodecError("connection columns are misaligned")
-    if sum(rnet_conn_count) != n_conns:
+    if not (len(rnet_net) == len(rnet_driver) == len(rnet_has_driver)
+            == len(rnet_conn_count) == len(rnet_dvia_count)):
+        raise CodecError("routed-net columns are misaligned")
+    if int(rnet_conn_count.sum()) != n_conns:
         raise CodecError("per-net connection counts do not cover the table")
-    if sum(conn_seg_count) != len(seg_rows):
+    if int(conn_seg_count.sum()) != len(seg_rows):
         raise CodecError("segment counts do not cover the segment table")
-    if sum(conn_via_count) != len(via_rows):
+    if int(conn_via_count.sum()) != len(via_rows):
         raise CodecError("via counts do not cover the via table")
-    if sum(rnet_dvia_count) != len(dvia_rows):
+    if int(rnet_dvia_count.sum()) != len(dvia_rows):
         raise CodecError("driver-via counts do not cover the table")
     if (conn_layers.ndim != 2 or conn_layers.shape[1] != 2
             or conn_coords.ndim != 2 or conn_coords.shape[1] != 4
@@ -467,28 +419,6 @@ def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
             or conn_hint_mask.ndim != 2 or conn_hint_mask.shape[1] != 2
             or rnet_driver.ndim != 2 or rnet_driver.shape[1] != 2):
         raise CodecError("connection columns have unexpected shapes")
-
-    # Columnar decode: keep the payload columns AS the routing (one
-    # RoutingArrays backing + lazy RoutedNet shells) and resolve only the
-    # name references eagerly.  Nothing geometric is materialized until a
-    # consumer touches a net's ``connections``/``driver_vias`` — re-encoding
-    # a freshly decoded build is a near-copy of these same columns.
-    try:
-        entry_names = [net_names[i] for i in rnet_net]
-        conn_net_names = [net_names[i] for i in conn_net]
-        sink_refs = [
-            ("PO" if gate < 0 else gate_names[gate], sink_tokens[tok])
-            for gate, tok in zip(conn_sink_gate, conn_sink_token)
-        ]
-        driver_points: List[Optional[Point]] = [
-            fast_point(x, y) if has else None
-            for has, x, y in zip(
-                rnet_has_driver,
-                rnet_driver[:, 0].tolist(), rnet_driver[:, 1].tolist(),
-            )
-        ]
-    except IndexError:
-        raise CodecError("routing index out of range for the regenerated netlist")
 
     dvia_lower = (dvia_rows[:, 2].astype(np.int64) if len(dvia_rows)
                   else np.empty(0, dtype=np.int64))
@@ -498,35 +428,33 @@ def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
                  else np.empty(0, dtype=np.int64))
     empty_f64 = np.empty(0, dtype=np.float64)
 
-    def _csr(counts: List[int]) -> np.ndarray:
-        return np.concatenate(
-            ([0], np.cumsum(np.asarray(counts, dtype=np.int64)))
-        ).astype(np.int64)
-
-    backing = RoutingArrays(
-        net_names=entry_names,
+    routing = RoutingArrays(
+        net_names=net_names,
+        gate_names=gate_names,
+        sink_tokens=sink_tokens,
+        net_index=rnet_net,
         conn_starts=_csr(rnet_conn_count),
         driver_x=rnet_driver[:, 0],
         driver_y=rnet_driver[:, 1],
-        has_driver=np.asarray(rnet_has_driver, dtype=bool),
-        driver_points=driver_points,
+        has_driver=rnet_has_driver.astype(bool),
         dvia_starts=_csr(rnet_dvia_count),
         dvia_x=dvia_rows[:, 0] if len(dvia_rows) else empty_f64,
         dvia_y=dvia_rows[:, 1] if len(dvia_rows) else empty_f64,
         dvia_lower=dvia_lower,
         dvia_upper=dvia_lower + 1,
-        sink_refs=sink_refs,
+        conn_net=conn_net,
+        sink_gate=conn_sink_gate,
+        sink_token=conn_sink_token,
         sx=conn_coords[:, 0], sy=conn_coords[:, 1],
         tx=conn_coords[:, 2], ty=conn_coords[:, 3],
         h_layer=conn_layers[:, 0].astype(np.int64),
         v_layer=conn_layers[:, 1].astype(np.int64),
-        protected=np.asarray(conn_protected, dtype=np.uint8),
+        protected=conn_protected.astype(np.uint8),
         # Copies: override_hints writes these in place (defense re-aiming).
         hint_sx=conn_hints[:, 0].copy(), hint_sy=conn_hints[:, 1].copy(),
         hint_tx=conn_hints[:, 2].copy(), hint_ty=conn_hints[:, 3].copy(),
-        hint_src_present=conn_hint_mask[:, 0].astype(np.uint8).copy(),
-        hint_tgt_present=conn_hint_mask[:, 1].astype(np.uint8).copy(),
-        hint_default=np.zeros(n_conns, dtype=bool),
+        hint_src_present=conn_hint_mask[:, 0].astype(np.uint8),
+        hint_tgt_present=conn_hint_mask[:, 1].astype(np.uint8),
         seg_starts=_csr(conn_seg_count),
         via_starts=_csr(conn_via_count),
         seg_layer=seg_layer,
@@ -538,17 +466,11 @@ def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
         via_y=via_rows[:, 1] if len(via_rows) else empty_f64,
         via_lower=via_lower,
         via_upper=via_lower + 1,
-        conn_net_names=conn_net_names,
     )
-    routing = backing.lazy_nets()
 
-    try:
-        protected_nets = {
-            net_names[index]
-            for index in _require(arrays, prefix + "protected_nets").tolist()
-        }
-    except IndexError:
-        raise CodecError("protected-net index out of range")
+    protected_index = _indices(arrays, prefix + "protected_nets", 0,
+                               len(net_names))
+    protected_nets = {net_names[index] for index in protected_index.tolist()}
 
     lift_layer = record.get("lift_layer")
     return Layout(

@@ -101,7 +101,7 @@ def place_reference(netlist: Netlist, floorplan: Optional[Floorplan] = None,
     # --- 1. I/O assignment -------------------------------------------------
     port_positions, visible_ports = _io_assignment(netlist, floorplan)
     if n == 0:
-        return PlacementResult(floorplan, {}, visible_ports, config)
+        return PlacementResult.from_positions(floorplan, {}, visible_ports, config)
 
     # --- 2. Connectivity-driven initial ordering on a serpentine curve -----
     ordering = _initial_ordering(netlist, gate_names, config)
@@ -195,7 +195,9 @@ def place_reference(netlist: Netlist, floorplan: Optional[Floorplan] = None,
             gate_positions[gate_names[cell]] = Point(float(pos_x), float(row_y))
             cursor = pos_x + width + gap
 
-    return PlacementResult(floorplan, gate_positions, visible_ports, config)
+    return PlacementResult.from_positions(
+        floorplan, gate_positions, visible_ports, config
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +529,8 @@ def routing_perturbation_reference(
     perturbed = set(net_names[: int(len(net_names) * perturb_fraction)])
     min_layer = {name: lift_layer for name in perturbed}
 
-    routing = route(netlist, placement, RouterConfig(), min_layer)
+    # Plain objects, edited below.
+    routing = dict(route(netlist, placement, RouterConfig(), min_layer).items())
 
     die = floorplan.die
     decoy_reach = floorplan.half_perimeter_um * decoy_distance_fraction

@@ -181,6 +181,27 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="unknown layout variant"):
             ScenarioSpec(benchmark="c432", layouts=("bogus",))
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("seed", "x", "seed must be an int"),
+        ("seed", 1.5, "seed must be an int"),
+        ("seed", True, "seed must be an int"),
+        ("netlist_seed", 2.0, "netlist_seed must be an int"),
+        ("netlist_seed", False, "netlist_seed must be an int"),
+        ("split_layers", (99,), "split layer 99 is outside"),
+        ("split_layers", (0,), "split layer 0 is outside"),
+        ("split_layers", (4, 10), "split layer 10 is outside"),
+        ("num_patterns", -5, "num_patterns must be at least 1"),
+        ("num_patterns", 0, "num_patterns must be at least 1"),
+    ])
+    def test_out_of_range_fields_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            ScenarioSpec(benchmark="c432", **{field: value})
+
+    def test_range_limits_accepted(self):
+        spec = ScenarioSpec(benchmark="c432", split_layers=(1, 9),
+                            num_patterns=1, seed=0, netlist_seed=0)
+        assert spec.split_layers == (1, 9)
+
     def test_unknown_scheme_fails_canonicalization(self):
         spec = ScenarioSpec(benchmark="c432", scheme="not_a_scheme")
         with pytest.raises(UnknownNameError):

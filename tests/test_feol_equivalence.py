@@ -8,10 +8,9 @@ the unprotected layout, each prior-art defense, the proposed (protected)
 layout, the naive-lifted baseline and a store-decoded build — and for every
 split layer and several stub fractions, both must build the same view: the
 same net sets, the same vpin and open-connection lists in the same order,
-and the same ``FEOLArrays`` columns.  Every producer must hand over a clean
-column backing, and extraction must not materialize a single routed net.
-Once the oracle has materialized a layout, the extractor reads it through
-``RoutingArrays.from_nets``, which must agree too.
+and the same ``FEOLArrays`` columns.  Extraction must not materialize a
+single routed net, and a layout rebuilt from its routed objects
+(``RoutingArrays.from_nets``) must extract to the same view.
 """
 
 from __future__ import annotations
@@ -26,7 +25,8 @@ from repro.api.registry import DEFENSES, ensure_builtins
 from repro.circuits import ISCAS85_PROFILES
 from repro.circuits.registry import get_benchmark
 from repro.core import ProtectionConfig, protect
-from repro.layout.arrays import routing_backing
+from repro.layout.arrays import RoutingArrays
+from repro.layout.layout import Layout
 from repro.netlist.cells import NUM_METAL_LAYERS
 from repro.sm.split import DEFAULT_STUB_FRACTION, FEOLArrays, extract_feol, feol_arrays
 from repro.store import codec
@@ -90,23 +90,28 @@ def assert_views_equal(view, reference):
 
 
 def check_layout(layout, kind, grid=FULL_GRID):
-    backing = routing_backing(layout.routing)
-    assert backing is not None, f"{kind} layout has no clean backing"
-    views = {
-        (split, fraction): extract_feol(layout, split, fraction)
-        for split, fraction in grid
-    }
-    assert backing.materialized_count == 0
+    calls = []
+    materialize = RoutingArrays.materialize_into
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RoutingArrays, "materialize_into",
+                      lambda self, net, index: (calls.append(index),
+                                                materialize(self, net, index)))
+        views = {
+            (split, fraction): extract_feol(layout, split, fraction)
+            for split, fraction in grid
+        }
+    assert calls == [], f"{kind} extraction built routed nets"
     for (split, fraction), view in views.items():
         assert_views_equal(
             view, extract_feol_reference(layout, split, fraction))
 
-    # The oracle materialized every net: the from_nets path takes over.
-    assert routing_backing(layout.routing) is None
+    # The same layout rebuilt from its routed objects (from_nets), and
+    # after a pickle round trip.
+    rebuilt = Layout(layout.name, layout.netlist, layout.placement,
+                     dict(layout.routing.items()), set(layout.protected_nets))
     for split in (2, 4, 6):
         assert_views_equal(
-            extract_feol(layout, split), extract_feol_reference(layout, split))
-    # Plain object nets without any backing (an unpickled routing).
+            extract_feol(rebuilt, split), extract_feol_reference(layout, split))
     layout.routing = pickle.loads(pickle.dumps(layout.routing))
     assert_views_equal(
         extract_feol(layout, 4), extract_feol_reference(layout, 4))

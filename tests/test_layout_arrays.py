@@ -420,16 +420,18 @@ class TestGeometryVersion:
     def test_moved_gate_reflected_after_bump(self, c432):
         layout = build_layout(c432, seed=1)
         baseline = layout.connected_gate_distances()
-        gate = next(iter(layout.placement.gate_positions))
-        old = layout.placement.gate_positions[gate]
-        layout.placement.gate_positions[gate] = Point(old.x + 11.0, old.y)
-        layout.placement.bump_geometry_version()
+        old = layout.placement.gate_x
+        version = layout.placement.geometry_version
+        moved_x = old.copy()
+        moved_x[0] += 11.0
+        # The setter bumps geometry_version itself.
+        layout.placement.set_coordinates(gate_x=moved_x)
+        assert layout.placement.geometry_version == version + 1
         moved = layout.connected_gate_distances()
         assert moved == _legacy_connected_gate_distances(layout)
         assert moved != baseline
         # Restore for sibling tests (fixture netlist is shared).
-        layout.placement.gate_positions[gate] = old
-        layout.placement.bump_geometry_version()
+        layout.placement.set_coordinates(gate_x=old)
 
     def test_layout_arrays_cache_keyed_on_versions(self, c432):
         layout = build_layout(c432, seed=1)
@@ -507,12 +509,12 @@ def _assert_fresh(netlist, placement):
 
 
 def _copy_placement(placement, gate_positions=None, port_positions=None):
-    return PlacementResult(
-        floorplan=placement.floorplan,
-        gate_positions=dict(placement.gate_positions
-                            if gate_positions is None else gate_positions),
-        port_positions=dict(placement.port_positions
-                            if port_positions is None else port_positions),
+    return PlacementResult.from_positions(
+        placement.floorplan,
+        dict(placement.gate_positions
+             if gate_positions is None else gate_positions),
+        dict(placement.port_positions
+             if port_positions is None else port_positions),
     )
 
 

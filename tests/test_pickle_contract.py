@@ -73,6 +73,24 @@ def test_scheme_build_artefact_pickles():
         build.layout.placement.gate_positions
 
 
+def test_scheme_build_pickle_ships_columns():
+    """A pickled build carries its layout as columns: the placement and
+    routing column objects, and not one routed-net, segment, via or
+    ``Point`` object."""
+    import pickletools
+
+    from repro.api.spec import ScenarioSpec
+    from repro.api.workspace import Workspace
+
+    build = Workspace().build(ScenarioSpec(benchmark="c432", scheme="original"))
+    data = pickle.dumps(build, protocol=pickle.HIGHEST_PROTOCOL)
+    strings = {arg for _op, arg, _pos in pickletools.genops(data)
+               if isinstance(arg, str)}
+    assert {"PlacementResult", "RoutingArrays"} <= strings
+    for name in ("RoutedNet", "RoutedConnection", "Segment", "Via", "Point"):
+        assert name not in strings, name
+
+
 class TestBatchDeltaProtocol:
     """Seed-batched pool protocol: coordinate deltas over the wire.
 

@@ -89,8 +89,8 @@ class TestRouteConnection:
         _netlist, _placement, routing = routed_c432
         for routed in routing.values():
             for connection in routed.connections:
-                assert connection.source_hint is connection.target
-                assert connection.target_hint is connection.source
+                assert connection.source_hint == connection.target
+                assert connection.target_hint == connection.source
 
     def test_top_layer(self):
         config = RouterConfig()

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import http.client
+import time
 from typing import Any, Dict, Optional, Tuple
 
 import pytest
@@ -110,6 +111,38 @@ def test_invalid_spec_400(service):
         assert conn.getresponse().status == 400
     finally:
         conn.close()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", "x"), ("seed", 1.5), ("seed", True), ("netlist_seed", "1"),
+    ("netlist_seed", False), ("split_layers", [99]), ("split_layers", [0]),
+    ("split_layers", [10]), ("num_patterns", -5), ("num_patterns", 0),
+])
+def test_out_of_range_spec_fields_400(service, field, value):
+    status, body = request(service, "POST", "/v1/jobs",
+                           body={**SPEC, field: value})
+    assert status == 400, body
+    assert "invalid spec" in body["error"] and field.split("_")[0] in body["error"]
+
+
+@pytest.mark.parametrize("seeds", [
+    {"start": 0, "count": 3_000_000}, {"count": "3000000"},
+    list(range(20_000)),
+])
+def test_oversized_seed_set_400_before_expansion(service, seeds):
+    """A short body naming millions of seeds is refused from the raw
+    field, before the seeds are expanded or hashed."""
+    from repro.service.app import MAX_SWEEP_SEEDS
+
+    start = time.perf_counter()
+    status, body = request(service, "POST", "/v1/jobs",
+                           body={**SPEC, "seeds": seeds})
+    assert time.perf_counter() - start < 0.5
+    assert status == 400, body
+    assert str(MAX_SWEEP_SEEDS) in body["error"]
+    status, body = request(service, "POST", "/v1/jobs",
+                           body={"spec": {**SPEC, "seeds": seeds}})
+    assert status == 400 and str(MAX_SWEEP_SEEDS) in body["error"]
 
 
 def test_unknown_route_404(service):
