@@ -2,7 +2,7 @@
 
 Measures ``simulate``, ``output_error_rate`` / ``hamming_distance`` and the
 attack cost-matrix construction on the seed-equivalent legacy path versus the
-compiled vectorized engine, and writes a ``BENCH_sim.json`` perf-trajectory
+compiled engine, and writes a ``BENCH_sim.json`` perf-trajectory
 artifact (wall-clock seconds plus derived throughput) so future PRs can track
 regressions::
 
@@ -11,8 +11,9 @@ regressions::
 
 The ``seed_equivalent`` numbers replay the original implementation exactly
 (networkx-based evaluation ordering + per-gate bigint interpretation), so the
-reported speedups are measured against the repository's seed state, not
-against the already-accelerated legacy fallback.
+reported speedups are measured against the repository's seed state.  The
+``simulate_legacy_interpreter`` row times the per-gate reference simulator of
+``tests/sim_oracle.py``, which also runs on the plan-order walk.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ import networkx as nx
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-# The seed-equivalent references reuse the networkx test oracles.
+# The seed-equivalent references and the per-gate simulator are test oracles.
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 from attack_oracle import direction_penalty, visible_reachability  # noqa: E402
 from graph_oracle import netlist_to_digraph  # noqa: E402
+from sim_oracle import simulate_reference  # noqa: E402
 from repro.attacks.network_flow import (  # noqa: E402
     NetworkFlowAttackConfig,
     build_cost_matrix,
@@ -48,7 +50,6 @@ from repro.netlist import engine  # noqa: E402
 from repro.netlist.simulate import (  # noqa: E402
     _resolved_inputs,
     _shared_input_patterns,
-    _simulate_legacy,
     hamming_distance,
     output_error_rate,
     simulate,
@@ -241,7 +242,7 @@ def bench_simulation(benchmark: str, num_patterns: int, repeat: int) -> Dict[str
     record(
         "simulate_legacy_interpreter",
         _timeit(
-            lambda: _simulate_legacy(
+            lambda: simulate_reference(
                 netlist, _resolved_inputs(netlist, None, num_patterns, 1),
                 num_patterns, 0,
             ),

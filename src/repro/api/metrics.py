@@ -80,6 +80,12 @@ class SecurityParams:
     restrict_to_protected: Optional[bool] = None
     num_patterns: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.num_patterns is not None and self.num_patterns < 1:
+            raise ValueError(
+                f"security num_patterns must be at least 1, got {self.num_patterns}"
+            )
+
 
 @METRICS.register("security", params=SecurityParams, scope="attack",
                   summary="CCR / OER / HD of an attack run (percent)")

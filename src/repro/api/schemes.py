@@ -103,6 +103,12 @@ class ProposedParams:
     oer_patterns: int = 1024
     build_naive_baseline: bool = True
 
+    def __post_init__(self) -> None:
+        if self.oer_patterns < 1:
+            raise ValueError(
+                f"proposed oer_patterns must be at least 1, got {self.oer_patterns}"
+            )
+
     def to_protection_config(self, seed: int) -> ProtectionConfig:
         return ProtectionConfig(
             lift_layer=self.lift_layer,

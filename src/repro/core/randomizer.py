@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.netlist import engine as _engine
 from repro.netlist.netlist import Netlist, PinRef
-from repro.netlist.simulate import _plan_outputs, _shared_input_patterns, output_error_rate
+from repro.netlist.simulate import _plan_outputs, _shared_input_patterns
 from repro.utils.rng import make_rng
 
 
@@ -320,17 +320,14 @@ def randomize_netlist(netlist: Netlist,
 
     Raises:
         ValueError: When ``netlist`` already has a combinational loop.
+        UnsupportedNetlist: When a combinational cell has no ``logic_ops``
+            metadata.
     """
     config = config if config is not None else RandomizerConfig()
     rng = make_rng(config.seed, "randomizer", netlist.name)
     erroneous = netlist.copy(f"{netlist.name}_erroneous")
     dag = _GateDag(erroneous)
-    try:
-        program: Optional[_CandidateProgram] = _CandidateProgram(
-            netlist, erroneous, dag, config.oer_patterns, config.seed
-        )
-    except _engine.UnsupportedNetlist:
-        program = None  # Custom cells: each round simulates with the interpreter.
+    program = _CandidateProgram(netlist, erroneous, dag, config.oer_patterns, config.seed)
 
     swaps: Dict[PinRef, SwapRecord] = {}
     protected: Set[str] = set()
@@ -378,9 +375,8 @@ def randomize_netlist(netlist: Netlist,
         # would need a path sink_a ~> driver_a, a cycle through the removed edge.
         dag.add_edge(driver_b, node_a)
         dag.add_edge(driver_a, node_b)
-        if program is not None:
-            program.move_sink(sink_a, net_b)
-            program.move_sink(sink_b, net_a)
+        program.move_sink(sink_a, net_b)
+        program.move_sink(sink_b, net_a)
         erroneous.gates[sink_gate_a].dont_touch = True
         erroneous.gates[sink_gate_b].dont_touch = True
         for gate in (_driver_gate(erroneous, net_a), _driver_gate(erroneous, net_b)):
@@ -403,12 +399,7 @@ def randomize_netlist(netlist: Netlist,
                 accepted += 1
         if accepted == 0 and attempts >= max_attempts:
             break
-        if program is None:
-            oer = output_error_rate(
-                netlist, erroneous, num_patterns=config.oer_patterns, seed=config.seed
-            )
-        else:
-            oer = program.output_error_rate()
+        oer = program.output_error_rate()
         oer_history.append(oer)
         if oer >= config.target_oer_percent and len(swaps) >= config.min_swaps:
             break

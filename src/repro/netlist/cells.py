@@ -95,11 +95,12 @@ class Cell:
         beol_only: True for correction/lifting cells which occupy no FEOL
             resources and may overlap standard cells.
         logic_ops: Structured description of the logic function as a tuple of
-            arcs ``(output_pin, op_kind, input_pins)``; the vectorized
-            simulation engine (:mod:`repro.netlist.engine`) compiles these
-            into NumPy kernels.  ``None`` means the cell can only be evaluated
-            through ``function`` (:func:`~repro.netlist.simulate.simulate`
-            then runs the per-gate bigint interpreter).
+            arcs ``(output_pin, op_kind, input_pins)``; the simulation engine
+            (:mod:`repro.netlist.engine`) compiles these into its bigint
+            program.  ``None`` means the cell can only be evaluated through
+            ``function``: a netlist with such a combinational cell makes
+            :func:`~repro.netlist.simulate.simulate` and the metrics built on
+            it raise :class:`~repro.netlist.engine.UnsupportedNetlist`.
     """
 
     name: str

@@ -111,7 +111,7 @@ class Netlist:
         #: Net feeding each primary output (often the net of the same name).
         self.output_nets: Dict[str, str] = {}
         #: Monotonic counter bumped on every structural edit; consumers such
-        #: as the vectorized simulation engine key their compiled-plan caches
+        #: as the compiled simulation engine key their compiled-plan caches
         #: on it so stale plans are never executed.
         self._topology_version: int = 0
 

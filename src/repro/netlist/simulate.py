@@ -6,21 +6,14 @@ applying 1,000,000 random test patterns in Synopsys VCS.  Here the same
 metrics are computed with a bit-parallel simulator: each net carries a
 bit-vector whose bit *i* is the net's value under pattern *i*.
 
-Two execution paths share this interface:
-
-* the **vectorized engine** (:mod:`repro.netlist.engine`) compiles the
-  netlist once into a cached evaluation plan and executes it over NumPy
-  ``uint64``-packed pattern blocks — used for every netlist it can compile,
-  and fast enough to push pattern counts toward the paper's regime;
-* the **per-gate interpreter** in this module walks gates one at a time over
-  Python dicts and arbitrary-precision integers.  It is the runtime path for
-  netlists containing custom cells whose
-  :attr:`~repro.netlist.cells.Cell.logic_ops` is ``None``: such a cell can
-  only be evaluated through its ``function`` callable, which the engine
-  cannot compile.
-
-Both paths are bit-exact with each other at equal seed (covered by the
-equivalence tests in ``tests/test_engine.py``).
+The metrics run on the compiled engine (:mod:`repro.netlist.engine`): the
+netlist is compiled once into a cached evaluation plan, executed as a program
+over packed bigints.  A netlist with a combinational cell whose
+:attr:`~repro.netlist.cells.Cell.logic_ops` is ``None`` cannot be compiled;
+every entry point then raises
+:class:`~repro.netlist.engine.UnsupportedNetlist`.  The per-gate interpreter
+that calls each cell's ``function`` is kept as the reference for the
+equivalence tests (``tests/sim_oracle.py``), not as a runtime path.
 
 Sequential cells are treated as pseudo primary inputs (their ``Q`` outputs are
 driven with random values and their ``D`` inputs are observed as pseudo
@@ -35,12 +28,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.netlist import engine as _engine
-from repro.netlist.graph import pseudo_topological_order
 from repro.netlist.netlist import Netlist
 from repro.utils.rng import make_rng
 
 #: Default number of random patterns used by the security metrics.  The
-#: vectorized engine makes large pattern counts cheap; see the README for
+#: compiled engine makes large pattern counts cheap; see the README for
 #: guidance on picking pattern counts per experiment.
 DEFAULT_NUM_PATTERNS = 16384
 
@@ -73,7 +65,13 @@ class SimulationResult:
 
 def random_patterns(names: Sequence[str], num_patterns: int,
                     seed: Optional[int] = 0) -> Dict[str, int]:
-    """Generate one random bit-vector of ``num_patterns`` bits per name."""
+    """Generate one random bit-vector of ``num_patterns`` bits per name.
+
+    Raises:
+        ValueError: When ``num_patterns`` is below 1.
+    """
+    if num_patterns < 1:
+        raise ValueError(f"num_patterns must be at least 1, got {num_patterns}")
     rng = make_rng(seed, "patterns") if seed is not None else make_rng(None)
     return {name: rng.getrandbits(num_patterns) for name in names}
 
@@ -86,9 +84,9 @@ def _input_names(netlist: Netlist) -> List[str]:
 def _resolved_inputs(netlist: Netlist, patterns: Optional[Mapping[str, int]],
                      num_patterns: int, seed: Optional[int]) -> Dict[str, int]:
     """The exact input bit-vector per (pseudo) primary input."""
-    mask = (1 << num_patterns) - 1
     input_names = _input_names(netlist)
     generated = random_patterns(input_names, num_patterns, seed)
+    mask = (1 << num_patterns) - 1
     values: Dict[str, int] = {}
     for name in input_names:
         if patterns is not None and name in patterns:
@@ -96,51 +94,6 @@ def _resolved_inputs(netlist: Netlist, patterns: Optional[Mapping[str, int]],
         else:
             values[name] = generated[name] & mask
     return values
-
-
-def _simulate_legacy(netlist: Netlist, inputs: Dict[str, int],
-                     num_patterns: int, x_value: int) -> SimulationResult:
-    """Per-gate evaluation over Python bigints.
-
-    The path :func:`simulate` takes when :func:`~repro.netlist.engine.
-    compile_plan` raises :class:`~repro.netlist.engine.UnsupportedNetlist`,
-    i.e. for netlists with cells whose ``logic_ops`` is ``None``: each gate
-    calls its cell's ``function`` in pseudo-topological order.
-    """
-    mask = (1 << num_patterns) - 1
-    values: Dict[str, int] = dict(inputs)
-
-    # The pseudo-topological order degrades gracefully on (attacker-induced)
-    # combinational loops instead of refusing to simulate.
-    order = pseudo_topological_order(netlist)
-    for gate_name in order:
-        gate = netlist.gates[gate_name]
-        if gate.cell.is_sequential:
-            continue  # Outputs already seeded as pseudo inputs.
-        gate_inputs: Dict[str, int] = {}
-        for pin in gate.input_pin_names:
-            net_name = gate.net_on(pin)
-            if net_name is None:
-                gate_inputs[pin] = x_value & mask
-            else:
-                gate_inputs[pin] = values.get(net_name, x_value & mask)
-        outputs = gate.cell.evaluate(gate_inputs, mask)
-        for pin, value in outputs.items():
-            net_name = gate.net_on(pin)
-            if net_name is not None:
-                values[net_name] = value & mask
-
-    observed: Dict[str, int] = {}
-    for po in netlist.primary_outputs:
-        net_name = netlist.output_nets[po]
-        observed[po] = values.get(net_name, x_value & mask)
-
-    return SimulationResult(
-        num_patterns=num_patterns,
-        inputs=inputs,
-        outputs=observed,
-        net_values=values,
-    )
 
 
 def simulate(netlist: Netlist, patterns: Optional[Mapping[str, int]] = None,
@@ -158,25 +111,20 @@ def simulate(netlist: Netlist, patterns: Optional[Mapping[str, int]] = None,
 
     Returns:
         A :class:`SimulationResult` with per-output and per-net values.
+
+    Raises:
+        ValueError: When ``num_patterns`` is below 1.
+        UnsupportedNetlist: When a combinational cell has no ``logic_ops``
+            metadata (see :func:`~repro.netlist.engine.compile_plan`).
     """
     inputs = _resolved_inputs(netlist, patterns, num_patterns, seed)
-    try:
-        plan = _engine.compile_plan(netlist)
-    except _engine.UnsupportedNetlist:
-        return _simulate_legacy(netlist, inputs, num_patterns, x_value)
-    if plan.prefer_bigints(num_patterns):
-        by_slot = _engine.run_plan_bigints(plan, inputs, num_patterns, x_value)
-        outputs = {po: by_slot[slot] for po, slot in plan.output_slots}
-        net_values = {net: by_slot[slot] for net, slot in plan.value_slots}
-    else:
-        values = _engine.run_plan(plan, inputs, num_patterns, x_value)
-        outputs = _engine.extract_outputs(plan, values, num_patterns)
-        net_values = _engine.extract_values(plan, values, num_patterns)
+    plan = _engine.compile_plan(netlist)
+    by_slot = _engine.run_plan_bigints(plan, inputs, num_patterns, x_value)
     return SimulationResult(
         num_patterns=num_patterns,
         inputs=inputs,
-        outputs=outputs,
-        net_values=net_values,
+        outputs={po: by_slot[slot] for po, slot in plan.output_slots},
+        net_values={net: by_slot[slot] for net, slot in plan.value_slots},
     )
 
 
@@ -192,12 +140,9 @@ def _popcount(value: int) -> int:
 
 def _plan_outputs(plan: "_engine.SimPlan", patterns: Mapping[str, int],
                   num_patterns: int) -> Dict[str, int]:
-    """Primary-output bit-vectors via the plan's preferred executor."""
-    if plan.prefer_bigints(num_patterns):
-        by_slot = _engine.run_plan_bigints(plan, patterns, num_patterns)
-        return {po: by_slot[slot] for po, slot in plan.output_slots}
-    values = _engine.run_plan(plan, patterns, num_patterns)
-    return _engine.extract_outputs(plan, values, num_patterns)
+    """Primary-output bit-vectors of one execution of ``plan``."""
+    by_slot = _engine.run_plan_bigints(plan, patterns, num_patterns)
+    return {po: by_slot[slot] for po, slot in plan.output_slots}
 
 
 def _output_pair(
@@ -206,20 +151,14 @@ def _output_pair(
 ) -> Tuple[Dict[str, int], Dict[str, int]]:
     """Output bit-vectors of both netlists under shared patterns.
 
-    Uses the compiled engine when both netlists support it and the per-gate
-    interpreter otherwise.  Raises :class:`SimulationError` when
-    the primary-output sets differ.
+    Raises:
+        ValueError: When ``num_patterns`` is below 1.
+        UnsupportedNetlist: When either netlist cannot be compiled.
+        SimulationError: When the primary-output sets differ.
     """
     patterns = _shared_input_patterns(reference, candidate, num_patterns, seed)
-    try:
-        ref_plan = _engine.compile_plan(reference)
-        cand_plan = _engine.compile_plan(candidate)
-    except _engine.UnsupportedNetlist:
-        ref_outputs = simulate(reference, patterns, num_patterns, seed).outputs
-        cand_outputs = simulate(candidate, patterns, num_patterns, seed).outputs
-    else:
-        ref_outputs = _plan_outputs(ref_plan, patterns, num_patterns)
-        cand_outputs = _plan_outputs(cand_plan, patterns, num_patterns)
+    ref_outputs = _plan_outputs(_engine.compile_plan(reference), patterns, num_patterns)
+    cand_outputs = _plan_outputs(_engine.compile_plan(candidate), patterns, num_patterns)
     if set(ref_outputs) != set(cand_outputs):
         raise SimulationError(
             "netlists expose different primary outputs; the metric is "
@@ -298,18 +237,6 @@ def toggle_rates(netlist: Netlist, num_patterns: int = DEFAULT_NUM_PATTERNS,
     signal probability over the random patterns; this feeds the dynamic-power
     model.
     """
-    try:
-        plan = _engine.compile_plan(netlist)
-    except _engine.UnsupportedNetlist:
-        plan = None
-    if plan is not None and not plan.prefer_bigints(num_patterns):
-        inputs = _resolved_inputs(netlist, None, num_patterns, seed)
-        values = _engine.run_plan(plan, inputs, num_patterns)
-        counts = _engine.value_popcounts(plan, values, num_patterns)
-        return {
-            net: 2.0 * (count / num_patterns) * (1.0 - count / num_patterns)
-            for net, count in counts.items()
-        }
     result = simulate(netlist, None, num_patterns, seed)
     rates: Dict[str, float] = {}
     for net, value in result.net_values.items():

@@ -1,0 +1,102 @@
+"""Per-gate reference simulator for the compiled engine's equivalence tests.
+
+:func:`simulate_reference` walks the netlist gate by gate in
+:func:`~repro.netlist.graph.pseudo_topological_order` and calls each cell's
+``function`` (through :meth:`Cell.evaluate`) over Python bigints.  It needs no
+``logic_ops`` metadata and no compiled plan, so it is an independent check of
+:mod:`repro.netlist.engine`: outputs, net values, OER, HD and toggle rates of
+:mod:`repro.netlist.simulate` must equal the values derived from it bit for
+bit.  Input patterns come from the library's own pattern helpers, so both
+sides see the same stimuli.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Optional, Tuple
+
+from repro.netlist.graph import pseudo_topological_order
+from repro.netlist.netlist import Netlist
+from repro.netlist.simulate import (
+    SimulationResult,
+    _resolved_inputs,
+    _shared_input_patterns,
+)
+
+
+def simulate_reference(netlist: Netlist, inputs: Dict[str, int],
+                       num_patterns: int, x_value: int = 0) -> SimulationResult:
+    """Per-gate evaluation over Python bigints.
+
+    ``inputs`` holds one bit-vector per (pseudo) primary input; undriven and
+    unconnected nets, and nets read before the gate driving them (on
+    combinational loops), observe ``x_value``.
+    """
+    mask = (1 << num_patterns) - 1
+    values: Dict[str, int] = dict(inputs)
+
+    # The pseudo-topological order degrades gracefully on (attacker-induced)
+    # combinational loops instead of refusing to simulate.
+    for gate_name in pseudo_topological_order(netlist):
+        gate = netlist.gates[gate_name]
+        if gate.cell.is_sequential:
+            continue  # Outputs already seeded as pseudo inputs.
+        gate_inputs: Dict[str, int] = {}
+        for pin in gate.input_pin_names:
+            net_name = gate.net_on(pin)
+            if net_name is None:
+                gate_inputs[pin] = x_value & mask
+            else:
+                gate_inputs[pin] = values.get(net_name, x_value & mask)
+        outputs = gate.cell.evaluate(gate_inputs, mask)
+        for pin, value in outputs.items():
+            net_name = gate.net_on(pin)
+            if net_name is not None:
+                values[net_name] = value & mask
+
+    observed: Dict[str, int] = {}
+    for po in netlist.primary_outputs:
+        net_name = netlist.output_nets[po]
+        observed[po] = values.get(net_name, x_value & mask)
+
+    return SimulationResult(
+        num_patterns=num_patterns,
+        inputs=inputs,
+        outputs=observed,
+        net_values=values,
+    )
+
+
+def simulate_seeded_reference(netlist: Netlist, num_patterns: int,
+                              seed: Optional[int], x_value: int = 0,
+                              patterns: Optional[Dict[str, int]] = None) -> SimulationResult:
+    """:func:`simulate_reference` on the inputs ``simulate`` would draw."""
+    inputs = _resolved_inputs(netlist, patterns, num_patterns, seed)
+    return simulate_reference(netlist, inputs, num_patterns, x_value)
+
+
+def error_rate_and_hamming_reference(reference: Netlist, candidate: Netlist,
+                                     num_patterns: int,
+                                     seed: Optional[int]) -> Tuple[float, float]:
+    """``(OER, HD)`` in percent from two reference simulations."""
+    patterns = _shared_input_patterns(reference, candidate, num_patterns, seed)
+    ref = simulate_seeded_reference(reference, num_patterns, seed, patterns=patterns)
+    cand = simulate_seeded_reference(candidate, num_patterns, seed, patterns=patterns)
+    error_mask = 0
+    differing = 0
+    for po, ref_value in ref.outputs.items():
+        error_mask |= ref_value ^ cand.outputs[po]
+        differing += (ref_value ^ cand.outputs[po]).bit_count()
+    oer = 100.0 * error_mask.bit_count() / num_patterns
+    hd = 100.0 * differing / (num_patterns * len(ref.outputs)) if ref.outputs else 0.0
+    return oer, hd
+
+
+def toggle_rates_reference(netlist: Netlist, num_patterns: int,
+                           seed: Optional[int]) -> Dict[str, float]:
+    """``2 p (1 - p)`` per recorded net, ``p`` its signal probability."""
+    result = simulate_seeded_reference(netlist, num_patterns, seed)
+    rates: Dict[str, float] = {}
+    for net, value in result.net_values.items():
+        p = value.bit_count() / num_patterns
+        rates[net] = 2.0 * p * (1.0 - p)
+    return rates

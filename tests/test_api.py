@@ -192,10 +192,15 @@ class TestScenarioSpec:
         ("split_layers", (4, 10), "split layer 10 is outside"),
         ("num_patterns", -5, "num_patterns must be at least 1"),
         ("num_patterns", 0, "num_patterns must be at least 1"),
+        ("metrics", ({"name": "security", "params": {"num_patterns": 0}},),
+         "security num_patterns must be at least 1"),
+        ("metrics", ({"name": "security", "params": {"num_patterns": -1}},),
+         "security num_patterns must be at least 1"),
+        ("scheme_params", {"oer_patterns": 0}, "proposed oer_patterns must be at least 1"),
     ])
     def test_out_of_range_fields_rejected(self, field, value, match):
         with pytest.raises(ValueError, match=match):
-            ScenarioSpec(benchmark="c432", **{field: value})
+            ScenarioSpec(benchmark="c432", **{field: value}).validate()
 
     def test_range_limits_accepted(self):
         spec = ScenarioSpec(benchmark="c432", split_layers=(1, 9),

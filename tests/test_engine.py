@@ -1,16 +1,17 @@
-"""Tests for the compiled, vectorized simulation engine.
+"""Tests for the compiled simulation engine.
 
-The contract under test: every executor of a compiled plan — the NumPy
-``uint64``-packed executor, the bigint tuple-program interpreter and the
-code-generated bigint specialization — is **bit-for-bit identical** to the
-legacy per-gate interpreter at equal seed, on every ISCAS circuit as well as
-on netlists with dangling/X nets and combinational loops.  The vectorized
-attack cost matrix is checked against the historical per-pair construction.
+The contract under test: both forms of a compiled plan's bigint program — the
+tuple-program interpreter (first run) and the code-generated specialization
+(re-runs) — and the public ``simulate`` / ``error_rate_and_hamming`` /
+``toggle_rates`` built on them are **bit-for-bit identical** to the per-gate
+reference simulator in ``tests/sim_oracle.py`` at equal seed, on every ISCAS
+circuit, a superblue slice, the default pattern count, and netlists with
+dangling/X nets and combinational loops.  The vectorized attack cost matrix
+is checked against the historical per-pair construction.
 """
 
 from __future__ import annotations
 
-import math
 import pickle
 
 import networkx as nx
@@ -19,6 +20,12 @@ import pytest
 
 from attack_oracle import direction_penalty, visible_reachability
 from graph_oracle import netlist_to_digraph, transitive_closure_bitmap
+from sim_oracle import (
+    error_rate_and_hamming_reference,
+    simulate_reference,
+    simulate_seeded_reference,
+    toggle_rates_reference,
+)
 from repro.attacks.network_flow import (
     NetworkFlowAttackConfig,
     build_cost_matrix,
@@ -26,13 +33,15 @@ from repro.attacks.network_flow import (
 )
 from repro.circuits import c17_netlist, iscas85_netlist
 from repro.circuits.iscas85 import PAPER_ISCAS85_SET
+from repro.circuits.registry import get_benchmark
 from repro.netlist import engine
-from repro.netlist.cells import Cell, CellPin, NaryLogicFn, default_library
+from repro.netlist.cells import Cell, CellLibrary, CellPin, NaryLogicFn, default_library
 from repro.netlist.graph import pseudo_topological_order
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import (
+    DEFAULT_NUM_PATTERNS,
     _resolved_inputs,
-    _simulate_legacy,
+    error_rate_and_hamming,
     hamming_distance,
     output_error_rate,
     simulate,
@@ -46,58 +55,76 @@ def _fresh_plan(netlist):
     return engine.compile_plan(netlist)
 
 
+def _circuit(name):
+    """``c17``, an ISCAS-85 circuit, or ``"<superblue>@<scale>"``."""
+    if name == "c17":
+        return c17_netlist()
+    if "@" in name:
+        benchmark, scale = name.split("@")
+        return get_benchmark(benchmark, seed=1, scale=float(scale))
+    return iscas85_netlist(name, seed=1)
+
+
+def _perturbed(netlist):
+    """A copy with the first gate input moved to another driven net."""
+    candidate = netlist.copy(f"{netlist.name}_candidate")
+    gate = next(
+        g for g in candidate.gates.values()
+        if g.input_pin_names and g.net_on(g.input_pin_names[0]) is not None
+    )
+    current = gate.net_on(gate.input_pin_names[0])
+    other = next(
+        name for name, net in candidate.nets.items()
+        if name != current and net.has_driver()
+    )
+    candidate.move_sink(gate.name, gate.input_pin_names[0], other)
+    return candidate
+
+
 def _assert_all_executors_match(netlist, num_patterns, seed=7, x_value=0):
-    """Every engine executor must replay the legacy interpreter exactly."""
+    """Both bigint program forms must replay the reference simulator exactly."""
     inputs = _resolved_inputs(netlist, None, num_patterns, seed)
-    legacy = _simulate_legacy(netlist, dict(inputs), num_patterns, x_value)
+    expected = simulate_reference(netlist, dict(inputs), num_patterns, x_value)
     plan = _fresh_plan(netlist)
 
     interpreted = engine.run_plan_bigints(plan, inputs, num_patterns, x_value)
     generated = engine.run_plan_bigints(plan, inputs, num_patterns, x_value)
     assert plan._bigint_fn is not None  # second run triggered codegen
     assert interpreted == generated
-    assert {n: interpreted[s] for n, s in plan.value_slots} == legacy.net_values
-    assert {po: interpreted[s] for po, s in plan.output_slots} == legacy.outputs
-
-    values = engine.run_plan(plan, inputs, num_patterns, x_value)
-    assert engine.extract_values(plan, values, num_patterns) == legacy.net_values
-    assert engine.extract_outputs(plan, values, num_patterns) == legacy.outputs
+    assert {n: interpreted[s] for n, s in plan.value_slots} == expected.net_values
+    assert {po: interpreted[s] for po, s in plan.output_slots} == expected.outputs
 
 
-class TestPackingHelpers:
-    def test_pack_unpack_roundtrip(self):
-        for num_patterns in (1, 8, 63, 64, 65, 300):
-            words = engine.num_words(num_patterns)
-            value = (0xDEADBEEFCAFEF00D << 70) & ((1 << num_patterns) - 1)
-            row = engine.pack_bigint(value, words)
-            assert engine.unpack_bigint(row, num_patterns) == value
-
-    def test_popcount_matches_bit_count(self):
-        rng = np.random.default_rng(1)
-        array = rng.integers(0, 2**63, size=(5, 7), dtype=np.uint64)
-        expected = sum(int(w).bit_count() for w in array.ravel())
-        assert engine.popcount_words(array) == expected
-        per_row = engine.popcount_rows(array)
-        assert per_row.tolist() == [
-            sum(int(w).bit_count() for w in row) for row in array
-        ]
-
-    def test_mask_tail(self):
-        row = np.full(2, np.uint64(0xFFFFFFFFFFFFFFFF))
-        engine.mask_tail(row, 70)
-        assert row[1] == np.uint64(0x3F)
+def _assert_public_api_matches_oracle(netlist, num_patterns, seed=7):
+    """``simulate``, ``error_rate_and_hamming`` and ``toggle_rates`` == oracle."""
+    expected = simulate_seeded_reference(netlist, num_patterns, seed)
+    result = simulate(netlist, None, num_patterns, seed)
+    assert result.inputs == expected.inputs
+    assert result.outputs == expected.outputs
+    assert result.net_values == expected.net_values
+    candidate = _perturbed(netlist)
+    assert error_rate_and_hamming(
+        netlist, candidate, num_patterns, seed
+    ) == error_rate_and_hamming_reference(netlist, candidate, num_patterns, seed)
+    assert toggle_rates(netlist, num_patterns, seed) == toggle_rates_reference(
+        netlist, num_patterns, seed
+    )
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("name", ("c17",) + PAPER_ISCAS85_SET)
+    @pytest.mark.parametrize(
+        "name", ("c17",) + PAPER_ISCAS85_SET + ("superblue18@0.002",)
+    )
     def test_every_iscas_circuit_bit_exact(self, name):
-        netlist = c17_netlist() if name == "c17" else iscas85_netlist(name, seed=1)
+        netlist = _circuit(name)
         _assert_all_executors_match(netlist, num_patterns=128, seed=3)
+        _assert_public_api_matches_oracle(netlist, DEFAULT_NUM_PATTERNS, seed=3)
 
-    @pytest.mark.parametrize("num_patterns", (8, 63, 64, 65, 100, 512))
+    @pytest.mark.parametrize("num_patterns", (8, 63, 64, 65, 100, 256, 512, 16384))
     def test_non_word_aligned_pattern_counts(self, num_patterns):
         netlist = iscas85_netlist("c432", seed=1)
         _assert_all_executors_match(netlist, num_patterns)
+        _assert_public_api_matches_oracle(netlist, num_patterns)
 
     @pytest.mark.parametrize("x_value_kind", ("zero", "ones", "pattern"))
     def test_dangling_inputs_and_x_values(self, x_value_kind):
@@ -157,16 +184,14 @@ class TestEngineEquivalence:
             _assert_all_executors_match(netlist, num_patterns)
 
     def test_simulate_matches_legacy_through_public_api(self, c432):
-        inputs = _resolved_inputs(c432, None, 256, 11)
-        legacy = _simulate_legacy(c432, dict(inputs), 256, 0)
+        expected = simulate_seeded_reference(c432, 256, 11)
         fast = simulate(c432, None, 256, 11)
-        assert fast.outputs == legacy.outputs
-        assert fast.net_values == legacy.net_values
-        assert fast.inputs == legacy.inputs
+        assert fast.outputs == expected.outputs
+        assert fast.net_values == expected.net_values
+        assert fast.inputs == expected.inputs
 
-    def test_custom_cell_falls_back_to_legacy(self):
-        """Cells without logic_ops metadata use the legacy interpreter."""
-        library = default_library()
+    def test_custom_cell_raises_unsupported(self):
+        """A combinational cell without logic_ops metadata cannot be simulated."""
         custom = Cell(
             name="MAJ3_CUSTOM",
             pins=(
@@ -180,22 +205,21 @@ class TestEngineEquivalence:
             area_um2=1.0,
             width_um=1.0,
         )
-        library_cells = list(library) + [custom]
-        from repro.netlist.cells import CellLibrary
-
+        library_cells = list(default_library()) + [custom]
         netlist = Netlist("custom", CellLibrary("with_custom", library_cells))
         netlist.add_primary_input("a")
         netlist.add_primary_input("b")
         netlist.add_primary_input("c")
         netlist.add_gate("g", "MAJ3_CUSTOM", {"A": "a", "B": "b", "C": "c", "Z": "n"})
         netlist.add_primary_output("o", "n")
-        with pytest.raises(engine.UnsupportedNetlist):
+        with pytest.raises(engine.UnsupportedNetlist, match="MAJ3_CUSTOM"):
             engine.compile_plan(netlist)
-        result = simulate(netlist, num_patterns=64, seed=1)
-        expected = _simulate_legacy(
-            netlist, _resolved_inputs(netlist, None, 64, 1), 64, 0
-        )
-        assert result.outputs == expected.outputs
+        with pytest.raises(engine.UnsupportedNetlist):
+            simulate(netlist, num_patterns=64, seed=1)
+        with pytest.raises(engine.UnsupportedNetlist):
+            output_error_rate(netlist, netlist.copy(), num_patterns=64)
+        with pytest.raises(engine.UnsupportedNetlist):
+            toggle_rates(netlist, num_patterns=64)
 
 
 class TestPlanCache:
@@ -220,9 +244,7 @@ class TestPlanCache:
         plan_b = engine.compile_plan(netlist)
         assert plan_b is not plan_a
         mutated = simulate(netlist, None, 128, 5)
-        expected = _simulate_legacy(
-            netlist, _resolved_inputs(netlist, None, 128, 5), 128, 0
-        )
+        expected = simulate_seeded_reference(netlist, 128, 5)
         assert mutated.outputs == expected.outputs
         assert mutated.outputs != baseline or mutated.net_values != {}
 
@@ -240,50 +262,19 @@ class TestPlanCache:
 
 class TestMetricsBitExact:
     def test_oer_hd_match_legacy_formulas(self, c432):
-        candidate = c432.copy("candidate")
-        gate = next(
-            g for g in candidate.gates.values()
-            if g.input_pin_names and g.net_on(g.input_pin_names[0]) is not None
-        )
-        current = gate.net_on(gate.input_pin_names[0])
-        other = next(
-            name for name, net in candidate.nets.items()
-            if name != current and net.has_driver()
-        )
-        candidate.move_sink(gate.name, gate.input_pin_names[0], other)
-
-        from repro.netlist.simulate import _shared_input_patterns
-
+        candidate = _perturbed(c432)
         for num_patterns in (100, 512):
-            patterns = _shared_input_patterns(c432, candidate, num_patterns, 0)
-            ref = _simulate_legacy(
-                c432, _resolved_inputs(c432, patterns, num_patterns, 0), num_patterns, 0
+            expected_oer, expected_hd = error_rate_and_hamming_reference(
+                c432, candidate, num_patterns, 0
             )
-            cand = _simulate_legacy(
-                candidate, _resolved_inputs(candidate, patterns, num_patterns, 0),
-                num_patterns, 0,
-            )
-            error_mask = 0
-            differing = 0
-            for po, ref_value in ref.outputs.items():
-                error_mask |= ref_value ^ cand.outputs[po]
-                differing += (ref_value ^ cand.outputs[po]).bit_count()
-            expected_oer = 100.0 * error_mask.bit_count() / num_patterns
-            expected_hd = 100.0 * differing / (num_patterns * len(ref.outputs))
             assert output_error_rate(c432, candidate, num_patterns, 0) == expected_oer
             assert hamming_distance(c432, candidate, num_patterns, 0) == expected_hd
 
     def test_toggle_rates_match_legacy(self, c432):
         for num_patterns in (256, 4096):
-            rates = toggle_rates(c432, num_patterns, 2)
-            legacy = _simulate_legacy(
-                c432, _resolved_inputs(c432, None, num_patterns, 2), num_patterns, 0
+            assert toggle_rates(c432, num_patterns, 2) == toggle_rates_reference(
+                c432, num_patterns, 2
             )
-            expected = {}
-            for net, value in legacy.net_values.items():
-                p = value.bit_count() / num_patterns
-                expected[net] = 2.0 * p * (1.0 - p)
-            assert rates == expected
 
 
 class TestGraphHelpers:

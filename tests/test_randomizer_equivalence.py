@@ -118,15 +118,16 @@ def test_cyclic_input_is_rejected():
         randomize_netlist(netlist, RandomizerConfig(max_swaps=4, seed=1))
 
 
-def test_custom_cells_fall_back_to_output_error_rate(c432):
-    """A cell without logic_ops: every round simulates with the interpreter."""
+def test_custom_cells_raise_unsupported(c432):
+    """A cell without logic_ops metadata: the randomizer refuses the netlist."""
     netlist = c432.copy("c432_custom")
     for gate in list(netlist.gates.values())[::25]:
         gate.cell = dataclasses.replace(gate.cell, name=f"{gate.cell.name}_CUSTOM",
                                         logic_ops=None)
     with pytest.raises(engine.UnsupportedNetlist):
         engine.compile_plan(netlist)
-    _assert_matches_oracle(netlist, RandomizerConfig(max_swaps=60, oer_patterns=128, seed=2))
+    with pytest.raises(engine.UnsupportedNetlist, match="_CUSTOM"):
+        randomize_netlist(netlist, RandomizerConfig(max_swaps=60, oer_patterns=128, seed=2))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,19 @@ def test_invalid_spec_400(service):
                            body={"benchmark": "no-such-circuit"})
     assert status == 400
     assert "invalid spec" in body["error"]
+    # Pattern counts below 1 are refused at submission, not at run time.
+    security = {"benchmark": "c432", "scheme": "original", "attacks": ["network_flow"]}
+    for spec, field in (
+        ({**security, "metrics": [{"name": "security", "params": {"num_patterns": 0}}]},
+         "num_patterns"),
+        ({**security, "metrics": [{"name": "security", "params": {"num_patterns": -1}}]},
+         "num_patterns"),
+        ({"benchmark": "c17", "scheme": "proposed", "scheme_params": {"oer_patterns": 0}},
+         "oer_patterns"),
+    ):
+        status, body = request(service, "POST", "/v1/jobs", body=spec)
+        assert status == 400, body
+        assert "invalid spec" in body["error"] and field in body["error"]
     conn = http.client.HTTPConnection(service.host, service.port, timeout=30)
     try:
         conn.request("POST", "/v1/jobs", body=b"{not json",

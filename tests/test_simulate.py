@@ -5,6 +5,7 @@ import pytest
 from repro.circuits import c17_netlist
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import (
+    error_rate_and_hamming,
     hamming_distance,
     output_error_rate,
     random_patterns,
@@ -140,3 +141,26 @@ class TestToggleRates:
         rates = toggle_rates(netlist, num_patterns=256)
         # out_net = OR(NAND(a, a), a) = OR(!a, a) = 1 always.
         assert rates["out_net"] == pytest.approx(0.0)
+
+
+class TestPatternCount:
+    @pytest.mark.parametrize("num_patterns", (0, -1))
+    def test_below_one_is_rejected(self, c432, num_patterns):
+        match = "num_patterns must be at least 1"
+        with pytest.raises(ValueError, match=match):
+            simulate(c432, num_patterns=num_patterns)
+        with pytest.raises(ValueError, match=match):
+            output_error_rate(c432, c432, num_patterns=num_patterns)
+        with pytest.raises(ValueError, match=match):
+            hamming_distance(c432, c432, num_patterns=num_patterns)
+        with pytest.raises(ValueError, match=match):
+            error_rate_and_hamming(c432, c432, num_patterns=num_patterns)
+        with pytest.raises(ValueError, match=match):
+            toggle_rates(c432, num_patterns)
+        with pytest.raises(ValueError, match=match):
+            random_patterns(["a"], num_patterns)
+
+    def test_one_pattern_is_accepted(self, c432):
+        result = simulate(c432, num_patterns=1, seed=3)
+        assert all(value in (0, 1) for value in result.outputs.values())
+        assert output_error_rate(c432, c432.copy(), num_patterns=1) == 0.0
