@@ -83,6 +83,11 @@ _log = logging.getLogger(__name__)
 ON_ERROR_MODES = ("raise", "skip")
 
 
+#: A seed-batch group: the members' shared build dict (every build-dict field
+#: but ``seed``) and its ``(build key, spec)`` members.
+_Group = Tuple[Dict[str, Any], List[Tuple[str, ScenarioSpec]]]
+
+
 def _coerce_on_error(value: str) -> str:
     if value not in ON_ERROR_MODES:
         raise ValueError(
@@ -387,10 +392,6 @@ def _build_scheme(payload: Mapping[str, Any]):
     return entry.fn(netlist, params, payload["seed"])
 
 
-def _build_scheme_keyed(key: str, payload: Mapping[str, Any]):
-    return key, _build_scheme(payload)
-
-
 def build_label(spec: ScenarioSpec) -> str:
     """Human-readable build identity (also the chaos-plan match target)."""
     scale = f"@{spec.scale:g}" if spec.scale is not None else ""
@@ -409,7 +410,8 @@ def _supervised_build(key: str, payload: Mapping[str, Any], attempt: int):
     building (a hit short-circuits the whole build — another worker or
     process already paid for it) and publishes its finished build to it —
     publish-as-you-go extends to disk, so completed work survives even a
-    parent crash.
+    parent crash.  The parent saves every build it receives too, so a
+    worker-side save that fails costs nothing but the early copy.
     """
     chaos = payload.get("chaos")
     if chaos:
@@ -424,7 +426,7 @@ def _supervised_build(key: str, payload: Mapping[str, Any], attempt: int):
         try:
             store.save(key, built, payload["build"], built.layout.netlist)
         except StoreError:
-            pass  # the parent's own save will warn if the root is unusable
+            pass  # the parent saves it again and warns if the root is unusable
     return built
 
 
@@ -589,13 +591,25 @@ class Workspace:
 
         Events are plain dicts with an ``"event"`` name plus context fields
         (``key``, ``label``, ``attempts``, ``spec_hash``, ``seed`` — whatever
-        the edge knows).  Emitted edges: ``build_dispatched``,
-        ``build_completed``, ``build_retry``, ``build_quarantined``,
-        ``store_hit`` and ``scenario_completed``.  Listeners run on the
-        emitting thread and must be fast and exception-safe; a listener that
-        raises is logged and dropped from that emission, never allowed to
-        sink the work it observes.  This is the hook the scenario service
-        streams job progress from.
+        the edge knows).  Emitted edges:
+
+        * ``build_dispatched`` — an in-process single build starts, or a
+          pool task is handed to a worker (with ``attempts``);
+        * ``build_retry`` — a pool task failed an attempt and is re-queued;
+        * ``build_completed`` — a build lands: an in-process single or
+          seed-batch member, or a pooled single (with ``attempts``);
+        * ``build_quarantined`` — a build (in-process) or a pool task
+          exhausted its attempts;
+        * ``store_hit`` — the disk tier served a build, wherever it was
+          looked up (:meth:`build`, a sweep's prewarm, pool dispatch);
+        * ``scenario_completed`` — :meth:`run_scenario` finished a scenario.
+
+        Pool edges of a seed-batch chunk are keyed by the chunk task
+        (``seedbatch:…``), and its members get no per-key edge of their own.
+        Listeners run on the emitting thread and must be fast and
+        exception-safe; a listener that raises is logged and dropped from
+        that emission, never allowed to sink the work it observes.  This is
+        the hook the scenario service streams job progress from.
         """
         with self._lock:
             if listener not in self._listeners:
@@ -663,33 +677,17 @@ class Workspace:
         for event in foreign.values():
             event.wait()
 
-    def _count_build_run(self, count: int = 1) -> None:
-        with self._lock:
-            self._stats["builds_run"] += count
-
     # -- disk tier ---------------------------------------------------------
 
-    def _store_load(self, key: str, spec: ScenarioSpec, *,
-                    count_miss: bool = True):
+    def _store_load(self, key: str, spec: ScenarioSpec):
         """Fetch ``key`` from the disk tier (verified), or ``None``."""
         store = self.store
-        if store is None:
-            return None
-        if not store.has(key):
-            if count_miss:
-                with self._lock:
-                    self._stats["store_misses"] += 1
+        if store is None or not store.has(key):
             return None
         netlist = self.netlist(
             spec.benchmark, seed=spec.effective_netlist_seed, scale=spec.scale
         )
-        built = store.load(key, netlist)
-        with self._lock:
-            if built is not None:
-                self._stats["store_hits"] += 1
-            elif count_miss:
-                self._stats["store_misses"] += 1
-        return built
+        return store.load(key, netlist)
 
     def _store_save(self, key: str, build_dict: Mapping[str, Any],
                     built: Any) -> None:
@@ -705,14 +703,6 @@ class Workspace:
                 f"artefact store at {store.root} is unusable ({error}); "
                 "continuing with the in-memory cache only",
             )
-
-    def _readonly_error(self, spec: ScenarioSpec, key: str) -> BuildError:
-        return BuildError(
-            f"build of {build_label(spec)} is forbidden: the artefact store "
-            f"is read-only (REPRO_STORE_READONLY) and has no entry for "
-            f"{key[:12]}",
-            build_key=key, label=build_label(spec),
-        )
 
     # -- failure bookkeeping -----------------------------------------------
 
@@ -765,12 +755,12 @@ class Workspace:
     def build(self, spec: ScenarioSpec):
         """The :class:`~repro.api.schemes.SchemeBuild` for ``spec`` (cached).
 
-        Lookups go memory → disk tier → build.  Cache misses run under the
-        workspace's retry policy (and fault plan); a build that exhausts
-        its attempt budget raises (and stays) a quarantined
-        :class:`~repro.exec.errors.BuildError` — clear it with
-        :meth:`clear_quarantine` to allow another try.  With a *read-only*
-        store a full miss raises instead of building.
+        Lookups go memory → disk tier → build (see :meth:`_resolve`).
+        Cache misses run under the workspace's retry policy (and fault
+        plan); a build that exhausts its attempt budget raises (and stays)
+        a quarantined :class:`~repro.exec.errors.BuildError` — clear it
+        with :meth:`clear_quarantine` to allow another try.  With a
+        *read-only* store a full miss raises instead of building.
 
         Misses are deduplicated across threads: while one thread builds a
         key, every other thread asking for the same key blocks on the
@@ -782,101 +772,29 @@ class Workspace:
         ensure_builtins()
         key = spec.build_key()
         while True:
-            claimed = False
             with self._lock:
                 if key in self._builds:
                     self._stats["build_hits"] += 1
                     return self._builds[key]
-                quarantined = self._quarantined.get(key)
-                event = self._inflight.get(key)
-                if quarantined is None and event is None:
-                    self._inflight[key] = threading.Event()
-                    self._stats["build_misses"] += 1
-                    claimed = True
-            if quarantined is not None:
-                raise quarantined
-            if claimed:
+                error = self._quarantined.get(key)
+                if error is None:
+                    owned, foreign = self._claim_builds([key])
+                    self._stats["build_misses"] += len(owned)
+            if error is not None:
+                raise error
+            if owned:
                 break
             # Another thread is building this key right now: wait for it to
             # settle, then re-check the cache (or its quarantine record).
-            with self._lock:
-                self._stats["inflight_waits"] += 1
-            event.wait()
+            self._await_builds(foreign)
         try:
-            stored = self._store_load(key, spec)
-            if stored is not None:
-                with self._lock:
-                    return self._builds.setdefault(key, stored)
-            if self.store is not None and self.store.readonly:
-                error = self._readonly_error(spec, key)
-                with self._lock:
-                    self._quarantined[key] = error
-                raise error
-            entry = DEFENSES.get(spec.scheme)
-            params = entry.make_params(spec.scheme_params)
-            label = build_label(spec)
-
-            def attempt_build(attempt: int):
-                if self.chaos is not None:
-                    self.chaos.inject(label, attempt)
-                netlist = self.netlist(
-                    spec.benchmark, seed=spec.effective_netlist_seed,
-                    scale=spec.scale,
-                )
-                return entry.fn(netlist, params, spec.seed)
-
-            self._emit("build_dispatched", key=key, label=label)
-            try:
-                built = execute_with_retries(
-                    attempt_build, key=key, label=label, policy=self.retry
-                )
-            except BuildError as error:
-                with self._lock:
-                    self._quarantined[key] = error
-                self._emit("build_quarantined", key=key, label=label,
-                           attempts=error.attempts)
-                raise
-            with self._lock:
-                built = self._builds.setdefault(key, built)
-                self._quarantined.pop(key, None)
-            self._count_build_run()
-            self._emit("build_completed", key=key, label=label)
-            self._store_save(key, spec.build_dict(), built)
-            self._publish_baseline(spec, built)
-            return built
+            _missing, failed = self._resolve({key: spec}, self._build_in_process)
         finally:
-            self._release_builds([key])
-
-    def _publish_baseline(self, spec: ScenarioSpec, built) -> None:
-        """Register a proposed build's original layout under the matching
-        ``original`` build key, so compare-scope baselines of sibling
-        scenarios reuse it instead of re-running place+route."""
-        if built.scheme != "proposed" or built.protection is None:
-            return
-        from repro.api.schemes import SchemeBuild
-
-        # protect() sizes the floorplan with config.utilization but places at
-        # build_layout's default utilization (0.70) — mirror the params an
-        # independent 'original' build of that layout would use.
-        floorplan_util = built.protection.config.utilization
-        params: Dict[str, Any] = {"utilization": 0.70}
-        if floorplan_util != 0.70:
-            params["floorplan_utilization"] = floorplan_util
-        original_spec = ScenarioSpec(
-            benchmark=spec.benchmark, scheme="original", scheme_params=params,
-            scale=spec.scale, seed=spec.seed, netlist_seed=spec.netlist_seed,
-        )
-        original = built.protection.original_layout
-        original_key = original_spec.build_key()
-        original_build = SchemeBuild(
-            scheme="original", layout=original, baseline=original
-        )
+            self._release_builds(owned)
+        if failed:
+            raise failed[key]
         with self._lock:
-            original_build = self._builds.setdefault(original_key, original_build)
-        # The proposed build itself is unstorable (it carries the full
-        # ProtectionResult), but its original layout is a plain storable
-        # build — publish it so sibling scenarios' baselines come from disk.
-        self._store_save(original_key, original_spec.build_dict(), original_build)
+            return self._builds[key]
 
     def protection(self, benchmark: str,
                    config: Optional[ProtectionConfig] = None,
@@ -904,11 +822,124 @@ class Workspace:
             seed=config.seed,
         )
 
+    # -- the publish path ----------------------------------------------------
+
+    #: ``_publish`` source → (counter it bumps, event it emits, saved to disk).
+    #: ``build``: built here or by a pool worker; ``chunk``: a pooled
+    #: seed-batch member (its chunk task's ``seedbatch:…`` edges announce
+    #: it); ``store``: a verified disk hit; ``baseline``: the original
+    #: layout a proposed build carries.
+    _SOURCES: Dict[str, Tuple[Optional[str], Optional[str], bool]] = {
+        "build": ("builds_run", "build_completed", True),
+        "chunk": ("builds_run", None, True),
+        "store": ("store_hits", "store_hit", False),
+        "baseline": (None, None, True),
+    }
+
+    def _publish(self, key: str, spec: ScenarioSpec, built: Any, source: str,
+                 **fields: Any) -> None:
+        """Land one build in the cache — the only way into it.
+
+        Every executor publishes through here: a caller claims its keys
+        (:meth:`_claim_builds`), :meth:`_resolve` serves them memory →
+        store → build, and each artefact lands as it is ready.  The first
+        build published under a key wins.  Publishing clears the key's
+        quarantine, releases its in-flight waiters, bumps the ``source``'s
+        counter, emits its progress event (with ``fields``), saves fresh
+        builds to the disk tier and registers a proposed build's original
+        layout under the matching ``original`` key, so compare-scope
+        baselines of sibling scenarios reuse it instead of re-running
+        place+route.
+        """
+        counter, event, save = self._SOURCES[source]
+        with self._lock:
+            built = self._builds.setdefault(key, built)
+            self._quarantined.pop(key, None)
+            if counter is not None:
+                self._stats[counter] += 1
+        self._release_builds([key])
+        if event is not None:
+            self._emit(event, key=key, label=build_label(spec), **fields)
+        if save:
+            self._store_save(key, spec.build_dict(), built)
+        if built.scheme == "proposed" and built.protection is not None:
+            self._publish(*self._baseline_of(spec, built), "baseline")
+
+    @staticmethod
+    def _baseline_of(spec: ScenarioSpec, built) -> Tuple[str, ScenarioSpec, Any]:
+        """``(key, spec, build)`` of the original layout a proposed build carries."""
+        from repro.api.schemes import SchemeBuild
+
+        # protect() sizes the floorplan with config.utilization but places at
+        # build_layout's default utilization (0.70) — mirror the params an
+        # independent 'original' build of that layout would use.
+        floorplan_util = built.protection.config.utilization
+        params: Dict[str, Any] = {"utilization": 0.70}
+        if floorplan_util != 0.70:
+            params["floorplan_utilization"] = floorplan_util
+        original_spec = ScenarioSpec(
+            benchmark=spec.benchmark, scheme="original", scheme_params=params,
+            scale=spec.scale, seed=spec.seed, netlist_seed=spec.netlist_seed,
+        )
+        original = built.protection.original_layout
+        return original_spec.build_key(), original_spec, SchemeBuild(
+            scheme="original", layout=original, baseline=original
+        )
+
+    def _resolve(self, owned: Mapping[str, ScenarioSpec], execute
+                 ) -> Tuple[Dict[str, ScenarioSpec], Dict[str, BuildError]]:
+        """Serve claimed keys memory → store → build.
+
+        The claim was the memory look (:meth:`_claim_builds` never claims a
+        cached key).  Each key is probed in the disk tier once and hits are
+        published; the misses go to ``execute(missing)`` — an executor that
+        publishes each build as it lands and returns ``{key: BuildError}``
+        for the builds that failed.  A read-only store fails every miss
+        instead of building it.  Failures are quarantined.
+
+        Returns ``(missing, failed)``: the keys the store did not serve and
+        the ones among them that failed.
+        """
+        missing = self._resolve_from_store(owned)
+        if not missing:
+            return missing, {}
+        store = self.store
+        if store is not None:
+            with self._lock:
+                self._stats["store_misses"] += len(missing)
+        if store is not None and store.readonly:
+            # Verification mode: a read-only store forbids building.
+            failed = {
+                key: BuildError(
+                    f"build of {build_label(spec)} is forbidden: the artefact "
+                    f"store is read-only (REPRO_STORE_READONLY) and has no "
+                    f"entry for {key[:12]}",
+                    build_key=key, label=build_label(spec),
+                )
+                for key, spec in missing.items()
+            }
+        else:
+            failed = execute(missing)
+        with self._lock:
+            self._quarantined.update(failed)
+        return missing, failed
+
+    def _resolve_from_store(self, owned: Mapping[str, ScenarioSpec]
+                            ) -> Dict[str, ScenarioSpec]:
+        """Publish the claimed keys the disk tier has; return the rest."""
+        missing: Dict[str, ScenarioSpec] = {}
+        for key, spec in owned.items():
+            built = self._store_load(key, spec)
+            if built is None:
+                missing[key] = spec
+            else:
+                self._publish(key, spec, built, "store")
+        return missing
+
     # -- seed batching -----------------------------------------------------
 
     @staticmethod
-    def _batch_groups(missing: Mapping[str, ScenarioSpec]
-                      ) -> List[List[Tuple[str, ScenarioSpec]]]:
+    def _batch_groups(missing: Mapping[str, ScenarioSpec]) -> Dict[str, _Group]:
         """Partition batchable builds into same-netlist-same-params groups.
 
         A build is batchable when its scheme is ``original`` and its spec
@@ -917,8 +948,10 @@ class Workspace:
         which is exactly what :func:`repro.layout.placer.place_batch`
         amortizes.  Groups of one stay on the plain single-build path (a
         batch of one gains nothing over the per-seed vectorized kernels).
+
+        Returns each group under the canonical JSON of its shared build dict.
         """
-        groups: Dict[str, List[Tuple[str, ScenarioSpec]]] = {}
+        groups: Dict[str, _Group] = {}
         for key, spec in missing.items():
             if spec.scheme != "original" or spec.netlist_seed is None:
                 continue
@@ -926,151 +959,115 @@ class Workspace:
                 k: v for k, v in spec.build_dict().items() if k != "seed"
             }
             group_key = json.dumps(shared, sort_keys=True, separators=(",", ":"))
-            groups.setdefault(group_key, []).append((key, spec))
-        return [members for members in groups.values() if len(members) >= 2]
+            groups.setdefault(group_key, (shared, []))[1].append((key, spec))
+        return {
+            group_key: group for group_key, group in groups.items()
+            if len(group[1]) >= 2
+        }
 
-    def _single_task(self, key: str, spec: ScenarioSpec,
-                     chaos_payload: Optional[Dict[str, Any]],
-                     start_attempt: int = 0) -> TaskSpec:
-        return TaskSpec(
-            key=key,
-            label=build_label(spec),
-            payload={
-                "build": spec.build_dict(),
-                "chaos": chaos_payload,
-                "label": build_label(spec),
-                "store": (
-                    self.store.worker_payload()
-                    if self.store is not None else None
-                ),
-            },
-            start_attempt=start_attempt,
-        )
-
-    def _publish_chunk(self, meta: Mapping[str, Any],
-                       value: Mapping[str, Any]) -> List[str]:
-        """Publish the surviving builds of one completed seed-batch chunk.
-
-        The worker shipped coordinate deltas; the placements are rebuilt
-        bit-exactly here and the chunk is routed as one batch over a shared
-        skeleton.  Returns the build keys that were published.
-        """
-        deltas = value.get("deltas")
-        if not deltas or not deltas["seeds"]:
-            return []
-        from repro.api.schemes import builds_from_placement_deltas
-
-        build = meta["build"]
+    def _batch_inputs(self, shared: Mapping[str, Any]):
+        """The netlist and scheme params every member of a batch group shares."""
         netlist = self.netlist(
-            build["benchmark"], seed=build["netlist_seed"], scale=build["scale"]
+            shared["benchmark"], seed=shared["netlist_seed"], scale=shared["scale"]
         )
-        entry = DEFENSES.get(build["scheme"])
-        params = entry.make_params(build["scheme_params"])
-        builds = builds_from_placement_deltas(netlist, params, deltas)
-        key_by_seed = {spec.seed: key for key, spec in meta["members"]}
-        spec_by_key = {key: spec for key, spec in meta["members"]}
-        keys: List[str] = []
-        published: List[Tuple[str, Any]] = []
-        with self._lock:
-            for seed, built in zip(deltas["seeds"], builds):
-                key = key_by_seed[seed]
-                built = self._builds.setdefault(key, built)
-                self._quarantined.pop(key, None)
-                keys.append(key)
-                published.append((key, built))
-        # Chunk workers ship deltas, not full builds, so the parent is the
-        # one that can publish the reconstructed artefacts to disk.
-        for key, built in published:
-            self._store_save(key, spec_by_key[key].build_dict(), built)
-        return keys
+        entry = DEFENSES.get(shared["scheme"])
+        return netlist, entry.make_params(shared["scheme_params"])
+
+    def _build_in_process(self, missing: Dict[str, ScenarioSpec]
+                          ) -> Dict[str, BuildError]:
+        """The serial executor: seed batches first, then one build per key.
+
+        Every batchable group builds through
+        :func:`repro.api.schemes.build_original_batch` — one shared netlist
+        skeleton per group, bit-exact per seed with the individual builds.
+        With a fault plan installed batching is skipped (chaos injects per
+        *build attempt*, which an amortized batch would bypass) and the
+        degradation is warned once, per the never-degrade-silently
+        contract.  Every other key — including the members of a group whose
+        batch build failed — builds alone under the retry policy and fault
+        plan.  Returns the keys that exhausted their attempts.
+        """
+        from repro.api.schemes import build_original_batch
+
+        rest = dict(missing)
+        groups = self._batch_groups(missing)
+        if groups and self.chaos is not None:
+            warn_once(
+                _log, "workspace.prewarm_batches.chaos",
+                "a fault plan is installed; serial sweep builds degrade to "
+                "the per-seed path (chaos injects per build attempt, which "
+                "seed batching would bypass)",
+            )
+            groups = {}
+        for shared, members in groups.values():
+            netlist, params = self._batch_inputs(shared)
+            seeds = [spec.seed for _key, spec in members]
+            try:
+                builds = build_original_batch(netlist, params, seeds)
+            except Exception as error:  # noqa: BLE001 - per-seed path reports it
+                _log.warning(
+                    "seed-batched build of %s (seeds %s) failed (%s: %s); "
+                    "seeds fall back to individual builds",
+                    build_label(members[0][1]), seeds, type(error).__name__, error,
+                )
+                continue
+            for (key, spec), built in zip(members, builds):
+                self._publish(key, spec, built, "build")
+                del rest[key]
+        failed: Dict[str, BuildError] = {}
+        for key, spec in rest.items():
+            entry = DEFENSES.get(spec.scheme)
+            params = entry.make_params(spec.scheme_params)
+            label = build_label(spec)
+
+            def attempt_build(attempt: int):
+                if self.chaos is not None:
+                    self.chaos.inject(label, attempt)
+                netlist = self.netlist(
+                    spec.benchmark, seed=spec.effective_netlist_seed,
+                    scale=spec.scale,
+                )
+                return entry.fn(netlist, params, spec.seed)
+
+            self._emit("build_dispatched", key=key, label=label)
+            try:
+                built = execute_with_retries(
+                    attempt_build, key=key, label=label, policy=self.retry
+                )
+            except BuildError as error:
+                failed[key] = error
+                self._emit("build_quarantined", key=key, label=label,
+                           attempts=error.attempts)
+                continue
+            self._publish(key, spec, built, "build")
+        return failed
 
     def _prewarm_batches(self, specs: Sequence[ScenarioSpec]) -> None:
         """In-process seed batching for serial sweeps (``jobs <= 1``).
 
-        Builds every batchable group of ``specs`` through
-        :func:`repro.api.schemes.build_original_batch` — one shared netlist
-        skeleton per group, bit-exact per seed with the individual builds the
-        serial sweep loop would otherwise run.  With a fault plan installed
-        the batched path is skipped (chaos injects per *build attempt*,
-        which an amortized batch would bypass) and the degradation is warned
-        once, per the never-degrade-silently contract.  A group whose batch
-        build fails falls back to the per-seed path, which reports the
-        failure through the normal retry/quarantine machinery.
+        Resolves the keys of ``specs`` that form seed batches (see
+        :meth:`_batch_groups`) through the in-process executor, so the
+        per-seed loop that follows finds them warm.  Every other key is
+        resolved by :meth:`build` when its scenario runs; a batched key
+        that failed is quarantined, and :meth:`build` raises its error.
         """
         ensure_builtins()
         distinct: Dict[str, ScenarioSpec] = {}
         for spec in specs:
             distinct.setdefault(spec.build_key(), spec)
-        # Claim the keys this thread will batch-build; keys another thread
-        # is already building are left to it (the per-seed loop that follows
-        # a serial prewarm blocks on them inside build()).
-        owned, _foreign = self._claim_builds(distinct)
-        missing = {key: distinct[key] for key in owned}
+        batchable = {
+            key: spec for _shared, members in self._batch_groups(distinct).values()
+            for key, spec in members
+        }
+        # Keys another thread is already building are left to it (the
+        # per-seed loop blocks on them inside build()).
+        owned, _foreign = self._claim_builds(batchable)
         try:
-            missing = self._resolve_from_store(missing)
-            groups = self._batch_groups(missing)
-            if not groups:
-                return
-            if self.chaos is not None:
-                warn_once(
-                    _log, "workspace.prewarm_batches.chaos",
-                    "a fault plan is installed; serial sweep builds degrade to "
-                    "the per-seed path (chaos injects per build attempt, which "
-                    "seed batching would bypass)",
-                )
-                return
-            from repro.api.schemes import build_original_batch
-
-            for members in groups:
-                first = members[0][1]
-                netlist = self.netlist(
-                    first.benchmark, seed=first.effective_netlist_seed,
-                    scale=first.scale,
-                )
-                entry = DEFENSES.get(first.scheme)
-                params = entry.make_params(first.scheme_params)
-                seeds = [spec.seed for _key, spec in members]
-                try:
-                    builds = build_original_batch(netlist, params, seeds)
-                except Exception as error:  # noqa: BLE001 - per-seed path reports it
-                    _log.warning(
-                        "seed-batched build of %s (seeds %s) failed (%s: %s); "
-                        "seeds fall back to individual builds",
-                        build_label(first), seeds, type(error).__name__, error,
-                    )
-                    continue
-                published: List[Tuple[str, ScenarioSpec, Any]] = []
-                with self._lock:
-                    for (key, spec), built in zip(members, builds):
-                        built = self._builds.setdefault(key, built)
-                        self._quarantined.pop(key, None)
-                        published.append((key, spec, built))
-                self._count_build_run(len(published))
-                for key, spec, built in published:
-                    self._release_builds([key])
-                    self._emit("build_completed", key=key,
-                               label=build_label(spec))
-                    self._store_save(key, spec.build_dict(), built)
+            self._resolve(
+                {key: batchable[key] for key in owned}, self._build_in_process
+            )
         finally:
             self._release_builds(owned)
-
-    def _resolve_from_store(self, missing: Dict[str, ScenarioSpec]
-                            ) -> Dict[str, ScenarioSpec]:
-        """Serve what the disk tier has; return the keys still missing."""
-        if self.store is None or not missing:
-            return missing
-        still: Dict[str, ScenarioSpec] = {}
-        for key, spec in missing.items():
-            built = self._store_load(key, spec)
-            if built is not None:
-                with self._lock:
-                    self._builds.setdefault(key, built)
-                    self._quarantined.pop(key, None)
-                self._release_builds([key])
-                self._emit("store_hit", key=key, label=build_label(spec))
-            else:
-                still[key] = spec
-        return still
 
     # -- parallel prewarm --------------------------------------------------
 
@@ -1094,7 +1091,8 @@ class Workspace:
         ``on_error="raise"`` (the default) the first quarantined build's
         :class:`~repro.exec.errors.BuildError` is re-raised once the batch
         settles, with ``"skip"`` the method returns normally and callers
-        read the damage from :meth:`drain_failures`.
+        read the damage from :meth:`drain_failures`.  Quarantined keys are
+        retried.
 
         Concurrent prewarms deduplicate in flight: keys another thread is
         already building are *not* rebuilt — this call waits for them to
@@ -1114,13 +1112,18 @@ class Workspace:
                 distinct.setdefault(expanded.build_key(), expanded)
         on_error = _coerce_on_error(on_error if on_error is not None else self.on_error)
         owned, foreign = self._claim_builds(distinct)
-        missing = {key: distinct[key] for key in owned}
         try:
-            built = self._prewarm_missing(
-                missing, jobs=jobs, policy=policy, on_error=on_error
+            missing, failed = self._resolve(
+                {key: distinct[key] for key in owned},
+                lambda missing: self._build_pooled(missing, jobs, policy),
             )
         finally:
             self._release_builds(owned)
+        failed_keys = [key for key in missing if key in failed]  # input order
+        for key in failed_keys:
+            self._record_failure(FailureRecord.from_spec(missing[key], failed[key]))
+        if failed_keys and on_error == "raise":
+            raise failed[failed_keys[0]]
         # Fan in on builds owned by concurrent prewarms: wait for them to
         # settle, then surface any of their terminal failures.
         self._await_builds(foreign)
@@ -1132,31 +1135,35 @@ class Workspace:
                 ]
             if errors:
                 raise errors[0]
-        return built
+        return [spec for key, spec in missing.items() if key not in failed]
 
-    def _prewarm_missing(self, missing: Dict[str, ScenarioSpec],
-                         jobs: Optional[int],
-                         policy: Optional[RetryPolicy],
-                         on_error: str) -> List[ScenarioSpec]:
-        """Build the claimed ``missing`` keys (the body of :meth:`prewarm`)."""
-        # Disk tier first: anything a previous run (or another machine)
-        # already built short-circuits the pool entirely.
-        missing = self._resolve_from_store(missing)
-        if not missing:
-            return []
-        if self.store is not None and self.store.readonly:
-            # Verification mode: a read-only store forbids building.
-            first_error: Optional[BuildError] = None
-            for key, spec in missing.items():
-                error = self._readonly_error(spec, key)
-                with self._lock:
-                    self._quarantined[key] = error
-                self._record_failure(FailureRecord.from_spec(spec, error))
-                if first_error is None:
-                    first_error = error
-            if on_error == "raise" and first_error is not None:
-                raise first_error
-            return []
+    def _single_task(self, key: str, spec: ScenarioSpec,
+                     chaos_payload: Optional[Dict[str, Any]],
+                     start_attempt: int = 0) -> TaskSpec:
+        return TaskSpec(
+            key=key,
+            label=build_label(spec),
+            payload={
+                "build": spec.build_dict(),
+                "chaos": chaos_payload,
+                "label": build_label(spec),
+                "store": (
+                    self.store.worker_payload()
+                    if self.store is not None else None
+                ),
+            },
+            start_attempt=start_attempt,
+        )
+
+    def _build_pooled(self, missing: Dict[str, ScenarioSpec],
+                      jobs: Optional[int],
+                      policy: Optional[RetryPolicy]) -> Dict[str, BuildError]:
+        """The pool executor (the body of :meth:`prewarm`).
+
+        Returns the keys that exhausted their attempts.
+        """
+        from repro.api.schemes import builds_from_placement_deltas
+
         jobs = jobs if jobs is not None else (self.default_jobs or default_jobs())
         jobs = max(1, min(jobs, len(missing)))
         policy = policy if policy is not None else self.retry
@@ -1166,20 +1173,11 @@ class Workspace:
         # as seed-batch chunks: the worker places the whole chunk over one
         # shared skeleton and ships back coordinate deltas instead of full
         # artefacts; everything else stays a one-build-per-task single.
-        groups = self._batch_groups(missing)
-        chunk_meta: Dict[str, Dict[str, Any]] = {}
-        batched_keys: set = set()
+        chunks: Dict[str, _Group] = {}  # chunk task key → its slice of a group
         tasks: List[TaskSpec] = []
-        for members in groups:
+        for group_key, (shared, members) in self._batch_groups(missing).items():
+            group_tag = hashlib.sha256(group_key.encode("utf-8")).hexdigest()[:16]
             first = members[0][1]
-            shared = {
-                k: v for k, v in first.build_dict().items() if k != "seed"
-            }
-            group_tag = hashlib.sha256(
-                json.dumps(shared, sort_keys=True, separators=(",", ":"))
-                .encode("utf-8")
-            ).hexdigest()[:16]
-            batched_keys.update(key for key, _spec in members)
             for index, chunk in enumerate(_split_chunks(members, jobs)):
                 task_key = f"seedbatch:{group_tag}:{index}"
                 seeds = [spec.seed for _key, spec in chunk]
@@ -1198,37 +1196,46 @@ class Workspace:
                         "chaos": chaos_payload,
                     },
                 ))
-                chunk_meta[task_key] = {"members": chunk, "build": shared}
+                chunks[task_key] = (shared, chunk)
+        batched_keys = {
+            key for _shared, chunk in chunks.values() for key, _spec in chunk
+        }
         tasks.extend(
             self._single_task(key, spec, chaos_payload)
             for key, spec in missing.items() if key not in batched_keys
         )
 
+        #: Keys published before the supervisor delivers them: chunk members,
+        #: and singles the dispatch-time store probe served.
         published: set = set()
-        served_from_store: set = set()
 
-        def publish(key: str, built: Any) -> None:
-            if key in chunk_meta:
-                try:
-                    chunk_keys = self._publish_chunk(chunk_meta[key], built)
-                except Exception:  # noqa: BLE001 - rebuilt below, seed by seed
-                    _log.warning(
-                        "reconstructing seed-batch chunk %s failed; its seeds "
-                        "fall back to individual builds", key, exc_info=True,
-                    )
-                    return
-                published.update(chunk_keys)
-                self._count_build_run(len(chunk_keys))
-                # Unblock per-key waiters (in-flight dedup) as soon as each
-                # chunk member lands — publish-as-you-go extends to them.
-                self._release_builds(chunk_keys)
+        def publish(key: str, built: Any, attempts: int) -> None:
+            if key in published:
                 return
-            with self._lock:
-                built = self._builds.setdefault(key, built)
-                self._quarantined.pop(key, None)
-            published.add(key)
-            self._release_builds([key])
-            self._publish_baseline(missing[key], built)
+            if key not in chunks:
+                self._publish(key, missing[key], built, "build", attempts=attempts)
+                return
+            # A chunk worker ships coordinate deltas: the placements are
+            # rebuilt bit-exactly here and the chunk is routed as one batch
+            # over a shared skeleton.
+            deltas = built.get("deltas")
+            if not deltas or not deltas["seeds"]:
+                return
+            shared, chunk = chunks[key]
+            try:
+                netlist, params = self._batch_inputs(shared)
+                builds = builds_from_placement_deltas(netlist, params, deltas)
+            except Exception:  # noqa: BLE001 - rebuilt below, seed by seed
+                _log.warning(
+                    "reconstructing seed-batch chunk %s failed; its seeds "
+                    "fall back to individual builds", key, exc_info=True,
+                )
+                return
+            member_by_seed = {spec.seed: (member, spec) for member, spec in chunk}
+            for seed, member_build in zip(deltas["seeds"], builds):
+                member, spec = member_by_seed[seed]
+                self._publish(member, spec, member_build, "chunk")
+                published.add(member)
 
         def probe_store(task: TaskSpec):
             """Late disk check at dispatch time (single-build tasks only).
@@ -1237,26 +1244,28 @@ class Workspace:
             a concurrent process sweeping against the same shared store.
             """
             spec = missing.get(task.key)
-            if spec is None or self.store is None:
+            if spec is None or self._resolve_from_store({task.key: spec}):
                 return None
-            value = self._store_load(task.key, spec, count_miss=False)
-            if value is not None:
-                served_from_store.add(task.key)
-            return value
+            published.add(task.key)
+            with self._lock:
+                return self._builds[task.key]
 
         def task_event(kind: str, task: TaskSpec, attempts: int) -> None:
-            """Forward supervisor lifecycle edges to progress listeners."""
+            """Forward supervisor lifecycle edges to progress listeners.
+
+            A single's completion is announced by :meth:`_publish`, a
+            dispatch-time store hit by the store tier.
+            """
+            if kind == "short_circuit" or (kind == "completed" and task.key in missing):
+                return
             names = {
                 "dispatched": "build_dispatched",
                 "completed": "build_completed",
-                "short_circuit": "store_hit",
                 "retry": "build_retry",
                 "quarantined": "build_quarantined",
             }
             self._emit(names[kind], key=task.key, label=task.label,
                        attempts=attempts)
-            if kind == "completed" and task.key in missing:
-                self._count_build_run()
 
         supervisor = PoolSupervisor(
             _supervised_task, jobs=jobs, policy=policy, on_result=publish,
@@ -1271,11 +1280,11 @@ class Workspace:
         # publish while the culprit quarantines by itself.
         outcomes = {
             key: outcome for key, outcome in report.outcomes.items()
-            if key not in chunk_meta
+            if key not in chunks
         }
         retries: List[TaskSpec] = []
         crash_suspected = False
-        for task_key, meta in chunk_meta.items():
+        for task_key, (_shared, chunk) in chunks.items():
             outcome = report.outcomes[task_key]
             if outcome.ok:
                 failed_seeds = {
@@ -1284,7 +1293,7 @@ class Workspace:
             else:
                 failed_seeds = None  # whole chunk quarantined
                 crash_suspected = True
-            for key, spec in meta["members"]:
+            for key, spec in chunk:
                 if key in published:
                     continue
                 if failed_seeds is None:
@@ -1319,23 +1328,11 @@ class Workspace:
                 report.degraded_serial or retry_report.degraded_serial
             )
 
-        merged = SupervisorReport(
+        self.last_report = SupervisorReport(
             outcomes=outcomes, respawns=report.respawns,
             degraded_serial=report.degraded_serial,
         )
-        self.last_report = merged
-        failed = merged.failed()
-        if failed:
-            with self._lock:
-                self._quarantined.update(failed)
-            for key, error in failed.items():
-                self._record_failure(FailureRecord.from_spec(missing[key], error))
-            if on_error == "raise":
-                for key in missing:  # first failure in input order
-                    if key in failed:
-                        raise failed[key]
-        succeeded = published | set(merged.succeeded())
-        return [spec for key, spec in missing.items() if key in succeeded]
+        return self.last_report.failed()
 
     # -- scenario execution ------------------------------------------------
 

@@ -106,8 +106,9 @@ class PoolSupervisor:
         jobs: Worker-process count; ``1`` executes serially in-process
             (unless ``isolate`` asks for a real worker).
         policy: Retry/timeout/backoff policy (default: single attempt).
-        on_result: Called as ``on_result(key, value)`` in the supervisor
-            process the moment a task succeeds (publish-as-you-go).
+        on_result: Called as ``on_result(key, value, attempts)`` in the
+            supervisor process the moment a task succeeds
+            (publish-as-you-go).
         max_respawns: Consecutive no-progress pool breaks tolerated before
             degrading to serial execution.
         poll_s: Poll interval of the wait loop (also the granularity of
@@ -139,7 +140,7 @@ class PoolSupervisor:
 
     def __init__(self, fn: Callable[..., Any], *, jobs: int,
                  policy: Optional[RetryPolicy] = None,
-                 on_result: Optional[Callable[[str, Any], None]] = None,
+                 on_result: Optional[Callable[[str, Any, int], None]] = None,
                  max_respawns: int = 3, poll_s: float = 0.05,
                  isolate: bool = False,
                  short_circuit: Optional[Callable[[TaskSpec], Any]] = None,
@@ -248,7 +249,7 @@ class PoolSupervisor:
         )
         self._signal(kind, state)
         if self.on_result is not None:
-            self.on_result(key, value)
+            self.on_result(key, value, state.attempts)
 
     def _fail_or_requeue(self, state: _TaskState, error: BuildError,
                          queue: collections.deque,
