@@ -2,9 +2,10 @@
 
 Measures ``simulate``, ``output_error_rate`` / ``hamming_distance`` and the
 attack cost-matrix construction on the seed-equivalent legacy path versus the
-compiled engine, and writes a ``BENCH_sim.json`` perf-trajectory
-artifact (wall-clock seconds plus derived throughput) so future PRs can track
-regressions::
+compiled engine, and the attack's per-sink driver choice by ring walk versus
+the dense per-sink pass (``network_flow_choice``), and writes a
+``BENCH_sim.json`` perf-trajectory artifact (wall-clock seconds plus derived
+throughput) so future PRs can track regressions::
 
     PYTHONPATH=src python benchmarks/bench_sim.py            # writes BENCH_sim.json
     PYTHONPATH=src python benchmarks/bench_sim.py --patterns 16384 --repeat 9
@@ -39,6 +40,7 @@ sys.path.insert(0, str(REPO_ROOT / "tests"))
 from attack_oracle import direction_penalty, visible_reachability  # noqa: E402
 from graph_oracle import netlist_to_digraph  # noqa: E402
 from sim_oracle import simulate_reference  # noqa: E402
+from repro.attacks import network_flow  # noqa: E402
 from repro.attacks.network_flow import (  # noqa: E402
     NetworkFlowAttackConfig,
     build_cost_matrix,
@@ -332,6 +334,46 @@ def bench_attack(repeat: int) -> Dict[str, Dict]:
     }
 
     import numpy as np
+
+    # Each sink's cheapest driver: the ring walk over the driver grid against
+    # the dense per-sink pass it replaced (row blocks against every driver,
+    # on the thread pool).
+    kernel = network_flow._CostKernel(view, config)
+    every_driver = np.arange(len(view.driver_vpins))[None, :]
+
+    def dense_choice():
+        choice = np.empty(len(view.sink_vpins), dtype=np.intp)
+
+        def fill(lo, hi):
+            block = kernel.pairs(np.arange(lo, hi)[:, None], every_driver)[0]
+            choice[lo:hi] = network_flow._cheapest_drivers(block)
+            return 0
+
+        network_flow._run_blocks(len(choice), fill)
+        return choice
+
+    scored = []
+    pairs_of = kernel.pairs
+
+    def counting(sinks, drivers):
+        cost, infeasible = pairs_of(sinks, drivers)
+        scored.append(cost.size)
+        return cost, infeasible
+
+    kernel.pairs = counting
+    chosen = kernel.cheapest_drivers()
+    del kernel.pairs
+    assert np.array_equal(chosen, dense_choice())
+    ring_time = _timeit(kernel.cheapest_drivers, repeat)
+    dense_time = _timeit(dense_choice, repeat)
+    results["network_flow_choice"] = {
+        "ring_walk_s": round(ring_time, 6),
+        "dense_s": round(dense_time, 6),
+        "dense_workers": network_flow._WORKERS,
+        "pairs": int(pairs),
+        "pairs_scored": int(sum(scored)),
+        "speedup": round(dense_time / ring_time, 2),
+    }
 
     seed_costs, seed_excluded = _seed_cost_matrix(view, config)
     vec_costs, vec_excluded = build_cost_matrix(view, config)

@@ -24,10 +24,17 @@ driver's fanout capacity at least total cost, with ties broken as Crouse's
 shortest-augmenting-path solver (``linear_sum_assignment`` on a sink ×
 driver-slot matrix, each driver repeated once per fanout slot) breaks them.
 When no driver is chosen more often than its capacity allows, that
-assignment is each sink's cheapest driver, lowest index first, read off the
-cost blocks as they are computed; otherwise an exact port of the solver runs
-on the whole matrix.  The recovered netlist is rebuilt from the assignment
-so OER/HD can be measured.
+assignment is each sink's cheapest driver, lowest index first; otherwise an
+exact port of the solver runs on the whole matrix.
+
+Each sink's cheapest driver comes from a ring walk over the driver grid, not
+from the whole matrix: a feasible pair costs at least its Manhattan
+distance and an infeasible one exactly ``infeasible_cost``, so once a
+sink's best cost is below ``infeasible_cost`` no driver beyond that
+distance (plus a rounding slack) can win or tie.  The walk scores a few per
+cent of the sink x driver pairs with the same per-element operations as
+the matrix.  The recovered netlist is rebuilt from the assignment so OER/HD
+can be measured.
 """
 
 from __future__ import annotations
@@ -86,15 +93,26 @@ class NetworkFlowAttackResult:
     recovered_netlist: Optional[Netlist] = None
     num_sinks: int = 0
     num_drivers: int = 0
-    excluded_pairs: int = 0
 
     def recovered_pairs(self) -> Dict[int, int]:
         return dict(self.assignment)
 
 
-#: Sink rows per cost block: a block's ``(rows, D)`` temporaries stay in
-#: cache instead of streaming ~15 full ``(S, D)`` arrays through memory.
+#: Sink rows per block of :func:`build_cost_matrix`: a block's ``(rows, D)``
+#: temporaries stay in cache instead of streaming ~15 full ``(S, D)`` arrays
+#: through memory.
 _BLOCK_ROWS = 32
+
+#: Rounding allowance (µm) of the ring walk's stopping rule.  A feasible
+#: pair costs its Manhattan distance plus direction and timing terms that
+#: are non-negative in exact arithmetic, but ``1 - cos`` of two unit
+#: vectors can round a few ulps below zero.  The lowest ``cost - distance``
+#: over the feasible pairs of the 30 attacks of ``run_all(quick_config())``
+#: and of the attack equivalence tests' 156 views under every hint toggle is
+#: exactly 0.0; 1e-6 µm is still some 10^8 ulps of a 100 µm coordinate.
+_SLACK = 1e-6
+
+_INVALID_COSTS = "cost matrix has a NaN or -inf entry or a row without a finite cost"
 
 
 def _cpu_count() -> int:
@@ -104,9 +122,9 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-#: Threads computing cost blocks.  NumPy ufuncs release the GIL and blocks
-#: write disjoint rows, so blocks run in parallel on every CPU the process
-#: may use; with one CPU they run inline.
+#: Threads computing the blocks of :func:`build_cost_matrix`.  NumPy ufuncs
+#: release the GIL and blocks write disjoint rows, so blocks run in parallel
+#: on every CPU the process may use; with one CPU they run inline.
 _WORKERS = _cpu_count()
 _EXECUTOR: Optional[ThreadPoolExecutor] = None
 _EXECUTOR_LOCK = threading.Lock()
@@ -180,12 +198,13 @@ def _loop_bitmap(view: FEOLView) -> Tuple[Dict[str, int], np.ndarray]:
 
 
 class _CostKernel:
-    """Row blocks of the sink x driver cost matrix.
+    """Costs of sink x driver pairs, and each sink's cheapest driver.
 
-    ``block(lo, hi)`` returns the costs of sinks ``lo:hi`` against every
-    driver and the number of infeasible pairs among them.  Every element
-    goes through the same IEEE operations in the same order as a whole-matrix
-    broadcast would, so assembling the blocks reproduces it byte for byte.
+    ``pairs(sinks, drivers)`` scores the pairs of two broadcastable index
+    arrays; it is the only copy of the hint formulas.  Every element goes
+    through the same IEEE operations in the same order whatever the shape,
+    so row blocks against every driver assemble the whole matrix byte for
+    byte and a ring walk's scattered pairs get the matrix's values.
     """
 
     def __init__(self, view: FEOLView, config: NetworkFlowAttackConfig):
@@ -193,10 +212,6 @@ class _CostKernel:
         self.half_perimeter = view.layout.floorplan.half_perimeter_um
         arrays = feol_arrays(view)
         self.arrays = arrays
-        self.drv_x = arrays.driver_xy[:, 0]
-        self.drv_y = arrays.driver_xy[:, 1]
-        self.drv_dir_x = arrays.driver_dir[:, 0]
-        self.drv_dir_y = arrays.driver_dir[:, 1]
         self.drv_dir_count = arrays.driver_has_dir.astype(np.int64)
         self.drv_has_load = arrays.driver_max_load > 0
         self.loop_rows: Optional[np.ndarray] = None
@@ -215,15 +230,18 @@ class _CostKernel:
             driver_cols = gate_indices(view.driver_vpins)
             if sink_rows.min() < clear and driver_cols.min() < clear:
                 self.loop_rows = sink_rows
-                self.loop_cols = driver_cols
+                # Byte and bit of every driver's gate in a bitmap row.
+                self.loop_bytes = driver_cols >> 3
+                self.loop_bits = (1 << (driver_cols & 7)).astype(np.uint8)
                 self.loop_bitmap = bitmap
 
-    def block(self, lo: int, hi: int) -> Tuple[np.ndarray, int]:
+    def pairs(self, sinks: np.ndarray, drivers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Costs of the pairs ``(sinks, drivers)`` and which are infeasible."""
         config = self.config
         arrays = self.arrays
         half_perimeter = self.half_perimeter
-        delta_x = arrays.sink_xy[lo:hi, 0, None] - self.drv_x
-        delta_y = arrays.sink_xy[lo:hi, 1, None] - self.drv_y
+        delta_x = arrays.sink_xy[sinks, 0] - arrays.driver_xy[drivers, 0]
+        delta_y = arrays.sink_xy[sinks, 1] - arrays.driver_xy[drivers, 1]
         distance = np.abs(delta_x) + np.abs(delta_y)
 
         if config.use_direction_hint:
@@ -232,16 +250,17 @@ class _CostKernel:
             safe_norm = np.where(degenerate, 1.0, norm)
             unit_x = delta_x / safe_norm
             unit_y = delta_y / safe_norm
-            sink_has_dir = arrays.sink_has_dir[lo:hi, None]
-            drv_cos = self.drv_dir_x * unit_x + self.drv_dir_y * unit_y
+            sink_has_dir = arrays.sink_has_dir[sinks]
+            drv_cos = (arrays.driver_dir[drivers, 0] * unit_x
+                       + arrays.driver_dir[drivers, 1] * unit_y)
             # The sink's stub should point back towards the driver.
-            sink_cos = (arrays.sink_dir[lo:hi, 0, None] * -unit_x
-                        + arrays.sink_dir[lo:hi, 1, None] * -unit_y)
+            sink_cos = (arrays.sink_dir[sinks, 0] * -unit_x
+                        + arrays.sink_dir[sinks, 1] * -unit_y)
             penalty = (
-                np.where(arrays.driver_has_dir, 1.0 - drv_cos, 0.0)
+                np.where(arrays.driver_has_dir[drivers], 1.0 - drv_cos, 0.0)
                 + np.where(sink_has_dir, 1.0 - sink_cos, 0.0)
             )
-            counts = self.drv_dir_count + sink_has_dir
+            counts = self.drv_dir_count[drivers] + sink_has_dir
             np.divide(penalty, counts, out=penalty, where=counts > 0)
             penalty[degenerate] = 0.0
             cost = distance + config.direction_weight * half_perimeter * 0.1 * penalty
@@ -260,24 +279,80 @@ class _CostKernel:
                where=distance > config.timing_fraction * half_perimeter)
 
         if config.use_load_hint:
-            infeasible |= self.drv_has_load & (
-                arrays.sink_cap[lo:hi, None] > arrays.driver_max_load
+            infeasible |= self.drv_has_load[drivers] & (
+                arrays.sink_cap[sinks] > arrays.driver_max_load[drivers]
             )
 
         # Direct self-loops: sink and driver vpins owned by the same gate
         # (integer gate indices, -1 for port terminals).
-        sink_gate = arrays.sink_gate_idx[lo:hi, None]
-        infeasible |= (sink_gate >= 0) & (sink_gate == arrays.driver_gate_idx)
+        sink_gate = arrays.sink_gate_idx[sinks]
+        infeasible |= (sink_gate >= 0) & (sink_gate == arrays.driver_gate_idx[drivers])
         if self.loop_rows is not None:
             # Combinational loops through visible logic: the driver's gate is
             # reachable from the sink's gate.
-            reach = np.unpackbits(
-                self.loop_bitmap[self.loop_rows[lo:hi]], axis=1, bitorder="little"
-            )
-            infeasible |= reach[:, self.loop_cols].view(bool)
+            reach = self.loop_bitmap[self.loop_rows[sinks], self.loop_bytes[drivers]]
+            infeasible |= (reach & self.loop_bits[drivers]) != 0
 
         cost[infeasible] = config.infeasible_cost
-        return cost, int(np.count_nonzero(infeasible))
+        return cost, infeasible
+
+    def margin(self) -> float:
+        """How far below its Manhattan distance a feasible pair can cost.
+
+        The direction term is ``scale * penalty`` with ``penalty`` 0 or within
+        ``1 -/+`` the longest stub direction (1 for unit vectors); the timing
+        term is 0 or ``timing_penalty``.  ``_SLACK`` covers rounding.  A
+        NaN or infinite weight makes the margin infinite (``np.min``
+        propagates NaN): no sink stops early.
+        """
+        config = self.config
+        low = float(np.min([0.0, config.timing_penalty]))
+        if config.use_direction_hint:
+            arrays = self.arrays
+            reach = max(np.hypot(*arrays.sink_dir.T).max(initial=0.0),
+                        np.hypot(*arrays.driver_dir.T).max(initial=0.0))
+            scale = config.direction_weight * self.half_perimeter * 0.1
+            low += float(np.min([0.0, scale * (1.0 - reach), scale * (1.0 + reach)]))
+        margin = _SLACK - low
+        return margin if math.isfinite(margin) else math.inf
+
+    def cheapest_drivers(self) -> np.ndarray:
+        """Each sink's lowest-index cheapest driver, by a ring walk.
+
+        Walks Chebyshev rings of the driver grid around every sink, keeping
+        a running lexicographic ``(cost, driver index)`` minimum, and stops
+        once the best cost is below ``infeasible_cost`` (every infeasible
+        pair costs exactly that) and the next ring's distance lower bound
+        exceeds it by more than :meth:`margin`.  A sink whose best stays at
+        or above ``infeasible_cost`` walks the whole grid.  The result is
+        :func:`_cheapest_drivers` of the whole matrix, and raises where it
+        does: on a NaN or ``-inf`` scored cost and on a sink without a
+        finite best cost.  Non-finite hint columns raise ``ValueError``
+        before the walk, since they may poison pairs it never scores.
+        """
+        config = self.config
+        arrays = self.arrays
+        columns = []
+        if config.use_direction_hint:
+            columns += [arrays.sink_dir, arrays.driver_dir]
+        if config.use_load_hint:
+            columns += [arrays.sink_cap, arrays.driver_max_load]
+        if not all(np.isfinite(column).all() for column in columns):
+            raise ValueError("a direction or load column holds a non-finite value")
+
+        def score(sinks: np.ndarray, drivers: np.ndarray) -> np.ndarray:
+            cost = self.pairs(sinks, drivers)[0]
+            # False exactly for NaN and -inf.
+            if not (cost > -np.inf).all():
+                raise ValueError(_INVALID_COSTS)
+            return cost
+
+        choice, best = arrays.driver_grid().walk(
+            arrays.sink_xy, score, self.margin(), config.infeasible_cost
+        )
+        if not np.isfinite(best).all():
+            raise ValueError(_INVALID_COSTS)
+        return choice
 
 
 def build_cost_matrix(view: FEOLView,
@@ -290,8 +365,7 @@ def build_cost_matrix(view: FEOLView,
     paper's hints applied as soft penalties) and ``excluded`` counts the
     infeasible pairs (loop-forming / load-violating / geometry-contradicting
     candidates) that were pinned to ``config.infeasible_cost``.
-    :func:`network_flow_attack` keeps only each row's cheapest driver from
-    the same row blocks, and builds this matrix only when the fanout
+    :func:`network_flow_attack` builds this matrix only when the fanout
     capacities bind.
     """
     config = config if config is not None else NetworkFlowAttackConfig()
@@ -301,10 +375,11 @@ def build_cost_matrix(view: FEOLView,
         return np.zeros((num_sinks, num_drivers)), 0
     kernel = _CostKernel(view, config)
     costs = np.empty((num_sinks, num_drivers))
+    every_driver = np.arange(num_drivers)[None, :]
 
     def fill(lo: int, hi: int) -> int:
-        costs[lo:hi], excluded = kernel.block(lo, hi)
-        return excluded
+        costs[lo:hi], infeasible = kernel.pairs(np.arange(lo, hi)[:, None], every_driver)
+        return int(np.count_nonzero(infeasible))
 
     return costs, _run_blocks(num_sinks, fill)
 
@@ -351,22 +426,13 @@ def network_flow_attack(view: FEOLView,
         return result
 
     capacities = _driver_capacities(view, config)
-    kernel = _CostKernel(view, config)
-    choice = np.empty(len(sinks), dtype=np.intp)
-
-    def fill(lo: int, hi: int) -> int:
-        block, excluded = kernel.block(lo, hi)
-        choice[lo:hi] = _cheapest_drivers(block)
-        return excluded
-
-    excluded = _run_blocks(len(sinks), fill)
+    choice = _CostKernel(view, config).cheapest_drivers()
     if (np.bincount(choice, minlength=len(drivers)) > capacities).any():
         choice = _exact_assignment(build_cost_matrix(view, config)[0], capacities)
     result.assignment = {
         sink.identifier: drivers[driver].identifier
         for sink, driver in zip(sinks, choice.tolist())
     }
-    result.excluded_pairs = excluded
     netlist = view.layout.netlist
     result.recovered_netlist = _rebuild_netlist(
         view, result.assignment, netlist.copy(f"{netlist.name}_recovered")
@@ -375,8 +441,10 @@ def network_flow_attack(view: FEOLView,
 
 
 def _cheapest_drivers(block: np.ndarray) -> np.ndarray:
-    """The lowest-index cheapest driver of every row of a cost block.
+    """The lowest-index cheapest driver of every row of a cost matrix.
 
+    The dense definition :meth:`_CostKernel.cheapest_drivers` reproduces
+    without the matrix; the tests and the kernel bench compare against it.
     While no driver is chosen more often than its capacity, this is the
     solver's assignment: with all duals still zero, each row's shortest
     augmenting path is one step to the lowest free slot at its minimum, and
@@ -386,9 +454,7 @@ def _cheapest_drivers(block: np.ndarray) -> np.ndarray:
     """
     choice = np.argmin(block, axis=1)
     if not np.isfinite(block[np.arange(len(choice)), choice]).all():
-        raise ValueError(
-            "cost matrix has a NaN or -inf entry or a row without a finite cost"
-        )
+        raise ValueError(_INVALID_COSTS)
     return choice
 
 

@@ -48,7 +48,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence,
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence,
     Set, Tuple,
 )
 
@@ -85,7 +85,10 @@ class UniformGridIndex:
 
     The ring walk runs as one array program per ring over every query still
     active, so there is no per-query Python loop and no size-dependent
-    brute-force path.  Coordinates must be finite.
+    brute-force path.  :meth:`walk` minimises any pair score bounded below
+    by the Manhattan distance minus a margin (the network-flow attack's
+    costs); :meth:`nearest` is its distance case.  Coordinates must be
+    finite.
     """
 
     def __init__(self, xy: np.ndarray, cell_size: Optional[float] = None):
@@ -134,24 +137,50 @@ class UniformGridIndex:
         """Batched Manhattan nearest neighbor for every query point.
 
         Returns ``(indices, distances)``; ties resolve to the lowest point
-        index (first occurrence in the input order).
+        index (first occurrence in the input order).  A :meth:`walk` whose
+        score is the Manhattan distance itself.
+        """
+        query = _finite_points(query_xy, "query_xy")
+        xy = self.xy
+
+        def distance(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+            return (np.abs(query[rows, 0] - xy[candidates, 0])
+                    + np.abs(query[rows, 1] - xy[candidates, 1]))
+
+        return self.walk(query, distance)
+
+    def walk(self, query_xy: np.ndarray,
+             score: Callable[[np.ndarray, np.ndarray], np.ndarray],
+             margin: float = 0.0,
+             ceiling: float = math.inf) -> Tuple[np.ndarray, np.ndarray]:
+        """Each query's lowest-index minimum of ``score`` over the points.
+
+        ``score(rows, candidates)`` returns the scores of the pairs
+        ``(query rows[i], point candidates[i])`` of two flat index arrays.
+        Returns ``(indices, scores)``; a query none of whose scores beat
+        ``+inf`` gets index ``-1``.  The result is every query's exact
+        lexicographic ``(score, index)`` minimum as long as every score
+        below ``ceiling`` is at least the pair's Manhattan distance minus
+        ``margin``.
 
         Each ring ``r`` is one array program over the queries still active:
         gather the CSR spans of the ring's cells (top and bottom row spans,
         left and right column cells), expand them into (query, candidate)
-        pairs grouped by query, and take each query's lexicographic
-        ``(distance, index)`` minimum with two ``np.minimum.reduceat``
-        passes.  A query keeps the ring's winner when it is strictly closer,
-        or equally close with a lower index, and stops once the next ring's
-        distance lower bound ``(r - 1) * min_pitch`` strictly exceeds its
-        best distance, so ties in farther rings are still seen.
+        pairs grouped by query, score them, and take each query's
+        lexicographic ``(score, index)`` minimum with two
+        ``np.minimum.reduceat`` passes.  A query keeps the ring's winner when
+        it is strictly lower, or equal with a lower index, and stops once
+        its best score is below ``ceiling`` and the next ring's distance
+        lower bound ``(r - 1) * min_pitch`` strictly exceeds that score plus
+        ``margin``, so ties in farther rings are still seen.  Queries that
+        never stop walk the whole grid.
         """
         if self.num_points == 0:
             raise ValueError("nearest query on an empty index")
         query = _finite_points(query_xy, "query_xy")
         m = len(query)
         best_idx = np.full(m, -1, dtype=np.intp)
-        best_dist = np.full(m, math.inf, dtype=np.float64)
+        best = np.full(m, math.inf, dtype=np.float64)
         active = np.arange(m, dtype=np.intp)
         qix = self._axis_cells(query[:, 0], self.x_min, self.cell_x, self.nx)
         qiy = self._axis_cells(query[:, 1], self.y_min, self.cell_y, self.ny)
@@ -173,30 +202,26 @@ class UniformGridIndex:
                     lo.ravel() - (np.cumsum(flat_len) - flat_len), flat_len
                 )
                 candidates = self._order[np.arange(shift.size) + shift]
-                owner = np.repeat(rows, sizes)
-                dist = (
-                    np.abs(query[owner, 0] - self.xy[candidates, 0])
-                    + np.abs(query[owner, 1] - self.xy[candidates, 1])
-                )
+                values = score(np.repeat(rows, sizes), candidates)
                 group_starts = np.cumsum(sizes) - sizes
-                d = np.minimum.reduceat(dist, group_starts)
-                tied = np.where(dist == np.repeat(d, sizes), candidates,
+                d = np.minimum.reduceat(values, group_starts)
+                tied = np.where(values == np.repeat(d, sizes), candidates,
                                 self.num_points)
                 c = np.minimum.reduceat(tied, group_starts)
-                prev = best_dist[rows]
+                prev = best[rows]
                 better = (d < prev) | ((d == prev) & (c < best_idx[rows]))
-                best_dist[rows[better]] = d[better]
+                best[rows[better]] = d[better]
                 best_idx[rows[better]] = c[better]
             ring += 1
             if ring > max_ring:
                 break
             # Points in ring ``r`` are at Manhattan distance of at least
             # ``(r - 1) * min_pitch``; only stop once that lower bound
-            # *strictly* exceeds the best distance.
+            # *strictly* exceeds the best score plus the margin.
             bound = (ring - 1) * min_pitch
-            done = (best_idx[active] >= 0) & (bound > best_dist[active])
+            done = (best[active] < ceiling) & (bound > best[active] + margin)
             active = active[~done]
-        return best_idx, best_dist
+        return best_idx, best
 
     def _ring_spans(self, cx: np.ndarray, cy: np.ndarray,
                     ring: int) -> Tuple[np.ndarray, np.ndarray]:

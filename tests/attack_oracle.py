@@ -222,12 +222,11 @@ def network_flow_attack(view: FEOLView,
     if not drivers or not sinks:
         result.recovered_netlist = netlist_copy(netlist, f"{netlist.name}_recovered")
         return result
-    costs, excluded = build_cost_matrix(view, config)
+    costs, _excluded = build_cost_matrix(view, config)
     chosen = slot_assignment(costs, driver_capacities(view, config))
     result.assignment = {
         sink.identifier: drivers[driver].identifier for sink, driver in zip(sinks, chosen)
     }
-    result.excluded_pairs = excluded
     result.recovered_netlist = _rebuild_netlist(view, result.assignment)
     return result
 

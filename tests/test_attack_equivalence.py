@@ -1,11 +1,12 @@
-"""Row-block attack kernels == the full-matrix oracles.
+"""Row-block and ring-walk attack kernels == the full-matrix oracles.
 
-:func:`repro.attacks.network_flow.build_cost_matrix` and the attack's
-cheapest driver per sink are computed in row blocks (on a thread pool when
-the process may use more than one CPU), the assignment falls back to a port
-of the shortest-augmenting-path solver when fanout capacities bind, the loop
-hint reads an integer transitive closure, crouting counts candidates from
-one Chebyshev-distance block per sink block, and
+:func:`repro.attacks.network_flow.build_cost_matrix` is computed in row
+blocks (on a thread pool when the process may use more than one CPU), the
+attack's cheapest driver per sink comes from a ring walk over the driver
+grid that scores only the drivers that can win, the assignment falls back
+to a port of the shortest-augmenting-path solver when fanout capacities
+bind, the loop hint reads an integer transitive closure, crouting counts
+candidates from one Chebyshev-distance block per sink block, and
 :func:`repro.netlist.graph.pseudo_topological_order` breaks cycles from a
 lazy heap.  The implementations they replaced live on in
 ``tests/attack_oracle.py`` (``linear_sum_assignment`` on the driver-slot
@@ -38,6 +39,7 @@ from repro.attacks import crouting, network_flow
 from repro.circuits import ISCAS85_PROFILES, SUPERBLUE_PROFILES
 from repro.circuits.registry import get_benchmark
 from repro.core import ProtectionConfig, protect
+from repro.layout.geometry import Point
 from repro.netlist.cells import NUM_METAL_LAYERS
 from repro.netlist.graph import pseudo_topological_order, transitive_closure
 from repro.netlist.netlist import Netlist
@@ -103,7 +105,6 @@ def check_attack(view, config, workers, monkeypatch):
     result = network_flow.network_flow_attack(view, config)
     assert result.assignment == expected.assignment
     assert list(result.assignment) == list(expected.assignment)
-    assert result.excluded_pairs == expected.excluded_pairs
     assert (result.num_sinks, result.num_drivers) == (expected.num_sinks, expected.num_drivers)
     recovered, oracle_recovered = result.recovered_netlist, expected.recovered_netlist
     assert recovered.name == oracle_recovered.name
@@ -328,22 +329,25 @@ def test_assignment_equals_the_solver_on_the_slot_matrix(problem):
 @pytest.mark.parametrize("poison", ("nan", "-inf", "inf row"))
 def test_invalid_costs_raise_like_the_solver(c432_layouts, poison, monkeypatch):
     """``linear_sum_assignment`` rejected NaN and ``-inf`` costs and rows
-    without a finite cost; so does the attack, from any block and thread."""
+    without a finite cost; so does the attack, from any block and thread.
+    The poison lands on the row's chosen driver, which the ring walk always
+    scores."""
     view = extract_feol(c432_layouts["proposed"], 3)
     row = len(view.sink_vpins) - 3
-    block = network_flow._CostKernel.block
-
-    def poisoned(self, lo, hi):
-        cost, excluded = block(self, lo, hi)
-        if lo <= row < hi:
-            if poison == "inf row":
-                cost[row - lo] = np.inf
-            else:
-                cost[row - lo, 7] = float(poison)
-        return cost, excluded
-
-    monkeypatch.setattr(network_flow._CostKernel, "block", poisoned)
     config = network_flow.NetworkFlowAttackConfig()
+    chosen = network_flow._CostKernel(view, config).cheapest_drivers()[row]
+    pairs = network_flow._CostKernel.pairs
+
+    def poisoned(self, sinks, drivers):
+        cost, infeasible = pairs(self, sinks, drivers)
+        sinks, drivers = np.broadcast_arrays(sinks, drivers)
+        if poison == "inf row":
+            cost[sinks == row] = np.inf
+        else:
+            cost[(sinks == row) & (drivers == chosen)] = float(poison)
+        return cost, infeasible
+
+    monkeypatch.setattr(network_flow._CostKernel, "pairs", poisoned)
     costs, _excluded = network_flow.build_cost_matrix(view, config)
     with pytest.raises(ValueError):
         attack_oracle.slot_assignment(costs, network_flow._driver_capacities(view, config))
@@ -351,6 +355,74 @@ def test_invalid_costs_raise_like_the_solver(c432_layouts, poison, monkeypatch):
         monkeypatch.setattr(network_flow, "_WORKERS", workers)
         with pytest.raises(ValueError):
             network_flow.network_flow_attack(view, config)
+
+
+def test_nan_driver_direction_raises(c432_layouts):
+    """A NaN stub direction poisons pairs the ring walk may never score, so
+    the attack checks the direction columns before it walks."""
+    view = extract_feol(c432_layouts["proposed"], 3)
+    drivers = view.driver_vpins
+    drivers[5] = dataclasses.replace(drivers[5], direction=(np.nan, 0.0))
+    view.bump_geometry_version()
+    config = network_flow.NetworkFlowAttackConfig()
+    costs, _excluded = network_flow.build_cost_matrix(view, config)
+    with pytest.raises(ValueError):
+        attack_oracle.slot_assignment(costs, network_flow._driver_capacities(view, config))
+    with pytest.raises(ValueError):
+        network_flow.network_flow_attack(view, config)
+
+
+#: Every feasible pair longer than 5 % of the half-perimeter costs more than
+#: an infeasible one: sinks without a cheaper short pair must walk the whole
+#: grid to find their lowest-index infeasible driver.
+CHEAP_INFEASIBLE = network_flow.NetworkFlowAttackConfig(
+    infeasible_cost=2.0, timing_penalty=1e3, timing_fraction=0.05
+)
+#: Negative hint weights (a spec may set them): feasible pairs cost less
+#: than their distance, so sinks walk that much farther.
+NEGATIVE_WEIGHTS = network_flow.NetworkFlowAttackConfig(
+    direction_weight=-1.0, timing_penalty=-20.0
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(pitch=st.sampled_from((1.0, 2.0, 3.0, 5.0)),
+       undirected=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_ring_walk_equals_the_dense_argmin(c432_layouts, pitch, undirected, seed):
+    """On a coarse integer lattice (distance ties everywhere) with random
+    stubs undirected, the ring walk picks each sink's dense lowest-index
+    cheapest driver for every hint toggle, for costs above
+    ``infeasible_cost`` and for negative hint weights."""
+    view = extract_feol(c432_layouts["proposed"], 3)
+    rng = np.random.default_rng(seed)
+    for vpins in (view.sink_vpins, view.driver_vpins):
+        for i, vpin in enumerate(vpins):
+            position = Point(round(vpin.position.x / pitch) * pitch,
+                             round(vpin.position.y / pitch) * pitch)
+            direction = None if rng.random() < undirected else vpin.direction
+            vpins[i] = dataclasses.replace(vpin, position=position, direction=direction)
+    view.bump_geometry_version()
+    for config in HINT_CONFIGS + (CHEAP_INFEASIBLE, NEGATIVE_WEIGHTS):
+        expected = network_flow._cheapest_drivers(network_flow.build_cost_matrix(view, config)[0])
+        chosen = network_flow._CostKernel(view, config).cheapest_drivers()
+        assert np.array_equal(chosen, expected), config
+
+
+def test_ring_walk_scores_few_pairs(c880_layouts, monkeypatch):
+    """The attack scores well under the whole matrix: a silent fallback to
+    dense scoring fails here."""
+    view = extract_feol(c880_layouts["proposed"], 3)
+    pairs, scored = network_flow._CostKernel.pairs, []
+
+    def counting(self, sinks, drivers):
+        cost, infeasible = pairs(self, sinks, drivers)
+        scored.append(cost.size)
+        return cost, infeasible
+
+    monkeypatch.setattr(network_flow._CostKernel, "pairs", counting)
+    network_flow.network_flow_attack(view)
+    assert 0 < sum(scored) < 0.15 * len(view.sink_vpins) * len(view.driver_vpins)
 
 
 def test_loop_hint_excludes_reachable_pairs(c432_layouts):
