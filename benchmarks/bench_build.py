@@ -329,6 +329,15 @@ def bench_seed_batch(benchmark: str, scale: float, batch_sizes: List[int],
     return results
 
 
+def _without_elapsed(payload):
+    """A result payload without its wall-clock fields."""
+    if isinstance(payload, dict):
+        return {k: _without_elapsed(v) for k, v in payload.items() if k != "elapsed_s"}
+    if isinstance(payload, list):
+        return [_without_elapsed(v) for v in payload]
+    return payload
+
+
 def bench_store(benchmark: str, scale: float, num_seeds: int,
                 repeat: int, scheme: str = "original") -> Dict[str, object]:
     """Cold-build sweep vs replaying the same sweep from the disk store.
@@ -351,21 +360,14 @@ def bench_store(benchmark: str, scale: float, num_seeds: int,
         seeds=list(range(num_seeds)), netlist_seed=0,
     )
 
-    def strip(payload):
-        if isinstance(payload, dict):
-            return {k: strip(v) for k, v in payload.items() if k != "elapsed_s"}
-        if isinstance(payload, list):
-            return [strip(v) for v in payload]
-        return payload
-
     root = Path(tempfile.mkdtemp(prefix="bench_store."))
     try:
         # Correctness gate: a store replay reproduces the cold sweep exactly
         # and never falls back to a rebuild.
         cold_ws = Workspace(jobs=1, store=ArtifactStore(root))
-        reference = strip(cold_ws.run_sweep(spec).to_dict())
+        reference = _without_elapsed(cold_ws.run_sweep(spec).to_dict())
         warm_ws = Workspace(jobs=1, store=ArtifactStore(root))
-        replayed = strip(warm_ws.run_sweep(spec).to_dict())
+        replayed = _without_elapsed(warm_ws.run_sweep(spec).to_dict())
         assert replayed == reference, "store replay diverged from cold sweep"
         warm_stats = warm_ws.stats()
         assert warm_stats["store_hits"] == num_seeds, warm_stats
@@ -398,6 +400,58 @@ def bench_store(benchmark: str, scale: float, num_seeds: int,
         "warm_disk_hit_s_per_seed": round(warm_s / num_seeds, 4),
         "warm_speedup": round(cold_s / warm_s, 2),
         "store_bytes": store_bytes,
+    }
+
+
+def bench_store_service(benchmark: str, num_seeds: int, repeat: int,
+                        scheme: str = "original") -> Dict[str, object]:
+    """Warm disk hits against no-store rebuilds, per job, in the service shape.
+
+    Each of ``num_seeds`` jobs is its own single-seed spec (proximity at M4,
+    the ``security`` and ``distances`` metrics), as ``repro serve`` clients
+    send them, and ``netlist_seed`` is not pinned: a hit regenerates its own
+    netlist, fingerprints it and decodes one payload.  The warm side replays
+    the jobs through ``Workspace.run_sweeps`` from a populated store; the
+    rebuild side runs them in a workspace without a store.  Both are
+    asserted to give the same results, and the warm side to build nothing.
+    """
+    specs = [
+        ScenarioSpec(benchmark=benchmark, scheme=scheme, seed=seed,
+                     attacks=["proximity"], split_layers=[4],
+                     metrics=["security", "distances"], num_patterns=256)
+        for seed in range(num_seeds)
+    ]
+
+    def results(workspace: Workspace):
+        return _without_elapsed([run.to_dict() for run in workspace.run_sweeps(specs)])
+
+    root = Path(tempfile.mkdtemp(prefix="bench_store_service."))
+    try:
+        rebuilt = results(Workspace(jobs=1, store=ArtifactStore(root)))
+        warm_ws = Workspace(jobs=1, store=ArtifactStore(root))
+        assert results(warm_ws) == rebuilt, "store replay diverged from rebuild"
+        warm_stats = warm_ws.stats()
+        assert warm_stats["store_hits"] == num_seeds, warm_stats
+        assert warm_stats["builds_run"] == 0, warm_stats
+
+        rebuild_s = _timeit(lambda: Workspace(jobs=1).run_sweeps(specs), repeat)
+        warm_s = _timeit(
+            lambda: Workspace(jobs=1, store=ArtifactStore(root)).run_sweeps(specs),
+            repeat,
+        )
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+    return {
+        "benchmark": benchmark,
+        "scale": None,
+        "scheme": scheme,
+        "shape": "service",
+        "netlist_seed": None,
+        "num_seeds": num_seeds,
+        "rebuild_no_store_ms_per_job": round(rebuild_s / num_seeds * 1e3, 2),
+        "warm_disk_hit_ms_per_job": round(warm_s / num_seeds * 1e3, 2),
+        "warm_speedup": round(rebuild_s / warm_s, 2),
     }
 
 
@@ -466,6 +520,11 @@ def main(argv=None) -> int:
                     repeat=args.repeat, scheme=scheme)
         for scheme in ("original", "synergistic")
     ]
+    # The service shape: cheap ISCAS jobs, each with its own netlist seed,
+    # so a hit pays netlist regeneration, fingerprinting and one decode.
+    store.append(bench_store_service(
+        "c880", 4 if args.smoke else 32, repeat=args.repeat,
+    ))
 
     generated_utc = datetime.now(timezone.utc).isoformat(timespec="seconds")
     payload = {
@@ -484,7 +543,10 @@ def main(argv=None) -> int:
                 "against building each seed sequentially with the reference "
                 "implementations.  The store section replays the sweep from "
                 "a populated repro.store artefact store (disk hits, asserted "
-                "bit-identical to the cold build) against cold-building it.  "
+                "bit-identical to the cold build) against cold-building it; "
+                "its service-shape row replays single-seed c880 jobs with "
+                "unpinned netlist seeds against rebuilding them without a "
+                "store.  "
                 "Rows marked oversubscribed ran more pool workers (jobs) than "
                 "meta.host.cpu_count; their sweep numbers are not pool "
                 "speedups."
@@ -521,6 +583,15 @@ def main(argv=None) -> int:
             entry["payload_reduction"],
         )
     for entry in store:
+        if entry.get("shape") == "service":
+            _log.info(
+                "store %s %s x%s single-seed jobs (service shape): warm disk "
+                "hit %sms/job vs no-store rebuild %sms/job (x%s)",
+                entry["benchmark"], entry["scheme"], entry["num_seeds"],
+                entry["warm_disk_hit_ms_per_job"],
+                entry["rebuild_no_store_ms_per_job"], entry["warm_speedup"],
+            )
+            continue
         _log.info(
             "store %s@%s %s x%s seeds: warm disk hit %ss/seed vs cold build "
             "%ss/seed (x%s, %d bytes on disk)",

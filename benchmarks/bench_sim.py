@@ -37,7 +37,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 # The seed-equivalent references and the per-gate simulator are test oracles.
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 
-from attack_oracle import direction_penalty, visible_reachability  # noqa: E402
+from attack_oracle import cheapest_drivers, direction_penalty, visible_reachability  # noqa: E402
 from graph_oracle import netlist_to_digraph  # noqa: E402
 from sim_oracle import simulate_reference  # noqa: E402
 from repro.attacks import network_flow  # noqa: E402
@@ -346,7 +346,7 @@ def bench_attack(repeat: int) -> Dict[str, Dict]:
 
         def fill(lo, hi):
             block = kernel.pairs(np.arange(lo, hi)[:, None], every_driver)[0]
-            choice[lo:hi] = network_flow._cheapest_drivers(block)
+            choice[lo:hi] = cheapest_drivers(block)
             return 0
 
         network_flow._run_blocks(len(choice), fill)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import enum
+import functools
 import typing
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -56,11 +57,14 @@ class UnknownNameError(KeyError):
         return self.args[0]
 
 
+@functools.cache
 def _resolved_hints(params_type: type) -> Mapping[str, Any]:
     """Field annotations with forward references resolved (best effort).
 
     ``from __future__ import annotations`` makes every ``field.type`` a
-    string; coercion needs the real types, so resolve them once per class.
+    string; coercion needs the real types, so resolve them once per class
+    (cached; callers must not mutate the result).  A class whose hints do
+    not resolve gets ``{}``, and keeps it.
     """
     try:
         return typing.get_type_hints(params_type)

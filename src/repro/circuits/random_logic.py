@@ -15,11 +15,14 @@ exploit.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Tuple
 
-from repro.netlist.cells import CellLibrary, default_library
-from repro.netlist.netlist import Netlist
+from repro.netlist.cells import Cell, CellLibrary, default_library
+from repro.netlist.netlist import Gate, Net, Netlist
 from repro.utils.rng import make_rng
 
 #: (cell name, weight) — combinational cell mix used for generated logic.
@@ -89,18 +92,9 @@ class RandomLogicSpec:
             raise ValueError("global_net_fraction must be in [0, 1]")
         if not (0.0 <= self.sequential_fraction < 1.0):
             raise ValueError("sequential_fraction must be in [0, 1)")
-
-
-def _pick_source(rng, signals: Sequence[str], window: int, global_fraction: float) -> str:
-    """Pick a source signal with a bias towards the most recent ones."""
-    n = len(signals)
-    if rng.random() >= global_fraction:
-        # Local pick from the trailing window.
-        index = n - 1 - rng.randrange(min(window, n))
-    else:
-        # Global pick (long/global net).
-        index = rng.randrange(n)
-    return signals[index]
+        total = sum(weight for _, weight in self.cell_mix)
+        if not (total > 0.0 and math.isfinite(total)):
+            raise ValueError("cell_mix weights must have a positive, finite total")
 
 
 def generate_random_logic(spec: RandomLogicSpec,
@@ -110,51 +104,96 @@ def generate_random_logic(spec: RandomLogicSpec,
     The result is guaranteed to be combinational-loop-free (construction is
     topological), every primary output is driven, and the netlist passes
     :meth:`Netlist.validate`.
+
+    The gate and net tables are filled directly, as :meth:`Netlist.copy`
+    does: the result, its iteration orders and its ``topology_version`` are
+    those of adding every port, gate and pin through the edit API in
+    creation order, with the same RNG draws (the oracle
+    ``generate_random_logic_reference`` in ``tests/netlist_oracle.py``).
     """
     library = library if library is not None else default_library()
     rng = make_rng(spec.seed, "random_logic", spec.name)
+    random, getrandbits = rng.random, rng.getrandbits
+    window, global_fraction = spec.locality_window, spec.global_net_fraction
     netlist = Netlist(spec.name, library)
+    gates, nets = netlist.gates, netlist.nets
 
-    signals: List[str] = []
-    for i in range(spec.num_inputs):
-        pi = f"pi_{i}"
-        netlist.add_primary_input(pi)
-        signals.append(pi)
+    signals: List[str] = [f"pi_{i}" for i in range(spec.num_inputs)]
+    netlist.primary_inputs = list(signals)
+    clock_net = "clk" if spec.sequential_fraction > 0.0 else None
+    if clock_net is not None:
+        netlist.primary_inputs.append(clock_net)
+    for name in netlist.primary_inputs:
+        nets[name] = Net(name, is_primary_input=True)
+    # Each primary input is a new net plus the port itself.
+    edits = 2 * len(nets)
 
+    def pick_source() -> str:
+        """A source signal, biased towards the most recent ones.
+
+        ``rng.randrange(span)`` inlined: it draws ``getrandbits`` of the
+        span's bit length until the draw falls below the span.
+        """
+        n = len(signals)
+        local = random() >= global_fraction
+        # Local picks come from the trailing window; global ones (long/global
+        # nets) from every signal.
+        span = window if local and window < n else n
+        bits = span.bit_length()
+        draw = getrandbits(bits)
+        while draw >= span:
+            draw = getrandbits(bits)
+        return signals[n - 1 - draw] if local else signals[draw]
+
+    # ``rng.choices(cell_names, weights=...)`` draws exactly this.
     cell_names = [name for name, _ in spec.cell_mix]
-    weights = [weight for _, weight in spec.cell_mix]
-
-    clock_net = None
-    if spec.sequential_fraction > 0.0:
-        clock_net = "clk"
-        netlist.add_primary_input(clock_net)
+    cum_weights = list(accumulate(weight for _, weight in spec.cell_mix))
+    total = cum_weights[-1] + 0.0
+    last = len(cum_weights) - 1
+    cells: Dict[str, Tuple[Cell, List[str], str]] = {}
 
     for i in range(spec.num_gates):
         out_net = f"n_{i}"
-        if clock_net is not None and rng.random() < spec.sequential_fraction:
-            source = _pick_source(rng, signals, spec.locality_window, spec.global_net_fraction)
-            netlist.add_gate(
-                f"ff_{i}", "DFF_X1", {"D": source, "CK": clock_net, "Q": out_net}
-            )
+        if clock_net is not None and random() < spec.sequential_fraction:
+            name = f"ff_{i}"
+            source = pick_source()
+            gates[name] = Gate(name, library["DFF_X1"],
+                               {"D": source, "CK": clock_net, "Q": out_net})
+            nets[source].sinks.append((name, "D"))
+            nets[clock_net].sinks.append((name, "CK"))
+            nets[out_net] = Net(out_net, driver=(name, "Q"))
             signals.append(out_net)
+            edits += 5  # the gate, its three pins and its output net
             continue
-        cell_name = rng.choices(cell_names, weights=weights, k=1)[0]
-        cell = library[cell_name]
+        cell_name = cell_names[bisect(cum_weights, random() * total, 0, last)]
+        entry = cells.get(cell_name)
+        if entry is None:
+            cell = library[cell_name]
+            entry = cells[cell_name] = (
+                cell, [pin.name for pin in cell.input_pins], cell.output_pins[0].name,
+            )
+        cell, input_pins, output_pin = entry
         sources: List[str] = []
-        for _pin in cell.input_pins:
-            source = _pick_source(rng, signals, spec.locality_window, spec.global_net_fraction)
+        for _pin in input_pins:
+            source = pick_source()
             # Avoid duplicate inputs where possible (keeps functions non-trivial).
             retries = 0
             while source in sources and retries < 4 and len(signals) > len(sources):
-                source = _pick_source(rng, signals, spec.locality_window, spec.global_net_fraction)
+                source = pick_source()
                 retries += 1
             sources.append(source)
-        connections = {pin.name: src for pin, src in zip(cell.input_pins, sources)}
-        connections[cell.output_pins[0].name] = out_net
-        netlist.add_gate(f"g_{i}", cell_name, connections)
+        name = f"g_{i}"
+        connections = dict(zip(input_pins, sources))
+        connections[output_pin] = out_net
+        gates[name] = Gate(name, cell, connections)
+        for pin, source in zip(input_pins, sources):
+            nets[source].sinks.append((name, pin))
+        nets[out_net] = Net(out_net, driver=(name, output_pin))
         signals.append(out_net)
+        edits += len(connections) + 2  # the gate, its pins and its output net
 
-    _assign_outputs(netlist, spec, rng)
+    edits += _assign_outputs(netlist, spec, rng)
+    netlist._topology_version = edits
 
     problems = netlist.validate()
     if problems:  # pragma: no cover - construction should always be clean
@@ -162,25 +201,32 @@ def generate_random_logic(spec: RandomLogicSpec,
     return netlist
 
 
-def _assign_outputs(netlist: Netlist, spec: RandomLogicSpec, rng) -> None:
+def _assign_outputs(netlist: Netlist, spec: RandomLogicSpec, rng) -> int:
     """Choose primary outputs, preferring gate outputs with no fanout.
 
     Dangling gate outputs that are not selected as primary outputs are still
     exported as outputs when room permits; otherwise they remain unconnected
-    (harmless for simulation and physical design).
+    (harmless for simulation and physical design).  Returns the number of
+    outputs declared.
     """
+    nets = netlist.nets
     dangling = [
-        net.name for net in netlist.nets.values()
+        net.name for net in nets.values()
         if net.driver is not None and not net.sinks and not net.primary_outputs
     ]
     rng.shuffle(dangling)
     chosen: List[str] = list(dangling[: spec.num_outputs])
     if len(chosen) < spec.num_outputs:
         candidates = [
-            net.name for net in netlist.nets.values()
+            net.name for net in nets.values()
             if net.driver is not None and net.name not in chosen
         ]
         rng.shuffle(candidates)
         chosen.extend(candidates[: spec.num_outputs - len(chosen)])
-    for index, net_name in enumerate(chosen[: spec.num_outputs]):
-        netlist.add_primary_output(f"po_{index}", net_name)
+    chosen = chosen[: spec.num_outputs]
+    for index, net_name in enumerate(chosen):
+        po = f"po_{index}"
+        netlist.primary_outputs.append(po)
+        netlist.output_nets[po] = net_name
+        nets[net_name].primary_outputs.append(po)
+    return len(chosen)

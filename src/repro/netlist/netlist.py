@@ -355,14 +355,24 @@ class Netlist:
         has exactly one driver, and primary outputs reference existing nets.
         """
         problems: List[str] = []
+        directions: Dict[int, Dict[str, bool]] = {}  # id(cell) -> pin -> is output
         for gate in self.gates.values():
+            cell = gate.cell
+            is_output = directions.get(id(cell))
+            if is_output is None:
+                is_output = directions[id(cell)] = {
+                    pin.name: pin.is_output() for pin in cell.pins
+                }
             for pin, net_name in gate.connections.items():
-                if net_name not in self.nets:
+                net = self.nets.get(net_name)
+                if net is None:
                     problems.append(f"gate {gate.name}.{pin} references unknown net {net_name}")
                     continue
-                net = self.nets[net_name]
                 ref = (gate.name, pin)
-                if gate.cell.pin(pin).is_output():
+                output = is_output.get(pin)
+                if output is None:
+                    output = cell.pin(pin).is_output()  # raises for an unknown pin
+                if output:
                     if net.driver != ref:
                         problems.append(
                             f"net {net_name} driver inconsistent with {gate.name}.{pin}"
@@ -372,19 +382,22 @@ class Netlist:
                         problems.append(
                             f"net {net_name} missing sink {gate.name}.{pin}"
                         )
+        gates = self.gates
         for net in self.nets.values():
             if net.driver is not None:
                 gname, pname = net.driver
-                if gname not in self.gates:
+                gate = gates.get(gname)
+                if gate is None:
                     problems.append(f"net {net.name} driven by unknown gate {gname}")
-                elif self.gates[gname].net_on(pname) != net.name:
+                elif gate.connections.get(pname) != net.name:
                     problems.append(f"net {net.name} driver backref broken ({gname}.{pname})")
                 if net.is_primary_input:
                     problems.append(f"net {net.name} is both primary input and gate-driven")
             for gname, pname in net.sinks:
-                if gname not in self.gates:
+                gate = gates.get(gname)
+                if gate is None:
                     problems.append(f"net {net.name} sinks unknown gate {gname}")
-                elif self.gates[gname].net_on(pname) != net.name:
+                elif gate.connections.get(pname) != net.name:
                     problems.append(f"net {net.name} sink backref broken ({gname}.{pname})")
             if net.sinks or net.primary_outputs:
                 if not net.has_driver():

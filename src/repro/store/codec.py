@@ -47,6 +47,8 @@ from __future__ import annotations
 import hashlib
 import json
 import weakref
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -56,7 +58,7 @@ from repro.layout.floorplan import Floorplan
 from repro.layout.geometry import Rect
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacementResult, PlacerConfig
-from repro.netlist.netlist import Netlist
+from repro.netlist.netlist import Gate, Net, Netlist
 
 #: Bump on ANY change to the payload schema or to the meaning of a stored
 #: column.  Entries written under a different format version never decode —
@@ -96,11 +98,98 @@ class StaleEntry(CodecError):
 #: Fingerprint memo keyed by netlist identity, invalidated through the
 #: netlist's own ``topology_version`` edit counter — the same contract the
 #: vectorized simulation engine keys its compiled-plan caches on.  A seed
-#: sweep replays N entries against ONE regenerated netlist; without the memo
-#: every load re-hashes the full structure.
+#: sweep saves N entries of ONE netlist, and a Workspace replays every seed
+#: of a pinned ``netlist_seed`` against one regenerated netlist; the memo
+#: hashes each such netlist once.  A load first checks ``payload.npz``
+#: against the manifest's SHA-256 and then decodes those same bytes (see
+#: ``repro.store.store``); the fingerprint gates the decode that follows.
 _fingerprint_memo: "weakref.WeakKeyDictionary[Netlist, Tuple[int, str]]" = (
     weakref.WeakKeyDictionary()
 )
+
+
+def _structure_text(netlist: Netlist, order=sorted) -> str:
+    """The fingerprint document's JSON text with every name written between
+    quotes as it is.  ``order`` puts each gate's connection pairs and the
+    output pairs in document order."""
+    pair = '["%s","%s"]'.__mod__
+    quoted = '"%s"'.__mod__
+    flag = {False: "false", True: "true"}
+    return (
+        '{"gates":[%s],"name":"%s","nets":[%s],"output_nets":[%s],'
+        '"primary_inputs":[%s],"primary_outputs":[%s]}' % (
+            ",".join([
+                '["%s","%s",[%s],%s]' % (
+                    g.name, g.cell.name,
+                    ",".join(map(pair, order(g.connections.items()))),
+                    flag[bool(g.dont_touch)])
+                for g in netlist.gates.values()
+            ]),
+            netlist.name,
+            ",".join([
+                '["%s",%s,[%s],%s,[%s]]' % (
+                    n.name, "null" if n.driver is None else pair(n.driver),
+                    ",".join(map(pair, n.sinks)), flag[bool(n.is_primary_input)],
+                    ",".join(map(quoted, n.primary_outputs)))
+                for n in netlist.nets.values()
+            ]),
+            ",".join(map(pair, order(netlist.output_nets.items()))),
+            ",".join(map(quoted, netlist.primary_inputs)),
+            ",".join(map(quoted, netlist.primary_outputs)),
+        )
+    )
+
+
+#: Every byte JSON writes as itself inside a string: printable ASCII except
+#: the quote and the backslash.
+_PLAIN_BYTES = bytes(sorted(set(range(0x20, 0x7F)) - set(b'"\\')))
+
+
+def _plain_text(data: bytes, netlist: Netlist) -> bool:
+    """True when ``data``, the structure text with every name as it is, is
+    JSON's text: no name holds a quote, a backslash or a byte JSON escapes.
+    Every string token brings two quotes, so a quote inside a name shows
+    as a surplus."""
+    gates, nets = netlist.gates.values(), netlist.nets.values()
+    drivers = list(map(attrgetter("driver"), nets))
+    tokens = (
+        7  # six keys and the netlist name
+        + 2 * len(gates) + 2 * sum(map(len, map(attrgetter("connections"), gates)))
+        + len(nets) + 2 * (len(drivers) - drivers.count(None))
+        + 2 * sum(map(len, map(attrgetter("sinks"), nets)))
+        + sum(map(len, map(attrgetter("primary_outputs"), nets)))
+        + 2 * len(netlist.output_nets) + len(netlist.primary_inputs)
+        + len(netlist.primary_outputs)
+    )
+    rest = data.translate(None, _PLAIN_BYTES)
+    return len(rest) == 2 * tokens and rest.count(b'"') == len(rest)
+
+
+def _escaped_names(netlist: Netlist) -> SimpleNamespace:
+    """A stand-in for ``netlist`` whose names are what ``json.dumps``
+    writes between their quotes, its pairs already in document order."""
+    def name(text: str) -> str:
+        if not isinstance(text, str):
+            raise TypeError(f"netlist names must be strings, not {text!r}")
+        return json.dumps(text)[1:-1]
+
+    def pairs(items):
+        return {name(a): name(b) for a, b in items}
+
+    return SimpleNamespace(
+        name=name(netlist.name),
+        gates={index: Gate(name(g.name), SimpleNamespace(name=name(g.cell.name)),
+                           pairs(sorted(g.connections.items())), g.dont_touch)
+               for index, g in enumerate(netlist.gates.values())},
+        nets={index: Net(name(n.name),
+                         None if n.driver is None else tuple(map(name, n.driver)),
+                         [tuple(map(name, sink)) for sink in n.sinks],
+                         n.is_primary_input, list(map(name, n.primary_outputs)))
+              for index, n in enumerate(netlist.nets.values())},
+        output_nets=pairs(sorted(netlist.output_nets.items())),
+        primary_inputs=list(map(name, netlist.primary_inputs)),
+        primary_outputs=list(map(name, netlist.primary_outputs)),
+    )
 
 
 def netlist_fingerprint(netlist: Netlist) -> str:
@@ -110,32 +199,28 @@ def netlist_fingerprint(netlist: Netlist) -> str:
     stores positions and routing as indices into ``list(netlist.gates)`` /
     ``list(netlist.nets)``, so a reordered regeneration is as stale as a
     rewired one.
+
+    The hashed text is ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))`` of the document ``{"name": ..., "gates":
+    [[name, cell, sorted connection pairs, dont_touch], ...], "nets":
+    [[name, driver pair or null, sink pairs, is_primary_input, primary
+    outputs], ...], "primary_inputs": [...], "primary_outputs": [...],
+    "output_nets": sorted pairs}``.  It is written out here without
+    building that document, every name between quotes as it is; when the
+    text shows that some name needs escaping, it is written again with
+    every name as ``json.dumps`` escapes it.  Names must be strings and pin
+    references ``(gate, pin)`` tuples, as
+    :class:`~repro.netlist.netlist.Netlist` builds them.
     """
     cached = _fingerprint_memo.get(netlist)
     if cached is not None and cached[0] == netlist.topology_version:
         return cached[1]
-    doc = {
-        "name": netlist.name,
-        "gates": [
-            [g.name, g.cell.name, sorted(g.connections.items()), bool(g.dont_touch)]
-            for g in netlist.gates.values()
-        ],
-        "nets": [
-            [
-                n.name,
-                list(n.driver) if n.driver is not None else None,
-                [list(sink) for sink in n.sinks],
-                bool(n.is_primary_input),
-                list(n.primary_outputs),
-            ]
-            for n in netlist.nets.values()
-        ],
-        "primary_inputs": list(netlist.primary_inputs),
-        "primary_outputs": list(netlist.primary_outputs),
-        "output_nets": sorted(netlist.output_nets.items()),
-    }
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    # A lone surrogate in a name passes as non-ASCII bytes, so it fails the
+    # plain check and is escaped as JSON escapes it.
+    data = _structure_text(netlist).encode("utf-8", "surrogatepass")
+    if not _plain_text(data, netlist):
+        data = _structure_text(_escaped_names(netlist), order=list).encode("ascii")
+    digest = hashlib.sha256(data).hexdigest()
     _fingerprint_memo[netlist] = (netlist.topology_version, digest)
     return digest
 

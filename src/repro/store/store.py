@@ -19,8 +19,9 @@ Contracts:
   disk (the rename loser discards its staging copy and keeps its in-memory
   build — results are bit-identical either way because builds are
   deterministic in the key).
-* **Verification** — every load re-hashes ``payload.npz`` against the
-  manifest's SHA-256, gates on the store/codec format versions, and decodes
+* **Verification** — every load reads ``payload.npz`` once, hashes those
+  bytes against the manifest's SHA-256 and decodes the arrays from the
+  same bytes; it gates on the store/codec format versions, and decodes
   against a *freshly regenerated* netlist whose fingerprint and
   ``topology_version`` must match the recorded ones.  Anything that fails —
   unreadable manifest, checksum mismatch, truncated arrays, stale
@@ -50,12 +51,15 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
+import re
 import shutil
 import struct
 import tempfile
 import time
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
@@ -378,8 +382,15 @@ class ArtifactStore:
             )
             self.stats["misses"] += 1
             return None
+        # One read: the bytes whose checksum is verified are the bytes decoded.
+        try:
+            raw = payload_path.read_bytes()
+        except OSError as error:
+            self._quarantine(key, f"unreadable payload: {error!r}")
+            self.stats["misses"] += 1
+            return None
         if self.verify_checksums:
-            actual = _sha256_file(payload_path)
+            actual = hashlib.sha256(raw).hexdigest()
             if actual != manifest.get("payload_sha256"):
                 self._quarantine(
                     key,
@@ -391,8 +402,8 @@ class ArtifactStore:
         try:
             if netlist is None:
                 netlist = regenerate_netlist(manifest.get("build", {}))
-            with np.load(payload_path, allow_pickle=False) as payload:
-                arrays = {name: payload[name] for name in payload.files}
+            arrays = _decode_npz(raw)
+            del raw  # the arrays own their data; free the file image now
             build = decode_build(manifest["record"], arrays, netlist)
         except StaleEntry as error:
             self._quarantine(key, f"stale: {error}")
@@ -455,8 +466,7 @@ class ArtifactStore:
         try:
             if mmap:
                 return _mmap_npz(payload_path)
-            with np.load(payload_path, allow_pickle=False) as payload:
-                return {name: payload[name] for name in payload.files}
+            return _decode_npz(payload_path.read_bytes())
         except (OSError, ValueError, zipfile.BadZipFile) as error:
             logger.warning("store: cannot open arrays for %s: %r", key[:12], error)
             return None
@@ -655,6 +665,96 @@ class ArtifactStore:
 
 
 # ---------------------------------------------------------------------------
+# .npz decoding from one in-memory image
+# ---------------------------------------------------------------------------
+
+_NPY_MAGIC = b"\x93NUMPY"
+
+#: The ``.npy`` header ``np.savez`` writes for a plain array: a dtype string,
+#: the memory order and an integer shape, padded with spaces.
+_PLAIN_NPY_HEADER = re.compile(
+    r"\{'descr': '([^']+)', 'fortran_order': (False|True), "
+    r"'shape': \(((?:\d+, )*(?:\d+,?)?)\), \} *\n"
+)
+
+
+def _local_header(local_header, info: zipfile.ZipInfo) -> Tuple[int, int]:
+    """``(name length, data offset)`` of member ``info``, read from its
+    30-byte local file header."""
+    if len(local_header) != 30 or local_header[:4] != b"PK\x03\x04":
+        raise zipfile.BadZipFile(f"bad local header for {info.filename!r}")
+    name_len, extra_len = struct.unpack("<HH", local_header[26:30])
+    return name_len, info.header_offset + 30 + name_len + extra_len
+
+
+def _decode_npz(raw: bytes) -> Dict[str, np.ndarray]:
+    """Every member of the ``.npz`` image ``raw``, decoded from ``raw`` itself.
+
+    The zip directory is parsed once.  A stored (uncompressed) member is
+    checked as :mod:`zipfile` checks it (local header signature and name,
+    length, CRC-32); when its ``.npy`` header is the plain one ``np.savez``
+    writes, the array is copied straight out of ``raw``.  Any other member
+    goes through ``np.lib.format.read_array`` (object arrays refused).
+    Every array owns its data, as ``np.load``'s do, so none keeps ``raw``
+    alive.
+    """
+    arrays: Dict[str, np.ndarray] = {}
+    view = memoryview(raw)
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        for info in archive.infolist():
+            name = info.filename[:-4] if info.filename.endswith(".npy") \
+                else info.filename
+            array = None
+            if info.compress_type == zipfile.ZIP_STORED and not info.flag_bits & 0x1:
+                array = _plain_npy_member(view, info)
+            if array is None:
+                with archive.open(info) as member:
+                    array = np.lib.format.read_array(
+                        io.BytesIO(member.read()), allow_pickle=False
+                    )
+            arrays[name] = array
+    return arrays
+
+
+def _plain_npy_member(view: memoryview, info: zipfile.ZipInfo
+                      ) -> Optional[np.ndarray]:
+    """The stored member ``info`` of ``view`` as an array, or ``None`` when
+    its ``.npy`` header is not a plain one (numpy's parser then decides)."""
+    header = info.header_offset
+    name_len, offset = _local_header(view[header:header + 30], info)
+    encoding = "utf-8" if info.flag_bits & 0x800 else "cp437"
+    if view[header + 30:header + 30 + name_len] != info.orig_filename.encode(encoding):
+        raise zipfile.BadZipFile(f"local name differs for {info.filename!r}")
+    member = view[offset:offset + info.compress_size]
+    if len(member) != info.compress_size or zlib.crc32(member) != info.CRC:
+        raise zipfile.BadZipFile(f"bad CRC-32 for {info.filename!r}")
+    if len(member) < 12 or member[:6] != _NPY_MAGIC or member[6] not in (1, 2):
+        return None
+    if member[6] == 1:
+        header_start, (header_len,) = 10, struct.unpack("<H", member[8:10])
+    else:
+        header_start, (header_len,) = 12, struct.unpack("<I", member[8:12])
+    data_start = header_start + header_len
+    match = _PLAIN_NPY_HEADER.fullmatch(
+        bytes(member[header_start:data_start]).decode("latin1")
+    )
+    if match is None:
+        return None
+    try:
+        dtype = np.dtype(match[1])
+    except TypeError:
+        return None
+    if dtype.hasobject or dtype.itemsize == 0:
+        return None
+    shape = tuple(int(size) for size in match[3].split(",") if size.strip())
+    array = np.frombuffer(member, dtype=dtype, count=math.prod(shape),
+                          offset=data_start).copy()
+    if match[2] == "True":
+        return array.reshape(shape[::-1]).transpose()
+    return array.reshape(shape)
+
+
+# ---------------------------------------------------------------------------
 # Memory-mapped .npz access
 # ---------------------------------------------------------------------------
 
@@ -682,14 +782,7 @@ def _mmap_npz(path: Path) -> Dict[str, np.ndarray]:
                         )
                     continue
                 handle.seek(info.header_offset)
-                local = handle.read(30)
-                if len(local) != 30 or local[:4] != b"PK\x03\x04":
-                    raise zipfile.BadZipFile(
-                        f"bad local header for {info.filename!r}"
-                    )
-                name_len, extra_len = struct.unpack("<HH", local[26:30])
-                data_offset = info.header_offset + 30 + name_len + extra_len
-                handle.seek(data_offset)
+                handle.seek(_local_header(handle.read(30), info)[1])
                 version = np.lib.format.read_magic(handle)
                 if version == (1, 0):
                     shape, fortran, dtype = \

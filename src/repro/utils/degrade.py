@@ -14,7 +14,7 @@ the same one stay silent.
 from __future__ import annotations
 
 import logging
-from typing import Iterable, Optional, Set
+from typing import Set
 
 _emitted: Set[str] = set()
 
@@ -31,10 +31,3 @@ def warn_once(logger: logging.Logger, key: str, message: str) -> bool:
     logger.warning(message)
     return True
 
-
-def reset_warned(keys: Optional[Iterable[str]] = None) -> None:
-    """Forget emitted keys (all of them by default) — test isolation hook."""
-    if keys is None:
-        _emitted.clear()
-    else:
-        _emitted.difference_update(keys)

@@ -24,7 +24,11 @@ import numpy as np
 
 from graph_oracle import netlist_copy, transitive_closure_bitmap
 from repro.attacks.crouting import CRoutingAttackConfig, CRoutingAttackResult
-from repro.attacks.network_flow import NetworkFlowAttackConfig, NetworkFlowAttackResult
+from repro.attacks.network_flow import (
+    _INVALID_COSTS,
+    NetworkFlowAttackConfig,
+    NetworkFlowAttackResult,
+)
 from repro.attacks.proximity import ProximityAttackResult
 from repro.layout.arrays import UniformGridIndex
 from repro.layout.geometry import manhattan
@@ -208,6 +212,23 @@ def slot_assignment(costs: np.ndarray, capacities: np.ndarray) -> np.ndarray:
     row_ind, col_ind = linear_sum_assignment(np.take(costs, slot_driver_index, axis=1))
     assert np.array_equal(row_ind, np.arange(costs.shape[0]))
     return slot_driver_index[col_ind]
+
+
+def cheapest_drivers(block: np.ndarray) -> np.ndarray:
+    """The lowest-index cheapest driver of every row of a cost matrix.
+
+    The dense definition ``_CostKernel.cheapest_drivers`` reproduces
+    without the matrix.  While no driver is chosen more often than its
+    capacity, this is the solver's assignment: with all duals still zero,
+    each row's shortest augmenting path is one step to the lowest free slot
+    at its minimum, and a driver's k-th use takes its k-th slot.  Raises
+    ``ValueError`` where the solver did: on a NaN or ``-inf`` cost
+    (``argmin`` picks either) and on a row without a finite cost.
+    """
+    choice = np.argmin(block, axis=1)
+    if not np.isfinite(block[np.arange(len(choice)), choice]).all():
+        raise ValueError(_INVALID_COSTS)
+    return choice
 
 
 def network_flow_attack(view: FEOLView,

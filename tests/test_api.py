@@ -17,6 +17,7 @@ import dataclasses
 import io
 import json
 import re
+import typing
 from contextlib import redirect_stdout
 from pathlib import Path
 from typing import Optional, Tuple
@@ -43,6 +44,7 @@ from repro.api import (
     build_params,
 )
 from repro.api.cli import main as cli_main
+from repro.api.registry import RegistryEntry, _resolved_hints
 from repro.api.schemes import ProposedParams
 from repro.api.workspace import default_workspace
 from repro.experiments.common import ExperimentConfig
@@ -125,6 +127,37 @@ class TestRegistry:
         params = build_params(_ThirdPartyParams, {"boxes": [1, 2], "window": [3, 4]})
         assert params.boxes == (1, 2)
         assert params.window == (3, 4)
+
+    def test_type_hints_resolve_once_per_class(self, monkeypatch):
+        """Spec canonicalization resolves a parameter class's annotations
+        once, however often its params are built; a class whose annotations
+        do not resolve still coerces nothing and builds."""
+        resolved = []
+        get_type_hints = typing.get_type_hints
+
+        def counting(cls, *args, **kwargs):
+            resolved.append(cls)
+            return get_type_hints(cls, *args, **kwargs)
+
+        monkeypatch.setattr(typing, "get_type_hints", counting)
+
+        @dataclasses.dataclass(frozen=True)
+        class FreshParams:
+            boxes: Tuple[int, ...] = ()
+
+        @dataclasses.dataclass(frozen=True)
+        class UnresolvableParams:
+            value: "NoSuchType" = 0  # noqa: F821
+
+        fresh = RegistryEntry("fresh", lambda: None, FreshParams)
+        unresolvable = RegistryEntry("unresolvable", lambda: None, UnresolvableParams)
+        for _ in range(3):
+            assert fresh.make_params({"boxes": [1, 2]}).boxes == (1, 2)
+            assert fresh.canonical_params() == {"boxes": []}
+            assert unresolvable.make_params({"value": [3]}).value == [3]
+            assert unresolvable.canonical_params() == {"value": 0}
+        assert _resolved_hints(UnresolvableParams) == {}
+        assert resolved == [FreshParams, UnresolvableParams]
 
 
 class TestScenarioSpec:

@@ -52,6 +52,9 @@ class TestRandomLogic:
         with pytest.raises(ValueError):
             RandomLogicSpec(name="t", num_gates=1, num_inputs=1, num_outputs=1,
                             global_net_fraction=1.5)
+        with pytest.raises(ValueError, match="cell_mix"):
+            RandomLogicSpec(name="t", num_gates=1, num_inputs=1, num_outputs=1,
+                            cell_mix=(("INV_X1", 0.0),))
 
     def test_outputs_are_driven(self):
         spec = RandomLogicSpec(name="t", num_gates=30, num_inputs=4, num_outputs=6, seed=5)
