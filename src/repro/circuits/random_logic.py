@@ -113,7 +113,7 @@ def generate_random_logic(spec: RandomLogicSpec,
     """
     library = library if library is not None else default_library()
     rng = make_rng(spec.seed, "random_logic", spec.name)
-    random, getrandbits = rng.random, rng.getrandbits
+    random, randrange = rng.random, rng.randrange
     window, global_fraction = spec.locality_window, spec.global_net_fraction
     netlist = Netlist(spec.name, library)
     gates, nets = netlist.gates, netlist.nets
@@ -129,20 +129,12 @@ def generate_random_logic(spec: RandomLogicSpec,
     edits = 2 * len(nets)
 
     def pick_source() -> str:
-        """A source signal, biased towards the most recent ones.
-
-        ``rng.randrange(span)`` inlined: it draws ``getrandbits`` of the
-        span's bit length until the draw falls below the span.
-        """
+        """A source signal, biased towards the most recent ones."""
         n = len(signals)
         local = random() >= global_fraction
         # Local picks come from the trailing window; global ones (long/global
         # nets) from every signal.
-        span = window if local and window < n else n
-        bits = span.bit_length()
-        draw = getrandbits(bits)
-        while draw >= span:
-            draw = getrandbits(bits)
+        draw = randrange(window if local and window < n else n)
         return signals[n - 1 - draw] if local else signals[draw]
 
     # ``rng.choices(cell_names, weights=...)`` draws exactly this.

@@ -100,9 +100,9 @@ class StaleEntry(CodecError):
 #: vectorized simulation engine keys its compiled-plan caches on.  A seed
 #: sweep saves N entries of ONE netlist, and a Workspace replays every seed
 #: of a pinned ``netlist_seed`` against one regenerated netlist; the memo
-#: hashes each such netlist once.  A load first checks ``payload.npz``
-#: against the manifest's SHA-256 and then decodes those same bytes (see
-#: ``repro.store.store``); the fingerprint gates the decode that follows.
+#: hashes each such netlist once.  A load reads ``payload.npz`` once,
+#: checks those bytes against the manifest's SHA-256 and decodes the same
+#: bytes (see ``repro.store.store``); the fingerprint gates the decode.
 _fingerprint_memo: "weakref.WeakKeyDictionary[Netlist, Tuple[int, str]]" = (
     weakref.WeakKeyDictionary()
 )

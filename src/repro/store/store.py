@@ -690,65 +690,60 @@ def _local_header(local_header, info: zipfile.ZipInfo) -> Tuple[int, int]:
 def _decode_npz(raw: bytes) -> Dict[str, np.ndarray]:
     """Every member of the ``.npz`` image ``raw``, decoded from ``raw`` itself.
 
-    The zip directory is parsed once.  A stored (uncompressed) member is
-    checked as :mod:`zipfile` checks it (local header signature and name,
-    length, CRC-32); when its ``.npy`` header is the plain one ``np.savez``
-    writes, the array is copied straight out of ``raw``.  Any other member
-    goes through ``np.lib.format.read_array`` (object arrays refused).
-    Every array owns its data, as ``np.load``'s do, so none keeps ``raw``
-    alive.
+    The zip directory is parsed once.  Each member must be what
+    :meth:`ArtifactStore.save` writes: stored (uncompressed), with the
+    plain ``.npy`` header ``np.savez`` gives an array of numbers, booleans
+    or strings.  It is checked as :mod:`zipfile` checks it (local header
+    signature and name, length, CRC-32) and its array copied straight out
+    of ``raw``; anything else raises :class:`zipfile.BadZipFile` or
+    :class:`ValueError`, so :meth:`ArtifactStore.load` quarantines the
+    entry.  Every array owns its data, as ``np.load``'s do, so none keeps
+    ``raw`` alive.
     """
-    arrays: Dict[str, np.ndarray] = {}
-    view = memoryview(raw)
     with zipfile.ZipFile(io.BytesIO(raw)) as archive:
-        for info in archive.infolist():
-            name = info.filename[:-4] if info.filename.endswith(".npy") \
-                else info.filename
-            array = None
-            if info.compress_type == zipfile.ZIP_STORED and not info.flag_bits & 0x1:
-                array = _plain_npy_member(view, info)
-            if array is None:
-                with archive.open(info) as member:
-                    array = np.lib.format.read_array(
-                        io.BytesIO(member.read()), allow_pickle=False
-                    )
-            arrays[name] = array
-    return arrays
+        return {
+            info.filename[:-4] if info.filename.endswith(".npy") else info.filename:
+                _plain_npy_member(raw, info)
+            for info in archive.infolist()
+        }
 
 
-def _plain_npy_member(view: memoryview, info: zipfile.ZipInfo
-                      ) -> Optional[np.ndarray]:
-    """The stored member ``info`` of ``view`` as an array, or ``None`` when
-    its ``.npy`` header is not a plain one (numpy's parser then decides)."""
+def _plain_npy_member(raw: bytes, info: zipfile.ZipInfo) -> np.ndarray:
+    """The stored member ``info`` of ``raw`` as an array."""
+    if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+        raise zipfile.BadZipFile(f"{info.filename!r} is not a stored member")
     header = info.header_offset
-    name_len, offset = _local_header(view[header:header + 30], info)
+    name_len, offset = _local_header(raw[header:header + 30], info)
     encoding = "utf-8" if info.flag_bits & 0x800 else "cp437"
-    if view[header + 30:header + 30 + name_len] != info.orig_filename.encode(encoding):
+    if raw[header + 30:header + 30 + name_len] != info.orig_filename.encode(encoding):
         raise zipfile.BadZipFile(f"local name differs for {info.filename!r}")
-    member = view[offset:offset + info.compress_size]
-    if len(member) != info.compress_size or zlib.crc32(member) != info.CRC:
+    end = offset + info.compress_size
+    if end > len(raw) or zlib.crc32(memoryview(raw)[offset:end]) != info.CRC:
         raise zipfile.BadZipFile(f"bad CRC-32 for {info.filename!r}")
-    if len(member) < 12 or member[:6] != _NPY_MAGIC or member[6] not in (1, 2):
-        return None
-    if member[6] == 1:
-        header_start, (header_len,) = 10, struct.unpack("<H", member[8:10])
+    magic = raw[offset:offset + 12]
+    if len(magic) < 12 or magic[:6] != _NPY_MAGIC or magic[6] not in (1, 2):
+        raise ValueError(f"{info.filename!r} is not a .npy v1/v2 array")
+    if magic[6] == 1:
+        header_start, (header_len,) = offset + 10, struct.unpack("<H", magic[8:10])
     else:
-        header_start, (header_len,) = 12, struct.unpack("<I", member[8:12])
+        header_start, (header_len,) = offset + 12, struct.unpack("<I", magic[8:12])
     data_start = header_start + header_len
     match = _PLAIN_NPY_HEADER.fullmatch(
-        bytes(member[header_start:data_start]).decode("latin1")
+        raw[header_start:data_start].decode("latin1")
     )
     if match is None:
-        return None
+        raise ValueError(f"{info.filename!r} does not have a plain .npy header")
     try:
         dtype = np.dtype(match[1])
-    except TypeError:
-        return None
-    if dtype.hasobject or dtype.itemsize == 0:
-        return None
+    except TypeError as error:
+        raise ValueError(f"{info.filename!r} has dtype {match[1]!r}") from error
+    if dtype.kind not in "biufcSU" or dtype.itemsize == 0:
+        raise ValueError(f"{info.filename!r} holds {dtype}, which is never stored")
     shape = tuple(int(size) for size in match[3].split(",") if size.strip())
-    array = np.frombuffer(member, dtype=dtype, count=math.prod(shape),
-                          offset=data_start).copy()
+    count = math.prod(shape)
+    if data_start + count * dtype.itemsize != end:
+        raise ValueError(f"{info.filename!r} size differs from its header")
+    array = np.frombuffer(raw, dtype=dtype, count=count, offset=data_start).copy()
     if match[2] == "True":
         return array.reshape(shape[::-1]).transpose()
     return array.reshape(shape)

@@ -188,19 +188,35 @@ def test_npz_decode_matches_np_load():
         text=np.array(["a", "béc"]), empty=np.zeros((0, 5), dtype=np.int16),
         scalar=np.array(2.5), fortran=np.asfortranarray(np.arange(6.0).reshape(2, 3)),
         flags=np.array([True, False]), big_endian=np.arange(4, dtype=">i4"),
-        # Not a plain header: numpy's parser decodes it.
-        records=np.zeros(2, dtype=[("x", "<f8"), ("y", "<i4")]),
         no_strings=np.array([], dtype=np.str_),
     ))
 
 
-def test_npz_decode_refuses_damage():
+def _flipped_data_byte() -> bytes:
     raw = bytearray(_npz(values=np.arange(100, dtype=np.int64)))
     raw[len(raw) // 3] ^= 0xFF  # inside the member data: CRC-32 mismatch
-    with pytest.raises(zipfile.BadZipFile):
-        _decode_npz(bytes(raw))
-    with pytest.raises(ValueError):
-        _decode_npz(_npz(objects=np.array([{"a": 1}], dtype=object)))
+    return bytes(raw)
+
+
+def _compressed() -> bytes:
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, values=np.arange(100))
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("make, error", [
+    pytest.param(_flipped_data_byte, zipfile.BadZipFile, id="crc"),
+    pytest.param(_compressed, zipfile.BadZipFile, id="compressed"),
+    # Headers save never writes: a structured dtype and an object array.
+    pytest.param(lambda: _npz(records=np.zeros(2, dtype=[("x", "<f8"), ("y", "<i4")])),
+                 ValueError, id="records"),
+    pytest.param(lambda: _npz(objects=np.array([{"a": 1}], dtype=object)),
+                 ValueError, id="objects"),
+    pytest.param(lambda: b"", zipfile.BadZipFile, id="empty"),
+])
+def test_npz_decode_refuses_what_save_never_writes(make, error):
+    with pytest.raises(error):
+        _decode_npz(make())
 
 
 def test_store_load_reads_the_payload_once(tmp_path, monkeypatch):
