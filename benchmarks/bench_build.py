@@ -53,9 +53,16 @@ _log = logging.getLogger("repro.bench.build")
 from repro.circuits import iscas85_netlist                    # noqa: E402
 from repro.circuits.superblue import superblue_netlist        # noqa: E402
 from repro.layout.floorplan import build_floorplan            # noqa: E402
-from repro.layout.placer import PlacerConfig, place           # noqa: E402
+from repro.layout.placer import PlacerConfig, _OrderingGraph, place  # noqa: E402
 from repro.layout.router import route                         # noqa: E402
-from build_oracle import place_reference, route_reference     # noqa: E402
+from build_oracle import (                                    # noqa: E402
+    _adjacency,
+    _dfs_starts,
+    _dfs_walk,
+    _rotated_adjacency,
+    place_reference,
+    route_reference,
+)
 
 
 def _timeit(fn: Callable[[], object], repeat: int, *, pause_gc: bool = True) -> float:
@@ -145,6 +152,54 @@ def bench_build_path(benchmark: str, scale: float, seed: int,
         "build_speedup": round(
             (place_ref_s + route_ref_s) / (place_vec_s + route_vec_s), 2
         ),
+    }
+
+
+def bench_place_ordering(benchmark: str, scale: float,
+                         num_seeds: int, repeat: int) -> Dict[str, object]:
+    """place.ordering: the DFS placement ordering of a seed batch, the
+    integer CSR walk against the gate-name string walk it replaced.
+
+    Each side builds its graph once and walks it once per seed, as a
+    seed-batched placement does; the string side also maps names to gate
+    indices.  The ranks are asserted equal for every seed before timing.
+    """
+    netlist = superblue_netlist(benchmark, scale=scale, seed=1)
+    max_fanout = PlacerConfig().max_fanout_for_attraction
+    seeds = range(num_seeds)
+    gate_names = list(netlist.gates)
+    gate_index = {name: i for i, name in enumerate(gate_names)}
+
+    def string_walk() -> List[np.ndarray]:
+        adjacency = _adjacency(netlist, max_fanout)
+        starts = _dfs_starts(netlist, gate_names)
+        return [
+            np.fromiter(
+                (gate_index[name] for name in _dfs_walk(
+                    _rotated_adjacency(adjacency, netlist.name, seed),
+                    gate_names, starts,
+                )),
+                dtype=np.int64, count=len(gate_names),
+            )
+            for seed in seeds
+        ]
+
+    def integer_walk() -> List[np.ndarray]:
+        graph = _OrderingGraph(netlist, gate_index, max_fanout)
+        return [graph.dfs(netlist.name, seed) for seed in seeds]
+
+    for ours, theirs in zip(integer_walk(), string_walk()):
+        assert np.array_equal(ours, theirs), "ordering diverged from the string walk"
+    string_s = _timeit(string_walk, repeat)
+    integer_s = _timeit(integer_walk, repeat)
+    return {
+        "benchmark": benchmark,
+        "scale": scale,
+        "num_gates": netlist.num_gates,
+        "num_seeds": num_seeds,
+        "string_walk_s": round(string_s, 4),
+        "integer_walk_s": round(integer_s, 4),
+        "speedup": round(string_s / integer_s, 2),
     }
 
 
@@ -508,6 +563,10 @@ def main(argv=None) -> int:
         args.sweep_benchmark, args.sweep_scale, args.batch_sizes,
         jobs_options, repeat=args.repeat,
     )
+    ordering = bench_place_ordering(
+        args.sweep_benchmark, args.sweep_scale, 2 if args.smoke else 8,
+        repeat=args.repeat,
+    )
     builds = [
         bench_build_path(args.benchmark, args.scale, seed=1,
                          refinement_rounds=0, repeat=args.repeat),
@@ -545,7 +604,10 @@ def main(argv=None) -> int:
                 "(place_reference/route_reference, per-object Python loops); "
                 "vectorized = the columnar builders behind Workspace.prewarm. "
                 "All vectorized paths are asserted bit-exact against the "
-                "references before timing.  The sweep section compares "
+                "references before timing.  place_ordering times the seed "
+                "batch's DFS placement ordering, the integer CSR walk against "
+                "the gate-name string walk (tests/build_oracle.py), ranks "
+                "asserted equal.  The sweep section compares "
                 "Workspace.run_sweeps (vectorized builds, batched prewarm) "
                 "against building each seed sequentially with the reference "
                 "implementations.  The store section replays the sweep from "
@@ -561,12 +623,18 @@ def main(argv=None) -> int:
             ),
         },
         "build_path": builds,
+        "place_ordering": ordering,
         "seed_sweep": sweep,
         "seed_batch": seed_batch,
         "store": store,
     }
     args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _log.info("wrote %s", args.output)
+    _log.info(
+        "place.ordering %s@%s x%s seeds: integer walk %ss vs string walk %ss (x%s)",
+        ordering["benchmark"], ordering["scale"], ordering["num_seeds"],
+        ordering["integer_walk_s"], ordering["string_walk_s"], ordering["speedup"],
+    )
     for entry in builds:
         _log.info(
             "%s rounds=%s: place x%s, route x%s, build x%s",

@@ -1,9 +1,9 @@
 """Micro-benchmarks for the columnar geometry core (``repro.layout.arrays``).
 
-Measures the proximity attack, the Table 1 / Fig. 4 distance statistics and
-placement HPWL on the seed-equivalent legacy paths (per-object Python loops)
-versus the columnar/grid-accelerated implementations, on superblue-scale
-layouts, and writes a ``BENCH_layout.json`` perf-trajectory artifact next to
+Measures FEOL extraction, the proximity attack, the Table 1 / Fig. 4
+distance statistics and placement HPWL on the seed-equivalent legacy paths
+(per-object Python loops) versus the columnar/grid-accelerated
+implementations, on superblue-scale layouts, and writes a ``BENCH_layout.json`` perf-trajectory artifact next to
 ``BENCH_sim.json``::
 
     PYTHONPATH=src python benchmarks/bench_layout.py              # writes BENCH_layout.json
@@ -20,6 +20,7 @@ charged to the columnar side.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import platform
@@ -30,19 +31,22 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List
 
+import numpy as np
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 # The per-pair proximity reference is a test oracle (needs the test extra).
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 from attack_oracle import proximity_attack_reference  # noqa: E402
+from feol_oracle import extract_feol_reference  # noqa: E402
 from repro.attacks.proximity import proximity_attack  # noqa: E402
 from repro.circuits.superblue import superblue_netlist  # noqa: E402
 from repro.layout import build_layout  # noqa: E402
 from repro.layout.geometry import Point, manhattan  # noqa: E402
 from repro.layout.placer import placement_hpwl  # noqa: E402
 from repro.metrics.distances import distance_stats  # noqa: E402
-from repro.sm.split import extract_feol  # noqa: E402
+from repro.sm.split import FEOLArrays, extract_feol  # noqa: E402
 from repro.utils.host import host_metadata  # noqa: E402
 
 _log = logging.getLogger("repro.bench.layout")
@@ -138,6 +142,22 @@ def _invalidate_geometry_caches(layout, view) -> None:
     view.__dict__.pop("_geometry_cache", None)
 
 
+def _assert_same_arrays(ours: FEOLArrays, theirs: FEOLArrays) -> None:
+    for field in dataclasses.fields(FEOLArrays):
+        if field.name.startswith("_"):
+            continue
+        a, b = getattr(ours, field.name), getattr(theirs, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+def _reference_columns(layout) -> FEOLArrays:
+    """The object-walk extraction, then its columns (the same product)."""
+    return FEOLArrays.build(extract_feol_reference(layout, SPLIT_LAYER))
+
+
 def bench_config(benchmark: str, scale: float, seed: int,
                  repeat: int) -> Dict[str, object]:
     netlist = superblue_netlist(benchmark, scale=scale, seed=seed)
@@ -160,7 +180,17 @@ def bench_config(benchmark: str, scale: float, seed: int,
         _legacy_connected_gate_distances(netlist, gate_positions)
     ), "columnar distances diverged from the reference loop"
 
+    _assert_same_arrays(view.arrays(), _reference_columns(layout))
+
     timings: Dict[str, float] = {}
+
+    # -- feol.extract: the columns against the object walk ------------------
+    timings["feol_extract_reference_s"] = _timeit(
+        lambda: _reference_columns(layout), repeat
+    )
+    timings["feol_extract_columns_s"] = _timeit(
+        lambda: extract_feol(layout, SPLIT_LAYER).arrays(), repeat
+    )
 
     timings["proximity_legacy_s"] = _timeit(
         lambda: proximity_attack_reference(view), max(1, repeat // 3)
@@ -207,6 +237,9 @@ def bench_config(benchmark: str, scale: float, seed: int,
     )
 
     speedups = {
+        "feol_extract": (
+            timings["feol_extract_reference_s"] / timings["feol_extract_columns_s"]
+        ),
         "proximity_cold": timings["proximity_legacy_s"] / timings["proximity_columnar_cold_s"],
         "proximity_warm": timings["proximity_legacy_s"] / timings["proximity_columnar_warm_s"],
         "distance_stats_cold": (
@@ -264,7 +297,10 @@ def main() -> None:
             "machine": platform.machine(),
             "notes": (
                 "Legacy = seed-equivalent per-object Python loops; columnar = "
-                "grid/array implementations of repro.layout.arrays.  Cold numbers "
+                "grid/array implementations of repro.layout.arrays.  "
+                "feol_extract times extract_feol (columns only) against the "
+                "object-walk oracle extract_feol_reference plus "
+                "FEOLArrays.build, asserted to give equal FEOLArrays.  Cold numbers "
                 "rebuild the cached views (first touch after a geometry edit), "
                 "warm numbers reuse them.  The columnar paths are asserted "
                 "bit-exact against the legacy paths before timing."
@@ -278,8 +314,9 @@ def main() -> None:
     _log.info("wrote %s", args.output)
     for config in configs:
         _log.info(
-            "%s@%s: proximity x%s cold / x%s warm, distance stats x%s cold",
-            config["benchmark"], config["scale"],
+            "%s@%s: feol.extract x%s, proximity x%s cold / x%s warm, "
+            "distance stats x%s cold",
+            config["benchmark"], config["scale"], config["speedups"]["feol_extract"],
             config["speedups"]["proximity_cold"],
             config["speedups"]["proximity_warm"],
             config["speedups"]["distance_stats_cold"],

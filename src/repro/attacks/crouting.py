@@ -70,21 +70,18 @@ def crouting_attack(view: FEOLView,
     column counts.  Match-in-list reads the distances of the true pairs.
     """
     config = config if config is not None else CRoutingAttackConfig()
-    drivers = view.driver_vpins
-    sinks = view.sink_vpins
-    result = CRoutingAttackResult(num_vpins=view.num_vpins)
-    if not drivers or not sinks:
+    arrays = feol_arrays(view)
+    num_drivers, num_sinks = len(arrays.driver_ids), len(arrays.sink_ids)
+    result = CRoutingAttackResult(num_vpins=num_drivers + num_sinks)
+    if not num_drivers or not num_sinks:
         for box in config.bounding_boxes:
             result.expected_list_size[box] = 0.0
             result.match_in_list[box] = 0.0
             result.candidate_counts[box] = []
         return result
 
-    arrays = feol_arrays(view)
     driver_x, driver_y = arrays.driver_xy[:, 0], arrays.driver_xy[:, 1]
     sink_x, sink_y = arrays.sink_xy[:, 0], arrays.sink_xy[:, 1]
-    driver_index = {vpin.identifier: i for i, vpin in enumerate(drivers)}
-    sink_index = {vpin.identifier: i for i, vpin in enumerate(sinks)}
 
     def pair_distance(sink_rows: np.ndarray, driver_cols: np.ndarray) -> np.ndarray:
         return np.maximum(
@@ -92,37 +89,31 @@ def crouting_attack(view: FEOLView,
             np.abs(driver_y[driver_cols] - sink_y[sink_rows]),
         )
 
-    # Sinks whose true driver is known, and the distance to it.
-    true_driver_of_sink = view.true_driver_of_sink()
-    sink_truth = [
-        (si, driver_index[true_driver_of_sink[vpin.identifier]])
-        for si, vpin in enumerate(sinks) if vpin.identifier in true_driver_of_sink
-    ]
-    sink_truth_rows = np.asarray([si for si, _ in sink_truth], dtype=np.intp)
-    sink_truth_distance = pair_distance(
-        sink_truth_rows, np.asarray([di for _, di in sink_truth], dtype=np.intp)
-    )
+    # The true pairs whose vpins are both listed.
+    known = (arrays.conn_sink >= 0) & (arrays.conn_driver >= 0)
+    pair_sinks = arrays.conn_sink[known]
+    pair_drivers = arrays.conn_driver[known]
+    # Sinks with a true driver (the last connection naming the sink), and
+    # the distance to it.
+    true_driver = np.full(num_sinks, -1, dtype=np.int64)
+    true_driver[pair_sinks] = pair_drivers
+    sink_truth_rows = np.flatnonzero(true_driver >= 0)
+    sink_truth_distance = pair_distance(sink_truth_rows, true_driver[sink_truth_rows])
     # Drivers with true sinks, and the distance to the nearest of them.
-    pairs = [
-        (driver_index[c.driver_vpin], sink_index[c.sink_vpin])
-        for c in view.open_connections if c.driver_vpin in driver_index
-    ]
-    pair_drivers = np.asarray([di for di, _ in pairs], dtype=np.intp)
-    driver_truth_distance = np.full(len(drivers), np.inf)
+    driver_truth_distance = np.full(num_drivers, np.inf)
     np.minimum.at(
-        driver_truth_distance, pair_drivers,
-        pair_distance(np.asarray([si for _, si in pairs], dtype=np.intp), pair_drivers),
+        driver_truth_distance, pair_drivers, pair_distance(pair_sinks, pair_drivers)
     )
-    driver_has_truth = np.zeros(len(drivers), dtype=bool)
+    driver_has_truth = np.zeros(num_drivers, dtype=bool)
     driver_has_truth[pair_drivers] = True
     driver_truth_distance = driver_truth_distance[driver_has_truth]
-    total_with_truth = len(sink_truth) + int(driver_has_truth.sum())
+    total_with_truth = len(sink_truth_rows) + int(driver_has_truth.sum())
 
     radii = [box * config.gcell_um / 2.0 for box in config.bounding_boxes]
-    sink_counts = np.zeros((len(radii), len(sinks)), dtype=np.int64)
-    driver_counts = np.zeros((len(radii), len(drivers)), dtype=np.int64)
-    for lo in range(0, len(sinks), _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, len(sinks))
+    sink_counts = np.zeros((len(radii), num_sinks), dtype=np.int64)
+    driver_counts = np.zeros((len(radii), num_drivers), dtype=np.int64)
+    for lo in range(0, num_sinks, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, num_sinks)
         chebyshev = np.maximum(
             np.abs(sink_x[lo:hi, None] - driver_x),
             np.abs(sink_y[lo:hi, None] - driver_y),

@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.netlist.graph import transitive_closure
 from repro.netlist.netlist import Netlist
-from repro.sm.split import FEOLView, VPin, feol_arrays
+from repro.sm.split import FEOLView, feol_arrays
 
 
 @dataclass
@@ -218,16 +218,14 @@ class _CostKernel:
         if config.use_loop_hint:
             index, bitmap = _loop_bitmap(view)
             clear = len(index)
-
-            def gate_indices(vpins: List[VPin]) -> np.ndarray:
-                return np.asarray(
-                    [index.get(v.gate, clear) if v.gate is not None else clear
-                     for v in vpins],
-                    dtype=np.intp,
-                )
-
-            sink_rows = gate_indices(view.sink_vpins)
-            driver_cols = gate_indices(view.driver_vpins)
+            # Bitmap row of every gate in the view's gate table; the
+            # appended last entry serves port terminals (gate index -1).
+            loop_index = np.asarray(
+                [index.get(gate, clear) for gate in arrays.gate_names] + [clear],
+                dtype=np.intp,
+            )
+            sink_rows = loop_index[arrays.sink_gate_idx]
+            driver_cols = loop_index[arrays.driver_gate_idx]
             if sink_rows.min() < clear and driver_cols.min() < clear:
                 self.loop_rows = sink_rows
                 # Byte and bit of every driver's gate in a bitmap row.
@@ -370,8 +368,8 @@ def build_cost_matrix(view: FEOLView,
     capacities bind.
     """
     config = config if config is not None else NetworkFlowAttackConfig()
-    num_sinks = len(view.sink_vpins)
-    num_drivers = len(view.driver_vpins)
+    arrays = feol_arrays(view)
+    num_sinks, num_drivers = len(arrays.sink_ids), len(arrays.driver_ids)
     if not num_drivers or not num_sinks:
         return np.zeros((num_sinks, num_drivers)), 0
     kernel = _CostKernel(view, config)
@@ -394,7 +392,8 @@ def _driver_capacities(view: FEOLView, config: NetworkFlowAttackConfig) -> np.nd
     """
     typical_cap = 1.2
     arrays = feol_arrays(view)
-    capacities = np.full(len(view.driver_vpins), config.max_fanout_per_driver,
+    num_sinks = len(arrays.sink_ids)
+    capacities = np.full(len(arrays.driver_ids), config.max_fanout_per_driver,
                          dtype=np.int64)
     if config.use_load_hint:
         load_bound = np.maximum(
@@ -403,8 +402,8 @@ def _driver_capacities(view: FEOLView, config: NetworkFlowAttackConfig) -> np.nd
         has_load = arrays.driver_max_load > 0
         capacities[has_load] = np.minimum(capacities[has_load], load_bound[has_load])
     total_capacity = int(capacities.sum())
-    if total_capacity < len(view.sink_vpins):
-        scale = int(math.ceil(len(view.sink_vpins) / max(total_capacity, 1)))
+    if total_capacity < num_sinks:
+        scale = int(math.ceil(num_sinks / max(total_capacity, 1)))
         capacities *= scale
     return capacities
 
@@ -417,10 +416,11 @@ def network_flow_attack(view: FEOLView,
     the recovered netlist (the attacker's best guess of the full design).
     """
     config = config if config is not None else NetworkFlowAttackConfig()
-    drivers = view.driver_vpins
-    sinks = view.sink_vpins
-    result = NetworkFlowAttackResult(num_sinks=len(sinks), num_drivers=len(drivers))
-    if not drivers or not sinks:
+    arrays = feol_arrays(view)
+    result = NetworkFlowAttackResult(
+        num_sinks=len(arrays.sink_ids), num_drivers=len(arrays.driver_ids)
+    )
+    if not result.num_drivers or not result.num_sinks:
         result.recovered_netlist = view.layout.netlist.copy(
             f"{view.layout.netlist.name}_recovered"
         )
@@ -428,15 +428,13 @@ def network_flow_attack(view: FEOLView,
 
     capacities = _driver_capacities(view, config)
     choice = _CostKernel(view, config).cheapest_drivers()
-    if (np.bincount(choice, minlength=len(drivers)) > capacities).any():
+    if (np.bincount(choice, minlength=result.num_drivers) > capacities).any():
         choice = _exact_assignment(build_cost_matrix(view, config)[0], capacities)
-    result.assignment = {
-        sink.identifier: drivers[driver].identifier
-        for sink, driver in zip(sinks, choice.tolist())
-    }
+    result.assignment = dict(zip(arrays.sink_ids.tolist(),
+                                 arrays.driver_ids[choice].tolist()))
     netlist = view.layout.netlist
     result.recovered_netlist = _rebuild_netlist(
-        view, result.assignment, netlist.copy(f"{netlist.name}_recovered")
+        view, choice, netlist.copy(f"{netlist.name}_recovered")
     )
     return result
 
@@ -514,38 +512,39 @@ def _exact_assignment(costs: np.ndarray, capacities: np.ndarray) -> np.ndarray:
     return slot_driver[col4row]
 
 
-def _rebuild_netlist(view: FEOLView, assignment: Dict[int, int],
+def _rebuild_netlist(view: FEOLView, choice: np.ndarray,
                      recovered: Netlist) -> Netlist:
-    """Reconstruct the attacker's netlist from a sink→driver assignment.
+    """Reconstruct the attacker's netlist from the driver row ``choice[s]``
+    chosen for every sink row ``s``.
 
     The attacker starts from the FEOL-visible connectivity (which equals the
     layout's netlist minus the cut connections) and connects every open sink
-    to the net of the driver vpin it was assigned to.  ``recovered`` is a
-    fresh copy of the layout's netlist, edited in place and returned.
+    to the FEOL net of the driver vpin it was assigned to.  ``recovered`` is
+    a fresh copy of the layout's netlist, edited in place and returned.
     """
-    driver_net: Dict[int, str] = {}
-    for connection in view.open_connections:
-        driver_net[connection.driver_vpin] = connection.net
-    vpin_by_id: Dict[int, VPin] = {
-        vpin.identifier: vpin for vpin in view.sink_vpins
-    }
+    arrays = feol_arrays(view)
+    gate_names, pin_names, net_names = (
+        arrays.gate_names, arrays.pin_names, arrays.net_names
+    )
     # The copied netlist still contains the true BEOL connections; the attacker
     # does not know them, so every cut sink is first detached and then attached
-    # to whatever net the attack assigned, or left dangling when the sink has
-    # no assignment.  Assignments are not re-checked here: the loop hint acts
-    # only through the cost matrix, so a recovered netlist can contain
+    # to whatever net the attack assigned, or left dangling when the assigned
+    # driver has no net.  Assignments are not re-checked here: the loop hint
+    # acts only through the cost matrix, so a recovered netlist can contain
     # combinational loops.
-    for connection in view.open_connections:
-        sink_vpin = vpin_by_id[connection.sink_vpin]
-        assigned_driver = assignment.get(connection.sink_vpin)
-        target_net = driver_net.get(assigned_driver) if assigned_driver is not None else None
-        if sink_vpin.gate is None:
+    for gate_idx, pin_idx, net_idx in zip(arrays.sink_gate_idx.tolist(),
+                                          arrays.sink_pin_idx.tolist(),
+                                          arrays.driver_net_idx[choice].tolist()):
+        pin = pin_names[pin_idx] if pin_idx >= 0 else None
+        target_net = net_names[net_idx] if net_idx >= 0 else None
+        if gate_idx < 0:
             # Primary-output sink.
-            if sink_vpin.pin is not None and sink_vpin.pin in recovered.primary_outputs:
+            if pin is not None and pin in recovered.primary_outputs:
                 if target_net is not None:
-                    recovered.retarget_primary_output(sink_vpin.pin, target_net)
+                    recovered.retarget_primary_output(pin, target_net)
             continue
-        recovered.disconnect_pin(sink_vpin.gate, sink_vpin.pin)
+        gate = gate_names[gate_idx]
+        recovered.disconnect_pin(gate, pin)
         if target_net is not None:
-            recovered.connect_pin(sink_vpin.gate, sink_vpin.pin, target_net)
+            recovered.connect_pin(gate, pin, target_net)
     return recovered

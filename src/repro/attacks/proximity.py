@@ -8,9 +8,10 @@ a large fraction of the missing BEOL connections, which is precisely the
 observation that motivated split-manufacturing attacks in the first place.
 
 Tie-breaking is explicitly deterministic: when several drivers are at the
-same (minimal) Manhattan distance from a sink, the **first driver in
-``view.driver_vpins`` order wins** — i.e. the driver vpin with the lowest
-list position, which for FEOL views produced by :func:`~repro.sm.split.
+same (minimal) Manhattan distance from a sink, the **first driver in column
+order wins** — i.e. the driver row of :class:`~repro.sm.split.FEOLArrays`
+with the lowest position (``view.driver_vpins`` order for a view built
+from objects), which for FEOL views produced by :func:`~repro.sm.split.
 extract_feol` is also the lowest vpin identifier.  The attack (a batched
 nearest-driver query against the shared
 :class:`~repro.layout.arrays.UniformGridIndex` of the FEOL view) and the
@@ -45,24 +46,21 @@ def proximity_attack(view: FEOLView) -> ProximityAttackResult:
 
     Sinks on the same gate as a candidate driver are not excluded and no
     consistency constraints are enforced — this is deliberately the naive
-    attack.  Distance ties resolve to the first driver in
-    ``view.driver_vpins`` order (see the module docstring).
+    attack.  Distance ties resolve to the first driver in column order
+    (see the module docstring).
 
     The computation is a batched nearest-neighbor query over the columnar
     vpin arrays: a uniform-grid spatial index over the driver positions
     answers all sink queries at once, replacing the historical
     O(sinks x drivers) Python double loop with identical results.
     """
-    result = ProximityAttackResult(
-        num_sinks=len(view.sink_vpins), num_drivers=len(view.driver_vpins)
-    )
-    if not view.driver_vpins or not view.sink_vpins:
-        return result
     arrays = feol_arrays(view)
+    result = ProximityAttackResult(
+        num_sinks=len(arrays.sink_ids), num_drivers=len(arrays.driver_ids)
+    )
+    if not result.num_drivers or not result.num_sinks:
+        return result
     nearest, _distances = arrays.driver_grid().nearest(arrays.sink_xy)
-    driver_ids = arrays.driver_ids[nearest]
-    result.assignment = {
-        int(sink_id): int(driver_id)
-        for sink_id, driver_id in zip(arrays.sink_ids, driver_ids)
-    }
+    result.assignment = dict(zip(arrays.sink_ids.tolist(),
+                                 arrays.driver_ids[nearest].tolist()))
     return result

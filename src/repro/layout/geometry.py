@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
@@ -74,11 +73,6 @@ class Rect:
 def manhattan(a: Point, b: Point) -> float:
     """Manhattan (L1) distance between two points."""
     return abs(a.x - b.x) + abs(a.y - b.y)
-
-
-def euclidean(a: Point, b: Point) -> float:
-    """Euclidean (L2) distance between two points."""
-    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 def bounding_box(points: Iterable[Point]) -> Rect:

@@ -24,8 +24,9 @@ The result is deterministic for a given netlist and seed.
 
 :func:`place` runs this recipe on coordinate *columns*: the serpentine fold,
 the centroid iterations, the rank-based spreading and the row packing are
-all batched NumPy passes (the only per-object Python loop left is the DFS
-ordering), the result stays in column form (:class:`PlacementResult`), and
+all batched NumPy passes, the DFS ordering walks gate indices over an
+integer adjacency built once per netlist (:class:`_OrderingGraph`), the
+result stays in column form (:class:`PlacementResult`), and
 :func:`place_batch` shares everything seed-independent across a seed batch.
 
 Both are **bit-exact** with the seed placer's per-gate / per-net loops,
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -253,93 +254,107 @@ class PlacementResult:
 # ---------------------------------------------------------------------------
 
 
-def _adjacency(netlist: Netlist, max_fanout: int) -> Dict[str, List[str]]:
-    """Undirected gate adjacency (both fan-in and fan-out), high-fanout nets cut."""
-    adjacency: Dict[str, List[str]] = {name: [] for name in netlist.gates}
-    for net in netlist.nets.values():
-        members: List[str] = []
-        if net.driver is not None:
-            members.append(net.driver[0])
-        members.extend(sink for sink, _pin in net.sinks)
-        if len(members) < 2 or len(members) > max_fanout:
-            continue
-        driver = members[0]
-        for sink in members[1:]:
-            adjacency[driver].append(sink)
-            adjacency[sink].append(driver)
-    return adjacency
+class _OrderingGraph:
+    """The DFS ordering's gate graph over gate indices, built once per
+    netlist and shared by every seed.
 
-
-def _dfs_starts(netlist: Netlist, gate_names: List[str]) -> List[str]:
-    """DFS start order: gates driven by primary inputs first (deduplicated,
-    natural left-to-right flow), then every gate as a fallback start."""
-    start_candidates: List[str] = []
-    for pi in netlist.primary_inputs:
-        net = netlist.nets.get(pi)
-        if net is None:
-            continue
-        start_candidates.extend(sink for sink, _pin in net.sinks)
-    seen_start: Set[str] = set()
-    starts = [g for g in start_candidates
-              if not (g in seen_start or seen_start.add(g))]
-    starts.extend(gate_names)
-    return starts
-
-
-def _rotated_adjacency(adjacency: Dict[str, List[str]], netlist_name: str,
-                       seed: int) -> Dict[str, List[str]]:
-    """Seed-rotated copy of a shared adjacency structure.
-
-    A small seed-dependent rotation of each adjacency list makes distinct
-    seeds explore distinct (equally good) orderings while staying
-    deterministic for a given seed.  The input lists are left untouched so
-    one adjacency build can serve a whole seed batch; the RNG consumption
-    order (dict order, one draw per multi-neighbour list) is identical to
-    rotating in place.
+    ``neighbours[starts[g]:starts[g + 1]]`` lists gate ``g``'s neighbours
+    (fan-in and fan-out; nets with fewer than 2 or more than ``max_fanout``
+    gate members cut) in the order the historical string adjacency appended
+    them: net order, each net's hub — its driver, or its first sink when a
+    primary input drives it — linked to every other member.  ``dfs_starts``
+    lists the gates primary inputs drive (first appearance), then every
+    gate.
     """
-    rng = make_rng(seed, "placer_order", netlist_name)
-    rotated: Dict[str, List[str]] = {}
-    for name, neighbours in adjacency.items():
-        if len(neighbours) > 1:
-            offset = rng.randrange(len(neighbours))
-            rotated[name] = neighbours[offset:] + neighbours[:offset]
-        else:
-            rotated[name] = neighbours
-    return rotated
 
-
-def _dfs_walk(adjacency: Dict[str, List[str]], gate_names: List[str],
-              starts: List[str]) -> List[str]:
-    """The iterative DFS traversal over a (rotated) adjacency structure."""
-    remaining: Set[str] = set(gate_names)
-    order: List[str] = []
-    empty: List[str] = []
-    for start in starts:
-        if start not in remaining:
-            continue
-        stack = [start]
-        pop = stack.pop
-        extend = stack.extend
-        append = order.append
-        discard = remaining.remove
-        get = adjacency.get
-        while stack:
-            gate = pop()
-            if gate not in remaining:
+    def __init__(self, netlist: Netlist, gate_index: Dict[str, int],
+                 max_fanout: int):
+        n = len(gate_index)
+        # One (hub, member) name pair per link, in net order.
+        hubs: List[str] = []
+        others: List[str] = []
+        for net in netlist.nets.values():
+            sinks = net.sinks
+            if net.driver is not None:
+                if 1 <= len(sinks) < max_fanout:
+                    hubs += [net.driver[0]] * len(sinks)
+                    others += [sink for sink, _pin in sinks]
+            elif 2 <= len(sinks) <= max_fanout:
+                hubs += [sinks[0][0]] * (len(sinks) - 1)
+                others += [sink for sink, _pin in sinks[1:]]
+        lookup = gate_index.__getitem__
+        hub = np.fromiter(map(lookup, hubs), dtype=np.int64, count=len(hubs))
+        other = np.fromiter(map(lookup, others), dtype=np.int64, count=len(others))
+        # Each link appends hub -> member, then member -> hub; a stable
+        # sort by source keeps every list in append order.
+        source = np.column_stack((hub, other)).ravel()
+        self.neighbours = np.column_stack((other, hub)).ravel()[
+            np.argsort(source, kind="stable")
+        ]
+        degree = np.bincount(source, minlength=n)
+        starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degree, out=starts[1:])
+        self.starts = starts.tolist()
+        #: Degrees of the gates with more than one neighbour, in gate order:
+        #: one rotation draw each.
+        self.multi = np.flatnonzero(degree > 1)
+        self.multi_degrees = degree[self.multi].tolist()
+        # Per neighbour entry: its gate, its list's start and degree, and
+        # ``degree - 1 - position``, which reads a list back to front.
+        self.owner = np.repeat(np.arange(n, dtype=np.int64), degree)
+        self.entry_start = starts[:-1][self.owner]
+        self.entry_degree = degree[self.owner]
+        position = np.arange(len(self.neighbours), dtype=np.int64) - self.entry_start
+        self.entry_back = self.entry_degree - 1 - position
+        first: List[int] = []
+        seen = bytearray(n)
+        for pi in netlist.primary_inputs:
+            net = netlist.nets.get(pi)
+            if net is None:
                 continue
-            discard(gate)
-            append(gate)
-            # Reverse so the first neighbour is processed next (LIFO stack).
-            # Visited neighbours are pushed too and skipped at pop — the
-            # traversal order is identical to filtering before the push (a
-            # neighbour taken between push and pop is skipped either way).
-            extend(reversed(get(gate, empty)))
-    # Any stragglers (isolated gates) in deterministic order.
-    for gate in gate_names:
-        if gate in remaining:
-            order.append(gate)
-            remaining.remove(gate)
-    return order
+            for sink, _pin in net.sinks:
+                gate = gate_index[sink]
+                if not seen[gate]:
+                    seen[gate] = 1
+                    first.append(gate)
+        self.dfs_starts = first + list(range(n))
+
+    def rotated_reversed(self, netlist_name: str, seed: int) -> List[int]:
+        """The flat neighbour lists of one seed: each multi-neighbour list
+        rotated by ``make_rng(seed, "placer_order", netlist_name)
+        .randrange(degree)`` (one draw per list, in gate order), then
+        reversed for the LIFO stack."""
+        randrange = make_rng(seed, "placer_order", netlist_name).randrange
+        offset = np.zeros(len(self.starts) - 1, dtype=np.int64)
+        offset[self.multi] = [randrange(k) for k in self.multi_degrees]
+        # Entry j of a reversed rotated list is list[(offset + degree - 1 - j) % degree].
+        index = self.entry_start + (
+            (offset[self.owner] + self.entry_back) % self.entry_degree
+        )
+        return self.neighbours[index].tolist()
+
+    def dfs(self, netlist_name: str, seed: int) -> np.ndarray:
+        """Gate index at each rank of one seed's DFS ordering."""
+        reversed_lists = self.rotated_reversed(netlist_name, seed)
+        starts = self.starts
+        visited = bytearray(len(starts) - 1)
+        order: List[int] = []
+        append = order.append
+        for start in self.dfs_starts:
+            if visited[start]:
+                continue
+            stack = [start]
+            pop = stack.pop
+            while stack:
+                gate = pop()
+                if visited[gate]:
+                    continue
+                visited[gate] = 1
+                append(gate)
+                # Visited neighbours are pushed too and skipped at pop; the
+                # traversal order is identical to filtering before the push.
+                stack += reversed_lists[starts[gate]:starts[gate + 1]]
+        return np.asarray(order, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +511,7 @@ class _PlacerSkeleton:
         self.port_positions, visible_ports = _io_assignment(netlist, floorplan)
         # Shared (read-only) port columns of every placement of the batch.
         self.port_names, self.port_x, self.port_y = _columns_of(visible_ports)
-        self._adjacency: Optional[Dict[str, List[str]]] = None
-        self._starts: Optional[List[str]] = None
+        self._graph: Optional[_OrderingGraph] = None
         self._columns: Optional[_CentroidColumns] = None
         if self.n == 0:
             return
@@ -526,23 +540,15 @@ class _PlacerSkeleton:
         """``rank_gate`` for one seed: gate index at each ordering rank."""
         config = self.config
         if config.ordering == "dfs":
-            if self._adjacency is None:
-                self._adjacency = _adjacency(
-                    self.netlist, config.max_fanout_for_attraction
+            if self._graph is None:
+                self._graph = _OrderingGraph(
+                    self.netlist, self.gate_index,
+                    config.max_fanout_for_attraction,
                 )
-                self._starts = _dfs_starts(self.netlist, self.gate_names)
-            ordering = _dfs_walk(
-                _rotated_adjacency(self._adjacency, self.netlist.name, seed),
-                self.gate_names, self._starts,
-            )
-        elif config.ordering == "insertion":
-            ordering = self.gate_names
-        else:
-            raise ValueError(f"unknown placer ordering {config.ordering!r}")
-        return np.fromiter(
-            (self.gate_index[name] for name in ordering),
-            dtype=np.int64, count=self.n,
-        )
+            return self._graph.dfs(self.netlist.name, seed)
+        if config.ordering == "insertion":
+            return np.arange(self.n, dtype=np.int64)
+        raise ValueError(f"unknown placer ordering {config.ordering!r}")
 
     def centroid_columns(self) -> _CentroidColumns:
         if self._columns is None:

@@ -16,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
+import numpy as np
+
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import error_rate_and_hamming
-from repro.sm.split import FEOLView
+from repro.sm.split import FEOLView, feol_arrays
 
 
 @dataclass
@@ -39,6 +41,14 @@ class SecurityReport:
         }
 
 
+def _scored_connections(view: FEOLView, restrict_to_protected: bool) -> np.ndarray:
+    """Rows of the ground-truth connections a CCR scores."""
+    protected = feol_arrays(view).conn_protected
+    if restrict_to_protected and protected.any():
+        return np.flatnonzero(protected)
+    return np.arange(len(protected))
+
+
 def correct_connection_rate(view: FEOLView, assignment: Mapping[int, int],
                             restrict_to_protected: bool = False) -> float:
     """CCR (in percent) of a sink→driver assignment against the ground truth.
@@ -51,23 +61,27 @@ def correct_connection_rate(view: FEOLView, assignment: Mapping[int, int],
             when the layout has no protected nets all cut connections are
             scored regardless of this flag.
     """
-    connections = view.open_connections
-    if restrict_to_protected and any(c.protected for c in connections):
-        connections = [c for c in connections if c.protected]
-    if not connections:
+    scored = _scored_connections(view, restrict_to_protected)
+    if not scored.size:
         return 0.0
-    driver_nets = view.driver_vpin_nets()
+    arrays = feol_arrays(view)
+    sink_ids = arrays.sink_ids.tolist()
+    driver_ids = arrays.driver_ids.tolist()
+    driver_nets = dict(zip(driver_ids, arrays.driver_net_idx.tolist()))
     correct = 0
-    for connection in connections:
-        assigned = assignment.get(connection.sink_vpin)
+    for sink, driver, net in zip(arrays.conn_sink[scored].tolist(),
+                                 arrays.conn_driver[scored].tolist(),
+                                 arrays.conn_net_idx[scored].tolist()):
+        assigned = assignment.get(sink_ids[sink]) if sink >= 0 else None
         if assigned is None:
             continue
         # A connection is recovered when the sink is attached to the right
         # *net*; multi-fanout nets expose several driver-side vias and any of
         # them restores the correct connectivity.
-        if assigned == connection.driver_vpin or driver_nets.get(assigned) == connection.net:
+        if ((driver >= 0 and assigned == driver_ids[driver])
+                or driver_nets.get(assigned, -1) == net):
             correct += 1
-    return 100.0 * correct / len(connections)
+    return 100.0 * correct / scored.size
 
 
 def evaluate_attack(view: FEOLView, assignment: Mapping[int, int],
@@ -82,9 +96,6 @@ def evaluate_attack(view: FEOLView, assignment: Mapping[int, int],
     routing-centric attack) they are reported as 0.
     """
     ccr = correct_connection_rate(view, assignment, restrict_to_protected)
-    connections = view.open_connections
-    if restrict_to_protected and any(c.protected for c in connections):
-        connections = [c for c in connections if c.protected]
     oer = 0.0
     hd = 0.0
     if recovered_netlist is not None:
@@ -95,5 +106,7 @@ def evaluate_attack(view: FEOLView, assignment: Mapping[int, int],
         ccr_percent=ccr,
         oer_percent=oer,
         hd_percent=hd,
-        num_connections_scored=len(connections),
+        num_connections_scored=len(
+            _scored_connections(view, restrict_to_protected)
+        ),
     )

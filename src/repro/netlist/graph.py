@@ -228,16 +228,6 @@ def gate_levels(netlist: Netlist) -> Dict[str, int]:
     return levels
 
 
-def logic_depth(netlist: Netlist) -> int:
-    """Return the maximum combinational depth (number of gates on the longest path)."""
-    levels = gate_levels(netlist)
-    depths = [
-        level for name, level in levels.items()
-        if not netlist.gates[name].cell.is_sequential
-    ]
-    return max(depths) + 1 if depths else 0
-
-
 def transitive_closure(successors: Sequence[Iterable[int]]) -> List[int]:
     """Every node's reachable set, as integer bitsets, in one pass.
 

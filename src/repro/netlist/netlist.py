@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.netlist.cells import Cell, CellLibrary, default_library
 
@@ -462,17 +462,3 @@ class Netlist:
             f"nets={self.num_nets}, pis={len(self.primary_inputs)}, "
             f"pos={len(self.primary_outputs)})"
         )
-
-
-def connection_pairs(netlist: Netlist) -> List[Tuple[str, PinRef, Optional[PinRef]]]:
-    """Return every driver→sink pair as ``(net, sink_pin, driver_pin)``.
-
-    Primary-input-driven nets yield ``None`` as the driver pin.  This is the
-    "two-pin-net view" of the design used by the security metrics (the CCR is
-    computed over these pairs).
-    """
-    pairs: List[Tuple[str, PinRef, Optional[PinRef]]] = []
-    for net in netlist.nets.values():
-        for sink in net.sinks:
-            pairs.append((net.name, sink, net.driver))
-    return pairs

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional, Union
+from typing import Union
 
 SeedLike = Union[int, str, None, random.Random]
 
@@ -50,12 +50,3 @@ def make_rng(seed: SeedLike, *labels: Union[int, str]) -> random.Random:
     if seed is None:
         return random.Random()
     return random.Random(derive_seed(seed, *labels) if labels else derive_seed(seed))
-
-
-def spawn_numpy_seed(seed: SeedLike, *labels: Union[int, str]) -> Optional[int]:
-    """Return a 32-bit seed suitable for ``numpy.random.default_rng``."""
-    if seed is None:
-        return None
-    if isinstance(seed, random.Random):
-        return seed.randrange(2**32)
-    return derive_seed(seed, *labels) % (2**32)

@@ -83,8 +83,3 @@ def format_table(table: Table) -> str:
     for row in rendered_rows:
         lines.append(fmt_line(row))
     return "\n".join(lines)
-
-
-def format_percent(value: float, digits: int = 1) -> str:
-    """Format ``value`` (already in percent) with a trailing ``%`` sign."""
-    return f"{value:.{digits}f}%"

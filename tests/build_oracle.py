@@ -1,8 +1,10 @@
 """Per-object place-and-route: test oracles for ``repro.layout``.
 
 These are the placer and router implementations the column builders
-replaced.  :func:`place_reference` folds, refines, spreads and legalizes
-with per-gate and per-net Python loops; :func:`route_reference` picks each
+replaced.  :func:`place_reference` orders gates by a DFS over gate-name
+strings (:func:`ordering_ranks_reference` is that ordering alone, the
+oracle of the placer's integer walk), then folds, refines, spreads and
+legalizes with per-gate and per-net Python loops; :func:`route_reference` picks each
 2-pin connection's layer pair with the scalar policy functions
 (:func:`pair_for_length`, :func:`pair_for_lifted`, :func:`num_jogs`), calls
 :func:`route_connection` once per connection and assembles eager
@@ -21,7 +23,7 @@ stub hints and the same pickle bytes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -32,12 +34,8 @@ from repro.layout.layout import Layout
 from repro.layout.placer import (
     PlacementResult,
     PlacerConfig,
-    _adjacency,
     _attraction_nets,
-    _dfs_starts,
-    _dfs_walk,
     _io_assignment,
-    _rotated_adjacency,
     place,
 )
 from repro.layout.router import (
@@ -59,6 +57,96 @@ from repro.utils.rng import make_rng
 # ---------------------------------------------------------------------------
 # Placement
 # ---------------------------------------------------------------------------
+
+
+def _adjacency(netlist: Netlist, max_fanout: int) -> Dict[str, List[str]]:
+    """Undirected gate adjacency (both fan-in and fan-out), high-fanout nets cut."""
+    adjacency: Dict[str, List[str]] = {name: [] for name in netlist.gates}
+    for net in netlist.nets.values():
+        members: List[str] = []
+        if net.driver is not None:
+            members.append(net.driver[0])
+        members.extend(sink for sink, _pin in net.sinks)
+        if len(members) < 2 or len(members) > max_fanout:
+            continue
+        driver = members[0]
+        for sink in members[1:]:
+            adjacency[driver].append(sink)
+            adjacency[sink].append(driver)
+    return adjacency
+
+
+def _dfs_starts(netlist: Netlist, gate_names: List[str]) -> List[str]:
+    """DFS start order: gates driven by primary inputs first (deduplicated,
+    natural left-to-right flow), then every gate as a fallback start."""
+    start_candidates: List[str] = []
+    for pi in netlist.primary_inputs:
+        net = netlist.nets.get(pi)
+        if net is None:
+            continue
+        start_candidates.extend(sink for sink, _pin in net.sinks)
+    seen_start: Set[str] = set()
+    starts = [g for g in start_candidates
+              if not (g in seen_start or seen_start.add(g))]
+    starts.extend(gate_names)
+    return starts
+
+
+def _rotated_adjacency(adjacency: Dict[str, List[str]], netlist_name: str,
+                       seed: int) -> Dict[str, List[str]]:
+    """Seed-rotated copy of an adjacency structure.
+
+    A small seed-dependent rotation of each adjacency list makes distinct
+    seeds explore distinct (equally good) orderings while staying
+    deterministic for a given seed: one draw per multi-neighbour list, in
+    dict order.
+    """
+    rng = make_rng(seed, "placer_order", netlist_name)
+    rotated: Dict[str, List[str]] = {}
+    for name, neighbours in adjacency.items():
+        if len(neighbours) > 1:
+            offset = rng.randrange(len(neighbours))
+            rotated[name] = neighbours[offset:] + neighbours[:offset]
+        else:
+            rotated[name] = neighbours
+    return rotated
+
+
+def _dfs_walk(adjacency: Dict[str, List[str]], gate_names: List[str],
+              starts: List[str]) -> List[str]:
+    """The iterative DFS traversal over a (rotated) adjacency structure."""
+    remaining: Set[str] = set(gate_names)
+    order: List[str] = []
+    empty: List[str] = []
+    for start in starts:
+        if start not in remaining:
+            continue
+        stack = [start]
+        while stack:
+            gate = stack.pop()
+            if gate not in remaining:
+                continue
+            remaining.remove(gate)
+            order.append(gate)
+            # Reverse so the first neighbour is processed next (LIFO stack).
+            stack.extend(reversed(adjacency.get(gate, empty)))
+    # Any stragglers (isolated gates) in deterministic order.
+    for gate in gate_names:
+        if gate in remaining:
+            order.append(gate)
+            remaining.remove(gate)
+    return order
+
+
+def ordering_ranks_reference(netlist: Netlist, seed: int,
+                             max_fanout: int = PlacerConfig.max_fanout_for_attraction
+                             ) -> np.ndarray:
+    """The DFS placement ordering by the string walk: gate index per rank."""
+    gate_index = {name: i for i, name in enumerate(netlist.gates)}
+    return np.asarray(
+        [gate_index[name] for name in _dfs_ordering(netlist, max_fanout, seed)],
+        dtype=np.int64,
+    )
 
 
 def _dfs_ordering(netlist: Netlist, max_fanout: int, seed: int) -> List[str]:

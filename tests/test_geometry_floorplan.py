@@ -3,16 +3,13 @@
 import pytest
 
 from repro.layout.floorplan import build_floorplan
-from repro.layout.geometry import Point, Rect, bounding_box, euclidean, half_perimeter, manhattan
+from repro.layout.geometry import Point, Rect, bounding_box, half_perimeter, manhattan
 from repro.netlist.cells import ROW_HEIGHT_UM, SITE_WIDTH_UM
 
 
 class TestGeometry:
     def test_manhattan(self):
         assert manhattan(Point(0, 0), Point(3, 4)) == 7
-
-    def test_euclidean(self):
-        assert euclidean(Point(0, 0), Point(3, 4)) == pytest.approx(5.0)
 
     def test_point_translate(self):
         assert Point(1, 2).translated(2, -1) == Point(3, 1)

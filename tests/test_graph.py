@@ -9,7 +9,6 @@ from repro.netlist.graph import (
     combinational_loops,
     gate_levels,
     has_combinational_loop,
-    logic_depth,
     pseudo_topological_order,
     topological_gate_order,
     transitive_fanin,
@@ -17,6 +16,13 @@ from repro.netlist.graph import (
     would_create_loop,
 )
 from repro.netlist.netlist import Netlist
+
+
+def logic_depth(netlist):
+    """Gates on the longest combinational path, from :func:`gate_levels`."""
+    levels = [level for name, level in gate_levels(netlist).items()
+              if not netlist.gates[name].cell.is_sequential]
+    return max(levels) + 1 if levels else 0
 
 
 @pytest.fixture()

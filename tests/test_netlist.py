@@ -5,8 +5,14 @@ import pytest
 from graph_oracle import netlist_copy
 from repro.circuits import ISCAS85_PROFILES
 from repro.circuits.registry import get_benchmark
-from repro.netlist.netlist import Netlist, NetlistError, connection_pairs
+from repro.netlist.netlist import Netlist, NetlistError
 from repro.store.codec import netlist_fingerprint
+
+
+def connection_pairs(netlist):
+    """Every driver→sink pair as ``(net, sink_pin, driver_pin)``."""
+    return [(net.name, sink, net.driver)
+            for net in netlist.nets.values() for sink in net.sinks]
 
 
 @pytest.fixture()

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.utils.rng import derive_seed, make_rng, spawn_numpy_seed
-from repro.utils.tables import Table, format_percent, format_table
+from repro.utils.rng import derive_seed, make_rng
+from repro.utils.tables import Table, format_table
 
 
 class TestDeriveSeed:
@@ -42,13 +42,6 @@ class TestMakeRng:
     def test_none_gives_nondeterministic_rng(self):
         assert isinstance(make_rng(None), random.Random)
 
-    def test_spawn_numpy_seed_range(self):
-        seed = spawn_numpy_seed(9, "placer")
-        assert 0 <= seed < 2**32
-
-    def test_spawn_numpy_seed_none(self):
-        assert spawn_numpy_seed(None) is None
-
 
 class TestTable:
     def test_add_row_and_column(self):
@@ -79,7 +72,3 @@ class TestTable:
         table = Table(title="", columns=["name", "value"])
         table.add_row(["foo", None])
         assert "N/A" in format_table(table)
-
-    def test_format_percent(self):
-        assert format_percent(12.345) == "12.3%"
-        assert format_percent(12.345, digits=2) == "12.35%"
