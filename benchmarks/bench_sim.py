@@ -1,9 +1,12 @@
-"""Micro-benchmarks for the simulation engine and the network-flow attack.
+"""Micro-benchmarks for the simulation engine, the network-flow attack and PPA.
 
 Measures ``simulate``, ``output_error_rate`` / ``hamming_distance`` and the
 attack cost-matrix construction on the seed-equivalent legacy path versus the
-compiled engine, and the attack's per-sink driver choice by ring walk versus
-the dense per-sink pass (``network_flow_choice``), and writes a
+compiled engine, the attack's per-sink driver choice by ring walk versus
+the dense per-sink pass (``network_flow_choice``), the network-flow
+recovery as an overlay versus copy + rebuild + compile (``nf_recovery``),
+and ``evaluate_ppa`` on the integer netlist view versus the per-object STA
+and power walks of ``tests/timing_oracle.py`` (``ppa``), and writes a
 ``BENCH_sim.json`` perf-trajectory artifact (wall-clock seconds plus derived
 throughput) so future PRs can track regressions::
 
@@ -37,25 +40,38 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 # The seed-equivalent references and the per-gate simulator are test oracles.
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 
-from attack_oracle import cheapest_drivers, direction_penalty, visible_reachability  # noqa: E402
+import timing_oracle  # noqa: E402
+from attack_oracle import (  # noqa: E402
+    cheapest_drivers,
+    direction_penalty,
+    rebuild_netlist,
+    visible_reachability,
+)
 from graph_oracle import netlist_to_digraph  # noqa: E402
-from sim_oracle import simulate_reference  # noqa: E402
+from sim_oracle import plan_fields, simulate_reference  # noqa: E402
 from repro.attacks import network_flow  # noqa: E402
 from repro.attacks.network_flow import (  # noqa: E402
     NetworkFlowAttackConfig,
     build_cost_matrix,
     network_flow_attack,
 )
+from repro.api.registry import DEFENSES, ensure_builtins  # noqa: E402
 from repro.circuits import iscas85_netlist  # noqa: E402
+from repro.circuits.registry import get_benchmark  # noqa: E402
 from repro.core import ProtectionConfig, protect  # noqa: E402
+from repro.core.flow import PPAReport, evaluate_ppa  # noqa: E402
 from repro.netlist import engine  # noqa: E402
+from repro.netlist.graph import has_combinational_loop  # noqa: E402
 from repro.netlist.simulate import (  # noqa: E402
     _resolved_inputs,
     _shared_input_patterns,
+    error_rate_and_hamming,
     hamming_distance,
     output_error_rate,
     simulate,
 )
+from repro.timing.power import estimate_power  # noqa: E402
+from repro.timing.sta import static_timing_analysis  # noqa: E402
 from repro.sm.split import extract_feol  # noqa: E402
 
 
@@ -336,20 +352,16 @@ def bench_attack(repeat: int) -> Dict[str, Dict]:
     import numpy as np
 
     # Each sink's cheapest driver: the ring walk over the driver grid against
-    # the dense per-sink pass it replaced (row blocks against every driver,
-    # on the thread pool).
+    # the dense per-sink pass it replaced (row blocks against every driver).
     kernel = network_flow._CostKernel(view, config)
     every_driver = np.arange(len(view.driver_vpins))[None, :]
 
     def dense_choice():
         choice = np.empty(len(view.sink_vpins), dtype=np.intp)
-
-        def fill(lo, hi):
+        for lo in range(0, len(choice), network_flow._BLOCK_ROWS):
+            hi = min(lo + network_flow._BLOCK_ROWS, len(choice))
             block = kernel.pairs(np.arange(lo, hi)[:, None], every_driver)[0]
             choice[lo:hi] = cheapest_drivers(block)
-            return 0
-
-        network_flow._run_blocks(len(choice), fill)
         return choice
 
     scored = []
@@ -369,7 +381,6 @@ def bench_attack(repeat: int) -> Dict[str, Dict]:
     results["network_flow_choice"] = {
         "ring_walk_s": round(ring_time, 6),
         "dense_s": round(dense_time, 6),
-        "dense_workers": network_flow._WORKERS,
         "pairs": int(pairs),
         "pairs_scored": int(sum(scored)),
         "speedup": round(dense_time / ring_time, 2),
@@ -379,6 +390,95 @@ def bench_attack(repeat: int) -> Dict[str, Dict]:
     vec_costs, vec_excluded = build_cost_matrix(view, config)
     assert seed_excluded == vec_excluded
     assert np.allclose(seed_costs, vec_costs, rtol=1e-12, atol=1e-9)
+
+    results["nf_recovery"] = {
+        "c432_proposed_M4": _bench_recovery(view, config, repeat),
+        "superblue18_0.0025_M4": _bench_recovery(
+            extract_feol(_original_layout("superblue18", 0.0025), 4), config, repeat),
+    }
+    return results
+
+
+def _original_layout(benchmark: str, scale: Optional[float]):
+    ensure_builtins()
+    entry = DEFENSES.get("original")
+    netlist = get_benchmark(benchmark, seed=1, scale=scale)
+    return entry.fn(netlist, entry.make_params(), 1).layout
+
+
+def _bench_recovery(view, config, repeat: int) -> Dict[str, object]:
+    """One network-flow recovery, compiled: the overlay against a netlist
+    copy edited by ``attack_oracle.rebuild_netlist``.  Asserts the same plan
+    and the same OER/HD."""
+    netlist = view.layout.netlist
+    chosen = network_flow._CostKernel(view, config).cheapest_drivers()
+
+    def overlay():
+        recovery = network_flow._recovery(view, chosen)
+        return recovery, engine.compile_plan(recovery)
+
+    def copy_and_rebuild():
+        rebuilt = rebuild_netlist(view, chosen, netlist.copy(f"{netlist.name}_recovered"))
+        return rebuilt, engine.compile_plan(rebuilt)
+
+    recovery, plan = overlay()
+    rebuilt, expected = copy_and_rebuild()
+    assert plan_fields(plan) == plan_fields(expected)
+    assert error_rate_and_hamming(netlist, recovery, 512) == \
+        error_rate_and_hamming(netlist, rebuilt, 512)
+    overlay_time = _timeit(overlay, repeat)
+    copy_time = _timeit(copy_and_rebuild, repeat)
+    return {
+        "sinks": int(len(chosen)),
+        "gates": netlist.num_gates,
+        "overlay_compile_s": round(overlay_time, 6),
+        "copy_rebuild_compile_s": round(copy_time, 6),
+        "speedup": round(copy_time / overlay_time, 2),
+        "recovery_has_loop": has_combinational_loop(rebuilt),
+    }
+
+
+def _oracle_ppa(layout) -> PPAReport:
+    """``evaluate_ppa`` as it was: name dicts from the routing, then the
+    per-object STA and power walks."""
+    lengths, layers = layout.net_lengths_um(), layout.net_top_layers()
+    timing = timing_oracle.static_timing_analysis(layout.netlist, lengths, layers)
+    power = timing_oracle.estimate_power(layout.netlist, lengths, layers)
+    return PPAReport(
+        area_um2=layout.die_area_um2(),
+        power_uw=power.total_uw,
+        delay_ps=timing.critical_path_ps,
+        wirelength_um=layout.total_wirelength_um(),
+    )
+
+
+def bench_ppa(repeat: int) -> Dict[str, Dict]:
+    """``evaluate_ppa`` on the integer view against the per-object oracle,
+    on routed layouts; the full timing and power reports are asserted
+    equal.  The netlist's integer view is built once per netlist version
+    (``view_build_s``), as in the protection budget loop."""
+    from repro.netlist.arrays import NetlistArrays
+
+    results: Dict[str, Dict] = {}
+    for benchmark, scale in (("c1908", None), ("superblue18", 0.01)):
+        layout = _original_layout(benchmark, scale)
+        netlist = layout.netlist
+        lengths, layers = layout.net_lengths_um(), layout.net_top_layers()
+        assert static_timing_analysis(netlist, lengths, layers) == \
+            timing_oracle.static_timing_analysis(netlist, lengths, layers)
+        assert estimate_power(netlist, lengths, layers) == \
+            timing_oracle.estimate_power(netlist, lengths, layers)
+        assert evaluate_ppa(layout) == _oracle_ppa(layout)
+        ours = _timeit(lambda: evaluate_ppa(layout), repeat)
+        oracle = _timeit(lambda: _oracle_ppa(layout), repeat)
+        key = benchmark if scale is None else f"{benchmark}_{scale}"
+        results[key] = {
+            "gates": netlist.num_gates,
+            "evaluate_ppa_s": round(ours, 6),
+            "per_object_oracle_s": round(oracle, 6),
+            "view_build_s": round(_timeit(lambda: NetlistArrays(netlist), repeat), 6),
+            "speedup": round(oracle / ours, 2),
+        }
     return results
 
 
@@ -401,6 +501,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     sim_results = bench_simulation(args.benchmark, args.patterns, args.repeat)
     attack_results = bench_attack(args.repeat)
+    ppa_results = bench_ppa(args.repeat)
 
     def speedup(baseline: str, contender: str, table: Dict[str, Dict]) -> float:
         return round(
@@ -423,6 +524,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         },
         "simulation": sim_results,
         "attack": attack_results,
+        "ppa": ppa_results,
         "speedups_vs_seed": {
             "simulate": speedup("simulate_seed_equivalent", "simulate_engine_warm", sim_results),
             "oer_warm": speedup("oer_seed_equivalent", "oer_engine_warm", sim_results),

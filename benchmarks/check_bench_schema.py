@@ -33,7 +33,7 @@ HOST_KEYS = (
 SECTIONS = {
     "layout": ("configs", "largest_config_speedups"),
     "build": ("build_path", "seed_sweep", "seed_batch", "store"),
-    "sim": ("simulation", "attack", "speedups_vs_seed"),
+    "sim": ("simulation", "attack", "ppa", "speedups_vs_seed"),
 }
 
 #: Legacy top-level keys the meta block replaced; their reappearance means

@@ -2,8 +2,8 @@
 
 Every attack is registered under a stable name with a uniform signature
 ``fn(view, params) -> AttackOutcome``; the outcome normalises what the
-downstream metrics need (assignment, recovered netlist) while keeping the
-attack's native result reachable via ``raw``.
+downstream metrics need (assignment, recovery) while keeping the attack's
+native result reachable via ``raw``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from repro.api.registry import ATTACKS
 from repro.attacks.crouting import CRoutingAttackConfig, crouting_attack
 from repro.attacks.network_flow import NetworkFlowAttackConfig, network_flow_attack
 from repro.attacks.proximity import proximity_attack
+from repro.netlist.arrays import NetlistOverlay
 from repro.netlist.netlist import Netlist
 from repro.sm.split import FEOLView
 
@@ -31,10 +32,17 @@ class AttackOutcome:
     attack: str
     #: Sink-vpin → driver-vpin assignment (empty for non-assigning attacks).
     assignment: Dict[int, int] = field(default_factory=dict)
-    #: Netlist the attacker reconstructed (``None`` when not applicable).
-    recovered_netlist: Optional[Netlist] = None
+    #: What the attacker reconstructed, as an overlay on the layout's
+    #: netlist (``None`` when not applicable); the security metric
+    #: simulates it as it stands.
+    recovery: Optional[NetlistOverlay] = None
     #: The attack's native result object.
     raw: object = None
+
+    @property
+    def recovered_netlist(self) -> Optional[Netlist]:
+        """The recovery as a :class:`Netlist`, built on first read."""
+        return None if self.recovery is None else self.recovery.netlist()
 
 
 @ATTACKS.register("proximity", params=ProximityAttackParams,
@@ -51,7 +59,7 @@ def run_network_flow(view: FEOLView, params: NetworkFlowAttackConfig) -> AttackO
     return AttackOutcome(
         "network_flow",
         assignment=dict(result.assignment),
-        recovered_netlist=result.recovered_netlist,
+        recovery=result.recovery,
         raw=result,
     )
 

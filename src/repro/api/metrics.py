@@ -97,7 +97,7 @@ def metric_security(view: FEOLView, outcome: AttackOutcome,
     )
     patterns = params.num_patterns if params.num_patterns is not None else ctx.num_patterns
     report = evaluate_attack(
-        view, outcome.assignment, outcome.recovered_netlist,
+        view, outcome.assignment, outcome.recovery,
         restrict_to_protected=restrict, num_patterns=patterns, seed=ctx.seed,
     )
     return {

@@ -33,21 +33,22 @@ distance and an infeasible one exactly ``infeasible_cost``, so once a
 sink's best cost is below ``infeasible_cost`` no driver beyond that
 distance (plus a rounding slack) can win or tie.  The walk scores a few per
 cent of the sink x driver pairs with the same per-element operations as
-the matrix.  The recovered netlist is rebuilt from the assignment so OER/HD
-can be measured.
+the matrix.  The recovery is the layout's netlist with every cut sink moved
+to the net of its assigned driver, kept as a
+:class:`~repro.netlist.arrays.NetlistOverlay` (override columns, no netlist
+copy) that OER/HD simulate directly; the recovered ``Netlist`` is built
+only when a caller reads it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.netlist.arrays import NetlistOverlay, netlist_arrays
 from repro.netlist.graph import transitive_closure
 from repro.netlist.netlist import Netlist
 from repro.sm.split import FEOLView, feol_arrays
@@ -90,9 +91,16 @@ class NetworkFlowAttackResult:
     """Outcome of the attack."""
 
     assignment: Dict[int, int] = field(default_factory=dict)
-    recovered_netlist: Optional[Netlist] = None
+    #: The attacker's netlist: the layout's netlist with every cut sink
+    #: moved to its assigned driver's net.
+    recovery: Optional[NetlistOverlay] = None
     num_sinks: int = 0
     num_drivers: int = 0
+
+    @property
+    def recovered_netlist(self) -> Optional[Netlist]:
+        """The recovery as a :class:`Netlist`, built on first read."""
+        return None if self.recovery is None else self.recovery.netlist()
 
     def recovered_pairs(self) -> Dict[int, int]:
         return dict(self.assignment)
@@ -113,51 +121,6 @@ _BLOCK_ROWS = 32
 _SLACK = 1e-6
 
 _INVALID_COSTS = "cost matrix has a NaN or -inf entry or a row without a finite cost"
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-#: Threads computing the blocks of :func:`build_cost_matrix`.  NumPy ufuncs
-#: release the GIL and blocks write disjoint rows, so blocks run in parallel
-#: on every CPU the process may use; with one CPU they run inline.
-_WORKERS = _cpu_count()
-_EXECUTOR: Optional[ThreadPoolExecutor] = None
-_EXECUTOR_LOCK = threading.Lock()
-
-
-def _drop_executor() -> None:
-    # A forked child inherits the executor object but not its threads.
-    global _EXECUTOR, _EXECUTOR_LOCK
-    _EXECUTOR = None
-    _EXECUTOR_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_executor)
-
-
-def _executor() -> ThreadPoolExecutor:
-    global _EXECUTOR
-    with _EXECUTOR_LOCK:
-        if _EXECUTOR is None:
-            _EXECUTOR = ThreadPoolExecutor(
-                max_workers=_WORKERS, thread_name_prefix="network-flow"
-            )
-        return _EXECUTOR
-
-
-def _run_blocks(num_rows: int, fill: Callable[[int, int], int]) -> int:
-    """Call ``fill(lo, hi)`` on every row block; return the summed results."""
-    bounds = [(lo, min(lo + _BLOCK_ROWS, num_rows))
-              for lo in range(0, num_rows, _BLOCK_ROWS)]
-    if _WORKERS <= 1 or len(bounds) <= 1:
-        return sum(fill(lo, hi) for lo, hi in bounds)
-    return sum(_executor().map(lambda bound: fill(*bound), bounds))
 
 
 def _loop_bitmap(view: FEOLView) -> Tuple[Dict[str, int], np.ndarray]:
@@ -375,12 +338,12 @@ def build_cost_matrix(view: FEOLView,
     kernel = _CostKernel(view, config)
     costs = np.empty((num_sinks, num_drivers))
     every_driver = np.arange(num_drivers)[None, :]
-
-    def fill(lo: int, hi: int) -> int:
+    excluded = 0
+    for lo in range(0, num_sinks, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, num_sinks)
         costs[lo:hi], infeasible = kernel.pairs(np.arange(lo, hi)[:, None], every_driver)
-        return int(np.count_nonzero(infeasible))
-
-    return costs, _run_blocks(num_sinks, fill)
+        excluded += int(np.count_nonzero(infeasible))
+    return costs, excluded
 
 
 def _driver_capacities(view: FEOLView, config: NetworkFlowAttackConfig) -> np.ndarray:
@@ -413,7 +376,7 @@ def network_flow_attack(view: FEOLView,
     """Run the network-flow attack on a FEOL view.
 
     Returns an assignment of every open sink vpin to an open driver vpin plus
-    the recovered netlist (the attacker's best guess of the full design).
+    the recovery (the attacker's best guess of the full design).
     """
     config = config if config is not None else NetworkFlowAttackConfig()
     arrays = feol_arrays(view)
@@ -421,9 +384,7 @@ def network_flow_attack(view: FEOLView,
         num_sinks=len(arrays.sink_ids), num_drivers=len(arrays.driver_ids)
     )
     if not result.num_drivers or not result.num_sinks:
-        result.recovered_netlist = view.layout.netlist.copy(
-            f"{view.layout.netlist.name}_recovered"
-        )
+        result.recovery = _recovery(view, None)
         return result
 
     capacities = _driver_capacities(view, config)
@@ -432,11 +393,60 @@ def network_flow_attack(view: FEOLView,
         choice = _exact_assignment(build_cost_matrix(view, config)[0], capacities)
     result.assignment = dict(zip(arrays.sink_ids.tolist(),
                                  arrays.driver_ids[choice].tolist()))
-    netlist = view.layout.netlist
-    result.recovered_netlist = _rebuild_netlist(
-        view, choice, netlist.copy(f"{netlist.name}_recovered")
-    )
+    result.recovery = _recovery(view, choice)
     return result
+
+
+def _recovery(view: FEOLView, choice: Optional[np.ndarray]) -> NetlistOverlay:
+    """The attacker's netlist given the driver row ``choice[s]`` of every
+    sink row ``s`` (``None``: nothing assigned, the netlist unchanged).
+
+    The attacker starts from the FEOL-visible connectivity (the layout's
+    netlist minus the cut connections) and connects every open sink to the
+    FEOL net of the driver vpin it was assigned to, in sink-row order.  A
+    gate sink whose driver has no net is left dangling; a primary-output
+    sink whose driver has no net keeps its net.  Assignments are not
+    re-checked: the loop hint acts only through the costs, so a recovery
+    can contain combinational loops.
+    """
+    netlist = view.layout.netlist
+    sink_rows: List[int] = []
+    sink_nets: List[int] = []
+    po_rows: List[int] = []
+    po_nets: List[int] = []
+    name = f"{netlist.name}_recovered"
+    if choice is None:
+        return NetlistOverlay(netlist, name, sink_rows, sink_nets, po_rows, po_nets)
+    feol = feol_arrays(view)
+    base = netlist_arrays(netlist)
+    # FEOL name tables -> the netlist's indices; -1 stays -1.
+    net_of = np.asarray([base.net_id[net] for net in feol.net_names] + [-1],
+                        dtype=np.int64)
+    gate_of = np.asarray([base.gate_id[gate] for gate in feol.gate_names] + [-1],
+                         dtype=np.int64)
+    target = net_of[feol.driver_net_idx[choice]]
+    gates = gate_of[feol.sink_gate_idx]
+    on_gate = gates >= 0
+    # Fan-in row of every gate sink: its gate's first row plus the pin's
+    # position in the cell, looked up once per (cell, pin) pair.
+    gates = gates[on_gate]
+    num_pins = len(feol.pin_names)
+    pairs, pair_of = np.unique(base.gate_cell[gates] * num_pins + feol.sink_pin_idx[on_gate],
+                               return_inverse=True)
+    position = np.asarray([
+        base.cells[cell].input_position[feol.pin_names[pin]]
+        for cell, pin in zip((pairs // num_pins).tolist(), (pairs % num_pins).tolist())
+    ], dtype=np.int64)
+    sink_rows = (base.fanin_start[gates] + position[pair_of]).tolist()
+    sink_nets = target[on_gate].tolist()
+    # Primary-output sinks (pin = output name) that name a primary output.
+    po_position = {po: i for i, po in enumerate(base.primary_outputs)}
+    for pin, net in zip(feol.sink_pin_idx[~on_gate].tolist(), target[~on_gate].tolist()):
+        pin_name = feol.pin_names[pin] if pin >= 0 else None
+        if pin_name in po_position:
+            po_rows.append(po_position[pin_name])
+            po_nets.append(net)
+    return NetlistOverlay(netlist, name, sink_rows, sink_nets, po_rows, po_nets)
 
 
 def _exact_assignment(costs: np.ndarray, capacities: np.ndarray) -> np.ndarray:
@@ -510,41 +520,3 @@ def _exact_assignment(costs: np.ndarray, capacities: np.ndarray) -> np.ndarray:
             if i == cur_row:
                 break
     return slot_driver[col4row]
-
-
-def _rebuild_netlist(view: FEOLView, choice: np.ndarray,
-                     recovered: Netlist) -> Netlist:
-    """Reconstruct the attacker's netlist from the driver row ``choice[s]``
-    chosen for every sink row ``s``.
-
-    The attacker starts from the FEOL-visible connectivity (which equals the
-    layout's netlist minus the cut connections) and connects every open sink
-    to the FEOL net of the driver vpin it was assigned to.  ``recovered`` is
-    a fresh copy of the layout's netlist, edited in place and returned.
-    """
-    arrays = feol_arrays(view)
-    gate_names, pin_names, net_names = (
-        arrays.gate_names, arrays.pin_names, arrays.net_names
-    )
-    # The copied netlist still contains the true BEOL connections; the attacker
-    # does not know them, so every cut sink is first detached and then attached
-    # to whatever net the attack assigned, or left dangling when the assigned
-    # driver has no net.  Assignments are not re-checked here: the loop hint
-    # acts only through the cost matrix, so a recovered netlist can contain
-    # combinational loops.
-    for gate_idx, pin_idx, net_idx in zip(arrays.sink_gate_idx.tolist(),
-                                          arrays.sink_pin_idx.tolist(),
-                                          arrays.driver_net_idx[choice].tolist()):
-        pin = pin_names[pin_idx] if pin_idx >= 0 else None
-        target_net = net_names[net_idx] if net_idx >= 0 else None
-        if gate_idx < 0:
-            # Primary-output sink.
-            if pin is not None and pin in recovered.primary_outputs:
-                if target_net is not None:
-                    recovered.retarget_primary_output(pin, target_net)
-            continue
-        gate = gate_names[gate_idx]
-        recovered.disconnect_pin(gate, pin)
-        if target_net is not None:
-            recovered.connect_pin(gate, pin, target_net)
-    return recovered

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.lifting import build_naive_lifted_layout
 from repro.core.randomizer import RandomizationResult, RandomizerConfig, randomize_netlist
 from repro.core.restore import build_protected_layout
@@ -27,9 +29,10 @@ from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.layout import Layout, build_layout
 from repro.layout.placer import PlacerConfig
 from repro.layout.router import RouterConfig
+from repro.netlist.arrays import netlist_arrays
 from repro.netlist.netlist import Netlist
-from repro.timing.power import estimate_power
-from repro.timing.sta import static_timing_analysis
+from repro.timing.power import power_pass
+from repro.timing.sta import net_wires, timing_pass, wire_lengths
 
 
 @dataclass
@@ -124,11 +127,26 @@ class ProtectionResult:
 
 
 def evaluate_ppa(layout: Layout) -> PPAReport:
-    """Measure area, power and critical-path delay of a routed layout."""
-    net_lengths = layout.net_lengths_um()
-    net_layers = layout.net_top_layers()
-    timing = static_timing_analysis(layout.netlist, net_lengths, net_layers)
-    power = estimate_power(layout.netlist, net_lengths, net_layers)
+    """Measure area, power and critical-path delay of a routed layout.
+
+    The STA and power passes read each routed net's length and top layer
+    straight from the routing columns (nets it does not route get the
+    fanout estimate), on the netlist's integer view.
+    """
+    arrays = netlist_arrays(layout.netlist)
+    routing = layout.routing
+    nets = routing.net_index
+    if routing.net_names != arrays.net_names:
+        known = arrays.net_id
+        nets = np.asarray([known.get(routing.net_names[i], -1) for i in nets.tolist()],
+                          dtype=np.int64)
+    routed = nets >= 0
+    length, layer = wire_lengths(arrays)
+    length[nets[routed]] = routing.net_lengths()[routed]
+    layer[nets[routed]] = routing.net_top_layers()[routed]
+    wires = net_wires(arrays, length, layer)
+    timing = timing_pass(arrays, wires)
+    power = power_pass(arrays, wires)
     return PPAReport(
         area_um2=layout.die_area_um2(),
         power_uw=power.total_uw,

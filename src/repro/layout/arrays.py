@@ -55,6 +55,7 @@ from typing import (
 import numpy as np
 
 from repro.layout.geometry import Point
+from repro.netlist.arrays import group_sum
 from repro.netlist.netlist import Netlist
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -618,34 +619,6 @@ def _fast_point(x: float, y: float) -> Point:
     return point
 
 
-def _group_sum(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Per-group **left-fold** float sums over CSR ``bounds``.
-
-    Bit-exact with ``sum(values[start:stop])`` in Python for every group:
-    ``np.add.reduceat`` (and ``np.sum``) use unrolled/pairwise accumulation
-    that reorders the additions from four elements up, so instead the fold
-    runs one vectorized ``+=`` per element *rank* — every group accumulates
-    its elements strictly left to right, starting from 0.0, exactly like the
-    per-object ``sum()`` loops this replaces.  Groups are processed sorted by
-    size so each rank's pass touches only the still-active groups; the total
-    work is ``O(len(values))`` element additions.
-    """
-    counts = np.diff(bounds)
-    n = len(counts)
-    acc = np.zeros(n, dtype=np.float64)
-    if n == 0 or values.size == 0:
-        return acc
-    order = np.argsort(counts, kind="stable")
-    sorted_counts = counts[order]
-    sorted_starts = bounds[:-1][order]
-    for rank in range(int(sorted_counts[-1])):
-        lo = int(np.searchsorted(sorted_counts, rank, side="right"))
-        # Each active group appears exactly once per rank, so the fancy-index
-        # in-place add is well-defined (no duplicate destination indices).
-        acc[order[lo:]] += values[sorted_starts[lo:] + rank]
-    return acc
-
-
 def _group_max(values: np.ndarray, bounds: np.ndarray,
                floor: int) -> np.ndarray:
     """Per-group integer maxima over CSR ``bounds`` (empty groups → ``floor``).
@@ -949,21 +922,22 @@ class RoutingArrays(Mapping):
         }
 
     # -- array-native reductions --------------------------------------------
+    def segment_lengths(self) -> np.ndarray:
+        """Length of every segment, the ``|dx| + |dy|`` expression
+        ``Segment.length`` evaluates."""
+        return np.abs(self.seg_x2 - self.seg_x1) + np.abs(self.seg_y2 - self.seg_y1)
+
     def connection_lengths(self) -> np.ndarray:
         """Routed length per connection — bit-exact with the object-walk
         ``sum(segment.length for segment in connection.segments)`` (cached)."""
         if self._conn_lengths is None:
-            seg_length = (
-                np.abs(self.seg_x2 - self.seg_x1)
-                + np.abs(self.seg_y2 - self.seg_y1)
-            )
-            self._conn_lengths = _group_sum(seg_length, self.seg_starts)
+            self._conn_lengths = group_sum(self.segment_lengths(), self.seg_starts)
         return self._conn_lengths
 
     def net_lengths(self) -> np.ndarray:
         """Routed length per net, in iteration order — bit-exact with
         ``RoutedNet.length``."""
-        return _group_sum(self.connection_lengths(), self.conn_starts)
+        return group_sum(self.connection_lengths(), self.conn_starts)
 
     def net_top_layers(self) -> np.ndarray:
         """Topmost layer per net (segments, vias, driver vias; floor 1) —
@@ -1124,10 +1098,7 @@ class LayoutArrays:
             placement=base,
             routing=routing,
             seg_layer=routing.seg_layer,
-            seg_length=(
-                np.abs(routing.seg_x2 - routing.seg_x1)
-                + np.abs(routing.seg_y2 - routing.seg_y1)
-            ),
+            seg_length=routing.segment_lengths(),
             seg_net=np.repeat(net_ids, seg_per_net),
             via_lower=via_lower,
             via_net=np.repeat(net_ids, dvia_per_net + cvia_per_net),

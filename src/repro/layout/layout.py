@@ -136,8 +136,9 @@ class Layout:
     # Wirelength / via accounting
     # ------------------------------------------------------------------
     def total_wirelength_um(self) -> float:
-        arrays = self.arrays()
-        return float(arrays.seg_length.sum()) if arrays.seg_length.size else 0.0
+        """Routed wirelength (µm), summed straight off the routing columns."""
+        lengths = self.routing.segment_lengths()
+        return float(lengths.sum()) if lengths.size else 0.0
 
     def wirelength_by_layer(self) -> Dict[int, float]:
         """Routed wirelength per metal layer (µm) — one bincount pass."""

@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.netlist.netlist import Netlist
+from repro.netlist.engine import PlanSource
 from repro.netlist.simulate import error_rate_and_hamming
 from repro.sm.split import FEOLView, feol_arrays
 
@@ -85,15 +85,17 @@ def correct_connection_rate(view: FEOLView, assignment: Mapping[int, int],
 
 
 def evaluate_attack(view: FEOLView, assignment: Mapping[int, int],
-                    recovered_netlist: Optional[Netlist],
+                    recovered_netlist: Optional[PlanSource],
                     restrict_to_protected: bool = False,
                     num_patterns: int = 2048,
                     seed: int = 0) -> SecurityReport:
     """Compute the full CCR / OER / HD report for one attack run.
 
     The OER and HD compare the layout's true netlist against the attacker's
-    recovered netlist; when no recovered netlist is available (e.g. the
-    routing-centric attack) they are reported as 0.
+    recovered netlist, a :class:`~repro.netlist.netlist.Netlist` or a
+    :class:`~repro.netlist.arrays.NetlistOverlay` (simulated without
+    building the netlist); when none is available (e.g. the routing-centric
+    attack) they are reported as 0.
     """
     ccr = correct_connection_rate(view, assignment, restrict_to_protected)
     oer = 0.0

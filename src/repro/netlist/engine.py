@@ -8,8 +8,13 @@ of :func:`~repro.netlist.graph.pseudo_topological_order`.  The plan runs as a
 program over packed Python bigints (bit *i* of a net's value is the net's
 value under pattern *i*); see :func:`run_plan_bigints`.
 
-Plans are cached per netlist, keyed on :attr:`Netlist.topology_version`, so
-any structural edit transparently invalidates the cache.  The op list
+A plan is compiled from the netlist's integer view
+(:class:`~repro.netlist.arrays.NetlistArrays`), or from a
+:class:`~repro.netlist.arrays.NetlistOverlay` (a netlist with some sinks
+moved, such as a network-flow recovery) through its override columns,
+without building the edited netlist.  Plans are cached per netlist or
+overlay, keyed on ``topology_version``, so any structural edit
+transparently invalidates the cache.  The op list
 replays the statement sequence of a per-gate interpreter that calls each
 cell's ``function`` in that order (the reference simulator of the equivalence
 tests, ``tests/sim_oracle.py``), so execution is **bit-exact** with it, also
@@ -25,10 +30,13 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.netlist.graph import pseudo_topological_order
+from repro.netlist.arrays import NetlistOverlay, netlist_arrays
 from repro.netlist.netlist import Gate, Netlist
+
+#: What a plan is compiled from: a netlist, or a netlist with sinks moved.
+PlanSource = Union[Netlist, NetlistOverlay]
 
 
 class UnsupportedNetlist(RuntimeError):
@@ -78,38 +86,47 @@ class _UnsupportedMarker:
     message: str
 
 
-_PLAN_CACHE: "weakref.WeakKeyDictionary[Netlist, object]" = weakref.WeakKeyDictionary()
+_PLAN_CACHE: "weakref.WeakKeyDictionary[PlanSource, object]" = weakref.WeakKeyDictionary()
 
 
-def plan_input_names(netlist: Netlist) -> List[str]:
-    """Primary inputs plus sequential-cell outputs (pseudo primary inputs)."""
-    names = list(netlist.primary_inputs)
-    for gate in netlist.gates.values():
+def plan_input_names(source: PlanSource) -> List[str]:
+    """Primary inputs plus sequential-cell outputs (pseudo primary inputs).
+
+    A netlist's are read off its gates (no integer view is built for a
+    netlist that is only asked for its inputs); an overlay's are its
+    snapshot's, which moving sinks never changes.
+    """
+    if isinstance(source, NetlistOverlay):
+        net_names = source.arrays.net_names
+        return [net_names[net] for net in source.arrays.input_nets]
+    names = list(source.primary_inputs)
+    for gate in source.gates.values():
         if gate.cell.is_sequential:
-            net = netlist.gate_output_net(gate.name)
+            net = source.gate_output_net(gate.name)
             if net is not None:
                 names.append(net)
     return names
 
 
-def compile_plan(netlist: Netlist) -> SimPlan:
-    """Return the (cached) evaluation plan for ``netlist``.
+def compile_plan(source: PlanSource) -> SimPlan:
+    """Return the (cached) evaluation plan for ``source``, a netlist or a
+    :class:`~repro.netlist.arrays.NetlistOverlay`.
 
     Raises:
         UnsupportedNetlist: When a combinational cell carries no
             ``logic_ops`` metadata and therefore cannot be compiled.
     """
-    cached = _PLAN_CACHE.get(netlist)
-    if cached is not None and cached.version == netlist.topology_version:
+    cached = _PLAN_CACHE.get(source)
+    if cached is not None and cached.version == source.topology_version:
         if isinstance(cached, _UnsupportedMarker):
             raise UnsupportedNetlist(cached.message)
         return cached
     try:
-        plan = _compile(netlist)
+        plan = _compile(source)
     except UnsupportedNetlist as error:
-        _PLAN_CACHE[netlist] = _UnsupportedMarker(netlist.topology_version, str(error))
+        _PLAN_CACHE[source] = _UnsupportedMarker(source.topology_version, str(error))
         raise
-    _PLAN_CACHE[netlist] = plan
+    _PLAN_CACHE[source] = plan
     return plan
 
 
@@ -145,25 +162,46 @@ def gate_arcs(
     return arcs
 
 
-def _compile(netlist: Netlist) -> SimPlan:
-    net_slot = {name: i for i, name in enumerate(netlist.nets)}
-    x_slot = len(net_slot)
-    input_names = plan_input_names(netlist)
-    input_slots = [(name, net_slot[name]) for name in input_names]
+def _compile(source: PlanSource) -> SimPlan:
+    if isinstance(source, NetlistOverlay):
+        arrays = source.arrays
+        fanin_net, po_net, order = source.fanin_net, source.po_net, source.pseudo_order()
+    else:
+        arrays = netlist_arrays(source)
+        fanin_net, po_net, order = arrays.fanin_net, arrays.po_net, arrays.pseudo_order()
+    net_names = arrays.net_names
+    x_slot = len(net_names)
+    input_slots = [(net_names[net], net) for net in arrays.input_nets]
     value_slots: List[Tuple[str, int]] = list(input_slots)
     arc_program: List[Tuple[str, Tuple[int, ...], int]] = []
-    gates = netlist.gates
-    for gate_name in pseudo_topological_order(netlist):
-        gate = gates[gate_name]
-        if gate.cell.is_sequential:
-            continue
-        for kind, _in_pins, in_slots, out_slot, out_net in gate_arcs(gate, net_slot, x_slot):
-            value_slots.append((out_net, out_slot))
-            arc_program.append((kind, in_slots, out_slot))
+    # One extra fan-in slot reads X: a logic_ops pin the cell lacks.
+    slots = [x_slot if net < 0 else net for net in fanin_net.tolist()] + [x_slot]
+    missing = len(slots) - 1
+    fanin_start = arrays.fanin_start.tolist()
+    fanout_start = arrays.fanout_start.tolist()
+    fanout_net = arrays.fanout_net.tolist()
+    gate_cell = arrays.gate_cell.tolist()
+    cells = arrays.cells
+    for gate in order:
+        table = cells[gate_cell[gate]]
+        if table.ops is None:
+            raise UnsupportedNetlist(
+                f"cell {table.cell.name!r} (gate {arrays.gate_names[gate]!r}) has "
+                "no logic_ops metadata; compiled simulation is unavailable"
+            )
+        first_in = fanin_start[gate]
+        first_out = fanout_start[gate]
+        for out_pos, kind, in_pos in table.ops:
+            out = fanout_net[first_out + out_pos] if out_pos >= 0 else -1
+            if out < 0:
+                continue
+            ins = tuple([slots[first_in + p if p >= 0 else missing] for p in in_pos])
+            value_slots.append((net_names[out], out))
+            arc_program.append((kind, ins, out))
 
     output_slots = [
-        (po, net_slot.get(netlist.output_nets[po], x_slot))
-        for po in netlist.primary_outputs
+        (po, x_slot if net < 0 else net)
+        for po, net in zip(arrays.primary_outputs, po_net.tolist())
     ]
     result_slots: List[int] = []
     seen_result: set = set()
@@ -176,8 +214,8 @@ def _compile(netlist: Netlist) -> SimPlan:
             seen_result.add(slot)
             result_slots.append(slot)
     return SimPlan(
-        netlist_name=netlist.name,
-        version=netlist.topology_version,
+        netlist_name=source.name,
+        version=source.topology_version,
         num_slots=x_slot + 1,
         x_slot=x_slot,
         input_slots=input_slots,

@@ -3,8 +3,9 @@
 The randomizer must guarantee that no driver→sink swap introduces a
 combinational loop (the paper notes that loops would reveal the modification
 to an attacker, as the network-flow attack explicitly excludes loop-forming
-candidates).  Everything here works on plain successor dicts or integer
-indices built straight from the netlist:
+candidates).  The orderings and loop checks read the netlist's integer view
+(:func:`repro.netlist.arrays.netlist_arrays`); the reachability helpers walk
+the netlist's fan-in/fan-out queries:
 
 * :func:`has_combinational_loop` / :func:`combinational_loops` — cycle checks
   restricted to combinational cells (flip-flops break cycles);
@@ -17,38 +18,16 @@ indices built straight from the netlist:
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
+import numpy as np
+
+from repro.netlist.arrays import NetlistArrays, netlist_arrays
 from repro.netlist.netlist import Netlist
 
 
 class CombinationalLoopError(ValueError):
     """Raised when an order or depth needs acyclic combinational logic."""
-
-
-def _kahn_order(netlist: Netlist) -> Tuple[List[str], Dict[str, Dict[str, None]], int]:
-    """Kahn's algorithm (FIFO queue) over the combinational gates.
-
-    Returns ``(order, successors, num_gates)``; ``order`` is shorter than
-    ``num_gates`` exactly when the combinational logic is cyclic.
-    """
-    successors, in_degree = _combinational_adjacency(netlist)
-    order = [name for name, degree in in_degree.items() if degree == 0]
-    for gate in order:  # ``order`` grows while walked: a FIFO queue.
-        for succ in successors[gate]:
-            in_degree[succ] -= 1
-            if in_degree[succ] == 0:
-                order.append(succ)
-    return order, successors, len(in_degree)
-
-
-def _acyclic_order(netlist: Netlist) -> Tuple[List[str], Dict[str, Dict[str, None]]]:
-    """:func:`_kahn_order`, raising :class:`CombinationalLoopError` on a cycle."""
-    order, successors, num_gates = _kahn_order(netlist)
-    if len(order) < num_gates:
-        raise CombinationalLoopError("combinational logic contains a cycle")
-    return order, successors
 
 
 def combinational_loops(netlist: Netlist) -> List[List[str]]:
@@ -59,34 +38,36 @@ def combinational_loops(netlist: Netlist) -> List[List[str]]:
     Only one cycle is reported: enumerating all simple cycles can blow up and
     callers only need to know *whether* and *where* a loop exists.
     """
-    order, successors, num_gates = _kahn_order(netlist)
-    if len(order) == num_gates:
+    arrays = netlist_arrays(netlist)
+    order, succ_start, succ = arrays.kahn()
+    if arrays.is_acyclic():
         return []
     # Every gate Kahn could not peel has an unpeeled predecessor, so walking
     # predecessors from any of them must revisit a gate: that walk is a cycle.
     peeled = set(order)
-    predecessor: Dict[str, str] = {}
-    for gate, fanout in successors.items():
+    starts = succ_start.tolist()
+    targets = succ.tolist()
+    predecessor: Dict[int, int] = {}
+    for gate in np.flatnonzero(~arrays.sequential).tolist():
         if gate in peeled:
             continue
-        for succ in fanout:
-            if succ not in peeled:
-                predecessor.setdefault(succ, gate)
+        for nxt in targets[starts[gate]:starts[gate + 1]]:
+            if nxt not in peeled:
+                predecessor.setdefault(nxt, gate)
     gate = next(iter(predecessor))
-    walk: Dict[str, None] = {}
+    walk: Dict[int, None] = {}
     while gate not in walk:
         walk[gate] = None
         gate = predecessor[gate]
     path = list(walk)
     cycle = path[path.index(gate):]
     cycle.reverse()
-    return [cycle]
+    return [[arrays.gate_names[g] for g in cycle]]
 
 
 def has_combinational_loop(netlist: Netlist) -> bool:
     """True when the combinational portion of ``netlist`` contains a cycle."""
-    order, _successors, num_gates = _kahn_order(netlist)
-    return len(order) < num_gates
+    return not netlist_arrays(netlist).is_acyclic()
 
 
 def _reachable(start: str, step: Callable[[str], Iterable[str]]) -> Set[str]:
@@ -122,43 +103,25 @@ def transitive_fanin(netlist: Netlist, gate_name: str) -> Set[str]:
     return _reachable(gate_name, netlist.fanin_gates)
 
 
+def _sequential_gates(arrays: NetlistArrays) -> List[str]:
+    names = arrays.gate_names
+    return [names[g] for g in np.flatnonzero(arrays.sequential).tolist()]
+
+
 def topological_gate_order(netlist: Netlist) -> List[str]:
     """Return gate names in a valid combinational evaluation order.
 
     Sequential cells are placed first (their outputs act as pseudo-primary
     inputs for the combinational logic they feed).  The combinational gates
-    follow Kahn's algorithm with a FIFO queue.  Raises
+    follow Kahn's algorithm with a FIFO queue over the gate graph read nets
+    in insertion order, sinks in connection order.  Raises
     :class:`CombinationalLoopError` if the combinational logic is cyclic.
     """
-    sequential = [
-        name for name, gate in netlist.gates.items() if gate.cell.is_sequential
-    ]
-    return sequential + _acyclic_order(netlist)[0]
-
-
-def _combinational_adjacency(netlist: Netlist):
-    """Successor lists and in-degrees of the combinational gate graph.
-
-    Sequential cells are left out (they cut every cycle).  Iteration order —
-    gates in insertion order, nets in insertion order, sinks in connection
-    order, edges deduplicated on first insertion — is part of the contract:
-    the evaluation orders built on it are compared bit for bit.
-    """
-    successors: Dict[str, Dict[str, None]] = {
-        name: {} for name, gate in netlist.gates.items()
-        if not gate.cell.is_sequential
-    }
-    in_degree: Dict[str, int] = {name: 0 for name in successors}
-    for net in netlist.nets.values():
-        driver = net.driver
-        if driver is None or driver[0] not in successors:
-            continue
-        fanout = successors[driver[0]]
-        for sink_gate, _pin in net.sinks:
-            if sink_gate in in_degree and sink_gate not in fanout:
-                fanout[sink_gate] = None
-                in_degree[sink_gate] += 1
-    return successors, in_degree
+    arrays = netlist_arrays(netlist)
+    if not arrays.is_acyclic():
+        raise CombinationalLoopError("combinational logic contains a cycle")
+    names = arrays.gate_names
+    return _sequential_gates(arrays) + [names[g] for g in arrays.kahn()[0]]
 
 
 def pseudo_topological_order(netlist: Netlist) -> List[str]:
@@ -169,44 +132,12 @@ def pseudo_topological_order(netlist: Netlist) -> List[str]:
     broken greedily: gates are peeled off in Kahn order and, when only cyclic
     gates remain, the gate with the fewest unresolved fan-ins (ties broken by
     name) is emitted next; its unresolved inputs read as the simulator's
-    default value.  The candidates sit in a lazy min-heap of
-    ``(in_degree, name)`` entries, built at the first cycle break and fed on
-    every later in-degree decrement.  Degrees only fall, so an unscheduled
-    gate's current entry sorts before its stale ones: popping past the
-    entries of scheduled gates yields the gate a linear scan would pick.
+    default value.  Sequential gates come first.  The walk is
+    :func:`repro.netlist.arrays.pseudo_order` on the netlist's integer view.
     """
-    sequential = [
-        name for name, gate in netlist.gates.items() if gate.cell.is_sequential
-    ]
-    successors, in_degree = _combinational_adjacency(netlist)
-    ready = sorted((n for n, d in in_degree.items() if d == 0), reverse=True)
-    scheduled = set(ready)
-    order: List[str] = []
-    num_comb = len(in_degree)
-    heap: Optional[List[Tuple[int, str]]] = None
-    while len(order) < num_comb:
-        if not ready:
-            # Break a cycle: pick the unscheduled gate with the fewest open fanins.
-            if heap is None:
-                heap = [(d, n) for n, d in in_degree.items() if n not in scheduled]
-                heapq.heapify(heap)
-            victim = heapq.heappop(heap)[1]
-            while victim in scheduled:
-                victim = heapq.heappop(heap)[1]
-            scheduled.add(victim)
-            ready.append(victim)
-        gate = ready.pop()
-        order.append(gate)
-        for succ in successors[gate]:
-            if succ in scheduled:
-                continue
-            in_degree[succ] -= 1
-            if in_degree[succ] <= 0:
-                scheduled.add(succ)
-                ready.append(succ)
-            elif heap is not None:
-                heapq.heappush(heap, (in_degree[succ], succ))
-    return sequential + order
+    arrays = netlist_arrays(netlist)
+    names = arrays.gate_names
+    return _sequential_gates(arrays) + [names[g] for g in arrays.pseudo_order()]
 
 
 def gate_levels(netlist: Netlist) -> Dict[str, int]:
@@ -214,18 +145,17 @@ def gate_levels(netlist: Netlist) -> Dict[str, int]:
 
     Raises :class:`CombinationalLoopError` on cyclic combinational logic.
     """
-    order, successors = _acyclic_order(netlist)
-    levels = dict.fromkeys(order, 0)
-    for gate in order:
-        level = levels[gate] + 1
-        for succ in successors[gate]:
-            if levels[succ] < level:
-                levels[succ] = level
+    arrays = netlist_arrays(netlist)
+    levels = arrays.levels()
+    if levels is None:
+        raise CombinationalLoopError("combinational logic contains a cycle")
+    names = arrays.gate_names
+    order = arrays.kahn()[0]
+    result = dict(zip([names[g] for g in order], levels[order].tolist()))
     # Sequential gates sit at level 0 (treated as pseudo inputs).
-    for gate_name, gate in netlist.gates.items():
-        if gate.cell.is_sequential:
-            levels.setdefault(gate_name, 0)
-    return levels
+    for gate in _sequential_gates(arrays):
+        result.setdefault(gate, 0)
+    return result
 
 
 def transitive_closure(successors: Sequence[Iterable[int]]) -> List[int]:

@@ -8,7 +8,9 @@ bit-vector whose bit *i* is the net's value under pattern *i*.
 
 The metrics run on the compiled engine (:mod:`repro.netlist.engine`): the
 netlist is compiled once into a cached evaluation plan, executed as a program
-over packed bigints.  A netlist with a combinational cell whose
+over packed bigints.  The candidate of a metric may also be a
+:class:`~repro.netlist.arrays.NetlistOverlay` (a netlist with sinks moved,
+such as a network-flow recovery), compiled from its override columns.  A netlist with a combinational cell whose
 :attr:`~repro.netlist.cells.Cell.logic_ops` is ``None`` cannot be compiled;
 every entry point then raises
 :class:`~repro.netlist.engine.UnsupportedNetlist`.  The per-gate interpreter
@@ -76,7 +78,7 @@ def random_patterns(names: Sequence[str], num_patterns: int,
     return {name: rng.getrandbits(num_patterns) for name in names}
 
 
-def _input_names(netlist: Netlist) -> List[str]:
+def _input_names(netlist: "_engine.PlanSource") -> List[str]:
     """Primary inputs plus sequential outputs (pseudo primary inputs)."""
     return _engine.plan_input_names(netlist)
 
@@ -128,7 +130,7 @@ def simulate(netlist: Netlist, patterns: Optional[Mapping[str, int]] = None,
     )
 
 
-def _shared_input_patterns(reference: Netlist, candidate: Netlist,
+def _shared_input_patterns(reference: Netlist, candidate: "_engine.PlanSource",
                            num_patterns: int, seed: Optional[int]) -> Dict[str, int]:
     names = sorted(set(_input_names(reference)) | set(_input_names(candidate)))
     return random_patterns(names, num_patterns, seed)
@@ -146,7 +148,7 @@ def _plan_outputs(plan: "_engine.SimPlan", patterns: Mapping[str, int],
 
 
 def _output_pair(
-    reference: Netlist, candidate: Netlist, num_patterns: int,
+    reference: Netlist, candidate: "_engine.PlanSource", num_patterns: int,
     seed: Optional[int],
 ) -> Tuple[Dict[str, int], Dict[str, int]]:
     """Output bit-vectors of both netlists under shared patterns.
@@ -186,7 +188,7 @@ def _hamming(ref_outputs: Mapping[str, int], cand_outputs: Mapping[str, int],
     return 100.0 * differing / total_bits
 
 
-def output_error_rate(reference: Netlist, candidate: Netlist,
+def output_error_rate(reference: Netlist, candidate: "_engine.PlanSource",
                       num_patterns: int = DEFAULT_NUM_PATTERNS,
                       seed: Optional[int] = 0) -> float:
     """Output error rate (OER) of ``candidate`` with respect to ``reference``.
@@ -201,7 +203,7 @@ def output_error_rate(reference: Netlist, candidate: Netlist,
     return _error_rate(ref_outputs, cand_outputs, num_patterns)
 
 
-def hamming_distance(reference: Netlist, candidate: Netlist,
+def hamming_distance(reference: Netlist, candidate: "_engine.PlanSource",
                      num_patterns: int = DEFAULT_NUM_PATTERNS,
                      seed: Optional[int] = 0) -> float:
     """Average Hamming distance (HD, %) between the two netlists' outputs.
@@ -214,7 +216,7 @@ def hamming_distance(reference: Netlist, candidate: Netlist,
     return _hamming(ref_outputs, cand_outputs, num_patterns)
 
 
-def error_rate_and_hamming(reference: Netlist, candidate: Netlist,
+def error_rate_and_hamming(reference: Netlist, candidate: "_engine.PlanSource",
                            num_patterns: int = DEFAULT_NUM_PATTERNS,
                            seed: Optional[int] = 0) -> Tuple[float, float]:
     """``(OER, HD)`` from one simulation of each netlist.

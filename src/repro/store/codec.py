@@ -365,11 +365,13 @@ def _encode_routing(routing: RoutingArrays, gate_names: List[str],
 def _layout_record(layout: Layout, netlist: Netlist,
                    arrays: Dict[str, np.ndarray], prefix: str) -> Dict[str, Any]:
     placement = layout.placement
-    net_index = {name: i for i, name in enumerate(netlist.nets)}
-    try:
-        protected = sorted(net_index[name] for name in layout.protected_nets)
-    except KeyError as error:
-        raise UnstorableBuild(f"protected net {error} unknown to the netlist")
+    protected: List[int] = []
+    if layout.protected_nets:
+        net_index = {name: i for i, name in enumerate(netlist.nets)}
+        try:
+            protected = sorted(net_index[name] for name in layout.protected_nets)
+        except KeyError as error:
+            raise UnstorableBuild(f"protected net {error} unknown to the netlist")
     arrays[prefix + "protected_nets"] = np.asarray(protected, dtype=np.int64)
 
     floorplan = placement.floorplan

@@ -13,6 +13,15 @@ to match a sign-off tool; only the *relative* overhead of the protected
 layout versus the original matters for the paper's Fig. 6 and the PPA-budget
 loop, and that ratio is dominated by the extra wire capacitance of lifted
 nets, which this model captures directly.
+
+The model runs on the netlist's integer view
+(:class:`~repro.netlist.arrays.NetlistArrays`) as elementwise array
+expressions plus three sums: leakage and internal power over the gates in
+netlist order, switching power over the nets in netlist order.  Every sum
+is a left fold (``np.cumsum``, or :func:`repro.netlist.arrays.group_sum`
+for the per-net sink-pin loads), never ``np.add.reduce``/``reduceat``,
+which add pairwise, so reports are bit-identical to the per-object loops
+of the test oracle ``tests/timing_oracle.py``.
 """
 
 from __future__ import annotations
@@ -20,8 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+import numpy as np
+
+from repro.netlist.arrays import NetlistArrays, left_fold, netlist_arrays
 from repro.netlist.netlist import Netlist
-from repro.timing.sta import WireModel, _net_length, _sink_pin_cap
+from repro.timing.sta import NetWires, WireModel, net_wires, wire_lengths
 
 
 @dataclass
@@ -41,6 +53,39 @@ class PowerReport:
 DEFAULT_VDD_V = 0.95
 DEFAULT_FREQUENCY_MHZ = 500.0
 DEFAULT_TOGGLE_RATE = 0.2
+
+
+def power_pass(arrays: NetlistArrays, wires: NetWires,
+               toggle_rates: Optional[Mapping[str, float]] = None,
+               vdd_v: float = DEFAULT_VDD_V,
+               frequency_mhz: float = DEFAULT_FREQUENCY_MHZ) -> PowerReport:
+    """The power model over the integer view; see :func:`estimate_power`."""
+    frequency_hz = frequency_mhz * 1e6
+    if toggle_rates:
+        alpha = np.asarray([toggle_rates.get(name, DEFAULT_TOGGLE_RATE)
+                            for name in arrays.net_names], dtype=np.float64)
+    else:
+        alpha = np.full(arrays.num_nets, DEFAULT_TOGGLE_RATE)
+
+    leakage_nw = left_fold(arrays.cell_column("leakage_nw"))
+
+    # Each gate toggles with the activity of its first connected output.
+    gate_alpha = np.append(alpha, DEFAULT_TOGGLE_RATE)[arrays.first_output]
+    # switch_energy is in fJ per toggle -> power = E * alpha * f.
+    internal_uw = left_fold(
+        arrays.cell_column("switch_energy_fj") * 1e-15 * gate_alpha
+        * frequency_hz * 1e6
+    )
+
+    total_cap_f = wires.load() * 1e-15
+    # P = alpha * C * V^2 * f, reported in µW.
+    switching_uw = left_fold(alpha * total_cap_f * vdd_v ** 2 * frequency_hz * 1e6)
+
+    return PowerReport(
+        leakage_uw=leakage_nw / 1000.0,
+        internal_uw=internal_uw,
+        switching_uw=switching_uw,
+    )
 
 
 def estimate_power(
@@ -65,31 +110,7 @@ def estimate_power(
         vdd_v: Supply voltage.
         frequency_mhz: Clock / evaluation frequency.
     """
-    wire_model = wire_model if wire_model is not None else WireModel()
-    toggle_rates = toggle_rates or {}
-    frequency_hz = frequency_mhz * 1e6
-
-    leakage_nw = sum(gate.cell.leakage_nw for gate in netlist.gates.values())
-
-    internal_uw = 0.0
-    for gate in netlist.gates.values():
-        out_net = netlist.gate_output_net(gate.name)
-        alpha = toggle_rates.get(out_net, DEFAULT_TOGGLE_RATE) if out_net else DEFAULT_TOGGLE_RATE
-        # switch_energy is in fJ per toggle -> power = E * alpha * f.
-        internal_uw += gate.cell.switch_energy_fj * 1e-15 * alpha * frequency_hz * 1e6
-
-    switching_uw = 0.0
-    for net_name, net in netlist.nets.items():
-        pin_cap_ff = _sink_pin_cap(netlist, net)
-        length, layer = _net_length(net_name, netlist, net_lengths_um, net_layers)
-        wire_cap_ff = wire_model.wire_capacitance(length, layer)
-        total_cap_f = (pin_cap_ff + wire_cap_ff) * 1e-15
-        alpha = toggle_rates.get(net_name, DEFAULT_TOGGLE_RATE)
-        # P = alpha * C * V^2 * f, reported in µW.
-        switching_uw += alpha * total_cap_f * vdd_v ** 2 * frequency_hz * 1e6
-
-    return PowerReport(
-        leakage_uw=leakage_nw / 1000.0,
-        internal_uw=internal_uw,
-        switching_uw=switching_uw,
-    )
+    arrays = netlist_arrays(netlist)
+    length, layer = wire_lengths(arrays, net_lengths_um, net_layers)
+    return power_pass(arrays, net_wires(arrays, length, layer, wire_model),
+                      toggle_rates, vdd_v, frequency_mhz)

@@ -9,14 +9,16 @@ builds the whole ``(S, D)`` cost matrix with one broadcast per hint,
 evaluates the loop hint on a networkx reachability graph through
 :func:`graph_oracle.transitive_closure_bitmap`, and gathers the
 driver-slot matrix with ``np.take``.  The crouting oracle makes one NumPy
-pass per vpin, side and bounding box.  Tests assert that the shipped
-attacks produce the same bytes, counts, assignments and recovered
-netlists.
+pass per vpin, side and bounding box.  ``rebuild_netlist`` is the
+copy-and-edit recovery that the network-flow attack's overlay replaced.
+Tests assert that the shipped attacks produce the same bytes, counts,
+assignments, recovered netlists and OER/HD.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
@@ -24,11 +26,7 @@ import numpy as np
 
 from graph_oracle import netlist_copy, transitive_closure_bitmap
 from repro.attacks.crouting import CRoutingAttackConfig, CRoutingAttackResult
-from repro.attacks.network_flow import (
-    _INVALID_COSTS,
-    NetworkFlowAttackConfig,
-    NetworkFlowAttackResult,
-)
+from repro.attacks.network_flow import _INVALID_COSTS, NetworkFlowAttackConfig
 from repro.attacks.proximity import ProximityAttackResult
 from repro.layout.arrays import UniformGridIndex
 from repro.layout.geometry import manhattan
@@ -231,44 +229,73 @@ def cheapest_drivers(block: np.ndarray) -> np.ndarray:
     return choice
 
 
+@dataclass
+class OracleAttackResult:
+    """The oracle attack's assignment and eagerly rebuilt netlist."""
+
+    assignment: Dict[int, int] = field(default_factory=dict)
+    recovered_netlist: Optional[Netlist] = None
+    num_sinks: int = 0
+    num_drivers: int = 0
+
+
 def network_flow_attack(view: FEOLView,
                         config: Optional[NetworkFlowAttackConfig] = None
-                        ) -> NetworkFlowAttackResult:
+                        ) -> OracleAttackResult:
     """The attack on the full-matrix kernel and the validating netlist copy."""
     config = config if config is not None else NetworkFlowAttackConfig()
     drivers = view.driver_vpins
     sinks = view.sink_vpins
-    result = NetworkFlowAttackResult(num_sinks=len(sinks), num_drivers=len(drivers))
+    result = OracleAttackResult(num_sinks=len(sinks), num_drivers=len(drivers))
     netlist = view.layout.netlist
+    recovered = netlist_copy(netlist, f"{netlist.name}_recovered")
     if not drivers or not sinks:
-        result.recovered_netlist = netlist_copy(netlist, f"{netlist.name}_recovered")
+        result.recovered_netlist = recovered
         return result
     costs, _excluded = build_cost_matrix(view, config)
     chosen = slot_assignment(costs, driver_capacities(view, config))
     result.assignment = {
         sink.identifier: drivers[driver].identifier for sink, driver in zip(sinks, chosen)
     }
-    result.recovered_netlist = _rebuild_netlist(view, result.assignment)
+    result.recovered_netlist = rebuild_netlist(view, chosen, recovered)
     return result
 
 
-def _rebuild_netlist(view: FEOLView, assignment: Dict[int, int]) -> Netlist:
-    netlist = view.layout.netlist
-    recovered = netlist_copy(netlist, f"{netlist.name}_recovered")
-    driver_net = {c.driver_vpin: c.net for c in view.open_connections}
-    vpin_by_id = {vpin.identifier: vpin for vpin in view.sink_vpins}
-    for connection in view.open_connections:
-        sink_vpin = vpin_by_id[connection.sink_vpin]
-        assigned_driver = assignment.get(connection.sink_vpin)
-        target_net = driver_net.get(assigned_driver) if assigned_driver is not None else None
-        if sink_vpin.gate is None:
-            if sink_vpin.pin is not None and sink_vpin.pin in recovered.primary_outputs:
+def rebuild_netlist(view: FEOLView, choice: np.ndarray, recovered: Netlist) -> Netlist:
+    """Reconstruct the attacker's netlist from the driver row ``choice[s]``
+    chosen for every sink row ``s``: the copy-and-edit recovery that
+    :class:`repro.netlist.arrays.NetlistOverlay` replaced.
+
+    The attacker starts from the FEOL-visible connectivity (which equals the
+    layout's netlist minus the cut connections) and connects every open sink
+    to the FEOL net of the driver vpin it was assigned to.  ``recovered`` is
+    a fresh copy of the layout's netlist, edited in place and returned.
+    """
+    arrays = feol_arrays(view)
+    gate_names, pin_names, net_names = (
+        arrays.gate_names, arrays.pin_names, arrays.net_names
+    )
+    # The copied netlist still contains the true BEOL connections; the attacker
+    # does not know them, so every cut sink is first detached and then attached
+    # to whatever net the attack assigned, or left dangling when the assigned
+    # driver has no net.  Assignments are not re-checked here: the loop hint
+    # acts only through the cost matrix, so a recovered netlist can contain
+    # combinational loops.
+    for gate_idx, pin_idx, net_idx in zip(arrays.sink_gate_idx.tolist(),
+                                          arrays.sink_pin_idx.tolist(),
+                                          arrays.driver_net_idx[choice].tolist()):
+        pin = pin_names[pin_idx] if pin_idx >= 0 else None
+        target_net = net_names[net_idx] if net_idx >= 0 else None
+        if gate_idx < 0:
+            # Primary-output sink.
+            if pin is not None and pin in recovered.primary_outputs:
                 if target_net is not None:
-                    recovered.retarget_primary_output(sink_vpin.pin, target_net)
+                    recovered.retarget_primary_output(pin, target_net)
             continue
-        recovered.disconnect_pin(sink_vpin.gate, sink_vpin.pin)
+        gate = gate_names[gate_idx]
+        recovered.disconnect_pin(gate, pin)
         if target_net is not None:
-            recovered.connect_pin(sink_vpin.gate, sink_vpin.pin, target_net)
+            recovered.connect_pin(gate, pin, target_net)
     return recovered
 
 

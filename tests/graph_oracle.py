@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 import numpy as np
 
-from repro.netlist.graph import _combinational_adjacency
 from repro.netlist.netlist import Gate, Netlist
 
 #: Prefix for pseudo-nodes representing primary inputs/outputs in graph views.
@@ -97,12 +96,55 @@ def transitive_closure_bitmap(graph: nx.DiGraph) -> Tuple[Dict[str, int], np.nda
     return index, bitmap
 
 
+def combinational_adjacency(netlist: Netlist):
+    """Successor dicts and in-degrees of the combinational gate graph, by name.
+
+    Sequential cells are left out (they cut every cycle).  Iteration order —
+    gates in insertion order, nets in insertion order, sinks in connection
+    order, edges deduplicated on first insertion — is the contract the
+    integer view's ``combinational_successors`` keeps.
+    """
+    successors: Dict[str, Dict[str, None]] = {
+        name: {} for name, gate in netlist.gates.items()
+        if not gate.cell.is_sequential
+    }
+    in_degree: Dict[str, int] = {name: 0 for name in successors}
+    for net in netlist.nets.values():
+        driver = net.driver
+        if driver is None or driver[0] not in successors:
+            continue
+        fanout = successors[driver[0]]
+        for sink_gate, _pin in net.sinks:
+            if sink_gate in in_degree and sink_gate not in fanout:
+                fanout[sink_gate] = None
+                in_degree[sink_gate] += 1
+    return successors, in_degree
+
+
+def topological_gate_order(netlist: Netlist) -> List[str]:
+    """Sequential gates, then Kahn's FIFO order over the name-keyed graph;
+    raises ``ValueError`` on a combinational cycle."""
+    sequential = [
+        name for name, gate in netlist.gates.items() if gate.cell.is_sequential
+    ]
+    successors, in_degree = combinational_adjacency(netlist)
+    order = [name for name, degree in in_degree.items() if degree == 0]
+    for gate in order:
+        for succ in successors[gate]:
+            in_degree[succ] -= 1
+            if in_degree[succ] == 0:
+                order.append(succ)
+    if len(order) < len(in_degree):
+        raise ValueError("combinational logic contains a cycle")
+    return sequential + order
+
+
 def pseudo_topological_order(netlist: Netlist) -> List[str]:
     """Cycle-breaking evaluation order with a linear scan per broken cycle."""
     sequential = [
         name for name, gate in netlist.gates.items() if gate.cell.is_sequential
     ]
-    successors, in_degree = _combinational_adjacency(netlist)
+    successors, in_degree = combinational_adjacency(netlist)
     ready = sorted((n for n, d in in_degree.items() if d == 0), reverse=True)
     scheduled = set(ready)
     order: List[str] = []

@@ -7,14 +7,20 @@
 :mod:`repro.netlist.engine`: outputs, net values, OER, HD and toggle rates of
 :mod:`repro.netlist.simulate` must equal the values derived from it bit for
 bit.  Input patterns come from the library's own pattern helpers, so both
-sides see the same stimuli.
+sides see the same stimuli.  The evaluation order is the name-keyed
+``graph_oracle.pseudo_topological_order``.
+
+:func:`compile_reference` is the name-keyed plan compiler the engine had
+before it compiled from :class:`~repro.netlist.arrays.NetlistArrays`: a
+walk of ``pseudo_topological_order`` through ``engine.gate_arcs``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.netlist.graph import pseudo_topological_order
+from graph_oracle import pseudo_topological_order
+from repro.netlist.engine import SimPlan, gate_arcs
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import (
     SimulationResult,
@@ -100,3 +106,52 @@ def toggle_rates_reference(netlist: Netlist, num_patterns: int,
         p = value.bit_count() / num_patterns
         rates[net] = 2.0 * p * (1.0 - p)
     return rates
+
+
+def plan_input_names_reference(netlist: Netlist) -> List[str]:
+    """Primary inputs plus sequential-cell outputs, walking the gates."""
+    names = list(netlist.primary_inputs)
+    for gate in netlist.gates.values():
+        if gate.cell.is_sequential:
+            net = netlist.gate_output_net(gate.name)
+            if net is not None:
+                names.append(net)
+    return names
+
+
+def compile_reference(netlist: Netlist) -> SimPlan:
+    """The evaluation plan of ``netlist``, compiled by name."""
+    net_slot = {name: i for i, name in enumerate(netlist.nets)}
+    x_slot = len(net_slot)
+    input_slots = [(name, net_slot[name]) for name in plan_input_names_reference(netlist)]
+    value_slots: List[Tuple[str, int]] = list(input_slots)
+    arc_program: List[Tuple[str, Tuple[int, ...], int]] = []
+    for gate_name in pseudo_topological_order(netlist):
+        gate = netlist.gates[gate_name]
+        if gate.cell.is_sequential:
+            continue
+        for kind, _in_pins, in_slots, out_slot, out_net in gate_arcs(gate, net_slot, x_slot):
+            value_slots.append((out_net, out_slot))
+            arc_program.append((kind, in_slots, out_slot))
+    output_slots = [
+        (po, net_slot.get(netlist.output_nets[po], x_slot))
+        for po in netlist.primary_outputs
+    ]
+    result_slots = list(dict.fromkeys(slot for _name, slot in value_slots + output_slots))
+    return SimPlan(
+        netlist_name=netlist.name,
+        version=netlist.topology_version,
+        num_slots=x_slot + 1,
+        x_slot=x_slot,
+        input_slots=input_slots,
+        arc_program=arc_program,
+        output_slots=output_slots,
+        value_slots=value_slots,
+        result_slots=result_slots,
+    )
+
+
+def plan_fields(plan: SimPlan) -> tuple:
+    """Everything a plan computes, ``version`` (a cache key) aside."""
+    return (plan.netlist_name, plan.num_slots, plan.x_slot, plan.input_slots,
+            plan.arc_program, plan.output_slots, plan.value_slots, plan.result_slots)

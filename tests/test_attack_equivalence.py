@@ -1,25 +1,27 @@
 """Row-block and ring-walk attack kernels == the full-matrix oracles.
 
 :func:`repro.attacks.network_flow.build_cost_matrix` is computed in row
-blocks (on a thread pool when the process may use more than one CPU), the
-attack's cheapest driver per sink comes from a ring walk over the driver
-grid that scores only the drivers that can win, the assignment falls back
-to a port of the shortest-augmenting-path solver when fanout capacities
-bind, the loop hint reads an integer transitive closure, crouting counts
-candidates from one Chebyshev-distance block per sink block, and
+blocks, the attack's cheapest driver per sink comes from a ring walk over
+the driver grid that scores only the drivers that can win, the assignment
+falls back to a port of the shortest-augmenting-path solver when fanout
+capacities bind, the loop hint reads an integer transitive closure, the
+recovery is a :class:`~repro.netlist.arrays.NetlistOverlay` instead of an
+edited netlist copy, crouting counts candidates from one Chebyshev-distance
+block per sink block, and
 :func:`repro.netlist.graph.pseudo_topological_order` breaks cycles from a
 lazy heap.  The implementations they replaced live on in
 ``tests/attack_oracle.py`` (``linear_sum_assignment`` on the driver-slot
-matrix included) and ``tests/graph_oracle.py``.  Every cost byte,
-excluded-pair count, assignment, recovered netlist, crouting field and
-evaluation order must be identical, for every hint toggle, one and two
-worker threads, split layers 3-8, binding capacities and empty views.
+matrix and the copy-and-edit ``rebuild_netlist`` included),
+``tests/graph_oracle.py`` and ``tests/sim_oracle.py``.  Every cost byte,
+excluded-pair count, assignment, recovered netlist, simulation plan,
+OER/HD, crouting field and evaluation order must be identical, for every
+hint toggle (loopy recoveries included), split layers 3-8, binding
+capacities and empty views.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import os
 import subprocess
@@ -34,6 +36,7 @@ from hypothesis.extra import numpy as hnp
 
 import attack_oracle
 import graph_oracle
+import sim_oracle
 from repro.api.registry import DEFENSES, ensure_builtins
 from repro.attacks import crouting, network_flow
 from repro.circuits import ISCAS85_PROFILES, SUPERBLUE_PROFILES
@@ -41,8 +44,11 @@ from repro.circuits.registry import get_benchmark
 from repro.core import ProtectionConfig, protect
 from repro.layout.geometry import Point
 from repro.netlist.cells import NUM_METAL_LAYERS
-from repro.netlist.graph import pseudo_topological_order, transitive_closure
+from repro.netlist.arrays import NetlistOverlay, netlist_arrays
+from repro.netlist.engine import compile_plan
+from repro.netlist.graph import has_combinational_loop, pseudo_topological_order, transitive_closure
 from repro.netlist.netlist import Netlist
+from repro.netlist.simulate import error_rate_and_hamming
 from repro.sm.split import extract_feol
 
 ensure_builtins()
@@ -55,7 +61,6 @@ HINT_CONFIGS = tuple(
     )
     for loop, direction, load in itertools.product((True, False), repeat=3)
 )
-WORKERS = (1, 2)
 SUPERBLUE_SCALE = 0.002
 #: Largest view checked, a little above the largest the paper's quick flow
 #: attacks (1,445 sinks).  The oracle's ~15 full ``(S, D)`` temporaries and
@@ -83,35 +88,38 @@ def connectivity(netlist: Netlist):
     )
 
 
-def check_cost_matrices(view, monkeypatch, configs=HINT_CONFIGS):
+def check_cost_matrices(view, configs=HINT_CONFIGS):
     for config in configs:
         expected, expected_excluded = attack_oracle.build_cost_matrix(view, config)
-        for workers in WORKERS:
-            monkeypatch.setattr(network_flow, "_WORKERS", workers)
-            costs, excluded = network_flow.build_cost_matrix(view, config)
-            assert costs.dtype == expected.dtype and costs.shape == expected.shape
-            assert costs.tobytes() == expected.tobytes(), (config, workers)
-            assert excluded == expected_excluded, (config, workers)
+        costs, excluded = network_flow.build_cost_matrix(view, config)
+        assert costs.dtype == expected.dtype and costs.shape == expected.shape
+        assert costs.tobytes() == expected.tobytes(), config
+        assert excluded == expected_excluded, config
 
 
-def cost_digest(cost: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(cost)).hexdigest()
+def check_recovery(reference: Netlist, overlay: NetlistOverlay, oracle: Netlist,
+                   num_patterns: int = 256):
+    """The overlay compiles to the copy-and-edit netlist's plan and scores
+    its OER/HD, bit for bit; its netlist is that netlist."""
+    assert sim_oracle.plan_fields(compile_plan(overlay)) == sim_oracle.plan_fields(
+        sim_oracle.compile_reference(oracle))
+    assert error_rate_and_hamming(reference, overlay, num_patterns, 3) == \
+        error_rate_and_hamming(reference, oracle, num_patterns, 3)
+    recovered = overlay.netlist()
+    assert recovered.name == oracle.name
+    assert connectivity(recovered) == connectivity(oracle)
+    assert pseudo_topological_order(recovered) == graph_oracle.pseudo_topological_order(oracle)
+    return has_combinational_loop(oracle)
 
 
-def check_attack(view, config, workers, monkeypatch):
-    """Same assignment, in the same order, and the same recovered netlist."""
+def check_attack(view, config):
+    """Same assignment, in the same order, and the same recovery."""
     expected = attack_oracle.network_flow_attack(view, config)
-    monkeypatch.setattr(network_flow, "_WORKERS", workers)
     result = network_flow.network_flow_attack(view, config)
     assert result.assignment == expected.assignment
     assert list(result.assignment) == list(expected.assignment)
     assert (result.num_sinks, result.num_drivers) == (expected.num_sinks, expected.num_drivers)
-    recovered, oracle_recovered = result.recovered_netlist, expected.recovered_netlist
-    assert recovered.name == oracle_recovered.name
-    assert connectivity(recovered) == connectivity(oracle_recovered)
-    assert pseudo_topological_order(recovered) == graph_oracle.pseudo_topological_order(
-        oracle_recovered
-    )
+    return check_recovery(view.layout.netlist, result.recovery, expected.recovered_netlist)
 
 
 def check_crouting(view, config=None):
@@ -125,26 +133,28 @@ def check_crouting(view, config=None):
         assert all(type(count) is int for count in counts)
 
 
-def check_layout(layout, monkeypatch, full=True):
-    """Cost matrices for every hint toggle and thread count on every split
-    layer; attack and crouting per split layer (``full`` adds every hint
-    toggle to the attack on the lowest split layer).  Views above
-    ``MAX_SINKS`` are skipped; at least one split layer must be checked."""
-    checked = 0
+def check_layout(layout, full=True):
+    """Cost matrices for every hint toggle on every split layer; attack and
+    crouting per split layer (``full`` adds every hint toggle to the attack
+    on the lowest split layer).  Views above ``MAX_SINKS`` are skipped; at
+    least one split layer must be checked.  Returns how many recoveries
+    had a combinational loop."""
+    checked = loopy = 0
     for split in SPLIT_LAYERS:
         view = extract_feol(layout, split)
         if len(view.sink_vpins) > MAX_SINKS:
             continue
         checked += 1
-        check_cost_matrices(view, monkeypatch)
-        check_attack(view, HINT_CONFIGS[0], WORKERS[split % 2], monkeypatch)
+        check_cost_matrices(view)
+        loopy += check_attack(view, HINT_CONFIGS[0])
         check_crouting(view)
         if full and split == SPLIT_LAYERS[0]:
             for config in HINT_CONFIGS[1:]:
-                check_attack(view, config, 2, monkeypatch)
+                loopy += check_attack(view, config)
             check_crouting(view, crouting.CRoutingAttackConfig(
                 gcell_um=0.5, bounding_boxes=(1, 7, 15, 15)))
     assert checked
+    return loopy
 
 
 @pytest.fixture(scope="module")
@@ -158,28 +168,30 @@ def c880_layouts():
 
 
 @pytest.mark.parametrize("kind", ("original", "proposed"))
-def test_c432(c432_layouts, kind, monkeypatch):
-    check_layout(c432_layouts[kind], monkeypatch)
+def test_c432(c432_layouts, kind):
+    loopy = check_layout(c432_layouts[kind])
+    if kind == "proposed":
+        # Hint-off recoveries close loops; the overlay must order them too.
+        assert loopy
 
 
 @pytest.mark.parametrize("kind", ("original", "proposed"))
-def test_c880(c880_layouts, kind, monkeypatch):
-    check_layout(c880_layouts[kind], monkeypatch, full=kind == "proposed")
+def test_c880(c880_layouts, kind):
+    check_layout(c880_layouts[kind], full=kind == "proposed")
 
 
-def test_superblue_slice(monkeypatch):
+def test_superblue_slice():
     netlist = get_benchmark("superblue18", seed=1, scale=SUPERBLUE_SCALE)
     entry = DEFENSES.get("original")
     layout = entry.fn(netlist, entry.make_params(), 1).layout
-    check_layout(layout, monkeypatch, full=False)
+    check_layout(layout, full=False)
 
 
-def test_empty_view(c432_layouts, monkeypatch):
+def test_empty_view(c432_layouts):
     view = extract_feol(c432_layouts["original"], NUM_METAL_LAYERS)
     assert not view.sink_vpins and not view.driver_vpins
-    check_cost_matrices(view, monkeypatch)
-    for workers in WORKERS:
-        check_attack(view, HINT_CONFIGS[0], workers, monkeypatch)
+    check_cost_matrices(view)
+    check_attack(view, HINT_CONFIGS[0])
     check_crouting(view)
 
 
@@ -187,11 +199,11 @@ def test_empty_view(c432_layouts, monkeypatch):
 def test_block_boundaries(c432_layouts, block_rows, monkeypatch):
     monkeypatch.setattr(network_flow, "_BLOCK_ROWS", block_rows)
     view = extract_feol(c432_layouts["proposed"], 3)
-    check_cost_matrices(view, monkeypatch, HINT_CONFIGS[:1])
-    check_attack(view, HINT_CONFIGS[0], 2, monkeypatch)
+    check_cost_matrices(view, HINT_CONFIGS[:1])
+    check_attack(view, HINT_CONFIGS[0])
 
 
-def test_coincident_and_undirected_vpins(c432_layouts, monkeypatch):
+def test_coincident_and_undirected_vpins(c432_layouts):
     """Zero-length candidates (degenerate direction) and stubs without a
     direction, which extracted views rarely contain, on both sides."""
     view = extract_feol(c432_layouts["proposed"], 3)
@@ -204,61 +216,54 @@ def test_coincident_and_undirected_vpins(c432_layouts, monkeypatch):
     for i in range(0, len(drivers), 4):
         drivers[i] = dataclasses.replace(drivers[i], direction=None)
     view.bump_geometry_version()
-    check_cost_matrices(view, monkeypatch)
-    check_attack(view, HINT_CONFIGS[0], 2, monkeypatch)
+    check_cost_matrices(view)
+    check_attack(view, HINT_CONFIGS[0])
     check_crouting(view)
 
 
-def test_concurrent_callers_share_the_pool(c880_layouts, monkeypatch):
-    """Several threads filling matrices through one pool, with more workers
-    than CPUs and frequent thread switches, still get the oracle's bytes."""
-    import threading
-
-    view = extract_feol(c880_layouts["proposed"], 3)
-    expected, expected_excluded = attack_oracle.build_cost_matrix(view)
-    monkeypatch.setattr(network_flow, "_WORKERS", 4)
-    monkeypatch.setattr(network_flow, "_EXECUTOR", None)
-    results = []
-
-    def worker():
-        for _ in range(3):
-            results.append(network_flow.build_cost_matrix(view))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(results) == 12
-    for costs, excluded in results:
-        assert costs.tobytes() == expected.tobytes()
-        assert excluded == expected_excluded
+@pytest.fixture(scope="module")
+def override_netlists():
+    return {name: get_benchmark(name, seed=1) for name in ("c432", "c880")}
 
 
-def _forked_cost_digest(view):
-    network_flow._WORKERS = 2
-    return cost_digest(network_flow.build_cost_matrix(view)[0])
+@st.composite
+def sink_overrides(draw, netlists):
+    """A netlist and random edits: gate sinks moved to any net or left
+    dangling, primary outputs retargeted; rows may repeat."""
+    netlist = netlists[draw(st.sampled_from(sorted(netlists)))]
+    arrays = netlist_arrays(netlist)
+    nets = st.integers(-1, arrays.num_nets - 1)
+    edits = draw(st.lists(st.one_of(
+        st.tuples(st.just("sink"), st.integers(0, len(arrays.fanin_net) - 1), nets),
+        st.tuples(st.just("po"), st.integers(0, len(arrays.primary_outputs) - 1), nets),
+    ), max_size=60))
+    return netlist, edits
 
 
-@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs fork")
-def test_forked_child_builds_its_own_pool(c432_layouts, monkeypatch):
-    """A child forked after the pool started inherits no live threads; it
-    must start a pool of its own instead of waiting on the parent's."""
-    import multiprocessing
-
-    view = extract_feol(c432_layouts["proposed"], 3)
-    monkeypatch.setattr(network_flow, "_WORKERS", 2)
-    expected = cost_digest(network_flow.build_cost_matrix(view)[0])
-    assert network_flow._EXECUTOR is not None
-    with multiprocessing.get_context("fork").Pool(1) as pool:
-        result = pool.apply_async(_forked_cost_digest, (view,))
-        assert result.get(timeout=120) == expected
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_sink_overrides_match_copy_and_edit(override_netlists, data):
+    """Any overlay equals the validating copy with the same edits replayed
+    by name, in plan, OER/HD and netlist (loops included)."""
+    netlist, edits = data.draw(sink_overrides(override_netlists))
+    arrays = netlist_arrays(netlist)
+    oracle = graph_oracle.netlist_copy(netlist, "edited")
+    sinks, pos = [], []
+    for kind, row, net in edits:
+        target = arrays.net_names[net] if net >= 0 else None
+        if kind == "sink":
+            sinks.append((row, net))
+            gate = arrays.gate_names[arrays.fanin_gate[row]]
+            oracle.disconnect_pin(gate, arrays.pin_name(row))
+            if target is not None:
+                oracle.connect_pin(gate, arrays.pin_name(row), target)
+        else:
+            pos.append((row, net))
+            if target is not None:
+                oracle.retarget_primary_output(arrays.primary_outputs[row], target)
+    overlay = NetlistOverlay(netlist, "edited", [r for r, _ in sinks], [n for _, n in sinks],
+                             [r for r, _ in pos], [n for _, n in pos])
+    check_recovery(netlist, overlay, oracle, num_patterns=64)
 
 
 @pytest.mark.parametrize("fanout", (1, 2))
@@ -275,10 +280,8 @@ def test_binding_capacities_match_the_solver(circuit, fanout, request, monkeypat
 
     monkeypatch.setattr(network_flow, "_exact_assignment", counting)
     for config in HINT_CONFIGS:
-        for workers in WORKERS:
-            check_attack(view, dataclasses.replace(
-                config, max_fanout_per_driver=fanout), workers, monkeypatch)
-    assert len(solved) == len(HINT_CONFIGS) * len(WORKERS)
+        check_attack(view, dataclasses.replace(config, max_fanout_per_driver=fanout))
+    assert len(solved) == len(HINT_CONFIGS)
 
 
 @st.composite
@@ -329,7 +332,7 @@ def test_assignment_equals_the_solver_on_the_slot_matrix(problem):
 @pytest.mark.parametrize("poison", ("nan", "-inf", "inf row"))
 def test_invalid_costs_raise_like_the_solver(c432_layouts, poison, monkeypatch):
     """``linear_sum_assignment`` rejected NaN and ``-inf`` costs and rows
-    without a finite cost; so does the attack, from any block and thread.
+    without a finite cost; so does the attack, from any block.
     The poison lands on the row's chosen driver, which the ring walk always
     scores."""
     view = extract_feol(c432_layouts["proposed"], 3)
@@ -351,10 +354,8 @@ def test_invalid_costs_raise_like_the_solver(c432_layouts, poison, monkeypatch):
     costs, _excluded = network_flow.build_cost_matrix(view, config)
     with pytest.raises(ValueError):
         attack_oracle.slot_assignment(costs, network_flow._driver_capacities(view, config))
-    for workers in WORKERS:
-        monkeypatch.setattr(network_flow, "_WORKERS", workers)
-        with pytest.raises(ValueError):
-            network_flow.network_flow_attack(view, config)
+    with pytest.raises(ValueError):
+        network_flow.network_flow_attack(view, config)
 
 
 def test_nan_driver_direction_raises(c432_layouts):
@@ -441,16 +442,16 @@ def test_loop_hint_excludes_reachable_pairs(c432_layouts):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("circuit", sorted(set(ISCAS85_PROFILES) - {"c432", "c880"}))
-def test_every_iscas_circuit(circuit, monkeypatch):
+def test_every_iscas_circuit(circuit):
     for layout in layouts_of(circuit).values():
-        check_layout(layout, monkeypatch, full=False)
+        check_layout(layout, full=False)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("design", sorted(SUPERBLUE_PROFILES))
-def test_every_superblue_slice(design, monkeypatch):
+def test_every_superblue_slice(design):
     for layout in layouts_of(design, SUPERBLUE_SCALE).values():
-        check_layout(layout, monkeypatch, full=False)
+        check_layout(layout, full=False)
 
 
 # ---------------------------------------------------------------------------

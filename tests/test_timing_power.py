@@ -1,11 +1,21 @@
-"""Tests for the STA and power models."""
+"""Tests for the STA and power models.
+
+The array passes are held to the per-object walks of
+``tests/timing_oracle.py`` with ``==`` on whole reports.
+"""
+
+import dataclasses
+import pickle
 
 import networkx as nx
 import pytest
 
+import timing_oracle
 from graph_oracle import netlist_to_digraph
 from repro.circuits import ISCAS85_PROFILES
 from repro.circuits.registry import get_benchmark
+from repro.core.flow import evaluate_ppa
+from repro.layout.layout import build_layout
 from repro.netlist import graph as netlist_graph
 from repro.netlist.netlist import Netlist
 from repro.timing.power import estimate_power
@@ -92,11 +102,99 @@ def _networkx_gate_order(netlist):
     [(name, None) for name in ISCAS85_PROFILES] + [("superblue18", 0.002)],
 )
 def test_sta_matches_networkx_ordered_oracle(name, scale, monkeypatch):
+    """The level-ordered pass equals the per-gate walk in networkx's order."""
     netlist = get_benchmark(name, seed=1, scale=scale)
     assert netlist_graph.topological_gate_order(netlist) == _networkx_gate_order(netlist)
     report = static_timing_analysis(netlist)
-    monkeypatch.setattr("repro.timing.sta.topological_gate_order", _networkx_gate_order)
-    assert static_timing_analysis(netlist) == report
+    monkeypatch.setattr(timing_oracle, "topological_gate_order", _networkx_gate_order)
+    assert timing_oracle.static_timing_analysis(netlist) == report
+
+
+ORACLE_CASES = [(name, None) for name in ISCAS85_PROFILES] + [
+    ("superblue18", 0.0025), ("superblue5", 0.0025)]
+#: A wire model off every default, with layer tables of unequal length.
+ODD_WIRES = WireModel(resistance_kohm_per_um=0.0071, capacitance_ff_per_um=0.137,
+                      layer_resistance_scale=(1.0, 0.8, 0.6, 0.5, 0.3),
+                      layer_capacitance_scale=(1.0, 0.97, 0.9, 0.88, 0.8, 0.75, 0.7))
+
+
+@pytest.fixture(scope="module")
+def routed_layouts():
+    return {}
+
+
+def _routed(routed_layouts, name, scale):
+    if name not in routed_layouts:
+        netlist = get_benchmark(name, seed=1, scale=scale)
+        routed_layouts[name] = build_layout(netlist, seed=1)
+    return routed_layouts[name]
+
+
+@pytest.mark.parametrize("name,scale", ORACLE_CASES)
+def test_reports_equal_the_per_object_walks(name, scale, routed_layouts):
+    """Every report field, bit for bit: fanout-estimated and routed lengths
+    (routed on only part of the nets too), default and odd wire models,
+    disabled arcs and toggle rates."""
+    layout = _routed(routed_layouts, name, scale)
+    netlist = layout.netlist
+    lengths, layers = layout.net_lengths_um(), layout.net_top_layers()
+    partial = dict(list(lengths.items())[::3])
+    disabled = {
+        gate_name: [(gate.input_pin_names[i % len(gate.input_pin_names)],
+                     gate.output_pin_names[0])]
+        for i, (gate_name, gate) in enumerate(netlist.gates.items())
+        if i % 4 == 0 and gate.input_pin_names
+    }
+    toggles = {net: (i % 11) / 22 for i, net in enumerate(netlist.nets) if i % 5}
+    for args in ((), (lengths, layers), (partial, None), (lengths, layers, ODD_WIRES)):
+        assert static_timing_analysis(netlist, *args) == \
+            timing_oracle.static_timing_analysis(netlist, *args), len(args)
+        assert estimate_power(netlist, *args[:2], None, *args[2:]) == \
+            timing_oracle.estimate_power(netlist, *args[:2], None, *args[2:]), len(args)
+    assert static_timing_analysis(netlist, lengths, layers, ODD_WIRES, disabled) == \
+        timing_oracle.static_timing_analysis(netlist, lengths, layers, ODD_WIRES, disabled)
+    assert static_timing_analysis(netlist, disabled_arcs=disabled) == \
+        timing_oracle.static_timing_analysis(netlist, disabled_arcs=disabled)
+    for args in ((None, None), (lengths, layers)):
+        assert estimate_power(netlist, *args, toggles, ODD_WIRES, 1.1, 733.0) == \
+            timing_oracle.estimate_power(netlist, *args, toggles, ODD_WIRES, 1.1, 733.0)
+
+
+@pytest.mark.parametrize("name,scale", [("c880", None), ("superblue18", 0.0025)])
+def test_evaluate_ppa_reads_the_routing_columns(name, scale, routed_layouts):
+    """The routed lengths and layers ``evaluate_ppa`` reads from the routing
+    columns give the oracle's delay and power from the name dicts."""
+    layout = _routed(routed_layouts, name, scale)
+    # The same routing on a netlist with a net it does not route: the
+    # routing's net table no longer lines up and nets are matched by name.
+    grown = layout.netlist.copy()
+    grown.add_net("unrouted_spare")
+    for layout in (layout, dataclasses.replace(layout, netlist=grown)):
+        lengths, layers = layout.net_lengths_um(), layout.net_top_layers()
+        ppa = evaluate_ppa(layout)
+        assert ppa.delay_ps == timing_oracle.static_timing_analysis(
+            layout.netlist, lengths, layers).critical_path_ps
+        assert ppa.power_uw == timing_oracle.estimate_power(
+            layout.netlist, lengths, layers).total_uw
+
+
+def test_report_dicts_are_built_on_first_read(c432):
+    report = static_timing_analysis(c432)
+    assert "arrival_times_ps" not in vars(report)
+    expected = timing_oracle.static_timing_analysis(c432)
+    assert report.gate_delays_ps == expected.gate_delays_ps
+    assert vars(report).keys() >= {"arrival_times_ps", "gate_delays_ps", "net_loads_ff"}
+    assert pickle.loads(pickle.dumps(static_timing_analysis(c432))) == expected
+
+
+def test_sta_rejects_combinational_loops():
+    netlist = Netlist("ring")
+    netlist.add_primary_input("a")
+    netlist.add_gate("g0", "NAND2_X1", {"A1": "a", "A2": "n1", "ZN": "n0"})
+    netlist.add_gate("g1", "INV_X1", {"A": "n0", "ZN": "n1"})
+    netlist.add_primary_output("o", "n1")
+    with pytest.raises(netlist_graph.CombinationalLoopError):
+        static_timing_analysis(netlist)
 
 
 class TestPower:
