@@ -15,7 +15,11 @@ Every vectorized path is asserted **bit-exact** against its reference before
 timing; the sweep section runs the ``original`` scheme (pure place + route,
 the paths this PR vectorizes) through ``Workspace.run_sweeps`` and compares
 the amortized per-seed wall-clock against building each seed sequentially
-with the reference implementations.
+with the reference implementations.  The protect section times one budget
+step of ``randomize_netlist`` and the naive-lifting baseline's
+correction-cell legalization against their oracles
+(``tests/randomizer_oracle.py``, ``tests/build_oracle.py``), outputs
+asserted equal.
 
 The script is headless (no plotting, no interactive dependencies) and emits
 JSON with sorted keys so CI diffs stay stable.
@@ -55,11 +59,26 @@ from repro.circuits.superblue import superblue_netlist        # noqa: E402
 from repro.layout.floorplan import build_floorplan            # noqa: E402
 from repro.layout.placer import PlacerConfig, _OrderingGraph, place  # noqa: E402
 from repro.layout.router import route                         # noqa: E402
+from repro.circuits.registry import get_benchmark           # noqa: E402
+from repro.core.correction_cells import (                     # noqa: E402
+    legalize_correction_cells,
+    place_correction_cells,
+)
+from repro.core.flow import ProtectionConfig, protect         # noqa: E402
+from repro.core.lifting import lifting_cell_anchors           # noqa: E402
+from repro.core.randomizer import (                           # noqa: E402
+    RandomizerConfig,
+    eligible_sink_rows,
+    randomize_netlist,
+)
+from repro.netlist.arrays import netlist_arrays               # noqa: E402
+import randomizer_oracle                                      # noqa: E402
 from build_oracle import (                                    # noqa: E402
     _adjacency,
     _dfs_starts,
     _dfs_walk,
     _rotated_adjacency,
+    legalize_correction_cells_reference,
     place_reference,
     route_reference,
 )
@@ -517,6 +536,76 @@ def bench_store_service(benchmark: str, num_seeds: int, repeat: int,
     }
 
 
+def _randomizer_outcome(result) -> tuple:
+    """Every field of a randomization result the randomizer promises."""
+    erroneous = result.erroneous
+    return (
+        result.swaps, result.protected_nets, result.oer_history, result.oer_percent,
+        erroneous.topology_version,
+        {name: (dict(gate.connections), gate.dont_touch)
+         for name, gate in erroneous.gates.items()},
+        {name: (net.driver, list(net.sinks)) for name, net in erroneous.nets.items()},
+    )
+
+
+def bench_protect_randomize(benchmark: str, scale, repeat: int) -> Dict[str, object]:
+    """protect.randomize: one budget step of the protection flow (5 % of the
+    eligible sinks as the swap floor), the event-driven randomizer on
+    integer columns against the per-round-recompiling oracle
+    (``tests/randomizer_oracle.py``), results asserted equal."""
+    netlist = get_benchmark(benchmark, seed=1, scale=scale)
+    floor = min(800, max(2, int(len(eligible_sink_rows(netlist_arrays(netlist))) * 0.05)))
+    config = RandomizerConfig(max_swaps=max(800, floor), min_swaps=floor,
+                              batch_pairs=max(8, floor // 8), seed=1)
+    result = randomize_netlist(netlist, config)
+    assert _randomizer_outcome(result) == _randomizer_outcome(
+        randomizer_oracle.randomize_netlist(netlist, config)
+    ), "randomizer diverged from the oracle"
+    oracle_s = _timeit(lambda: randomizer_oracle.randomize_netlist(netlist, config), repeat)
+    randomize_s = _timeit(lambda: randomize_netlist(netlist, config), repeat)
+    return {
+        "row": "randomize",
+        "benchmark": benchmark,
+        "scale": scale,
+        "num_gates": netlist.num_gates,
+        "min_swaps": floor,
+        "num_swaps": result.num_swaps,
+        "oer_rounds": len(result.oer_history),
+        "randomize_s": round(randomize_s, 4),
+        "oracle_s": round(oracle_s, 4),
+        "speedup": round(oracle_s / randomize_s, 2),
+    }
+
+
+def bench_protect_legalize(benchmark: str, scale, repeat: int) -> Dict[str, object]:
+    """protect.legalize: the naive-lifting baseline's cells of one
+    ``protect`` run (lift layer 8, 5 % PPA budget), the resumed spiral
+    against the re-scanning oracle (``tests/build_oracle.py``), instances
+    asserted equal."""
+    netlist = get_benchmark(benchmark, seed=1, scale=scale)
+    protection = protect(netlist, ProtectionConfig(lift_layer=8, ppa_budget_percent=5.0,
+                                                   seed=1))
+    naive = protection.naive_lifted_layout
+    cells = place_correction_cells(
+        lifting_cell_anchors(naive, naive.metadata["lifted_nets"]), 8, naive=True)
+    floorplan = naive.floorplan
+    legal = legalize_correction_cells(cells, floorplan)
+    assert legal == naive.metadata["lifting_cells"]
+    assert legal == legalize_correction_cells_reference(cells, floorplan), \
+        "legalization diverged from the oracle"
+    oracle_s = _timeit(lambda: legalize_correction_cells_reference(cells, floorplan), repeat)
+    legalize_s = _timeit(lambda: legalize_correction_cells(cells, floorplan), repeat)
+    return {
+        "row": "legalize",
+        "benchmark": benchmark,
+        "scale": scale,
+        "num_cells": len(cells),
+        "legalize_s": round(legalize_s, 4),
+        "oracle_s": round(oracle_s, 4),
+        "speedup": round(oracle_s / legalize_s, 2),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--benchmark", default="superblue12",
@@ -586,6 +675,11 @@ def main(argv=None) -> int:
                     repeat=args.repeat, scheme=scheme)
         for scheme in ("original", "synergistic")
     ]
+    protect_rows = [
+        bench_protect_randomize("c1908", None, repeat=args.repeat),
+        bench_protect_randomize("superblue18", 0.0025, repeat=args.repeat),
+        bench_protect_legalize("superblue5", 0.0025, repeat=args.repeat),
+    ]
     # The service shape: cheap ISCAS jobs, each with its own netlist seed,
     # so a hit pays netlist regeneration, fingerprinting and one decode.
     store.append(bench_store_service(
@@ -619,11 +713,18 @@ def main(argv=None) -> int:
                 "other row pauses the GC while timing.  "
                 "Rows marked oversubscribed ran more pool workers (jobs) than "
                 "meta.host.cpu_count; their sweep numbers are not pool "
-                "speedups."
+                "speedups.  The protect section times one budget step of "
+                "randomize_netlist (event-driven OER rounds on integer "
+                "columns) against the per-round-recompiling oracle "
+                "(tests/randomizer_oracle.py), and correction-cell "
+                "legalization of a naive-lifting baseline's cells (resumed "
+                "spiral) against the re-scanning oracle "
+                "(tests/build_oracle.py), outputs asserted equal."
             ),
         },
         "build_path": builds,
         "place_ordering": ordering,
+        "protect": protect_rows,
         "seed_sweep": sweep,
         "seed_batch": seed_batch,
         "store": store,
@@ -657,6 +758,12 @@ def main(argv=None) -> int:
             entry["amortized_speedup"], entry["sweep_s_per_seed"],
             entry["sweep_speedup"], entry["sequential_reference_s_per_seed"],
             entry["payload_reduction"],
+        )
+    for entry in protect_rows:
+        _log.info(
+            "protect.%s %s@%s: %ss vs oracle %ss (x%s)",
+            entry["row"], entry["benchmark"], entry["scale"],
+            entry[f"{entry['row']}_s"], entry["oracle_s"], entry["speedup"],
         )
     for entry in store:
         if entry.get("shape") == "service":

@@ -32,7 +32,7 @@ HOST_KEYS = (
 #: Required top-level result sections per artefact kind.
 SECTIONS = {
     "layout": ("configs", "largest_config_speedups"),
-    "build": ("build_path", "seed_sweep", "seed_batch", "store"),
+    "build": ("build_path", "seed_sweep", "seed_batch", "store", "protect"),
     "sim": ("simulation", "attack", "ppa", "speedups_vs_seed"),
 }
 

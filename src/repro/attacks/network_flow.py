@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.netlist.arrays import NetlistOverlay, netlist_arrays
+from repro.netlist.arrays import NetlistOverlay, csr, netlist_arrays
 from repro.netlist.graph import transitive_closure
 from repro.netlist.netlist import Netlist
 from repro.sm.split import FEOLView, feol_arrays
@@ -123,41 +123,64 @@ _SLACK = 1e-6
 _INVALID_COSTS = "cost matrix has a NaN or -inf entry or a row without a finite cost"
 
 
-def _loop_bitmap(view: FEOLView) -> Tuple[Dict[str, int], np.ndarray]:
+def _loop_bitmap(view: FEOLView) -> Tuple[np.ndarray, np.ndarray]:
     """Packed closure of the combinational connectivity an attacker can see.
 
-    Nodes are the non-sequential gates; an edge runs from the driver gate of
-    every visible (uncut) net to each of its sink gates.  Returns
-    ``(index, bitmap)``: row ``index[u]`` of the ``uint8`` bitmap has bit
-    ``index[v]`` (little-endian bit order) set iff gate ``v`` is reachable
-    from gate ``u``.  Row and bit ``len(index)`` are always clear, so
-    ports and sequential gates can point there.
+    Nodes are the non-sequential gates, numbered in netlist order; an edge
+    runs from the driver gate of every visible net (routed, not cut) to each
+    of its sink gates, read off the netlist's
+    :class:`~repro.netlist.arrays.NetlistArrays` and the view's cut-net
+    mask.  On an acyclic netlist (every layout the flows build) the closure
+    is one fold in reverse topological order; a cyclic one goes through
+    :func:`~repro.netlist.graph.transitive_closure`.
+
+    Returns ``(rows, bitmap)``: ``rows[g]`` is the bitmap row of netlist
+    gate ``g``, and row ``rows[u]`` of the ``uint8`` bitmap has bit
+    ``rows[v]`` (little-endian bit order) set iff gate ``v`` is reachable
+    from gate ``u``.  Row and bit ``len(bitmap) - 1`` are always clear;
+    sequential gates map there, and so can ports.
     """
-    netlist = view.layout.netlist
-    index = {
-        name: i for i, name in enumerate(
-            name for name, gate in netlist.gates.items() if not gate.cell.is_sequential
-        )
-    }
-    successors: List[List[int]] = [[] for _ in index]
-    for net_name in view.visible_nets:
-        net = netlist.nets[net_name]
-        if net.driver is None:
-            continue
-        driver = index.get(net.driver[0])
-        if driver is None:
-            continue
-        fanout = successors[driver]
-        for sink_gate, _pin in net.sinks:
-            sink = index.get(sink_gate)
-            if sink is not None:
-                fanout.append(sink)
-    row_bytes = len(index) // 8 + 1
-    packed = b"".join(
-        reach.to_bytes(row_bytes, "little") for reach in transitive_closure(successors)
-    )
+    arrays = netlist_arrays(view.layout.netlist)
+    comb = ~arrays.sequential
+    num_comb = int(np.count_nonzero(comb))
+    rows = np.cumsum(comb) - 1
+    rows[~comb] = num_comb
+    visible = np.zeros(arrays.num_nets, dtype=bool)
+    if view.net_is_cut is not None:
+        routing = view.routing
+        nets = routing.net_index[~view.net_is_cut]
+        if routing.net_names != arrays.net_names:
+            known = arrays.net_id
+            nets = np.asarray([known[routing.net_names[i]] for i in nets.tolist()],
+                              dtype=np.int64)
+        visible[nets] = True
+    read = arrays.fanin_net >= 0
+    read[read] = visible[arrays.fanin_net[read]]
+    driver = arrays.net_driver[arrays.fanin_net[read]]
+    sink = arrays.fanin_gate[read]
+    edge = driver >= 0
+    edge[edge] = comb[driver[edge]] & comb[sink[edge]]
+    sources = rows[driver[edge]]
+    by_source = np.argsort(sources, kind="stable")
+    starts = csr(np.bincount(sources, minlength=num_comb)).tolist()
+    targets = rows[sink[edge]][by_source].tolist()
+    if arrays.is_acyclic():
+        # Successors close before their predecessors in reverse Kahn order.
+        closed = [0] * num_comb  # reach plus the node itself
+        reach = [0] * num_comb
+        for node in rows[arrays.kahn()[0]].tolist()[::-1]:
+            bits = 0
+            for target in targets[starts[node]:starts[node + 1]]:
+                bits |= closed[target]
+            reach[node] = bits
+            closed[node] = bits | 1 << node
+    else:
+        reach = transitive_closure(
+            [targets[starts[node]:starts[node + 1]] for node in range(num_comb)])
+    row_bytes = num_comb // 8 + 1
+    packed = b"".join(bits.to_bytes(row_bytes, "little") for bits in reach)
     bitmap = np.frombuffer(packed + bytes(row_bytes), dtype=np.uint8)
-    return index, bitmap.reshape(len(index) + 1, row_bytes)
+    return rows, bitmap.reshape(num_comb + 1, row_bytes)
 
 
 class _CostKernel:
@@ -179,14 +202,14 @@ class _CostKernel:
         self.drv_has_load = arrays.driver_max_load > 0
         self.loop_rows: Optional[np.ndarray] = None
         if config.use_loop_hint:
-            index, bitmap = _loop_bitmap(view)
-            clear = len(index)
+            rows, bitmap = _loop_bitmap(view)
+            clear = len(bitmap) - 1
             # Bitmap row of every gate in the view's gate table; the
             # appended last entry serves port terminals (gate index -1).
-            loop_index = np.asarray(
-                [index.get(gate, clear) for gate in arrays.gate_names] + [clear],
-                dtype=np.intp,
-            )
+            gate_id = netlist_arrays(view.layout.netlist).gate_id
+            loop_index = np.append(rows, clear)[
+                [gate_id.get(gate, -1) for gate in arrays.gate_names] + [-1]
+            ]
             sink_rows = loop_index[arrays.sink_gate_idx]
             driver_cols = loop_index[arrays.driver_gate_idx]
             if sink_rows.min() < clear and driver_cols.min() < clear:

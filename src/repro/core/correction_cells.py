@@ -11,7 +11,11 @@ custom legalization scripts.  This module reproduces that behaviour:
   pairs of correction cells*);
 * :func:`legalize_correction_cells` nudges overlapping correction cells onto
   free positions of a coarse grid in the lift layer, keeping them as close as
-  possible to their anchor gates.
+  possible to their anchor gates.  Each cell spirals outwards from its home
+  slot in rings of growing Chebyshev radius; since occupancy only grows, a
+  home slot's search resumes at the ring and step where the previous search
+  from that slot stopped, so the co-anchored cells of a net never re-scan
+  the slots their predecessors found taken.
 
 Naive-lifting cells follow the same placement/legalization path but carry a
 single C→Y arc.
@@ -19,7 +23,7 @@ single C→Y arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.layout.floorplan import Floorplan
@@ -116,52 +120,71 @@ def legalize_correction_cells(
     free slot.  Standard cells are ignored entirely — correction cells are
     allowed to overlap them because their pins live in the BEOL.
 
+    Occupancy only grows, so a slot a spiral found taken or off the grid
+    stays unusable: each home slot keeps the ring and step where its last
+    search stopped, and the next cell with that home resumes there instead
+    of re-scanning the slots before it.  Occupancy is a ``bytearray`` grid.
+
     Returns:
         A new list of instances with non-overlapping positions, in the same
-        order as the input.
+        order as the input.  A cell finds no slot only when the grid is full;
+        it keeps its original position.
     """
     if not instances:
         return []
     pitch_x = instances[0].width_um
     pitch_y = instances[0].height_um
     die = floorplan.die
+    x_min, y_min = die.x_min, die.y_min
     columns = max(1, int(die.width / pitch_x))
     rows = max(1, int(die.height / pitch_y))
-    occupied: Dict[Tuple[int, int], str] = {}
+    taken = bytearray(columns * rows)
+    resume: Dict[int, Tuple[int, int]] = {}
     legalized: List[CorrectionCellInstance] = []
-
-    def slot_of(point: Point) -> Tuple[int, int]:
-        col = int((point.x - die.x_min) / pitch_x)
-        row = int((point.y - die.y_min) / pitch_y)
-        return (min(max(col, 0), columns - 1), min(max(row, 0), rows - 1))
-
-    def spiral(start: Tuple[int, int]):
-        """Yield grid slots in increasing Chebyshev distance from ``start``."""
-        yield start
-        for radius in range(1, max(columns, rows)):
-            for dc in range(-radius, radius + 1):
-                for dr in (-radius, radius):
-                    yield (start[0] + dc, start[1] + dr)
-            for dr in range(-radius + 1, radius):
-                for dc in (-radius, radius):
-                    yield (start[0] + dc, start[1] + dr)
-
+    free = columns * rows
     for instance in instances:
-        home = slot_of(instance.position)
-        placed = False
-        for col, row in spiral(home):
-            if not (0 <= col < columns and 0 <= row < rows):
-                continue
-            if (col, row) in occupied:
-                continue
-            occupied[(col, row)] = instance.name
-            position = Point(die.x_min + col * pitch_x, die.y_min + row * pitch_y)
-            legalized.append(replace(instance, position=position))
-            placed = True
-            break
-        if not placed:
+        if not free:
             # Grid full (pathological); keep the original position.
             legalized.append(instance)
+            continue
+        point = instance.position
+        home_col = min(max(int((point.x - x_min) / pitch_x), 0), columns - 1)
+        home_row = min(max(int((point.y - y_min) / pitch_y), 0), rows - 1)
+        home = home_col * rows + home_row
+        radius, step = resume.get(home, (0, 0))
+        # A free slot exists, and every slot lies within ring
+        # ``max(columns, rows) - 1`` of every home, so the spiral ends.
+        slot = -1
+        while slot < 0:
+            # Ring ``radius`` has ``8 * radius`` slots (ring 0 is the home
+            # slot): the bottom and top rows column by column (bottom first
+            # in each column), then the left and right columns row by row
+            # (left first in each row).
+            size = 8 * radius or 1
+            rows_part = 4 * radius + 2
+            while step < size:
+                if step < rows_part:
+                    col = home_col + (step >> 1) - radius
+                    row = home_row + (radius if step & 1 else -radius)
+                else:
+                    side = step - rows_part
+                    col = home_col + (radius if side & 1 else -radius)
+                    row = home_row + (side >> 1) - radius + 1
+                step += 1
+                if 0 <= col < columns and 0 <= row < rows and not taken[col * rows + row]:
+                    slot = col * rows + row
+                    break
+            else:
+                radius, step = radius + 1, 0
+        resume[home] = (radius, step)
+        taken[slot] = 1
+        free -= 1
+        legalized.append(CorrectionCellInstance(
+            instance.name, instance.cell,
+            Point(x_min + col * pitch_x, y_min + row * pitch_y),
+            instance.anchor_gate, instance.role, instance.connection_id,
+            instance.lift_layer, instance.width_um, instance.height_um,
+        ))
     return legalized
 
 

@@ -9,7 +9,9 @@
 4. if the budget is not expended, repeat with more randomization; otherwise
    keep the largest randomization that stayed within budget;
 5. optionally build the **naive-lifting** baseline over the same set of nets
-   (the paper's Table 2 comparison explicitly uses the same nets).
+   (the paper's Table 2 comparison explicitly uses the same nets), routed
+   over the original layout's placement: the original netlist is placed
+   once.
 
 The returned :class:`ProtectionResult` carries the three layouts plus all the
 bookkeeping the experiments need (swap records, OER, PPA overheads).
@@ -17,13 +19,18 @@ bookkeeping the experiments need (swap records, OER, PPA overheads).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.lifting import build_naive_lifted_layout
-from repro.core.randomizer import RandomizationResult, RandomizerConfig, randomize_netlist
+from repro.core.randomizer import (
+    RandomizationResult,
+    RandomizerConfig,
+    eligible_sink_rows,
+    randomize_netlist,
+)
 from repro.core.restore import build_protected_layout
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.layout import Layout, build_layout
@@ -132,7 +139,15 @@ def evaluate_ppa(layout: Layout) -> PPAReport:
     The STA and power passes read each routed net's length and top layer
     straight from the routing columns (nets it does not route get the
     fanout estimate), on the netlist's integer view.
+
+    The last report is kept on the layout (:meth:`Layout.cached
+    <repro.layout.layout.Layout.cached>`), so measuring an unchanged layout
+    again returns an equal copy without re-measuring.
     """
+    return replace(layout.cached("_ppa_cache", lambda: _measure_ppa(layout)))
+
+
+def _measure_ppa(layout: Layout) -> PPAReport:
     arrays = netlist_arrays(layout.netlist)
     routing = layout.routing
     nets = routing.net_index
@@ -153,17 +168,6 @@ def evaluate_ppa(layout: Layout) -> PPAReport:
         delay_ps=timing.critical_path_ps,
         wirelength_um=layout.total_wirelength_um(),
     )
-
-
-def _num_eligible_sinks(netlist: Netlist) -> int:
-    count = 0
-    for net in netlist.nets.values():
-        if not net.has_driver():
-            continue
-        for sink_gate, _pin in net.sinks:
-            if not netlist.gates[sink_gate].cell.is_sequential:
-                count += 1
-    return count
 
 
 def protect(netlist: Netlist, config: Optional[ProtectionConfig] = None) -> ProtectionResult:
@@ -188,7 +192,7 @@ def protect(netlist: Netlist, config: Optional[ProtectionConfig] = None) -> Prot
     )
     ppa_original = evaluate_ppa(original_layout)
 
-    eligible = _num_eligible_sinks(netlist)
+    eligible = len(eligible_sink_rows(netlist_arrays(netlist)))
     best: Optional[ProtectionResult] = None
     budget_trace: List[Dict[str, float]] = []
 
@@ -251,13 +255,8 @@ def protect(netlist: Netlist, config: Optional[ProtectionConfig] = None) -> Prot
     if config.build_naive_baseline:
         lifted_nets = sorted(best.randomization.protected_nets)
         naive = build_naive_lifted_layout(
-            netlist,
-            lifted_nets,
-            lift_layer=config.lift_layer,
-            floorplan=floorplan,
-            placer_config=placer_config,
+            original_layout, lifted_nets, lift_layer=config.lift_layer,
             router_config=router_config,
-            seed=config.seed,
         )
         best.naive_lifted_layout = naive
         best.ppa_naive_lifted = evaluate_ppa(naive)

@@ -9,24 +9,20 @@ from the benefit of merely moving wires into the BEOL.
 :func:`select_nets_for_lifting` picks the nets (either the nets a
 randomization run perturbed — for a fair comparison on "the same set of
 nets", as the paper does in Table 2 — or a random selection), and
-:func:`build_naive_lifted_layout` runs the physical-design flow with those
-nets constrained to the lift layer.
+:func:`build_naive_lifted_layout` routes the original netlist over the
+unprotected layout's placement with those nets constrained to the lift
+layer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.core.correction_cells import (
-    CorrectionCellInstance,
-    legalize_correction_cells,
-    place_correction_cells,
-)
-from repro.layout.floorplan import Floorplan
+from repro.core.correction_cells import legalize_correction_cells, place_correction_cells
 from repro.layout.geometry import Point
-from repro.layout.layout import Layout, build_layout
-from repro.layout.placer import PlacerConfig
-from repro.layout.router import RouterConfig
+from repro.layout.layout import Layout
+from repro.layout.placer import PlacementResult
+from repro.layout.router import RouterConfig, route
 from repro.netlist.netlist import Netlist
 from repro.utils.rng import make_rng
 
@@ -50,43 +46,56 @@ def select_nets_for_lifting(netlist: Netlist, count: int, seed: int = 0,
 
 
 def build_naive_lifted_layout(
-    netlist: Netlist,
+    original: Layout,
     lifted_nets: Sequence[str],
     lift_layer: int,
-    floorplan: Optional[Floorplan] = None,
-    utilization: float = 0.70,
-    placer_config: Optional[PlacerConfig] = None,
     router_config: Optional[RouterConfig] = None,
-    seed: int = 0,
 ) -> Layout:
-    """Build the naive-lifting baseline layout.
+    """Build the naive-lifting baseline layout over ``original``'s placement.
 
-    The original netlist is placed exactly like the unprotected layout (same
-    seed, same floorplan) and the listed nets are routed with the lift layer
-    as a floor, mimicking the naive-lifting cells.  Correction-cell-style
-    lifting cells are placed and legalized for completeness and recorded in
-    the layout metadata.
+    The original netlist keeps the unprotected layout's placement: the new
+    layout's :class:`~repro.layout.placer.PlacementResult` shares
+    ``original``'s read-only columns (moving one placement's cells with
+    ``set_coordinates`` leaves the other as it is), so nothing is placed
+    again.  The listed nets are routed with the lift layer as a floor,
+    mimicking the naive-lifting cells.  Correction-cell-style lifting cells
+    are placed and legalized for completeness and recorded in the layout
+    metadata.
 
     Returns:
         A :class:`Layout` named ``<design>_lifted`` with ``lift_layer`` set
         (its ``protected_nets`` stays empty — connectivity is untouched).
     """
-    min_layer = {net: lift_layer for net in lifted_nets}
-    layout = build_layout(
-        netlist,
+    netlist = original.netlist
+    shared = original.placement
+    placement = PlacementResult(
+        shared.floorplan, shared.gate_names, shared.gate_index, shared.gate_x,
+        shared.gate_y, shared.port_names, shared.port_x, shared.port_y, shared.config,
+    )
+    routing = route(netlist, placement, router_config,
+                    {net: lift_layer for net in lifted_nets})
+    layout = Layout(
         name=f"{netlist.name}_lifted",
-        utilization=utilization,
-        floorplan=floorplan,
-        placer_config=placer_config,
-        router_config=router_config,
-        min_layer_per_net=min_layer,
-        seed=seed,
+        netlist=netlist,
+        placement=placement,
+        routing=routing,
+        metadata={key: original.metadata[key] for key in ("utilization", "seed")
+                  if key in original.metadata},
     )
     layout.lift_layer = lift_layer
     layout.metadata["lifted_nets"] = list(lifted_nets)
+    cells = place_correction_cells(lifting_cell_anchors(layout, lifted_nets),
+                                   lift_layer, naive=True)
+    layout.metadata["lifting_cells"] = legalize_correction_cells(cells, layout.floorplan)
+    return layout
 
-    # Place one lifting cell per lifted connection endpoint (driver + sink),
-    # read from the routing columns.
+
+def lifting_cell_anchors(layout: Layout, lifted_nets: Sequence[str]
+                         ) -> List[Tuple[int, str, Optional[str], Point]]:
+    """One lifting-cell anchor per lifted connection endpoint (driver and
+    sink), read from ``layout``'s routing columns, in
+    :func:`~repro.core.correction_cells.place_correction_cells` form."""
+    netlist = layout.netlist
     routing = layout.routing
     position = routing.positions()
     anchors = []
@@ -108,7 +117,4 @@ def build_naive_lifted_layout(
                             routing.gate_names[sink_gate] if sink_gate >= 0
                             else None, target))
             connection_id += 1
-    cells = place_correction_cells(anchors, lift_layer, naive=True)
-    cells = legalize_correction_cells(cells, layout.floorplan)
-    layout.metadata["lifting_cells"] = cells
-    return layout
+    return anchors

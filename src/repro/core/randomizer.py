@@ -14,24 +14,41 @@ been perturbed (the PPA-budget loop in :mod:`repro.core.flow` drives this).
 Every swap is recorded so the true connectivity can be restored later through
 the BEOL (:mod:`repro.core.restore`).
 
-The loop is incremental: no round compiles a simulation plan or builds a
-graph.  One integer-indexed gate DAG keeps a topological order up to date
-under the swaps and answers the loop checks; the erroneous copy is compiled
-once into per-gate arcs whose input slots each swap patches, and each OER
-round runs those arcs in the maintained order against reference outputs
-simulated once per call.  On an acyclic netlist every topological order
-yields the same values, so each round's OER equals
-:func:`~repro.netlist.simulate.output_error_rate` exactly.
+The loop works on the original netlist's integer view
+(:class:`~repro.netlist.arrays.NetlistArrays`) and does each piece of work
+once:
+
+* **Attempts on integer columns.**  The eligible sinks are fan-in rows; each
+  sink's current net and each net's driver gate are integer lists, and one
+  gate DAG with a maintained topological order answers the loop checks.
+* **Event-driven OER rounds.**  The candidate is compiled once into per-gate
+  arcs whose input slots each accepted swap patches, and its net values are
+  kept between rounds, starting from the reference simulation.  A round
+  re-evaluates, in the DAG's order, only the gates with a moved input pin
+  and the gates whose predecessor's output changed in this round; it stops
+  where a gate's outputs come out unchanged.  A round after a batch that
+  accepted no swap evaluates nothing.  On an acyclic netlist every
+  topological order yields the same values, so each round's OER equals
+  :func:`~repro.netlist.simulate.output_error_rate` exactly.
+* **One copy.**  The erroneous :class:`~repro.netlist.netlist.Netlist` is
+  built at the end, by replaying the accepted moves in acceptance order on
+  one :meth:`~repro.netlist.netlist.Netlist.copy`, so its sink order,
+  ``topology_version`` and ``dont_touch`` marks are those of moving the
+  sinks one by one.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.netlist import engine as _engine
+from repro.netlist.arrays import NetlistArrays, netlist_arrays
 from repro.netlist.netlist import Netlist, PinRef
-from repro.netlist.simulate import _plan_outputs, _shared_input_patterns
+from repro.netlist.simulate import _shared_input_patterns
 from repro.utils.rng import make_rng
 
 
@@ -92,24 +109,38 @@ class RandomizerConfig:
     seed: int = 0
 
 
-def _swappable_sinks(netlist: Netlist) -> List[Tuple[str, PinRef]]:
-    """Return (net, sink pin) pairs eligible for swapping.
+def eligible_sink_rows(arrays: NetlistArrays) -> List[int]:
+    """Fan-in rows of the sinks eligible for swapping.
 
     Sinks are eligible when they are inputs of combinational gates on nets
     driven by a gate or a primary input.  Clock pins of sequential cells and
     the sequential cells' data pins are left alone (the paper similarly skips
     gates with alignment constraints).
+
+    The rows come net by net in netlist order, each net's sinks in the order
+    a :meth:`~repro.netlist.netlist.Netlist.copy` lists them: by gate, and
+    parallel pins of one gate in their ``Net.sinks`` order (which is their
+    ``Gate.connections`` order, since every edit appends to both).
     """
-    eligible: List[Tuple[str, PinRef]] = []
-    for net in netlist.nets.values():
-        if not net.has_driver():
-            continue
-        for sink_gate, sink_pin in net.sinks:
-            gate = netlist.gates[sink_gate]
-            if gate.cell.is_sequential:
-                continue
-            eligible.append((net.name, (sink_gate, sink_pin)))
-    return eligible
+    sink_net = np.repeat(np.arange(arrays.num_nets), np.diff(arrays.sink_start))
+    rows = arrays.sink_row
+    gates = arrays.fanin_gate[rows]
+    driven = arrays.net_driver >= 0
+    driven[arrays.input_nets] = True
+    order = np.lexsort((gates, sink_net))  # stable: parallel pins keep their order
+    keep = (driven[sink_net] & ~arrays.sequential[gates])[order]
+    return rows[order[keep]].tolist()
+
+
+def _swappable_sinks(netlist: Netlist) -> List[Tuple[str, PinRef]]:
+    """``(net, sink pin)`` pairs of :func:`eligible_sink_rows` by name."""
+    arrays = netlist_arrays(netlist)
+    gate_names, net_names = arrays.gate_names, arrays.net_names
+    fanin_gate, fanin_net = arrays.fanin_gate, arrays.fanin_net
+    return [
+        (net_names[fanin_net[row]], (gate_names[fanin_gate[row]], arrays.pin_name(row)))
+        for row in eligible_sink_rows(arrays)
+    ]
 
 
 def _driver_gate(netlist: Netlist, net_name: str) -> Optional[str]:
@@ -120,53 +151,52 @@ def _driver_gate(netlist: Netlist, net_name: str) -> Optional[str]:
 class _GateDag:
     """Combinational gate graph with a maintained topological order.
 
-    Nodes are the combinational gates, numbered in netlist order; sequential
-    gates and primary inputs stay outside, since they cannot close a
-    combinational loop.  Edge counts track parallel connections, so removing
-    one connection keeps an edge that another connection still needs.
-    ``ord[node]`` is the node's position in ``order``.  An inserted edge that
-    breaks the order re-ranks only the nodes between its endpoints (Pearce &
-    Kelly, "A dynamic topological sort algorithm for directed acyclic
-    graphs", JEA 2007).
+    Nodes are gate indices of the netlist's
+    :class:`~repro.netlist.arrays.NetlistArrays`; sequential gates have no
+    edges and stay out of the order, since they cannot close a
+    combinational loop.  Edge counts track parallel connections (one per
+    fan-in row), so removing one connection keeps an edge that another
+    connection still needs.  ``ord[node]`` is the node's position in
+    ``order``.  An inserted edge that breaks the order re-ranks only the
+    nodes between its endpoints (Pearce & Kelly, "A dynamic topological sort
+    algorithm for directed acyclic graphs", JEA 2007).
 
     Raises:
         ValueError: When ``netlist`` already has a combinational loop.
     """
 
     def __init__(self, netlist: Netlist):
-        combinational = [
-            name for name, gate in netlist.gates.items() if not gate.cell.is_sequential
-        ]
-        self.index: Dict[str, int] = {name: i for i, name in enumerate(combinational)}
-        self.succ: List[Dict[int, int]] = [{} for _ in combinational]
-        self.pred: List[Dict[int, int]] = [{} for _ in combinational]
-        for net in netlist.nets.values():
-            if net.driver is None or net.driver[0] not in self.index:
-                continue
-            driver = self.index[net.driver[0]]
-            for sink_gate, _pin in net.sinks:
-                if sink_gate in self.index:
-                    self._link(driver, self.index[sink_gate])
-        in_degree = [len(pred) for pred in self.pred]
-        order = [node for node, degree in enumerate(in_degree) if degree == 0]
-        for node in order:  # Kahn's algorithm; ``order`` grows while walked.
-            for succ in self.succ[node]:
-                in_degree[succ] -= 1
-                if in_degree[succ] == 0:
-                    order.append(succ)
-        if len(order) < len(combinational):
+        arrays = netlist_arrays(netlist)
+        self._arrays = arrays
+        if not arrays.is_acyclic():
             raise ValueError(
                 f"netlist {netlist.name!r} already has a combinational loop; "
                 "the randomizer needs a loop-free input"
             )
-        self.order = order
-        self.ord = [0] * len(order)
-        for position, node in enumerate(order):
+        num_gates = arrays.num_gates
+        comb = ~arrays.sequential
+        nets = arrays.fanin_net
+        driver = np.full(len(nets), -1, dtype=np.int64)
+        driver[nets >= 0] = arrays.net_driver[nets[nets >= 0]]
+        keep = driver >= 0
+        keep[keep] = comb[driver[keep]] & comb[arrays.fanin_gate[keep]]
+        edges, counts = np.unique(driver[keep] * num_gates + arrays.fanin_gate[keep],
+                                  return_counts=True)
+        self.succ: List[Dict[int, int]] = [{} for _ in range(num_gates)]
+        self.pred: List[Dict[int, int]] = [{} for _ in range(num_gates)]
+        for edge, count in zip(edges.tolist(), counts.tolist()):
+            source, target = divmod(edge, num_gates)
+            self.succ[source][target] = self.pred[target][source] = count
+        self.order: List[int] = list(arrays.kahn()[0])
+        self.ord = [0] * num_gates
+        for position, node in enumerate(self.order):
             self.ord[node] = position
 
-    def node(self, gate_name: Optional[str]) -> Optional[int]:
-        """Node of a gate, or None for no gate or a sequential one."""
-        return None if gate_name is None else self.index.get(gate_name)
+    @property
+    def index(self) -> Dict[str, int]:
+        """Node of every combinational gate, by name."""
+        names = self._arrays.gate_names
+        return {names[node]: node for node in self.order}
 
     def would_create_loop(self, driver: Optional[int], sink: int) -> bool:
         """Whether an edge ``driver -> sink`` would close a cycle."""
@@ -218,90 +248,140 @@ class _GateDag:
         """Re-rank the window ``ord[sink] .. ord[driver]`` after ``driver -> sink``."""
         ord_ = self.ord
         lower, upper = ord_[sink], ord_[driver]
-        forward = self._reach(sink, self.succ, lambda node: ord_[node] < upper)
-        backward = self._reach(driver, self.pred, lambda node: ord_[node] > lower)
+        # Nodes the new edge puts after ``driver`` (reached from ``sink``
+        # inside the window) and before ``sink`` (reaching ``driver``).
+        forward = [sink]
+        seen = {sink}
+        succ = self.succ
+        for node in forward:
+            for nxt in succ[node]:
+                if nxt not in seen and ord_[nxt] < upper:
+                    seen.add(nxt)
+                    forward.append(nxt)
+        backward = [driver]
+        seen = {driver}
+        pred = self.pred
+        for node in backward:
+            for prev in pred[node]:
+                if prev not in seen and ord_[prev] > lower:
+                    seen.add(prev)
+                    backward.append(prev)
         forward.sort(key=ord_.__getitem__)
         backward.sort(key=ord_.__getitem__)
         moved = backward + forward
+        order = self.order
         for node, position in zip(moved, sorted(ord_[node] for node in moved)):
             ord_[node] = position
-            self.order[position] = node
-
-    @staticmethod
-    def _reach(start: int, edges: List[Dict[int, int]], inside) -> List[int]:
-        found = [start]
-        seen = {start}
-        for node in found:
-            for nxt in edges[node]:
-                if nxt not in seen and inside(nxt):
-                    seen.add(nxt)
-                    found.append(nxt)
-        return found
+            order[position] = node
 
 
 class _CandidateProgram:
-    """The erroneous copy as per-gate arcs, patched in place by sink moves.
+    """The erroneous copy as per-gate arcs with kept net values.
 
-    Built once per :func:`randomize_netlist` call from the same ``logic_ops``
-    walk as the engine's plans (:func:`repro.netlist.engine.gate_arcs`): the
-    same input slots, and the X fill (0 for the OER) on unconnected pins and
-    undriven nets.  The input patterns and the reference outputs are fixed
-    for the call, so each round only runs the candidate's arcs, in the DAG's
-    maintained topological order.
+    Built once per :func:`randomize_netlist` call from the netlist's integer
+    view, with the same ``logic_ops`` walk as the engine's plans: the same
+    input slots (net indices), and the X fill (0 for the OER) on unconnected
+    pins and undriven nets.  The net values start as the reference
+    simulation's, which is also the candidate's before any move; the input
+    patterns and the reference outputs are fixed for the call.
+    :meth:`move_sink` patches the slot lists that read a pin and marks its
+    gate; :meth:`output_error_rate` re-evaluates from the marked gates in
+    the DAG's order, as far as values change.
+
+    Attributes:
+        evaluations: Gate evaluations over all rounds so far.
 
     Raises:
         UnsupportedNetlist: When a cell has no ``logic_ops`` metadata.
     """
 
-    def __init__(self, reference: Netlist, candidate: Netlist, dag: _GateDag,
+    def __init__(self, reference: Netlist, arrays: NetlistArrays, dag: _GateDag,
                  num_patterns: int, seed: int):
         reference_plan = _engine.compile_plan(reference)
-        self._net_slot = {name: slot for slot, name in enumerate(candidate.nets)}
-        x_slot = len(self._net_slot)
+        x_slot = arrays.num_nets
         ops = _engine._INTERPRETER_OPS
+        fanin_start = arrays.fanin_start.tolist()
+        fanout_start = arrays.fanout_start.tolist()
+        fanout_net = arrays.fanout_net.tolist()
+        slots = [x_slot if net < 0 else net for net in arrays.fanin_net.tolist()]
+        gate_cell = arrays.gate_cell.tolist()
+        cells = arrays.cells
         self._dag = dag
-        self._arcs: List[List[Tuple[object, List[int], int]]] = [[] for _ in dag.order]
-        #: Input-slot lists (and positions) that read each gate pin.
-        self._readers: Dict[PinRef, List[Tuple[List[int], int]]] = {}
-        for gate_name, node in dag.index.items():
-            gate = candidate.gates[gate_name]
-            for kind, in_pins, in_slots, out_slot, _net in _engine.gate_arcs(
-                gate, self._net_slot, x_slot
-            ):
-                ins = list(in_slots)
-                self._arcs[node].append((ops[kind], ins, out_slot))
-                for position, pin in enumerate(in_pins):
-                    self._readers.setdefault((gate_name, pin), []).append((ins, position))
+        self._arcs: List[List[Tuple[object, List[int], int]]] = [
+            [] for _ in range(arrays.num_gates)
+        ]
+        #: Input-slot lists (and positions) that read each fan-in row.
+        self._readers: Dict[int, List[Tuple[List[int], int]]] = {}
+        # compile_plan has raised UnsupportedNetlist for a cell without ops.
+        for gate in dag.order:
+            table = cells[gate_cell[gate]]
+            first_in = fanin_start[gate]
+            first_out = fanout_start[gate]
+            arcs = self._arcs[gate]
+            for out_pos, kind, in_pos in table.ops:
+                out = fanout_net[first_out + out_pos] if out_pos >= 0 else -1
+                if out < 0:
+                    continue
+                ins = [slots[first_in + p] if p >= 0 else x_slot for p in in_pos]
+                arcs.append((ops[kind], ins, out))
+                for position, p in enumerate(in_pos):
+                    if p >= 0:
+                        self._readers.setdefault(first_in + p, []).append((ins, position))
 
-        patterns = _shared_input_patterns(reference, candidate, num_patterns, seed)
-        reference_outputs = _plan_outputs(reference_plan, patterns, num_patterns)
+        patterns = _shared_input_patterns(reference, reference, num_patterns, seed)
+        simulated = _engine.run_plan_bigints(reference_plan, patterns, num_patterns)
         self._num_patterns = num_patterns
         self._mask = (1 << num_patterns) - 1
-        self._initial = [0] * (x_slot + 1)
-        for name in _engine.plan_input_names(candidate):
-            self._initial[self._net_slot[name]] = patterns[name] & self._mask
-        self._outputs = [
-            (self._net_slot.get(candidate.output_nets[po], x_slot), reference_outputs[po])
-            for po in candidate.primary_outputs
-        ]
+        self._values = [0] * (x_slot + 1)
+        for slot, value in simulated.items():
+            self._values[slot] = value
+        self._outputs = [(slot, simulated[slot]) for _po, slot in reference_plan.output_slots]
+        self._output_slots = {slot for slot, _reference in self._outputs}
+        self._moved: Set[int] = set()
+        self._oer = 0.0
+        self.evaluations = 0
 
-    def move_sink(self, sink: PinRef, net: str) -> None:
-        slot = self._net_slot[net]
-        for ins, position in self._readers.get(sink, ()):
-            ins[position] = slot
+    def move_sink(self, row: int, gate: int, net: int) -> None:
+        """Re-target fan-in row ``row`` (an input of ``gate``) to ``net``."""
+        for ins, position in self._readers.get(row, ()):
+            ins[position] = net
+        self._moved.add(gate)
 
     def output_error_rate(self) -> float:
         """OER of the candidate's current connectivity against the reference."""
-        values = self._initial.copy()
-        mask = self._mask
-        arcs = self._arcs
-        for node in self._dag.order:
-            for op, ins, out in arcs[node]:
-                values[out] = op(values, ins, mask)
-        error_mask = 0
-        for slot, reference in self._outputs:
-            error_mask |= values[slot] ^ reference
-        return 100.0 * error_mask.bit_count() / self._num_patterns
+        if not self._moved:
+            return self._oer
+        ord_, succ = self._dag.ord, self._dag.succ
+        queued = self._moved
+        self._moved = set()
+        heap = [(ord_[gate], gate) for gate in queued]
+        heapq.heapify(heap)
+        values, mask, arcs = self._values, self._mask, self._arcs
+        output_slots = self._output_slots
+        outputs_changed = False
+        evaluated = 0
+        while heap:
+            gate = heapq.heappop(heap)[1]
+            evaluated += 1
+            changed = False
+            for op, ins, out in arcs[gate]:
+                value = op(values, ins, mask)
+                if value != values[out]:
+                    values[out] = value
+                    changed = True
+                    outputs_changed = outputs_changed or out in output_slots
+            if changed:
+                for nxt in succ[gate]:
+                    if nxt not in queued:
+                        queued.add(nxt)
+                        heapq.heappush(heap, (ord_[nxt], nxt))
+        self.evaluations += evaluated
+        if outputs_changed:
+            error_mask = 0
+            for slot, reference in self._outputs:
+                error_mask |= values[slot] ^ reference
+            self._oer = 100.0 * error_mask.bit_count() / self._num_patterns
+        return self._oer
 
 
 def randomize_netlist(netlist: Netlist,
@@ -325,38 +405,41 @@ def randomize_netlist(netlist: Netlist,
     """
     config = config if config is not None else RandomizerConfig()
     rng = make_rng(config.seed, "randomizer", netlist.name)
-    erroneous = netlist.copy(f"{netlist.name}_erroneous")
-    dag = _GateDag(erroneous)
-    program = _CandidateProgram(netlist, erroneous, dag, config.oer_patterns, config.seed)
+    arrays = netlist_arrays(netlist)
+    dag = _GateDag(netlist)
+    program = _CandidateProgram(netlist, arrays, dag, config.oer_patterns, config.seed)
 
-    swaps: Dict[PinRef, SwapRecord] = {}
-    protected: Set[str] = set()
+    # The eligible sinks never change; only the net each one is on does.
+    eligible = eligible_sink_rows(arrays)
+    sink_gate = arrays.fanin_gate[eligible].tolist()
+    sink_net = arrays.fanin_net[eligible].tolist()
+    net_driver = arrays.net_driver.tolist()
+    sequential = arrays.sequential.tolist()
+    # DAG node of each net's driver: None for a primary input, an undriven
+    # net or a sequential driver, which cannot close a combinational loop.
+    driver_node = [None if gate < 0 or sequential[gate] else gate for gate in net_driver]
+    swapped = bytearray(len(eligible))
+    #: Accepted moves in acceptance order: (eligible index, original net,
+    #: erroneous net).
+    moves: List[Tuple[int, int, int]] = []
     oer_history: List[float] = []
     oer = 0.0
-
-    # The set of eligible sink pins never changes; only the net each sink is
-    # currently attached to does, so it is looked up per attempt.
-    eligible_sinks: List[PinRef] = [sink for _net, sink in _swappable_sinks(erroneous)]
+    population = range(len(eligible))
 
     def attempt_pair() -> bool:
         """Try one random pair swap; returns True if accepted."""
-        if len(eligible_sinks) < 2:
+        if len(population) < 2:
             return False
-        sink_a, sink_b = rng.sample(eligible_sinks, 2)
-        net_a = erroneous.gates[sink_a[0]].net_on(sink_a[1])
-        net_b = erroneous.gates[sink_b[0]].net_on(sink_b[1])
-        if net_a is None or net_b is None or net_a == net_b:
+        a, b = rng.sample(population, 2)
+        net_a, net_b = sink_net[a], sink_net[b]
+        if net_a == net_b:
             return False
         # Swapping a sink twice would complicate restoration bookkeeping; the
         # paper likewise marks swapped sinks as do-not-touch.
-        if sink_a in swaps or sink_b in swaps:
+        if swapped[a] or swapped[b]:
             return False
-        driver_a = dag.node(_driver_gate(erroneous, net_a))
-        driver_b = dag.node(_driver_gate(erroneous, net_b))
-        sink_gate_a, _ = sink_a
-        sink_gate_b, _ = sink_b
-        node_a = dag.index[sink_gate_a]
-        node_b = dag.index[sink_gate_b]
+        driver_a, driver_b = driver_node[net_a], driver_node[net_b]
+        node_a, node_b = sink_gate[a], sink_gate[b]
         # After the swap, net_b drives sink_a and net_a drives sink_b.
         # Check loops against the graph *without* the edges being removed.
         dag.remove_edge(driver_a, node_a)
@@ -369,31 +452,25 @@ def randomize_netlist(netlist: Netlist,
             dag.add_edge(driver_a, node_a)
             dag.add_edge(driver_b, node_b)
             return False
-        original_a = erroneous.move_sink(sink_gate_a, sink_a[1], net_b)
-        original_b = erroneous.move_sink(sink_gate_b, sink_b[1], net_a)
         # Neither new edge can close a cycle together with the other: that
         # would need a path sink_a ~> driver_a, a cycle through the removed edge.
         dag.add_edge(driver_b, node_a)
         dag.add_edge(driver_a, node_b)
-        program.move_sink(sink_a, net_b)
-        program.move_sink(sink_b, net_a)
-        erroneous.gates[sink_gate_a].dont_touch = True
-        erroneous.gates[sink_gate_b].dont_touch = True
-        for gate in (_driver_gate(erroneous, net_a), _driver_gate(erroneous, net_b)):
-            if gate is not None:
-                erroneous.gates[gate].dont_touch = True
-        swaps[sink_a] = SwapRecord(sink=sink_a, original_net=original_a, erroneous_net=net_b)
-        swaps[sink_b] = SwapRecord(sink=sink_b, original_net=original_b, erroneous_net=net_a)
-        protected.update((original_a, original_b))
+        program.move_sink(eligible[a], node_a, net_b)
+        program.move_sink(eligible[b], node_b, net_a)
+        sink_net[a], sink_net[b] = net_b, net_a
+        swapped[a] = swapped[b] = 1
+        moves.append((a, net_a, net_b))
+        moves.append((b, net_b, net_a))
         return True
 
     max_attempts = config.max_swaps * 8
     attempts = 0
-    while len(swaps) < config.max_swaps and attempts < max_attempts:
+    while len(moves) < config.max_swaps and attempts < max_attempts:
         accepted = 0
         for _ in range(config.batch_pairs):
             attempts += 1
-            if len(swaps) >= config.max_swaps or attempts >= max_attempts:
+            if len(moves) >= config.max_swaps or attempts >= max_attempts:
                 break
             if attempt_pair():
                 accepted += 1
@@ -401,15 +478,32 @@ def randomize_netlist(netlist: Netlist,
             break
         oer = program.output_error_rate()
         oer_history.append(oer)
-        if oer >= config.target_oer_percent and len(swaps) >= config.min_swaps:
+        if oer >= config.target_oer_percent and len(moves) >= config.min_swaps:
             break
 
-    result = RandomizationResult(
+    # Replay the accepted moves on one copy, in acceptance order.
+    gate_names, net_names = arrays.gate_names, arrays.net_names
+    erroneous = netlist.copy(f"{netlist.name}_erroneous")
+    swaps: List[SwapRecord] = []
+    touched: Set[int] = set()
+    for index, original, wrong in moves:
+        sink = (gate_names[sink_gate[index]], arrays.pin_name(eligible[index]))
+        erroneous.move_sink(sink[0], sink[1], net_names[wrong])
+        swaps.append(SwapRecord(sink=sink, original_net=net_names[original],
+                                erroneous_net=net_names[wrong]))
+        touched.add(sink_gate[index])
+        touched.add(net_driver[original])
+        touched.add(net_driver[wrong])
+    touched.discard(-1)  # a net without a driver gate
+    gates = erroneous.gates
+    for gate in touched:
+        gates[gate_names[gate]].dont_touch = True
+
+    return RandomizationResult(
         original=netlist,
         erroneous=erroneous,
-        swaps=list(swaps.values()),
-        protected_nets=protected,
+        swaps=swaps,
+        protected_nets={record.original_net for record in swaps},
         oer_percent=oer,
         oer_history=oer_history,
     )
-    return result

@@ -17,7 +17,7 @@ the BEOL.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple, TypeVar
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from repro.layout.placer import PlacementResult, PlacerConfig, place, place_batc
 from repro.layout.router import RouterConfig, route, route_batch
 from repro.netlist.cells import NUM_METAL_LAYERS
 from repro.netlist.netlist import Netlist
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -72,9 +74,13 @@ class Layout:
         self.geometry_version += 1
         return self.geometry_version
 
+    #: ``__dict__`` entries of the caches kept by :meth:`cached`.
+    _CACHES = ("_geometry_cache", "_ppa_cache")
+
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_geometry_cache", None)  # cached arrays are rebuilt lazily
+        for name in self._CACHES:
+            state.pop(name, None)  # rebuilt lazily
         return state
 
     def __setstate__(self, state):
@@ -83,6 +89,24 @@ class Layout:
     # ------------------------------------------------------------------
     # Columnar view
     # ------------------------------------------------------------------
+    def cached(self, name: str, build: Callable[[], T]) -> T:
+        """The value ``build()`` returned for this layout, kept under
+        ``name`` (one of :attr:`_CACHES`) and built again whenever the
+        netlist's ``topology_version``, the placement's
+        ``geometry_version`` or this layout's own ``geometry_version``
+        changes."""
+        key = (
+            self.netlist.topology_version,
+            self.placement.geometry_version,
+            self.geometry_version,
+        )
+        entry = self.__dict__.get(name)
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        value = build()
+        self.__dict__[name] = (key, value)
+        return value
+
     def arrays(self) -> LayoutArrays:
         """The cached array-backed view of this layout.
 
@@ -91,17 +115,8 @@ class Layout:
         ``geometry_version`` changes; see :mod:`repro.layout.arrays` for the
         invalidation contract.
         """
-        key = (
-            self.netlist.topology_version,
-            self.placement.geometry_version,
-            self.geometry_version,
-        )
-        cached = self.__dict__.get("_geometry_cache")
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        arrays = LayoutArrays.build(self.netlist, self.placement, self.routing)
-        self.__dict__["_geometry_cache"] = (key, arrays)
-        return arrays
+        return self.cached("_geometry_cache", lambda: LayoutArrays.build(
+            self.netlist, self.placement, self.routing))
 
     # ------------------------------------------------------------------
     # Geometry queries

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.netlist.arrays import NetlistOverlay, netlist_arrays
-from repro.netlist.netlist import Gate, Netlist
+from repro.netlist.netlist import Netlist
 
 #: What a plan is compiled from: a netlist, or a netlist with sinks moved.
 PlanSource = Union[Netlist, NetlistOverlay]
@@ -128,38 +128,6 @@ def compile_plan(source: PlanSource) -> SimPlan:
         raise
     _PLAN_CACHE[source] = plan
     return plan
-
-
-def gate_arcs(
-    gate: Gate, net_slot: Mapping[str, int], x_slot: int,
-) -> List[Tuple[str, Tuple[str, ...], Tuple[int, ...], int, str]]:
-    """``(kind, input pins, input slots, output slot, output net)`` per op.
-
-    One entry per ``logic_ops`` op of the combinational ``gate`` whose output
-    pin is connected (the per-gate interpreter drops unconnected outputs too).
-    An unconnected input pin reads ``x_slot``, the X fill.
-
-    Raises:
-        UnsupportedNetlist: When the cell carries no ``logic_ops`` metadata.
-    """
-    cell = gate.cell
-    if cell.logic_ops is None:
-        raise UnsupportedNetlist(
-            f"cell {cell.name!r} (gate {gate.name!r}) has no logic_ops "
-            "metadata; compiled simulation is unavailable"
-        )
-    connections = gate.connections
-    arcs = []
-    for out_pin, kind, in_pins in cell.logic_ops:
-        out_net = connections.get(out_pin)
-        if out_net is None:
-            continue
-        in_slots = []
-        for pin in in_pins:
-            net_name = connections.get(pin)
-            in_slots.append(x_slot if net_name is None else net_slot[net_name])
-        arcs.append((kind, in_pins, tuple(in_slots), net_slot[out_net], out_net))
-    return arcs
 
 
 def _compile(source: PlanSource) -> SimPlan:

@@ -8,7 +8,9 @@ one-program-per-ring ``nearest`` replaced.  The network-flow oracle
 builds the whole ``(S, D)`` cost matrix with one broadcast per hint,
 evaluates the loop hint on a networkx reachability graph through
 :func:`graph_oracle.transitive_closure_bitmap`, and gathers the
-driver-slot matrix with ``np.take``.  The crouting oracle makes one NumPy
+driver-slot matrix with ``np.take``.  ``loop_bitmap_reference`` is the
+loop bitmap built by walking the visible nets by name, which the
+attack's integer-view build replaced.  The crouting oracle makes one NumPy
 pass per vpin, side and bounding box.  ``rebuild_netlist`` is the
 copy-and-edit recovery that the network-flow attack's overlay replaced.
 Tests assert that the shipped attacks produce the same bytes, counts,
@@ -30,6 +32,7 @@ from repro.attacks.network_flow import _INVALID_COSTS, NetworkFlowAttackConfig
 from repro.attacks.proximity import ProximityAttackResult
 from repro.layout.arrays import UniformGridIndex
 from repro.layout.geometry import manhattan
+from repro.netlist.graph import transitive_closure
 from repro.netlist.netlist import Netlist
 from repro.sm.split import FEOLView, VPin, feol_arrays
 
@@ -77,6 +80,43 @@ def visible_reachability(view: FEOLView) -> nx.DiGraph:
             if sink_gate in graph:
                 graph.add_edge(driver_gate, sink_gate)
     return graph
+
+
+def loop_bitmap_reference(view: FEOLView) -> Tuple[Dict[str, int], np.ndarray]:
+    """The network-flow attack's loop bitmap as built by name.
+
+    Walks ``view.visible_nets`` through the netlist's ``Net`` objects and
+    closes the gate graph with
+    :func:`repro.netlist.graph.transitive_closure`.  Returns ``(index,
+    bitmap)``: row ``index[u]`` has bit ``index[v]`` (little-endian bit
+    order) set iff gate ``v`` is reachable from gate ``u``; row and bit
+    ``len(index)`` are always clear.
+    """
+    netlist = view.layout.netlist
+    index = {
+        name: i for i, name in enumerate(
+            name for name, gate in netlist.gates.items() if not gate.cell.is_sequential
+        )
+    }
+    successors: List[List[int]] = [[] for _ in index]
+    for net_name in view.visible_nets:
+        net = netlist.nets[net_name]
+        if net.driver is None:
+            continue
+        driver = index.get(net.driver[0])
+        if driver is None:
+            continue
+        fanout = successors[driver]
+        for sink_gate, _pin in net.sinks:
+            sink = index.get(sink_gate)
+            if sink is not None:
+                fanout.append(sink)
+    row_bytes = len(index) // 8 + 1
+    packed = b"".join(
+        reach.to_bytes(row_bytes, "little") for reach in transitive_closure(successors)
+    )
+    bitmap = np.frombuffer(packed + bytes(row_bytes), dtype=np.uint8)
+    return index, bitmap.reshape(len(index) + 1, row_bytes)
 
 
 def loop_exclusion_matrix(view: FEOLView, sinks: List[VPin],

@@ -13,20 +13,26 @@ protected layout's per-connection restore loop (lift floors, misleading
 stub hints, protected flags) on the same primitives, and
 :func:`routing_perturbation_reference` replays the routing-perturbation
 defense's hint re-aiming as an object walk over a materialized ``route()``
-result.  Tests assert that :func:`repro.layout.placer.place`,
+result.  :func:`legalize_correction_cells_reference` is the correction-cell
+legalizer that re-scanned every spiral from its home slot.  Tests assert
+that :func:`repro.layout.placer.place`,
 :func:`repro.layout.router.route` (and their seed-batched twins),
 :func:`repro.core.restore.build_protected_layout` and
 :func:`repro.defenses.routing_perturbation.routing_perturbation_defense`
 produce the same gate positions, the same segment/via graphs, the same
-stub hints and the same pickle bytes.
+stub hints and the same pickle bytes, and that
+:func:`repro.core.correction_cells.legalize_correction_cells` returns the
+same instances.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.correction_cells import CorrectionCellInstance
 from repro.core.randomizer import RandomizationResult
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.geometry import Point, manhattan
@@ -656,3 +662,59 @@ def routing_perturbation_reference(
             "seed": seed,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# Correction-cell legalization
+# ---------------------------------------------------------------------------
+
+def legalize_correction_cells_reference(
+    instances: List[CorrectionCellInstance],
+    floorplan: Floorplan,
+) -> List[CorrectionCellInstance]:
+    """The legalizer before it resumed its spirals: every cell spirals from
+    its home slot's ring 0, re-testing each slot against a dict of taken
+    slots, and each legalized instance is a ``dataclasses.replace``."""
+    if not instances:
+        return []
+    pitch_x = instances[0].width_um
+    pitch_y = instances[0].height_um
+    die = floorplan.die
+    columns = max(1, int(die.width / pitch_x))
+    rows = max(1, int(die.height / pitch_y))
+    occupied: Dict[Tuple[int, int], str] = {}
+    legalized: List[CorrectionCellInstance] = []
+
+    def slot_of(point: Point) -> Tuple[int, int]:
+        col = int((point.x - die.x_min) / pitch_x)
+        row = int((point.y - die.y_min) / pitch_y)
+        return (min(max(col, 0), columns - 1), min(max(row, 0), rows - 1))
+
+    def spiral(start: Tuple[int, int]):
+        """Yield grid slots in increasing Chebyshev distance from ``start``."""
+        yield start
+        for radius in range(1, max(columns, rows)):
+            for dc in range(-radius, radius + 1):
+                for dr in (-radius, radius):
+                    yield (start[0] + dc, start[1] + dr)
+            for dr in range(-radius + 1, radius):
+                for dc in (-radius, radius):
+                    yield (start[0] + dc, start[1] + dr)
+
+    for instance in instances:
+        home = slot_of(instance.position)
+        placed = False
+        for col, row in spiral(home):
+            if not (0 <= col < columns and 0 <= row < rows):
+                continue
+            if (col, row) in occupied:
+                continue
+            occupied[(col, row)] = instance.name
+            position = Point(die.x_min + col * pitch_x, die.y_min + row * pitch_y)
+            legalized.append(dataclasses.replace(instance, position=position))
+            placed = True
+            break
+        if not placed:
+            # Grid full (pathological); keep the original position.
+            legalized.append(instance)
+    return legalized

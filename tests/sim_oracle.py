@@ -12,16 +12,16 @@ sides see the same stimuli.  The evaluation order is the name-keyed
 
 :func:`compile_reference` is the name-keyed plan compiler the engine had
 before it compiled from :class:`~repro.netlist.arrays.NetlistArrays`: a
-walk of ``pseudo_topological_order`` through ``engine.gate_arcs``.
+walk of ``pseudo_topological_order`` through :func:`gate_arcs`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from graph_oracle import pseudo_topological_order
-from repro.netlist.engine import SimPlan, gate_arcs
-from repro.netlist.netlist import Netlist
+from repro.netlist.engine import SimPlan, UnsupportedNetlist
+from repro.netlist.netlist import Gate, Netlist
 from repro.netlist.simulate import (
     SimulationResult,
     _resolved_inputs,
@@ -117,6 +117,38 @@ def plan_input_names_reference(netlist: Netlist) -> List[str]:
             if net is not None:
                 names.append(net)
     return names
+
+
+def gate_arcs(
+    gate: Gate, net_slot: Mapping[str, int], x_slot: int,
+) -> List[Tuple[str, Tuple[str, ...], Tuple[int, ...], int, str]]:
+    """``(kind, input pins, input slots, output slot, output net)`` per op.
+
+    One entry per ``logic_ops`` op of the combinational ``gate`` whose output
+    pin is connected (the per-gate interpreter drops unconnected outputs too).
+    An unconnected input pin reads ``x_slot``, the X fill.
+
+    Raises:
+        UnsupportedNetlist: When the cell carries no ``logic_ops`` metadata.
+    """
+    cell = gate.cell
+    if cell.logic_ops is None:
+        raise UnsupportedNetlist(
+            f"cell {cell.name!r} (gate {gate.name!r}) has no logic_ops "
+            "metadata; compiled simulation is unavailable"
+        )
+    connections = gate.connections
+    arcs = []
+    for out_pin, kind, in_pins in cell.logic_ops:
+        out_net = connections.get(out_pin)
+        if out_net is None:
+            continue
+        in_slots = []
+        for pin in in_pins:
+            net_name = connections.get(pin)
+            in_slots.append(x_slot if net_name is None else net_slot[net_name])
+        arcs.append((kind, in_pins, tuple(in_slots), net_slot[out_net], out_net))
+    return arcs
 
 
 def compile_reference(netlist: Netlist) -> SimPlan:

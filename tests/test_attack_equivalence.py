@@ -4,7 +4,8 @@
 blocks, the attack's cheapest driver per sink comes from a ring walk over
 the driver grid that scores only the drivers that can win, the assignment
 falls back to a port of the shortest-augmenting-path solver when fanout
-capacities bind, the loop hint reads an integer transitive closure, the
+capacities bind, the loop hint reads an integer transitive closure of the visible gate
+graph built from the netlist's integer view and the cut-net mask, the
 recovery is a :class:`~repro.netlist.arrays.NetlistOverlay` instead of an
 edited netlist copy, crouting counts candidates from one Chebyshev-distance
 block per sink block, and
@@ -43,6 +44,7 @@ from repro.circuits import ISCAS85_PROFILES, SUPERBLUE_PROFILES
 from repro.circuits.registry import get_benchmark
 from repro.core import ProtectionConfig, protect
 from repro.layout.geometry import Point
+from repro.layout.layout import build_layout
 from repro.netlist.cells import NUM_METAL_LAYERS
 from repro.netlist.arrays import NetlistOverlay, netlist_arrays
 from repro.netlist.engine import compile_plan
@@ -88,7 +90,18 @@ def connectivity(netlist: Netlist):
     )
 
 
+def check_loop_bitmap(view):
+    """The integer-view loop bitmap equals the by-name build, byte for byte."""
+    rows, bitmap = network_flow._loop_bitmap(view)
+    index, expected = attack_oracle.loop_bitmap_reference(view)
+    assert bitmap.shape == expected.shape and bitmap.tobytes() == expected.tobytes()
+    arrays = netlist_arrays(view.layout.netlist)
+    clear = len(index)
+    assert rows.tolist() == [index.get(name, clear) for name in arrays.gate_names]
+
+
 def check_cost_matrices(view, configs=HINT_CONFIGS):
+    check_loop_bitmap(view)
     for config in configs:
         expected, expected_excluded = attack_oracle.build_cost_matrix(view, config)
         costs, excluded = network_flow.build_cost_matrix(view, config)
@@ -432,10 +445,11 @@ def test_loop_hint_excludes_reachable_pairs(c432_layouts):
     sinks, drivers = view.sink_vpins, view.driver_vpins
     expected = attack_oracle.loop_exclusion_matrix(view, sinks, drivers)
     assert expected.any()
-    index, bitmap = network_flow._loop_bitmap(view)
-    clear = len(index)
-    rows = [index.get(v.gate, clear) if v.gate is not None else clear for v in sinks]
-    cols = [index.get(v.gate, clear) if v.gate is not None else clear for v in drivers]
+    gate_rows, bitmap = network_flow._loop_bitmap(view)
+    clear = len(bitmap) - 1
+    gate_id = netlist_arrays(view.layout.netlist).gate_id
+    rows = [gate_rows[gate_id[v.gate]] if v.gate is not None else clear for v in sinks]
+    cols = [gate_rows[gate_id[v.gate]] if v.gate is not None else clear for v in drivers]
     reach = np.unpackbits(bitmap[rows], axis=1, bitorder="little")[:, cols]
     assert np.array_equal(reach.view(bool), expected)
 
@@ -518,6 +532,14 @@ def loopy_netlists(draw):
 def test_pseudo_topological_order_equals_linear_scan(netlist):
     assert pseudo_topological_order(netlist) == graph_oracle.pseudo_topological_order(
         netlist)
+
+
+@settings(max_examples=40, deadline=None)
+@given(loopy_netlists(), st.sampled_from((1, 2, 3)))
+def test_loop_bitmap_on_cyclic_netlists(netlist, split):
+    """A netlist with combinational loops takes the strongly-connected-
+    component closure; it must equal the by-name build too."""
+    check_loop_bitmap(extract_feol(build_layout(netlist, seed=1), split))
 
 
 @pytest.mark.parametrize("circuit", sorted(ISCAS85_PROFILES))

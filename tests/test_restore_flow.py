@@ -5,6 +5,7 @@ import pytest
 from repro.core.flow import ProtectionConfig, evaluate_ppa, protect
 from repro.core.lifting import build_naive_lifted_layout, select_nets_for_lifting
 from repro.core.restore import build_protected_layout
+from repro.layout.layout import build_layout
 from repro.core.randomizer import RandomizerConfig, randomize_netlist
 from repro.netlist.equivalence import check_equivalence
 
@@ -137,19 +138,19 @@ class TestNaiveLifting:
 
     def test_lifted_nets_routed_at_floor(self, c432):
         nets = select_nets_for_lifting(c432, 8, seed=3)
-        layout = build_naive_lifted_layout(c432, nets, lift_layer=6, seed=3)
+        layout = build_naive_lifted_layout(build_layout(c432, seed=3), nets, lift_layer=6)
         for net in nets:
             if net in layout.routing:
                 assert all(c.h_layer >= 6 for c in layout.routing[net].connections)
 
     def test_lifting_cells_in_metadata(self, c432):
         nets = select_nets_for_lifting(c432, 4, seed=3)
-        layout = build_naive_lifted_layout(c432, nets, lift_layer=6, seed=3)
+        layout = build_naive_lifted_layout(build_layout(c432, seed=3), nets, lift_layer=6)
         assert layout.metadata["lifting_cells"]
         assert all(cell.cell == "LIFT_M6" for cell in layout.metadata["lifting_cells"])
 
     def test_connectivity_unchanged(self, c432):
         nets = select_nets_for_lifting(c432, 8, seed=3)
-        layout = build_naive_lifted_layout(c432, nets, lift_layer=6, seed=3)
+        layout = build_naive_lifted_layout(build_layout(c432, seed=3), nets, lift_layer=6)
         assert layout.protected_nets == set()
         assert layout.netlist is c432
