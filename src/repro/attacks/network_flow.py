@@ -130,9 +130,7 @@ def _loop_bitmap(view: FEOLView) -> Tuple[np.ndarray, np.ndarray]:
     runs from the driver gate of every visible net (routed, not cut) to each
     of its sink gates, read off the netlist's
     :class:`~repro.netlist.arrays.NetlistArrays` and the view's cut-net
-    mask.  On an acyclic netlist (every layout the flows build) the closure
-    is one fold in reverse topological order; a cyclic one goes through
-    :func:`~repro.netlist.graph.transitive_closure`.
+    mask, and closed by :func:`~repro.netlist.graph.transitive_closure`.
 
     Returns ``(rows, bitmap)``: ``rows[g]`` is the bitmap row of netlist
     gate ``g``, and row ``rows[u]`` of the ``uint8`` bitmap has bit
@@ -164,19 +162,8 @@ def _loop_bitmap(view: FEOLView) -> Tuple[np.ndarray, np.ndarray]:
     by_source = np.argsort(sources, kind="stable")
     starts = csr(np.bincount(sources, minlength=num_comb)).tolist()
     targets = rows[sink[edge]][by_source].tolist()
-    if arrays.is_acyclic():
-        # Successors close before their predecessors in reverse Kahn order.
-        closed = [0] * num_comb  # reach plus the node itself
-        reach = [0] * num_comb
-        for node in rows[arrays.kahn()[0]].tolist()[::-1]:
-            bits = 0
-            for target in targets[starts[node]:starts[node + 1]]:
-                bits |= closed[target]
-            reach[node] = bits
-            closed[node] = bits | 1 << node
-    else:
-        reach = transitive_closure(
-            [targets[starts[node]:starts[node + 1]] for node in range(num_comb)])
+    reach = transitive_closure(
+        [targets[starts[node]:starts[node + 1]] for node in range(num_comb)])
     row_bytes = num_comb // 8 + 1
     packed = b"".join(bits.to_bytes(row_bytes, "little") for bits in reach)
     bitmap = np.frombuffer(packed + bytes(row_bytes), dtype=np.uint8)

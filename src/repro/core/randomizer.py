@@ -133,14 +133,22 @@ def eligible_sink_rows(arrays: NetlistArrays) -> List[int]:
 
 
 def _swappable_sinks(netlist: Netlist) -> List[Tuple[str, PinRef]]:
-    """``(net, sink pin)`` pairs of :func:`eligible_sink_rows` by name."""
-    arrays = netlist_arrays(netlist)
-    gate_names, net_names = arrays.gate_names, arrays.net_names
-    fanin_gate, fanin_net = arrays.fanin_gate, arrays.fanin_net
-    return [
-        (net_names[fanin_net[row]], (gate_names[fanin_gate[row]], arrays.pin_name(row)))
-        for row in eligible_sink_rows(arrays)
-    ]
+    """The ``(net, sink pin)`` pairs of :func:`eligible_sink_rows`, by name.
+
+    A walk over the ``Net``/``Gate`` objects that does not go through
+    :class:`~repro.netlist.arrays.NetlistArrays`; ``randomize_netlist`` does
+    not call it.
+    """
+    eligible: List[Tuple[str, PinRef]] = []
+    for net in netlist.nets.values():
+        if not net.has_driver():
+            continue
+        for sink_gate, sink_pin in net.sinks:
+            gate = netlist.gates[sink_gate]
+            if gate.cell.is_sequential:
+                continue
+            eligible.append((net.name, (sink_gate, sink_pin)))
+    return eligible
 
 
 def _driver_gate(netlist: Netlist, net_name: str) -> Optional[str]:
@@ -167,7 +175,6 @@ class _GateDag:
 
     def __init__(self, netlist: Netlist):
         arrays = netlist_arrays(netlist)
-        self._arrays = arrays
         if not arrays.is_acyclic():
             raise ValueError(
                 f"netlist {netlist.name!r} already has a combinational loop; "
@@ -191,12 +198,6 @@ class _GateDag:
         self.ord = [0] * num_gates
         for position, node in enumerate(self.order):
             self.ord[node] = position
-
-    @property
-    def index(self) -> Dict[str, int]:
-        """Node of every combinational gate, by name."""
-        names = self._arrays.gate_names
-        return {names[node]: node for node in self.order}
 
     def would_create_loop(self, driver: Optional[int], sink: int) -> bool:
         """Whether an edge ``driver -> sink`` would close a cycle."""
@@ -495,9 +496,8 @@ def randomize_netlist(netlist: Netlist,
         touched.add(net_driver[original])
         touched.add(net_driver[wrong])
     touched.discard(-1)  # a net without a driver gate
-    gates = erroneous.gates
-    for gate in touched:
-        gates[gate_names[gate]].dont_touch = True
+    for gate in touched:  # dont_touch lives on the Gate objects, keyed by name
+        erroneous.gates[gate_names[gate]].dont_touch = True
 
     return RandomizationResult(
         original=netlist,

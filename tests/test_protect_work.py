@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import build_oracle
 from repro.api.workspace import reset_default_workspace
+from repro.circuits import ISCAS85_PROFILES
 from repro.circuits.registry import get_benchmark
 from repro.core import flow, lifting, randomizer, restore
 from repro.core.correction_cells import legalize_correction_cells, place_correction_cells
@@ -35,6 +36,7 @@ from repro.layout.geometry import Point, Rect
 from repro.layout.layout import build_layout
 from repro.layout.placer import PlacerConfig
 from repro.layout.router import RouterConfig
+from repro.netlist.arrays import netlist_arrays
 from repro.netlist.cells import ROW_HEIGHT_UM, SITE_WIDTH_UM
 
 
@@ -110,6 +112,51 @@ def test_changed_versions_remeasure(c432, monkeypatch):
     netlist.move_sink(gate, pin, netlist.gates[gate].connections[pin])
     evaluate_ppa(layout)
     assert len(measured) == 4
+
+
+# ---------------------------------------------------------------------------
+# Eligible sinks: integer rows == the by-name walk
+# ---------------------------------------------------------------------------
+
+def _edited_c432():
+    """c432 after sink moves that put parallel pins of one gate onto one net
+    in the reverse of their cell pin (fan-in row) order, on nets whose
+    ``Net.sinks`` are no longer in gate order, plus sinks on an undriven
+    net (not eligible)."""
+    netlist = get_benchmark("c432", seed=1).copy("c432_edited")
+    targets = [net for net in netlist.nets.values() if net.has_driver()]
+    edited = 0
+    for position, gate in enumerate(list(netlist.gates.values())):
+        pins = [pin.name for pin in gate.cell.input_pins]
+        if gate.cell.is_sequential or len(pins) < 2 or position % 7:
+            continue
+        target = targets[position % len(targets)].name
+        for pin in reversed(pins):
+            netlist.move_sink(gate.name, pin, target)
+        edited += 1
+    assert edited > 3
+    for gate in list(netlist.gates.values())[1::40]:
+        netlist.move_sink(gate.name, gate.cell.input_pins[0].name, "floating")
+    return netlist
+
+
+@pytest.mark.parametrize("name,scale", [(name, None) for name in ISCAS85_PROFILES]
+                         + [("superblue18", 0.001), ("edited", None)])
+def test_eligible_sink_rows_match_the_by_name_walk(name, scale):
+    """The randomizer's eligible fan-in rows, mapped to names, are the
+    ``(net, sink)`` pairs the object walk lists on the netlist's copy (the
+    netlist both the randomizer and its oracle edit), in the same order:
+    ``rng.sample`` draws by position."""
+    netlist = _edited_c432() if name == "edited" else get_benchmark(name, seed=1,
+                                                                   scale=scale)
+    arrays = netlist_arrays(netlist)
+    rows = randomizer.eligible_sink_rows(arrays)
+    by_rows = [
+        (arrays.net_names[arrays.fanin_net[row]],
+         (arrays.gate_names[arrays.fanin_gate[row]], arrays.pin_name(row)))
+        for row in rows
+    ]
+    assert by_rows == randomizer._swappable_sinks(netlist.copy())
 
 
 # ---------------------------------------------------------------------------

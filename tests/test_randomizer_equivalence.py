@@ -23,6 +23,7 @@ from repro.circuits import ISCAS85_PROFILES
 from repro.circuits.registry import get_benchmark
 from repro.core.randomizer import RandomizerConfig, _GateDag, randomize_netlist
 from repro.netlist import engine
+from repro.netlist.arrays import netlist_arrays
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import output_error_rate
 
@@ -147,7 +148,8 @@ def test_parallel_connections_are_counted():
     netlist.add_gate("d", "INV_X1", {"A": "a", "ZN": "n"})
     netlist.add_gate("g", "NAND2_X1", {"A1": "n", "A2": "n", "ZN": "m"})
     dag = _GateDag(netlist)
-    d, g = dag.index["d"], dag.index["g"]
+    gate_id = netlist_arrays(netlist).gate_id
+    d, g = gate_id["d"], gate_id["g"]
     dag.remove_edge(d, g)
     assert dag.would_create_loop(g, d)
     dag.remove_edge(d, g)
