@@ -293,20 +293,17 @@ def bench_seed_batch(benchmark: str, scale: float, batch_sizes: List[int],
     engine itself (``build_s_*`` / ``amortized_speedup`` — one netlist
     generation plus ``build_original_batch``, the work ``run_sweeps``
     amortizes) and the full workspace sweep including scenario evaluation
-    (``sweep_s_*`` / ``sweep_speedup``).  Before timing, every batched seed
-    is asserted bit-exact
-    against its reference build; the pickled-payload comparison measures the
-    bytes one seed ships across the pool boundary — a full ``SchemeBuild``
-    artefact versus the coordinate delta of the skeleton/delta protocol.
+    (``sweep_s_*`` / ``sweep_speedup``).  Before timing, every seed of
+    ``build_original_batch`` is asserted bit-exact against
+    ``build_original``; ``full_build_payload_bytes_per_seed`` is the pickled
+    ``SchemeBuild`` a pooled single ships back from its worker.
     """
     import pickle
 
     from repro.api.schemes import (
         OriginalParams,
-        batch_placement_deltas,
         build_original,
         build_original_batch,
-        builds_from_placement_deltas,
     )
 
     scale_arg = scale if benchmark.startswith("superblue") else None
@@ -319,8 +316,7 @@ def bench_seed_batch(benchmark: str, scale: float, batch_sizes: List[int],
 
     # -- bit-exactness gate (largest batch, every seed) ---------------------
     check_seeds = list(range(max(batch_sizes)))
-    deltas = batch_placement_deltas(netlist, params, check_seeds)
-    batched = builds_from_placement_deltas(netlist, params, deltas)
+    batched = build_original_batch(netlist, params, check_seeds)
     for seed, built in zip(check_seeds, batched):
         reference = build_original(netlist, params, seed)
         _assert_equal_placements(
@@ -330,14 +326,10 @@ def bench_seed_batch(benchmark: str, scale: float, batch_sizes: List[int],
 
     # -- pool payload bytes per seed ----------------------------------------
     full_bytes = len(pickle.dumps(build_original(netlist, params, 0)))
-    delta_bytes = len(pickle.dumps({
-        "seeds": deltas["seeds"][:1], "orders": deltas["orders"][:1],
-        "xs": deltas["xs"][:1], "ys": deltas["ys"][:1],
-    }))
 
     # Release the gate's artefacts before timing: keeping dozens of full
     # builds alive degrades allocator locality for every timed sample.
-    del batched, reference, deltas
+    del batched, reference
     gc.collect()
 
     results: List[Dict[str, object]] = []
@@ -401,8 +393,6 @@ def bench_seed_batch(benchmark: str, scale: float, batch_sizes: List[int],
                 "sweep_s_per_seed": round(sweep_s / num_seeds, 4),
                 "sweep_speedup": round(sequential_s / sweep_s, 2),
                 "full_build_payload_bytes_per_seed": full_bytes,
-                "delta_payload_bytes_per_seed": delta_bytes,
-                "payload_reduction": round(full_bytes / delta_bytes, 1),
             })
     return results
 
@@ -713,7 +703,9 @@ def main(argv=None) -> int:
                 "other row pauses the GC while timing.  "
                 "Rows marked oversubscribed ran more pool workers (jobs) than "
                 "meta.host.cpu_count; their sweep numbers are not pool "
-                "speedups.  The protect section times one budget step of "
+                "speedups.  A seed_batch sweep pins its netlist, so it "
+                "builds as one in-process seed batch under every jobs value "
+                "and its jobs>1 rows start no pool.  The protect section times one budget step of "
                 "randomize_netlist (event-driven OER rounds on integer "
                 "columns) against the per-round-recompiling oracle "
                 "(tests/randomizer_oracle.py), and correction-cell "
@@ -752,12 +744,11 @@ def main(argv=None) -> int:
     for entry in seed_batch:
         _log.info(
             "seed_batch %s@%s x%s seeds jobs=%s: build %ss/seed (x%s), "
-            "sweep %ss/seed (x%s) vs sequential %ss/seed, payload x%s smaller",
+            "sweep %ss/seed (x%s) vs sequential %ss/seed",
             entry["benchmark"], entry["scale"], entry["num_seeds"],
             entry["jobs"], entry["build_s_per_seed"],
             entry["amortized_speedup"], entry["sweep_s_per_seed"],
             entry["sweep_speedup"], entry["sequential_reference_s_per_seed"],
-            entry["payload_reduction"],
         )
     for entry in protect_rows:
         _log.info(

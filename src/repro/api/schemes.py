@@ -15,7 +15,7 @@ scenario runs are bit-identical with the legacy entry points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 
 from repro.api.registry import DEFENSES
@@ -31,7 +31,7 @@ from repro.defenses.routing_perturbation import routing_perturbation_defense
 from repro.defenses.synergistic import synergistic_defense
 from repro.layout.floorplan import build_floorplan
 from repro.layout.layout import Layout, build_layout, build_layout_batch
-from repro.layout.placer import PlacerConfig, place_batch
+from repro.layout.placer import PlacerConfig
 from repro.layout.router import RouterConfig
 from repro.netlist.netlist import Netlist
 
@@ -212,81 +212,6 @@ def build_original_batch(netlist: Netlist, params: OriginalParams,
         SchemeBuild(scheme="original", layout=layout, baseline=layout)
         for layout in layouts
     ]
-
-
-def batch_placement_deltas(netlist: Netlist, params: OriginalParams,
-                           seeds: List[int]) -> Dict[str, Any]:
-    """Worker half of the seed-batched pool protocol: compact placements.
-
-    Runs :func:`repro.layout.placer.place_batch` for ``seeds`` and returns
-    per-seed *coordinate deltas* instead of full artefacts: the shared
-    netlist/floorplan skeleton stays implicit (the parent regenerates it from
-    the same inputs), so the only bytes crossing the process boundary per
-    seed are three flat arrays — gate indices in placement insertion order
-    plus x/y coordinates, which are the placement's own columns.  ``float64``
-    arrays round-trip through pickle bit-exactly, so
-    :func:`builds_from_placement_deltas` adopts them as placements
-    bit-identical to the worker's.
-
-    Returns:
-        ``{"seeds", "orders", "xs", "ys"}`` with one entry per seed.
-    """
-    floorplan_util = (
-        params.floorplan_utilization
-        if params.floorplan_utilization is not None else params.utilization
-    )
-    floorplan = build_floorplan(netlist, floorplan_util)
-    placements = place_batch(
-        netlist, list(seeds), floorplan, params.utilization, PlacerConfig()
-    )
-    # The placer's gate_index holds netlist gate indices.
-    return {
-        "seeds": list(seeds),
-        "orders": [placement.gate_index for placement in placements],
-        "xs": [placement.gate_x for placement in placements],
-        "ys": [placement.gate_y for placement in placements],
-    }
-
-
-def builds_from_placement_deltas(netlist: Netlist, params: OriginalParams,
-                                 deltas: Dict[str, Any]) -> List[SchemeBuild]:
-    """Parent half of the seed-batched pool protocol.
-
-    Adopts each coordinate delta as a placement's columns (same row order,
-    same float bits), then routes the whole chunk as one batch with a
-    shared routing skeleton.  Output is bit-identical per seed to
-    :func:`build_original` on the same netlist.
-    """
-    from repro.layout.placer import PlacementResult, _columns_of, _io_assignment
-    from repro.layout.router import route_batch
-
-    floorplan_util = (
-        params.floorplan_utilization
-        if params.floorplan_utilization is not None else params.utilization
-    )
-    floorplan = build_floorplan(netlist, floorplan_util)
-    _, visible_ports = _io_assignment(netlist, floorplan)
-    ports = _columns_of(visible_ports)
-    gate_names = list(netlist.gates)
-    placements = [
-        PlacementResult(floorplan, gate_names, order, x, y, *ports,
-                        PlacerConfig(seed=seed))
-        for seed, order, x, y in zip(
-            deltas["seeds"], deltas["orders"], deltas["xs"], deltas["ys"]
-        )
-    ]
-    routings = route_batch(netlist, placements, RouterConfig())
-    builds: List[SchemeBuild] = []
-    for seed, placement, routing in zip(deltas["seeds"], placements, routings):
-        layout = Layout(
-            name=f"{netlist.name}_original",
-            netlist=netlist,
-            placement=placement,
-            routing=routing,
-            metadata={"utilization": params.utilization, "seed": seed},
-        )
-        builds.append(SchemeBuild(scheme="original", layout=layout, baseline=layout))
-    return builds
 
 
 @dataclass(frozen=True)

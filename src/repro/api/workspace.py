@@ -10,8 +10,9 @@ silently served stale results across e.g. differing lift layers.
 
 The workspace also owns execution:
 
-* :meth:`Workspace.prewarm` builds missing artefacts in parallel worker
-  processes (``jobs``) through the crash-tolerant
+* :meth:`Workspace.prewarm` builds the seed batches among the missing
+  artefacts in process and the rest in parallel worker processes
+  (``jobs``) through the crash-tolerant
   :class:`~repro.exec.supervisor.PoolSupervisor`: failed builds are retried
   under the workspace's :class:`~repro.exec.retry.RetryPolicy`, a crashed
   pool is respawned with its in-flight builds re-queued, hung workers are
@@ -54,7 +55,6 @@ served entirely from disk.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -430,71 +430,6 @@ def _supervised_build(key: str, payload: Mapping[str, Any], attempt: int):
     return built
 
 
-def _supervised_batch_build(key: str, payload: Mapping[str, Any], attempt: int):
-    """Pool-supervisor task: place one seed-batch chunk, return coordinate deltas.
-
-    The chunk shares one netlist/floorplan skeleton across its seeds
-    (:func:`repro.api.schemes.batch_placement_deltas`) and ships back only
-    per-seed coordinate arrays — the parent reconstructs the placements and
-    routes the chunk as one batch.
-
-    Chaos faults are injected *per seed* against each seed's own build label
-    with the chunk's attempt number, so a fault plan targeting one seed hits
-    exactly that seed in batched and unbatched runs alike.  A fault that
-    raises removes only its seed from the chunk (reported in ``"failed"``
-    for the parent to retry alone); a fault that crashes kills the worker
-    mid-batch, exactly like a real native-code crash would.
-    """
-    ensure_builtins()
-    chaos = payload.get("chaos")
-    plan = FaultPlan.from_dict(chaos) if chaos else None
-    survivors: List[int] = []
-    failed: List[Dict[str, Any]] = []
-    for seed, label in zip(payload["seeds"], payload["labels"]):
-        if plan is not None:
-            try:
-                plan.inject(label, attempt)
-            except Exception as exc:  # noqa: BLE001 - injected fault
-                failed.append({
-                    "seed": seed, "label": label,
-                    "error_type": type(exc).__name__, "error": str(exc),
-                })
-                continue
-        survivors.append(seed)
-    deltas = None
-    if survivors:
-        from repro.api.schemes import batch_placement_deltas
-
-        build = payload["build"]
-        netlist = get_benchmark(
-            build["benchmark"], seed=build["netlist_seed"], scale=build["scale"]
-        )
-        entry = DEFENSES.get(build["scheme"])
-        params = entry.make_params(build["scheme_params"])
-        deltas = batch_placement_deltas(netlist, params, survivors)
-    return {"deltas": deltas, "failed": failed}
-
-
-def _supervised_task(key: str, payload: Mapping[str, Any], attempt: int):
-    """Pool dispatcher: route a task to the single-build or batch-chunk path."""
-    if isinstance(payload, Mapping) and payload.get("kind") == "batch":
-        return _supervised_batch_build(key, payload, attempt)
-    return _supervised_build(key, payload, attempt)
-
-
-def _split_chunks(members: Sequence[Any], jobs: int) -> List[List[Any]]:
-    """Split a batch group into at most ``jobs`` contiguous, near-even chunks."""
-    n_chunks = max(1, min(len(members), jobs))
-    size, extra = divmod(len(members), n_chunks)
-    chunks: List[List[Any]] = []
-    start = 0
-    for index in range(n_chunks):
-        stop = start + size + (1 if index < extra else 0)
-        chunks.append(list(members[start:stop]))
-        start = stop
-    return chunks
-
-
 def default_jobs() -> int:
     """Worker count used when ``jobs`` is not given."""
     return max(1, min(os.cpu_count() or 1, 8))
@@ -604,8 +539,8 @@ class Workspace:
           looked up (:meth:`build`, a sweep's prewarm, pool dispatch);
         * ``scenario_completed`` — :meth:`run_scenario` finished a scenario.
 
-        Pool edges of a seed-batch chunk are keyed by the chunk task
-        (``seedbatch:…``), and its members get no per-key edge of their own.
+        Every edge is keyed by one build; seed batches always build in
+        the calling process, so a pool task is always a single build.
         Listeners run on the emitting thread and must be fast and
         exception-safe; a listener that raises is logged and dropped from
         that emission, never allowed to sink the work it observes.  This is
@@ -825,13 +760,11 @@ class Workspace:
     # -- the publish path ----------------------------------------------------
 
     #: ``_publish`` source → (counter it bumps, event it emits, saved to disk).
-    #: ``build``: built here or by a pool worker; ``chunk``: a pooled
-    #: seed-batch member (its chunk task's ``seedbatch:…`` edges announce
-    #: it); ``store``: a verified disk hit; ``baseline``: the original
-    #: layout a proposed build carries.
+    #: ``build``: built here (alone or in a seed batch) or by a pool worker;
+    #: ``store``: a verified disk hit; ``baseline``: the original layout a
+    #: proposed build carries.
     _SOURCES: Dict[str, Tuple[Optional[str], Optional[str], bool]] = {
         "build": ("builds_run", "build_completed", True),
-        "chunk": ("builds_run", None, True),
         "store": ("store_hits", "store_hit", False),
         "baseline": (None, None, True),
     }
@@ -973,19 +906,19 @@ class Workspace:
         entry = DEFENSES.get(shared["scheme"])
         return netlist, entry.make_params(shared["scheme_params"])
 
-    def _build_in_process(self, missing: Dict[str, ScenarioSpec]
-                          ) -> Dict[str, BuildError]:
-        """The serial executor: seed batches first, then one build per key.
+    def _build_seed_batches(self, missing: Dict[str, ScenarioSpec]
+                            ) -> Dict[str, ScenarioSpec]:
+        """Build the seed batches among ``missing`` here; return the rest.
 
-        Every batchable group builds through
-        :func:`repro.api.schemes.build_original_batch` — one shared netlist
-        skeleton per group, bit-exact per seed with the individual builds.
-        With a fault plan installed batching is skipped (chaos injects per
-        *build attempt*, which an amortized batch would bypass) and the
-        degradation is warned once, per the never-degrade-silently
-        contract.  Every other key — including the members of a group whose
-        batch build failed — builds alone under the retry policy and fault
-        plan.  Returns the keys that exhausted their attempts.
+        Every batchable group (see :meth:`_batch_groups`) builds in this
+        process through :func:`repro.api.schemes.build_original_batch` — one
+        shared netlist skeleton per group, bit-exact per seed with the
+        individual builds — and each member is published as it lands.  With
+        a fault plan installed batching is skipped (chaos injects per *build
+        attempt*, which an amortized batch would bypass) and the degradation
+        is warned once, per the never-degrade-silently contract.  A group
+        whose batch build fails stays in the returned rest, to build seed by
+        seed.  Both executors call this first.
         """
         from repro.api.schemes import build_original_batch
 
@@ -994,8 +927,8 @@ class Workspace:
         if groups and self.chaos is not None:
             warn_once(
                 _log, "workspace.prewarm_batches.chaos",
-                "a fault plan is installed; serial sweep builds degrade to "
-                "the per-seed path (chaos injects per build attempt, which "
+                "a fault plan is installed; sweep builds degrade to the "
+                "per-seed path (chaos injects per build attempt, which "
                 "seed batching would bypass)",
             )
             groups = {}
@@ -1014,6 +947,17 @@ class Workspace:
             for (key, spec), built in zip(members, builds):
                 self._publish(key, spec, built, "build")
                 del rest[key]
+        return rest
+
+    def _build_in_process(self, missing: Dict[str, ScenarioSpec]
+                          ) -> Dict[str, BuildError]:
+        """The serial executor: seed batches first, then one build per key.
+
+        Every key the seed batches leave (:meth:`_build_seed_batches`)
+        builds alone under the retry policy and fault plan.  Returns the
+        keys that exhausted their attempts.
+        """
+        rest = self._build_seed_batches(missing)
         failed: Dict[str, BuildError] = {}
         for key, spec in rest.items():
             entry = DEFENSES.get(spec.scheme)
@@ -1077,9 +1021,10 @@ class Workspace:
                 on_error: Optional[str] = None) -> List[ScenarioSpec]:
         """Build the missing artefacts of ``specs`` in parallel processes.
 
-        Execution runs through the crash-tolerant
-        :class:`~repro.exec.supervisor.PoolSupervisor`: every build gets
-        ``policy.max_attempts`` tries (with deterministic backoff), a
+        Seed batches build in this process first (see
+        :meth:`_build_seed_batches`); every other build runs through the
+        crash-tolerant :class:`~repro.exec.supervisor.PoolSupervisor`:
+        every build gets ``policy.max_attempts`` tries (with deterministic backoff), a
         crashed pool is respawned with its in-flight builds re-queued, hung
         builds are killed past ``policy.timeout_s``, and each success is
         published the moment it lands, so one poison build can never take
@@ -1137,114 +1082,45 @@ class Workspace:
                 raise errors[0]
         return [spec for key, spec in missing.items() if key not in failed]
 
-    def _single_task(self, key: str, spec: ScenarioSpec,
-                     chaos_payload: Optional[Dict[str, Any]],
-                     start_attempt: int = 0) -> TaskSpec:
-        return TaskSpec(
-            key=key,
-            label=build_label(spec),
-            payload={
-                "build": spec.build_dict(),
-                "chaos": chaos_payload,
-                "label": build_label(spec),
-                "store": (
-                    self.store.worker_payload()
-                    if self.store is not None else None
-                ),
-            },
-            start_attempt=start_attempt,
-        )
-
     def _build_pooled(self, missing: Dict[str, ScenarioSpec],
                       jobs: Optional[int],
                       policy: Optional[RetryPolicy]) -> Dict[str, BuildError]:
         """The pool executor (the body of :meth:`prewarm`).
 
-        Returns the keys that exhausted their attempts.
+        Seed batches build here first (:meth:`_build_seed_batches`); every
+        other key is one single-build task on the pool.  Returns the keys
+        that exhausted their attempts.
         """
-        from repro.api.schemes import builds_from_placement_deltas
-
+        rest = self._build_seed_batches(missing)
         jobs = jobs if jobs is not None else (self.default_jobs or default_jobs())
-        jobs = max(1, min(jobs, len(missing)))
+        jobs = max(1, min(jobs, len(rest)))
         policy = policy if policy is not None else self.retry
         chaos_payload = self.chaos.to_dict() if self.chaos is not None else None
-
-        # Batchable builds (same netlist, same params, different seed) travel
-        # as seed-batch chunks: the worker places the whole chunk over one
-        # shared skeleton and ships back coordinate deltas instead of full
-        # artefacts; everything else stays a one-build-per-task single.
-        chunks: Dict[str, _Group] = {}  # chunk task key → its slice of a group
-        tasks: List[TaskSpec] = []
-        for group_key, (shared, members) in self._batch_groups(missing).items():
-            group_tag = hashlib.sha256(group_key.encode("utf-8")).hexdigest()[:16]
-            first = members[0][1]
-            for index, chunk in enumerate(_split_chunks(members, jobs)):
-                task_key = f"seedbatch:{group_tag}:{index}"
-                seeds = [spec.seed for _key, spec in chunk]
-                scale = f"@{first.scale:g}" if first.scale is not None else ""
-                tasks.append(TaskSpec(
-                    key=task_key,
-                    label=(
-                        f"{first.benchmark}{scale}:{first.scheme}:"
-                        f"seeds[{','.join(map(str, seeds))}]"
-                    ),
-                    payload={
-                        "kind": "batch",
-                        "build": shared,
-                        "seeds": seeds,
-                        "labels": [build_label(spec) for _key, spec in chunk],
-                        "chaos": chaos_payload,
-                    },
-                ))
-                chunks[task_key] = (shared, chunk)
-        batched_keys = {
-            key for _shared, chunk in chunks.values() for key, _spec in chunk
-        }
-        tasks.extend(
-            self._single_task(key, spec, chaos_payload)
-            for key, spec in missing.items() if key not in batched_keys
+        store_payload = (
+            self.store.worker_payload() if self.store is not None else None
         )
+        tasks = [
+            TaskSpec(key=key, label=build_label(spec), payload={
+                "build": spec.build_dict(), "chaos": chaos_payload,
+                "label": build_label(spec), "store": store_payload,
+            })
+            for key, spec in rest.items()
+        ]
 
-        #: Keys published before the supervisor delivers them: chunk members,
-        #: and singles the dispatch-time store probe served.
+        #: Keys the dispatch-time store probe published.
         published: set = set()
 
         def publish(key: str, built: Any, attempts: int) -> None:
-            if key in published:
-                return
-            if key not in chunks:
-                self._publish(key, missing[key], built, "build", attempts=attempts)
-                return
-            # A chunk worker ships coordinate deltas: the placements are
-            # rebuilt bit-exactly here and the chunk is routed as one batch
-            # over a shared skeleton.
-            deltas = built.get("deltas")
-            if not deltas or not deltas["seeds"]:
-                return
-            shared, chunk = chunks[key]
-            try:
-                netlist, params = self._batch_inputs(shared)
-                builds = builds_from_placement_deltas(netlist, params, deltas)
-            except Exception:  # noqa: BLE001 - rebuilt below, seed by seed
-                _log.warning(
-                    "reconstructing seed-batch chunk %s failed; its seeds "
-                    "fall back to individual builds", key, exc_info=True,
-                )
-                return
-            member_by_seed = {spec.seed: (member, spec) for member, spec in chunk}
-            for seed, member_build in zip(deltas["seeds"], builds):
-                member, spec = member_by_seed[seed]
-                self._publish(member, spec, member_build, "chunk")
-                published.add(member)
+            if key not in published:
+                self._publish(key, rest[key], built, "build", attempts=attempts)
 
         def probe_store(task: TaskSpec):
-            """Late disk check at dispatch time (single-build tasks only).
+            """Late disk check at dispatch time.
 
             Catches entries that appeared after the batch was assembled —
             a concurrent process sweeping against the same shared store.
             """
-            spec = missing.get(task.key)
-            if spec is None or self._resolve_from_store({task.key: spec}):
+            if self._resolve_from_store({task.key: rest[task.key]}):
                 return None
             published.add(task.key)
             with self._lock:
@@ -1253,85 +1129,23 @@ class Workspace:
         def task_event(kind: str, task: TaskSpec, attempts: int) -> None:
             """Forward supervisor lifecycle edges to progress listeners.
 
-            A single's completion is announced by :meth:`_publish`, a
-            dispatch-time store hit by the store tier.
+            A completion is announced by :meth:`_publish`, a dispatch-time
+            store hit by the store tier.
             """
-            if kind == "short_circuit" or (kind == "completed" and task.key in missing):
-                return
             names = {
                 "dispatched": "build_dispatched",
-                "completed": "build_completed",
                 "retry": "build_retry",
                 "quarantined": "build_quarantined",
             }
-            self._emit(names[kind], key=task.key, label=task.label,
-                       attempts=attempts)
+            if kind in names:
+                self._emit(names[kind], key=task.key, label=task.label,
+                           attempts=attempts)
 
         supervisor = PoolSupervisor(
-            _supervised_task, jobs=jobs, policy=policy, on_result=publish,
+            _supervised_build, jobs=jobs, policy=policy, on_result=publish,
             short_circuit=probe_store, on_task_event=task_event,
         )
-        report = supervisor.run(tasks)
-
-        # Phase 2 — retry isolation: a seed that failed inside a chunk (or
-        # rode a quarantined chunk down) re-runs *alone* as a plain single
-        # task, continuing the attempt budget it already consumed.  Innocent
-        # members of a poison chunk each get one isolated attempt, so they
-        # publish while the culprit quarantines by itself.
-        outcomes = {
-            key: outcome for key, outcome in report.outcomes.items()
-            if key not in chunks
-        }
-        retries: List[TaskSpec] = []
-        crash_suspected = False
-        for task_key, (_shared, chunk) in chunks.items():
-            outcome = report.outcomes[task_key]
-            if outcome.ok:
-                failed_seeds = {
-                    entry["seed"] for entry in outcome.value.get("failed", ())
-                }
-            else:
-                failed_seeds = None  # whole chunk quarantined
-                crash_suspected = True
-            for key, spec in chunk:
-                if key in published:
-                    continue
-                if failed_seeds is None:
-                    # One isolated attempt each: the quarantined chunk already
-                    # spent the budget, but the culprit is unknown.
-                    start = max(0, policy.max_attempts - 1)
-                elif spec.seed in failed_seeds:
-                    start = outcome.attempts
-                else:
-                    # Not this seed's failure (reconstruction error) — refund.
-                    start = max(0, outcome.attempts - 1)
-                retries.append(
-                    self._single_task(key, spec, chaos_payload, start_attempt=start)
-                )
-        if retries:
-            # A quarantined chunk hides a worker-killing culprit among the
-            # retries.  A pool crash charges *every* in-flight task an
-            # attempt (the culprit is indistinguishable), so run these
-            # one-in-flight in a real worker: innocent members then spend
-            # their single isolated attempt alone and a crash charges only
-            # the crasher.
-            retry_jobs = 1 if crash_suspected else max(1, min(jobs, len(retries)))
-            retry_supervisor = PoolSupervisor(
-                _supervised_task, jobs=retry_jobs,
-                policy=policy, on_result=publish, isolate=crash_suspected,
-                short_circuit=probe_store, on_task_event=task_event,
-            )
-            retry_report = retry_supervisor.run(retries)
-            outcomes.update(retry_report.outcomes)
-            report.respawns += retry_report.respawns
-            report.degraded_serial = (
-                report.degraded_serial or retry_report.degraded_serial
-            )
-
-        self.last_report = SupervisorReport(
-            outcomes=outcomes, respawns=report.respawns,
-            degraded_serial=report.degraded_serial,
-        )
+        self.last_report = supervisor.run(tasks)
         return self.last_report.failed()
 
     # -- scenario execution ------------------------------------------------

@@ -7,11 +7,15 @@
   policy's attempt budget is exhausted, then **quarantined** as a
   :class:`~repro.exec.errors.BuildError` — the batch keeps going;
 * a task that *kills its worker* breaks the whole pool
-  (``BrokenProcessPool``); the supervisor respawns a fresh pool, re-queues
-  every in-flight task (each consumes one attempt — the culprit cannot be
-  told apart from its victims) and carries on.  Pools that break repeatedly
-  without progress degrade to serial in-process execution — with a warning
-  on the ``repro`` logger, never silently;
+  (``BrokenProcessPool``); the supervisor respawns a fresh pool and
+  re-queues the tasks the break took down.  A break with one task in
+  flight charges that task an attempt.  A break with several in flight
+  cannot tell the culprit from its victims, so it charges none of them:
+  each re-queues as a *suspect* that is dispatched only when nothing else
+  is in flight, and its solo run (where a crash has one candidate) settles
+  the charge.  Pools that break repeatedly without progress degrade to
+  serial in-process execution — with a warning on the ``repro`` logger,
+  never silently;
 * a task that *hangs* past ``policy.timeout_s`` gets its pool killed and
   re-queued likewise, except here the culprit is known: only the overdue
   task consumes an attempt, the innocent in-flight victims are re-queued
@@ -47,12 +51,6 @@ class TaskSpec:
     key: str
     payload: Any
     label: str = ""
-    #: Attempts already charged to this work before the batch started.  The
-    #: first execution runs as attempt ``start_attempt + 1`` and the retry
-    #: budget continues from there — used when work is re-dispatched under a
-    #: new key (e.g. a seed pulled out of a failed batch task retries alone
-    #: without resetting its attempt count).
-    start_attempt: int = 0
 
     def display(self) -> str:
         return self.label or self.key[:12]
@@ -89,12 +87,14 @@ class SupervisorReport:
 
 
 class _TaskState:
-    __slots__ = ("task", "attempts", "not_before")
+    __slots__ = ("task", "attempts", "not_before", "suspect")
 
     def __init__(self, task: TaskSpec):
         self.task = task
-        self.attempts = task.start_attempt
+        self.attempts = 0
         self.not_before = 0.0
+        #: Lost in a pool break shared with other tasks; runs alone next.
+        self.suspect = False
 
 
 class PoolSupervisor:
@@ -103,8 +103,7 @@ class PoolSupervisor:
     Args:
         fn: Module-level picklable callable ``fn(key, payload, attempt)``;
             its return value is the task's result.
-        jobs: Worker-process count; ``1`` executes serially in-process
-            (unless ``isolate`` asks for a real worker).
+        jobs: Worker-process count; ``1`` executes serially in-process.
         policy: Retry/timeout/backoff policy (default: single attempt).
         on_result: Called as ``on_result(key, value, attempts)`` in the
             supervisor process the moment a task succeeds
@@ -113,10 +112,6 @@ class PoolSupervisor:
             degrading to serial execution.
         poll_s: Poll interval of the wait loop (also the granularity of
             timeout enforcement).
-        isolate: With ``jobs=1``, run tasks one at a time in a *worker
-            process* instead of in-process — for batches suspected to
-            contain a worker-killer, where a crash must charge only the
-            task that crashed and must not take the supervisor down.
         short_circuit: Optional probe called as ``short_circuit(task)`` in
             the supervisor process immediately before each task would
             consume an attempt.  A non-``None`` return completes the task
@@ -142,13 +137,11 @@ class PoolSupervisor:
                  policy: Optional[RetryPolicy] = None,
                  on_result: Optional[Callable[[str, Any, int], None]] = None,
                  max_respawns: int = 3, poll_s: float = 0.05,
-                 isolate: bool = False,
                  short_circuit: Optional[Callable[[TaskSpec], Any]] = None,
                  on_task_event: Optional[
                      Callable[[str, TaskSpec, int], None]] = None):
         self.fn = fn
         self.jobs = max(1, jobs)
-        self.isolate = isolate
         self.policy = policy if policy is not None else RetryPolicy()
         self.on_result = on_result
         self.max_respawns = max_respawns
@@ -166,7 +159,7 @@ class PoolSupervisor:
         queue = collections.deque(task.key for task in tasks)
         if not queue:
             return report
-        if self.jobs == 1 and not self.isolate:
+        if self.jobs == 1:
             self._run_serial(queue, states, report)
             return report
         executor = self._make_pool()
@@ -291,16 +284,23 @@ class PoolSupervisor:
         policy = self.policy
         inflight: Dict[concurrent.futures.Future, str] = {}
         started: Dict[concurrent.futures.Future, float] = {}
+        rank = {key: index for index, key in enumerate(states)}
         consecutive_breaks = 0
 
         def submit_ready() -> bool:
-            """Top the pool up with ready tasks; False if the pool is broken."""
+            """Top the pool up with ready tasks; False if the pool is broken.
+
+            A suspect runs alone: it waits until nothing is in flight, and
+            nothing joins it while it runs.
+            """
             now = time.monotonic()
             rotations = 0
             while queue and len(inflight) < self.jobs and rotations < len(queue) + 1:
+                if any(states[key].suspect for key in inflight.values()):
+                    break
                 key = queue.popleft()
                 state = states[key]
-                if state.not_before > now:
+                if state.not_before > now or (state.suspect and inflight):
                     queue.append(key)
                     rotations += 1
                     continue
@@ -322,24 +322,26 @@ class PoolSupervisor:
                 started[future] = time.monotonic()
             return True
 
-        def abandon_pool(victim_keys: List[str], *, consume_attempt: bool) -> None:
-            """Re-queue (or quarantine) the in-flight tasks of a dead pool."""
-            for key in victim_keys:
+        def refund(keys: List[str], *, suspect: bool) -> None:
+            """Re-queue tasks a dead pool took down, their attempt given back."""
+            for key in sorted(keys, key=rank.__getitem__):
                 state = states[key]
-                if not consume_attempt:
-                    # Innocent victims of another task's timeout keep their
-                    # attempt budget intact.
-                    state.attempts -= 1
-                    queue.append(key)
-                    continue
-                error = self._build_error(
-                    state,
-                    BrokenProcessPool("worker process died mid-build"),
-                    kind="crashed",
-                )
-                self._fail_or_requeue(state, error, queue, report)
-            inflight.clear()
-            started.clear()
+                state.attempts -= 1
+                state.suspect = suspect
+                queue.append(key)
+
+        def settle_crash(lost: List[str]) -> None:
+            """Charge a pool break to its lone task, or make suspects of all."""
+            if len(lost) != 1:
+                refund(lost, suspect=True)
+                return
+            state = states[lost[0]]
+            state.suspect = False
+            error = self._build_error(
+                state, BrokenProcessPool("worker process died mid-build"),
+                kind="crashed",
+            )
+            self._fail_or_requeue(state, error, queue, report)
 
         while queue or inflight:
             pool_broken = not submit_ready()
@@ -354,6 +356,7 @@ class PoolSupervisor:
                 inflight, timeout=0.0 if pool_broken else self.poll_s,
                 return_when=concurrent.futures.FIRST_COMPLETED,
             )
+            lost: List[str] = []
             for future in done:
                 key = inflight.pop(future)
                 started.pop(future, None)
@@ -362,26 +365,26 @@ class PoolSupervisor:
                     value = future.result()
                 except BrokenProcessPool:
                     pool_broken = True
-                    error = self._build_error(
-                        state,
-                        BrokenProcessPool("worker process died mid-build"),
-                        kind="crashed",
-                    )
-                    self._fail_or_requeue(state, error, queue, report)
+                    lost.append(key)
+                    continue
                 except Exception as exc:  # noqa: BLE001 - worker exception
-                    consecutive_breaks = 0
+                    state.suspect = False
                     self._fail_or_requeue(
                         state, self._build_error(state, exc), queue, report
                     )
                 else:
-                    consecutive_breaks = 0
+                    state.suspect = False
                     self._succeed(state, value, report)
+                consecutive_breaks = 0
 
             if pool_broken:
                 # Every other in-flight future of this pool is broken too.
+                lost.extend(inflight.values())
+                inflight.clear()
+                started.clear()
                 report.respawns += 1
                 consecutive_breaks += 1
-                abandon_pool(list(inflight.values()), consume_attempt=True)
+                settle_crash(lost)
                 self._kill_pool(executor)
                 executor = self._make_pool()
                 if executor is None or consecutive_breaks > self.max_respawns:
@@ -397,8 +400,8 @@ class PoolSupervisor:
                     self._run_serial(queue, states, report)
                     return
                 log.warning(
-                    "worker pool died (respawn %d); re-queued %d in-flight "
-                    "build(s)", report.respawns, len(queue),
+                    "worker pool died (respawn %d) with %d build(s) in flight",
+                    report.respawns, len(lost),
                 )
                 continue
 
@@ -417,9 +420,12 @@ class PoolSupervisor:
                         started.pop(future, None)
                         overdue_keys.append(key)
                     victims = list(inflight.values())
+                    inflight.clear()
+                    started.clear()
                     report.respawns += 1
                     for key in overdue_keys:
                         state = states[key]
+                        state.suspect = False
                         error = self._build_error(
                             state,
                             TimeoutError(
@@ -429,7 +435,7 @@ class PoolSupervisor:
                             kind="timed out",
                         )
                         self._fail_or_requeue(state, error, queue, report)
-                    abandon_pool(victims, consume_attempt=False)
+                    refund(victims, suspect=False)
                     self._kill_pool(executor)
                     log.warning(
                         "killed the worker pool: %d build(s) exceeded the "

@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.spec import ScenarioSpec
-from repro.api.workspace import Workspace, build_label, default_workspace
+from repro.api.workspace import Workspace, default_workspace
 from repro.exec.errors import ExecError, ScenarioError
 from repro.service.schemas import (
     InvalidTransition,
@@ -70,27 +70,16 @@ class Job:
         self.result: Optional[Any] = None          # SweepResult
         self.result_dict: Optional[Dict[str, Any]] = None
         # Progress-event filter targets: the per-seed build keys and spec
-        # hashes this job expects, plus the label prefix its seed-batch
-        # chunks carry ("c17:original:" matches both "…:seed3" singles and
-        # "…:seeds[0,1,2]" chunks).
+        # hashes this job expects.
         singles = spec.expand_seeds()
         self.expected_keys = frozenset(s.build_key() for s in singles)
         self.seed_hashes = frozenset(s.content_hash() for s in singles)
-        self.label_prefixes = frozenset(
-            build_label(s).rsplit(":seed", 1)[0] + ":" for s in singles
-        )
 
     # -- event log ---------------------------------------------------------
 
     def matches(self, fields: Dict[str, Any]) -> bool:
-        if fields.get("key") in self.expected_keys:
-            return True
-        if fields.get("spec_hash") in self.seed_hashes:
-            return True
-        label = fields.get("label")
-        if isinstance(label, str):
-            return any(label.startswith(p) for p in self.label_prefixes)
-        return False
+        return (fields.get("key") in self.expected_keys
+                or fields.get("spec_hash") in self.seed_hashes)
 
     def append_event(self, kind: str, fields: Dict[str, Any]) -> None:
         with self.cond:

@@ -262,8 +262,8 @@ class ArtifactStore:
         try:
             payload_path = stage / _PAYLOAD
             buffer = io.BytesIO()
-            # np.savez (not _compressed): ZIP_STORED members are what makes
-            # memory-mapped reads possible (see _mmap_npz).
+            # np.savez (not _compressed): load reads the payload in one
+            # pass and accepts only ZIP_STORED members (see _decode_npz).
             np.savez(buffer, **arrays)
             raw = buffer.getvalue()
             slow = self._chaos.get("slow_write")
@@ -448,24 +448,15 @@ class ArtifactStore:
         self.stats["quarantined"] += 1
         logger.warning("store: quarantined %s: %s", key[:12], reason)
 
-    # -- memory-mapped array access ---------------------------------------
+    # -- raw array access --------------------------------------------------
 
-    def open_arrays(self, key: str, *, mmap: bool = False
-                    ) -> Optional[Dict[str, np.ndarray]]:
-        """The raw payload columns for ``key`` (read-only views).
-
-        With ``mmap=True`` the ``float64``/integer columns are
-        ``np.memmap`` views straight into ``payload.npz`` — possible because
-        :meth:`save` writes uncompressed (``ZIP_STORED``) members — so large
-        coordinate tables can be scanned without materializing them.
-        """
+    def open_arrays(self, key: str) -> Optional[Dict[str, np.ndarray]]:
+        """The raw payload columns for ``key``, or ``None`` if unreadable."""
         entry = self._entry_dir(key)
         payload_path = entry / _PAYLOAD
         if not payload_path.exists():
             return None
         try:
-            if mmap:
-                return _mmap_npz(payload_path)
             return _decode_npz(payload_path.read_bytes())
         except (OSError, ValueError, zipfile.BadZipFile) as error:
             logger.warning("store: cannot open arrays for %s: %r", key[:12], error)
@@ -747,54 +738,3 @@ def _plain_npy_member(raw: bytes, info: zipfile.ZipInfo) -> np.ndarray:
     if match[2] == "True":
         return array.reshape(shape[::-1]).transpose()
     return array.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# Memory-mapped .npz access
-# ---------------------------------------------------------------------------
-
-def _mmap_npz(path: Path) -> Dict[str, np.ndarray]:
-    """Open every member of an *uncompressed* ``.npz`` as ``np.memmap``.
-
-    ``np.load(..., mmap_mode=...)`` silently ignores the mmap request for
-    zip archives, so this walks the zip directory itself: for each
-    ``ZIP_STORED`` member the absolute data offset is the member's local-
-    header offset plus the 30-byte local header plus its variable name and
-    extra fields; the ``.npy`` header (dtype/shape/order) is then parsed at
-    that offset and the array mapped copy-on-write right out of the file.
-    Compressed or otherwise unmappable members fall back to a plain load.
-    """
-    arrays: Dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as archive:
-        with open(path, "rb") as handle:
-            for info in archive.infolist():
-                name = info.filename[:-4] if info.filename.endswith(".npy") \
-                    else info.filename
-                if info.compress_type != zipfile.ZIP_STORED:
-                    with archive.open(info) as member:
-                        arrays[name] = np.lib.format.read_array(
-                            io.BytesIO(member.read()), allow_pickle=False
-                        )
-                    continue
-                handle.seek(info.header_offset)
-                handle.seek(_local_header(handle.read(30), info)[1])
-                version = np.lib.format.read_magic(handle)
-                if version == (1, 0):
-                    shape, fortran, dtype = \
-                        np.lib.format.read_array_header_1_0(handle)
-                elif version == (2, 0):
-                    shape, fortran, dtype = \
-                        np.lib.format.read_array_header_2_0(handle)
-                else:
-                    raise zipfile.BadZipFile(
-                        f"unsupported npy version {version} in "
-                        f"{info.filename!r}"
-                    )
-                if dtype.hasobject:
-                    raise ValueError("object arrays are never stored")
-                arrays[name] = np.memmap(
-                    path, dtype=dtype, mode="c",
-                    offset=handle.tell(),
-                    shape=shape, order="F" if fortran else "C",
-                )
-    return arrays

@@ -110,13 +110,15 @@ class TestWorkerCrashRecovery:
 
 
 class TestBatchedSweepChaos:
-    """Mid-batch faults: seed-batched chunks under the fault plan.
+    """Faults in a sweep that would otherwise build as one seed batch.
 
-    Specs that pin ``netlist_seed`` travel the pool as seed-batch chunks
-    (shared skeleton, coordinate deltas back).  A chaos crash targeting one
-    seed therefore kills a worker *mid-batch* — these tests pin the recovery
-    contract: surviving seeds publish, the poison seed retries/quarantines
-    alone, and everything recovered is bit-identical to a fault-free run.
+    Specs that pin ``netlist_seed`` form a seed batch, which builds in the
+    calling process.  Under a fault plan batching is skipped (chaos injects
+    per build attempt), so the pinned seeds go to the pool as singles and a
+    crash targeting one seed kills a worker with its siblings in flight.
+    These tests pin the recovery contract: surviving seeds publish, the
+    poison seed retries/quarantines alone, and everything recovered is
+    bit-identical to the fault-free seed batch.
     """
 
     def batched_spec(self, **overrides) -> ScenarioSpec:
@@ -128,9 +130,9 @@ class TestBatchedSweepChaos:
         return ScenarioSpec(**kwargs)
 
     def test_worker_killed_mid_batch_recovers_bit_identically(self):
-        # seed1's injection kills its worker while the chunk [0, 1] is in
-        # flight; the supervisor respawns the pool, the chunk's retry runs
-        # clean and every seed publishes — bit-identical to no faults.
+        # seed1's injection kills its worker with a sibling in flight; the
+        # supervisor respawns the pool, seed1's retry runs clean and every
+        # seed publishes — bit-identical to the fault-free seed batch.
         workspace = Workspace(
             retry=RetryPolicy(max_attempts=3, backoff_s=0.0),
             chaos=FaultPlan(crash_first=1, match="seed1"),
@@ -146,10 +148,9 @@ class TestBatchedSweepChaos:
         assert strip_elapsed(faulted.to_dict()) == strip_elapsed(reference.to_dict())
 
     def test_poison_seed_quarantines_alone_siblings_publish(self):
-        # seed1 crashes on *every* attempt: its chunk burns the shared
-        # budget, then the retry-isolation phase re-runs each member alone —
-        # the innocent chunk sibling (seed0) and the untouched second chunk
-        # (seeds 2, 3) publish while seed1 quarantines by itself.
+        # seed1 crashes on *every* attempt.  A break with siblings in
+        # flight charges none of them; each then runs alone, so seeds 0, 2
+        # and 3 publish while seed1 quarantines by itself.
         workspace = Workspace(
             retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
             chaos=FaultPlan(crash_first=99, match="seed1"),

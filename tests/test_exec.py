@@ -1,8 +1,9 @@
 """Resilient execution layer: retry policy, error taxonomy, fault plans,
 degradation semantics of the batch APIs and the CLI resilience flags.
 
-Everything here runs serially/in-process (fast, tier-1); the real
-process-pool crash/hang recovery scenarios live in ``test_chaos.py``
+Everything here runs serially/in-process (fast, tier-1) except one
+two-worker crash-attribution check; the real process-pool crash/hang
+recovery scenarios of workspace sweeps live in ``test_chaos.py``
 (``@pytest.mark.slow``).
 """
 
@@ -10,7 +11,10 @@ from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
+import os
 import pickle
+import time
 
 import pytest
 
@@ -411,6 +415,43 @@ class TestSerialDegradation:
         assert set(report.failed()) == {"bad"}
         assert report.failed()["bad"].attempts == 2
         assert attempts == {"good": 2, "bad": 2}
+
+
+def _call_payload(key, payload, attempt):
+    """Pool task: run the module-level function the payload names."""
+    return payload()
+
+
+def _sleep_briefly():
+    time.sleep(0.3)
+    return "slept"
+
+
+def _exit_worker():
+    if multiprocessing.parent_process() is None:
+        raise RuntimeError("refusing to exit the supervisor process")
+    os._exit(13)
+
+
+class TestPoolCrashAttribution:
+    def test_break_with_several_in_flight_charges_only_the_crasher(self):
+        # The crasher kills its worker while the sleeper is still in flight.
+        # Neither is charged for that break; each then runs alone, so the
+        # sleeper succeeds on its one attempt and only the crasher is charged.
+        supervisor = PoolSupervisor(
+            _call_payload, jobs=2, policy=RetryPolicy(max_attempts=1),
+        )
+        report = supervisor.run([
+            TaskSpec(key="sleeper", payload=_sleep_briefly),
+            TaskSpec(key="crasher", payload=_exit_worker),
+        ])
+        assert not report.degraded_serial
+        assert report.respawns >= 1
+        assert report.succeeded() == {"sleeper": "slept"}
+        [(key, error)] = report.failed().items()
+        assert key == "crasher"
+        assert error.cause_type == "BrokenProcessPool"
+        assert error.attempts == 1
 
 
 @pytest.fixture

@@ -91,97 +91,6 @@ def test_scheme_build_pickle_ships_columns():
         assert name not in strings, name
 
 
-class TestBatchDeltaProtocol:
-    """Seed-batched pool protocol: coordinate deltas over the wire.
-
-    Batched sweep tasks ship the shared netlist/floorplan skeleton implicitly
-    (the parent regenerates it) and move only per-seed coordinate deltas —
-    three flat arrays per seed — across the process boundary.  This suite
-    pins the two halves of that contract: the delta payload round-trips
-    through pickle bit-exactly into the same builds, and it stays small
-    (the whole point of the protocol).
-    """
-
-    BENCHMARK = "c880"
-    SEEDS = [0, 3, 7]
-
-    @pytest.fixture(scope="class")
-    def netlist(self):
-        from repro.circuits import iscas85_netlist
-
-        return iscas85_netlist(self.BENCHMARK, seed=1)
-
-    @pytest.fixture(scope="class")
-    def params(self):
-        from repro.api.schemes import OriginalParams
-
-        return OriginalParams()
-
-    def test_delta_round_trip_is_bit_exact(self, netlist, params):
-        """pickle(deltas) -> builds == build_original per seed, bit for bit."""
-        from repro.api.registry import DEFENSES
-        from repro.api.schemes import (
-            batch_placement_deltas,
-            builds_from_placement_deltas,
-        )
-
-        deltas = batch_placement_deltas(netlist, params, self.SEEDS)
-        wire = pickle.loads(pickle.dumps(deltas))
-        assert wire["seeds"] == self.SEEDS
-        builds = builds_from_placement_deltas(netlist, params, wire)
-        build_one = DEFENSES.get("original").fn
-        for seed, build in zip(self.SEEDS, builds):
-            expected = build_one(netlist, params, seed)
-            got_pos = build.layout.placement.gate_positions
-            want_pos = expected.layout.placement.gate_positions
-            assert list(got_pos) == list(want_pos)
-            for name, point in want_pos.items():
-                assert got_pos[name].x == point.x, (seed, name)
-                assert got_pos[name].y == point.y, (seed, name)
-            assert list(build.layout.routing) == list(expected.layout.routing)
-            for net in expected.layout.routing:
-                got, want = build.layout.routing[net], expected.layout.routing[net]
-                assert got.driver_point == want.driver_point, (seed, net)
-                assert got.driver_vias == want.driver_vias, (seed, net)
-                for gc, wc in zip(got.connections, want.connections):
-                    assert gc.segments == wc.segments, (seed, net)
-                    assert gc.vias == wc.vias, (seed, net)
-
-    def test_delta_payload_beats_full_builds_5x(self, netlist, params):
-        """Per-seed delta bytes must stay >= 5x under full-build shipping.
-
-        Regression gate for the acceptance criterion: if the delta dict
-        quietly grows back into a full artefact (someone adds routing or the
-        floorplan to it), this trips before the pool protocol regresses.
-        """
-        from repro.api.schemes import batch_placement_deltas, build_original_batch
-
-        deltas = batch_placement_deltas(netlist, params, self.SEEDS)
-        delta_bytes = len(pickle.dumps(deltas, protocol=pickle.HIGHEST_PROTOCOL))
-        builds = build_original_batch(netlist, params, self.SEEDS)
-        full_bytes = len(pickle.dumps(builds, protocol=pickle.HIGHEST_PROTOCOL))
-        per_seed_delta = delta_bytes / len(self.SEEDS)
-        per_seed_full = full_bytes / len(self.SEEDS)
-        assert per_seed_delta * 5 <= per_seed_full, (
-            f"delta payload {per_seed_delta:.0f} B/seed vs "
-            f"full build {per_seed_full:.0f} B/seed"
-        )
-
-    def test_delta_arrays_are_flat_and_typed(self, netlist, params):
-        """The wire format is exactly three flat arrays per seed."""
-        import numpy as np
-
-        from repro.api.schemes import batch_placement_deltas
-
-        deltas = batch_placement_deltas(netlist, params, self.SEEDS)
-        assert sorted(deltas) == ["orders", "seeds", "xs", "ys"]
-        n_gates = len(netlist.gates)
-        for order, x, y in zip(deltas["orders"], deltas["xs"], deltas["ys"]):
-            assert order.dtype == np.int64 and order.ndim == 1
-            assert x.dtype == np.float64 and y.dtype == np.float64
-            assert len(order) == len(x) == len(y) == n_gates
-
-
 def test_batched_router_objects_pickle():
     """Fast-path Segment/Via objects (built via __dict__) pickle like normal."""
     from build_oracle import kernel_connections

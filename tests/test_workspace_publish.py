@@ -1,8 +1,8 @@
 """The Workspace publish path: events and counters for every way a build lands.
 
 A build reaches the in-memory cache along one of several routes — a serial
-``build()``, a store hit, an in-process seed batch, a pooled single, a
-pooled seed-batch chunk, or the original layout a proposed build carries.
+``build()``, a store hit, an in-process seed batch (under any ``jobs``), a
+pooled single, or the original layout a proposed build carries.
 Each route must announce itself to progress listeners and count itself in
 ``stats()`` the same way.  The characterisation below pins, per route, the
 edges every key receives (in order, per key — pools interleave keys
@@ -16,7 +16,7 @@ store, a serial sweep probes the store once per key, and a store hit inside
 
 from __future__ import annotations
 
-import re
+from pathlib import Path
 from typing import Any, Dict, List
 
 import pytest
@@ -24,7 +24,10 @@ import pytest
 import repro.api.workspace as workspace_module
 from repro.api import ScenarioSpec, Workspace
 from repro.api.workspace import build_label
+from repro.exec import PoolSupervisor
 from repro.store import ArtifactStore, StoreError
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 ZERO_STATS = {
     "build_hits": 0, "build_misses": 0,
@@ -64,8 +67,6 @@ class Recorder:
             name = f"scenario:seed{fields['seed']}"
         else:
             name = self.names.get(fields["key"], fields["key"])
-            # Chunk task keys carry a hash of the group's shared build dict.
-            name = re.sub(r"^seedbatch:[0-9a-f]{16}:", "seedbatch:", name)
         self.events.setdefault(name, []).append(fields["event"])
 
 
@@ -137,15 +138,17 @@ def test_serial_batched_sweep(tmp_path):
 
 
 def test_pooled_sweep_singles_and_chunks(tmp_path):
+    """A ``jobs=2`` sweep: the pinned seeds build as one in-process seed
+    batch, the unpinned ones as pooled singles."""
     batched = sweep((0, 1, 2, 3), netlist_seed=1)
     unbatched = sweep((5, 6))
     ws = Workspace(store=tmp_path)
     recorder = Recorder(ws, [batched, unbatched])
     ws.run_sweeps([batched, unbatched], jobs=2)
-    # Chunk edges are keyed by the chunk task, not by its member builds.
+    # Pinned seeds land like the serial seed batch; unpinned seeds are
+    # pooled singles.
     assert recorder.events == {
-        "seedbatch:0": BUILT,
-        "seedbatch:1": BUILT,
+        **{f"c17:original:seed{seed}": ["build_completed"] for seed in (0, 1, 2, 3)},
         "c17:original:seed5": BUILT,
         "c17:original:seed6": BUILT,
         **{f"scenario:seed{seed}": ["scenario_completed"]
@@ -153,9 +156,38 @@ def test_pooled_sweep_singles_and_chunks(tmp_path):
     }
     assert ws.stats() == stats(build_hits=6, scenario_misses=6,
                                store_misses=6, builds_run=6)
+    assert sorted(ws.last_report.outcomes) == sorted(
+        s.build_key() for s in unbatched.expand_seeds()
+    )
     store = ArtifactStore(tmp_path)
     for spec in (batched, unbatched):
         assert all(store.has(s.build_key()) for s in spec.expand_seeds())
+
+
+def strip_elapsed(payload):
+    if isinstance(payload, dict):
+        return {key: strip_elapsed(value)
+                for key, value in payload.items() if key != "elapsed_s"}
+    if isinstance(payload, list):
+        return [strip_elapsed(value) for value in payload]
+    return payload
+
+
+def test_pooled_batched_example_starts_no_pool(monkeypatch):
+    spec = ScenarioSpec.from_json((EXAMPLES / "batched_sweep.json").read_text())
+
+    def no_pool(self):
+        raise AssertionError("a pinned-netlist sweep started a process pool")
+
+    monkeypatch.setattr(PoolSupervisor, "_make_pool", no_pool)
+    ws = Workspace()
+    recorder = Recorder(ws, [spec])
+    [pooled] = ws.run_sweeps([spec], jobs=2)
+    assert ws.last_report.outcomes == {}
+    assert not any("build_dispatched" in events
+                   for events in recorder.events.values())
+    [serial] = Workspace().run_sweeps([spec], jobs=1)
+    assert strip_elapsed(pooled.to_dict()) == strip_elapsed(serial.to_dict())
 
 
 def test_proposed_build_publishes_its_baseline(tmp_path):
