@@ -57,7 +57,12 @@ _log = logging.getLogger("repro.bench.build")
 from repro.circuits import iscas85_netlist                    # noqa: E402
 from repro.circuits.superblue import superblue_netlist        # noqa: E402
 from repro.layout.floorplan import build_floorplan            # noqa: E402
-from repro.layout.placer import PlacerConfig, _OrderingGraph, place  # noqa: E402
+from repro.layout.placer import (                             # noqa: E402
+    MAX_ORDERING_FANOUT,
+    PlacerConfig,
+    _OrderingGraph,
+    place,
+)
 from repro.layout.router import route                         # noqa: E402
 from repro.circuits.registry import get_benchmark           # noqa: E402
 from repro.core.correction_cells import (                     # noqa: E402
@@ -131,13 +136,13 @@ def _assert_equal_routings(a, b) -> None:
 
 
 def bench_build_path(benchmark: str, scale: float, seed: int,
-                     refinement_rounds: int, repeat: int) -> Dict[str, object]:
+                     repeat: int) -> Dict[str, object]:
     """Placer + router reference-vs-vectorized on one netlist."""
     if benchmark.startswith("superblue"):
         netlist = superblue_netlist(benchmark, scale=scale, seed=seed)
     else:
         netlist = iscas85_netlist(benchmark, seed=seed)
-    placer_config = PlacerConfig(seed=seed, refinement_rounds=refinement_rounds)
+    placer_config = PlacerConfig(seed=seed)
     floorplan = build_floorplan(netlist, 0.70)
 
     reference_placement = place_reference(netlist, floorplan, config=placer_config)
@@ -161,7 +166,6 @@ def bench_build_path(benchmark: str, scale: float, seed: int,
         "scale": scale if benchmark.startswith("superblue") else None,
         "num_gates": netlist.num_gates,
         "num_nets": netlist.num_nets,
-        "refinement_rounds": refinement_rounds,
         "place_reference_s": round(place_ref_s, 4),
         "place_vectorized_s": round(place_vec_s, 4),
         "place_speedup": round(place_ref_s / place_vec_s, 2),
@@ -184,13 +188,12 @@ def bench_place_ordering(benchmark: str, scale: float,
     indices.  The ranks are asserted equal for every seed before timing.
     """
     netlist = superblue_netlist(benchmark, scale=scale, seed=1)
-    max_fanout = PlacerConfig().max_fanout_for_attraction
     seeds = range(num_seeds)
     gate_names = list(netlist.gates)
     gate_index = {name: i for i, name in enumerate(gate_names)}
 
     def string_walk() -> List[np.ndarray]:
-        adjacency = _adjacency(netlist, max_fanout)
+        adjacency = _adjacency(netlist, MAX_ORDERING_FANOUT)
         starts = _dfs_starts(netlist, gate_names)
         return [
             np.fromiter(
@@ -204,7 +207,7 @@ def bench_place_ordering(benchmark: str, scale: float,
         ]
 
     def integer_walk() -> List[np.ndarray]:
-        graph = _OrderingGraph(netlist, gate_index, max_fanout)
+        graph = _OrderingGraph(netlist, gate_index)
         return [graph.dfs(netlist.name, seed) for seed in seeds]
 
     for ours, theirs in zip(integer_walk(), string_walk()):
@@ -281,7 +284,7 @@ def bench_seed_sweep(benchmark: str, scale: float, num_seeds: int,
 
 
 def bench_seed_batch(benchmark: str, scale: float, batch_sizes: List[int],
-                     jobs_options: List[int], repeat: int) -> List[Dict[str, object]]:
+                     repeat: int) -> List[Dict[str, object]]:
     """Seed-batched build engine vs the full-build-per-seed baseline.
 
     Every sweep pins ``netlist_seed`` so all seeds place/route the *same*
@@ -369,31 +372,28 @@ def bench_seed_batch(benchmark: str, scale: float, batch_sizes: List[int],
             benchmark=benchmark, scheme="original", scale=scale_arg,
             seeds=seeds, netlist_seed=netlist_seed,
         )
-        for jobs in jobs_options:
 
-            def sweep_run() -> None:
-                sweep = Workspace().run_sweep(spec, jobs=jobs)
-                assert sweep.num_seeds == num_seeds
+        def sweep_run() -> None:
+            sweep = Workspace().run_sweep(spec, jobs=1)
+            assert sweep.num_seeds == num_seeds
 
-            sweep_s = _timeit(sweep_run, repeat)
-            results.append({
-                "benchmark": benchmark,
-                "scale": scale_arg,
-                "num_seeds": num_seeds,
-                "jobs": jobs,
-                "oversubscribed": _oversubscribed(jobs),
-                "sequential_reference_s_total": round(sequential_s, 4),
-                "sequential_reference_s_per_seed": round(
-                    sequential_s / num_seeds, 4
-                ),
-                "build_s_total": round(build_s, 4),
-                "build_s_per_seed": round(build_s / num_seeds, 4),
-                "amortized_speedup": round(sequential_s / build_s, 2),
-                "sweep_s_total": round(sweep_s, 4),
-                "sweep_s_per_seed": round(sweep_s / num_seeds, 4),
-                "sweep_speedup": round(sequential_s / sweep_s, 2),
-                "full_build_payload_bytes_per_seed": full_bytes,
-            })
+        sweep_s = _timeit(sweep_run, repeat)
+        results.append({
+            "benchmark": benchmark,
+            "scale": scale_arg,
+            "num_seeds": num_seeds,
+            "sequential_reference_s_total": round(sequential_s, 4),
+            "sequential_reference_s_per_seed": round(
+                sequential_s / num_seeds, 4
+            ),
+            "build_s_total": round(build_s, 4),
+            "build_s_per_seed": round(build_s / num_seeds, 4),
+            "amortized_speedup": round(sequential_s / build_s, 2),
+            "sweep_s_total": round(sweep_s, 4),
+            "sweep_s_per_seed": round(sweep_s / num_seeds, 4),
+            "sweep_speedup": round(sequential_s / sweep_s, 2),
+            "full_build_payload_bytes_per_seed": full_bytes,
+        })
     return results
 
 
@@ -615,9 +615,6 @@ def main(argv=None) -> int:
     parser.add_argument("--batch-sizes", type=int, nargs="+",
                         default=[8, 16, 4, 1],
                         help="batch sizes for the seed_batch section")
-    parser.add_argument("--batch-jobs", type=int, default=4,
-                        help="pooled worker count for the seed_batch section "
-                             "(measured alongside jobs=1)")
     parser.add_argument("--repeat", type=int, default=5,
                         help="runs per measurement (best run is reported)")
     parser.add_argument("--smoke", action="store_true",
@@ -631,27 +628,19 @@ def main(argv=None) -> int:
         args.seeds = 2
         args.repeat = 1
         args.batch_sizes = [1, 2]
-        args.batch_jobs = 2
 
     # The seed_batch section runs first: its amortized-speedup numbers are
     # the most allocation-sensitive, so they get the cleanest heap.
-    jobs_options = [1]
-    if args.batch_jobs > 1:
-        jobs_options.append(args.batch_jobs)
     seed_batch = bench_seed_batch(
         args.sweep_benchmark, args.sweep_scale, args.batch_sizes,
-        jobs_options, repeat=args.repeat,
+        repeat=args.repeat,
     )
     ordering = bench_place_ordering(
         args.sweep_benchmark, args.sweep_scale, 2 if args.smoke else 8,
         repeat=args.repeat,
     )
-    builds = [
-        bench_build_path(args.benchmark, args.scale, seed=1,
-                         refinement_rounds=0, repeat=args.repeat),
-        bench_build_path(args.benchmark, args.scale, seed=1,
-                         refinement_rounds=2, repeat=args.repeat),
-    ]
+    builds = [bench_build_path(args.benchmark, args.scale, seed=1,
+                               repeat=args.repeat)]
     sweep = bench_seed_sweep(
         args.sweep_benchmark, args.sweep_scale, args.seeds, args.jobs,
         repeat=args.repeat,
@@ -704,8 +693,8 @@ def main(argv=None) -> int:
                 "Rows marked oversubscribed ran more pool workers (jobs) than "
                 "meta.host.cpu_count; their sweep numbers are not pool "
                 "speedups.  A seed_batch sweep pins its netlist, so it "
-                "builds as one in-process seed batch under every jobs value "
-                "and its jobs>1 rows start no pool.  The protect section times one budget step of "
+                "builds as one in-process seed batch under every jobs value; "
+                "its rows run at jobs=1.  The protect section times one budget step of "
                 "randomize_netlist (event-driven OER rounds on integer "
                 "columns) against the per-round-recompiling oracle "
                 "(tests/randomizer_oracle.py), and correction-cell "
@@ -730,8 +719,8 @@ def main(argv=None) -> int:
     )
     for entry in builds:
         _log.info(
-            "%s rounds=%s: place x%s, route x%s, build x%s",
-            entry["benchmark"], entry["refinement_rounds"],
+            "%s: place x%s, route x%s, build x%s",
+            entry["benchmark"],
             entry["place_speedup"], entry["route_speedup"],
             entry["build_speedup"],
         )
@@ -743,10 +732,10 @@ def main(argv=None) -> int:
     )
     for entry in seed_batch:
         _log.info(
-            "seed_batch %s@%s x%s seeds jobs=%s: build %ss/seed (x%s), "
+            "seed_batch %s@%s x%s seeds: build %ss/seed (x%s), "
             "sweep %ss/seed (x%s) vs sequential %ss/seed",
             entry["benchmark"], entry["scale"], entry["num_seeds"],
-            entry["jobs"], entry["build_s_per_seed"],
+            entry["build_s_per_seed"],
             entry["amortized_speedup"], entry["sweep_s_per_seed"],
             entry["sweep_speedup"], entry["sequential_reference_s_per_seed"],
         )

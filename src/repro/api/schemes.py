@@ -205,7 +205,6 @@ def build_original_batch(netlist: Netlist, params: OriginalParams,
         list(seeds),
         floorplan=floorplan,
         utilization=params.utilization,
-        placer_config=PlacerConfig(),
         router_config=RouterConfig(),
     )
     return [

@@ -9,8 +9,9 @@ simplified but complete physical-design pipeline:
   ``geometry_version`` invalidation contract;
 * :mod:`repro.layout.floorplan` — die outline, rows and sites derived from
   cell area and a target utilization;
-* :mod:`repro.layout.placer` — quadratic/force-directed global placement with
-  rank-based spreading followed by row legalization;
+* :mod:`repro.layout.placer` — connectivity-driven placement: a DFS
+  ordering folded onto the rows along a serpentine curve, then row
+  legalization;
 * :mod:`repro.layout.router` — star-decomposed global routing with L/Z
   shapes, length-driven layer assignment over a 10-metal stack, via stacks
   and bend vias;

@@ -473,7 +473,6 @@ class PlacementArrays:
     #: Per-net terminal coordinates (CSR with ``term_offsets``).
     term_x: np.ndarray         # (num_terms,) float64
     term_y: np.ndarray         # (num_terms,) float64
-    _gate_grid: Optional[UniformGridIndex] = field(default=None, repr=False)
     _pair_distances: Optional[np.ndarray] = field(default=None, repr=False)
 
     # -- skeleton delegation (public API kept flat) -------------------------
@@ -520,12 +519,6 @@ class PlacementArrays:
     @property
     def num_gates(self) -> int:
         return len(self.skeleton.gate_names)
-
-    def gate_grid(self) -> UniformGridIndex:
-        """Lazily built spatial index over the gate positions."""
-        if self._gate_grid is None:
-            self._gate_grid = UniformGridIndex(self.gate_xy)
-        return self._gate_grid
 
     def pair_distances(self) -> np.ndarray:
         """Manhattan distance of every driver→sink connection pair (cached).

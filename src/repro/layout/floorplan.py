@@ -85,9 +85,6 @@ class Floorplan:
         """Vectorized :meth:`row_y` (bottom edge of each row index)."""
         return self.die.y_min + np.asarray(rows) * self.row_height_um
 
-    def site_x(self, site_index: int) -> float:
-        return self.die.x_min + site_index * self.site_width_um
-
     def boundary_positions(self, count: int) -> List[Point]:
         """Return ``count`` positions evenly distributed along the die boundary.
 

@@ -266,18 +266,16 @@ def build_layout_batch(netlist: Netlist, seeds: List[int],
                        name: Optional[str] = None,
                        utilization: float = 0.70,
                        floorplan: Optional[Floorplan] = None,
-                       placer_config: Optional[PlacerConfig] = None,
                        router_config: Optional[RouterConfig] = None,
                        min_layer_per_net: Optional[Mapping[str, int]] = None
                        ) -> List[Layout]:
     """Run the unprotected flow once per seed as a single batched program.
 
-    Semantically ``[build_layout(netlist, ..., placer_config=
-    replace(placer_config, seed=s), seed=s) for s in seeds]`` — and bit-exact
-    with it seed by seed — but placement and routing share one netlist
-    skeleton across the whole batch (:func:`repro.layout.placer.place_batch`,
-    :func:`repro.layout.router.route_batch`).  The ``seed`` field of
-    ``placer_config`` is overridden per member.
+    Semantically ``[build_layout(netlist, ..., seed=s) for s in seeds]`` —
+    and bit-exact with it seed by seed — but placement and routing share
+    one netlist skeleton across the whole batch
+    (:func:`repro.layout.placer.place_batch`,
+    :func:`repro.layout.router.route_batch`).
 
     Returns:
         One routed :class:`Layout` per seed, in ``seeds`` order.
@@ -286,7 +284,7 @@ def build_layout_batch(netlist: Netlist, seeds: List[int],
         return []
     if floorplan is None:
         floorplan = build_floorplan(netlist, utilization)
-    placements = place_batch(netlist, seeds, floorplan, utilization, placer_config)
+    placements = place_batch(netlist, seeds, floorplan, utilization)
     routings = route_batch(netlist, placements, router_config, min_layer_per_net)
     return [
         Layout(

@@ -7,42 +7,37 @@ up physically close to each other*.  The recipe:
 
 1. **I/O assignment** — primary inputs/outputs are pinned to evenly spaced
    positions on the die boundary (superblue-style peripheral I/O).
-2. **Connectivity-driven initial ordering** — gates are ordered by a
-   depth-first traversal of the netlist graph, so logically adjacent gates
-   are adjacent in the ordering, and the ordering is folded onto the row grid
-   along a serpentine curve.  This already yields the "most nets are a few
-   cell pitches long, a few nets are global" profile of real placements.
-3. **Centroid refinement with interleaved spreading** — a few rounds of
-   star-model centroid iterations (each cell moves towards the centroid of
-   the nets it belongs to) followed by rank-based spreading back to uniform
-   density.  This pulls in the long connections the initial ordering missed
-   while never letting the placement collapse.
-4. **Row legalization** — cells are packed into non-overlapping site
-   positions row by row, preserving their relative order.
+2. **Connectivity-driven ordering** — gates are ordered by a depth-first
+   traversal of the netlist graph, so logically adjacent gates are adjacent
+   in the ordering, and the ordering is folded onto the row grid along a
+   serpentine curve.  This yields the "most nets are a few cell pitches
+   long, a few nets are global" profile of real placements.
+3. **Row legalization** — each gate keeps its fold row; the cells of a row
+   are packed into non-overlapping site positions in fold-x order.
 
 The result is deterministic for a given netlist and seed.
 
-:func:`place` runs this recipe on coordinate *columns*: the serpentine fold,
-the centroid iterations, the rank-based spreading and the row packing are
-all batched NumPy passes, the DFS ordering walks gate indices over an
-integer adjacency built once per netlist (:class:`_OrderingGraph`), the
-result stays in column form (:class:`PlacementResult`), and
-:func:`place_batch` shares everything seed-independent across a seed batch.
+:func:`place` runs this recipe on coordinate *columns*: the DFS ordering
+walks gate indices over an integer adjacency built once per netlist
+(:class:`_OrderingGraph`), the serpentine fold and the row packing are
+batched NumPy passes, the result stays in column form
+(:class:`PlacementResult`), and :func:`place_batch` shares everything
+seed-independent across a seed batch.
 
-Both are **bit-exact** with the seed placer's per-gate / per-net loops,
-kept as the test oracle ``place_reference`` in ``tests/build_oracle.py``:
-every floating-point expression is evaluated with the same operations in
-the same order (the legalization cursor chain, for example, is an
-interleaved ``cumsum`` that reproduces the sequential ``((pos + width) +
-gap)`` grouping), and the sort-based steps use stable sorts with the
-oracle's tie-breaking.  ``tests/test_build_vectorized.py`` asserts equality
-on all ISCAS-85 circuits.
+Both are **bit-exact** with the seed placer's per-gate loops, kept as the
+test oracle ``place_reference`` in ``tests/build_oracle.py``: every
+floating-point expression is evaluated with the same operations in the same
+order (the legalization cursor chain, for example, is an interleaved
+``cumsum`` that reproduces the sequential ``((pos + width) + gap)``
+grouping), and the sort-based steps use stable sorts with the oracle's
+tie-breaking.  ``tests/test_build_vectorized.py`` asserts equality on all
+ISCAS-85 circuits.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,26 +51,15 @@ from repro.utils.rng import make_rng
 logger = logging.getLogger("repro.layout")
 
 
+#: Nets with more gate members than this are cut from the ordering graph
+#: (clock/reset-like nets would otherwise chain unrelated gates together).
+MAX_ORDERING_FANOUT = 64
+
+
 @dataclass
 class PlacerConfig:
-    """Tunable knobs of the global placer."""
+    """The placer's one setting: the seed of its DFS ordering."""
 
-    #: Initial ordering strategy: "dfs" derives a connectivity-driven ordering
-    #: by depth-first traversal (the default — placement must react to the
-    #: netlist's connectivity for the paper's scheme to have any effect),
-    #: "insertion" follows the netlist's instance order.
-    ordering: str = "dfs"
-    #: Number of (centroid iterations + spreading) refinement rounds.  The
-    #: default of 0 keeps the crisp locality of the DFS ordering; rounds > 0
-    #: trade local density for shorter global nets.
-    refinement_rounds: int = 0
-    #: Centroid iterations per refinement round.
-    iterations_per_round: int = 3
-    #: Pull of a cell towards its previous position (0 = pure centroid).
-    damping: float = 0.5
-    #: Nets with more pins than this are ignored during centroid iterations
-    #: (clock/reset-like nets would otherwise collapse the placement).
-    max_fanout_for_attraction: int = 64
     seed: int = 0
 
 
@@ -259,16 +243,15 @@ class _OrderingGraph:
     netlist and shared by every seed.
 
     ``neighbours[starts[g]:starts[g + 1]]`` lists gate ``g``'s neighbours
-    (fan-in and fan-out; nets with fewer than 2 or more than ``max_fanout``
-    gate members cut) in the order the historical string adjacency appended
-    them: net order, each net's hub — its driver, or its first sink when a
-    primary input drives it — linked to every other member.  ``dfs_starts``
-    lists the gates primary inputs drive (first appearance), then every
-    gate.
+    (fan-in and fan-out; nets with fewer than 2 or more than
+    :data:`MAX_ORDERING_FANOUT` gate members cut) in the order the
+    historical string adjacency appended them: net order, each net's hub —
+    its driver, or its first sink when a primary input drives it — linked
+    to every other member.  ``dfs_starts`` lists the gates primary inputs
+    drive (first appearance), then every gate.
     """
 
-    def __init__(self, netlist: Netlist, gate_index: Dict[str, int],
-                 max_fanout: int):
+    def __init__(self, netlist: Netlist, gate_index: Dict[str, int]):
         n = len(gate_index)
         # One (hub, member) name pair per link, in net order.
         hubs: List[str] = []
@@ -276,10 +259,10 @@ class _OrderingGraph:
         for net in netlist.nets.values():
             sinks = net.sinks
             if net.driver is not None:
-                if 1 <= len(sinks) < max_fanout:
+                if 1 <= len(sinks) < MAX_ORDERING_FANOUT:
                     hubs += [net.driver[0]] * len(sinks)
                     others += [sink for sink, _pin in sinks]
-            elif 2 <= len(sinks) <= max_fanout:
+            elif 2 <= len(sinks) <= MAX_ORDERING_FANOUT:
                 hubs += [sinks[0][0]] * (len(sinks) - 1)
                 others += [sink for sink, _pin in sinks[1:]]
         lookup = gate_index.__getitem__
@@ -358,130 +341,15 @@ class _OrderingGraph:
 
 
 # ---------------------------------------------------------------------------
-# I/O assignment and attraction nets
+# I/O assignment
 # ---------------------------------------------------------------------------
 
 
-def _io_assignment(netlist: Netlist, floorplan: Floorplan):
-    """Step 1: pin the primary I/O evenly on the die boundary."""
-    port_names = list(netlist.primary_inputs) + [f"PO::{po}" for po in netlist.primary_outputs]
-    boundary = floorplan.boundary_positions(len(port_names))
-    port_positions = {name: pos for name, pos in zip(port_names, boundary)}
-    visible_ports = {
-        (name if not name.startswith("PO::") else name[4:]): pos
-        for name, pos in port_positions.items()
-    }
-    return port_positions, visible_ports
-
-
-def _attraction_nets(netlist: Netlist, gate_index: Dict[str, int],
-                     port_positions: Dict[str, Point],
-                     max_fanout: int) -> Tuple[List[np.ndarray], List[Tuple[float, float, int]]]:
-    """Nets participating in centroid attraction: member indices + fixed pull.
-
-    Shared with the test oracle, so both refine over the same nets (same net
-    gating, same member order, same Python ``sum`` over port coordinates).
-    """
-    net_members: List[np.ndarray] = []
-    net_fixed: List[Tuple[float, float, int]] = []
-    for net in netlist.nets.values():
-        gates: List[str] = []
-        ports: List[str] = []
-        if net.driver is not None:
-            gates.append(net.driver[0])
-        elif net.is_primary_input:
-            ports.append(net.name)
-        gates.extend(sink for sink, _pin in net.sinks)
-        ports.extend(f"PO::{po}" for po in net.primary_outputs)
-        if len(gates) + len(ports) < 2:
-            continue
-        if len(gates) + len(ports) > max_fanout:
-            continue
-        idx = np.array([gate_index[g] for g in gates], dtype=np.int64)
-        fx = sum(port_positions[p].x for p in ports if p in port_positions)
-        fy = sum(port_positions[p].y for p in ports if p in port_positions)
-        fc = sum(1 for p in ports if p in port_positions)
-        net_members.append(idx)
-        net_fixed.append((fx, fy, fc))
-    return net_members, net_fixed
-
-
-class _CentroidColumns:
-    """Batched centroid-iteration state built from the attraction nets.
-
-    Per-net member sums are evaluated by grouping nets of equal pin count
-    into ``(num_nets, k)`` index matrices and reducing along the last axis —
-    NumPy applies the same pairwise summation to each contiguous row as the
-    oracle's per-net ``x[idx].sum()``, so the sums are bit-identical.
-    The scatter back onto cells runs through ``np.bincount``, whose
-    sequential input-order accumulation reproduces the oracle's net-major
-    ``acc[idx] += c`` loop (duplicate members deduplicated per net, exactly
-    like NumPy's buffered fancy assignment).
-    """
-
-    def __init__(self, net_members: List[np.ndarray],
-                 net_fixed: List[Tuple[float, float, int]], num_cells: int):
-        self.num_cells = num_cells
-        num_nets = len(net_members)
-        self.fixed_x = np.asarray([f[0] for f in net_fixed], dtype=np.float64)
-        self.fixed_y = np.asarray([f[1] for f in net_fixed], dtype=np.float64)
-        denom = np.asarray(
-            [len(idx) + fixed[2] for idx, fixed in zip(net_members, net_fixed)],
-            dtype=np.int64,
-        )
-        self.denom = denom
-        # Group nets by member count -> one (m, k) gather matrix per size.
-        by_size: Dict[int, List[int]] = {}
-        for net_id, idx in enumerate(net_members):
-            by_size.setdefault(len(idx), []).append(net_id)
-        self.size_groups: List[Tuple[np.ndarray, np.ndarray]] = []
-        for size, net_ids in by_size.items():
-            ids = np.asarray(net_ids, dtype=np.int64)
-            matrix = np.stack([net_members[i] for i in net_ids]) if size else ids[:, None][:, :0]
-            self.size_groups.append((ids, matrix))
-        # Net-major flat scatter arrays (duplicates within a net collapse to
-        # one contribution, matching buffered fancy assignment).
-        scatter_cell: List[np.ndarray] = []
-        scatter_net: List[np.ndarray] = []
-        counts = np.zeros(num_cells, dtype=np.float64)
-        for net_id, idx in enumerate(net_members):
-            unique = np.unique(idx)
-            scatter_cell.append(unique)
-            scatter_net.append(np.full(len(unique), net_id, dtype=np.int64))
-            counts[unique] += 1.0
-        self.scatter_cell = (
-            np.concatenate(scatter_cell) if scatter_cell
-            else np.empty(0, dtype=np.int64)
-        )
-        self.scatter_net = (
-            np.concatenate(scatter_net) if scatter_net
-            else np.empty(0, dtype=np.int64)
-        )
-        counts[counts == 0] = 1.0
-        self.cell_net_count = counts
-        self.num_nets = num_nets
-
-    def net_centroids(self, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        sums_x = np.empty(self.num_nets, dtype=np.float64)
-        sums_y = np.empty(self.num_nets, dtype=np.float64)
-        for ids, matrix in self.size_groups:
-            sums_x[ids] = x[matrix].sum(axis=1)
-            sums_y[ids] = y[matrix].sum(axis=1)
-        return (sums_x + self.fixed_x) / self.denom, (sums_y + self.fixed_y) / self.denom
-
-    def step(self, x: np.ndarray, y: np.ndarray,
-             damping: float) -> Tuple[np.ndarray, np.ndarray]:
-        cx, cy = self.net_centroids(x, y)
-        acc_x = np.bincount(
-            self.scatter_cell, weights=cx[self.scatter_net], minlength=self.num_cells
-        )
-        acc_y = np.bincount(
-            self.scatter_cell, weights=cy[self.scatter_net], minlength=self.num_cells
-        )
-        new_x = acc_x / self.cell_net_count
-        new_y = acc_y / self.cell_net_count
-        return (damping * x + (1 - damping) * new_x,
-                damping * y + (1 - damping) * new_y)
+def _io_assignment(netlist: Netlist, floorplan: Floorplan) -> Dict[str, Point]:
+    """Step 1: pin the primary I/O evenly on the die boundary (inputs, then
+    outputs; a name that is both keeps its output position)."""
+    port_names = list(netlist.primary_inputs) + list(netlist.primary_outputs)
+    return dict(zip(port_names, floorplan.boundary_positions(len(port_names))))
 
 
 # ---------------------------------------------------------------------------
@@ -493,77 +361,52 @@ class _PlacerSkeleton:
     """Seed-independent placement state shared by a whole seed batch.
 
     Everything the placer computes that does not depend on the seed lives
-    here, built once per (netlist, floorplan, config shape): the I/O
-    assignment, the connectivity adjacency (rotated per seed, never mutated),
-    the serpentine fold coordinates (the fold *positions* depend only on the
-    rank, the seed only permutes which gate lands on which rank), the width
-    column and the attraction-net centroid structure.
+    here, built once per (netlist, floorplan): the I/O assignment, the
+    ordering graph (rotated per seed, never mutated), the serpentine fold
+    by rank (the fold *positions* and rows depend only on the rank, the seed
+    only permutes which gate lands on which rank) and the width column.
     """
 
-    def __init__(self, netlist: Netlist, floorplan: Floorplan,
-                 config: PlacerConfig):
+    def __init__(self, netlist: Netlist, floorplan: Floorplan):
         self.netlist = netlist
         self.floorplan = floorplan
-        self.config = config
         self.gate_names = list(netlist.gates.keys())
         self.n = len(self.gate_names)
         self.gate_index = {name: i for i, name in enumerate(self.gate_names)}
-        self.port_positions, visible_ports = _io_assignment(netlist, floorplan)
         # Shared (read-only) port columns of every placement of the batch.
-        self.port_names, self.port_x, self.port_y = _columns_of(visible_ports)
+        self.port_names, self.port_x, self.port_y = _columns_of(
+            _io_assignment(netlist, floorplan)
+        )
         self._graph: Optional[_OrderingGraph] = None
-        self._columns: Optional[_CentroidColumns] = None
         if self.n == 0:
             return
         n = self.n
         self.num_rows = floorplan.num_rows
-        self.cells_per_row = int(np.ceil(n / self.num_rows))
-        self.row_pitch = floorplan.row_height_um
+        cells_per_row = int(np.ceil(n / self.num_rows))
         self.die = floorplan.die
-        self.ranks = np.arange(n, dtype=np.int64)
-        self.rank_rows = np.minimum(
-            self.ranks // self.cells_per_row, self.num_rows - 1
-        )
-        frac = ((self.ranks - self.rank_rows * self.cells_per_row) + 0.5) \
-            / self.cells_per_row
+        ranks = np.arange(n, dtype=np.int64)
+        self.rank_rows = np.minimum(ranks // cells_per_row, self.num_rows - 1)
+        frac = ((ranks - self.rank_rows * cells_per_row) + 0.5) / cells_per_row
         odd = (self.rank_rows % 2) == 1
         frac[odd] = 1.0 - frac[odd]
-        # Fold positions by rank — identical expressions to the oracle's
-        # per-gate fold; the seed only decides which gate takes which rank.
+        # Fold x by rank — the oracle's per-gate fold expression; the seed
+        # only decides which gate takes which rank.
         self.fold_x = self.die.x_min + frac * self.die.width
-        self.fold_y = self.die.y_min + (self.rank_rows + 0.5) * self.row_pitch
         self.widths = np.array(
             [netlist.gates[name].cell.width_um for name in self.gate_names]
         )
 
     def ordering_ranks(self, seed: int) -> np.ndarray:
         """``rank_gate`` for one seed: gate index at each ordering rank."""
-        config = self.config
-        if config.ordering == "dfs":
-            if self._graph is None:
-                self._graph = _OrderingGraph(
-                    self.netlist, self.gate_index,
-                    config.max_fanout_for_attraction,
-                )
-            return self._graph.dfs(self.netlist.name, seed)
-        if config.ordering == "insertion":
-            return np.arange(self.n, dtype=np.int64)
-        raise ValueError(f"unknown placer ordering {config.ordering!r}")
-
-    def centroid_columns(self) -> _CentroidColumns:
-        if self._columns is None:
-            net_members, net_fixed = _attraction_nets(
-                self.netlist, self.gate_index, self.port_positions,
-                self.config.max_fanout_for_attraction,
-            )
-            self._columns = _CentroidColumns(net_members, net_fixed, self.n)
-        return self._columns
+        if self._graph is None:
+            self._graph = _OrderingGraph(self.netlist, self.gate_index)
+        return self._graph.dfs(self.netlist.name, seed)
 
 
 def _row_partition_batch(X: np.ndarray, row_of: np.ndarray,
-                         num_rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                         num_rows: int) -> Tuple[np.ndarray, np.ndarray]:
     """Sort each seed's cells by (row, x, index) over ``(n_seeds, n)``
-    coordinate rows and return ``(order, sorted_rows, starts)``.
+    coordinate rows and return ``(order, starts)``.
 
     One flat ``np.lexsort`` keyed (seed, row, x) sorts every seed at once:
     grouping by seed first leaves the per-seed (row, x) order untouched, and
@@ -575,7 +418,6 @@ def _row_partition_batch(X: np.ndarray, row_of: np.ndarray,
     seed_ids = np.repeat(np.arange(n_seeds, dtype=np.int64), n)
     order_flat = np.lexsort((X.ravel(), row_of.ravel(), seed_ids))
     order = order_flat.reshape(n_seeds, n) - np.arange(n_seeds)[:, None] * n
-    sorted_rows = np.take_along_axis(row_of, order, axis=1)
     counts = np.bincount(
         (row_of + np.arange(n_seeds)[:, None] * num_rows).ravel(),
         minlength=n_seeds * num_rows,
@@ -584,35 +426,7 @@ def _row_partition_batch(X: np.ndarray, row_of: np.ndarray,
         (np.zeros((n_seeds, 1), dtype=np.int64), np.cumsum(counts, axis=1)),
         axis=1,
     )
-    return order, sorted_rows, starts
-
-
-def _spread_batch(X: np.ndarray, Y: np.ndarray, skeleton: _PlacerSkeleton
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank-based spreading over ``(n_seeds, n)`` coordinate rows.
-
-    Per seed this is exactly the oracle's ``spread``: ``np.argsort`` along
-    the last axis applies the same stable sort to each row, and every
-    floating-point expression is elementwise, so batching over the leading
-    seed axis cannot change any seed's values.
-    """
-    n_seeds, n = X.shape
-    seed_idx = np.arange(n_seeds)[:, None]
-    order_y = np.argsort(Y, axis=1, kind="stable")
-    row_of = np.empty((n_seeds, n), dtype=np.int64)
-    row_of[seed_idx, order_y] = skeleton.rank_rows[None, :]
-    order, sorted_rows, starts = _row_partition_batch(
-        X, row_of, skeleton.num_rows
-    )
-    counts = np.diff(starts, axis=1)
-    pos = skeleton.ranks[None, :] - np.take_along_axis(starts, sorted_rows, axis=1)
-    frac = (pos + 0.5) / np.take_along_axis(counts, sorted_rows, axis=1)
-    new_x = np.empty((n_seeds, n))
-    new_y = np.empty((n_seeds, n))
-    die = skeleton.die
-    new_x[seed_idx, order] = die.x_min + frac * die.width
-    new_y[seed_idx, order] = die.y_min + (sorted_rows + 0.5) * skeleton.row_pitch
-    return new_x, new_y, row_of
+    return order, starts
 
 
 def _legalize_rows(order: np.ndarray, starts: np.ndarray,
@@ -668,70 +482,51 @@ def _legalize_rows(order: np.ndarray, starts: np.ndarray,
 
 
 def _place_batch(netlist: Netlist, seeds: Sequence[int],
-                 floorplan: Optional[Floorplan], utilization: float,
-                 configs: Sequence[PlacerConfig]) -> List[PlacementResult]:
-    """Shared core of :func:`place` and :func:`place_batch`.
-
-    ``configs`` carries one config per seed; all must share the same shape
-    (ordering, refinement knobs) — only the ``seed`` field may differ, and
-    ``seeds[i]`` governs seed ``i``'s ordering.
-    """
-    shape = configs[0]
+                 floorplan: Optional[Floorplan],
+                 utilization: float) -> List[PlacementResult]:
+    """Shared core of :func:`place` and :func:`place_batch`: one placement
+    per seed, ``seeds[i]`` governing member ``i``'s ordering."""
     if floorplan is None:
         floorplan = build_floorplan(netlist, utilization)
-    skeleton = _PlacerSkeleton(netlist, floorplan, shape)
+    skeleton = _PlacerSkeleton(netlist, floorplan)
 
-    def placement(config: PlacerConfig, order: np.ndarray, xs: np.ndarray,
+    def placement(seed: int, order: np.ndarray, xs: np.ndarray,
                   ys: np.ndarray) -> PlacementResult:
         return PlacementResult(
             floorplan, skeleton.gate_names, order, xs, ys,
-            skeleton.port_names, skeleton.port_x, skeleton.port_y, config,
+            skeleton.port_names, skeleton.port_x, skeleton.port_y,
+            PlacerConfig(seed=seed),
         )
 
     if skeleton.n == 0:
         empty = np.empty(0, dtype=np.float64)
-        return [placement(config, np.empty(0, dtype=np.int64), empty, empty)
-                for config in configs]
+        return [placement(seed, np.empty(0, dtype=np.int64), empty, empty)
+                for seed in seeds]
 
     n_seeds = len(seeds)
     n = skeleton.n
     seed_idx = np.arange(n_seeds)[:, None]
 
-    # --- 2. Connectivity-driven initial ordering on a serpentine curve -----
-    # One DFS per seed over the shared adjacency, then one batched scatter of
-    # the shared fold coordinates through each seed's rank permutation.
+    # --- 2. Connectivity-driven ordering on a serpentine curve -------------
+    # One DFS per seed over the shared graph, then one batched scatter of
+    # the shared fold x and fold rows through each seed's rank permutation.
+    # The fold rows are the oracle's rows: its rank-based spread of the
+    # fold y's hands every gate back the row it was folded onto.
     rank_gate = np.empty((n_seeds, n), dtype=np.int64)
     for s, seed in enumerate(seeds):
         rank_gate[s] = skeleton.ordering_ranks(seed)
     X = np.empty((n_seeds, n))
-    Y = np.empty((n_seeds, n))
     X[seed_idx, rank_gate] = skeleton.fold_x[None, :]
-    Y[seed_idx, rank_gate] = skeleton.fold_y[None, :]
+    row_of = np.empty((n_seeds, n), dtype=np.int64)
+    row_of[seed_idx, rank_gate] = skeleton.rank_rows[None, :]
 
-    # --- 3. Centroid refinement with interleaved spreading ------------------
-    columns: Optional[_CentroidColumns] = None
-    if shape.refinement_rounds > 0 and shape.iterations_per_round > 0:
-        columns = skeleton.centroid_columns()
-    row_of = None
-    for _round in range(shape.refinement_rounds):
-        for _it in range(shape.iterations_per_round):
-            # The centroid gather/scatter runs per seed on contiguous rows of
-            # the batch — literally the single-seed step on each row.
-            for s in range(n_seeds):
-                X[s], Y[s] = columns.step(X[s], Y[s], shape.damping)
-        X, Y, row_of = _spread_batch(X, Y, skeleton)
-    if row_of is None:
-        _, _, row_of = _spread_batch(X, Y, skeleton)
-
-    # --- 4. Row legalization (pack by x order, scaled to fit) ----------------
+    # --- 3. Row legalization (pack by x order, scaled to fit) ----------------
     # Each seed's packing order, row by row, is its placement order.
-    order, _sorted_rows, starts = _row_partition_batch(
-        X, row_of, skeleton.num_rows
-    )
+    order, starts = _row_partition_batch(X, row_of, skeleton.num_rows)
     return [
-        placement(configs[s], order[s].copy(),
+        placement(seed, order[s].copy(),
                   *_legalize_rows(order[s], starts[s], skeleton))
-        for s in range(n_seeds)
+        for s, seed in enumerate(seeds)
     ]
 
 
@@ -740,8 +535,8 @@ def place(netlist: Netlist, floorplan: Optional[Floorplan] = None,
           config: Optional[PlacerConfig] = None) -> PlacementResult:
     """Place ``netlist`` and return legal cell positions.
 
-    This is the vectorized build path: refinement, spreading and row packing
-    run on coordinate columns (a seed batch of one — see :func:`place_batch`).
+    This is the vectorized build path: the fold and the row packing run on
+    coordinate columns (a seed batch of one — see :func:`place_batch`).
     Bit-exact with the seed placer at equal seed (see the module docstring
     for the equivalence argument).
 
@@ -752,50 +547,41 @@ def place(netlist: Netlist, floorplan: Optional[Floorplan] = None,
             floorplan when placing the protected design reproduces the
             paper's zero-die-area-overhead setup.
         utilization: Used only when ``floorplan`` is None.
-        config: Placer knobs.
+        config: The placer seed (``PlacerConfig()`` when omitted).
 
     Returns:
         A :class:`PlacementResult` with legalized gate positions and fixed
         I/O positions on the boundary.
     """
     config = config if config is not None else PlacerConfig()
-    return _place_batch(
-        netlist, [config.seed], floorplan, utilization, [config]
-    )[0]
+    return _place_batch(netlist, [config.seed], floorplan, utilization)[0]
 
 
 def place_batch(netlist: Netlist, seeds: Sequence[int],
                 floorplan: Optional[Floorplan] = None,
-                utilization: float = 0.70,
-                config: Optional[PlacerConfig] = None) -> List[PlacementResult]:
+                utilization: float = 0.70) -> List[PlacementResult]:
     """Place ``netlist`` once per seed, sharing all seed-independent work.
 
     Semantically ``[place(netlist, floorplan, utilization,
-    replace(config, seed=s)) for s in seeds]`` — and bit-exact with it, seed
-    by seed — but the netlist adjacency, attraction-net structure, serpentine
-    fold coordinates and I/O assignment are built once, and the coordinate
-    math (fold scatter, spreading, row partition) runs on ``(n_seeds, n)``
-    arrays with the seed as the leading axis.  Only the DFS traversal, the
-    centroid gather/scatter and the final row packing remain per-seed.
+    PlacerConfig(seed=s)) for s in seeds]`` — and bit-exact with it, seed
+    by seed — but the ordering graph, serpentine fold and I/O assignment
+    are built once, and the fold scatter and row partition run on
+    ``(n_seeds, n)`` arrays with the seed as the leading axis.  Only the DFS
+    traversal and the final row packing remain per-seed.
 
     Args:
         netlist: Design to place (the same netlist for every seed).
-        seeds: Placer seeds, one batch member per entry (``config.seed`` is
-            overridden per member).
+        seeds: Placer seeds, one batch member per entry.
         floorplan: Shared floorplan; built from the netlist and
             ``utilization`` when omitted.
         utilization: Used only when ``floorplan`` is None.
-        config: Placer knobs shared by the batch (the ``seed`` field is
-            replaced per member).
 
     Returns:
         One :class:`PlacementResult` per seed, in ``seeds`` order.
     """
     if not seeds:
         return []
-    config = config if config is not None else PlacerConfig()
-    configs = [replace(config, seed=seed) for seed in seeds]
-    return _place_batch(netlist, list(seeds), floorplan, utilization, configs)
+    return _place_batch(netlist, list(seeds), floorplan, utilization)
 
 
 def placement_hpwl(netlist: Netlist, placement: PlacementResult) -> float:

@@ -26,9 +26,6 @@ class DistanceStats:
     count: int
     values: List[float]
 
-    def as_row(self) -> List[float]:
-        return [round(self.mean, 2), round(self.median, 2), round(self.std_dev, 2)]
-
 
 def distance_stats(layout: Layout, nets: Optional[Set[str]] = None) -> DistanceStats:
     """Compute distance statistics for ``layout``.

@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -31,14 +31,6 @@ class SecurityReport:
     oer_percent: float
     hd_percent: float
     num_connections_scored: int
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "ccr_percent": self.ccr_percent,
-            "oer_percent": self.oer_percent,
-            "hd_percent": self.hd_percent,
-            "num_connections_scored": self.num_connections_scored,
-        }
 
 
 def _scored_connections(view: FEOLView, restrict_to_protected: bool) -> np.ndarray:

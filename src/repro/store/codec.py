@@ -375,7 +375,6 @@ def _layout_record(layout: Layout, netlist: Netlist,
     arrays[prefix + "protected_nets"] = np.asarray(protected, dtype=np.int64)
 
     floorplan = placement.floorplan
-    config = placement.config
     return {
         "name": layout.name,
         "lift_layer": layout.lift_layer,
@@ -392,14 +391,7 @@ def _layout_record(layout: Layout, netlist: Netlist,
                 "site_width_um": floorplan.site_width_um,
                 "utilization": floorplan.utilization,
             },
-            "config": {
-                "ordering": config.ordering,
-                "refinement_rounds": config.refinement_rounds,
-                "iterations_per_round": config.iterations_per_round,
-                "damping": config.damping,
-                "max_fanout_for_attraction": config.max_fanout_for_attraction,
-                "seed": config.seed,
-            },
+            "config": {"seed": placement.config.seed},
         },
     }
 
@@ -436,7 +428,7 @@ def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
             site_width_um=fp["site_width_um"],
             utilization=fp["utilization"],
         )
-        config = PlacerConfig(**placement_record["config"])
+        config = PlacerConfig(seed=placement_record["config"]["seed"])
     except (KeyError, TypeError) as error:
         raise CodecError(f"malformed placement record: {error!r}")
 

@@ -90,10 +90,6 @@ class TimingReport:
     gate_delays_ps: Dict[str, float] = field(default_factory=dict)
     net_loads_ff: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def max_delay_ns(self) -> float:
-        return self.critical_path_ps / 1000.0
-
     @classmethod
     def _deferred(cls, critical_path_ps: float, critical_path: List[str],
                   details: Callable[[], Tuple[Dict[str, float], ...]]) -> "TimingReport":

@@ -3,8 +3,8 @@
 These are the placer and router implementations the column builders
 replaced.  :func:`place_reference` orders gates by a DFS over gate-name
 strings (:func:`ordering_ranks_reference` is that ordering alone, the
-oracle of the placer's integer walk), then folds, refines, spreads and
-legalizes with per-gate and per-net Python loops; :func:`route_reference` picks each
+oracle of the placer's integer walk), then folds, spreads into rows and
+legalizes with per-gate Python loops; :func:`route_reference` picks each
 2-pin connection's layer pair with the scalar policy functions
 (:func:`pair_for_length`, :func:`pair_for_lifted`, :func:`num_jogs`), calls
 :func:`route_connection` once per connection and assembles eager
@@ -38,10 +38,9 @@ from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.geometry import Point, manhattan
 from repro.layout.layout import Layout
 from repro.layout.placer import (
+    MAX_ORDERING_FANOUT,
     PlacementResult,
     PlacerConfig,
-    _attraction_nets,
-    _io_assignment,
     place,
 )
 from repro.layout.router import (
@@ -145,7 +144,7 @@ def _dfs_walk(adjacency: Dict[str, List[str]], gate_names: List[str],
 
 
 def ordering_ranks_reference(netlist: Netlist, seed: int,
-                             max_fanout: int = PlacerConfig.max_fanout_for_attraction
+                             max_fanout: int = MAX_ORDERING_FANOUT
                              ) -> np.ndarray:
     """The DFS placement ordering by the string walk: gate index per rank."""
     gate_index = {name: i for i, name in enumerate(netlist.gates)}
@@ -171,20 +170,22 @@ def _dfs_ordering(netlist: Netlist, max_fanout: int, seed: int) -> List[str]:
     )
 
 
-def _initial_ordering(netlist: Netlist, gate_names: List[str],
-                      config: PlacerConfig) -> List[str]:
-    """Step 2: the connectivity-driven gate ordering."""
-    if config.ordering == "dfs":
-        return _dfs_ordering(netlist, config.max_fanout_for_attraction, config.seed)
-    if config.ordering == "insertion":
-        return gate_names
-    raise ValueError(f"unknown placer ordering {config.ordering!r}")
+def _io_positions(netlist: Netlist, floorplan: Floorplan) -> Dict[str, Point]:
+    """Step 1: primary inputs, then ``PO::``-keyed outputs, evenly on the
+    boundary; the visible port names drop the ``PO::`` prefix."""
+    port_names = list(netlist.primary_inputs) + [f"PO::{po}" for po in netlist.primary_outputs]
+    boundary = floorplan.boundary_positions(len(port_names))
+    port_positions = {name: pos for name, pos in zip(port_names, boundary)}
+    return {
+        (name if not name.startswith("PO::") else name[4:]): pos
+        for name, pos in port_positions.items()
+    }
 
 
 def place_reference(netlist: Netlist, floorplan: Optional[Floorplan] = None,
                     utilization: float = 0.70,
                     config: Optional[PlacerConfig] = None) -> PlacementResult:
-    """The seed placer (per-gate / per-net Python loops)."""
+    """The seed placer (per-gate Python loops)."""
     config = config if config is not None else PlacerConfig()
     if floorplan is None:
         floorplan = build_floorplan(netlist, utilization)
@@ -193,12 +194,12 @@ def place_reference(netlist: Netlist, floorplan: Optional[Floorplan] = None,
     n = len(gate_names)
 
     # --- 1. I/O assignment -------------------------------------------------
-    port_positions, visible_ports = _io_assignment(netlist, floorplan)
+    visible_ports = _io_positions(netlist, floorplan)
     if n == 0:
         return PlacementResult.from_positions(floorplan, {}, visible_ports, config)
 
-    # --- 2. Connectivity-driven initial ordering on a serpentine curve -----
-    ordering = _initial_ordering(netlist, gate_names, config)
+    # --- 2. Connectivity-driven ordering on a serpentine curve -------------
+    ordering = _dfs_ordering(netlist, MAX_ORDERING_FANOUT, config.seed)
     order_index = {name: i for i, name in enumerate(ordering)}
     gate_index = {name: i for i, name in enumerate(gate_names)}
 
@@ -217,56 +218,11 @@ def place_reference(netlist: Netlist, floorplan: Optional[Floorplan] = None,
         x[i] = floorplan.die.x_min + frac * floorplan.die.width
         y[i] = floorplan.die.y_min + (row + 0.5) * row_pitch
 
-    # --- 3. Centroid refinement with interleaved spreading ------------------
-    net_members, net_fixed = _attraction_nets(
-        netlist, gate_index, port_positions, config.max_fanout_for_attraction
-    )
-
-    cell_net_count = np.zeros(n)
-    for idx in net_members:
-        cell_net_count[idx] += 1.0
-    cell_net_count[cell_net_count == 0] = 1.0
-
-    def centroid_step(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        acc_x = np.zeros(n)
-        acc_y = np.zeros(n)
-        for idx, (fx, fy, fc) in zip(net_members, net_fixed):
-            cx = (x[idx].sum() + fx) / (len(idx) + fc)
-            cy = (y[idx].sum() + fy) / (len(idx) + fc)
-            acc_x[idx] += cx
-            acc_y[idx] += cy
-        new_x = acc_x / cell_net_count
-        new_y = acc_y / cell_net_count
-        return (config.damping * x + (1 - config.damping) * new_x,
-                config.damping * y + (1 - config.damping) * new_y)
-
-    def spread(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rank-based spreading back to uniform density; returns row assignment."""
-        order_y = np.argsort(y, kind="stable")
-        row_of = np.empty(n, dtype=np.int64)
-        for rank, cell in enumerate(order_y):
-            row_of[cell] = min(rank // cells_per_row, num_rows - 1)
-        new_x = np.empty(n)
-        new_y = np.empty(n)
-        for row in range(num_rows):
-            members = np.where(row_of == row)[0]
-            if len(members) == 0:
-                continue
-            members = members[np.argsort(x[members], kind="stable")]
-            count = len(members)
-            for pos, cell in enumerate(members):
-                frac = (pos + 0.5) / count
-                new_x[cell] = floorplan.die.x_min + frac * floorplan.die.width
-                new_y[cell] = floorplan.die.y_min + (row + 0.5) * row_pitch
-        return new_x, new_y, row_of
-
-    row_of = None
-    for _round in range(config.refinement_rounds):
-        for _it in range(config.iterations_per_round):
-            x, y = centroid_step(x, y)
-        x, y, row_of = spread(x, y)
-    if row_of is None:
-        _, _, row_of = spread(x, y)
+    # --- 3. Rank-based row assignment: the y-sorted cells fill the rows ------
+    order_y = np.argsort(y, kind="stable")
+    row_of = np.empty(n, dtype=np.int64)
+    for rank, cell in enumerate(order_y):
+        row_of[cell] = min(rank // cells_per_row, num_rows - 1)
 
     # --- 4. Row legalization (pack by x order, scaled to fit) ----------------
     widths = np.array([netlist.gates[name].cell.width_um for name in gate_names])

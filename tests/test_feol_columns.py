@@ -20,7 +20,7 @@ from repro.api import ScenarioSpec, Workspace
 from repro.circuits.registry import available_benchmarks, get_benchmark
 from repro.circuits.superblue import SUPERBLUE_PROFILES
 from repro.layout.floorplan import build_floorplan
-from repro.layout.placer import PlacerConfig, _PlacerSkeleton
+from repro.layout.placer import _PlacerSkeleton
 from repro.service.jobs import JobManager
 from repro.sm import split
 from repro.sm.split import extract_feol
@@ -93,7 +93,7 @@ def test_warm_service_job_builds_no_vpins(tmp_path, vpin_lists_built):
 
 
 def assert_ordering_matches(netlist, seeds):
-    skeleton = _PlacerSkeleton(netlist, build_floorplan(netlist, 0.7), PlacerConfig())
+    skeleton = _PlacerSkeleton(netlist, build_floorplan(netlist, 0.7))
     for seed in seeds:
         assert np.array_equal(
             skeleton.ordering_ranks(seed), ordering_ranks_reference(netlist, seed)

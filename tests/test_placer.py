@@ -1,7 +1,5 @@
 """Tests for global placement and legalization."""
 
-import pytest
-
 from repro.layout.floorplan import build_floorplan
 from repro.layout.placer import PlacerConfig, check_legality, place, placement_hpwl
 
@@ -75,19 +73,6 @@ class TestPlacement:
     def test_hpwl_positive_and_reacts_to_placement(self, c432):
         good = place(c432, config=PlacerConfig(seed=1))
         assert placement_hpwl(c432, good) > 0
-
-    def test_insertion_and_dfs_orderings_both_work(self, c432):
-        dfs = place(c432, config=PlacerConfig(ordering="dfs", seed=1))
-        insertion = place(c432, config=PlacerConfig(ordering="insertion", seed=1))
-        assert set(dfs.gate_positions) == set(insertion.gate_positions)
-
-    def test_unknown_ordering_rejected(self, c432):
-        with pytest.raises(ValueError):
-            place(c432, config=PlacerConfig(ordering="bogus"))
-
-    def test_refinement_rounds_run(self, c432):
-        placement = place(c432, config=PlacerConfig(refinement_rounds=2, seed=1))
-        assert check_legality(c432, placement) == []
 
     def test_placement_depends_on_connectivity(self, c432):
         """Rewiring the netlist must change the placement — otherwise the

@@ -140,6 +140,38 @@ def test_codec_roundtrip_survives_npz(reference_builds):
     assert_builds_equal(build, decoded)
 
 
+def test_decode_ignores_the_retired_placer_keys(reference_builds):
+    """Entries written while the placer config had six fields still load.
+
+    Older records carry ``ordering``, ``refinement_rounds``,
+    ``iterations_per_round``, ``damping`` and ``max_fanout_for_attraction``
+    (always at these defaults) beside ``seed``; the payload columns are the
+    same, so such a record decodes to the same layout and re-encodes to the
+    same bytes.
+    """
+    import copy
+
+    spec, build = reference_builds["placement_perturbation"]
+    netlist = build.layout.netlist
+    record, arrays = encode_build(build, netlist)
+    assert list(record["layout"]["placement"]["config"]) == ["seed"]
+    old = copy.deepcopy(record)
+    old["layout"]["placement"]["config"].update(
+        ordering="dfs", refinement_rounds=0, iterations_per_round=3,
+        damping=0.5, max_fanout_for_attraction=64,
+    )
+    decoded = decode_build(old, arrays, netlist)
+    assert_layouts_equal(decode_build(record, arrays, netlist).layout,
+                         decoded.layout)
+    assert_builds_equal(build, decoded)
+    re_record, re_arrays = encode_build(decoded, netlist)
+    assert re_record == record
+    assert list(re_arrays) == list(arrays)
+    for name, column in arrays.items():
+        assert re_arrays[name].dtype == column.dtype, name
+        assert re_arrays[name].tobytes() == column.tobytes(), name
+
+
 def test_proposed_build_is_unstorable(plain_ws):
     build = plain_ws.build(_spec("proposed"))
     with pytest.raises(UnstorableBuild):
