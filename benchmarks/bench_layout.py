@@ -39,7 +39,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 from attack_oracle import proximity_attack_reference  # noqa: E402
-from feol_oracle import extract_feol_reference  # noqa: E402
+from feol_oracle import extract_feol_reference, feol_columns, feol_objects  # noqa: E402
 from repro.attacks.proximity import proximity_attack  # noqa: E402
 from repro.circuits.superblue import superblue_netlist  # noqa: E402
 from repro.layout import build_layout  # noqa: E402
@@ -139,7 +139,7 @@ def _invalidate_geometry_caches(layout, view) -> None:
     """Force the next columnar call to rebuild every array view (cold path)."""
     layout.placement.bump_geometry_version()
     layout.bump_geometry_version()
-    view.__dict__.pop("_geometry_cache", None)
+    view.columns._driver_grid = None
 
 
 def _assert_same_arrays(ours: FEOLArrays, theirs: FEOLArrays) -> None:
@@ -155,7 +155,7 @@ def _assert_same_arrays(ours: FEOLArrays, theirs: FEOLArrays) -> None:
 
 def _reference_columns(layout) -> FEOLArrays:
     """The object-walk extraction, then its columns (the same product)."""
-    return FEOLArrays.build(extract_feol_reference(layout, SPLIT_LAYER))
+    return feol_columns(extract_feol_reference(layout, SPLIT_LAYER))
 
 
 def bench_config(benchmark: str, scale: float, seed: int,
@@ -165,22 +165,24 @@ def bench_config(benchmark: str, scale: float, seed: int,
     view = extract_feol(layout, SPLIT_LAYER)
     gate_positions = dict(layout.placement.gate_positions)
     port_positions = dict(layout.placement.port_positions)
-    num_sinks = len(view.sink_vpins)
-    num_drivers = len(view.driver_vpins)
+    num_sinks = len(view.columns.sink_ids)
+    num_drivers = len(view.columns.driver_ids)
     _log.info(
         "%s scale=%s: gates=%d sinks=%d drivers=%d",
         benchmark, scale, netlist.num_gates, num_sinks, num_drivers,
     )
 
     # -- correctness gate: the columnar paths must reproduce the legacy ones
+    # (the legacy loop reads vpin objects, built once, outside its timing).
+    objects = feol_objects(view)
     assert proximity_attack(view).assignment == (
-        proximity_attack_reference(view).assignment
+        proximity_attack_reference(view, objects).assignment
     ), "columnar proximity attack diverged from the reference loop"
     assert layout.connected_gate_distances() == (
         _legacy_connected_gate_distances(netlist, gate_positions)
     ), "columnar distances diverged from the reference loop"
 
-    _assert_same_arrays(view.arrays(), _reference_columns(layout))
+    _assert_same_arrays(view.columns, _reference_columns(layout))
 
     timings: Dict[str, float] = {}
 
@@ -189,11 +191,11 @@ def bench_config(benchmark: str, scale: float, seed: int,
         lambda: _reference_columns(layout), repeat
     )
     timings["feol_extract_columns_s"] = _timeit(
-        lambda: extract_feol(layout, SPLIT_LAYER).arrays(), repeat
+        lambda: extract_feol(layout, SPLIT_LAYER).columns, repeat
     )
 
     timings["proximity_legacy_s"] = _timeit(
-        lambda: proximity_attack_reference(view), max(1, repeat // 3)
+        lambda: proximity_attack_reference(view, objects), max(1, repeat // 3)
     )
 
     def proximity_cold():
@@ -300,7 +302,7 @@ def main() -> None:
                 "grid/array implementations of repro.layout.arrays.  "
                 "feol_extract times extract_feol (columns only) against the "
                 "object-walk oracle extract_feol_reference plus "
-                "FEOLArrays.build, asserted to give equal FEOLArrays.  Cold numbers "
+                "feol_columns, asserted to give equal FEOLArrays.  Cold numbers "
                 "rebuild the cached views (first touch after a geometry edit), "
                 "warm numbers reuse them.  The columnar paths are asserted "
                 "bit-exact against the legacy paths before timing."

@@ -47,6 +47,7 @@ from attack_oracle import (  # noqa: E402
     rebuild_netlist,
     visible_reachability,
 )
+from feol_oracle import feol_objects  # noqa: E402
 from graph_oracle import netlist_to_digraph  # noqa: E402
 from sim_oracle import plan_fields, simulate_reference  # noqa: E402
 from repro.attacks import network_flow  # noqa: E402
@@ -163,12 +164,13 @@ def _seed_hamming_distance(reference, candidate, num_patterns, seed) -> float:
     return 100.0 * differing / (num_patterns * len(ref))
 
 
-def _seed_cost_matrix(view, config):
-    """The seed's per-pair cost-matrix construction."""
+def _seed_cost_matrix(view, objects, config):
+    """The seed's per-pair cost-matrix construction over ``view``'s vpin
+    objects (``objects``, read once by the caller)."""
     import numpy as np
 
-    drivers = view.driver_vpins
-    sinks = view.sink_vpins
+    drivers = objects.driver_vpins
+    sinks = objects.sink_vpins
     half_perimeter = view.layout.floorplan.half_perimeter_um
     reach = visible_reachability(view) if config.use_loop_hint else None
     cache: Dict[str, set] = {}
@@ -331,8 +333,10 @@ def bench_attack(repeat: int) -> Dict[str, Dict]:
     config = NetworkFlowAttackConfig()
 
     results: Dict[str, Dict] = {}
-    pairs = float(len(view.sink_vpins) * len(view.driver_vpins))
-    seed_time = _timeit(lambda: _seed_cost_matrix(view, config), repeat)
+    objects = feol_objects(view)
+    num_sinks, num_drivers = len(view.columns.sink_ids), len(view.columns.driver_ids)
+    pairs = float(num_sinks * num_drivers)
+    seed_time = _timeit(lambda: _seed_cost_matrix(view, objects, config), repeat)
     vec_time = _timeit(lambda: build_cost_matrix(view, config), repeat)
     results["cost_matrix_seed_equivalent"] = {
         "wall_clock_s": round(seed_time, 6),
@@ -354,10 +358,10 @@ def bench_attack(repeat: int) -> Dict[str, Dict]:
     # Each sink's cheapest driver: the ring walk over the driver grid against
     # the dense per-sink pass it replaced (row blocks against every driver).
     kernel = network_flow._CostKernel(view, config)
-    every_driver = np.arange(len(view.driver_vpins))[None, :]
+    every_driver = np.arange(num_drivers)[None, :]
 
     def dense_choice():
-        choice = np.empty(len(view.sink_vpins), dtype=np.intp)
+        choice = np.empty(num_sinks, dtype=np.intp)
         for lo in range(0, len(choice), network_flow._BLOCK_ROWS):
             hi = min(lo + network_flow._BLOCK_ROWS, len(choice))
             block = kernel.pairs(np.arange(lo, hi)[:, None], every_driver)[0]
@@ -386,7 +390,7 @@ def bench_attack(repeat: int) -> Dict[str, Dict]:
         "speedup": round(dense_time / ring_time, 2),
     }
 
-    seed_costs, seed_excluded = _seed_cost_matrix(view, config)
+    seed_costs, seed_excluded = _seed_cost_matrix(view, objects, config)
     vec_costs, vec_excluded = build_cost_matrix(view, config)
     assert seed_excluded == vec_excluded
     assert np.allclose(seed_costs, vec_costs, rtol=1e-12, atol=1e-9)

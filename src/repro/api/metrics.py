@@ -34,7 +34,7 @@ from repro.metrics.vias import (
     via_delta_percent,
 )
 from repro.metrics.wirelength import beol_wirelength_fraction, wirelength_share_by_layer
-from repro.sm.split import FEOLView, feol_arrays
+from repro.sm.split import FEOLView
 
 #: Scopes a metric can be registered under.
 METRIC_SCOPES = ("attack", "layout", "compare")
@@ -152,7 +152,7 @@ def metric_solution_space(view: FEOLView, outcome: AttackOutcome,
             ),
             "bounding_box": float(box),
         }
-    connections = feol_arrays(view).num_connections
+    connections = view.columns.num_connections
     return {
         "log10_solution_space": log10_num_perfect_matchings(connections),
         "num_connections": float(connections),

@@ -31,7 +31,6 @@ from repro.defenses.routing_perturbation import routing_perturbation_defense
 from repro.defenses.synergistic import synergistic_defense
 from repro.layout.floorplan import build_floorplan
 from repro.layout.layout import Layout, build_layout, build_layout_batch
-from repro.layout.placer import PlacerConfig
 from repro.layout.router import RouterConfig
 from repro.netlist.netlist import Netlist
 
@@ -175,7 +174,6 @@ def build_original(netlist: Netlist, params: OriginalParams, seed: int) -> Schem
         netlist,
         floorplan=floorplan,
         utilization=params.utilization,
-        placer_config=PlacerConfig(seed=seed),
         router_config=RouterConfig(),
         seed=seed,
     )

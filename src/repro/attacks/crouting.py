@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sm.split import FEOLView, feol_arrays
+from repro.sm.split import FEOLView
 
 
 @dataclass
@@ -70,7 +70,7 @@ def crouting_attack(view: FEOLView,
     column counts.  Match-in-list reads the distances of the true pairs.
     """
     config = config if config is not None else CRoutingAttackConfig()
-    arrays = feol_arrays(view)
+    arrays = view.columns
     num_drivers, num_sinks = len(arrays.driver_ids), len(arrays.sink_ids)
     result = CRoutingAttackResult(num_vpins=num_drivers + num_sinks)
     if not num_drivers or not num_sinks:

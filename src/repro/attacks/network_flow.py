@@ -51,7 +51,7 @@ import numpy as np
 from repro.netlist.arrays import NetlistOverlay, csr, netlist_arrays
 from repro.netlist.graph import transitive_closure
 from repro.netlist.netlist import Netlist
-from repro.sm.split import FEOLView, feol_arrays
+from repro.sm.split import FEOLView
 
 
 @dataclass
@@ -144,14 +144,13 @@ def _loop_bitmap(view: FEOLView) -> Tuple[np.ndarray, np.ndarray]:
     rows = np.cumsum(comb) - 1
     rows[~comb] = num_comb
     visible = np.zeros(arrays.num_nets, dtype=bool)
-    if view.net_is_cut is not None:
-        routing = view.routing
-        nets = routing.net_index[~view.net_is_cut]
-        if routing.net_names != arrays.net_names:
-            known = arrays.net_id
-            nets = np.asarray([known[routing.net_names[i]] for i in nets.tolist()],
-                              dtype=np.int64)
-        visible[nets] = True
+    routing = view.routing
+    nets = routing.net_index[~view.net_is_cut]
+    if routing.net_names != arrays.net_names:
+        known = arrays.net_id
+        nets = np.asarray([known[routing.net_names[i]] for i in nets.tolist()],
+                          dtype=np.int64)
+    visible[nets] = True
     read = arrays.fanin_net >= 0
     read[read] = visible[arrays.fanin_net[read]]
     driver = arrays.net_driver[arrays.fanin_net[read]]
@@ -183,7 +182,7 @@ class _CostKernel:
     def __init__(self, view: FEOLView, config: NetworkFlowAttackConfig):
         self.config = config
         self.half_perimeter = view.layout.floorplan.half_perimeter_um
-        arrays = feol_arrays(view)
+        arrays = view.columns
         self.arrays = arrays
         self.drv_dir_count = arrays.driver_has_dir.astype(np.int64)
         self.drv_has_load = arrays.driver_max_load > 0
@@ -341,7 +340,7 @@ def build_cost_matrix(view: FEOLView,
     capacities bind.
     """
     config = config if config is not None else NetworkFlowAttackConfig()
-    arrays = feol_arrays(view)
+    arrays = view.columns
     num_sinks, num_drivers = len(arrays.sink_ids), len(arrays.driver_ids)
     if not num_drivers or not num_sinks:
         return np.zeros((num_sinks, num_drivers)), 0
@@ -364,7 +363,7 @@ def _driver_capacities(view: FEOLView, config: NetworkFlowAttackConfig) -> np.nd
     total would leave sinks unassignable.
     """
     typical_cap = 1.2
-    arrays = feol_arrays(view)
+    arrays = view.columns
     num_sinks = len(arrays.sink_ids)
     capacities = np.full(len(arrays.driver_ids), config.max_fanout_per_driver,
                          dtype=np.int64)
@@ -389,7 +388,7 @@ def network_flow_attack(view: FEOLView,
     the recovery (the attacker's best guess of the full design).
     """
     config = config if config is not None else NetworkFlowAttackConfig()
-    arrays = feol_arrays(view)
+    arrays = view.columns
     result = NetworkFlowAttackResult(
         num_sinks=len(arrays.sink_ids), num_drivers=len(arrays.driver_ids)
     )
@@ -427,7 +426,7 @@ def _recovery(view: FEOLView, choice: Optional[np.ndarray]) -> NetlistOverlay:
     name = f"{netlist.name}_recovered"
     if choice is None:
         return NetlistOverlay(netlist, name, sink_rows, sink_nets, po_rows, po_nets)
-    feol = feol_arrays(view)
+    feol = view.columns
     base = netlist_arrays(netlist)
     # FEOL name tables -> the netlist's indices; -1 stays -1.
     net_of = np.asarray([base.net_id[net] for net in feol.net_names] + [-1],

@@ -9,10 +9,10 @@ observation that motivated split-manufacturing attacks in the first place.
 
 Tie-breaking is explicitly deterministic: when several drivers are at the
 same (minimal) Manhattan distance from a sink, the **first driver in column
-order wins** — i.e. the driver row of :class:`~repro.sm.split.FEOLArrays`
-with the lowest position (``view.driver_vpins`` order for a view built
-from objects), which for FEOL views produced by :func:`~repro.sm.split.
-extract_feol` is also the lowest vpin identifier.  The attack (a batched
+order wins** — i.e. the row of ``view.columns`` (an
+:class:`~repro.sm.split.FEOLArrays`) with the lowest position, which for
+FEOL views produced by :func:`~repro.sm.split.extract_feol` is also the
+lowest vpin identifier.  The attack (a batched
 nearest-driver query against the shared
 :class:`~repro.layout.arrays.UniformGridIndex` of the FEOL view) and the
 historical per-pair double loop, kept as the test oracle
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.sm.split import FEOLView, feol_arrays
+from repro.sm.split import FEOLView
 
 
 @dataclass
@@ -54,7 +54,7 @@ def proximity_attack(view: FEOLView) -> ProximityAttackResult:
     answers all sink queries at once, replacing the historical
     O(sinks x drivers) Python double loop with identical results.
     """
-    arrays = feol_arrays(view)
+    arrays = view.columns
     result = ProximityAttackResult(
         num_sinks=len(arrays.sink_ids), num_drivers=len(arrays.driver_ids)
     )

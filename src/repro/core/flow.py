@@ -34,7 +34,6 @@ from repro.core.randomizer import (
 from repro.core.restore import build_protected_layout
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.layout import Layout, build_layout
-from repro.layout.placer import PlacerConfig
 from repro.layout.router import RouterConfig
 from repro.netlist.arrays import netlist_arrays
 from repro.netlist.netlist import Netlist
@@ -179,14 +178,12 @@ def protect(netlist: Netlist, config: Optional[ProtectionConfig] = None) -> Prot
     """
     config = config if config is not None else ProtectionConfig()
     floorplan = build_floorplan(netlist, config.utilization)
-    placer_config = PlacerConfig(seed=config.seed)
     router_config = RouterConfig()
 
     original_layout = build_layout(
         netlist,
         name=f"{netlist.name}_original",
         floorplan=floorplan,
-        placer_config=placer_config,
         router_config=router_config,
         seed=config.seed,
     )
@@ -214,7 +211,6 @@ def protect(netlist: Netlist, config: Optional[ProtectionConfig] = None) -> Prot
             randomization,
             lift_layer=config.lift_layer,
             floorplan=floorplan,
-            placer_config=placer_config,
             router_config=router_config,
             seed=config.seed,
         )

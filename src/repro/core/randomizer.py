@@ -132,30 +132,6 @@ def eligible_sink_rows(arrays: NetlistArrays) -> List[int]:
     return rows[order[keep]].tolist()
 
 
-def _swappable_sinks(netlist: Netlist) -> List[Tuple[str, PinRef]]:
-    """The ``(net, sink pin)`` pairs of :func:`eligible_sink_rows`, by name.
-
-    A walk over the ``Net``/``Gate`` objects that does not go through
-    :class:`~repro.netlist.arrays.NetlistArrays`; ``randomize_netlist`` does
-    not call it.
-    """
-    eligible: List[Tuple[str, PinRef]] = []
-    for net in netlist.nets.values():
-        if not net.has_driver():
-            continue
-        for sink_gate, sink_pin in net.sinks:
-            gate = netlist.gates[sink_gate]
-            if gate.cell.is_sequential:
-                continue
-            eligible.append((net.name, (sink_gate, sink_pin)))
-    return eligible
-
-
-def _driver_gate(netlist: Netlist, net_name: str) -> Optional[str]:
-    driver = netlist.nets[net_name].driver
-    return driver[0] if driver is not None else None
-
-
 class _GateDag:
     """Combinational gate graph with a maintained topological order.
 

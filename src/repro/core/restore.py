@@ -123,7 +123,6 @@ def build_protected_layout(
     lift_layer: int,
     floorplan: Optional[Floorplan] = None,
     utilization: float = 0.70,
-    placer_config: Optional[PlacerConfig] = None,
     router_config: Optional[RouterConfig] = None,
     seed: int = 0,
 ) -> Layout:
@@ -136,9 +135,9 @@ def build_protected_layout(
         floorplan: Floorplan to reuse (pass the original layout's floorplan to
             guarantee zero die-area overhead, as the paper does).
         utilization: Used only when ``floorplan`` is None.
-        placer_config / router_config: Tool knobs (same defaults as the
-            unprotected flow so comparisons are fair).
-        seed: Placement seed.
+        router_config: Router knobs (same default as the unprotected flow
+            so comparisons are fair).
+        seed: Placement seed (the placer's only knob).
 
     Returns:
         The protected :class:`Layout`; ``layout.netlist`` is the *original*
@@ -148,14 +147,13 @@ def build_protected_layout(
     """
     original = randomization.original
     erroneous = randomization.erroneous
-    placer_config = placer_config if placer_config is not None else PlacerConfig(seed=seed)
     router_config = router_config if router_config is not None else RouterConfig()
     if floorplan is None:
         floorplan = build_floorplan(original, utilization)
 
     # Step (ii): place the erroneous, misleading netlist.  Only the placement
     # is kept; the routing below implements the original nets.
-    placement = place(erroneous, floorplan, utilization, placer_config)
+    placement = place(erroneous, floorplan, utilization, PlacerConfig(seed=seed))
 
     # Step (iii): route the original netlist over that placement with every
     # randomized net lifted to the correction-cell layer.  Every swapped

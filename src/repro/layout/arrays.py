@@ -637,11 +637,10 @@ class RoutingArrays(Mapping):
     computes — its only representation.
 
     :func:`repro.layout.router.route` / ``route_batch`` return one
-    ``RoutingArrays`` per placement, the store codec decodes into one, and
-    :class:`~repro.layout.layout.Layout` converts a hand-built ``{name:
-    RoutedNet}`` dict into one (:meth:`from_nets`).  Every consumer
-    (wirelength/via metrics, the PPA/STA wire loads, FEOL extraction, the
-    store codec) reads the columns.
+    ``RoutingArrays`` per placement and the store codec decodes into one;
+    a :class:`~repro.layout.layout.Layout`'s routing is nothing else.
+    Every consumer (wirelength/via metrics, the PPA/STA wire loads, FEOL
+    extraction, the store codec) reads the columns.
 
     It is also the read-only ``Mapping`` of net name → ``RoutedNet`` that
     ``Layout.routing`` exposes: a lookup builds a fresh object graph from
@@ -756,90 +755,6 @@ class RoutingArrays(Mapping):
         gate = int(self.sink_gate[ci])
         token = self.sink_tokens[int(self.sink_token[ci])]
         return ("PO", token) if gate < 0 else (self.gate_names[gate], token)
-
-    # -- construction from objects -------------------------------------------
-    @classmethod
-    def from_nets(cls, routing: "Mapping[str, RoutedNet]",
-                  netlist: Netlist) -> "RoutingArrays":
-        """Columns of a ``{name: RoutedNet}`` mapping routed for ``netlist``.
-
-        Net order and names follow the mapping's keys; connection net and
-        sink names are resolved against ``netlist``.  Hints become explicit
-        hint columns, so materializing the result yields objects *equal* to
-        the input's.
-        """
-        net_names = list(netlist.nets)
-        gate_names = list(netlist.gates)
-        net_lookup = {name: i for i, name in enumerate(net_names)}
-        gate_lookup = {name: i for i, name in enumerate(gate_names)}
-        sink_tokens: Dict[str, int] = {}
-        rows: Dict[str, list] = {key: [] for key in _FROM_NETS_DTYPES}
-        # Local aliases, in _FROM_NETS_DTYPES order.
-        (net_index, driver_x, driver_y, has_driver, conn_count, dvia_count,
-         dvia_x, dvia_y, dvia_lower, dvia_upper, conn_net, sink_gate,
-         sink_token, sx, sy, tx, ty, h_layer, v_layer, protected, hint_sx,
-         hint_sy, hint_tx, hint_ty, hint_src, hint_tgt, seg_count, via_count,
-         seg_layer, seg_x1, seg_y1, seg_x2, seg_y2, via_x, via_y, via_lower,
-         via_upper) = rows.values()
-        for name, net in routing.items():
-            net_index.append(net_lookup[name])
-            point = net.driver_point
-            has_driver.append(point is not None)
-            driver_x.append(point.x if point is not None else 0.0)
-            driver_y.append(point.y if point is not None else 0.0)
-            conn_count.append(len(net.connections))
-            dvia_count.append(len(net.driver_vias))
-            for via in net.driver_vias:
-                dvia_x.append(via.x)
-                dvia_y.append(via.y)
-                dvia_lower.append(via.lower)
-                dvia_upper.append(via.upper)
-            for connection in net.connections:
-                conn_net.append(net_lookup[connection.net])
-                first, second = connection.sink
-                sink_gate.append(-1 if first == "PO" else gate_lookup[first])
-                sink_token.append(sink_tokens.setdefault(second, len(sink_tokens)))
-                sx.append(connection.source.x)
-                sy.append(connection.source.y)
-                tx.append(connection.target.x)
-                ty.append(connection.target.y)
-                h_layer.append(connection.h_layer)
-                v_layer.append(connection.v_layer)
-                protected.append(bool(connection.protected))
-                for hint, xs, ys, present in (
-                        (connection.source_hint, hint_sx, hint_sy, hint_src),
-                        (connection.target_hint, hint_tx, hint_ty, hint_tgt)):
-                    present.append(hint is not None)
-                    xs.append(hint.x if hint is not None else 0.0)
-                    ys.append(hint.y if hint is not None else 0.0)
-                seg_count.append(len(connection.segments))
-                for segment in connection.segments:
-                    seg_layer.append(segment.layer)
-                    seg_x1.append(segment.x1)
-                    seg_y1.append(segment.y1)
-                    seg_x2.append(segment.x2)
-                    seg_y2.append(segment.y2)
-                via_count.append(len(connection.vias))
-                for via in connection.vias:
-                    via_x.append(via.x)
-                    via_y.append(via.y)
-                    via_lower.append(via.lower)
-                    via_upper.append(via.upper)
-
-        columns = {
-            key: np.asarray(values, dtype=_FROM_NETS_DTYPES[key])
-            for key, values in rows.items()
-        }
-        return cls(
-            net_names=net_names,
-            gate_names=gate_names,
-            sink_tokens=list(sink_tokens),
-            conn_starts=_csr(columns.pop("conn_count")),
-            dvia_starts=_csr(columns.pop("dvia_count")),
-            seg_starts=_csr(columns.pop("seg_count")),
-            via_starts=_csr(columns.pop("via_count")),
-            **columns,
-        )
 
     # -- object materialization ----------------------------------------------
     def materialize_into(self, net: "RoutedNet", index: int) -> None:
@@ -966,28 +881,6 @@ class RoutingArrays(Mapping):
         self.hint_ty[conn_indices] = hint_ty
         self.hint_src_present[conn_indices] = 1
         self.hint_tgt_present[conn_indices] = 1
-
-
-#: Column dtypes of :meth:`RoutingArrays.from_nets` (per-item counts in
-#: place of CSR starts).
-_FROM_NETS_DTYPES: Dict[str, type] = {
-    "net_index": np.int64,
-    "driver_x": np.float64, "driver_y": np.float64, "has_driver": bool,
-    "conn_count": np.int64, "dvia_count": np.int64,
-    "dvia_x": np.float64, "dvia_y": np.float64,
-    "dvia_lower": np.int64, "dvia_upper": np.int64,
-    "conn_net": np.int64, "sink_gate": np.int64, "sink_token": np.int64,
-    "sx": np.float64, "sy": np.float64, "tx": np.float64, "ty": np.float64,
-    "h_layer": np.int64, "v_layer": np.int64, "protected": np.uint8,
-    "hint_sx": np.float64, "hint_sy": np.float64,
-    "hint_tx": np.float64, "hint_ty": np.float64,
-    "hint_src_present": np.uint8, "hint_tgt_present": np.uint8,
-    "seg_count": np.int64, "via_count": np.int64,
-    "seg_layer": np.int64, "seg_x1": np.float64, "seg_y1": np.float64,
-    "seg_x2": np.float64, "seg_y2": np.float64,
-    "via_x": np.float64, "via_y": np.float64,
-    "via_lower": np.int64, "via_upper": np.int64,
-}
 
 
 def _csr(counts: np.ndarray) -> np.ndarray:

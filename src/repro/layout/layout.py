@@ -43,9 +43,7 @@ class Layout:
             even though placement was optimized for the erroneous one.
         placement: Cell and I/O positions (coordinate columns).
         routing: The routing columns, also the read-only mapping net name
-            → :class:`~repro.layout.router.RoutedNet`.  A hand-built
-            ``{name: RoutedNet}`` dict is converted once, on construction
-            (:meth:`RoutingArrays.from_nets`).
+            → :class:`~repro.layout.router.RoutedNet` (``def_io`` reads it).
         protected_nets: Names of nets whose connectivity was randomized and
             restored through the BEOL (empty for unprotected layouts).
         lift_layer: Correction/lifting cell pin layer, when applicable.
@@ -64,10 +62,6 @@ class Layout:
     #: ``placement.geometry_version``; together the two counters key the
     #: cached columnar view returned by :meth:`arrays`.
     geometry_version: int = 0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.routing, RoutingArrays):
-            self.routing = RoutingArrays.from_nets(self.routing, self.netlist)
 
     def bump_geometry_version(self) -> int:
         """Record an in-place routing/geometry mutation (invalidates caches)."""
@@ -229,7 +223,6 @@ class Layout:
 def build_layout(netlist: Netlist, name: Optional[str] = None,
                  utilization: float = 0.70,
                  floorplan: Optional[Floorplan] = None,
-                 placer_config: Optional[PlacerConfig] = None,
                  router_config: Optional[RouterConfig] = None,
                  min_layer_per_net: Optional[Mapping[str, int]] = None,
                  seed: int = 0) -> Layout:
@@ -240,18 +233,17 @@ def build_layout(netlist: Netlist, name: Optional[str] = None,
         name: Layout name; defaults to ``<netlist name>_original``.
         utilization: Core utilization for the floorplan.
         floorplan: Reuse an existing floorplan (for apples-to-apples area).
-        placer_config / router_config: Tool knobs.
+        router_config: Router knobs.
         min_layer_per_net: Optional per-net lift floor (used by the
             naive-lifting baseline).
-        seed: Placement seed.
+        seed: Placement seed (the placer's only knob).
 
     Returns:
         A routed :class:`Layout`.
     """
-    placer_config = placer_config if placer_config is not None else PlacerConfig(seed=seed)
     if floorplan is None:
         floorplan = build_floorplan(netlist, utilization)
-    placement = place(netlist, floorplan, utilization, placer_config)
+    placement = place(netlist, floorplan, utilization, PlacerConfig(seed=seed))
     routing = route(netlist, placement, router_config, min_layer_per_net)
     return Layout(
         name=name if name is not None else f"{netlist.name}_original",

@@ -46,7 +46,6 @@ identical ``source + delta * frac`` expressions).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -57,9 +56,6 @@ from repro.layout.geometry import Point
 from repro.layout.placer import PlacementResult
 from repro.netlist.cells import NUM_METAL_LAYERS
 from repro.netlist.netlist import Netlist
-from repro.utils.degrade import warn_once
-
-logger = logging.getLogger("repro.layout")
 
 #: A sink reference: either a gate input pin ("gate", "pin") or a primary
 #: output ("PO", name).
@@ -757,31 +753,28 @@ def route_batch(netlist: Netlist, placements: Sequence[PlacementResult],
     is gathered once and shared: per placement only the coordinate columns,
     the layer-pair selection and the geometry columns are computed.
 
-    Placements are expected to place the same gate/port sets (the members of
-    one :func:`repro.layout.placer.place_batch` call); a member that does not
-    is routed through its own freshly gathered skeleton, with a one-shot
-    degradation warning.
+    Placements must place the same gate/port sets (the members of one
+    :func:`repro.layout.placer.place_batch` call).
 
     Returns:
         One routing per placement, in order.
+
+    Raises:
+        ValueError: When a placement places a different gate/port set than
+            the first.
     """
     if not placements:
         return []
     config = config if config is not None else RouterConfig()
     min_layer_per_net = min_layer_per_net or {}
     skeleton = _RoutingSkeleton(netlist, placements[0])
-    results: List[RoutingArrays] = []
-    for index, placement in enumerate(placements):
-        member_skeleton = skeleton
-        if index > 0 and not skeleton.matches(placement):
-            warn_once(
-                logger, "router.route_batch.skeleton_mismatch",
-                "route_batch member places a different gate/port set than "
-                "the batch head; its connection skeleton is re-gathered "
-                "per placement (results are unchanged, sharing is lost)",
+    for index, placement in enumerate(placements[1:], start=1):
+        if not skeleton.matches(placement):
+            raise ValueError(
+                f"route_batch placement {index} places a different gate/port "
+                "set than placement 0; route it on its own"
             )
-            member_skeleton = _RoutingSkeleton(netlist, placement)
-        results.append(_route_with_skeleton(
-            member_skeleton, placement, config, min_layer_per_net
-        ))
-    return results
+    return [
+        _route_with_skeleton(skeleton, placement, config, min_layer_per_net)
+        for placement in placements
+    ]

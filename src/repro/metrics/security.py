@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.netlist.engine import PlanSource
 from repro.netlist.simulate import error_rate_and_hamming
-from repro.sm.split import FEOLView, feol_arrays
+from repro.sm.split import FEOLView
 
 
 @dataclass
@@ -35,7 +35,7 @@ class SecurityReport:
 
 def _scored_connections(view: FEOLView, restrict_to_protected: bool) -> np.ndarray:
     """Rows of the ground-truth connections a CCR scores."""
-    protected = feol_arrays(view).conn_protected
+    protected = view.columns.conn_protected
     if restrict_to_protected and protected.any():
         return np.flatnonzero(protected)
     return np.arange(len(protected))
@@ -56,7 +56,7 @@ def correct_connection_rate(view: FEOLView, assignment: Mapping[int, int],
     scored = _scored_connections(view, restrict_to_protected)
     if not scored.size:
         return 0.0
-    arrays = feol_arrays(view)
+    arrays = view.columns
     sink_ids = arrays.sink_ids.tolist()
     driver_ids = arrays.driver_ids.tolist()
     driver_nets = dict(zip(driver_ids, arrays.driver_net_idx.tolist()))

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.layout.arrays import RoutingArrays, UniformGridIndex
-from repro.layout.geometry import Point
 from repro.layout.layout import Layout
 
 #: Number of discrete compass directions a dangling stub reveals.  A real
@@ -53,53 +52,21 @@ DIRECTION_QUANTIZATION = 8
 DEFAULT_STUB_FRACTION = 0.47
 
 
-@dataclass(frozen=True)
-class VPin:
-    """An open terminal in the topmost FEOL layer."""
-
-    identifier: int
-    kind: str  # "driver" or "sink"
-    position: Point
-    gate: Optional[str]  # owning gate instance; None for an I/O port terminal
-    pin: Optional[str]  # gate pin name, or the port name for I/O terminals
-    cell: Optional[str]  # library cell of the owning gate (attacker knows masters)
-    direction: Optional[Tuple[float, float]]  # dangling-stub heading (unit vector)
-    capacitance_ff: float = 0.0  # sink pin load
-    max_load_ff: float = 0.0  # driver drive capability
-    drive_resistance_kohm: float = 0.0
-    #: FEOL net the open via belongs to.  The attacker can see which dangling
-    #: stubs are electrically connected below the split, so this is an
-    #: observable (opaque) identifier, not ground truth.
-    net: Optional[str] = None
-
-
-@dataclass
-class OpenConnection:
-    """Ground truth for one cut driver→sink connection (scoring only)."""
-
-    net: str
-    driver_vpin: int
-    sink_vpin: int
-    protected: bool
-
-
 @dataclass
 class FEOLArrays:
     """The columns of a :class:`FEOLView`: its open vpins and, for scoring
     only, the ground-truth connections.
 
-    Vpin columns are in vpin order (``view.driver_vpins`` /
-    ``view.sink_vpins`` order when the view is built from objects), so
-    first-occurrence index semantics are preserved.  Names are integer keys
+    Vpin columns are in vpin order, so first-occurrence index semantics
+    (the lowest row wins a tie) are preserved.  Names are integer keys
     into small tables in first-appearance order: ``*_gate_idx`` into
     ``gate_names`` (drivers first, then sinks; ``-1`` for an I/O
     terminal), which lets the attacks compare gate identity without string
     broadcasting, ``driver_net_idx``/``conn_net_idx`` into ``net_names``
     (driver nets first; ``-1`` for a vpin without a net) and
     ``sink_pin_idx`` into ``pin_names`` (``-1`` without a pin).  Connection
-    ``c`` joins driver row ``conn_driver[c]`` and sink row ``conn_sink[c]``
-    (``-1`` where its vpin id is not listed).  Attacks never read the
-    ``conn_*`` columns.
+    ``c`` joins driver row ``conn_driver[c]`` and sink row ``conn_sink[c]``.
+    Attacks never read the ``conn_*`` columns.
     """
 
     driver_ids: np.ndarray       # (d,) int64 vpin identifiers
@@ -135,122 +102,26 @@ class FEOLArrays:
             self._driver_grid = UniformGridIndex(self.driver_xy)
         return self._driver_grid
 
-    @staticmethod
-    def build(view: "FEOLView") -> "FEOLArrays":
-        """The columns of ``view``'s object lists."""
-        gate_index: Dict[str, int] = {}
-        net_index: Dict[str, int] = {}
-        pin_index: Dict[str, int] = {}
-
-        def codes(table: Dict[str, int], names) -> np.ndarray:
-            return np.asarray(
-                [-1 if name is None else table.setdefault(name, len(table))
-                 for name in names],
-                dtype=np.int64,
-            )
-
-        def columns(vpins: List[VPin]):
-            ids = np.asarray([v.identifier for v in vpins], dtype=np.int64)
-            xy = np.asarray(
-                [(v.position.x, v.position.y) for v in vpins], dtype=np.float64
-            ).reshape(-1, 2)
-            direction = np.asarray(
-                [v.direction if v.direction is not None else (0.0, 0.0)
-                 for v in vpins],
-                dtype=np.float64,
-            ).reshape(-1, 2)
-            has_dir = np.asarray(
-                [v.direction is not None for v in vpins], dtype=bool
-            )
-            return ids, xy, direction, has_dir
-
-        drivers, sinks = view.driver_vpins, view.sink_vpins
-        connections = view.open_connections
-        d_ids, d_xy, d_dir, d_has = columns(drivers)
-        s_ids, s_xy, s_dir, s_has = columns(sinks)
-        d_gates = codes(gate_index, (v.gate for v in drivers))
-        s_gates = codes(gate_index, (v.gate for v in sinks))
-        d_nets = codes(net_index, (v.net for v in drivers))
-        driver_row = {v.identifier: i for i, v in enumerate(drivers)}
-        sink_row = {v.identifier: i for i, v in enumerate(sinks)}
-        return FEOLArrays(
-            driver_ids=d_ids,
-            driver_xy=d_xy,
-            driver_dir=d_dir,
-            driver_has_dir=d_has,
-            driver_max_load=np.asarray(
-                [v.max_load_ff for v in drivers], dtype=np.float64
-            ),
-            driver_gate_idx=d_gates,
-            driver_net_idx=d_nets,
-            sink_ids=s_ids,
-            sink_xy=s_xy,
-            sink_dir=s_dir,
-            sink_has_dir=s_has,
-            sink_cap=np.asarray(
-                [v.capacitance_ff for v in sinks], dtype=np.float64
-            ),
-            sink_gate_idx=s_gates,
-            sink_pin_idx=codes(pin_index, (v.pin for v in sinks)),
-            conn_driver=np.asarray(
-                [driver_row.get(c.driver_vpin, -1) for c in connections],
-                dtype=np.int64,
-            ),
-            conn_sink=np.asarray(
-                [sink_row.get(c.sink_vpin, -1) for c in connections],
-                dtype=np.int64,
-            ),
-            conn_net_idx=codes(net_index, (c.net for c in connections)),
-            conn_protected=np.asarray(
-                [c.protected for c in connections], dtype=bool
-            ),
-            gate_names=list(gate_index),
-            net_names=list(net_index),
-            pin_names=list(pin_index),
-        )
-
-
-#: The object views of a :class:`FEOLView`, built together on first access.
-_OBJECT_LISTS = ("driver_vpins", "sink_vpins", "open_connections")
-
 
 @dataclass(eq=False)
 class FEOLView:
     """Everything below the split layer, as seen by the FEOL foundry.
 
-    Columns first: :func:`extract_feol` fills only :attr:`columns` (an
-    :class:`FEOLArrays`) and the cut-net mask.  The object views — the
-    ``visible_nets``/``cut_nets`` name sets and the ``driver_vpins``,
-    ``sink_vpins`` and ``open_connections`` lists — are built from those
-    columns on first access (one :func:`_materialize` call builds the three
-    lists) and kept, the way ``Layout.routing`` builds a ``RoutedNet`` per
-    lookup.  Consumers read :func:`feol_arrays`, so attacks and metrics
-    build no object.  A bare ``FEOLView(layout, split_layer)`` starts with
-    empty object views and is filled by assigning or appending to them.
+    A view is its columns: :func:`extract_feol` fills :attr:`columns` (an
+    :class:`FEOLArrays` of the open vpins and the ground-truth connections)
+    and the cut-net mask over the routing it was extracted from.  Attacks
+    and metrics read ``view.columns``; the ``visible_nets``/``cut_nets``
+    name sets are built from the mask on first access.
     """
 
     layout: Layout
     split_layer: int
-    #: Monotonic counter keying the cached columns (see :func:`feol_arrays`):
-    #: any in-place edit of the vpin lists after extraction — replacing
-    #: vpins, re-aiming directions — must call
-    #: :meth:`bump_geometry_version`, mirroring the contract on
-    #: ``PlacementResult`` / ``Layout``.
-    geometry_version: int = 0
-    #: The extracted columns (``None`` for a view built from objects).
-    columns: Optional[FEOLArrays] = field(default=None, repr=False)
+    columns: FEOLArrays = field(repr=False)
     #: The routing extracted from and which of its nets are cut.
-    routing: Optional[RoutingArrays] = field(default=None, repr=False)
-    net_is_cut: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def bump_geometry_version(self) -> int:
-        """Record an in-place vpin mutation (invalidates the cached arrays)."""
-        self.geometry_version += 1
-        return self.geometry_version
+    routing: RoutingArrays = field(repr=False)
+    net_is_cut: np.ndarray = field(repr=False)
 
     def _nets(self, cut: bool) -> Set[str]:
-        if self.net_is_cut is None:
-            return set()
         mask = self.net_is_cut if cut else ~self.net_is_cut
         return set(compress(self.routing, mask.tolist()))
 
@@ -264,168 +135,20 @@ class FEOLView:
         """Nets with at least one connection crossing the split layer."""
         return self._nets(cut=True)
 
-    def _objects(self, name: str) -> list:
-        state = self.__dict__
-        if name not in state:
-            columns = self.columns
-            if columns is not None and state.keys().isdisjoint(_OBJECT_LISTS):
-                # Objects built now equal the columns until the next bump.
-                state["_geometry_cache"] = ((
-                    self.geometry_version, len(columns.driver_ids),
-                    len(columns.sink_ids),
-                ), columns)
-            for key, value in zip(_OBJECT_LISTS, _materialize(self)):
-                state.setdefault(key, value)
-        return state[name]
-
-    @cached_property
-    def driver_vpins(self) -> List[VPin]:
-        return self._objects("driver_vpins")
-
-    @cached_property
-    def sink_vpins(self) -> List[VPin]:
-        return self._objects("sink_vpins")
-
-    @cached_property
-    def open_connections(self) -> List[OpenConnection]:
-        """Ground-truth pairing, for scoring only."""
-        return self._objects("open_connections")
-
     @property
     def num_vpins(self) -> int:
-        arrays = feol_arrays(self)
-        return len(arrays.driver_ids) + len(arrays.sink_ids)
-
-    def true_driver_of_sink(self) -> Dict[int, int]:
-        """Map sink-vpin id → true driver-vpin id (scoring helper)."""
-        arrays = feol_arrays(self)
-        known = (arrays.conn_sink >= 0) & (arrays.conn_driver >= 0)
-        return dict(zip(arrays.sink_ids[arrays.conn_sink[known]].tolist(),
-                        arrays.driver_ids[arrays.conn_driver[known]].tolist()))
-
-    def driver_vpin_nets(self) -> Dict[int, str]:
-        """Map driver-vpin id → the FEOL net it belongs to."""
-        arrays = feol_arrays(self)
-        names = arrays.net_names
-        return {
-            vpin: names[net]
-            for vpin, net in zip(arrays.driver_ids.tolist(),
-                                 arrays.driver_net_idx.tolist())
-            if net >= 0
-        }
-
-    def protected_sink_vpins(self) -> Set[int]:
-        """Sink vpins belonging to nets the defense randomized."""
-        arrays = feol_arrays(self)
-        rows = arrays.conn_sink[arrays.conn_protected & (arrays.conn_sink >= 0)]
-        return set(arrays.sink_ids[rows].tolist())
+        return len(self.columns.driver_ids) + len(self.columns.sink_ids)
 
     def stats(self) -> Dict[str, float]:
-        arrays = feol_arrays(self)
+        columns = self.columns
         return {
             "split_layer": self.split_layer,
             "visible_nets": len(self.visible_nets),
             "cut_nets": len(self.cut_nets),
-            "driver_vpins": len(arrays.driver_ids),
-            "sink_vpins": len(arrays.sink_ids),
-            "open_connections": arrays.num_connections,
+            "drivers": len(columns.driver_ids),
+            "sinks": len(columns.sink_ids),
+            "connections": columns.num_connections,
         }
-
-    def arrays(self) -> FEOLArrays:
-        """The cached columnar view of this FEOL view (see :func:`feol_arrays`)."""
-        return feol_arrays(self)
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_geometry_cache", None)  # cached arrays are rebuilt lazily
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
-
-def feol_arrays(view: FEOLView) -> FEOLArrays:
-    """Return (and cache) the :class:`FEOLArrays` view of ``view``.
-
-    An extracted view whose object lists were never built answers with its
-    extracted columns.  Otherwise the cache keys on
-    ``view.geometry_version`` (bump it after any in-place vpin edit), with
-    the vpin counts as an extra safety net against list growth, and a miss
-    rebuilds the columns from the objects.
-    """
-    state = view.__dict__
-    if view.columns is not None and state.keys().isdisjoint(_OBJECT_LISTS):
-        return view.columns
-    key = (view.geometry_version, len(view.driver_vpins), len(view.sink_vpins))
-    cached = state.get("_geometry_cache")
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    arrays = FEOLArrays.build(view)
-    state["_geometry_cache"] = (key, arrays)
-    return arrays
-
-
-def _materialize(view: FEOLView
-                 ) -> Tuple[List[VPin], List[VPin], List[OpenConnection]]:
-    """The vpin and open-connection objects of ``view``'s columns (empty
-    lists for a view without columns).  The only place they are built."""
-    arrays = view.columns
-    if arrays is None:
-        return [], [], []
-    netlist = view.layout.netlist
-    gate_names, net_names = arrays.gate_names, arrays.net_names
-
-    def cell_of(gate: Optional[str]):
-        return netlist.gates[gate].cell if gate is not None else None
-
-    def direction(has: bool, xy: List[float]) -> Optional[Tuple[float, float]]:
-        return tuple(xy) if has else None
-
-    drivers: List[VPin] = []
-    for identifier, (x, y), has, xy, load, gate_idx, net_idx in zip(
-            arrays.driver_ids.tolist(), arrays.driver_xy.tolist(),
-            arrays.driver_has_dir.tolist(), arrays.driver_dir.tolist(),
-            arrays.driver_max_load.tolist(), arrays.driver_gate_idx.tolist(),
-            arrays.driver_net_idx.tolist()):
-        net = netlist.nets[net_names[net_idx]]
-        gate = gate_names[gate_idx] if gate_idx >= 0 else None
-        cell = cell_of(gate)
-        drivers.append(VPin(
-            identifier=identifier, kind="driver", position=Point(x, y),
-            gate=gate,
-            pin=(net.driver[1] if net.driver is not None
-                 else net.name if net.is_primary_input else None),
-            cell=cell.name if cell is not None else None,
-            direction=direction(has, xy), max_load_ff=load,
-            drive_resistance_kohm=(
-                cell.drive_resistance_kohm if cell is not None else 0.0
-            ),
-            net=net.name,
-        ))
-    # Extracted columns pair sink row k with connection k and its net.
-    sinks: List[VPin] = []
-    for identifier, (x, y), has, xy, cap, gate_idx, pin_idx, net_idx in zip(
-            arrays.sink_ids.tolist(), arrays.sink_xy.tolist(),
-            arrays.sink_has_dir.tolist(), arrays.sink_dir.tolist(),
-            arrays.sink_cap.tolist(), arrays.sink_gate_idx.tolist(),
-            arrays.sink_pin_idx.tolist(), arrays.conn_net_idx.tolist()):
-        gate = gate_names[gate_idx] if gate_idx >= 0 else None
-        cell = cell_of(gate)
-        sinks.append(VPin(
-            identifier=identifier, kind="sink", position=Point(x, y),
-            gate=gate, pin=arrays.pin_names[pin_idx],
-            cell=cell.name if cell is not None else None,
-            direction=direction(has, xy), capacitance_ff=cap,
-            net=net_names[net_idx],
-        ))
-    connections = [
-        OpenConnection(net=net_names[net_idx], driver_vpin=drivers[d].identifier,
-                       sink_vpin=sinks[s].identifier, protected=protected)
-        for d, s, net_idx, protected in zip(
-            arrays.conn_driver.tolist(), arrays.conn_sink.tolist(),
-            arrays.conn_net_idx.tolist(), arrays.conn_protected.tolist())
-    ]
-    return drivers, sinks, connections
 
 
 def _stub_tips(anchor_x: np.ndarray, anchor_y: np.ndarray,
@@ -492,10 +215,7 @@ def extract_feol(layout: Layout, split_layer: int,
     Columns only: the cut mask, the stub positions and directions, the
     electrical hints and the ground-truth connection columns are computed
     on the routing's :class:`~repro.layout.arrays.RoutingArrays` columns
-    into the view's :class:`FEOLArrays`.  No routed net, vpin or
-    open-connection object is built; the view's object lists are built from
-    the columns if and when they are read, and editing them afterwards
-    needs :meth:`FEOLView.bump_geometry_version` as before.
+    into the view's :class:`FEOLArrays`; no routed net is built.
 
     Cut connection ``k`` (in routing order) becomes driver vpin ``2k``,
     sink vpin ``2k + 1`` and connection ``k``.

@@ -1,8 +1,9 @@
 """Full-matrix attack kernels: test oracles for ``repro.attacks``.
 
 These are the proximity, network-flow and crouting implementations the
-grid-index and row-block kernels replaced.  The proximity oracle is the
-per-pair double loop over the FEOL view's vpins; ``grid_nearest_reference``
+grid-index and row-block kernels replaced; they read a view's vpins and
+open connections as objects (``feol_oracle.feol_objects``).  The proximity
+oracle is the per-pair double loop over the FEOL view's vpins; ``grid_nearest_reference``
 is the per-query ring walk over a :class:`UniformGridIndex` that the
 one-program-per-ring ``nearest`` replaced.  The network-flow oracle
 builds the whole ``(S, D)`` cost matrix with one broadcast per hint,
@@ -26,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 import numpy as np
 
+from feol_oracle import FEOLObjects, VPin, feol_objects
 from graph_oracle import netlist_copy, transitive_closure_bitmap
 from repro.attacks.crouting import CRoutingAttackConfig, CRoutingAttackResult
 from repro.attacks.network_flow import _INVALID_COSTS, NetworkFlowAttackConfig
@@ -34,7 +36,7 @@ from repro.layout.arrays import UniformGridIndex
 from repro.layout.geometry import manhattan
 from repro.netlist.graph import transitive_closure
 from repro.netlist.netlist import Netlist
-from repro.sm.split import FEOLView, VPin, feol_arrays
+from repro.sm.split import FEOLView
 
 
 def direction_penalty(driver: VPin, sink: VPin) -> Tuple[float, float]:
@@ -150,13 +152,14 @@ def build_cost_matrix(view: FEOLView,
                       ) -> Tuple[np.ndarray, int]:
     """The whole ``(S, D)`` cost matrix in one broadcast per hint."""
     config = config if config is not None else NetworkFlowAttackConfig()
-    drivers = view.driver_vpins
-    sinks = view.sink_vpins
+    objects = feol_objects(view)
+    drivers = objects.driver_vpins
+    sinks = objects.sink_vpins
     if not drivers or not sinks:
         return np.zeros((len(sinks), len(drivers))), 0
     half_perimeter = view.layout.floorplan.half_perimeter_um
 
-    arrays = feol_arrays(view)
+    arrays = view.columns
     sink_x = arrays.sink_xy[:, 0]
     sink_y = arrays.sink_xy[:, 1]
     drv_x = arrays.driver_xy[:, 0]
@@ -224,8 +227,10 @@ def build_cost_matrix(view: FEOLView,
 def driver_capacities(view: FEOLView, config: NetworkFlowAttackConfig) -> np.ndarray:
     """Fanout slots per driver vpin (flow capacity, load bound, feasibility)."""
     typical_cap = 1.2
-    arrays = feol_arrays(view)
-    capacities = np.full(len(view.driver_vpins), config.max_fanout_per_driver, dtype=np.int64)
+    arrays = view.columns
+    num_sinks = len(arrays.sink_ids)
+    capacities = np.full(len(arrays.driver_ids), config.max_fanout_per_driver,
+                         dtype=np.int64)
     if config.use_load_hint:
         load_bound = np.maximum(
             1, (arrays.driver_max_load / typical_cap / 4).astype(np.int64)
@@ -233,8 +238,8 @@ def driver_capacities(view: FEOLView, config: NetworkFlowAttackConfig) -> np.nda
         has_load = arrays.driver_max_load > 0
         capacities[has_load] = np.minimum(capacities[has_load], load_bound[has_load])
     total_capacity = int(capacities.sum())
-    if total_capacity < len(view.sink_vpins):
-        capacities *= int(math.ceil(len(view.sink_vpins) / max(total_capacity, 1)))
+    if total_capacity < num_sinks:
+        capacities *= int(math.ceil(num_sinks / max(total_capacity, 1)))
     return capacities
 
 
@@ -284,8 +289,9 @@ def network_flow_attack(view: FEOLView,
                         ) -> OracleAttackResult:
     """The attack on the full-matrix kernel and the validating netlist copy."""
     config = config if config is not None else NetworkFlowAttackConfig()
-    drivers = view.driver_vpins
-    sinks = view.sink_vpins
+    objects = feol_objects(view)
+    drivers = objects.driver_vpins
+    sinks = objects.sink_vpins
     result = OracleAttackResult(num_sinks=len(sinks), num_drivers=len(drivers))
     netlist = view.layout.netlist
     recovered = netlist_copy(netlist, f"{netlist.name}_recovered")
@@ -311,7 +317,7 @@ def rebuild_netlist(view: FEOLView, choice: np.ndarray, recovered: Netlist) -> N
     to the FEOL net of the driver vpin it was assigned to.  ``recovered`` is
     a fresh copy of the layout's netlist, edited in place and returned.
     """
-    arrays = feol_arrays(view)
+    arrays = view.columns
     gate_names, pin_names, net_names = (
         arrays.gate_names, arrays.pin_names, arrays.net_names
     )
@@ -343,8 +349,9 @@ def crouting_attack(view: FEOLView,
                     config: Optional[CRoutingAttackConfig] = None) -> CRoutingAttackResult:
     """crouting with one NumPy pass per vpin, side and bounding box."""
     config = config if config is not None else CRoutingAttackConfig()
-    drivers = view.driver_vpins
-    sinks = view.sink_vpins
+    objects = feol_objects(view)
+    drivers = objects.driver_vpins
+    sinks = objects.sink_vpins
     result = CRoutingAttackResult(num_vpins=view.num_vpins)
     if not drivers or not sinks:
         for box in config.bounding_boxes:
@@ -355,10 +362,10 @@ def crouting_attack(view: FEOLView,
 
     driver_pos = np.array([[v.position.x, v.position.y] for v in drivers], dtype=float)
     sink_pos = np.array([[v.position.x, v.position.y] for v in sinks], dtype=float)
-    true_driver_of_sink = view.true_driver_of_sink()
+    true_driver_of_sink = objects.true_driver_of_sink()
     driver_index = {vpin.identifier: i for i, vpin in enumerate(drivers)}
     sink_ids_by_driver: Dict[int, List[int]] = {}
-    for connection in view.open_connections:
+    for connection in objects.open_connections:
         sink_ids_by_driver.setdefault(connection.driver_vpin, []).append(connection.sink_vpin)
     sink_index = {vpin.identifier: i for i, vpin in enumerate(sinks)}
 
@@ -395,22 +402,26 @@ def crouting_attack(view: FEOLView,
     return result
 
 
-def proximity_attack_reference(view: FEOLView) -> ProximityAttackResult:
-    """The historical per-pair double loop of the proximity attack.
+def proximity_attack_reference(view: FEOLView,
+                               objects: Optional[FEOLObjects] = None
+                               ) -> ProximityAttackResult:
+    """The historical per-pair double loop of the proximity attack, over
+    ``objects`` (``view``'s vpins, read from its columns when not given).
 
     The strict ``<`` comparison makes the first driver with the minimal
     distance win, which is the tie-breaking rule the grid-index attack
     reproduces.
     """
+    objects = objects if objects is not None else feol_objects(view)
     result = ProximityAttackResult(
-        num_sinks=len(view.sink_vpins), num_drivers=len(view.driver_vpins)
+        num_sinks=len(objects.sink_vpins), num_drivers=len(objects.driver_vpins)
     )
-    if not view.driver_vpins:
+    if not objects.driver_vpins:
         return result
-    for sink in view.sink_vpins:
+    for sink in objects.sink_vpins:
         best_driver: Optional[int] = None
         best_distance = float("inf")
-        for driver in view.driver_vpins:
+        for driver in objects.driver_vpins:
             distance = manhattan(sink.position, driver.position)
             if distance < best_distance:
                 best_distance = distance

@@ -11,7 +11,7 @@ erroneous connectivity and ``dont_touch`` marks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -20,12 +20,35 @@ from repro.core.randomizer import (
     RandomizationResult,
     RandomizerConfig,
     SwapRecord,
-    _driver_gate,
-    _swappable_sinks,
 )
 from repro.netlist.netlist import Netlist, PinRef
 from repro.netlist.simulate import output_error_rate
 from repro.utils.rng import make_rng
+
+
+def _swappable_sinks(netlist: Netlist) -> List[Tuple[str, PinRef]]:
+    """The ``(net, sink pin)`` pairs the randomizer may swap, by name.
+
+    A walk over the ``Net``/``Gate`` objects, independent of the
+    :class:`~repro.netlist.arrays.NetlistArrays` rows that
+    :func:`repro.core.randomizer.eligible_sink_rows` lists: sinks of
+    combinational gates on nets driven by a gate or a primary input.
+    """
+    eligible: List[Tuple[str, PinRef]] = []
+    for net in netlist.nets.values():
+        if not net.has_driver():
+            continue
+        for sink_gate, sink_pin in net.sinks:
+            gate = netlist.gates[sink_gate]
+            if gate.cell.is_sequential:
+                continue
+            eligible.append((net.name, (sink_gate, sink_pin)))
+    return eligible
+
+
+def _driver_gate(netlist: Netlist, net_name: str) -> Optional[str]:
+    driver = netlist.nets[net_name].driver
+    return driver[0] if driver is not None else None
 
 
 class _LoopChecker:

@@ -38,6 +38,7 @@ from hypothesis.extra import numpy as hnp
 import attack_oracle
 import graph_oracle
 import sim_oracle
+from feol_oracle import feol_objects, objects_view
 from repro.api.registry import DEFENSES, ensure_builtins
 from repro.attacks import crouting, network_flow
 from repro.circuits import ISCAS85_PROFILES, SUPERBLUE_PROFILES
@@ -155,7 +156,7 @@ def check_layout(layout, full=True):
     checked = loopy = 0
     for split in SPLIT_LAYERS:
         view = extract_feol(layout, split)
-        if len(view.sink_vpins) > MAX_SINKS:
+        if len(view.columns.sink_ids) > MAX_SINKS:
             continue
         checked += 1
         check_cost_matrices(view)
@@ -202,7 +203,7 @@ def test_superblue_slice():
 
 def test_empty_view(c432_layouts):
     view = extract_feol(c432_layouts["original"], NUM_METAL_LAYERS)
-    assert not view.sink_vpins and not view.driver_vpins
+    assert view.num_vpins == 0
     check_cost_matrices(view)
     check_attack(view, HINT_CONFIGS[0])
     check_crouting(view)
@@ -219,8 +220,9 @@ def test_block_boundaries(c432_layouts, block_rows, monkeypatch):
 def test_coincident_and_undirected_vpins(c432_layouts):
     """Zero-length candidates (degenerate direction) and stubs without a
     direction, which extracted views rarely contain, on both sides."""
-    view = extract_feol(c432_layouts["proposed"], 3)
-    sinks, drivers = view.sink_vpins, view.driver_vpins
+    extracted = extract_feol(c432_layouts["proposed"], 3)
+    objects = feol_objects(extracted)
+    sinks, drivers = objects.sink_vpins, objects.driver_vpins
     for i in range(0, len(sinks), 7):
         position = drivers[(3 * i) % len(drivers)].position
         sinks[i] = dataclasses.replace(sinks[i], position=position)
@@ -228,7 +230,7 @@ def test_coincident_and_undirected_vpins(c432_layouts):
         sinks[i] = dataclasses.replace(sinks[i], direction=None)
     for i in range(0, len(drivers), 4):
         drivers[i] = dataclasses.replace(drivers[i], direction=None)
-    view.bump_geometry_version()
+    view = objects_view(extracted, objects)
     check_cost_matrices(view)
     check_attack(view, HINT_CONFIGS[0])
     check_crouting(view)
@@ -349,7 +351,7 @@ def test_invalid_costs_raise_like_the_solver(c432_layouts, poison, monkeypatch):
     The poison lands on the row's chosen driver, which the ring walk always
     scores."""
     view = extract_feol(c432_layouts["proposed"], 3)
-    row = len(view.sink_vpins) - 3
+    row = len(view.columns.sink_ids) - 3
     config = network_flow.NetworkFlowAttackConfig()
     chosen = network_flow._CostKernel(view, config).cheapest_drivers()[row]
     pairs = network_flow._CostKernel.pairs
@@ -374,10 +376,11 @@ def test_invalid_costs_raise_like_the_solver(c432_layouts, poison, monkeypatch):
 def test_nan_driver_direction_raises(c432_layouts):
     """A NaN stub direction poisons pairs the ring walk may never score, so
     the attack checks the direction columns before it walks."""
-    view = extract_feol(c432_layouts["proposed"], 3)
-    drivers = view.driver_vpins
+    extracted = extract_feol(c432_layouts["proposed"], 3)
+    objects = feol_objects(extracted)
+    drivers = objects.driver_vpins
     drivers[5] = dataclasses.replace(drivers[5], direction=(np.nan, 0.0))
-    view.bump_geometry_version()
+    view = objects_view(extracted, objects)
     config = network_flow.NetworkFlowAttackConfig()
     costs, _excluded = network_flow.build_cost_matrix(view, config)
     with pytest.raises(ValueError):
@@ -408,15 +411,16 @@ def test_ring_walk_equals_the_dense_argmin(c432_layouts, pitch, undirected, seed
     stubs undirected, the ring walk picks each sink's dense lowest-index
     cheapest driver for every hint toggle, for costs above
     ``infeasible_cost`` and for negative hint weights."""
-    view = extract_feol(c432_layouts["proposed"], 3)
+    extracted = extract_feol(c432_layouts["proposed"], 3)
+    objects = feol_objects(extracted)
     rng = np.random.default_rng(seed)
-    for vpins in (view.sink_vpins, view.driver_vpins):
+    for vpins in (objects.sink_vpins, objects.driver_vpins):
         for i, vpin in enumerate(vpins):
             position = Point(round(vpin.position.x / pitch) * pitch,
                              round(vpin.position.y / pitch) * pitch)
             direction = None if rng.random() < undirected else vpin.direction
             vpins[i] = dataclasses.replace(vpin, position=position, direction=direction)
-    view.bump_geometry_version()
+    view = objects_view(extracted, objects)
     for config in HINT_CONFIGS + (CHEAP_INFEASIBLE, NEGATIVE_WEIGHTS):
         expected = attack_oracle.cheapest_drivers(network_flow.build_cost_matrix(view, config)[0])
         chosen = network_flow._CostKernel(view, config).cheapest_drivers()
@@ -436,13 +440,15 @@ def test_ring_walk_scores_few_pairs(c880_layouts, monkeypatch):
 
     monkeypatch.setattr(network_flow._CostKernel, "pairs", counting)
     network_flow.network_flow_attack(view)
-    assert 0 < sum(scored) < 0.15 * len(view.sink_vpins) * len(view.driver_vpins)
+    columns = view.columns
+    assert 0 < sum(scored) < 0.15 * len(columns.sink_ids) * len(columns.driver_ids)
 
 
 def test_loop_hint_excludes_reachable_pairs(c432_layouts):
     """The integer closure agrees with the networkx closure on a real view."""
     view = extract_feol(c432_layouts["original"], 3)
-    sinks, drivers = view.sink_vpins, view.driver_vpins
+    objects = feol_objects(view)
+    sinks, drivers = objects.sink_vpins, objects.driver_vpins
     expected = attack_oracle.loop_exclusion_matrix(view, sinks, drivers)
     assert expected.any()
     gate_rows, bitmap = network_flow._loop_bitmap(view)

@@ -6,6 +6,7 @@ from repro.attacks.crouting import CRoutingAttackConfig, crouting_attack
 from repro.attacks.network_flow import NetworkFlowAttackConfig, network_flow_attack
 from repro.attacks.proximity import proximity_attack
 from repro.metrics.security import correct_connection_rate, evaluate_attack
+from feol_oracle import feol_objects
 from repro.sm.split import extract_feol
 
 
@@ -20,25 +21,26 @@ class TestProximityAttack:
     def test_assigns_every_sink(self, views):
         original, _ = views
         result = proximity_attack(original)
-        assert set(result.assignment) == {v.identifier for v in original.sink_vpins}
-        assert result.num_sinks == len(original.sink_vpins)
+        sinks = feol_objects(original).sink_vpins
+        assert set(result.assignment) == {v.identifier for v in sinks}
+        assert result.num_sinks == len(sinks)
 
     def test_assignments_reference_real_drivers(self, views):
         original, _ = views
         result = proximity_attack(original)
-        driver_ids = {v.identifier for v in original.driver_vpins}
+        driver_ids = {v.identifier for v in feol_objects(original).driver_vpins}
         assert set(result.assignment.values()) <= driver_ids
 
     def test_beats_random_guessing_on_original(self, views):
         original, _ = views
         ccr = correct_connection_rate(original, proximity_attack(original).assignment)
         # Random guessing would land near 100/len(drivers) percent.
-        assert ccr > 1000.0 / max(len(original.driver_vpins), 1)
+        assert ccr > 1000.0 / max(len(original.columns.driver_ids), 1)
 
     def test_empty_view(self, protection_c432):
         view = extract_feol(protection_c432.original_layout, 9)
         result = proximity_attack(view)
-        assert len(result.assignment) == len(view.sink_vpins)
+        assert len(result.assignment) == len(view.columns.sink_ids)
 
 
 class TestNetworkFlowAttack:
@@ -91,7 +93,7 @@ class TestNetworkFlowAttack:
 
     def test_empty_view_returns_copy(self, protection_c432):
         view = extract_feol(protection_c432.original_layout, 9)
-        if view.sink_vpins:
+        if len(view.columns.sink_ids):
             pytest.skip("split layer still cuts nets for this layout")
         outcome = network_flow_attack(view)
         assert outcome.assignment == {}

@@ -230,6 +230,22 @@ def test_empty_batch():
     assert route_batch(netlist, []) == []
 
 
+def test_batch_member_with_other_ports_raises():
+    """Members of one batch share one connection skeleton; a placement
+    whose port list differs from the first's is rejected, not re-gathered."""
+    from repro.layout.placer import PlacementResult, place_batch
+    from repro.layout.router import route_batch
+
+    netlist = iscas85_netlist("c432", seed=1)
+    first, second = place_batch(netlist, [0, 1], build_floorplan(netlist, 0.70))
+    ports = dict(second.port_positions)
+    ports.pop(next(iter(ports)))
+    fewer_ports = PlacementResult.from_positions(
+        second.floorplan, dict(second.gate_positions), ports, second.config)
+    with pytest.raises(ValueError, match="placement 1"):
+        route_batch(netlist, [first, fewer_ports])
+
+
 class TestConnectionBatch:
     """The batched staircase kernel vs per-connection route_connection."""
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from attack_oracle import direction_penalty, visible_reachability
+from feol_oracle import feol_objects
 from graph_oracle import netlist_to_digraph, transitive_closure_bitmap
 from sim_oracle import (
     error_rate_and_hamming_reference,
@@ -351,8 +352,9 @@ class TestAttackCostMatrixRegression:
     @staticmethod
     def _legacy_cost_matrix(view, config):
         """The historical per-pair construction, kept as the reference."""
-        drivers = view.driver_vpins
-        sinks = view.sink_vpins
+        objects = feol_objects(view)
+        drivers = objects.driver_vpins
+        sinks = objects.sink_vpins
         half_perimeter = view.layout.floorplan.half_perimeter_um
         reach = visible_reachability(view) if config.use_loop_hint else None
         cache = {}

@@ -1,16 +1,18 @@
 """Column-native FEOL extraction == the object-walk oracle.
 
 :func:`repro.sm.split.extract_feol` computes the cut mask, stub positions
-and directions and the ``FEOLArrays`` cache on the routing columns.  The
-per-object implementation it replaced lives on as
+and directions and the view's ``FEOLArrays`` columns on the routing
+columns.  The per-object implementation it replaced lives on as
 ``tests/feol_oracle.py``.  For every layout kind the paper's flows produce —
 the unprotected layout, each prior-art defense, the proposed (protected)
 layout, the naive-lifted baseline and a store-decoded build — and for every
 split layer and several stub fractions, both must build the same view: the
-same net sets, the same vpin and open-connection lists in the same order,
-and the same ``FEOLArrays`` columns.  Extraction must not materialize a
-single routed net, and a layout rebuilt from its routed objects
-(``RoutingArrays.from_nets``) must extract to the same view.
+same net sets, the same vpin and open-connection lists in the same order
+(the extracted columns read back into objects) and the same columns (the
+oracle's objects built into columns).  Extraction must not materialize a
+single routed net, and a layout whose routing is rebuilt from its routed
+objects (``routing_from_nets`` in ``tests/build_oracle.py``) must extract
+to the same view.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import pickle
 import numpy as np
 import pytest
 
-from feol_oracle import extract_feol_reference
+from build_oracle import routing_from_nets
+from feol_oracle import extract_feol_reference, feol_columns, feol_objects
 from repro.api.registry import DEFENSES, ensure_builtins
 from repro.circuits import ISCAS85_PROFILES
 from repro.circuits.registry import get_benchmark
@@ -28,7 +31,7 @@ from repro.core import ProtectionConfig, protect
 from repro.layout.arrays import RoutingArrays
 from repro.layout.layout import Layout
 from repro.netlist.cells import NUM_METAL_LAYERS
-from repro.sm.split import DEFAULT_STUB_FRACTION, FEOLArrays, extract_feol, feol_arrays
+from repro.sm.split import DEFAULT_STUB_FRACTION, extract_feol
 from repro.store import codec
 
 ensure_builtins()
@@ -77,13 +80,13 @@ def assert_views_equal(view, reference):
     # Set iteration order too: downstream code may iterate the sets.
     assert list(view.visible_nets) == list(reference.visible_nets)
     assert list(view.cut_nets) == list(reference.cut_nets)
-    assert view.driver_vpins == reference.driver_vpins
-    assert view.sink_vpins == reference.sink_vpins
-    assert view.open_connections == reference.open_connections
-    cached = feol_arrays(view)
-    expected = FEOLArrays.build(reference)
+    objects = feol_objects(view)
+    assert objects.driver_vpins == reference.driver_vpins
+    assert objects.sink_vpins == reference.sink_vpins
+    assert objects.open_connections == reference.open_connections
+    expected = feol_columns(reference)
     for name in ARRAY_FIELDS:
-        ours, theirs = getattr(cached, name), getattr(expected, name)
+        ours, theirs = getattr(view.columns, name), getattr(expected, name)
         assert ours.dtype == theirs.dtype, name
         assert ours.shape == theirs.shape, name
         assert np.array_equal(ours, theirs), name
@@ -105,10 +108,11 @@ def check_layout(layout, kind, grid=FULL_GRID):
         assert_views_equal(
             view, extract_feol_reference(layout, split, fraction))
 
-    # The same layout rebuilt from its routed objects (from_nets), and
+    # The same layout with its routing rebuilt from its routed objects, and
     # after a pickle round trip.
     rebuilt = Layout(layout.name, layout.netlist, layout.placement,
-                     dict(layout.routing.items()), set(layout.protected_nets))
+                     routing_from_nets(layout.routing, layout.netlist),
+                     set(layout.protected_nets))
     for split in (2, 4, 6):
         assert_views_equal(
             extract_feol(rebuilt, split), extract_feol_reference(layout, split))

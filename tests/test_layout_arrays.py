@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attack_oracle import grid_nearest_reference, proximity_attack_reference
+from feol_oracle import FEOLObjects, VPin, objects_view
 from repro.attacks.proximity import proximity_attack
 from repro.circuits import get_benchmark, iscas85_netlist
 from repro.circuits.iscas85 import ISCAS85_PROFILES
@@ -45,7 +46,7 @@ from repro.layout.placer import (
 from repro.metrics.distances import distance_histogram, distance_stats
 from repro.metrics.wirelength import wirelength_by_layer
 from repro.netlist.cells import NUM_METAL_LAYERS
-from repro.sm.split import FEOLView, VPin, extract_feol, feol_arrays
+from repro.sm.split import extract_feol
 
 ISCAS_CIRCUITS = tuple(ISCAS85_PROFILES)
 
@@ -371,18 +372,19 @@ def _vpin(identifier, kind, x, y):
 
 
 def test_proximity_tie_breaks_to_first_driver(iscas_layouts):
-    """Equidistant drivers: the first vpin in driver_vpins order must win."""
-    _netlist, layout, _view = iscas_layouts["c432"]
-    view = FEOLView(layout=layout, split_layer=SPLIT_LAYER)
+    """Equidistant drivers: the first driver row must win."""
+    _netlist, _layout, extracted = iscas_layouts["c432"]
     # Drivers 10/11/12 are all at Manhattan distance 2 from the sink; driver
     # 13 at the same position as 10 duplicates the winning distance exactly.
-    view.driver_vpins = [
-        _vpin(10, "driver", 2.0, 0.0),
-        _vpin(11, "driver", 0.0, 2.0),
-        _vpin(12, "driver", 1.0, 1.0),
-        _vpin(13, "driver", 2.0, 0.0),
-    ]
-    view.sink_vpins = [_vpin(20, "sink", 0.0, 0.0)]
+    view = objects_view(extracted, FEOLObjects(
+        driver_vpins=[
+            _vpin(10, "driver", 2.0, 0.0),
+            _vpin(11, "driver", 0.0, 2.0),
+            _vpin(12, "driver", 1.0, 1.0),
+            _vpin(13, "driver", 2.0, 0.0),
+        ],
+        sink_vpins=[_vpin(20, "sink", 0.0, 0.0)],
+    ))
     assert proximity_attack(view).assignment == {20: 10}
     assert proximity_attack_reference(view).assignment == {20: 10}
 
@@ -392,7 +394,7 @@ def test_proximity_matches_ring_walk_on_batched_superblue_views():
     netlist = get_benchmark("superblue18", seed=1, scale=0.002)
     for layout in build_layout_batch(netlist, [1, 2, 3, 4]):
         view = extract_feol(layout, 6)
-        arrays = feol_arrays(view)
+        arrays = view.columns
         grid = arrays.driver_grid()
         got_idx, got_dist = grid.nearest(arrays.sink_xy)
         want_idx, want_dist = grid_nearest_reference(grid, arrays.sink_xy)
@@ -439,29 +441,6 @@ class TestGeometryVersion:
         assert layout.arrays() is first
         layout.bump_geometry_version()
         assert layout.arrays() is not first
-
-    def test_feol_view_cache_keyed_on_geometry_version(self, iscas_layouts):
-        from repro.sm.split import feol_arrays
-
-        _netlist, layout, _shared = iscas_layouts["c432"]
-        view = extract_feol(layout, SPLIT_LAYER)
-        first = feol_arrays(view)
-        assert feol_arrays(view) is first
-        # An in-place vpin edit (same counts) must invalidate after a bump.
-        moved = view.sink_vpins[0]
-        view.sink_vpins[0] = VPin(
-            identifier=moved.identifier, kind=moved.kind,
-            position=Point(moved.position.x + 5.0, moved.position.y),
-            gate=moved.gate, pin=moved.pin, cell=moved.cell,
-            direction=moved.direction, capacitance_ff=moved.capacitance_ff,
-            net=moved.net,
-        )
-        view.bump_geometry_version()
-        rebuilt = feol_arrays(view)
-        assert rebuilt is not first
-        assert proximity_attack(view).assignment == (
-            proximity_attack_reference(view).assignment
-        )
 
     def test_cached_arrays_not_pickled(self, c432):
         layout = build_layout(c432, seed=1)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from feol_oracle import feol_objects
 from repro.metrics.distances import DistanceStats, distance_histogram, distance_stats
 from repro.metrics.ppa import ppa_overheads, ppa_report
 from repro.attacks.network_flow import network_flow_attack
@@ -37,7 +38,7 @@ simulate = importlib.import_module("repro.netlist.simulate")
 class TestSecurityMetrics:
     def test_perfect_assignment_gives_100(self, c432_layout):
         view = extract_feol(c432_layout, 4)
-        truth = view.true_driver_of_sink()
+        truth = feol_objects(view).true_driver_of_sink()
         assert correct_connection_rate(view, truth) == pytest.approx(100.0)
 
     def test_empty_assignment_gives_0(self, c432_layout):
@@ -46,27 +47,28 @@ class TestSecurityMetrics:
 
     def test_wrong_but_same_net_counts_as_correct(self, c432_layout):
         view = extract_feol(c432_layout, 4)
-        nets = view.driver_vpin_nets()
+        objects = feol_objects(view)
+        nets = objects.driver_vpin_nets()
         # Build an assignment that maps each sink to *some* driver vpin of the
         # true net (not necessarily the ground-truth vpin id).
         by_net = {}
         for vpin_id, net in nets.items():
             by_net.setdefault(net, vpin_id)
         assignment = {
-            c.sink_vpin: by_net[c.net] for c in view.open_connections if c.net in by_net
+            c.sink_vpin: by_net[c.net] for c in objects.open_connections if c.net in by_net
         }
         assert correct_connection_rate(view, assignment) == pytest.approx(100.0)
 
     def test_evaluate_attack_without_netlist(self, c432_layout):
         view = extract_feol(c432_layout, 4)
-        report = evaluate_attack(view, view.true_driver_of_sink(), None)
+        report = evaluate_attack(view, feol_objects(view).true_driver_of_sink(), None)
         assert report.ccr_percent == pytest.approx(100.0)
         assert report.oer_percent == 0.0
         assert report.hd_percent == 0.0
 
     def test_restricted_scoring_on_protected_layout(self, protection_c432):
         view = extract_feol(protection_c432.protected_layout, 4)
-        truth = view.true_driver_of_sink()
+        truth = feol_objects(view).true_driver_of_sink()
         all_ccr = correct_connection_rate(view, truth, restrict_to_protected=False)
         protected_ccr = correct_connection_rate(view, truth, restrict_to_protected=True)
         assert all_ccr == pytest.approx(100.0)

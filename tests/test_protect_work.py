@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import build_oracle
+import randomizer_oracle
 from repro.api.workspace import reset_default_workspace
 from repro.circuits import ISCAS85_PROFILES
 from repro.circuits.registry import get_benchmark
@@ -34,7 +35,6 @@ from repro.experiments.runner import quick_config, run_all
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.geometry import Point, Rect
 from repro.layout.layout import build_layout
-from repro.layout.placer import PlacerConfig
 from repro.layout.router import RouterConfig
 from repro.netlist.arrays import netlist_arrays
 from repro.netlist.cells import ROW_HEIGHT_UM, SITE_WIDTH_UM
@@ -156,7 +156,7 @@ def test_eligible_sink_rows_match_the_by_name_walk(name, scale):
          (arrays.gate_names[arrays.fanin_gate[row]], arrays.pin_name(row)))
         for row in rows
     ]
-    assert by_rows == randomizer._swappable_sinks(netlist.copy())
+    assert by_rows == randomizer_oracle._swappable_sinks(netlist.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +263,15 @@ def test_legalization_matches_oracle(case):
 def test_naive_layout_equals_a_replaced_build(name, scale):
     netlist = get_benchmark(name, seed=1, scale=scale)
     floorplan = build_floorplan(netlist, 0.70)
-    placer_config, router_config = PlacerConfig(seed=1), RouterConfig()
-    original = build_layout(netlist, floorplan=floorplan, placer_config=placer_config,
-                            router_config=router_config, seed=1)
+    router_config = RouterConfig()
+    original = build_layout(netlist, floorplan=floorplan, router_config=router_config,
+                            seed=1)
     nets = select_nets_for_lifting(netlist, 24, seed=1)
     naive = build_naive_lifted_layout(original, nets, lift_layer=6,
                                       router_config=router_config)
     replaced = build_layout(
         netlist, name=f"{netlist.name}_lifted", floorplan=floorplan,
-        placer_config=placer_config, router_config=router_config,
-        min_layer_per_net={net: 6 for net in nets}, seed=1,
+        router_config=router_config, min_layer_per_net={net: 6 for net in nets}, seed=1,
     )
     replaced.lift_layer = 6
     assert naive.placement == replaced.placement

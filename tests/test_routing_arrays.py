@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from build_oracle import (
     protected_routing_reference,
     route_reference,
+    routing_from_nets,
     routing_perturbation_reference,
 )
 from repro.circuits import iscas85_netlist
@@ -211,7 +212,7 @@ def test_columnar_consumers_equal_materialized_any_order(order, batch_size, data
     for layout, seed in zip(layouts, seeds):
         built = build_layout(netlist, seed=seed)
         expected = Layout(built.name, netlist, built.placement,
-                          dict(built.routing.items()))
+                          routing_from_nets(built.routing, netlist))
         for name in order:
             assert _CONSUMERS[name](layout) == _CONSUMERS[name](expected), name
 
@@ -240,7 +241,7 @@ def _assert_payloads_identical(a, b):
 def test_encode_fast_path_byte_identical_to_object_walk(netlist):
     """A layout built from the router's columns and one rebuilt from its
     objects (``PlacementResult.from_positions``, whose name table is not
-    the netlist's, and ``RoutingArrays.from_nets``) encode to identical
+    the netlist's, and ``routing_from_nets``) encode to identical
     payloads."""
     columnar = build_layout(netlist, seed=3)
     placement = columnar.placement
@@ -248,7 +249,7 @@ def test_encode_fast_path_byte_identical_to_object_walk(netlist):
                      PlacementResult.from_positions(
                          placement.floorplan, dict(placement.gate_positions),
                          dict(placement.port_positions), placement.config),
-                     dict(columnar.routing.items()),
+                     routing_from_nets(columnar.routing, netlist),
                      metadata=dict(columnar.metadata))
     assert objects.placement.gate_names != placement.gate_names
     _assert_payloads_identical(
@@ -294,12 +295,12 @@ def test_defense_backing_path_matches_object_path(netlist):
             assert a.segments == b.segments, name
 
 
-# -- from_nets: the one object → columns builder -----------------------------
+# -- routing_from_nets: the oracles' object → columns builder ----------------
 
 
 def test_from_nets_round_trip_equals_eager_objects(netlist, placement):
     eager = _reference_routing(netlist, placement)
-    rebuilt = RoutingArrays.from_nets(eager, netlist)
+    rebuilt = routing_from_nets(eager, netlist)
     assert list(rebuilt) == list(eager)
     for name in eager:
         assert rebuilt[name] == eager[name], name
@@ -320,7 +321,7 @@ def test_from_nets_reads_edited_objects(netlist, placement):
             connection.protected = True
     routing[names[3]].connections[0].net = names[0]
     routing[names[4]].driver_point = None
-    columns = RoutingArrays.from_nets(routing, netlist)
+    columns = routing_from_nets(routing, netlist)
     owners = np.repeat(columns.net_index, np.diff(columns.conn_starts))
     assert not np.array_equal(columns.conn_net, owners)
     assert list(columns) == names
@@ -330,7 +331,7 @@ def test_from_nets_reads_edited_objects(netlist, placement):
 
 def test_from_nets_reproduces_the_router_columns(netlist, placement):
     routing = route(netlist, placement, RouterConfig())
-    columns = RoutingArrays.from_nets(dict(routing.items()), netlist)
+    columns = routing_from_nets(dict(routing.items()), netlist)
     for name in ("net_index", "conn_starts", "dvia_starts", "seg_starts",
                  "via_starts", "conn_net", "sink_gate", "sink_token", "sx",
                  "ty", "h_layer", "v_layer", "seg_x1", "via_lower",
@@ -345,7 +346,7 @@ def test_from_nets_reproduces_the_router_columns(netlist, placement):
 
 
 def test_from_nets_of_empty_routing(netlist):
-    columns = RoutingArrays.from_nets({}, netlist)
+    columns = routing_from_nets({}, netlist)
     assert columns.num_nets == 0 and columns.num_connections == 0
     assert columns.conn_starts.tolist() == [0]
     assert dict(columns) == {}
@@ -371,7 +372,7 @@ def assert_protected_routing_matches_oracle(randomization, layout, lift_layer):
         randomization, layout.placement, lift_layer
     )
     routing = layout.routing
-    expected = RoutingArrays.from_nets(oracle, randomization.original)
+    expected = routing_from_nets(oracle, randomization.original)
     for name in ("protected", "hint_sx", "hint_sy", "hint_tx", "hint_ty",
                  "hint_src_present", "hint_tgt_present"):
         ours, theirs = getattr(routing, name), getattr(expected, name)

@@ -1,9 +1,14 @@
-"""Tests for FEOL extraction (split-manufacturing attacker view)."""
+"""Tests for FEOL extraction (split-manufacturing attacker view).
+
+The extracted columns are read back as vpin and open-connection objects
+through ``feol_oracle.feol_objects``.
+"""
 
 import math
 
 import pytest
 
+from feol_oracle import feol_objects
 from repro.sm.split import extract_feol
 
 
@@ -24,7 +29,7 @@ class TestExtractFeol:
         assert high.num_vpins <= low.num_vpins
 
     def test_vpins_match_open_connections(self, c432_layout):
-        view = extract_feol(c432_layout, 4)
+        view = feol_objects(extract_feol(c432_layout, 4))
         assert len(view.sink_vpins) == len(view.open_connections)
         assert len(view.driver_vpins) == len(view.open_connections)
         sink_ids = {v.identifier for v in view.sink_vpins}
@@ -34,13 +39,13 @@ class TestExtractFeol:
             assert connection.driver_vpin in driver_ids
 
     def test_vpin_positions_inside_die(self, c432_layout):
-        view = extract_feol(c432_layout, 4)
+        view = feol_objects(extract_feol(c432_layout, 4))
         die = c432_layout.floorplan.die
         for vpin in view.driver_vpins + view.sink_vpins:
             assert die.contains(vpin.position, tolerance=1e-6)
 
     def test_directions_are_unit_vectors(self, c432_layout):
-        view = extract_feol(c432_layout, 4)
+        view = feol_objects(extract_feol(c432_layout, 4))
         for vpin in view.driver_vpins + view.sink_vpins:
             if vpin.direction is None:
                 continue
@@ -48,7 +53,7 @@ class TestExtractFeol:
             assert norm == pytest.approx(1.0, abs=1e-6)
 
     def test_stub_fraction_zero_puts_vpins_at_cells(self, c432_layout):
-        view = extract_feol(c432_layout, 4, stub_fraction=0.0)
+        view = feol_objects(extract_feol(c432_layout, 4, stub_fraction=0.0))
         for vpin in view.driver_vpins:
             if vpin.gate is None:
                 continue
@@ -58,8 +63,8 @@ class TestExtractFeol:
     def test_stub_moves_vpins_towards_partner(self, c432_layout):
         from repro.layout.geometry import manhattan
 
-        no_stub = extract_feol(c432_layout, 4, stub_fraction=0.0)
-        with_stub = extract_feol(c432_layout, 4, stub_fraction=0.45)
+        no_stub = feol_objects(extract_feol(c432_layout, 4, stub_fraction=0.0))
+        with_stub = feol_objects(extract_feol(c432_layout, 4, stub_fraction=0.45))
         truth_no = no_stub.true_driver_of_sink()
         truth_with = with_stub.true_driver_of_sink()
         by_id_no = {v.identifier: v for v in no_stub.driver_vpins + no_stub.sink_vpins}
@@ -75,18 +80,18 @@ class TestExtractFeol:
         assert sum(gaps_with) < sum(gaps_no)
 
     def test_unprotected_layout_has_no_protected_connections(self, c432_layout):
-        view = extract_feol(c432_layout, 4)
+        view = feol_objects(extract_feol(c432_layout, 4))
         assert all(not c.protected for c in view.open_connections)
         assert view.protected_sink_vpins() == set()
 
     def test_sink_vpins_carry_capacitance(self, c432_layout):
-        view = extract_feol(c432_layout, 4)
+        view = feol_objects(extract_feol(c432_layout, 4))
         gate_sinks = [v for v in view.sink_vpins if v.gate is not None]
         assert gate_sinks
         assert all(v.capacitance_ff > 0 for v in gate_sinks)
 
     def test_driver_vpin_nets_mapping(self, c432_layout):
-        view = extract_feol(c432_layout, 4)
+        view = feol_objects(extract_feol(c432_layout, 4))
         nets = view.driver_vpin_nets()
         for connection in view.open_connections:
             assert nets[connection.driver_vpin] == connection.net
@@ -94,18 +99,18 @@ class TestExtractFeol:
     def test_stats_keys(self, c432_layout):
         stats = extract_feol(c432_layout, 3).stats()
         assert stats["split_layer"] == 3
-        assert stats["driver_vpins"] == stats["open_connections"]
+        assert stats["drivers"] == stats["connections"]
 
 
 class TestProtectedLayoutView:
     def test_protected_connections_marked(self, protection_c432):
-        view = extract_feol(protection_c432.protected_layout, 4)
+        view = feol_objects(extract_feol(protection_c432.protected_layout, 4))
         protected = [c for c in view.open_connections if c.protected]
         assert len(protected) == protection_c432.randomization.num_swaps
 
     def test_protected_connections_are_cut_at_any_split_below_lift(self, protection_c432):
         for split in (3, 4, 5):
-            view = extract_feol(protection_c432.protected_layout, split)
+            view = feol_objects(extract_feol(protection_c432.protected_layout, split))
             assert sum(1 for c in view.open_connections if c.protected) == \
                 protection_c432.randomization.num_swaps
 
@@ -113,7 +118,7 @@ class TestProtectedLayoutView:
         """The deception mechanism: the stub at a swapped sink does not point
         at its true driver for the (vast) majority of protected connections."""
         layout = protection_c432.protected_layout
-        view = extract_feol(layout, 4)
+        view = feol_objects(extract_feol(layout, 4))
         by_id = {v.identifier: v for v in view.driver_vpins + view.sink_vpins}
         misleading = 0
         total = 0
