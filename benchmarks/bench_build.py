@@ -65,10 +65,7 @@ from repro.layout.placer import (                             # noqa: E402
 )
 from repro.layout.router import route                         # noqa: E402
 from repro.circuits.registry import get_benchmark           # noqa: E402
-from repro.core.correction_cells import (                     # noqa: E402
-    legalize_correction_cells,
-    place_correction_cells,
-)
+from repro.core.correction_cells import place_correction_cells  # noqa: E402
 from repro.core.flow import ProtectionConfig, protect         # noqa: E402
 from repro.core.lifting import lifting_cell_anchors           # noqa: E402
 from repro.core.randomizer import (                           # noqa: E402
@@ -83,6 +80,7 @@ from build_oracle import (                                    # noqa: E402
     _dfs_starts,
     _dfs_walk,
     _rotated_adjacency,
+    correction_cells_at_anchors,
     legalize_correction_cells_reference,
     place_reference,
     route_reference,
@@ -207,7 +205,7 @@ def bench_place_ordering(benchmark: str, scale: float,
         ]
 
     def integer_walk() -> List[np.ndarray]:
-        graph = _OrderingGraph(netlist, gate_index)
+        graph = _OrderingGraph(netlist_arrays(netlist))
         return [graph.dfs(netlist.name, seed) for seed in seeds]
 
     for ours, theirs in zip(integer_walk(), string_walk()):
@@ -569,27 +567,32 @@ def bench_protect_randomize(benchmark: str, scale, repeat: int) -> Dict[str, obj
 
 def bench_protect_legalize(benchmark: str, scale, repeat: int) -> Dict[str, object]:
     """protect.legalize: the naive-lifting baseline's cells of one
-    ``protect`` run (lift layer 8, 5 % PPA budget), the resumed spiral
-    against the re-scanning oracle (``tests/build_oracle.py``), instances
-    asserted equal."""
+    ``protect`` run (lift layer 8, 5 % PPA budget), built once at their
+    legal positions by the resumed spiral, against the re-scanning oracle
+    (``tests/build_oracle.py``) applied to cells built at their anchors,
+    instances asserted equal."""
     netlist = get_benchmark(benchmark, seed=1, scale=scale)
     protection = protect(netlist, ProtectionConfig(lift_layer=8, ppa_budget_percent=5.0,
                                                    seed=1))
     naive = protection.naive_lifted_layout
-    cells = place_correction_cells(
-        lifting_cell_anchors(naive, naive.metadata["lifted_nets"]), 8, naive=True)
+    anchors = lifting_cell_anchors(naive, naive.metadata["lifted_nets"])
     floorplan = naive.floorplan
-    legal = legalize_correction_cells(cells, floorplan)
+    legal = place_correction_cells(anchors, 8, floorplan, naive=True)
     assert legal == naive.metadata["lifting_cells"]
-    assert legal == legalize_correction_cells_reference(cells, floorplan), \
-        "legalization diverged from the oracle"
-    oracle_s = _timeit(lambda: legalize_correction_cells_reference(cells, floorplan), repeat)
-    legalize_s = _timeit(lambda: legalize_correction_cells(cells, floorplan), repeat)
+
+    def oracle():
+        return legalize_correction_cells_reference(
+            correction_cells_at_anchors(anchors, 8, naive=True), floorplan)
+
+    assert legal == oracle(), "legalization diverged from the oracle"
+    oracle_s = _timeit(oracle, repeat)
+    legalize_s = _timeit(lambda: place_correction_cells(anchors, 8, floorplan, naive=True),
+                         repeat)
     return {
         "row": "legalize",
         "benchmark": benchmark,
         "scale": scale,
-        "num_cells": len(cells),
+        "num_cells": len(legal),
         "legalize_s": round(legalize_s, 4),
         "oracle_s": round(oracle_s, 4),
         "speedup": round(oracle_s / legalize_s, 2),

@@ -143,14 +143,12 @@ def _loop_bitmap(view: FEOLView) -> Tuple[np.ndarray, np.ndarray]:
     num_comb = int(np.count_nonzero(comb))
     rows = np.cumsum(comb) - 1
     rows[~comb] = num_comb
-    visible = np.zeros(arrays.num_nets, dtype=bool)
     routing = view.routing
-    nets = routing.net_index[~view.net_is_cut]
-    if routing.net_names != arrays.net_names:
-        known = arrays.net_id
-        nets = np.asarray([known[routing.net_names[i]] for i in nets.tolist()],
-                          dtype=np.int64)
-    visible[nets] = True
+    # Routers and the store decode share the netlist's net table.
+    if routing.net_names is not arrays.net_names and routing.net_names != arrays.net_names:
+        raise ValueError("the routing's net table is not its netlist's")
+    visible = np.zeros(arrays.num_nets, dtype=bool)
+    visible[routing.net_index[~view.net_is_cut]] = True
     read = arrays.fanin_net >= 0
     read[read] = visible[arrays.fanin_net[read]]
     driver = arrays.net_driver[arrays.fanin_net[read]]

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
-from repro.netlist.cells import Cell, CellLibrary, default_library
-from repro.netlist.netlist import Gate, Net, Netlist
+from repro.netlist.cells import CellLibrary, default_library
+from repro.netlist.netlist import Netlist
 from repro.utils.rng import make_rng
 
 #: (cell name, weight) — combinational cell mix used for generated logic.
@@ -105,87 +105,100 @@ def generate_random_logic(spec: RandomLogicSpec,
     topological), every primary output is driven, and the netlist passes
     :meth:`Netlist.validate`.
 
-    The gate and net tables are filled directly, as :meth:`Netlist.copy`
-    does: the result, its iteration orders and its ``topology_version`` are
-    those of adding every port, gate and pin through the edit API in
-    creation order, with the same RNG draws (the oracle
-    ``generate_random_logic_reference`` in ``tests/netlist_oracle.py``).
+    The draws produce net ids, which :meth:`Netlist.from_columns` turns into
+    the netlist: the result, its iteration orders and its
+    ``topology_version`` are those of adding every port, gate and pin
+    through the edit API in creation order, with the same RNG draws (the
+    oracle ``generate_random_logic_reference`` in
+    ``tests/netlist_oracle.py``).
     """
     library = library if library is not None else default_library()
     rng = make_rng(spec.seed, "random_logic", spec.name)
-    random, randrange = rng.random, rng.randrange
+    # ``randrange(n)`` of a positive int is ``_randbelow(n)``: the same draws
+    # without the argument checks.
+    random, randrange = rng.random, rng._randbelow
     window, global_fraction = spec.locality_window, spec.global_net_fraction
-    netlist = Netlist(spec.name, library)
-    gates, nets = netlist.gates, netlist.nets
+    num_gates = spec.num_gates
 
-    signals: List[str] = [f"pi_{i}" for i in range(spec.num_inputs)]
-    netlist.primary_inputs = list(signals)
+    pi_names = [f"pi_{i}" for i in range(spec.num_inputs)]
     clock_net = "clk" if spec.sequential_fraction > 0.0 else None
     if clock_net is not None:
-        netlist.primary_inputs.append(clock_net)
-    for name in netlist.primary_inputs:
-        nets[name] = Net(name, is_primary_input=True)
-    # Each primary input is a new net plus the port itself.
-    edits = 2 * len(nets)
+        pi_names.append(clock_net)
+    num_pis, num_inputs = len(pi_names), spec.num_inputs
+    # Net ids: the primary inputs, then gate ``i``'s output net ``n_i``.
+    # The signals are the primary inputs and the gate outputs made so far,
+    # in creation order; the clock is a net but never a signal, so signal
+    # ``k`` is net ``k``, or ``k + shift`` once past the primary inputs.
+    clock, shift = num_inputs, num_pis - num_inputs
 
-    def pick_source() -> str:
-        """A source signal, biased towards the most recent ones."""
-        n = len(signals)
+    def pick_source(n: int) -> int:
+        """The net of one of the ``n`` signals, biased towards the most
+        recent ones."""
         local = random() >= global_fraction
         # Local picks come from the trailing window; global ones (long/global
         # nets) from every signal.
         draw = randrange(window if local and window < n else n)
-        return signals[n - 1 - draw] if local else signals[draw]
+        signal = n - 1 - draw if local else draw
+        return signal if signal < num_inputs else signal + shift
 
     # ``rng.choices(cell_names, weights=...)`` draws exactly this.
     cell_names = [name for name, _ in spec.cell_mix]
     cum_weights = list(accumulate(weight for _, weight in spec.cell_mix))
     total = cum_weights[-1] + 0.0
     last = len(cum_weights) - 1
-    cells: Dict[str, Tuple[Cell, List[str], str]] = {}
+    #: cell name -> (input count, unconnected output pins past the first)
+    cells: Dict[str, Tuple[int, List[int]]] = {}
+    gate_names: List[str] = []
+    gate_cells: List[str] = []
+    fanin_net: List[int] = []
+    fanout_net: List[int] = []
 
-    for i in range(spec.num_gates):
-        out_net = f"n_{i}"
-        if clock_net is not None and random() < spec.sequential_fraction:
+    sequential_fraction = spec.sequential_fraction
+    for i in range(num_gates):
+        n = num_inputs + i
+        if clock_net is not None and random() < sequential_fraction:
             name = f"ff_{i}"
-            source = pick_source()
-            gates[name] = Gate(name, library["DFF_X1"],
-                               {"D": source, "CK": clock_net, "Q": out_net})
-            nets[source].sinks.append((name, "D"))
-            nets[clock_net].sinks.append((name, "CK"))
-            nets[out_net] = Net(out_net, driver=(name, "Q"))
-            signals.append(out_net)
-            edits += 5  # the gate, its three pins and its output net
-            continue
-        cell_name = cell_names[bisect(cum_weights, random() * total, 0, last)]
+            cell_name = "DFF_X1"
+            # A flip-flop's pins connect in D, CK, Q order.
+            sources = [pick_source(n), clock]
+        else:
+            name = f"g_{i}"
+            cell_name = cell_names[bisect(cum_weights, random() * total, 0, last)]
+            sources = None
         entry = cells.get(cell_name)
         if entry is None:
             cell = library[cell_name]
-            entry = cells[cell_name] = (
-                cell, [pin.name for pin in cell.input_pins], cell.output_pins[0].name,
-            )
-        cell, input_pins, output_pin = entry
-        sources: List[str] = []
-        for _pin in input_pins:
-            source = pick_source()
-            # Avoid duplicate inputs where possible (keeps functions non-trivial).
-            retries = 0
-            while source in sources and retries < 4 and len(signals) > len(sources):
-                source = pick_source()
-                retries += 1
-            sources.append(source)
-        name = f"g_{i}"
-        connections = dict(zip(input_pins, sources))
-        connections[output_pin] = out_net
-        gates[name] = Gate(name, cell, connections)
-        for pin, source in zip(input_pins, sources):
-            nets[source].sinks.append((name, pin))
-        nets[out_net] = Net(out_net, driver=(name, output_pin))
-        signals.append(out_net)
-        edits += len(connections) + 2  # the gate, its pins and its output net
+            entry = cells[cell_name] = (len(cell.input_pins),
+                                        [-1] * (len(cell.output_pins) - 1))
+        if sources is None:
+            sources = []
+            for _pin in range(entry[0]):
+                source = pick_source(n)
+                # Avoid duplicate inputs where possible (keeps functions non-trivial).
+                retries = 0
+                while source in sources and retries < 4 and n > len(sources):
+                    source = pick_source(n)
+                    retries += 1
+                sources.append(source)
+        gate_names.append(name)
+        gate_cells.append(cell_name)
+        fanin_net += sources
+        # The first output pin drives the gate's own net; any other stays
+        # unconnected.
+        fanout_net.append(num_pis + i)
+        fanout_net += entry[1]
 
-    edits += _assign_outputs(netlist, spec, rng)
-    netlist._topology_version = edits
+    # Gate outputs no gate input loads, in creation order.
+    loaded = bytearray(num_pis + num_gates)
+    for net in fanin_net:
+        loaded[net] = 1
+    dangling = [net for net in range(num_pis, num_pis + num_gates) if not loaded[net]]
+    net_names = pi_names + [f"n_{i}" for i in range(num_gates)]
+    chosen = _choose_outputs(dangling, num_pis, num_gates, spec, rng)
+    netlist = Netlist.from_columns(
+        spec.name, library, net_names, pi_names, gate_names, gate_cells,
+        fanin_net, fanout_net,
+        {f"po_{index}": net_names[net] for index, net in enumerate(chosen)})
 
     problems = netlist.validate()
     if problems:  # pragma: no cover - construction should always be clean
@@ -193,32 +206,22 @@ def generate_random_logic(spec: RandomLogicSpec,
     return netlist
 
 
-def _assign_outputs(netlist: Netlist, spec: RandomLogicSpec, rng) -> int:
-    """Choose primary outputs, preferring gate outputs with no fanout.
+def _choose_outputs(dangling: List[int], num_pis: int, num_gates: int,
+                    spec: RandomLogicSpec, rng) -> List[int]:
+    """Choose the nets of the primary outputs, preferring gate outputs with
+    no fanout (``dangling``, ids of gate output nets, which are
+    ``num_pis .. num_pis + num_gates - 1``).
 
     Dangling gate outputs that are not selected as primary outputs are still
     exported as outputs when room permits; otherwise they remain unconnected
-    (harmless for simulation and physical design).  Returns the number of
-    outputs declared.
+    (harmless for simulation and physical design).
     """
-    nets = netlist.nets
-    dangling = [
-        net.name for net in nets.values()
-        if net.driver is not None and not net.sinks and not net.primary_outputs
-    ]
     rng.shuffle(dangling)
-    chosen: List[str] = list(dangling[: spec.num_outputs])
+    chosen: List[int] = list(dangling[: spec.num_outputs])
     if len(chosen) < spec.num_outputs:
-        candidates = [
-            net.name for net in nets.values()
-            if net.driver is not None and net.name not in chosen
-        ]
+        taken = set(chosen)
+        candidates = [net for net in range(num_pis, num_pis + num_gates)
+                      if net not in taken]
         rng.shuffle(candidates)
         chosen.extend(candidates[: spec.num_outputs - len(chosen)])
-    chosen = chosen[: spec.num_outputs]
-    for index, net_name in enumerate(chosen):
-        po = f"po_{index}"
-        netlist.primary_outputs.append(po)
-        netlist.output_nets[po] = net_name
-        nets[net_name].primary_outputs.append(po)
-    return len(chosen)
+    return chosen[: spec.num_outputs]

@@ -21,7 +21,6 @@ from repro.core.randomizer import RandomizationResult, SwapRecord, randomize_net
 from repro.core.correction_cells import (
     CorrectionCellInstance,
     correction_cell_name,
-    legalize_correction_cells,
     place_correction_cells,
 )
 from repro.core.lifting import build_naive_lifted_layout, select_nets_for_lifting
@@ -34,7 +33,6 @@ __all__ = [
     "randomize_netlist",
     "CorrectionCellInstance",
     "correction_cell_name",
-    "legalize_correction_cells",
     "place_correction_cells",
     "build_naive_lifted_layout",
     "select_nets_for_lifting",

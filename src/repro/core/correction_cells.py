@@ -6,16 +6,15 @@ FEOL resources, so they may overlap standard cells freely — but two
 correction cells must not overlap *each other*, which the paper enforces with
 custom legalization scripts.  This module reproduces that behaviour:
 
-* :func:`place_correction_cells` drops one cell at the driver side and one at
-  the sink side of every swapped connection (re-routing is always *between
-  pairs of correction cells*);
-* :func:`legalize_correction_cells` nudges overlapping correction cells onto
-  free positions of a coarse grid in the lift layer, keeping them as close as
-  possible to their anchor gates.  Each cell spirals outwards from its home
-  slot in rings of growing Chebyshev radius; since occupancy only grows, a
-  home slot's search resumes at the ring and step where the previous search
-  from that slot stopped, so the co-anchored cells of a net never re-scan
-  the slots their predecessors found taken.
+* :func:`place_correction_cells` builds one cell for the driver side and one
+  for the sink side of every swapped connection (re-routing is always
+  *between pairs of correction cells*), each once, at its legal position: a
+  free slot of a coarse grid in the lift layer, as close as possible to its
+  anchor gate.  Each cell spirals outwards from its home slot in rings of
+  growing Chebyshev radius; since occupancy only grows, a home slot's search
+  resumes at the ring and step where the previous search from that slot
+  stopped, so the co-anchored cells of a net never re-scan the slots their
+  predecessors found taken.
 
 Naive-lifting cells follow the same placement/legalization path but carry a
 single C→Y arc.
@@ -77,77 +76,72 @@ class CorrectionCellInstance:
 def place_correction_cells(
     anchors: Iterable[Tuple[int, str, Optional[str], Point]],
     lift_layer: int,
+    floorplan: Floorplan,
     naive: bool = False,
 ) -> List[CorrectionCellInstance]:
-    """Create one correction cell per anchor.
-
-    Args:
-        anchors: Iterable of ``(connection_id, role, anchor_gate, position)``
-            tuples — one per driver side and one per sink side of every
-            swapped (or lifted) connection.
-        lift_layer: Pin layer of the cells (6 or 8).
-        naive: Use naive-lifting cells instead of correction cells.
-
-    Returns:
-        Unlegalized cell instances located exactly at their anchors.
-    """
-    cell = correction_cell_name(lift_layer, naive)
-    prefix = "lc" if naive else "cc"
-    instances: List[CorrectionCellInstance] = []
-    for index, (connection_id, role, anchor_gate, position) in enumerate(anchors):
-        instances.append(
-            CorrectionCellInstance(
-                name=f"{prefix}_{connection_id}_{role}_{index}",
-                cell=cell,
-                position=position,
-                anchor_gate=anchor_gate,
-                role=role,
-                connection_id=connection_id,
-                lift_layer=lift_layer,
-            )
-        )
-    return instances
-
-
-def legalize_correction_cells(
-    instances: List[CorrectionCellInstance],
-    floorplan: Floorplan,
-) -> List[CorrectionCellInstance]:
-    """Remove overlaps between correction cells.
+    """Create one legalized correction cell per anchor.
 
     Cells are snapped to a coarse grid whose pitch equals the cell footprint;
     when a grid slot is already taken the cell spirals outwards to the nearest
     free slot.  Standard cells are ignored entirely — correction cells are
     allowed to overlap them because their pins live in the BEOL.
 
+    Args:
+        anchors: Iterable of ``(connection_id, role, anchor_gate, position)``
+            tuples — one per driver side and one per sink side of every
+            swapped (or lifted) connection, in placement order.
+        lift_layer: Pin layer of the cells (6 or 8).
+        floorplan: The die whose grid the cells are legalized on.
+        naive: Use naive-lifting cells instead of correction cells.
+
+    Returns:
+        Non-overlapping cell instances, in anchor order.  A cell finds no slot
+        only when the grid is full; it keeps its anchor position.
+    """
+    cell = correction_cell_name(lift_layer, naive)
+    prefix = "lc" if naive else "cc"
+    anchors = list(anchors)
+    positions = _legal_positions([position for _id, _role, _gate, position in anchors],
+                                 floorplan, CorrectionCellInstance.width_um,
+                                 CorrectionCellInstance.height_um)
+    return [
+        CorrectionCellInstance(
+            name=f"{prefix}_{connection_id}_{role}_{index}",
+            cell=cell,
+            position=position,
+            anchor_gate=anchor_gate,
+            role=role,
+            connection_id=connection_id,
+            lift_layer=lift_layer,
+        )
+        for index, ((connection_id, role, anchor_gate, _anchor), position)
+        in enumerate(zip(anchors, positions))
+    ]
+
+
+def _legal_positions(points: List[Point], floorplan: Floorplan, pitch_x: float,
+                     pitch_y: float) -> List[Point]:
+    """Legal positions of cells anchored at ``points``, in order.
+
     Occupancy only grows, so a slot a spiral found taken or off the grid
     stays unusable: each home slot keeps the ring and step where its last
     search stopped, and the next cell with that home resumes there instead
     of re-scanning the slots before it.  Occupancy is a ``bytearray`` grid.
-
-    Returns:
-        A new list of instances with non-overlapping positions, in the same
-        order as the input.  A cell finds no slot only when the grid is full;
-        it keeps its original position.
+    A point left over when the grid is full keeps its position.
     """
-    if not instances:
-        return []
-    pitch_x = instances[0].width_um
-    pitch_y = instances[0].height_um
     die = floorplan.die
     x_min, y_min = die.x_min, die.y_min
     columns = max(1, int(die.width / pitch_x))
     rows = max(1, int(die.height / pitch_y))
     taken = bytearray(columns * rows)
     resume: Dict[int, Tuple[int, int]] = {}
-    legalized: List[CorrectionCellInstance] = []
+    legal: List[Point] = []
     free = columns * rows
-    for instance in instances:
+    for point in points:
         if not free:
             # Grid full (pathological); keep the original position.
-            legalized.append(instance)
+            legal.append(point)
             continue
-        point = instance.position
         home_col = min(max(int((point.x - x_min) / pitch_x), 0), columns - 1)
         home_row = min(max(int((point.y - y_min) / pitch_y), 0), rows - 1)
         home = home_col * rows + home_row
@@ -179,13 +173,8 @@ def legalize_correction_cells(
         resume[home] = (radius, step)
         taken[slot] = 1
         free -= 1
-        legalized.append(CorrectionCellInstance(
-            instance.name, instance.cell,
-            Point(x_min + col * pitch_x, y_min + row * pitch_y),
-            instance.anchor_gate, instance.role, instance.connection_id,
-            instance.lift_layer, instance.width_um, instance.height_um,
-        ))
-    return legalized
+        legal.append(Point(x_min + col * pitch_x, y_min + row * pitch_y))
+    return legal
 
 
 def check_correction_cell_overlaps(instances: List[CorrectionCellInstance]) -> List[Tuple[str, str]]:

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.core.correction_cells import legalize_correction_cells, place_correction_cells
+from repro.core.correction_cells import place_correction_cells
 from repro.layout.geometry import Point
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacementResult
 from repro.layout.router import RouterConfig, route
+from repro.netlist.arrays import netlist_arrays
 from repro.netlist.netlist import Netlist
 from repro.utils.rng import make_rng
 
@@ -35,11 +36,8 @@ def select_nets_for_lifting(netlist: Netlist, count: int, seed: int = 0,
     sink are eligible (the same eligibility rule as the randomizer's).
     """
     exclude = exclude or set()
-    eligible = [
-        net.name
-        for net in netlist.nets.values()
-        if net.has_driver() and net.sinks and net.name not in exclude
-    ]
+    eligible = [name for name in netlist_arrays(netlist).driven_loaded_nets()
+                if name not in exclude]
     rng = make_rng(seed, "lift_selection", netlist.name)
     rng.shuffle(eligible)
     return sorted(eligible[:count])
@@ -84,9 +82,9 @@ def build_naive_lifted_layout(
     )
     layout.lift_layer = lift_layer
     layout.metadata["lifted_nets"] = list(lifted_nets)
-    cells = place_correction_cells(lifting_cell_anchors(layout, lifted_nets),
-                                   lift_layer, naive=True)
-    layout.metadata["lifting_cells"] = legalize_correction_cells(cells, layout.floorplan)
+    layout.metadata["lifting_cells"] = place_correction_cells(
+        lifting_cell_anchors(layout, lifted_nets), lift_layer, layout.floorplan,
+        naive=True)
     return layout
 
 

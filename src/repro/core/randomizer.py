@@ -472,8 +472,8 @@ def randomize_netlist(netlist: Netlist,
         touched.add(net_driver[original])
         touched.add(net_driver[wrong])
     touched.discard(-1)  # a net without a driver gate
-    for gate in touched:  # dont_touch lives on the Gate objects, keyed by name
-        erroneous.gates[gate_names[gate]].dont_touch = True
+    for gate in touched:
+        erroneous.set_dont_touch(gate_names[gate])
 
     return RandomizationResult(
         original=netlist,

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.correction_cells import legalize_correction_cells, place_correction_cells
+from repro.core.correction_cells import place_correction_cells
 from repro.core.randomizer import RandomizationResult
 from repro.layout.arrays import RoutingArrays
 from repro.layout.floorplan import Floorplan, build_floorplan
@@ -166,8 +166,8 @@ def build_protected_layout(
     correction_anchors = _restore_swapped_connections(
         randomization, placement, routing
     )
-    correction_cells = place_correction_cells(correction_anchors, lift_layer)
-    correction_cells = legalize_correction_cells(correction_cells, floorplan)
+    correction_cells = place_correction_cells(correction_anchors, lift_layer,
+                                              floorplan)
 
     layout = Layout(
         name=f"{original.name}_protected",

@@ -23,6 +23,7 @@ from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacerConfig, place
 from repro.layout.router import RouterConfig, route
+from repro.netlist.arrays import netlist_arrays
 from repro.netlist.netlist import Netlist
 from repro.utils.rng import make_rng
 
@@ -52,7 +53,7 @@ def routing_perturbation_defense(
     placement = place(netlist, floorplan, utilization, PlacerConfig(seed=seed))
     rng = make_rng(seed, "routing_perturbation", netlist.name)
 
-    net_names = [name for name, net in netlist.nets.items() if net.sinks and net.has_driver()]
+    net_names = netlist_arrays(netlist).driven_loaded_nets()
     rng.shuffle(net_names)
     perturbed = set(net_names[: int(len(net_names) * perturb_fraction)])
     min_layer = {name: lift_layer for name in perturbed}

@@ -21,6 +21,7 @@ from repro.layout.geometry import Point
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacerConfig, place
 from repro.layout.router import RouterConfig, route
+from repro.netlist.arrays import netlist_arrays
 from repro.netlist.netlist import Netlist
 from repro.utils.rng import make_rng
 
@@ -50,7 +51,7 @@ def synergistic_defense(
     rng = make_rng(seed, "synergistic", netlist.name)
     die = floorplan.die
 
-    net_names = [name for name, net in netlist.nets.items() if net.sinks and net.has_driver()]
+    net_names = netlist_arrays(netlist).driven_loaded_nets()
     rng.shuffle(net_names)
     protected: Set[str] = set(net_names[: int(len(net_names) * protect_fraction)])
 

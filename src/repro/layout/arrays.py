@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence,
     Set, Tuple,
@@ -55,7 +56,7 @@ from typing import (
 import numpy as np
 
 from repro.layout.geometry import Point
-from repro.netlist.arrays import group_sum
+from repro.netlist.arrays import group_sum, netlist_arrays
 from repro.netlist.netlist import Netlist
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -278,8 +279,10 @@ class PlacementSkeleton:
     (gate moves) and are cached separately from the coordinate columns.
     """
 
-    gate_names: List[str]
-    gate_index: Dict[str, int]
+    #: The placement's gate name table and the table index of every row;
+    #: ``gate_names``/``gate_index`` are built from them on first use.
+    row_table: Sequence[str]
+    row_index: np.ndarray      # (num_gates,) int64
     gate_widths: np.ndarray    # (num_gates,) float64 (0.0 for unknown gates)
     #: Placed gate names absent from the netlist (consumers that need strict
     #: name resolution, e.g. the legality check, raise on these).
@@ -297,71 +300,78 @@ class PlacementSkeleton:
     term_indices: np.ndarray   # (num_terms,) intp
     term_offsets: np.ndarray   # (num_nets + 1,) intp
 
+    @cached_property
+    def gate_names(self) -> List[str]:
+        """The gate name of every placement row."""
+        return list(map(self.row_table.__getitem__, self.row_index.tolist()))
+
+    @cached_property
+    def gate_index(self) -> Dict[str, int]:
+        """Gate name → placement row."""
+        return dict(zip(self.gate_names, range(len(self.row_index))))
+
     @staticmethod
     def build(netlist: Netlist, placement: "PlacementResult") -> "PlacementSkeleton":
-        gate_names = list(placement.gate_positions)
-        gate_index = {name: i for i, name in enumerate(gate_names)}
-        gates = netlist.gates
-        gate_widths = np.asarray(
-            [gates[name].cell.width_um if name in gates else 0.0
-             for name in gate_names],
-            dtype=np.float64,
-        )
-        missing_gates = [name for name in gate_names if name not in gates]
+        """The skeleton of ``placement`` against ``netlist``, read off the
+        netlist's integer columns: pairs and terminals in net order, each
+        net's terminals its driver gate (or primary-input port), its placed
+        sinks in ``Net.sinks`` order, then its primary-output ports."""
+        arrays = netlist_arrays(netlist)
+        table, rows = placement.gate_names, placement.gate_index
+        num_gates = len(rows)
+        if table is arrays.gate_names or table == arrays.gate_names:
+            netlist_gate = rows.astype(np.int64)
+        else:
+            lookup = arrays.gate_id.get
+            by_table = np.fromiter((lookup(name, -1) for name in table),
+                                   dtype=np.int64, count=len(table))
+            netlist_gate = by_table[rows]
+        known = netlist_gate >= 0
+        widths = arrays.cell_column("width_um")
+        gate_widths = np.zeros(num_gates, dtype=np.float64)
+        gate_widths[known] = widths[netlist_gate[known]]
+        missing_gates = [table[i] for i in rows[~known].tolist()]
         port_names = placement.port_names
         port_index = {name: i for i, name in enumerate(port_names)}
 
-        num_gates = len(gate_names)
-        net_names: List[str] = []
-        pair_driver: List[int] = []
-        pair_sink: List[int] = []
-        pair_net: List[int] = []
-        term_idx: List[int] = []
-        term_offsets: List[int] = [0]
-        for net_idx, (net_name, net) in enumerate(netlist.nets.items()):
-            net_names.append(net_name)
-            # -- connection pairs (gate driver → gate sinks), legacy order --
-            driver_idx = (
-                gate_index.get(net.driver[0]) if net.driver is not None else None
-            )
-            if driver_idx is not None:
-                for sink_gate, _pin in net.sinks:
-                    sink_idx = gate_index.get(sink_gate)
-                    if sink_idx is not None:
-                        pair_driver.append(driver_idx)
-                        pair_sink.append(sink_idx)
-                        pair_net.append(net_idx)
-            # -- HPWL terminals, legacy order -------------------------------
-            if driver_idx is not None:
-                term_idx.append(driver_idx)
-            elif net.is_primary_input:
-                pi = port_index.get(net.name)
-                if pi is not None:
-                    term_idx.append(num_gates + pi)
-            for sink_gate, _pin in net.sinks:
-                sink_idx = gate_index.get(sink_gate)
-                if sink_idx is not None:
-                    term_idx.append(sink_idx)
-            for po in net.primary_outputs:
-                pi = port_index.get(po)
-                if pi is not None:
-                    term_idx.append(num_gates + pi)
-            term_offsets.append(len(term_idx))
+        # Placement row of every netlist gate (-1: not placed).
+        row_of = np.full(arrays.num_gates + 1, -1, dtype=np.intp)
+        row_of[netlist_gate[known]] = np.flatnonzero(known)
+        num_nets = arrays.num_nets
+        driver = row_of[arrays.net_driver]  # net_driver -1 reads the -1 pad
+        # -- connection pairs (gate driver → gate sinks), net then sink order --
+        sink_net = np.repeat(np.arange(num_nets, dtype=np.intp), np.diff(arrays.sink_start))
+        sink = row_of[arrays.fanin_gate[arrays.sink_row]]
+        pair = (driver[sink_net] >= 0) & (sink >= 0)
+        # -- HPWL terminals: head (driver or PI port), sinks, PO ports --------
+        pi_port = np.full(num_nets, -1, dtype=np.intp)
+        for net in np.flatnonzero(arrays.net_is_pi).tolist():
+            pi_port[net] = port_index.get(arrays.net_names[net], -1)
+        head = np.where(driver >= 0, driver,
+                        np.where(pi_port >= 0, num_gates + pi_port, -1))
+        po_port = np.asarray([port_index.get(po, -1) for po in arrays.primary_outputs],
+                             dtype=np.intp)[arrays.net_po]
+        po_net = np.repeat(np.arange(num_nets, dtype=np.intp), np.diff(arrays.net_po_start))
+        term_net = np.concatenate((np.flatnonzero(head >= 0), sink_net[sink >= 0],
+                                   po_net[po_port >= 0]))
+        term_idx = np.concatenate((head[head >= 0], sink[sink >= 0],
+                                   num_gates + po_port[po_port >= 0]))
+        by_net = np.argsort(term_net, kind="stable")
 
         return PlacementSkeleton(
-            gate_names=gate_names,
-            gate_index=gate_index,
+            row_table=table,
+            row_index=rows,
             gate_widths=gate_widths,
             missing_gates=missing_gates,
             port_names=port_names,
             port_index=port_index,
-            net_names=net_names,
-            net_index_by_name={name: i for i, name in enumerate(net_names)},
-            pair_driver=np.asarray(pair_driver, dtype=np.intp),
-            pair_sink=np.asarray(pair_sink, dtype=np.intp),
-            pair_net=np.asarray(pair_net, dtype=np.intp),
-            term_indices=np.asarray(term_idx, dtype=np.intp),
-            term_offsets=np.asarray(term_offsets, dtype=np.intp),
+            net_names=arrays.net_names,
+            net_index_by_name=arrays.net_id,
+            pair_driver=driver[sink_net[pair]],
+            pair_sink=sink[pair],
+            pair_net=sink_net[pair],
+            term_indices=term_idx[by_net].astype(np.intp),
+            term_offsets=_csr(np.bincount(term_net, minlength=num_nets)).astype(np.intp),
         )
 
 
@@ -392,7 +402,7 @@ def _relabelled_skeleton(netlist: Netlist,
     num_gates = len(placement.gate_index)
     if (ref() is not netlist or version != netlist.topology_version
             or base.missing_gates
-            or num_gates != len(base.gate_names)
+            or num_gates != len(base.row_index)
             or (placement.gate_names is not table
                 and placement.gate_names != table)
             or base.port_names != placement.port_names):
@@ -408,10 +418,9 @@ def _relabelled_skeleton(netlist: Netlist,
     term_indices = base.term_indices.copy()
     is_gate = term_indices < num_gates
     term_indices[is_gate] = new_of_old[term_indices[is_gate]]
-    gate_names = list(placement.gate_positions)
     return PlacementSkeleton(
-        gate_names=gate_names,
-        gate_index={name: i for i, name in enumerate(gate_names)},
+        row_table=placement.gate_names,
+        row_index=placement.gate_index,
         gate_widths=base.gate_widths[old_of_new],
         missing_gates=[],
         port_names=base.port_names,
@@ -518,7 +527,7 @@ class PlacementArrays:
 
     @property
     def num_gates(self) -> int:
-        return len(self.skeleton.gate_names)
+        return len(self.skeleton.row_index)
 
     def pair_distances(self) -> np.ndarray:
         """Manhattan distance of every driver→sink connection pair (cached).

@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.geometry import Point
+from repro.netlist.arrays import NetlistArrays, netlist_arrays
 from repro.netlist.netlist import Netlist
 from repro.utils.degrade import warn_once
 from repro.utils.rng import make_rng
@@ -251,23 +252,21 @@ class _OrderingGraph:
     drive (first appearance), then every gate.
     """
 
-    def __init__(self, netlist: Netlist, gate_index: Dict[str, int]):
-        n = len(gate_index)
-        # One (hub, member) name pair per link, in net order.
-        hubs: List[str] = []
-        others: List[str] = []
-        for net in netlist.nets.values():
-            sinks = net.sinks
-            if net.driver is not None:
-                if 1 <= len(sinks) < MAX_ORDERING_FANOUT:
-                    hubs += [net.driver[0]] * len(sinks)
-                    others += [sink for sink, _pin in sinks]
-            elif 2 <= len(sinks) <= MAX_ORDERING_FANOUT:
-                hubs += [sinks[0][0]] * (len(sinks) - 1)
-                others += [sink for sink, _pin in sinks[1:]]
-        lookup = gate_index.__getitem__
-        hub = np.fromiter(map(lookup, hubs), dtype=np.int64, count=len(hubs))
-        other = np.fromiter(map(lookup, others), dtype=np.int64, count=len(others))
+    def __init__(self, arrays: NetlistArrays):
+        n = arrays.num_gates
+        # One (hub, member) gate pair per link, in net then sink order.
+        counts = np.diff(arrays.sink_start)
+        sink_net = np.repeat(np.arange(arrays.num_nets), counts)
+        sink_gate = arrays.fanin_gate[arrays.sink_row]
+        driven = arrays.net_driver >= 0
+        from_driver = driven & (counts >= 1) & (counts < MAX_ORDERING_FANOUT)
+        from_first = ~driven & (counts >= 2) & (counts <= MAX_ORDERING_FANOUT)
+        first_sink = np.full(arrays.num_nets, -1, dtype=np.int64)
+        first_sink[counts > 0] = sink_gate[arrays.sink_start[:-1][counts > 0]]
+        position = np.arange(len(sink_net)) - arrays.sink_start[sink_net]
+        link = from_driver[sink_net] | (from_first[sink_net] & (position > 0))
+        hub = np.where(from_driver, arrays.net_driver, first_sink)[sink_net[link]]
+        other = sink_gate[link]
         # Each link appends hub -> member, then member -> hub; a stable
         # sort by source keeps every list in append order.
         source = np.column_stack((hub, other)).ravel()
@@ -289,25 +288,24 @@ class _OrderingGraph:
         self.entry_degree = degree[self.owner]
         position = np.arange(len(self.neighbours), dtype=np.int64) - self.entry_start
         self.entry_back = self.entry_degree - 1 - position
-        first: List[int] = []
-        seen = bytearray(n)
-        for pi in netlist.primary_inputs:
-            net = netlist.nets.get(pi)
-            if net is None:
-                continue
-            for sink, _pin in net.sinks:
-                gate = gate_index[sink]
-                if not seen[gate]:
-                    seen[gate] = 1
-                    first.append(gate)
-        self.dfs_starts = first + list(range(n))
+        # The gates primary inputs drive, in order of first appearance.
+        pi_nets = [arrays.net_id[pi] for pi in arrays.primary_inputs
+                   if pi in arrays.net_id]
+        rows = np.concatenate([arrays.sink_row[arrays.sink_start[net]:
+                                               arrays.sink_start[net + 1]]
+                               for net in pi_nets] or [np.empty(0, np.int64)])
+        gates = arrays.fanin_gate[rows]
+        first = np.sort(np.unique(gates, return_index=True)[1])
+        self.dfs_starts = gates[first].tolist() + list(range(n))
 
     def rotated_reversed(self, netlist_name: str, seed: int) -> List[int]:
         """The flat neighbour lists of one seed: each multi-neighbour list
         rotated by ``make_rng(seed, "placer_order", netlist_name)
         .randrange(degree)`` (one draw per list, in gate order), then
         reversed for the LIFO stack."""
-        randrange = make_rng(seed, "placer_order", netlist_name).randrange
+        # ``randrange(k)`` of a positive int is ``_randbelow(k)``: the same
+        # draws without the argument checks.
+        randrange = make_rng(seed, "placer_order", netlist_name)._randbelow
         offset = np.zeros(len(self.starts) - 1, dtype=np.int64)
         offset[self.multi] = [randrange(k) for k in self.multi_degrees]
         # Entry j of a reversed rotated list is list[(offset + degree - 1 - j) % degree].
@@ -370,9 +368,9 @@ class _PlacerSkeleton:
     def __init__(self, netlist: Netlist, floorplan: Floorplan):
         self.netlist = netlist
         self.floorplan = floorplan
-        self.gate_names = list(netlist.gates.keys())
+        self.arrays = netlist_arrays(netlist)
+        self.gate_names = self.arrays.gate_names
         self.n = len(self.gate_names)
-        self.gate_index = {name: i for i, name in enumerate(self.gate_names)}
         # Shared (read-only) port columns of every placement of the batch.
         self.port_names, self.port_x, self.port_y = _columns_of(
             _io_assignment(netlist, floorplan)
@@ -392,14 +390,12 @@ class _PlacerSkeleton:
         # Fold x by rank — the oracle's per-gate fold expression; the seed
         # only decides which gate takes which rank.
         self.fold_x = self.die.x_min + frac * self.die.width
-        self.widths = np.array(
-            [netlist.gates[name].cell.width_um for name in self.gate_names]
-        )
+        self.widths = self.arrays.cell_column("width_um")
 
     def ordering_ranks(self, seed: int) -> np.ndarray:
         """``rank_gate`` for one seed: gate index at each ordering rank."""
         if self._graph is None:
-            self._graph = _OrderingGraph(self.netlist, self.gate_index)
+            self._graph = _OrderingGraph(self.arrays)
         return self._graph.dfs(self.netlist.name, seed)
 
 

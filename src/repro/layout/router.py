@@ -54,6 +54,7 @@ import numpy as np
 from repro.layout.arrays import RoutingArrays
 from repro.layout.geometry import Point
 from repro.layout.placer import PlacementResult
+from repro.netlist.arrays import csr, netlist_arrays
 from repro.netlist.cells import NUM_METAL_LAYERS
 from repro.netlist.netlist import Netlist
 
@@ -541,68 +542,74 @@ class _RoutingSkeleton:
     """
 
     def __init__(self, netlist: Netlist, placement: PlacementResult):
-        gate_names = list(netlist.gates)
+        arrays = netlist_arrays(netlist)
+        gate_names = arrays.gate_names
         if placement.gate_names == gate_names:
             gate_names = placement.gate_names  # share the placement's table
         self.gate_names = gate_names
-        self.net_names = list(netlist.nets)
+        self.net_names = arrays.net_names
         self.port_names = placement.port_names
-        self._gate_lookup = {name: i for i, name in enumerate(gate_names)}
+        self._gate_lookup = arrays.gate_id
         num_gates = len(gate_names)
         self.placed = self._placed_mask(placement)
-        placed = self.placed.tolist()
-        gate_lookup = self._gate_lookup
         port_slot = {
             name: num_gates + k for k, name in enumerate(self.port_names)
         }
-        tokens: Dict[str, int] = {}
-        token = tokens.setdefault
-        entry_net: List[int] = []
-        entry_source: List[int] = []
-        conn_count: List[int] = []
-        targets: List[int] = []
-        sink_gate: List[int] = []
-        sink_token: List[int] = []
-        for net_idx, (net_name, net) in enumerate(netlist.nets.items()):
-            if net.driver is not None:
-                source = gate_lookup.get(net.driver[0])
-                if source is None or not placed[source]:
-                    continue
-            elif net.is_primary_input:
-                source = port_slot.get(net_name)
-                if source is None:
-                    continue
-            else:
-                continue
-            start = len(targets)
-            for gate, pin in net.sinks:
-                index = gate_lookup.get(gate)
-                if index is not None and placed[index]:
-                    targets.append(index)
-                    sink_gate.append(index)
-                    sink_token.append(token(pin, len(tokens)))
-            for po in net.primary_outputs:
-                slot = port_slot.get(po)
-                if slot is not None:
-                    targets.append(slot)
-                    sink_gate.append(-1)
-                    sink_token.append(token(po, len(tokens)))
-            if len(targets) == start:
-                continue
-            entry_net.append(net_idx)
-            entry_source.append(source)
-            conn_count.append(len(targets) - start)
-        self.sink_tokens = list(tokens)
+        # Each net's source: its placed driver gate, else its primary-input
+        # port (-1: the net is not routed).
+        num_nets = arrays.num_nets
+        placed = np.append(self.placed, False)  # net_driver -1 reads False
+        source = np.where(placed[arrays.net_driver], arrays.net_driver, -1)
+        for net in np.flatnonzero(arrays.net_is_pi).tolist():
+            source[net] = port_slot.get(arrays.net_names[net], -1)
+        # Targets: placed sink gates in ``Net.sinks`` order, then output ports.
+        sink_net = np.repeat(np.arange(num_nets), np.diff(arrays.sink_start))
+        sink_gate = arrays.fanin_gate[arrays.sink_row]
+        sink_keep = (source[sink_net] >= 0) & self.placed[sink_gate]
+        po_net = np.repeat(np.arange(num_nets), np.diff(arrays.net_po_start))
+        po_slot = np.asarray([port_slot.get(po, -1) for po in arrays.primary_outputs],
+                             dtype=np.int64)[arrays.net_po]
+        po_keep = (source[po_net] >= 0) & (po_slot >= 0)
+        # Sink tokens (input pin names, output port names) as codes of one
+        # name table.
+        code_of: Dict[str, int] = {}
+        pin_codes = [[code_of.setdefault(pin, len(code_of)) for pin in table.inputs]
+                     for table in arrays.cells]
+        offset = csr(np.asarray([len(codes) for codes in pin_codes], dtype=np.int64))
+        flat_codes = np.asarray([c for codes in pin_codes for c in codes], dtype=np.int64)
+        rows = arrays.sink_row[sink_keep]
+        gates = arrays.fanin_gate[rows]
+        row_code = flat_codes[offset[arrays.gate_cell[gates]]
+                              + rows - arrays.fanin_start[gates]]
+        po_code = np.asarray([code_of.setdefault(po, len(code_of))
+                              for po in arrays.primary_outputs], dtype=np.int64)
+        by_net = np.argsort(np.concatenate((sink_net[sink_keep], po_net[po_keep])),
+                            kind="stable")
+        targets = np.concatenate((gates, po_slot[po_keep]))[by_net]
+        conn_sink_gate = np.concatenate(
+            (gates, np.full(int(po_keep.sum()), -1, dtype=np.int64)))[by_net]
+        codes = np.concatenate((row_code, po_code[arrays.net_po[po_keep]]))[by_net]
+        # Tokens in order of first appearance.
+        distinct, first = np.unique(codes, return_index=True)
+        order = np.argsort(first, kind="stable")
+        rank = np.empty(len(code_of), dtype=np.int64)
+        rank[distinct[order]] = np.arange(len(distinct))
+        names = list(code_of)
+        self.sink_tokens = [names[code] for code in distinct[order].tolist()]
+        conn_count = (np.bincount(sink_net[sink_keep], minlength=num_nets)
+                      + np.bincount(po_net[po_keep], minlength=num_nets))
+        entry_net = np.flatnonzero(conn_count)
+        conn_count = conn_count[entry_net]
         self.net_index = _read_only(entry_net)
         self.conn_starts = _read_only(np.concatenate(([0], np.cumsum(conn_count))))
         self.conn_net = _read_only(np.repeat(self.net_index, conn_count))
-        self.sink_gate = _read_only(sink_gate)
-        self.sink_token = _read_only(sink_token)
+        self.sink_gate = _read_only(conn_sink_gate)
+        self.sink_token = _read_only(rank[codes])
         self.has_driver = np.ones(len(entry_net), dtype=bool)
         self.has_driver.flags.writeable = False
-        self._entry_source_idx = np.asarray(entry_source, dtype=np.intp)
+        self._entry_source_idx = source[entry_net].astype(np.intp)
         self._source_idx = np.repeat(self._entry_source_idx, conn_count)
-        self._target_idx = np.asarray(targets, dtype=np.intp)
+        self._target_idx = targets.astype(np.intp)
 
     def _rows(self, placement: PlacementResult) -> np.ndarray:
         """Netlist gate index of every placement row (-1: not a netlist gate)."""

@@ -1,16 +1,18 @@
 """One integer view of a netlist, and netlists with some sinks moved.
 
-:class:`NetlistArrays` is a netlist's connectivity as integer columns in
-netlist order: gates index ``gate_names``, nets index ``net_names`` and
-every gate input pin is a *fan-in row* (gate by gate, pins in the cell's
-input-pin order), every gate output pin a *fan-out row*.  It is built once
-per :attr:`~repro.netlist.netlist.Netlist.topology_version` by
-:func:`netlist_arrays`, the way :meth:`repro.layout.layout.Layout.arrays`
-is cached on the geometry versions, and it holds no reference to the
-netlist.  Simulation plans (:mod:`repro.netlist.engine`), the STA and power
-passes (:mod:`repro.timing`) and the graph orderings
-(:mod:`repro.netlist.graph`) read it instead of walking ``Gate``/``Net``
-objects by name.
+:class:`NetlistArrays` is a snapshot of a netlist's integer columns as
+numpy arrays, in netlist order: gates index ``gate_names``, nets index
+``net_names`` and every gate input pin is a *fan-in row* (gate by gate,
+pins in the cell's input-pin order), every gate output pin a *fan-out
+row*.  :func:`netlist_arrays` takes it once per
+:attr:`~repro.netlist.netlist.Netlist.topology_version`, the way
+:meth:`repro.layout.layout.Layout.arrays` is cached on the geometry
+versions, and it holds no reference to the netlist.  Simulation plans
+(:mod:`repro.netlist.engine`), the STA and power passes
+(:mod:`repro.timing`), the graph orderings (:mod:`repro.netlist.graph`),
+the placement and routing skeletons (:mod:`repro.layout`) and the store
+fingerprint (:mod:`repro.store.codec`) read it; none of them builds a
+``Gate`` or ``Net``.
 
 :class:`NetlistOverlay` is a netlist with some sink pins moved to other
 nets, as two override columns over a :class:`NetlistArrays`: the fan-in
@@ -28,11 +30,12 @@ from __future__ import annotations
 
 import heapq
 import weakref
+from functools import cached_property
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.netlist.cells import Cell
 from repro.netlist.netlist import Netlist
 
 
@@ -77,46 +80,39 @@ def csr(counts: np.ndarray) -> np.ndarray:
     return starts
 
 
-class _CellTable:
-    """Per-cell pin tables, shared by every gate of one cell master."""
-
-    def __init__(self, cell: Cell):
-        self.cell = cell
-        self.inputs = tuple(pin.name for pin in cell.input_pins)
-        self.outputs = tuple(pin.name for pin in cell.output_pins)
-        self.input_caps = [pin.capacitance_ff for pin in cell.input_pins]
-        self.input_position = {name: i for i, name in enumerate(self.inputs)}
-        #: ``(output position, kind, input positions)`` per ``logic_ops``
-        #: op; a pin the cell lacks is ``-1`` (never connected).
-        self.ops: Optional[List[Tuple[int, str, Tuple[int, ...]]]] = None
-        if cell.logic_ops is not None:
-            out_position = {name: i for i, name in enumerate(self.outputs)}
-            self.ops = [
-                (out_position.get(out_pin, -1), kind,
-                 tuple(self.input_position.get(pin, -1) for pin in in_pins))
-                for out_pin, kind, in_pins in cell.logic_ops
-            ]
+def _column(values: "array[int]") -> np.ndarray:
+    """A copy of a netlist's ``array("q")`` column as an int64 array."""
+    return np.frombuffer(values, dtype=np.int64).copy()
 
 
 class NetlistArrays:
     """A netlist's connectivity as integer columns (see the module docstring).
 
     Attributes:
-        version: The netlist's ``topology_version`` the columns describe.
+        version / marks: The netlist's ``topology_version`` and
+            ``dont_touch`` change count the columns describe.
         gate_names / net_names: Name tables in netlist order.
-        cells: One :class:`_CellTable` per distinct cell master;
-            ``gate_cell`` maps every gate to its entry.
-        sequential: Per gate, whether its cell is sequential.
+        gate_id / net_id: Name → index maps of those tables.
+        cells: The netlist's :class:`~repro.netlist.netlist.CellPins`, one
+            per distinct cell master; ``gate_cell`` maps every gate to its
+            entry.
+        sequential / dont_touch: Per gate, whether its cell is sequential
+            and whether it is marked *do not touch*.
         fanin_start / fanin_net / fanin_gate / fanin_cap: CSR of the gate
             input pins by gate (cell input-pin order): the net of each pin
             (``-1`` unconnected), its gate and its input capacitance (fF).
         fanout_start / fanout_net / fanout_gate: the same for output pins.
-        net_driver: Driver gate of every net (``-1`` for none).
+        net_driver / net_driver_row: Driver gate and fan-out row of every
+            net (``-1`` for none).
+        net_is_pi: Per net, whether it is a primary input.
         sink_start / sink_row: CSR of each net's sinks in ``Net.sinks``
             order, as fan-in rows.
+        net_po_start / net_po: CSR of each net's primary outputs (positions
+            in ``primary_outputs``) in ``Net.primary_outputs`` order.
         fanout_count: Sinks plus primary outputs per net (``Net.fanout``).
         pin_cap: Summed sink-pin capacitance per net, folded left to right
             in ``Net.sinks`` order.
+        primary_inputs: The primary input names.
         primary_outputs / po_net / po_net_names: Primary outputs, the index
             of the net feeding each (``-1`` for a net the netlist lacks) and
             that net's name.
@@ -127,95 +123,109 @@ class NetlistArrays:
     """
 
     def __init__(self, netlist: Netlist):
+        # A snapshot of the netlist's own columns: no name is looked up.
+        # Columns derived from these are computed on first use.
         self.version = netlist.topology_version
-        self.gate_names: List[str] = list(netlist.gates)
-        self.net_names: List[str] = list(netlist.nets)
-        self.gate_id: Dict[str, int] = {n: i for i, n in enumerate(self.gate_names)}
-        self.net_id: Dict[str, int] = {n: i for i, n in enumerate(self.net_names)}
-        net_get = self.net_id.get
-
-        tables: List[_CellTable] = []
-        table_of: Dict[int, int] = {}  # id(cell) -> table index
-        gate_cell: List[int] = []
-        fanin: List[int] = []
-        fanout: List[int] = []
-        for gate in netlist.gates.values():
-            cell = gate.cell
-            index = table_of.get(id(cell))
-            if index is None:
-                index = table_of[id(cell)] = len(tables)
-                tables.append(_CellTable(cell))
-            table = tables[index]
-            gate_cell.append(index)
-            pin_net = gate.connections.get
-            fanin.extend([net_get(pin_net(pin), -1) for pin in table.inputs])
-            fanout.extend([net_get(pin_net(pin), -1) for pin in table.outputs])
-        self.cells = tables
-        num_gates = len(gate_cell)
-        self.gate_cell = np.asarray(gate_cell, dtype=np.intp)
-        num_inputs = np.asarray([len(t.inputs) for t in tables], dtype=np.int64)
-        num_outputs = np.asarray([len(t.outputs) for t in tables], dtype=np.int64)
-        self.sequential = np.asarray(
-            [t.cell.is_sequential for t in tables], dtype=bool)[self.gate_cell]
-        gates = np.arange(num_gates)
-        fanin_count = num_inputs[self.gate_cell]
-        fanout_count = num_outputs[self.gate_cell]
-        self.fanin_start = csr(fanin_count)
-        self.fanin_net = np.asarray(fanin, dtype=np.int64)
-        self.fanin_gate = np.repeat(gates, fanin_count)
-        positions = np.arange(len(fanin)) - self.fanin_start[self.fanin_gate]
-        cell_caps = np.asarray([c for t in tables for c in t.input_caps], dtype=np.float64)
-        self.fanin_cap = cell_caps[
-            csr(num_inputs)[self.gate_cell[self.fanin_gate]] + positions
-        ]
-        self.fanout_start = csr(fanout_count)
-        self.fanout_net = np.asarray(fanout, dtype=np.int64)
-        self.fanout_gate = np.repeat(gates, fanout_count)
-
-        gate_id = self.gate_id
-        fanin_start = self.fanin_start.tolist()
-        position_of = [t.input_position for t in tables]
-        driver: List[int] = []
-        sink_count: List[int] = []
-        sink_row: List[int] = []
-        net_fanout: List[int] = []
-        for net in netlist.nets.values():
-            ref = net.driver
-            driver.append(-1 if ref is None else gate_id[ref[0]])
-            sinks = net.sinks
-            sink_count.append(len(sinks))
-            for gate_name, pin in sinks:
-                g = gate_id[gate_name]
-                sink_row.append(fanin_start[g] + position_of[gate_cell[g]][pin])
-            net_fanout.append(len(sinks) + len(net.primary_outputs))
-        self.net_driver = np.asarray(driver, dtype=np.int64)
-        self.sink_start = csr(np.asarray(sink_count, dtype=np.int64))
-        self.sink_row = np.asarray(sink_row, dtype=np.int64)
-        self.fanout_count = np.asarray(net_fanout, dtype=np.int64)
-        self.pin_cap = group_sum(self.fanin_cap[self.sink_row], self.sink_start)
-
+        self.marks = netlist._marks
+        # The name tables are shared, never copied: the netlist copies its
+        # own before it next adds a gate or net.
+        self.gate_names, self.net_names, self.gate_id, self.net_id = (
+            netlist._share_names())
+        self.cells = list(netlist._cells)
+        self.gate_cell = _column(netlist._gate_cell).astype(np.intp, copy=False)
+        self.dont_touch = np.frombuffer(bytes(netlist._dont_touch),
+                                        dtype=np.uint8).astype(bool)
+        self.fanin_start = _column(netlist._fanin_start)
+        self.fanin_net = _column(netlist._fanin_net)
+        self.fanout_start = _column(netlist._fanout_start)
+        self.fanout_net = _column(netlist._fanout_net)
+        self.net_driver_row = _column(netlist._net_driver)
+        self.net_is_pi = np.frombuffer(bytes(netlist._net_pi), dtype=np.uint8).astype(bool)
+        sinks = netlist._net_sinks
+        self.sink_start = csr(np.fromiter(map(len, sinks), dtype=np.int64,
+                                          count=len(sinks)))
+        self.sink_row = np.fromiter(chain.from_iterable(sinks), dtype=np.int64,
+                                    count=int(self.sink_start[-1]))
+        self.primary_inputs: List[str] = list(netlist.primary_inputs)
         self.primary_outputs: List[str] = list(netlist.primary_outputs)
         self.po_net_names: List[str] = [
             netlist.output_nets[po] for po in self.primary_outputs
         ]
-        self.po_net = np.asarray(
-            [net_get(name, -1) for name in self.po_net_names], dtype=np.int64
-        )
-        # Net on each gate's first connected output pin (``-1`` for none),
-        # as ``Netlist.gate_output_net``.
-        self.first_output = np.full(num_gates, -1, dtype=np.int64)
-        for position in range(int(fanout_count.max(initial=0)) - 1, -1, -1):
-            gates_with = np.flatnonzero(fanout_count > position)
-            nets = self.fanout_net[self.fanout_start[gates_with] + position]
-            self.first_output[gates_with[nets >= 0]] = nets[nets >= 0]
-        self.input_nets: List[int] = [self.net_id[pi] for pi in netlist.primary_inputs]
-        self.input_nets += [
-            net for net in self.first_output[self.sequential].tolist() if net >= 0
-        ]
+        # Each net's primary outputs (positions), in ``Net.primary_outputs`` order.
+        po_position = {po: i for i, po in enumerate(self.primary_outputs)}
+        net_pos = netlist._net_pos
+        po_count = np.zeros(len(sinks), dtype=np.int64)
+        po_rows: List[int] = []
+        for net in sorted(net_pos):
+            po_count[net] = len(net_pos[net])
+            po_rows += [po_position[po] for po in net_pos[net]]
+        self.net_po_start = csr(po_count)
+        self.net_po = np.asarray(po_rows, dtype=np.int64)
         self._rank: Optional[List[int]] = None
         self._order: Optional[List[int]] = None
         self._levels: Optional[np.ndarray] = None
         self._kahn: Optional[Tuple[List[int], np.ndarray, np.ndarray]] = None
+
+    @cached_property
+    def fanin_gate(self) -> np.ndarray:
+        return np.repeat(np.arange(self.num_gates), np.diff(self.fanin_start))
+
+    @cached_property
+    def fanout_gate(self) -> np.ndarray:
+        return np.repeat(np.arange(self.num_gates), np.diff(self.fanout_start))
+
+    @cached_property
+    def net_driver(self) -> np.ndarray:
+        driver = np.full(self.num_nets, -1, dtype=np.int64)
+        driven = self.net_driver_row >= 0
+        driver[driven] = self.fanout_gate[self.net_driver_row[driven]]
+        return driver
+
+    @cached_property
+    def sequential(self) -> np.ndarray:
+        return np.asarray([t.cell.is_sequential for t in self.cells],
+                          dtype=bool)[self.gate_cell]
+
+    @cached_property
+    def fanin_cap(self) -> np.ndarray:
+        num_inputs = np.asarray([len(t.inputs) for t in self.cells], dtype=np.int64)
+        caps = np.asarray([c for t in self.cells for c in t.input_caps], dtype=np.float64)
+        gate = self.fanin_gate
+        positions = np.arange(len(self.fanin_net)) - self.fanin_start[gate]
+        return caps[csr(num_inputs)[self.gate_cell[gate]] + positions]
+
+    @cached_property
+    def fanout_count(self) -> np.ndarray:
+        return np.diff(self.sink_start) + np.diff(self.net_po_start)
+
+    @cached_property
+    def pin_cap(self) -> np.ndarray:
+        """Summed sink-pin capacitance per net (fF), folded left to right in
+        ``Net.sinks`` order."""
+        return group_sum(self.fanin_cap[self.sink_row], self.sink_start)
+
+    @cached_property
+    def po_net(self) -> np.ndarray:
+        return np.asarray([self.net_id.get(name, -1) for name in self.po_net_names],
+                          dtype=np.int64)
+
+    @cached_property
+    def first_output(self) -> np.ndarray:
+        """Net on each gate's first connected output pin (``-1`` for none),
+        as ``Netlist.gate_output_net``."""
+        fanout_count = np.diff(self.fanout_start)
+        first = np.full(self.num_gates, -1, dtype=np.int64)
+        for position in range(int(fanout_count.max(initial=0)) - 1, -1, -1):
+            gates_with = np.flatnonzero(fanout_count > position)
+            nets = self.fanout_net[self.fanout_start[gates_with] + position]
+            first[gates_with[nets >= 0]] = nets[nets >= 0]
+        return first
+
+    @cached_property
+    def input_nets(self) -> List[int]:
+        nets = [self.net_id[pi] for pi in self.primary_inputs]
+        return nets + [net for net in self.first_output[self.sequential].tolist()
+                       if net >= 0]
 
     @property
     def num_gates(self) -> int:
@@ -224,6 +234,12 @@ class NetlistArrays:
     @property
     def num_nets(self) -> int:
         return len(self.net_names)
+
+    def driven_loaded_nets(self) -> List[str]:
+        """Names of the nets with a driver (a gate or a primary input) and
+        at least one gate sink, in net order."""
+        keep = (np.diff(self.sink_start) > 0) & ((self.net_driver_row >= 0) | self.net_is_pi)
+        return [self.net_names[net] for net in np.flatnonzero(keep).tolist()]
 
     def cell_column(self, attribute: str) -> np.ndarray:
         """A float cell attribute (e.g. ``"leakage_nw"``) per gate."""
@@ -389,10 +405,11 @@ _ARRAYS_CACHE: "weakref.WeakKeyDictionary[Netlist, NetlistArrays]" = weakref.Wea
 
 
 def netlist_arrays(netlist: Netlist) -> NetlistArrays:
-    """The cached :class:`NetlistArrays` of ``netlist``, rebuilt whenever
-    its ``topology_version`` changes."""
+    """The cached :class:`NetlistArrays` of ``netlist``, taken again
+    whenever its ``topology_version`` or a ``dont_touch`` flag changes."""
     cached = _ARRAYS_CACHE.get(netlist)
-    if cached is not None and cached.version == netlist.topology_version:
+    if (cached is not None and cached.version == netlist.topology_version
+            and cached.marks == netlist._marks):
         return cached
     arrays = NetlistArrays(netlist)
     _ARRAYS_CACHE[netlist] = arrays

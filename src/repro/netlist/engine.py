@@ -90,22 +90,12 @@ _PLAN_CACHE: "weakref.WeakKeyDictionary[PlanSource, object]" = weakref.WeakKeyDi
 
 
 def plan_input_names(source: PlanSource) -> List[str]:
-    """Primary inputs plus sequential-cell outputs (pseudo primary inputs).
-
-    A netlist's are read off its gates (no integer view is built for a
-    netlist that is only asked for its inputs); an overlay's are its
-    snapshot's, which moving sinks never changes.
-    """
-    if isinstance(source, NetlistOverlay):
-        net_names = source.arrays.net_names
-        return [net_names[net] for net in source.arrays.input_nets]
-    names = list(source.primary_inputs)
-    for gate in source.gates.values():
-        if gate.cell.is_sequential:
-            net = source.gate_output_net(gate.name)
-            if net is not None:
-                names.append(net)
-    return names
+    """Primary inputs plus sequential-cell outputs (pseudo primary inputs),
+    read off the integer view (an overlay's is its snapshot's, which moving
+    sinks never changes)."""
+    arrays = source.arrays if isinstance(source, NetlistOverlay) else netlist_arrays(source)
+    net_names = arrays.net_names
+    return [net_names[net] for net in arrays.input_nets]
 
 
 def compile_plan(source: PlanSource) -> SimPlan:

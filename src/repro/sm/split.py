@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.layout.arrays import RoutingArrays, UniformGridIndex
 from repro.layout.layout import Layout
+from repro.netlist.arrays import netlist_arrays
 
 #: Number of discrete compass directions a dangling stub reveals.  A real
 #: stub tells an attacker only the rough heading of the missing wire, so the
@@ -233,8 +234,7 @@ def extract_feol(layout: Layout, split_layer: int,
     """
     if split_layer < 1:
         raise ValueError("split_layer must be >= 1")
-    netlist = layout.netlist
-    gates = netlist.gates
+    arrays = netlist_arrays(layout.netlist)
     routing = layout.routing
 
     # A connection is cut when its lateral routing runs above the split.
@@ -279,14 +279,17 @@ def extract_feol(layout: Layout, split_layer: int,
     net_load: List[float] = []
     protected_nets = layout.protected_nets
     net_protected = [name in protected_nets for name in net_names]
+    max_load = arrays.cell_column("max_load_ff").tolist()
+    drivers = arrays.net_driver.tolist()
     for name in net_names:
-        driver = netlist.nets[name].driver
-        if driver is None:
+        driver = drivers[arrays.net_id[name]]
+        if driver < 0:
             net_gate.append(-1)
             net_load.append(1e9)
         else:
-            net_gate.append(gate_index.setdefault(driver[0], len(gate_index)))
-            net_load.append(gates[driver[0]].cell.max_load_ff)
+            net_gate.append(gate_index.setdefault(arrays.gate_names[driver],
+                                                  len(gate_index)))
+            net_load.append(max_load[driver])
 
     # Sink gates, pins and loads, one lookup per distinct gate and per
     # distinct (cell, pin).
@@ -302,7 +305,7 @@ def extract_feol(layout: Layout, split_layer: int,
     for gate_id in distinct_gates.tolist():
         name = routing.gate_names[gate_id]
         sink_codes.append(gate_index.setdefault(name, len(gate_index)))
-        cell = gates[name].cell
+        cell = arrays.cells[arrays.gate_cell[arrays.gate_id[name]]].cell
         code = cell_index.setdefault(cell.name, len(cell_index))
         if code == len(cells):
             cells.append(cell)

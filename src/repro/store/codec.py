@@ -47,8 +47,6 @@ from __future__ import annotations
 import hashlib
 import json
 import weakref
-from operator import attrgetter
-from types import SimpleNamespace
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -58,7 +56,8 @@ from repro.layout.floorplan import Floorplan
 from repro.layout.geometry import Rect
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacementResult, PlacerConfig
-from repro.netlist.netlist import Gate, Net, Netlist
+from repro.netlist.arrays import NetlistArrays, csr, netlist_arrays
+from repro.netlist.netlist import Netlist
 
 #: Bump on ANY change to the payload schema or to the meaning of a stored
 #: column.  Entries written under a different format version never decode —
@@ -96,46 +95,127 @@ class StaleEntry(CodecError):
 # ---------------------------------------------------------------------------
 
 #: Fingerprint memo keyed by netlist identity, invalidated through the
-#: netlist's own ``topology_version`` edit counter — the same contract the
-#: vectorized simulation engine keys its compiled-plan caches on.  A seed
+#: version pair of the netlist's integer snapshot (``topology_version``
+#: and the ``dont_touch`` change count) — the contract the vectorized
+#: simulation engine keys its compiled-plan caches on.  A seed
 #: sweep saves N entries of ONE netlist, and a Workspace replays every seed
 #: of a pinned ``netlist_seed`` against one regenerated netlist; the memo
 #: hashes each such netlist once.  A load reads ``payload.npz`` once,
 #: checks those bytes against the manifest's SHA-256 and decodes the same
 #: bytes (see ``repro.store.store``); the fingerprint gates the decode.
-_fingerprint_memo: "weakref.WeakKeyDictionary[Netlist, Tuple[int, str]]" = (
+_fingerprint_memo: "weakref.WeakKeyDictionary[Netlist, Tuple[Tuple[int, int], str]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _structure_text(netlist: Netlist, order=sorted) -> str:
-    """The fingerprint document's JSON text with every name written between
-    quotes as it is.  ``order`` puts each gate's connection pairs and the
-    output pairs in document order."""
-    pair = '["%s","%s"]'.__mod__
-    quoted = '"%s"'.__mod__
-    flag = {False: "false", True: "true"}
+def _json_name(text: str) -> str:
+    """``text`` as ``json.dumps`` writes it between its quotes."""
+    if not isinstance(text, str):
+        raise TypeError(f"netlist names must be strings, not {text!r}")
+    return json.dumps(text)[1:-1]
+
+
+def _structure_text(arrays: NetlistArrays, netlist_name: str,
+                    output_nets: Mapping[str, str], name=None) -> str:
+    """The fingerprint document's JSON text, read off the netlist's columns,
+    with every name between quotes as ``name`` writes it (as it is, by
+    default).  Connection and output pairs are in raw-name order."""
+    convert = str if name is None else name
+    gate_names = list(map(convert, arrays.gate_names))
+    net_names = list(map(convert, arrays.net_names))
+    inputs = list(map(convert, arrays.primary_inputs))
+    outputs = list(map(convert, arrays.primary_outputs))
+    cell_names = [convert(t.cell.name) for t in arrays.cells]
+    in_pins = [tuple(map(convert, t.inputs)) for t in arrays.cells]
+    out_pins = [tuple(map(convert, t.outputs)) for t in arrays.cells]
+    flag = ("false", "true")
+    gate_text = np.array(gate_names, dtype=object)
+    net_text = np.array(net_names, dtype=object)
+
+    # Gates, one cell at a time: each gate's pairs in pin-name order.
+    gates = np.empty(arrays.num_gates, dtype=object)
+    dont_touch = np.asarray(flag, dtype=object)[arrays.dont_touch.astype(np.intp)]
+    for index, table in enumerate(arrays.cells):
+        members = np.flatnonzero(arrays.gate_cell == index)
+        if not len(members):
+            continue
+        columns = []
+        pins = []
+        for pin, is_output, position in table.by_name:
+            start = (arrays.fanout_start if is_output else arrays.fanin_start)[members]
+            columns.append((arrays.fanout_net if is_output else arrays.fanin_net)[
+                start + position])
+            pins.append((out_pins if is_output else in_pins)[index][position])
+        nets = np.stack(columns) if columns else np.zeros((0, len(members)), np.int64)
+        # Gates with every pin connected share one template.
+        full = (nets >= 0).all(axis=0)
+        template = '["%%s","%s",[%s],%%s]' % (
+            cell_names[index].replace("%", "%%"),
+            ",".join('["%s","%%s"]' % pin.replace("%", "%%") for pin in pins))
+        gates[members[full]] = list(map(template.__mod__, zip(
+            gate_text[members[full]], *net_text[nets[:, full]],
+            dont_touch[members[full]])))
+        for column in np.flatnonzero(~full).tolist():
+            gate = members[column]
+            gates[gate] = '["%s","%s",[%s],%s]' % (
+                gate_names[gate], cell_names[index],
+                ",".join('["%s","%s"]' % (pin, net_names[net]) for pin, net in
+                         zip(pins, nets[:, column].tolist()) if net >= 0),
+                dont_touch[gate])
+
+    # Nets: driver pair, sink pairs in ``Net.sinks`` order, outputs.  A
+    # pin pair is its gate's '["gate' plus its pin's '","pin"]'.
+    gate_open = np.array(['["%s' % gate for gate in gate_names], dtype=object)
+
+    def pin_pairs(rows, row_gate, row_start, pins):
+        """``["gate","pin"]`` of every row of ``rows``."""
+        gate = row_gate[rows]
+        close = np.array(['","%s"]' % pin for table in pins for pin in table] or [""],
+                         dtype=object)
+        offset = csr(np.asarray([len(table) for table in pins], dtype=np.int64))
+        return gate_open[gate] + close[offset[arrays.gate_cell[gate]] + rows - row_start[gate]]
+
+    num_nets = arrays.num_nets
+    driven = np.flatnonzero(arrays.net_driver_row >= 0)
+    drivers = np.full(num_nets, "null", dtype=object)
+    drivers[driven] = pin_pairs(arrays.net_driver_row[driven], arrays.fanout_gate,
+                                arrays.fanout_start, out_pins)
+    sink_pairs = pin_pairs(arrays.sink_row, arrays.fanin_gate, arrays.fanin_start,
+                           in_pins)
+    sink_start = arrays.sink_start
+    later = np.ones(len(sink_pairs), dtype=bool)
+    later[sink_start[:-1][np.diff(sink_start) > 0]] = False
+    sink_pairs[later] = "," + sink_pairs[later]
+    po_bounds = arrays.net_po_start.tolist()
+    po_pairs = ['"%s"' % po for po in outputs]
+    net_outputs = [""] * num_nets
+    for net in np.flatnonzero(np.diff(arrays.net_po_start)).tolist():
+        net_outputs[net] = ",".join(
+            po_pairs[po] for po in arrays.net_po[po_bounds[net]:po_bounds[net + 1]].tolist())
+    net_flags = np.asarray(flag, dtype=object)[arrays.net_is_pi.astype(np.intp)]
+    # Net ``i`` is its head, its sink pairs and its tail (a "," after all
+    # but the last net), laid out in one sequence.
+    tails = list(map('],%s,[%s]],'.__mod__, zip(net_flags.tolist(), net_outputs)))
+    if tails:
+        tails[-1] = tails[-1][:-1]
+    pieces = np.empty(2 * num_nets + len(sink_pairs), dtype=object)
+    twice = 2 * np.arange(num_nets)
+    pieces[twice + sink_start[:-1]] = list(map('["%s",%s,['.__mod__,
+                                               zip(net_names, drivers.tolist())))
+    pieces[1 + np.arange(len(sink_pairs)) + 2 * np.repeat(
+        np.arange(num_nets), np.diff(sink_start))] = sink_pairs
+    pieces[twice + sink_start[1:] + 1] = tails
+    nets = pieces.tolist()
     return (
         '{"gates":[%s],"name":"%s","nets":[%s],"output_nets":[%s],'
         '"primary_inputs":[%s],"primary_outputs":[%s]}' % (
-            ",".join([
-                '["%s","%s",[%s],%s]' % (
-                    g.name, g.cell.name,
-                    ",".join(map(pair, order(g.connections.items()))),
-                    flag[bool(g.dont_touch)])
-                for g in netlist.gates.values()
-            ]),
-            netlist.name,
-            ",".join([
-                '["%s",%s,[%s],%s,[%s]]' % (
-                    n.name, "null" if n.driver is None else pair(n.driver),
-                    ",".join(map(pair, n.sinks)), flag[bool(n.is_primary_input)],
-                    ",".join(map(quoted, n.primary_outputs)))
-                for n in netlist.nets.values()
-            ]),
-            ",".join(map(pair, order(netlist.output_nets.items()))),
-            ",".join(map(quoted, netlist.primary_inputs)),
-            ",".join(map(quoted, netlist.primary_outputs)),
+            ",".join(gates.tolist()),
+            convert(netlist_name),
+            "".join(nets),
+            ",".join(['["%s","%s"]' % (convert(po), convert(net))
+                      for po, net in sorted(output_nets.items())]),
+            ",".join(['"%s"' % pi for pi in inputs]),
+            ",".join(po_pairs),
         )
     )
 
@@ -145,83 +225,57 @@ def _structure_text(netlist: Netlist, order=sorted) -> str:
 _PLAIN_BYTES = bytes(sorted(set(range(0x20, 0x7F)) - set(b'"\\')))
 
 
-def _plain_text(data: bytes, netlist: Netlist) -> bool:
+def _plain_text(data: bytes, arrays: NetlistArrays, output_nets: Mapping[str, str]) -> bool:
     """True when ``data``, the structure text with every name as it is, is
     JSON's text: no name holds a quote, a backslash or a byte JSON escapes.
     Every string token brings two quotes, so a quote inside a name shows
     as a surplus."""
-    gates, nets = netlist.gates.values(), netlist.nets.values()
-    drivers = list(map(attrgetter("driver"), nets))
+    connected = (int(np.count_nonzero(arrays.fanin_net >= 0))
+                 + int(np.count_nonzero(arrays.fanout_net >= 0)))
     tokens = (
         7  # six keys and the netlist name
-        + 2 * len(gates) + 2 * sum(map(len, map(attrgetter("connections"), gates)))
-        + len(nets) + 2 * (len(drivers) - drivers.count(None))
-        + 2 * sum(map(len, map(attrgetter("sinks"), nets)))
-        + sum(map(len, map(attrgetter("primary_outputs"), nets)))
-        + 2 * len(netlist.output_nets) + len(netlist.primary_inputs)
-        + len(netlist.primary_outputs)
+        + 2 * arrays.num_gates + 2 * connected
+        + arrays.num_nets + 2 * int(np.count_nonzero(arrays.net_driver_row >= 0))
+        + 2 * len(arrays.sink_row) + len(arrays.net_po)
+        + 2 * len(output_nets) + len(arrays.primary_inputs)
+        + len(arrays.primary_outputs)
     )
     rest = data.translate(None, _PLAIN_BYTES)
     return len(rest) == 2 * tokens and rest.count(b'"') == len(rest)
 
 
-def _escaped_names(netlist: Netlist) -> SimpleNamespace:
-    """A stand-in for ``netlist`` whose names are what ``json.dumps``
-    writes between their quotes, its pairs already in document order."""
-    def name(text: str) -> str:
-        if not isinstance(text, str):
-            raise TypeError(f"netlist names must be strings, not {text!r}")
-        return json.dumps(text)[1:-1]
-
-    def pairs(items):
-        return {name(a): name(b) for a, b in items}
-
-    return SimpleNamespace(
-        name=name(netlist.name),
-        gates={index: Gate(name(g.name), SimpleNamespace(name=name(g.cell.name)),
-                           pairs(sorted(g.connections.items())), g.dont_touch)
-               for index, g in enumerate(netlist.gates.values())},
-        nets={index: Net(name(n.name),
-                         None if n.driver is None else tuple(map(name, n.driver)),
-                         [tuple(map(name, sink)) for sink in n.sinks],
-                         n.is_primary_input, list(map(name, n.primary_outputs)))
-              for index, n in enumerate(netlist.nets.values())},
-        output_nets=pairs(sorted(netlist.output_nets.items())),
-        primary_inputs=list(map(name, netlist.primary_inputs)),
-        primary_outputs=list(map(name, netlist.primary_outputs)),
-    )
-
-
 def netlist_fingerprint(netlist: Netlist) -> str:
     """SHA-256 over the netlist's complete structure, order included.
 
-    Gate and net *iteration order* is part of the fingerprint: the codec
-    stores positions and routing as indices into ``list(netlist.gates)`` /
-    ``list(netlist.nets)``, so a reordered regeneration is as stale as a
-    rewired one.
+    Gate and net *order* is part of the fingerprint: the codec stores
+    positions and routing as indices into the netlist's gate and net name
+    tables, so a reordered regeneration is as stale as a rewired one.
 
     The hashed text is ``json.dumps(doc, sort_keys=True,
     separators=(",", ":"))`` of the document ``{"name": ..., "gates":
     [[name, cell, sorted connection pairs, dont_touch], ...], "nets":
     [[name, driver pair or null, sink pairs, is_primary_input, primary
     outputs], ...], "primary_inputs": [...], "primary_outputs": [...],
-    "output_nets": sorted pairs}``.  It is written out here without
-    building that document, every name between quotes as it is; when the
-    text shows that some name needs escaping, it is written again with
-    every name as ``json.dumps`` escapes it.  Names must be strings and pin
-    references ``(gate, pin)`` tuples, as
-    :class:`~repro.netlist.netlist.Netlist` builds them.
+    "output_nets": sorted pairs}``.  It is written out here from the
+    netlist's integer snapshot without building that document, every name
+    between quotes as it is; when the text shows that some name needs
+    escaping, it is written again with every name as ``json.dumps``
+    escapes it.  Names must be strings.
     """
+    arrays = netlist_arrays(netlist)
     cached = _fingerprint_memo.get(netlist)
-    if cached is not None and cached[0] == netlist.topology_version:
+    if cached is not None and cached[0] == (arrays.version, arrays.marks):
         return cached[1]
     # A lone surrogate in a name passes as non-ASCII bytes, so it fails the
     # plain check and is escaped as JSON escapes it.
-    data = _structure_text(netlist).encode("utf-8", "surrogatepass")
-    if not _plain_text(data, netlist):
-        data = _structure_text(_escaped_names(netlist), order=list).encode("ascii")
+    output_nets = netlist.output_nets
+    data = _structure_text(arrays, netlist.name, output_nets).encode(
+        "utf-8", "surrogatepass")
+    if not _plain_text(data, arrays, output_nets):
+        data = _structure_text(arrays, netlist.name, output_nets,
+                               name=_json_name).encode("ascii")
     digest = hashlib.sha256(data).hexdigest()
-    _fingerprint_memo[netlist] = (netlist.topology_version, digest)
+    _fingerprint_memo[netlist] = ((arrays.version, arrays.marks), digest)
     return digest
 
 
@@ -296,8 +350,8 @@ def _netlist_indices(table: Sequence[str], index: np.ndarray,
 
 def _encode_layout(layout: Layout, netlist: Netlist,
                    arrays: Dict[str, np.ndarray], prefix: str) -> Dict[str, Any]:
-    gate_names = list(netlist.gates)
-    net_names = list(netlist.nets)
+    tables = netlist_arrays(netlist)
+    gate_names, net_names = tables.gate_names, tables.net_names
 
     placement = layout.placement
     arrays[prefix + "gate_order"] = _netlist_indices(
@@ -367,7 +421,7 @@ def _layout_record(layout: Layout, netlist: Netlist,
     placement = layout.placement
     protected: List[int] = []
     if layout.protected_nets:
-        net_index = {name: i for i, name in enumerate(netlist.nets)}
+        net_index = netlist_arrays(netlist).net_id
         try:
             protected = sorted(net_index[name] for name in layout.protected_nets)
         except KeyError as error:
@@ -414,8 +468,9 @@ def _indices(arrays: Mapping[str, np.ndarray], name: str, low: int,
 
 def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
                    netlist: Netlist, prefix: str) -> Layout:
-    gate_names = list(netlist.gates)
-    net_names = list(netlist.nets)
+    # The netlist's own name tables: decoded layouts share them.
+    tables = netlist_arrays(netlist)
+    gate_names, net_names = tables.gate_names, tables.net_names
 
     try:
         placement_record = record["placement"]

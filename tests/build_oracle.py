@@ -16,14 +16,15 @@ flags) on the same primitives, and
 :func:`routing_perturbation_reference` replays the routing-perturbation
 defense's hint re-aiming as an object walk over a materialized ``route()``
 result.  :func:`legalize_correction_cells_reference` is the correction-cell
-legalizer that re-scanned every spiral from its home slot.  Tests assert
+legalizer that re-scanned every spiral from its home slot, applied to cells
+built at their anchors (:func:`correction_cells_at_anchors`).  Tests assert
 that :func:`repro.layout.placer.place`,
 :func:`repro.layout.router.route` (and their seed-batched twins),
 :func:`repro.core.restore.build_protected_layout` and
 :func:`repro.defenses.routing_perturbation.routing_perturbation_defense`
 produce the same gate positions, the same segment/via graphs, the same
 stub hints and the same pickle bytes, and that
-:func:`repro.core.correction_cells.legalize_correction_cells` returns the
+:func:`repro.core.correction_cells.place_correction_cells` returns the
 same instances.
 """
 
@@ -34,7 +35,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.correction_cells import CorrectionCellInstance
+from repro.core.correction_cells import CorrectionCellInstance, correction_cell_name
 from repro.core.randomizer import RandomizationResult
 from repro.layout.arrays import RoutingArrays, _csr
 from repro.layout.floorplan import Floorplan, build_floorplan
@@ -733,6 +734,23 @@ def routing_perturbation_reference(
 # Correction-cell legalization
 # ---------------------------------------------------------------------------
 
+def correction_cells_at_anchors(
+    anchors: Sequence[Tuple[int, str, Optional[str], Point]],
+    lift_layer: int,
+    naive: bool = False,
+) -> List[CorrectionCellInstance]:
+    """One cell per anchor, unlegalized: each sits exactly at its anchor,
+    named as :func:`repro.core.correction_cells.place_correction_cells`
+    names it."""
+    cell = correction_cell_name(lift_layer, naive)
+    prefix = "lc" if naive else "cc"
+    return [
+        CorrectionCellInstance(f"{prefix}_{connection_id}_{role}_{index}", cell,
+                               position, anchor_gate, role, connection_id, lift_layer)
+        for index, (connection_id, role, anchor_gate, position) in enumerate(anchors)
+    ]
+
+
 def legalize_correction_cells_reference(
     instances: List[CorrectionCellInstance],
     floorplan: Floorplan,
@@ -783,3 +801,154 @@ def legalize_correction_cells_reference(
             # Grid full (pathological); keep the original position.
             legalized.append(instance)
     return legalized
+
+
+# ---------------------------------------------------------------------------
+# Per-netlist skeletons by a walk over the Gate/Net objects
+# ---------------------------------------------------------------------------
+
+
+def placement_skeleton_reference(netlist, placement: PlacementResult) -> Dict[str, object]:
+    """The fields ``PlacementSkeleton.build(netlist, placement)`` must hold,
+    by a walk over the netlist's nets by name: connection pairs and HPWL
+    terminals in net order (driver or primary-input port, placed sinks,
+    primary-output ports)."""
+    gate_names = list(placement.gate_positions)
+    gate_index = {name: i for i, name in enumerate(gate_names)}
+    gates = netlist.gates
+    gate_widths = [gates[name].cell.width_um if name in gates else 0.0
+                   for name in gate_names]
+    port_names = placement.port_names
+    port_index = {name: i for i, name in enumerate(port_names)}
+    num_gates = len(gate_names)
+    pair_driver: List[int] = []
+    pair_sink: List[int] = []
+    pair_net: List[int] = []
+    term_idx: List[int] = []
+    term_offsets: List[int] = [0]
+    for net_idx, net in enumerate(netlist.nets.values()):
+        driver_idx = gate_index.get(net.driver[0]) if net.driver is not None else None
+        if driver_idx is not None:
+            for sink_gate, _pin in net.sinks:
+                sink_idx = gate_index.get(sink_gate)
+                if sink_idx is not None:
+                    pair_driver.append(driver_idx)
+                    pair_sink.append(sink_idx)
+                    pair_net.append(net_idx)
+        if driver_idx is not None:
+            term_idx.append(driver_idx)
+        elif net.is_primary_input:
+            pi = port_index.get(net.name)
+            if pi is not None:
+                term_idx.append(num_gates + pi)
+        for sink_gate, _pin in net.sinks:
+            sink_idx = gate_index.get(sink_gate)
+            if sink_idx is not None:
+                term_idx.append(sink_idx)
+        for po in net.primary_outputs:
+            pi = port_index.get(po)
+            if pi is not None:
+                term_idx.append(num_gates + pi)
+        term_offsets.append(len(term_idx))
+    net_names = list(netlist.nets)
+    return {
+        "gate_names": gate_names, "gate_index": gate_index,
+        "gate_widths": gate_widths,
+        "missing_gates": [name for name in gate_names if name not in gates],
+        "port_names": port_names, "port_index": port_index,
+        "net_names": net_names,
+        "net_index_by_name": {name: i for i, name in enumerate(net_names)},
+        "pair_driver": pair_driver, "pair_sink": pair_sink, "pair_net": pair_net,
+        "term_indices": term_idx, "term_offsets": term_offsets,
+    }
+
+
+def ordering_graph_reference(netlist) -> Dict[str, object]:
+    """The DFS ordering graph (``_OrderingGraph``'s neighbour CSR and DFS
+    starts) by a walk over the netlist's nets by name."""
+    gate_index = {name: i for i, name in enumerate(netlist.gates)}
+    lists: List[List[int]] = [[] for _ in gate_index]
+    for net in netlist.nets.values():
+        sinks = [gate_index[gate] for gate, _pin in net.sinks]
+        if net.driver is not None:
+            if not 1 <= len(sinks) < MAX_ORDERING_FANOUT:
+                continue
+            hub, members = gate_index[net.driver[0]], sinks
+        elif 2 <= len(sinks) <= MAX_ORDERING_FANOUT:
+            hub, members = sinks[0], sinks[1:]
+        else:
+            continue
+        for member in members:
+            lists[hub].append(member)
+            lists[member].append(hub)
+    starts = [0]
+    for neighbours in lists:
+        starts.append(starts[-1] + len(neighbours))
+    first: List[int] = []
+    for pi in netlist.primary_inputs:
+        if pi not in netlist.nets:
+            continue
+        for gate, _pin in netlist.nets[pi].sinks:
+            if gate_index[gate] not in first:
+                first.append(gate_index[gate])
+    return {
+        "neighbours": [g for neighbours in lists for g in neighbours],
+        "starts": starts,
+        "dfs_starts": first + list(range(len(gate_index))),
+    }
+
+
+def routing_skeleton_reference(netlist, placement: PlacementResult) -> Dict[str, object]:
+    """The routable 2-pin connections ``_RoutingSkeleton(netlist,
+    placement)`` must record, by a walk over the netlist's nets by name."""
+    gate_names = list(netlist.gates)
+    lookup = {name: i for i, name in enumerate(gate_names)}
+    num_gates = len(gate_names)
+    placed = [False] * num_gates
+    for name in placement.gate_positions:
+        if name in lookup:
+            placed[lookup[name]] = True
+    port_slot = {name: num_gates + k for k, name in enumerate(placement.port_names)}
+    tokens: Dict[str, int] = {}
+    entry_net: List[int] = []
+    entry_source: List[int] = []
+    conn_starts = [0]
+    targets: List[int] = []
+    sink_gate: List[int] = []
+    sink_token: List[int] = []
+    for net_idx, (net_name, net) in enumerate(netlist.nets.items()):
+        if net.driver is not None:
+            source = lookup.get(net.driver[0])
+            if source is None or not placed[source]:
+                continue
+        elif net.is_primary_input:
+            source = port_slot.get(net_name)
+            if source is None:
+                continue
+        else:
+            continue
+        start = len(targets)
+        for gate, pin in net.sinks:
+            index = lookup.get(gate)
+            if index is not None and placed[index]:
+                targets.append(index)
+                sink_gate.append(index)
+                sink_token.append(tokens.setdefault(pin, len(tokens)))
+        for po in net.primary_outputs:
+            slot = port_slot.get(po)
+            if slot is not None:
+                targets.append(slot)
+                sink_gate.append(-1)
+                sink_token.append(tokens.setdefault(po, len(tokens)))
+        if len(targets) == start:
+            continue
+        entry_net.append(net_idx)
+        entry_source.append(source)
+        conn_starts.append(len(targets))
+    return {
+        "gate_names": gate_names, "net_names": list(netlist.nets),
+        "placed": placed, "sink_tokens": list(tokens),
+        "net_index": entry_net, "conn_starts": conn_starts,
+        "sink_gate": sink_gate, "sink_token": sink_token,
+        "_entry_source_idx": entry_source, "_target_idx": targets,
+    }

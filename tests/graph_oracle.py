@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 import numpy as np
 
-from repro.netlist.netlist import Gate, Netlist
+from repro.netlist.netlist import Netlist
 
 #: Prefix for pseudo-nodes representing primary inputs/outputs in graph views.
 PI_PREFIX = "PI::"
@@ -170,19 +170,20 @@ def pseudo_topological_order(netlist: Netlist) -> List[str]:
 
 
 def netlist_copy(netlist: Netlist, new_name: Optional[str] = None) -> Netlist:
-    """``Netlist.copy`` rebuilt through the validating ``connect_pin``."""
+    """``Netlist.copy`` rebuilt through the validating edit API: every net,
+    then the ports, then each gate with its pins connected in connection
+    order.  Its ``topology_version`` counts every replayed edit."""
     clone = Netlist(new_name if new_name is not None else netlist.name, netlist.library)
-    for net in netlist.nets.values():
-        new_net = clone.add_net(net.name)
-        new_net.is_primary_input = net.is_primary_input
-    clone.primary_inputs = list(netlist.primary_inputs)
-    clone.primary_outputs = list(netlist.primary_outputs)
-    clone.output_nets = dict(netlist.output_nets)
-    for po, net_name in netlist.output_nets.items():
-        clone.nets[net_name].primary_outputs.append(po)
+    for net_name in netlist.nets:
+        clone.add_net(net_name)
+    for pi in netlist.primary_inputs:
+        clone.add_primary_input(pi)
+    for po in netlist.primary_outputs:
+        clone.add_primary_output(po, netlist.output_nets[po])
     for gate in netlist.gates.values():
-        new_gate = Gate(name=gate.name, cell=gate.cell, dont_touch=gate.dont_touch)
-        clone.gates[gate.name] = new_gate
+        clone.add_gate(gate.name, gate.cell.name)
         for pin, net_name in gate.connections.items():
             clone.connect_pin(gate.name, pin, net_name)
+        if gate.dont_touch:
+            clone.set_dont_touch(gate.name)
     return clone

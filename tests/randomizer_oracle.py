@@ -142,11 +142,11 @@ def randomize_netlist(netlist: Netlist,
         original_b = erroneous.move_sink(sink_gate_b, sink_b[1], net_a)
         checker.add_edge(driver_b, sink_gate_a)
         checker.add_edge(driver_a, sink_gate_b)
-        erroneous.gates[sink_gate_a].dont_touch = True
-        erroneous.gates[sink_gate_b].dont_touch = True
+        erroneous.set_dont_touch(sink_gate_a)
+        erroneous.set_dont_touch(sink_gate_b)
         for gate in (_driver_gate(erroneous, net_a), _driver_gate(erroneous, net_b)):
             if gate is not None:
-                erroneous.gates[gate].dont_touch = True
+                erroneous.set_dont_touch(gate)
         swaps[sink_a] = SwapRecord(sink=sink_a, original_net=original_a, erroneous_net=net_b)
         swaps[sink_b] = SwapRecord(sink=sink_b, original_net=original_b, erroneous_net=net_a)
         protected.update((original_a, original_b))

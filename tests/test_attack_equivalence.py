@@ -22,6 +22,7 @@ capacities and empty views.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import os
@@ -442,6 +443,18 @@ def test_ring_walk_scores_few_pairs(c880_layouts, monkeypatch):
     network_flow.network_flow_attack(view)
     columns = view.columns
     assert 0 < sum(scored) < 0.15 * len(columns.sink_ids) * len(columns.driver_ids)
+
+
+def test_loop_bitmap_refuses_a_foreign_net_table(c432_layouts):
+    """The bitmap reads routed nets as netlist net indices: a routing over
+    another net table (here the netlist's, reordered) raises."""
+    view = extract_feol(c432_layouts["original"], 3)
+    assert view.routing.net_names == netlist_arrays(view.layout.netlist).net_names
+    network_flow._loop_bitmap(view)
+    foreign = copy.copy(view.routing)
+    foreign.net_names = view.routing.net_names[::-1]
+    with pytest.raises(ValueError, match="net table"):
+        network_flow._loop_bitmap(dataclasses.replace(view, routing=foreign))
 
 
 def test_loop_hint_excludes_reachable_pairs(c432_layouts):

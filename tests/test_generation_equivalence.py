@@ -114,7 +114,7 @@ def test_fingerprint_matches_oracle_after_edits():
     pin = gate.input_pin_names[0]
     netlist.move_sink(gate.name, pin, netlist.primary_inputs[0])
     _fingerprints_agree(netlist)
-    netlist.gates[gate.name].dont_touch = True
+    netlist.set_dont_touch(gate.name)
     netlist._bump_version()
     _fingerprints_agree(netlist)
     netlist.add_net("floating")

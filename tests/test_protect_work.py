@@ -27,7 +27,7 @@ from repro.api.workspace import reset_default_workspace
 from repro.circuits import ISCAS85_PROFILES
 from repro.circuits.registry import get_benchmark
 from repro.core import flow, lifting, randomizer, restore
-from repro.core.correction_cells import legalize_correction_cells, place_correction_cells
+from repro.core.correction_cells import place_correction_cells
 from repro.core.flow import evaluate_ppa
 from repro.core.lifting import build_naive_lifted_layout, select_nets_for_lifting
 from repro.core.randomizer import RandomizerConfig, randomize_netlist
@@ -51,18 +51,21 @@ def quick_run():
         record["measurements"] += 1
         return timing_pass(*args, **kwargs)
 
-    def recording(legalize):
-        def legalize_recorded(instances, floorplan):
-            legal = legalize(instances, floorplan)
-            record["legalizations"].append((list(instances), floorplan, legal))
+    def recording(place):
+        def place_recorded(anchors, lift_layer, floorplan, naive=False):
+            anchors = list(anchors)
+            legal = place(anchors, lift_layer, floorplan, naive=naive)
+            record["legalizations"].append(
+                (build_oracle.correction_cells_at_anchors(anchors, lift_layer, naive),
+                 floorplan, legal))
             return legal
-        return legalize_recorded
+        return place_recorded
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(flow, "timing_pass", counting_timing_pass)
         for module in (restore, lifting):
-            patch.setattr(module, "legalize_correction_cells",
-                          recording(module.legalize_correction_cells))
+            patch.setattr(module, "place_correction_cells",
+                          recording(module.place_correction_cells))
         reset_default_workspace()  # build everything, measure everything
         try:
             run_all(quick_config())
@@ -206,9 +209,12 @@ def test_rounds_evaluate_only_what_changed(c880, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_quick_run_legalization_matches_oracle(quick_run):
+    """Every correction-cell placement of the quick run builds its cells at
+    the positions the oracle legalizes the anchored cells to."""
     calls = quick_run["legalizations"]
     assert len(calls) == 13
     for instances, floorplan, legal in calls:
+        assert floorplan is not None
         assert legal == build_oracle.legalize_correction_cells_reference(
             instances, floorplan)
 
@@ -243,15 +249,16 @@ def legalization_cases(draw):
         if draw(st.booleans()):
             x, y = x + draw(jitter), y + draw(jitter)
         anchors.append((index // 2, ("driver", "sink")[index % 2], None, Point(x, y)))
-    return place_correction_cells(anchors, draw(st.sampled_from((6, 8)))), floorplan
+    return anchors, draw(st.sampled_from((6, 8))), draw(st.booleans()), floorplan
 
 
 @settings(max_examples=300, deadline=None)
 @given(legalization_cases())
 def test_legalization_matches_oracle(case):
-    instances, floorplan = case
-    assert legalize_correction_cells(instances, floorplan) == \
-        build_oracle.legalize_correction_cells_reference(instances, floorplan)
+    anchors, lift_layer, naive, floorplan = case
+    expected = build_oracle.legalize_correction_cells_reference(
+        build_oracle.correction_cells_at_anchors(anchors, lift_layer, naive), floorplan)
+    assert place_correction_cells(anchors, lift_layer, floorplan, naive=naive) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.circuits.registry import get_benchmark
 from repro.core.randomizer import RandomizerConfig, _GateDag, randomize_netlist
 from repro.netlist import engine
 from repro.netlist.arrays import netlist_arrays
+from repro.netlist.cells import CellLibrary
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import output_error_rate
 
@@ -75,6 +76,19 @@ def test_matches_oracle(name, scale, config):
     _assert_matches_oracle(_benchmark(name, scale), config)
 
 
+@pytest.mark.parametrize("name,scale", FAST_CIRCUITS)
+def test_dont_touch_column_matches_oracle(name, scale):
+    """The erroneous netlist's dont_touch column, set through
+    ``Netlist.set_dont_touch``, is the oracle's."""
+    netlist = _benchmark(name, scale)
+    config = CONFIGS[0]
+    erroneous = randomize_netlist(netlist, config).erroneous
+    expected = randomizer_oracle.randomize_netlist(netlist, config).erroneous
+    column = netlist_arrays(erroneous).dont_touch
+    assert column.any()
+    assert column.tolist() == [gate.dont_touch for gate in expected.gates.values()]
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("name,scale", SLOW_CIRCUITS)
 def test_matches_oracle_every_circuit(name, scale):
@@ -121,10 +135,22 @@ def test_cyclic_input_is_rejected():
 
 def test_custom_cells_raise_unsupported(c432):
     """A cell without logic_ops metadata: the randomizer refuses the netlist."""
-    netlist = c432.copy("c432_custom")
-    for gate in list(netlist.gates.values())[::25]:
-        gate.cell = dataclasses.replace(gate.cell, name=f"{gate.cell.name}_CUSTOM",
-                                        logic_ops=None)
+    library = CellLibrary("custom", c432.library)
+    custom = set(list(c432.gates)[::25])
+    netlist = Netlist("c432_custom", library)
+    for net_name in c432.nets:
+        netlist.add_net(net_name)
+    for pi in c432.primary_inputs:
+        netlist.add_primary_input(pi)
+    for po in c432.primary_outputs:
+        netlist.add_primary_output(po, c432.output_nets[po])
+    for gate in c432.gates.values():
+        cell_name = gate.cell.name
+        if gate.name in custom:
+            cell_name = f"{cell_name}_CUSTOM"
+            if cell_name not in library:
+                library.add(dataclasses.replace(gate.cell, name=cell_name, logic_ops=None))
+        netlist.add_gate(gate.name, cell_name, gate.connections)
     with pytest.raises(engine.UnsupportedNetlist):
         engine.compile_plan(netlist)
     with pytest.raises(engine.UnsupportedNetlist, match="_CUSTOM"):
