@@ -1,9 +1,9 @@
 """Micro-benchmarks for the columnar geometry core (``repro.layout.arrays``).
 
-Measures FEOL extraction, the proximity attack, the Table 1 / Fig. 4
-distance statistics and placement HPWL on the seed-equivalent legacy paths
-(per-object Python loops) versus the columnar/grid-accelerated
-implementations, on superblue-scale layouts, and writes a ``BENCH_layout.json`` perf-trajectory artifact next to
+Measures FEOL extraction, the proximity attack and the Table 1 / Fig. 4
+distance statistics on the seed-equivalent legacy paths (per-object Python
+loops) versus the columnar/grid-accelerated implementations, on
+superblue-scale layouts, and writes a ``BENCH_layout.json`` perf-trajectory artifact next to
 ``BENCH_sim.json``::
 
     PYTHONPATH=src python benchmarks/bench_layout.py              # writes BENCH_layout.json
@@ -44,7 +44,6 @@ from repro.attacks.proximity import proximity_attack  # noqa: E402
 from repro.circuits.superblue import superblue_netlist  # noqa: E402
 from repro.layout import build_layout  # noqa: E402
 from repro.layout.geometry import Point, manhattan  # noqa: E402
-from repro.layout.placer import placement_hpwl  # noqa: E402
 from repro.metrics.distances import distance_stats  # noqa: E402
 from repro.sm.split import FEOLArrays, extract_feol  # noqa: E402
 from repro.utils.host import host_metadata  # noqa: E402
@@ -99,37 +98,6 @@ def _legacy_distance_stats(netlist, gate_positions: Dict[str, Point]
     }
 
 
-def _legacy_placement_hpwl(netlist, gate_positions: Dict[str, Point],
-                           port_positions: Dict[str, Point]) -> float:
-    total = 0.0
-    for net in netlist.nets.values():
-        xs: List[float] = []
-        ys: List[float] = []
-        if net.driver is not None:
-            p = gate_positions.get(net.driver[0])
-            if p is not None:
-                xs.append(p.x)
-                ys.append(p.y)
-        elif net.is_primary_input:
-            p = port_positions.get(net.name)
-            if p is not None:
-                xs.append(p.x)
-                ys.append(p.y)
-        for sink_gate, _pin in net.sinks:
-            p = gate_positions.get(sink_gate)
-            if p is not None:
-                xs.append(p.x)
-                ys.append(p.y)
-        for po in net.primary_outputs:
-            p = port_positions.get(po)
-            if p is not None:
-                xs.append(p.x)
-                ys.append(p.y)
-        if len(xs) >= 2:
-            total += (max(xs) - min(xs)) + (max(ys) - min(ys))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Benchmark driver
 # ---------------------------------------------------------------------------
@@ -164,7 +132,6 @@ def bench_config(benchmark: str, scale: float, seed: int,
     layout = build_layout(netlist, seed=seed)
     view = extract_feol(layout, SPLIT_LAYER)
     gate_positions = dict(layout.placement.gate_positions)
-    port_positions = dict(layout.placement.port_positions)
     num_sinks = len(view.columns.sink_ids)
     num_drivers = len(view.columns.driver_ids)
     _log.info(
@@ -223,21 +190,6 @@ def bench_config(benchmark: str, scale: float, seed: int,
         lambda: distance_stats(layout), repeat
     )
 
-    timings["hpwl_legacy_s"] = _timeit(
-        lambda: _legacy_placement_hpwl(netlist, gate_positions, port_positions),
-        max(1, repeat // 3)
-    )
-
-    def hpwl_cold():
-        layout.placement.bump_geometry_version()
-        return placement_hpwl(netlist, layout.placement)
-
-    timings["hpwl_columnar_cold_s"] = _timeit(hpwl_cold, repeat)
-    placement_hpwl(netlist, layout.placement)  # prewarm
-    timings["hpwl_columnar_warm_s"] = _timeit(
-        lambda: placement_hpwl(netlist, layout.placement), repeat
-    )
-
     speedups = {
         "feol_extract": (
             timings["feol_extract_reference_s"] / timings["feol_extract_columns_s"]
@@ -250,8 +202,6 @@ def bench_config(benchmark: str, scale: float, seed: int,
         "distance_stats_warm": (
             timings["distance_stats_legacy_s"] / timings["distance_stats_columnar_warm_s"]
         ),
-        "hpwl_cold": timings["hpwl_legacy_s"] / timings["hpwl_columnar_cold_s"],
-        "hpwl_warm": timings["hpwl_legacy_s"] / timings["hpwl_columnar_warm_s"],
     }
     return {
         "benchmark": benchmark,

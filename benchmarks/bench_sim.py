@@ -62,7 +62,7 @@ from repro.circuits.registry import get_benchmark  # noqa: E402
 from repro.core import ProtectionConfig, protect  # noqa: E402
 from repro.core.flow import PPAReport, evaluate_ppa  # noqa: E402
 from repro.netlist import engine  # noqa: E402
-from repro.netlist.graph import has_combinational_loop  # noqa: E402
+from repro.netlist.arrays import netlist_arrays  # noqa: E402
 from repro.netlist.simulate import (  # noqa: E402
     _resolved_inputs,
     _shared_input_patterns,
@@ -438,7 +438,7 @@ def _bench_recovery(view, config, repeat: int) -> Dict[str, object]:
         "overlay_compile_s": round(overlay_time, 6),
         "copy_rebuild_compile_s": round(copy_time, 6),
         "speedup": round(copy_time / overlay_time, 2),
-        "recovery_has_loop": has_combinational_loop(rebuilt),
+        "recovery_has_loop": not netlist_arrays(rebuilt).is_acyclic(),
     }
 
 

@@ -60,17 +60,9 @@ class CorrectionCellInstance:
     connection_id: int
     lift_layer: int
 
-    #: Footprint used for cell-vs-cell overlap checks (µm).
+    #: Footprint (µm): the legalization grid's pitch.
     width_um: float = 4 * SITE_WIDTH_UM
     height_um: float = ROW_HEIGHT_UM
-
-    def overlaps(self, other: "CorrectionCellInstance", tolerance: float = 1e-6) -> bool:
-        return not (
-            self.position.x + self.width_um <= other.position.x + tolerance
-            or other.position.x + other.width_um <= self.position.x + tolerance
-            or self.position.y + self.height_um <= other.position.y + tolerance
-            or other.position.y + other.height_um <= self.position.y + tolerance
-        )
 
 
 def place_correction_cells(
@@ -176,15 +168,3 @@ def _legal_positions(points: List[Point], floorplan: Floorplan, pitch_x: float,
         legal.append(Point(x_min + col * pitch_x, y_min + row * pitch_y))
     return legal
 
-
-def check_correction_cell_overlaps(instances: List[CorrectionCellInstance]) -> List[Tuple[str, str]]:
-    """Return pairs of overlapping correction cells (empty list == legal)."""
-    overlaps: List[Tuple[str, str]] = []
-    ordered = sorted(instances, key=lambda inst: (inst.position.y, inst.position.x))
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if b.position.y >= a.position.y + a.height_um - 1e-6:
-                break
-            if a.overlaps(b):
-                overlaps.append((a.name, b.name))
-    return overlaps

@@ -93,7 +93,7 @@ def lifting_cell_anchors(layout: Layout, lifted_nets: Sequence[str]
     """One lifting-cell anchor per lifted connection endpoint (driver and
     sink), read from ``layout``'s routing columns, in
     :func:`~repro.core.correction_cells.place_correction_cells` form."""
-    netlist = layout.netlist
+    arrays = netlist_arrays(layout.netlist)
     routing = layout.routing
     position = routing.positions()
     anchors = []
@@ -104,8 +104,8 @@ def lifting_cell_anchors(layout: Layout, lifted_nets: Sequence[str]
             continue
         driver_point = Point(float(routing.driver_x[index]),
                              float(routing.driver_y[index]))
-        net = netlist.nets[net_name]
-        driver_gate = net.driver[0] if net.driver is not None else None
+        driver = arrays.net_driver[arrays.net_id[net_name]]
+        driver_gate = arrays.gate_names[driver] if driver >= 0 else None
         for ci in range(int(routing.conn_starts[index]),
                         int(routing.conn_starts[index + 1])):
             anchors.append((connection_id, "driver", driver_gate, driver_point))

@@ -36,15 +36,17 @@ from repro.layout.geometry import Point
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacementResult, PlacerConfig, place
 from repro.layout.router import RouterConfig, route
-from repro.netlist.netlist import Netlist, PinRef
+from repro.netlist.arrays import NetlistArrays, netlist_arrays
+from repro.netlist.netlist import PinRef
 
 
-def _terminal_position(netlist: Netlist, placement: PlacementResult,
+def _terminal_position(arrays: NetlistArrays, placement: PlacementResult,
                        net_name: str) -> Optional[Point]:
-    net = netlist.nets[net_name]
-    if net.driver is not None:
-        return placement.gate_positions.get(net.driver[0])
-    if net.is_primary_input:
+    net = arrays.net_id[net_name]
+    driver = arrays.net_driver[net]
+    if driver >= 0:
+        return placement.gate_positions.get(arrays.gate_names[driver])
+    if arrays.net_is_pi[net]:
         return placement.port_positions.get(net_name)
     return None
 
@@ -79,6 +81,8 @@ def _restore_swapped_connections(
                 decoy_sinks[record.erroneous_net] = position
     swapped_nets = {record.original_net for record in randomization.swaps}
 
+    original = netlist_arrays(randomization.original)
+    erroneous = netlist_arrays(randomization.erroneous)
     anchors: List[Tuple[int, str, Optional[str], Point]] = []
     overridden: List[int] = []
     hints: List[Tuple[float, float, float, float]] = []
@@ -86,7 +90,8 @@ def _restore_swapped_connections(
     for index, net_name in enumerate(routing):
         if net_name not in swapped_nets:
             continue
-        driver = randomization.original.nets[net_name].driver
+        driver = original.net_driver[original.net_id[net_name]]
+        driver_gate = original.gate_names[driver] if driver >= 0 else None
         for ci in range(conn_starts[index], conn_starts[index + 1]):
             sink = routing.sink_ref(ci)
             record = swapped.get(sink)
@@ -96,9 +101,8 @@ def _restore_swapped_connections(
             source = Point(float(routing.sx[ci]), float(routing.sy[ci]))
             target = Point(float(routing.tx[ci]), float(routing.ty[ci]))
             source_hint = decoy_sinks.get(net_name)
-            target_hint = _terminal_position(
-                randomization.erroneous, placement, record.erroneous_net
-            )
+            target_hint = _terminal_position(erroneous, placement,
+                                             record.erroneous_net)
             if source_hint is not None or target_hint is not None:
                 source_hint = source_hint if source_hint is not None else target
                 target_hint = target_hint if target_hint is not None else source
@@ -106,8 +110,7 @@ def _restore_swapped_connections(
                 hints.append((source_hint.x, source_hint.y,
                               target_hint.x, target_hint.y))
             connection_id = len(anchors) // 2
-            anchors.append((connection_id, "driver",
-                            driver[0] if driver is not None else None, source))
+            anchors.append((connection_id, "driver", driver_gate, source))
             anchors.append((connection_id, "sink", sink[0], target))
     if overridden:
         hint_sx, hint_sy, hint_tx, hint_ty = np.asarray(hints, dtype=np.float64).T

@@ -26,6 +26,7 @@ from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacerConfig, place
 from repro.layout.router import RouterConfig, route
+from repro.netlist.arrays import netlist_arrays
 from repro.netlist.netlist import Netlist
 from repro.utils.rng import make_rng
 
@@ -43,21 +44,23 @@ def _groups(netlist: Netlist, strategy: LayoutRandomizationStrategy,
             seed: int) -> Dict[str, List[str]]:
     """Partition gate names into permutation groups according to the strategy."""
     rng = make_rng(seed, "layout_randomization_groups", netlist.name)
+    arrays = netlist_arrays(netlist)
+    names = arrays.gate_names
+    cells = [arrays.cells[cell].cell.name for cell in arrays.gate_cell.tolist()]
     groups: Dict[str, List[str]] = {}
     if strategy is LayoutRandomizationStrategy.RANDOM:
-        groups["all"] = list(netlist.gates)
+        groups["all"] = list(names)
     elif strategy is LayoutRandomizationStrategy.G_COLOR:
         # Two-colouring by parity of a BFS-ish ordering: alternating cells may
         # swap within their colour class.
-        for index, name in enumerate(netlist.gates):
+        for index, name in enumerate(names):
             groups.setdefault(f"color{index % 2}", []).append(name)
     elif strategy is LayoutRandomizationStrategy.G_TYPE1:
-        for name, gate in netlist.gates.items():
-            function = gate.cell.name.split("_")[0]
-            groups.setdefault(function, []).append(name)
+        for name, cell in zip(names, cells):
+            groups.setdefault(cell.split("_")[0], []).append(name)
     elif strategy is LayoutRandomizationStrategy.G_TYPE2:
-        for name, gate in netlist.gates.items():
-            groups.setdefault(gate.cell.name, []).append(name)
+        for name, cell in zip(names, cells):
+            groups.setdefault(cell, []).append(name)
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown strategy {strategy}")
     for members in groups.values():

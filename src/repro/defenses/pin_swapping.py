@@ -21,6 +21,7 @@ from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacerConfig, place
 from repro.layout.router import RouterConfig, route
+from repro.netlist.arrays import netlist_arrays
 from repro.netlist.netlist import Netlist
 from repro.utils.rng import make_rng
 
@@ -63,12 +64,12 @@ def pin_swapping_defense(
 
     # Nets attached to swapped ports are re-routed through higher layers.
     min_layer: Dict[str, int] = {}
+    net_id = netlist_arrays(netlist).net_id
     for port in swapped_ports:
-        if port in netlist.nets:
+        if port in net_id:
             min_layer[port] = lift_layer
-        for po, net_name in netlist.output_nets.items():
-            if po == port:
-                min_layer[net_name] = lift_layer
+        if port in netlist.output_nets:
+            min_layer[netlist.output_nets[port]] = lift_layer
 
     routing = route(netlist, placement, RouterConfig(), min_layer)
     return Layout(

@@ -51,7 +51,8 @@ def synergistic_defense(
     rng = make_rng(seed, "synergistic", netlist.name)
     die = floorplan.die
 
-    net_names = netlist_arrays(netlist).driven_loaded_nets()
+    arrays = netlist_arrays(netlist)
+    net_names = arrays.driven_loaded_nets()
     rng.shuffle(net_names)
     protected: Set[str] = set(net_names[: int(len(net_names) * protect_fraction)])
 
@@ -62,9 +63,12 @@ def synergistic_defense(
     row_of = {name: row for row, name in enumerate(placement.gate_positions)}
     xs = placement.gate_x.tolist()
     ys = placement.gate_y.tolist()
+    sink_start = arrays.sink_start.tolist()
+    sink_gates = arrays.fanin_gate[arrays.sink_row].tolist()
     for net_name in sorted(protected):
-        for sink_gate, _pin in netlist.nets[net_name].sinks:
-            r = row_of.get(sink_gate)
+        net = arrays.net_id[net_name]
+        for sink_gate in sink_gates[sink_start[net]:sink_start[net + 1]]:
+            r = row_of.get(arrays.gate_names[sink_gate])
             if r is None:
                 continue
             candidate = Point(

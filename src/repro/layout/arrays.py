@@ -1,21 +1,20 @@
 """Columnar geometry core: array-backed views of placements and layouts.
 
 Every geometry-heavy consumer in the repository — the proximity attacks, the
-Table 1 / Fig. 4 distance metrics, HPWL and wirelength accounting, the
-placer's legality check and the perturbation defenses — historically walked
-per-object :class:`~repro.layout.geometry.Point` structures pair by pair in
-Python.  This module provides the columnar alternative:
+Table 1 / Fig. 4 distance metrics, wirelength and via accounting and the
+perturbation defenses — historically walked per-object
+:class:`~repro.layout.geometry.Point` structures pair by pair in Python.
+This module provides the columnar alternative:
 
-* :class:`PlacementArrays` — NumPy coordinate/width/row arrays for every
-  placed gate and I/O port, plus the netlist's driver→sink connection pairs
-  and per-net terminal lists in CSR form, all in the same deterministic
-  iteration order the legacy per-object loops used (so vectorized consumers
-  are bit-exact drop-ins);
+* :class:`PlacementArrays` — the placed gates' coordinates plus the
+  netlist's driver→sink connection pairs, in the same deterministic order
+  the legacy per-object loop used (so the distance metric is a bit-exact
+  drop-in);
 * :class:`RoutingArrays` — one routing's segment/via/connection columns,
   the only representation of a routing (and its read-only name →
   ``RoutedNet`` mapping);
-* :class:`LayoutArrays` — :class:`PlacementArrays` plus routed-segment and
-  via columns (layer, length, owning-net index);
+* :class:`LayoutArrays` — a routing's segment and via columns (layer,
+  length, owning-net index);
 * :class:`UniformGridIndex` — a uniform-grid spatial index over 2-D points
   for batched Manhattan nearest-neighbor queries, with
   first-occurrence (lowest index) tie-breaking that matches a naive
@@ -47,7 +46,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence,
     Set, Tuple,
@@ -273,52 +271,30 @@ def _finite_points(xy: np.ndarray, name: str) -> np.ndarray:
 class PlacementSkeleton:
     """The geometry-independent half of a placement view.
 
-    Names, index maps, connection pairs, HPWL terminal indices and cell
-    widths depend only on the netlist topology and the *set/order* of placed
-    objects — not on their coordinates — so they survive pure geometry edits
-    (gate moves) and are cached separately from the coordinate columns.
+    The driver→sink connection pairs depend only on the netlist topology
+    and the *set/order* of placed gates — not on their coordinates — so they
+    survive pure geometry edits (gate moves) and are cached separately from
+    the coordinate columns.
     """
 
-    #: The placement's gate name table and the table index of every row;
-    #: ``gate_names``/``gate_index`` are built from them on first use.
-    row_table: Sequence[str]
-    row_index: np.ndarray      # (num_gates,) int64
-    gate_widths: np.ndarray    # (num_gates,) float64 (0.0 for unknown gates)
-    #: Placed gate names absent from the netlist (consumers that need strict
-    #: name resolution, e.g. the legality check, raise on these).
-    missing_gates: List[str]
-    port_names: List[str]
-    port_index: Dict[str, int]
-    net_names: List[str]
+    #: Placed gates the netlist lacks (a skeleton with any is never
+    #: relabelled).
+    missing: int
     net_index_by_name: Dict[str, int]
-    #: Driver→sink gate connection pairs (indices into the gate arrays).
+    #: Driver→sink gate connection pairs (placement rows), net then sink
+    #: order, and the net of each.
     pair_driver: np.ndarray    # (num_pairs,) intp
     pair_sink: np.ndarray      # (num_pairs,) intp
-    pair_net: np.ndarray       # (num_pairs,) intp — index into net_names
-    #: Per-net terminal indices into the combined gate+port coordinate table
-    #: (driver / PI port, sink gates, PO ports) in CSR form.
-    term_indices: np.ndarray   # (num_terms,) intp
-    term_offsets: np.ndarray   # (num_nets + 1,) intp
-
-    @cached_property
-    def gate_names(self) -> List[str]:
-        """The gate name of every placement row."""
-        return list(map(self.row_table.__getitem__, self.row_index.tolist()))
-
-    @cached_property
-    def gate_index(self) -> Dict[str, int]:
-        """Gate name → placement row."""
-        return dict(zip(self.gate_names, range(len(self.row_index))))
+    pair_net: np.ndarray       # (num_pairs,) intp
 
     @staticmethod
     def build(netlist: Netlist, placement: "PlacementResult") -> "PlacementSkeleton":
         """The skeleton of ``placement`` against ``netlist``, read off the
-        netlist's integer columns: pairs and terminals in net order, each
-        net's terminals its driver gate (or primary-input port), its placed
-        sinks in ``Net.sinks`` order, then its primary-output ports."""
+        netlist's integer columns: one pair per placed sink of a net whose
+        driver gate is placed, nets in netlist order, sinks in ``Net.sinks``
+        order."""
         arrays = netlist_arrays(netlist)
         table, rows = placement.gate_names, placement.gate_index
-        num_gates = len(rows)
         if table is arrays.gate_names or table == arrays.gate_names:
             netlist_gate = rows.astype(np.int64)
         else:
@@ -327,51 +303,20 @@ class PlacementSkeleton:
                                    dtype=np.int64, count=len(table))
             netlist_gate = by_table[rows]
         known = netlist_gate >= 0
-        widths = arrays.cell_column("width_um")
-        gate_widths = np.zeros(num_gates, dtype=np.float64)
-        gate_widths[known] = widths[netlist_gate[known]]
-        missing_gates = [table[i] for i in rows[~known].tolist()]
-        port_names = placement.port_names
-        port_index = {name: i for i, name in enumerate(port_names)}
-
         # Placement row of every netlist gate (-1: not placed).
         row_of = np.full(arrays.num_gates + 1, -1, dtype=np.intp)
         row_of[netlist_gate[known]] = np.flatnonzero(known)
-        num_nets = arrays.num_nets
         driver = row_of[arrays.net_driver]  # net_driver -1 reads the -1 pad
-        # -- connection pairs (gate driver → gate sinks), net then sink order --
-        sink_net = np.repeat(np.arange(num_nets, dtype=np.intp), np.diff(arrays.sink_start))
+        sink_net = np.repeat(np.arange(arrays.num_nets, dtype=np.intp),
+                             np.diff(arrays.sink_start))
         sink = row_of[arrays.fanin_gate[arrays.sink_row]]
         pair = (driver[sink_net] >= 0) & (sink >= 0)
-        # -- HPWL terminals: head (driver or PI port), sinks, PO ports --------
-        pi_port = np.full(num_nets, -1, dtype=np.intp)
-        for net in np.flatnonzero(arrays.net_is_pi).tolist():
-            pi_port[net] = port_index.get(arrays.net_names[net], -1)
-        head = np.where(driver >= 0, driver,
-                        np.where(pi_port >= 0, num_gates + pi_port, -1))
-        po_port = np.asarray([port_index.get(po, -1) for po in arrays.primary_outputs],
-                             dtype=np.intp)[arrays.net_po]
-        po_net = np.repeat(np.arange(num_nets, dtype=np.intp), np.diff(arrays.net_po_start))
-        term_net = np.concatenate((np.flatnonzero(head >= 0), sink_net[sink >= 0],
-                                   po_net[po_port >= 0]))
-        term_idx = np.concatenate((head[head >= 0], sink[sink >= 0],
-                                   num_gates + po_port[po_port >= 0]))
-        by_net = np.argsort(term_net, kind="stable")
-
         return PlacementSkeleton(
-            row_table=table,
-            row_index=rows,
-            gate_widths=gate_widths,
-            missing_gates=missing_gates,
-            port_names=port_names,
-            port_index=port_index,
-            net_names=arrays.net_names,
+            missing=int(len(rows) - np.count_nonzero(known)),
             net_index_by_name=arrays.net_id,
             pair_driver=driver[sink_net[pair]],
             pair_sink=sink[pair],
             pair_net=sink_net[pair],
-            term_indices=term_idx[by_net].astype(np.intp),
-            term_offsets=_csr(np.bincount(term_net, minlength=num_nets)).astype(np.intp),
         )
 
 
@@ -389,11 +334,11 @@ def _relabelled_skeleton(netlist: Netlist,
                          placement: "PlacementResult") -> Optional[PlacementSkeleton]:
     """The last built skeleton relabelled to ``placement``'s gate order.
 
-    Connection pairs and HPWL terminals follow the netlist's net order, not
-    the gate order, so when ``placement`` places exactly the base skeleton's
-    gates (in any order, over the same name table) against the same netlist
-    topology and port list, a fresh build equals the base with every gate
-    index mapped through one gather.  Returns None when that does not hold.
+    Connection pairs follow the netlist's net order, not the gate order, so
+    when ``placement`` places exactly the base skeleton's gates (in any
+    order, over the same name table) against the same netlist topology, a
+    fresh build equals the base with every gate row mapped through one
+    gather.  Returns None when that does not hold.
     """
     last = _last_built
     if last is None:
@@ -401,11 +346,10 @@ def _relabelled_skeleton(netlist: Netlist,
     ref, version, base, table, base_order = last
     num_gates = len(placement.gate_index)
     if (ref() is not netlist or version != netlist.topology_version
-            or base.missing_gates
-            or num_gates != len(base.row_index)
+            or base.missing
+            or num_gates != len(base_order)
             or (placement.gate_names is not table
-                and placement.gate_names != table)
-            or base.port_names != placement.port_names):
+                and placement.gate_names != table)):
         return None
     rows = np.arange(num_gates, dtype=np.intp)
     row_of = np.full(len(table), -1, dtype=np.intp)
@@ -415,23 +359,12 @@ def _relabelled_skeleton(netlist: Netlist,
     new_of_old[old_of_new] = rows
     if (old_of_new < 0).any() or (new_of_old < 0).any():
         return None
-    term_indices = base.term_indices.copy()
-    is_gate = term_indices < num_gates
-    term_indices[is_gate] = new_of_old[term_indices[is_gate]]
     return PlacementSkeleton(
-        row_table=placement.gate_names,
-        row_index=placement.gate_index,
-        gate_widths=base.gate_widths[old_of_new],
-        missing_gates=[],
-        port_names=base.port_names,
-        port_index=base.port_index,
-        net_names=base.net_names,
+        missing=0,
         net_index_by_name=base.net_index_by_name,
         pair_driver=new_of_old[base.pair_driver],
         pair_sink=new_of_old[base.pair_sink],
         pair_net=base.pair_net,
-        term_indices=term_indices,
-        term_offsets=base.term_offsets,
     )
 
 
@@ -443,12 +376,7 @@ def _placement_skeleton(netlist: Netlist,
     sweep) gets that skeleton relabelled instead of a new netlist walk.
     """
     global _last_built
-    key = (
-        netlist.name,
-        netlist.topology_version,
-        len(placement.gate_index),
-        len(placement.port_names),
-    )
+    key = (netlist.name, netlist.topology_version, len(placement.gate_index))
     cached = placement.__dict__.get("_skeleton_cache")
     if cached is not None and cached[0] == key:
         return cached[1]
@@ -463,71 +391,17 @@ def _placement_skeleton(netlist: Netlist,
 
 @dataclass
 class PlacementArrays:
-    """Array-backed view of a placement against one netlist.
-
-    All orderings are deterministic and mirror the legacy per-object loops:
-    gates follow ``placement.gate_positions`` insertion order, ports follow
-    ``placement.port_positions``, connection pairs follow
-    ``netlist.nets`` iteration order (driver first, then ``net.sinks`` order)
-    — so vectorized consumers reproduce the historical results bit-exactly.
-
-    The view is split into the geometry-independent :class:`PlacementSkeleton`
-    (shared across pure gate moves) and the coordinate columns rebuilt per
-    ``geometry_version``.
+    """Array-backed view of a placement against one netlist: the gate
+    coordinates in placement row order and the driver→sink connection
+    pairs of :class:`PlacementSkeleton` (shared across pure gate moves),
+    rebuilt per ``geometry_version``.  Pair order mirrors the legacy
+    per-object loop (nets in netlist order, sinks in ``Net.sinks`` order),
+    so :meth:`pair_distances` is bit-exact with it.
     """
 
     skeleton: PlacementSkeleton
     gate_xy: np.ndarray        # (num_gates, 2) float64
-    port_xy: np.ndarray        # (num_ports, 2) float64
-    #: Per-net terminal coordinates (CSR with ``term_offsets``).
-    term_x: np.ndarray         # (num_terms,) float64
-    term_y: np.ndarray         # (num_terms,) float64
     _pair_distances: Optional[np.ndarray] = field(default=None, repr=False)
-
-    # -- skeleton delegation (public API kept flat) -------------------------
-    @property
-    def gate_names(self) -> List[str]:
-        return self.skeleton.gate_names
-
-    @property
-    def gate_index(self) -> Dict[str, int]:
-        return self.skeleton.gate_index
-
-    @property
-    def gate_widths(self) -> np.ndarray:
-        return self.skeleton.gate_widths
-
-    @property
-    def port_names(self) -> List[str]:
-        return self.skeleton.port_names
-
-    @property
-    def net_names(self) -> List[str]:
-        return self.skeleton.net_names
-
-    @property
-    def net_index_by_name(self) -> Dict[str, int]:
-        return self.skeleton.net_index_by_name
-
-    @property
-    def pair_driver(self) -> np.ndarray:
-        return self.skeleton.pair_driver
-
-    @property
-    def pair_sink(self) -> np.ndarray:
-        return self.skeleton.pair_sink
-
-    @property
-    def pair_net(self) -> np.ndarray:
-        return self.skeleton.pair_net
-
-    @property
-    def term_offsets(self) -> np.ndarray:
-        return self.skeleton.term_offsets
-
-    @property
-    def num_gates(self) -> int:
-        return len(self.skeleton.row_index)
 
     def pair_distances(self) -> np.ndarray:
         """Manhattan distance of every driver→sink connection pair (cached).
@@ -536,55 +410,29 @@ class PlacementArrays:
         per-pair order, as the legacy ``manhattan(driver, sink)`` loop.
         """
         if self._pair_distances is None:
+            driver, sink = self.skeleton.pair_driver, self.skeleton.pair_sink
             gx = self.gate_xy[:, 0]
             gy = self.gate_xy[:, 1]
             self._pair_distances = (
-                np.abs(gx[self.pair_driver] - gx[self.pair_sink])
-                + np.abs(gy[self.pair_driver] - gy[self.pair_sink])
+                np.abs(gx[driver] - gx[sink]) + np.abs(gy[driver] - gy[sink])
             )
         return self._pair_distances
 
     def pair_mask_for_nets(self, nets: Set[str]) -> np.ndarray:
         """Boolean mask selecting the connection pairs of ``nets``."""
+        net_index = self.skeleton.net_index_by_name
         selected = np.asarray(
-            sorted(self.net_index_by_name[name] for name in nets
-                   if name in self.net_index_by_name),
+            sorted(net_index[name] for name in nets if name in net_index),
             dtype=np.intp,
         )
-        return np.isin(self.pair_net, selected)
-
-    def net_hpwl(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-net HPWL over all nets with at least one placed terminal.
-
-        Returns ``(net_indices, hpwl)`` where nets with fewer than two
-        terminals are excluded (their HPWL is zero by the legacy convention).
-        """
-        counts = np.diff(self.term_offsets)
-        nonzero = counts > 0
-        if not nonzero.any():
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-        starts = self.term_offsets[:-1][nonzero]
-        max_x = np.maximum.reduceat(self.term_x, starts)
-        min_x = np.minimum.reduceat(self.term_x, starts)
-        max_y = np.maximum.reduceat(self.term_y, starts)
-        min_y = np.minimum.reduceat(self.term_y, starts)
-        hpwl = (max_x - min_x) + (max_y - min_y)
-        valid = counts[nonzero] >= 2
-        return np.nonzero(nonzero)[0][valid].astype(np.intp), hpwl[valid]
+        return np.isin(self.skeleton.pair_net, selected)
 
     @staticmethod
     def build(netlist: Netlist, placement: "PlacementResult") -> "PlacementArrays":
-        skeleton = _placement_skeleton(netlist, placement)
-        # The skeleton lists the gates in placement row order.
-        gate_xy = np.column_stack((placement.gate_x, placement.gate_y))
-        port_xy = np.column_stack((placement.port_x, placement.port_y))
-        combined_xy = np.concatenate([gate_xy, port_xy])
+        # The skeleton's pairs index the gates in placement row order.
         return PlacementArrays(
-            skeleton=skeleton,
-            gate_xy=gate_xy,
-            port_xy=port_xy,
-            term_x=combined_xy[skeleton.term_indices, 0],
-            term_y=combined_xy[skeleton.term_indices, 1],
+            skeleton=_placement_skeleton(netlist, placement),
+            gate_xy=np.column_stack((placement.gate_x, placement.gate_y)),
         )
 
 
@@ -904,9 +752,8 @@ def _csr(counts: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LayoutArrays:
-    """Array-backed view of a routed layout (placement + segment/via columns)."""
+    """Array-backed view of a layout's routing: segment and via columns."""
 
-    placement: PlacementArrays
     routing: RoutingArrays
     seg_layer: np.ndarray    # (num_segments,) int64
     seg_length: np.ndarray   # (num_segments,) float64
@@ -954,8 +801,7 @@ class LayoutArrays:
         }
 
     @staticmethod
-    def build(netlist: Netlist, placement: "PlacementResult",
-              routing: RoutingArrays) -> "LayoutArrays":
+    def build(routing: RoutingArrays) -> "LayoutArrays":
         """Pure column work over the routing columns.
 
         Reproduces the per-object walk exactly: per-segment lengths are the
@@ -963,7 +809,6 @@ class LayoutArrays:
         via column interleaves each net's driver vias before its connection
         vias (the ``RoutedNet.all_vias`` order).
         """
-        base = placement_arrays(netlist, placement)
         num_nets = routing.num_nets
         net_ids = np.arange(num_nets, dtype=np.intp)
         seg_bounds = routing.seg_starts[routing.conn_starts]
@@ -990,7 +835,6 @@ class LayoutArrays:
         )
         via_lower[cpos] = routing.via_lower
         return LayoutArrays(
-            placement=base,
             routing=routing,
             seg_layer=routing.seg_layer,
             seg_length=routing.segment_lengths(),

@@ -22,6 +22,7 @@ import re
 from typing import List, Optional
 
 from repro.layout.layout import Layout
+from repro.netlist.arrays import netlist_arrays
 
 #: DEF database units per micrometre.
 DBU_PER_UM = 1000
@@ -44,10 +45,12 @@ def export_def(layout: Layout) -> str:
         )
     )
 
+    arrays = netlist_arrays(layout.netlist)
+    cell_names = [table.cell.name for table in arrays.cells]
     components = layout.placement.gate_positions
     lines.append(f"COMPONENTS {len(components)} ;")
     for gate_name, pos in components.items():
-        cell = layout.netlist.gates[gate_name].cell.name
+        cell = cell_names[arrays.gate_cell[arrays.gate_id[gate_name]]]
         lines.append(
             f"- {gate_name} {cell} + PLACED ( {_dbu(pos.x)} {_dbu(pos.y)} ) N ;"
         )
@@ -105,13 +108,3 @@ def split_def(def_text: str, split_layer: int) -> str:
         kept.append(line)
     return "\n".join(kept) + "\n"
 
-
-def count_def_statements(def_text: str) -> dict:
-    """Small helper returning counts of components/pins/wires/vias in a DEF text."""
-    return {
-        "components": len(re.findall(r"\+ PLACED", def_text))
-        - len(re.findall(r"\+ NET", def_text)),
-        "pins": len(re.findall(r"\+ NET", def_text)),
-        "wires": len(_ROUTED_RE.findall(def_text)),
-        "vias": len(_VIA_RE.findall(def_text)),
-    }

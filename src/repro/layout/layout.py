@@ -102,15 +102,14 @@ class Layout:
         return value
 
     def arrays(self) -> LayoutArrays:
-        """The cached array-backed view of this layout.
+        """The cached segment/via columns of this layout's routing.
 
         Rebuilt automatically whenever the netlist's ``topology_version``,
         the placement's ``geometry_version`` or this layout's own
         ``geometry_version`` changes; see :mod:`repro.layout.arrays` for the
         invalidation contract.
         """
-        return self.cached("_geometry_cache", lambda: LayoutArrays.build(
-            self.netlist, self.placement, self.routing))
+        return self.cached("_geometry_cache", lambda: LayoutArrays.build(self.routing))
 
     # ------------------------------------------------------------------
     # Geometry queries
@@ -124,22 +123,6 @@ class Layout:
 
     def port_position(self, port_name: str) -> Point:
         return self.placement.port_positions[port_name]
-
-    def net_terminal_positions(self, net_name: str) -> List[Point]:
-        """Positions of every terminal (driver + sinks + POs) of a net."""
-        net = self.netlist.nets[net_name]
-        points: List[Point] = []
-        if net.driver is not None and net.driver[0] in self.placement.gate_positions:
-            points.append(self.gate_position(net.driver[0]))
-        elif net.is_primary_input and net.name in self.placement.port_positions:
-            points.append(self.port_position(net.name))
-        for sink_gate, _pin in net.sinks:
-            if sink_gate in self.placement.gate_positions:
-                points.append(self.gate_position(sink_gate))
-        for po in net.primary_outputs:
-            if po in self.placement.port_positions:
-                points.append(self.port_position(po))
-        return points
 
     # ------------------------------------------------------------------
     # Wirelength / via accounting

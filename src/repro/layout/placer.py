@@ -187,9 +187,6 @@ class PlacementResult:
             )
         return view
 
-    def position_of(self, gate_name: str) -> Point:
-        return self.gate_positions[gate_name]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlacementResult):
             return NotImplemented
@@ -579,78 +576,3 @@ def place_batch(netlist: Netlist, seeds: Sequence[int],
         return []
     return _place_batch(netlist, list(seeds), floorplan, utilization)
 
-
-def placement_hpwl(netlist: Netlist, placement: PlacementResult) -> float:
-    """Total half-perimeter wirelength of ``placement`` in µm.
-
-    Computed in one vectorized pass over the CSR terminal arrays of the
-    cached columnar placement view (see :mod:`repro.layout.arrays`); per-net
-    HPWL values are bit-exact with the historical per-object loop (max/min
-    over the same terminals), only the order of the final summation differs.
-    """
-    from repro.layout.arrays import placement_arrays
-
-    arrays = placement_arrays(netlist, placement)
-    _net_indices, hpwl = arrays.net_hpwl()
-    return float(np.sum(hpwl)) if hpwl.size else 0.0
-
-
-def check_legality(netlist: Netlist, placement: PlacementResult,
-                   tolerance: float = 1e-6) -> List[str]:
-    """Return a list of legality violations (off-die or overlapping cells).
-
-    Operates on the columnar coordinate/width arrays of the placement; the
-    produced problem strings and their order are identical to the historical
-    per-gate loop (off-die problems in placement order, then per-row overlaps
-    with rows in first-encounter order and cells sorted by (x, width, name)).
-    """
-    from repro.layout.arrays import placement_arrays
-
-    problems: List[str] = []
-    fp = placement.floorplan
-    arrays = placement_arrays(netlist, placement)
-    names = arrays.gate_names
-    if not names:
-        return problems
-    # The cached width column; the legacy loop raised for placed gates the
-    # netlist doesn't know, so preserve that loudly.
-    if arrays.skeleton.missing_gates:
-        raise KeyError(arrays.skeleton.missing_gates[0])
-    widths = arrays.gate_widths
-    xs = arrays.gate_xy[:, 0]
-    ys = arrays.gate_xy[:, 1]
-    # NOTE: the width term in the x check cancels algebraically (the
-    # condition is xs > x_max + tolerance) — preserved as-is from the legacy
-    # check so legality verdicts stay identical to the seed.
-    bad_x = (xs < fp.die.x_min - tolerance) | (xs + widths > fp.die.x_max + widths + tolerance)
-    bad_y = (ys < fp.die.y_min - tolerance) | (ys > fp.die.y_max + tolerance)
-    for i in np.nonzero(bad_x | bad_y)[0]:
-        if bad_x[i]:
-            problems.append(f"{names[i]} outside die in x")
-        if bad_y[i]:
-            problems.append(f"{names[i]} outside die in y")
-
-    # One global sort by (row, x, width, name) — the legacy per-row tuple
-    # sort, all rows at once — then adjacent-pair comparisons within rows.
-    rows = fp.nearest_rows(ys)
-    names_arr = np.asarray(names, dtype=object)
-    order = np.lexsort((names_arr, widths, xs, rows))
-    sorted_rows = rows[order]
-    x1 = xs[order[:-1]]
-    w1 = widths[order[:-1]]
-    x2 = xs[order[1:]]
-    overlapping = (sorted_rows[:-1] == sorted_rows[1:]) & (
-        x2 < x1 + w1 * 0.5 - tolerance
-    )
-    by_row: Dict[int, List[str]] = {}
-    for k in np.nonzero(overlapping)[0]:
-        row = int(sorted_rows[k])
-        by_row.setdefault(row, []).append(
-            f"severe overlap between {names[order[k]]} and "
-            f"{names[order[k + 1]]} in row {row}"
-        )
-    # Emit rows in first-encounter (placement) order, like the legacy dict.
-    _unique_rows, first_pos = np.unique(rows, return_index=True)
-    for row in rows[np.sort(first_pos)]:
-        problems.extend(by_row.get(int(row), []))
-    return problems

@@ -7,10 +7,15 @@ from a logic-design point of view:
   Nangate FreePDK45 Open Cell Library (area, pin capacitance, drive
   resistance, intrinsic delay, leakage) plus the paper's custom *correction*
   and *naive-lifting* cells;
-* :mod:`repro.netlist.netlist` — the :class:`Netlist` / :class:`Gate` /
-  :class:`Net` data model with driver/sink connectivity editing;
-* :mod:`repro.netlist.graph` — combinational-loop detection,
-  topological ordering, reachability (used to keep randomization loop-free);
+* :mod:`repro.netlist.netlist` — the :class:`Netlist` data model (integer
+  connectivity columns with driver/sink editing) and its read API: the
+  :class:`Gate` / :class:`Net` objects ``netlist.gates`` / ``netlist.nets``
+  build per lookup.  It is the only module that builds them;
+* :mod:`repro.netlist.arrays` — the netlist's integer view
+  (:func:`~repro.netlist.arrays.netlist_arrays`) with its orderings and
+  loop checks, which every other reader uses;
+* :mod:`repro.netlist.graph` — the transitive closure behind the attack's
+  loop-avoidance hint, and :class:`CombinationalLoopError`;
 * :mod:`repro.netlist.simulate` — bit-parallel logic simulation used for the
   OER and Hamming-distance security metrics;
 * :mod:`repro.netlist.bench_format` / :mod:`repro.netlist.verilog` — ISCAS
@@ -21,14 +26,7 @@ from a logic-design point of view:
 
 from repro.netlist.cells import Cell, CellLibrary, CellPin, nangate45_library
 from repro.netlist.netlist import Gate, Net, Netlist, PortDirection
-from repro.netlist.graph import (
-    CombinationalLoopError,
-    combinational_loops,
-    has_combinational_loop,
-    topological_gate_order,
-    transitive_fanin,
-    transitive_fanout,
-)
+from repro.netlist.graph import CombinationalLoopError
 from repro.netlist.simulate import SimulationResult, hamming_distance, output_error_rate, simulate
 from repro.netlist.equivalence import check_equivalence
 from repro.netlist.bench_format import parse_bench, write_bench
@@ -44,11 +42,6 @@ __all__ = [
     "Netlist",
     "PortDirection",
     "CombinationalLoopError",
-    "combinational_loops",
-    "has_combinational_loop",
-    "topological_gate_order",
-    "transitive_fanin",
-    "transitive_fanout",
     "SimulationResult",
     "hamming_distance",
     "output_error_rate",

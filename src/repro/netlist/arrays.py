@@ -7,12 +7,15 @@ pins in the cell's input-pin order), every gate output pin a *fan-out
 row*.  :func:`netlist_arrays` takes it once per
 :attr:`~repro.netlist.netlist.Netlist.topology_version`, the way
 :meth:`repro.layout.layout.Layout.arrays` is cached on the geometry
-versions, and it holds no reference to the netlist.  Simulation plans
-(:mod:`repro.netlist.engine`), the STA and power passes
-(:mod:`repro.timing`), the graph orderings (:mod:`repro.netlist.graph`),
-the placement and routing skeletons (:mod:`repro.layout`) and the store
-fingerprint (:mod:`repro.store.codec`) read it; none of them builds a
-``Gate`` or ``Net``.
+versions, and it holds no reference to the netlist.  It carries the
+orderings and loop checks (:meth:`~NetlistArrays.kahn`,
+:meth:`~NetlistArrays.is_acyclic`, :meth:`~NetlistArrays.pseudo_order`,
+:meth:`~NetlistArrays.levels`).  Every ``src/`` reader of a netlist reads
+it — simulation plans (:mod:`repro.netlist.engine`), the STA and power
+passes (:mod:`repro.timing`), the placement and routing skeletons
+(:mod:`repro.layout`), the writers, the defenses, the restore step and the
+store fingerprint (:mod:`repro.store.codec`); only
+:mod:`repro.netlist.netlist` builds a ``Gate`` or ``Net``.
 
 :class:`NetlistOverlay` is a netlist with some sink pins moved to other
 nets, as two override columns over a :class:`NetlistArrays`: the fan-in

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.netlist.arrays import netlist_arrays
 from repro.netlist.cells import CellLibrary, default_library
 from repro.netlist.netlist import Netlist, NetlistError
 
@@ -218,18 +219,26 @@ def write_bench(netlist: Netlist) -> str:
     XNOR/DFF) can be written; complex cells (AOI/OAI/MUX, correction cells)
     raise :class:`BenchFormatError`.
     """
+    arrays = netlist_arrays(netlist)
+    names = arrays.net_names
+    fanin_start, fanin_net, fanout_start, fanout_net = (
+        column.tolist() for column in (arrays.fanin_start, arrays.fanin_net,
+                                       arrays.fanout_start, arrays.fanout_net))
     lines = [f"# {netlist.name} (generated by repro)"]
     for pi in netlist.primary_inputs:
         lines.append(f"INPUT({pi})")
     for po in netlist.primary_outputs:
         lines.append(f"OUTPUT({netlist.output_nets[po]})")
     lines.append("")
-    for gate in netlist.gates.values():
-        op = _op_for_cell(gate.cell.name)
-        out_pin = gate.output_pin_names[0]
-        out_net = gate.net_on(out_pin)
-        in_nets = [gate.net_on(p) for p in gate.input_pin_names if gate.net_on(p)]
+    for gate, cell in enumerate(arrays.gate_cell.tolist()):
+        table = arrays.cells[cell]
+        op = _op_for_cell(table.cell.name)
+        out_net = fanout_net[fanout_start[gate]]
+        in_nets = fanin_net[fanin_start[gate]:fanin_start[gate + 1]]
         if op == "DFF":
-            in_nets = [gate.net_on("D")] if gate.net_on("D") else []
-        lines.append(f"{out_net} = {op}({', '.join(n for n in in_nets if n)})")
+            d = table.input_position.get("D")
+            in_nets = [] if d is None else [in_nets[d]]
+        in_names = [names[net] for net in in_nets if net >= 0]
+        lines.append(f"{names[out_net] if out_net >= 0 else None} = "
+                     f"{op}({', '.join(n for n in in_names if n)})")
     return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ This module is the execution path behind :mod:`repro.netlist.simulate`.  A
 netlist is compiled once into an **evaluation plan**: every net gets an
 integer *slot*, and the combinational gates become a flat op list
 (:attr:`SimPlan.arc_program`) in the loop-tolerant pseudo-topological order
-of :func:`~repro.netlist.graph.pseudo_topological_order`.  The plan runs as a
+of :func:`~repro.netlist.arrays.pseudo_order`.  The plan runs as a
 program over packed Python bigints (bit *i* of a net's value is the net's
 value under pattern *i*); see :func:`run_plan_bigints`.
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
+from repro.netlist.arrays import netlist_arrays
 from repro.netlist.cells import CellLibrary, default_library
 from repro.netlist.netlist import Netlist
 
@@ -115,10 +116,10 @@ def write_structural_verilog(netlist: Netlist) -> str:
         lines.append(f"  input {', '.join(netlist.primary_inputs)};")
     if netlist.primary_outputs:
         lines.append(f"  output {', '.join(netlist.primary_outputs)};")
-    internal = sorted(
-        name for name in netlist.nets
-        if name not in netlist.primary_inputs and name not in netlist.primary_outputs
-    )
+    arrays = netlist_arrays(netlist)
+    names = arrays.net_names
+    port_names = set(ports)
+    internal = sorted(name for name in names if name not in port_names)
     for chunk_start in range(0, len(internal), 10):
         chunk = internal[chunk_start:chunk_start + 10]
         lines.append(f"  wire {', '.join(chunk)};")
@@ -128,10 +129,17 @@ def write_structural_verilog(netlist: Netlist) -> str:
     for po in netlist.primary_outputs:
         if netlist.output_nets[po] != po:
             lines.append(f"  assign {po} = {netlist.output_nets[po]};")
-    for gate in netlist.gates.values():
-        conns = ", ".join(
-            f".{pin}({net})" for pin, net in sorted(gate.connections.items())
-        )
-        lines.append(f"  {gate.cell.name} {gate.name} ({conns});")
+    pin_nets = {False: (arrays.fanin_start.tolist(), arrays.fanin_net.tolist()),
+                True: (arrays.fanout_start.tolist(), arrays.fanout_net.tolist())}
+    for gate, (name, cell) in enumerate(zip(arrays.gate_names,
+                                            arrays.gate_cell.tolist())):
+        table = arrays.cells[cell]
+        conns = []
+        for pin, output, position in table.by_name:  # pins sorted by name
+            starts, nets = pin_nets[output]
+            net = nets[starts[gate] + position]
+            if net >= 0:
+                conns.append(f".{pin}({names[net]})")
+        lines.append(f"  {table.cell.name} {name} ({', '.join(conns)});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"

@@ -348,6 +348,9 @@ class ScenarioService:
             self._thread = None
         self._httpd.server_close()
         self.manager.close()
+        # Drop the server's back-reference: a stopped service, its job
+        # manager and its workspace are then freed by reference counting.
+        self._httpd.service = None  # type: ignore[attr-defined]
 
     def serve_forever(self) -> None:
         """Foreground entry point used by ``repro serve``."""
@@ -359,6 +362,7 @@ class ScenarioService:
         finally:
             self._httpd.server_close()
             self.manager.close()
+            self._httpd.service = None  # type: ignore[attr-defined]
 
     def __enter__(self) -> "ScenarioService":
         return self.start()

@@ -63,14 +63,6 @@ class WireModel:
         1.0, 1.0, 0.95, 0.95, 0.9, 0.9, 0.85, 0.85, 0.8, 0.8
     )
 
-    def wire_resistance(self, length_um: float, layer: int = 2) -> float:
-        scale = self.layer_resistance_scale[min(layer, len(self.layer_resistance_scale)) - 1]
-        return self.resistance_kohm_per_um * scale * length_um
-
-    def wire_capacitance(self, length_um: float, layer: int = 2) -> float:
-        scale = self.layer_capacitance_scale[min(layer, len(self.layer_capacitance_scale)) - 1]
-        return self.capacitance_ff_per_um * scale * length_um
-
 
 #: The per-net and per-gate dicts of a :class:`TimingReport`.
 _DETAIL_FIELDS = ("arrival_times_ps", "gate_delays_ps", "net_loads_ff")

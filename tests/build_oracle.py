@@ -734,6 +734,31 @@ def routing_perturbation_reference(
 # Correction-cell legalization
 # ---------------------------------------------------------------------------
 
+def cells_overlap(a: CorrectionCellInstance, b: CorrectionCellInstance,
+                  tolerance: float = 1e-6) -> bool:
+    """Whether the footprints of two correction cells overlap."""
+    return not (
+        a.position.x + a.width_um <= b.position.x + tolerance
+        or b.position.x + b.width_um <= a.position.x + tolerance
+        or a.position.y + a.height_um <= b.position.y + tolerance
+        or b.position.y + b.height_um <= a.position.y + tolerance
+    )
+
+
+def check_correction_cell_overlaps(instances: List[CorrectionCellInstance]
+                                   ) -> List[Tuple[str, str]]:
+    """Pairs of overlapping correction cells (empty list == legal)."""
+    overlaps: List[Tuple[str, str]] = []
+    ordered = sorted(instances, key=lambda inst: (inst.position.y, inst.position.x))
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            if b.position.y >= a.position.y + a.height_um - 1e-6:
+                break
+            if cells_overlap(a, b):
+                overlaps.append((a.name, b.name))
+    return overlaps
+
+
 def correction_cells_at_anchors(
     anchors: Sequence[Tuple[int, str, Optional[str], Point]],
     lift_layer: int,
@@ -804,62 +829,93 @@ def legalize_correction_cells_reference(
 
 
 # ---------------------------------------------------------------------------
+# Placement wirelength and legality by a walk over the Gate/Net objects
+# ---------------------------------------------------------------------------
+
+
+def placement_hpwl(netlist, placement: PlacementResult) -> float:
+    """Total half-perimeter wirelength (µm): per net, the bounding box of
+    its placed driver (or primary-input port), sinks and output ports."""
+    total = 0.0
+    for net in netlist.nets.values():
+        xs, ys = [], []
+        if net.driver is not None:
+            p = placement.gate_positions.get(net.driver[0])
+            if p is not None:
+                xs.append(p.x)
+                ys.append(p.y)
+        elif net.is_primary_input:
+            p = placement.port_positions.get(net.name)
+            if p is not None:
+                xs.append(p.x)
+                ys.append(p.y)
+        for sink_gate, _pin in net.sinks:
+            p = placement.gate_positions.get(sink_gate)
+            if p is not None:
+                xs.append(p.x)
+                ys.append(p.y)
+        for po in net.primary_outputs:
+            p = placement.port_positions.get(po)
+            if p is not None:
+                xs.append(p.x)
+                ys.append(p.y)
+        if len(xs) >= 2:
+            total += (max(xs) - min(xs)) + (max(ys) - min(ys))
+    return total
+
+
+def check_legality(netlist, placement: PlacementResult,
+                   tolerance: float = 1e-6) -> List[str]:
+    """Legality problems of a placement: cells off the die, then severe
+    overlaps per row (rows in first-encounter order, cells by x)."""
+    problems = []
+    fp = placement.floorplan
+    by_row = {}
+    for name, pos in placement.gate_positions.items():
+        width = netlist.gates[name].cell.width_um
+        if pos.x < fp.die.x_min - tolerance or pos.x + width > fp.die.x_max + width + tolerance:
+            problems.append(f"{name} outside die in x")
+        if pos.y < fp.die.y_min - tolerance or pos.y > fp.die.y_max + tolerance:
+            problems.append(f"{name} outside die in y")
+        row = fp.nearest_row(pos.y)
+        by_row.setdefault(row, []).append((pos.x, width, name))
+    for row, cells in by_row.items():
+        cells.sort()
+        for (x1, w1, n1), (x2, _w2, n2) in zip(cells, cells[1:]):
+            if x2 < x1 + w1 * 0.5 - tolerance:
+                problems.append(f"severe overlap between {n1} and {n2} in row {row}")
+    return problems
+
+
+# ---------------------------------------------------------------------------
 # Per-netlist skeletons by a walk over the Gate/Net objects
 # ---------------------------------------------------------------------------
 
 
 def placement_skeleton_reference(netlist, placement: PlacementResult) -> Dict[str, object]:
     """The fields ``PlacementSkeleton.build(netlist, placement)`` must hold,
-    by a walk over the netlist's nets by name: connection pairs and HPWL
-    terminals in net order (driver or primary-input port, placed sinks,
-    primary-output ports)."""
+    by a walk over the netlist's nets by name: one connection pair per
+    placed sink of a net whose driver gate is placed, in net order."""
     gate_names = list(placement.gate_positions)
     gate_index = {name: i for i, name in enumerate(gate_names)}
     gates = netlist.gates
-    gate_widths = [gates[name].cell.width_um if name in gates else 0.0
-                   for name in gate_names]
-    port_names = placement.port_names
-    port_index = {name: i for i, name in enumerate(port_names)}
-    num_gates = len(gate_names)
     pair_driver: List[int] = []
     pair_sink: List[int] = []
     pair_net: List[int] = []
-    term_idx: List[int] = []
-    term_offsets: List[int] = [0]
     for net_idx, net in enumerate(netlist.nets.values()):
         driver_idx = gate_index.get(net.driver[0]) if net.driver is not None else None
-        if driver_idx is not None:
-            for sink_gate, _pin in net.sinks:
-                sink_idx = gate_index.get(sink_gate)
-                if sink_idx is not None:
-                    pair_driver.append(driver_idx)
-                    pair_sink.append(sink_idx)
-                    pair_net.append(net_idx)
-        if driver_idx is not None:
-            term_idx.append(driver_idx)
-        elif net.is_primary_input:
-            pi = port_index.get(net.name)
-            if pi is not None:
-                term_idx.append(num_gates + pi)
+        if driver_idx is None:
+            continue
         for sink_gate, _pin in net.sinks:
             sink_idx = gate_index.get(sink_gate)
             if sink_idx is not None:
-                term_idx.append(sink_idx)
-        for po in net.primary_outputs:
-            pi = port_index.get(po)
-            if pi is not None:
-                term_idx.append(num_gates + pi)
-        term_offsets.append(len(term_idx))
-    net_names = list(netlist.nets)
+                pair_driver.append(driver_idx)
+                pair_sink.append(sink_idx)
+                pair_net.append(net_idx)
     return {
-        "gate_names": gate_names, "gate_index": gate_index,
-        "gate_widths": gate_widths,
-        "missing_gates": [name for name in gate_names if name not in gates],
-        "port_names": port_names, "port_index": port_index,
-        "net_names": net_names,
-        "net_index_by_name": {name: i for i, name in enumerate(net_names)},
+        "missing": sum(name not in gates for name in gate_names),
+        "net_index_by_name": {name: i for i, name in enumerate(netlist.nets)},
         "pair_driver": pair_driver, "pair_sink": pair_sink, "pair_net": pair_net,
-        "term_indices": term_idx, "term_offsets": term_offsets,
     }
 
 

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 import numpy as np
 
+from repro.netlist.arrays import netlist_arrays
 from repro.netlist.netlist import Netlist
 
 #: Prefix for pseudo-nodes representing primary inputs/outputs in graph views.
@@ -137,6 +138,16 @@ def topological_gate_order(netlist: Netlist) -> List[str]:
     if len(order) < len(in_degree):
         raise ValueError("combinational logic contains a cycle")
     return sequential + order
+
+
+def array_pseudo_order(netlist: Netlist) -> List[str]:
+    """The package's loop-tolerant evaluation order as gate names: the
+    sequential gates, then :meth:`NetlistArrays.pseudo_order
+    <repro.netlist.arrays.NetlistArrays.pseudo_order>` (what the simulation
+    plans compile), for comparison with :func:`pseudo_topological_order`."""
+    arrays = netlist_arrays(netlist)
+    gates = np.flatnonzero(arrays.sequential).tolist() + arrays.pseudo_order()
+    return [arrays.gate_names[g] for g in gates]
 
 
 def pseudo_topological_order(netlist: Netlist) -> List[str]:

@@ -20,6 +20,9 @@ JSON-document fingerprint and the by-name integer view.
 * ``netlist_arrays_reference`` is the by-name walk that
   :class:`repro.netlist.arrays.NetlistArrays` replaced with a snapshot of
   the netlist's columns.
+* ``write_bench_reference``, ``write_structural_verilog_reference`` and
+  ``export_def_reference`` are the writers as they read ``Gate``/``Net``
+  objects by name, before they read the netlist's columns.
 """
 
 from __future__ import annotations
@@ -632,3 +635,102 @@ def assert_same_netlist(netlist: Netlist, oracle: ObjectNetlist) -> None:
     assert netlist.validate() == oracle.validate()
     assert netlist_fingerprint(netlist) == netlist_fingerprint_reference(oracle)
     assert_arrays_match(netlist_arrays(netlist), netlist_arrays_reference(oracle))
+
+
+# ---------------------------------------------------------------------------
+# Writers by a walk over the Gate/Net objects
+# ---------------------------------------------------------------------------
+
+
+def write_bench_reference(netlist) -> str:
+    """``.bench`` text of ``netlist`` read gate by gate through
+    ``netlist.gates`` (the :func:`repro.netlist.bench_format.write_bench`
+    body before it read the netlist's columns)."""
+    from repro.netlist.bench_format import _op_for_cell
+
+    lines = [f"# {netlist.name} (generated by repro)"]
+    for pi in netlist.primary_inputs:
+        lines.append(f"INPUT({pi})")
+    for po in netlist.primary_outputs:
+        lines.append(f"OUTPUT({netlist.output_nets[po]})")
+    lines.append("")
+    for gate in netlist.gates.values():
+        op = _op_for_cell(gate.cell.name)
+        out_net = gate.net_on(gate.output_pin_names[0])
+        in_nets = [gate.net_on(p) for p in gate.input_pin_names if gate.net_on(p)]
+        if op == "DFF":
+            in_nets = [gate.net_on("D")] if gate.net_on("D") else []
+        lines.append(f"{out_net} = {op}({', '.join(n for n in in_nets if n)})")
+    return "\n".join(lines) + "\n"
+
+
+def write_structural_verilog_reference(netlist) -> str:
+    """Structural Verilog of ``netlist`` read through ``netlist.nets`` and
+    ``netlist.gates`` (the
+    :func:`repro.netlist.verilog.write_structural_verilog` body before it
+    read the netlist's columns)."""
+    ports = netlist.primary_inputs + netlist.primary_outputs
+    lines = [f"module {netlist.name} ({', '.join(ports)});"]
+    if netlist.primary_inputs:
+        lines.append(f"  input {', '.join(netlist.primary_inputs)};")
+    if netlist.primary_outputs:
+        lines.append(f"  output {', '.join(netlist.primary_outputs)};")
+    internal = sorted(
+        name for name in netlist.nets
+        if name not in netlist.primary_inputs and name not in netlist.primary_outputs
+    )
+    for chunk_start in range(0, len(internal), 10):
+        lines.append(f"  wire {', '.join(internal[chunk_start:chunk_start + 10])};")
+    for po in netlist.primary_outputs:
+        if netlist.output_nets[po] != po:
+            lines.append(f"  assign {po} = {netlist.output_nets[po]};")
+    for gate in netlist.gates.values():
+        conns = ", ".join(
+            f".{pin}({net})" for pin, net in sorted(gate.connections.items())
+        )
+        lines.append(f"  {gate.cell.name} {gate.name} ({conns});")
+    lines.append("endmodule")
+    return "\n".join(lines) + "\n"
+
+
+def export_def_reference(layout) -> str:
+    """DEF-like text of ``layout`` with each component's cell looked up by
+    name through ``netlist.gates`` (the :func:`repro.layout.def_io.export_def`
+    body before it read the netlist's columns)."""
+    from repro.layout.def_io import DBU_PER_UM, _dbu
+
+    fp = layout.floorplan
+    lines = [
+        "VERSION 5.8 ;",
+        f"DESIGN {layout.netlist.name} ;",
+        f"UNITS DISTANCE MICRONS {DBU_PER_UM} ;",
+        "DIEAREA ( {} {} ) ( {} {} ) ;".format(
+            _dbu(fp.die.x_min), _dbu(fp.die.y_min), _dbu(fp.die.x_max), _dbu(fp.die.y_max)
+        ),
+    ]
+    components = layout.placement.gate_positions
+    lines.append(f"COMPONENTS {len(components)} ;")
+    for gate_name, pos in components.items():
+        cell = layout.netlist.gates[gate_name].cell.name
+        lines.append(f"- {gate_name} {cell} + PLACED ( {_dbu(pos.x)} {_dbu(pos.y)} ) N ;")
+    lines.append("END COMPONENTS")
+    ports = layout.placement.port_positions
+    lines.append(f"PINS {len(ports)} ;")
+    for port_name, pos in ports.items():
+        direction = "INPUT" if port_name in layout.netlist.primary_inputs else "OUTPUT"
+        lines.append(f"- {port_name} + NET {port_name} + DIRECTION {direction} "
+                     f"+ PLACED ( {_dbu(pos.x)} {_dbu(pos.y)} ) N ;")
+    lines.append("END PINS")
+    lines.append(f"NETS {len(layout.routing)} ;")
+    for net_name, routed in layout.routing.items():
+        lines.append(f"- {net_name}")
+        for segment in routed.all_segments():
+            lines.append(f"  + ROUTED metal{segment.layer} "
+                         f"( {_dbu(segment.x1)} {_dbu(segment.y1)} ) "
+                         f"( {_dbu(segment.x2)} {_dbu(segment.y2)} )")
+        for via in routed.all_vias():
+            lines.append(f"  + VIA via{via.lower}_{via.upper} ( {_dbu(via.x)} {_dbu(via.y)} )")
+        lines.append("  ;")
+    lines.append("END NETS")
+    lines.append("END DESIGN")
+    return "\n".join(lines) + "\n"

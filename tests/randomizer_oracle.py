@@ -51,6 +51,36 @@ def _driver_gate(netlist: Netlist, net_name: str) -> Optional[str]:
     return driver[0] if driver is not None else None
 
 
+def would_create_loop(netlist: Netlist, driver_gate: Optional[str],
+                      sink_gate: str) -> bool:
+    """Whether connecting ``driver_gate``'s output to an input of
+    ``sink_gate`` would close a combinational loop, by a walk over the
+    gates by name.
+
+    ``driver_gate`` may be ``None`` (a primary-input driver), which never
+    closes a loop.  A loop appears iff ``driver_gate`` is reachable from
+    ``sink_gate`` through combinational gates, or they are the same
+    combinational gate.
+    """
+    if driver_gate is None:
+        return False
+    gates = netlist.gates
+    if driver_gate == sink_gate:
+        return not gates[sink_gate].cell.is_sequential
+    if gates[driver_gate].cell.is_sequential or gates[sink_gate].cell.is_sequential:
+        return False
+    seen = {sink_gate}
+    stack = [sink_gate]
+    while stack:
+        for succ in netlist.fanout_gates(stack.pop()):
+            if succ == driver_gate:
+                return True
+            if succ not in seen and not gates[succ].cell.is_sequential:
+                seen.add(succ)
+                stack.append(succ)
+    return False
+
+
 class _LoopChecker:
     """Incremental combinational-loop checker over gate-level connectivity."""
 

@@ -9,7 +9,7 @@ graph built from the netlist's integer view and the cut-net mask, the
 recovery is a :class:`~repro.netlist.arrays.NetlistOverlay` instead of an
 edited netlist copy, crouting counts candidates from one Chebyshev-distance
 block per sink block, and
-:func:`repro.netlist.graph.pseudo_topological_order` breaks cycles from a
+:meth:`repro.netlist.arrays.NetlistArrays.pseudo_order` breaks cycles from a
 lazy heap.  The implementations they replaced live on in
 ``tests/attack_oracle.py`` (``linear_sum_assignment`` on the driver-slot
 matrix and the copy-and-edit ``rebuild_netlist`` included),
@@ -50,7 +50,7 @@ from repro.layout.layout import build_layout
 from repro.netlist.cells import NUM_METAL_LAYERS
 from repro.netlist.arrays import NetlistOverlay, netlist_arrays
 from repro.netlist.engine import compile_plan
-from repro.netlist.graph import has_combinational_loop, pseudo_topological_order, transitive_closure
+from repro.netlist.graph import transitive_closure
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import error_rate_and_hamming
 from repro.sm.split import extract_feol
@@ -123,8 +123,9 @@ def check_recovery(reference: Netlist, overlay: NetlistOverlay, oracle: Netlist,
     recovered = overlay.netlist()
     assert recovered.name == oracle.name
     assert connectivity(recovered) == connectivity(oracle)
-    assert pseudo_topological_order(recovered) == graph_oracle.pseudo_topological_order(oracle)
-    return has_combinational_loop(oracle)
+    assert graph_oracle.array_pseudo_order(recovered) == \
+        graph_oracle.pseudo_topological_order(oracle)
+    return not netlist_arrays(oracle).is_acyclic()
 
 
 def check_attack(view, config):
@@ -549,8 +550,8 @@ def loopy_netlists(draw):
 @settings(max_examples=200, deadline=None)
 @given(loopy_netlists())
 def test_pseudo_topological_order_equals_linear_scan(netlist):
-    assert pseudo_topological_order(netlist) == graph_oracle.pseudo_topological_order(
-        netlist)
+    assert graph_oracle.array_pseudo_order(netlist) == \
+        graph_oracle.pseudo_topological_order(netlist)
 
 
 @settings(max_examples=40, deadline=None)
@@ -564,8 +565,8 @@ def test_loop_bitmap_on_cyclic_netlists(netlist, split):
 @pytest.mark.parametrize("circuit", sorted(ISCAS85_PROFILES))
 def test_pseudo_topological_order_on_iscas(circuit):
     netlist = get_benchmark(circuit, seed=1)
-    assert pseudo_topological_order(netlist) == graph_oracle.pseudo_topological_order(
-        netlist)
+    assert graph_oracle.array_pseudo_order(netlist) == \
+        graph_oracle.pseudo_topological_order(netlist)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,8 @@
 
 import pytest
 
-from build_oracle import correction_cells_at_anchors
-from repro.core.correction_cells import (
-    check_correction_cell_overlaps,
-    correction_cell_name,
-    place_correction_cells,
-)
+from build_oracle import cells_overlap, check_correction_cell_overlaps, correction_cells_at_anchors
+from repro.core.correction_cells import correction_cell_name, place_correction_cells
 from repro.layout.floorplan import build_floorplan
 from repro.layout.geometry import Point, manhattan
 
@@ -77,6 +73,6 @@ class TestPlacement:
         a, b, c = correction_cells_at_anchors(
             [(0, "driver", None, Point(0, 0)), (1, "sink", None, Point(0.1, 0.1)),
              (2, "sink", None, Point(50, 50))], 6)
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
+        assert cells_overlap(a, b)
+        assert not cells_overlap(a, c)
         assert check_correction_cell_overlaps([a, b, c]) == [(a.name, b.name)]

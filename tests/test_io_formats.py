@@ -1,8 +1,18 @@
 """Tests for .bench and structural-Verilog I/O."""
 
+import re
+
 import pytest
 
+from netlist_oracle import (
+    export_def_reference,
+    write_bench_reference,
+    write_structural_verilog_reference,
+)
 from repro.circuits import c17_netlist
+from repro.circuits.registry import get_benchmark
+from repro.layout.def_io import export_def
+from repro.layout.layout import build_layout
 from repro.netlist.bench_format import BenchFormatError, parse_bench, write_bench
 from repro.netlist.equivalence import check_equivalence
 from repro.netlist.verilog import (
@@ -124,3 +134,59 @@ class TestVerilog:
         )
         netlist = parse_structural_verilog(text)
         assert netlist.num_gates == 1
+
+
+def _edited(make):
+    """A netlist edited through every path that reorders or flags pins: a
+    moved sink, a gate's inputs reconnected out of pin order with one left
+    unconnected, a retargeted output and a ``dont_touch`` mark."""
+    def edited():
+        netlist = make()
+        names = list(netlist.gates)
+        gate = netlist.gates[names[1]]
+        netlist.move_sink(gate.name, gate.input_pin_names[0],
+                          netlist.gate_output_net(names[-1]))
+        gate = next(g for g in netlist.gates.values() if len(g.input_pin_names) > 1)
+        nets = {pin: gate.net_on(pin) for pin in gate.input_pin_names}
+        for pin in nets:
+            netlist.disconnect_pin(gate.name, pin)
+        for pin in reversed(gate.input_pin_names[1:]):
+            netlist.connect_pin(gate.name, pin, nets[pin])
+        netlist.retarget_primary_output(netlist.primary_outputs[0],
+                                        netlist.primary_inputs[0])
+        netlist.set_dont_touch(names[0])
+        return netlist
+    return edited
+
+
+def _sequential():
+    return parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(q)\nOUTPUT(y)\n"
+                       "d = NAND(a, q)\nq = DFF(d)\ny = XOR(q, b)\n", name="seq")
+
+
+WRITER_CASES = [
+    pytest.param(lambda: c17_netlist(), id="c17"),
+    pytest.param(lambda: get_benchmark("c432", seed=1), id="c432"),
+    pytest.param(lambda: get_benchmark("c880", seed=1), id="c880"),
+    pytest.param(lambda: get_benchmark("superblue18", seed=1, scale=0.001), id="sb18-0.001"),
+    pytest.param(_edited(lambda: get_benchmark("c432", seed=1)), id="c432-edited"),
+    pytest.param(_edited(c17_netlist), id="c17-edited"),
+    pytest.param(_sequential, id="bench-dff"),
+]
+
+
+@pytest.mark.parametrize("make", WRITER_CASES)
+def test_writers_equal_the_by_name_renderings(make):
+    """The column writers print byte for byte what the by-name walks print;
+    ``write_bench`` refuses the same complex cell with the same message."""
+    netlist = make()
+    try:
+        expected = write_bench_reference(netlist)
+    except BenchFormatError as error:
+        with pytest.raises(BenchFormatError, match=re.escape(str(error))):
+            write_bench(netlist)
+    else:
+        assert write_bench(netlist) == expected
+    assert write_structural_verilog(netlist) == write_structural_verilog_reference(netlist)
+    layout = build_layout(netlist, seed=2)
+    assert export_def(layout) == export_def_reference(layout)

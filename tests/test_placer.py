@@ -1,7 +1,8 @@
 """Tests for global placement and legalization."""
 
+from build_oracle import check_legality, placement_hpwl
 from repro.layout.floorplan import build_floorplan
-from repro.layout.placer import PlacerConfig, check_legality, place, placement_hpwl
+from repro.layout.placer import PlacerConfig, place
 
 
 class TestPlacement:

@@ -21,7 +21,7 @@ from repro.metrics.solution_space import (
     log10_num_perfect_matchings,
     log10_solution_space_from_candidates,
 )
-from repro.netlist.graph import has_combinational_loop
+from repro.netlist.arrays import netlist_arrays
 from repro.netlist.simulate import simulate
 from repro.utils.rng import derive_seed
 
@@ -162,7 +162,7 @@ class TestGeneratorProperties:
         netlist = generate_random_logic(spec)
         assert netlist.num_gates == gates
         assert netlist.validate() == []
-        assert not has_combinational_loop(netlist)
+        assert netlist_arrays(netlist).is_acyclic()
 
     @given(st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=15, deadline=None)

@@ -20,11 +20,12 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from build_oracle import check_legality  # noqa: E402
 from repro.api.registry import ATTACKS, DEFENSES, METRICS, ensure_builtins  # noqa: E402
 from repro.api.spec import ScenarioSpec  # noqa: E402
 from repro.circuits import iscas85_netlist  # noqa: E402
 from repro.layout.arrays import placement_arrays  # noqa: E402
-from repro.layout.placer import PlacerConfig, check_legality, place  # noqa: E402
+from repro.layout.placer import PlacerConfig, place  # noqa: E402
 from repro.service.schemas import EVENT_KINDS  # noqa: E402
 
 ensure_builtins()
@@ -181,8 +182,7 @@ class TestBuildInvariants:
         # The array view keys on the bumped version: it must reflect the
         # perturbed coordinates, not a stale pre-mutation cache.
         arrays = placement_arrays(c432, layout.placement)
-        for index, name in enumerate(arrays.gate_names):
-            position = layout.placement.gate_positions[name]
+        for index, position in enumerate(layout.placement.gate_positions.values()):
             assert arrays.gate_xy[index, 0] == position.x
             assert arrays.gate_xy[index, 1] == position.y
             break  # spot-check the first gate each draw (full scan is O(n))

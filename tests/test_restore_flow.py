@@ -41,7 +41,7 @@ class TestRestore:
         assert total == expected
 
     def test_correction_cells_exist_and_are_legal(self, protection_c432):
-        from repro.core.correction_cells import check_correction_cell_overlaps
+        from build_oracle import check_correction_cell_overlaps
 
         cells = protection_c432.protected_layout.metadata["correction_cells"]
         # Two cells (driver side + sink side) per swapped connection.

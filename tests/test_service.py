@@ -11,10 +11,12 @@ unrecoverable jobs surface the PR-5 failure taxonomy in a 500 body.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import http.client
 import time
+import weakref
 from typing import Any, Dict, Optional, Tuple
 
 import pytest
@@ -501,3 +503,21 @@ def test_resubmitting_a_finished_job_joins_it(service):
     status, body = request(service, "GET", f"/v1/jobs/{job_id}/result")
     assert status == 200
     assert service.manager.workspace.stats()["builds_run"] == runs_before
+
+
+def test_stopped_service_is_freed_by_reference_counting():
+    """After ``stop()`` the last reference to a service frees it, its job
+    manager and its workspace at once: no cycle waits for a collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        workspace = Workspace(store=None)
+        svc = ScenarioService(workspace).start()
+        status, _body = submit_and_wait(svc, SPEC)
+        assert status == 200
+        svc.stop()
+        refs = [weakref.ref(svc), weakref.ref(svc.manager), weakref.ref(workspace)]
+        del svc, workspace
+        assert [ref() is None for ref in refs] == [True, True, True]
+    finally:
+        gc.enable()

@@ -8,6 +8,7 @@ import dataclasses
 import pickle
 
 import networkx as nx
+import numpy as np
 import pytest
 
 import timing_oracle
@@ -16,10 +17,11 @@ from repro.circuits import ISCAS85_PROFILES
 from repro.circuits.registry import get_benchmark
 from repro.core.flow import evaluate_ppa
 from repro.layout.layout import build_layout
-from repro.netlist import graph as netlist_graph
+from repro.netlist.arrays import netlist_arrays
+from repro.netlist.graph import CombinationalLoopError
 from repro.netlist.netlist import Netlist
 from repro.timing.power import estimate_power
-from repro.timing.sta import WireModel, static_timing_analysis
+from repro.timing.sta import WireModel, net_wires, static_timing_analysis
 
 
 @pytest.fixture()
@@ -35,15 +37,21 @@ def buffer_chain():
     return netlist
 
 
-class TestWireModel:
-    def test_rc_scaling_with_length(self):
-        model = WireModel()
-        assert model.wire_resistance(20.0) > model.wire_resistance(10.0)
-        assert model.wire_capacitance(20.0) > model.wire_capacitance(10.0)
+def _wire_rc(buffer_chain, lengths, layers):
+    wires = net_wires(netlist_arrays(buffer_chain), np.asarray(lengths, dtype=np.float64),
+                      np.asarray(layers, dtype=np.int64), WireModel())
+    return wires.wire_res.tolist(), wires.wire_cap.tolist()
 
-    def test_higher_layers_have_lower_resistance(self):
-        model = WireModel()
-        assert model.wire_resistance(10.0, layer=8) < model.wire_resistance(10.0, layer=2)
+
+class TestWireModel:
+    def test_rc_scaling_with_length(self, buffer_chain):
+        (res_20, res_10), (cap_20, cap_10) = _wire_rc(buffer_chain, [20.0, 10.0], [2, 2])
+        assert res_20 > res_10
+        assert cap_20 > cap_10
+
+    def test_higher_layers_have_lower_resistance(self, buffer_chain):
+        (res_8, res_2), _caps = _wire_rc(buffer_chain, [10.0, 10.0], [8, 2])
+        assert res_8 < res_2
 
 
 class TestSTA:
@@ -104,7 +112,10 @@ def _networkx_gate_order(netlist):
 def test_sta_matches_networkx_ordered_oracle(name, scale, monkeypatch):
     """The level-ordered pass equals the per-gate walk in networkx's order."""
     netlist = get_benchmark(name, seed=1, scale=scale)
-    assert netlist_graph.topological_gate_order(netlist) == _networkx_gate_order(netlist)
+    arrays = netlist_arrays(netlist)
+    names = arrays.gate_names
+    order = [names[g] for g in np.flatnonzero(arrays.sequential).tolist() + arrays.kahn()[0]]
+    assert order == _networkx_gate_order(netlist)
     report = static_timing_analysis(netlist)
     monkeypatch.setattr(timing_oracle, "topological_gate_order", _networkx_gate_order)
     assert timing_oracle.static_timing_analysis(netlist) == report
@@ -193,7 +204,7 @@ def test_sta_rejects_combinational_loops():
     netlist.add_gate("g0", "NAND2_X1", {"A1": "a", "A2": "n1", "ZN": "n0"})
     netlist.add_gate("g1", "INV_X1", {"A": "n0", "ZN": "n1"})
     netlist.add_primary_output("o", "n1")
-    with pytest.raises(netlist_graph.CombinationalLoopError):
+    with pytest.raises(CombinationalLoopError):
         static_timing_analysis(netlist)
 
 

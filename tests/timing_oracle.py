@@ -23,6 +23,18 @@ from repro.timing.power import (
 from repro.timing.sta import DEFAULT_FANOUT_WIRELENGTH_UM, TimingReport, WireModel
 
 
+def wire_resistance(model: WireModel, length_um: float, layer: int = 2) -> float:
+    """Wire resistance (kOhm) of one net, per scalar."""
+    scale = model.layer_resistance_scale[min(layer, len(model.layer_resistance_scale)) - 1]
+    return model.resistance_kohm_per_um * scale * length_um
+
+
+def wire_capacitance(model: WireModel, length_um: float, layer: int = 2) -> float:
+    """Wire capacitance (fF) of one net, per scalar."""
+    scale = model.layer_capacitance_scale[min(layer, len(model.layer_capacitance_scale)) - 1]
+    return model.capacitance_ff_per_um * scale * length_um
+
+
 def _sink_pin_cap(netlist: Netlist, net: Net) -> float:
     """Summed input-pin capacitance (fF) of a net's gate sinks."""
     pin_cap = 0.0
@@ -75,8 +87,8 @@ def static_timing_analysis(
     for net_name, net in netlist.nets.items():
         pin_cap = _sink_pin_cap(netlist, net)
         length, layer = _net_length(net_name, netlist, net_lengths_um, net_layers)
-        wire_cap = wire_model.wire_capacitance(length, layer)
-        wire_res = wire_model.wire_resistance(length, layer)
+        wire_cap = wire_capacitance(wire_model, length, layer)
+        wire_res = wire_resistance(wire_model, length, layer)
         net_loads[net_name] = pin_cap + wire_cap
         # Elmore delay of the distributed wire driving the lumped pin load.
         net_wire_delay[net_name] = wire_res * (wire_cap / 2.0 + pin_cap)
@@ -190,7 +202,7 @@ def estimate_power(
     for net_name, net in netlist.nets.items():
         pin_cap_ff = _sink_pin_cap(netlist, net)
         length, layer = _net_length(net_name, netlist, net_lengths_um, net_layers)
-        wire_cap_ff = wire_model.wire_capacitance(length, layer)
+        wire_cap_ff = wire_capacitance(wire_model, length, layer)
         total_cap_f = (pin_cap_ff + wire_cap_ff) * 1e-15
         alpha = toggle_rates.get(net_name, DEFAULT_TOGGLE_RATE)
         # P = alpha * C * V^2 * f, reported in µW.
