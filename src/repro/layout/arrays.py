@@ -740,11 +740,6 @@ class RoutingArrays(Mapping):
         self.hint_tgt_present[conn_indices] = 1
 
 
-def _csr(counts: np.ndarray) -> np.ndarray:
-    """CSR start offsets (leading 0) of per-item ``counts``."""
-    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-
-
 # ---------------------------------------------------------------------------
 # Layout arrays (placement + routing columns)
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -73,22 +73,3 @@ class Rect:
 def manhattan(a: Point, b: Point) -> float:
     """Manhattan (L1) distance between two points."""
     return abs(a.x - b.x) + abs(a.y - b.y)
-
-
-def bounding_box(points: Iterable[Point]) -> Rect:
-    """Return the bounding box of ``points`` (must be non-empty)."""
-    points = list(points)
-    if not points:
-        raise ValueError("bounding_box of empty point set")
-    return Rect(
-        min(p.x for p in points),
-        min(p.y for p in points),
-        max(p.x for p in points),
-        max(p.y for p in points),
-    )
-
-
-def half_perimeter(points: Iterable[Point]) -> float:
-    """Half-perimeter wirelength (HPWL) of a point set."""
-    box = bounding_box(points)
-    return box.width + box.height

@@ -33,8 +33,9 @@ rebuild, never a crash.
 
 Bit-exactness gates baked into every decode:
 
-* the **netlist fingerprint** — a SHA-256 over the regenerated netlist's
-  complete structure (gate order, cells, connectivity, ports) must equal
+* the **netlist fingerprint** — a SHA-256 over a versioned byte layout of
+  the regenerated netlist's name tables and integer columns (gate order,
+  cells, connectivity, ports; see :func:`netlist_fingerprint`) must equal
   the fingerprint recorded at encode time.  Any change to the benchmark
   generators invalidates every entry they produced, by construction;
 * ``topology_version`` of the regenerated netlist and the recorded
@@ -51,12 +52,12 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.layout.arrays import RoutingArrays, _csr
+from repro.layout.arrays import RoutingArrays
 from repro.layout.floorplan import Floorplan
 from repro.layout.geometry import Rect
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacementResult, PlacerConfig
-from repro.netlist.arrays import NetlistArrays, csr, netlist_arrays
+from repro.netlist.arrays import csr, netlist_arrays
 from repro.netlist.netlist import Netlist
 
 #: Bump on ANY change to the payload schema or to the meaning of a stored
@@ -107,141 +108,9 @@ _fingerprint_memo: "weakref.WeakKeyDictionary[Netlist, Tuple[Tuple[int, int], st
     weakref.WeakKeyDictionary()
 )
 
-
-def _json_name(text: str) -> str:
-    """``text`` as ``json.dumps`` writes it between its quotes."""
-    if not isinstance(text, str):
-        raise TypeError(f"netlist names must be strings, not {text!r}")
-    return json.dumps(text)[1:-1]
-
-
-def _structure_text(arrays: NetlistArrays, netlist_name: str,
-                    output_nets: Mapping[str, str], name=None) -> str:
-    """The fingerprint document's JSON text, read off the netlist's columns,
-    with every name between quotes as ``name`` writes it (as it is, by
-    default).  Connection and output pairs are in raw-name order."""
-    convert = str if name is None else name
-    gate_names = list(map(convert, arrays.gate_names))
-    net_names = list(map(convert, arrays.net_names))
-    inputs = list(map(convert, arrays.primary_inputs))
-    outputs = list(map(convert, arrays.primary_outputs))
-    cell_names = [convert(t.cell.name) for t in arrays.cells]
-    in_pins = [tuple(map(convert, t.inputs)) for t in arrays.cells]
-    out_pins = [tuple(map(convert, t.outputs)) for t in arrays.cells]
-    flag = ("false", "true")
-    gate_text = np.array(gate_names, dtype=object)
-    net_text = np.array(net_names, dtype=object)
-
-    # Gates, one cell at a time: each gate's pairs in pin-name order.
-    gates = np.empty(arrays.num_gates, dtype=object)
-    dont_touch = np.asarray(flag, dtype=object)[arrays.dont_touch.astype(np.intp)]
-    for index, table in enumerate(arrays.cells):
-        members = np.flatnonzero(arrays.gate_cell == index)
-        if not len(members):
-            continue
-        columns = []
-        pins = []
-        for pin, is_output, position in table.by_name:
-            start = (arrays.fanout_start if is_output else arrays.fanin_start)[members]
-            columns.append((arrays.fanout_net if is_output else arrays.fanin_net)[
-                start + position])
-            pins.append((out_pins if is_output else in_pins)[index][position])
-        nets = np.stack(columns) if columns else np.zeros((0, len(members)), np.int64)
-        # Gates with every pin connected share one template.
-        full = (nets >= 0).all(axis=0)
-        template = '["%%s","%s",[%s],%%s]' % (
-            cell_names[index].replace("%", "%%"),
-            ",".join('["%s","%%s"]' % pin.replace("%", "%%") for pin in pins))
-        gates[members[full]] = list(map(template.__mod__, zip(
-            gate_text[members[full]], *net_text[nets[:, full]],
-            dont_touch[members[full]])))
-        for column in np.flatnonzero(~full).tolist():
-            gate = members[column]
-            gates[gate] = '["%s","%s",[%s],%s]' % (
-                gate_names[gate], cell_names[index],
-                ",".join('["%s","%s"]' % (pin, net_names[net]) for pin, net in
-                         zip(pins, nets[:, column].tolist()) if net >= 0),
-                dont_touch[gate])
-
-    # Nets: driver pair, sink pairs in ``Net.sinks`` order, outputs.  A
-    # pin pair is its gate's '["gate' plus its pin's '","pin"]'.
-    gate_open = np.array(['["%s' % gate for gate in gate_names], dtype=object)
-
-    def pin_pairs(rows, row_gate, row_start, pins):
-        """``["gate","pin"]`` of every row of ``rows``."""
-        gate = row_gate[rows]
-        close = np.array(['","%s"]' % pin for table in pins for pin in table] or [""],
-                         dtype=object)
-        offset = csr(np.asarray([len(table) for table in pins], dtype=np.int64))
-        return gate_open[gate] + close[offset[arrays.gate_cell[gate]] + rows - row_start[gate]]
-
-    num_nets = arrays.num_nets
-    driven = np.flatnonzero(arrays.net_driver_row >= 0)
-    drivers = np.full(num_nets, "null", dtype=object)
-    drivers[driven] = pin_pairs(arrays.net_driver_row[driven], arrays.fanout_gate,
-                                arrays.fanout_start, out_pins)
-    sink_pairs = pin_pairs(arrays.sink_row, arrays.fanin_gate, arrays.fanin_start,
-                           in_pins)
-    sink_start = arrays.sink_start
-    later = np.ones(len(sink_pairs), dtype=bool)
-    later[sink_start[:-1][np.diff(sink_start) > 0]] = False
-    sink_pairs[later] = "," + sink_pairs[later]
-    po_bounds = arrays.net_po_start.tolist()
-    po_pairs = ['"%s"' % po for po in outputs]
-    net_outputs = [""] * num_nets
-    for net in np.flatnonzero(np.diff(arrays.net_po_start)).tolist():
-        net_outputs[net] = ",".join(
-            po_pairs[po] for po in arrays.net_po[po_bounds[net]:po_bounds[net + 1]].tolist())
-    net_flags = np.asarray(flag, dtype=object)[arrays.net_is_pi.astype(np.intp)]
-    # Net ``i`` is its head, its sink pairs and its tail (a "," after all
-    # but the last net), laid out in one sequence.
-    tails = list(map('],%s,[%s]],'.__mod__, zip(net_flags.tolist(), net_outputs)))
-    if tails:
-        tails[-1] = tails[-1][:-1]
-    pieces = np.empty(2 * num_nets + len(sink_pairs), dtype=object)
-    twice = 2 * np.arange(num_nets)
-    pieces[twice + sink_start[:-1]] = list(map('["%s",%s,['.__mod__,
-                                               zip(net_names, drivers.tolist())))
-    pieces[1 + np.arange(len(sink_pairs)) + 2 * np.repeat(
-        np.arange(num_nets), np.diff(sink_start))] = sink_pairs
-    pieces[twice + sink_start[1:] + 1] = tails
-    nets = pieces.tolist()
-    return (
-        '{"gates":[%s],"name":"%s","nets":[%s],"output_nets":[%s],'
-        '"primary_inputs":[%s],"primary_outputs":[%s]}' % (
-            ",".join(gates.tolist()),
-            convert(netlist_name),
-            "".join(nets),
-            ",".join(['["%s","%s"]' % (convert(po), convert(net))
-                      for po, net in sorted(output_nets.items())]),
-            ",".join(['"%s"' % pi for pi in inputs]),
-            ",".join(po_pairs),
-        )
-    )
-
-
-#: Every byte JSON writes as itself inside a string: printable ASCII except
-#: the quote and the backslash.
-_PLAIN_BYTES = bytes(sorted(set(range(0x20, 0x7F)) - set(b'"\\')))
-
-
-def _plain_text(data: bytes, arrays: NetlistArrays, output_nets: Mapping[str, str]) -> bool:
-    """True when ``data``, the structure text with every name as it is, is
-    JSON's text: no name holds a quote, a backslash or a byte JSON escapes.
-    Every string token brings two quotes, so a quote inside a name shows
-    as a surplus."""
-    connected = (int(np.count_nonzero(arrays.fanin_net >= 0))
-                 + int(np.count_nonzero(arrays.fanout_net >= 0)))
-    tokens = (
-        7  # six keys and the netlist name
-        + 2 * arrays.num_gates + 2 * connected
-        + arrays.num_nets + 2 * int(np.count_nonzero(arrays.net_driver_row >= 0))
-        + 2 * len(arrays.sink_row) + len(arrays.net_po)
-        + 2 * len(output_nets) + len(arrays.primary_inputs)
-        + len(arrays.primary_outputs)
-    )
-    rest = data.translate(None, _PLAIN_BYTES)
-    return len(rest) == 2 * tokens and rest.count(b'"') == len(rest)
+#: First bytes of every fingerprinted byte string; a new byte layout
+#: changes the tag (and ``STORE_FORMAT_VERSION``).
+_FINGERPRINT_TAG = b"repro netlist fingerprint 2\n"
 
 
 def netlist_fingerprint(netlist: Netlist) -> str:
@@ -251,32 +120,54 @@ def netlist_fingerprint(netlist: Netlist) -> str:
     positions and routing as indices into the netlist's gate and net name
     tables, so a reordered regeneration is as stale as a rewired one.
 
-    The hashed text is ``json.dumps(doc, sort_keys=True,
-    separators=(",", ":"))`` of the document ``{"name": ..., "gates":
-    [[name, cell, sorted connection pairs, dont_touch], ...], "nets":
-    [[name, driver pair or null, sink pairs, is_primary_input, primary
-    outputs], ...], "primary_inputs": [...], "primary_outputs": [...],
-    "output_nets": sorted pairs}``.  It is written out here from the
-    netlist's integer snapshot without building that document, every name
-    between quotes as it is; when the text shows that some name needs
-    escaping, it is written again with every name as ``json.dumps``
-    escapes it.  Names must be strings.
+    The hashed bytes (layout version 2, read off
+    :func:`~repro.netlist.arrays.netlist_arrays`) are, in order:
+
+    1. the tag ``b"repro netlist fingerprint 2\\n"``;
+    2. one ``json.dumps`` (ASCII, escaped) of ``[name, gate names, net
+       names, primary inputs, primary outputs, sorted (output, net)
+       pairs, [[cell name, input pins, output pins], ...]]``, the cells
+       being those in use in first-use (gate) order, as a length-prefixed
+       block;
+    3. as length-prefixed little-endian int64 blocks: ``gate_cell`` (an
+       index into that cell list), ``dont_touch``, ``fanin_start``,
+       ``fanin_net``, ``fanout_start``, ``fanout_net``,
+       ``net_driver_row``, ``net_is_pi``, ``sink_start``, ``sink_row``,
+       ``net_po_start`` and ``net_po``.
+
+    Every length is 8 bytes, little-endian.  Two netlists of one cell
+    library get equal fingerprints exactly when their structure documents
+    (gates with their cells, connections and ``dont_touch``; nets with
+    their driver, sinks in order, primary-input flag and outputs; the port
+    lists and the output map) are equal.  Names are strings.
     """
     arrays = netlist_arrays(netlist)
     cached = _fingerprint_memo.get(netlist)
     if cached is not None and cached[0] == (arrays.version, arrays.marks):
         return cached[1]
-    # A lone surrogate in a name passes as non-ASCII bytes, so it fails the
-    # plain check and is escaped as JSON escapes it.
-    output_nets = netlist.output_nets
-    data = _structure_text(arrays, netlist.name, output_nets).encode(
-        "utf-8", "surrogatepass")
-    if not _plain_text(data, arrays, output_nets):
-        data = _structure_text(arrays, netlist.name, output_nets,
-                               name=_json_name).encode("ascii")
-    digest = hashlib.sha256(data).hexdigest()
-    _fingerprint_memo[netlist] = ((arrays.version, arrays.marks), digest)
-    return digest
+    # A netlist's cell table holds exactly the cells in use, in first-use
+    # order (``Netlist._cell_table`` adds a cell with its first gate and no
+    # gate is ever removed), so ``gate_cell`` is a function of the gates'
+    # cell names.
+    names = json.dumps([
+        netlist.name, arrays.gate_names, arrays.net_names,
+        arrays.primary_inputs, arrays.primary_outputs,
+        sorted(netlist.output_nets.items()),
+        [[table.cell.name, table.inputs, table.outputs] for table in arrays.cells],
+    ]).encode("ascii")
+    digest = hashlib.sha256(_FINGERPRINT_TAG)
+    digest.update(len(names).to_bytes(8, "little"))
+    digest.update(names)
+    for column in (arrays.gate_cell, arrays.dont_touch, arrays.fanin_start,
+                   arrays.fanin_net, arrays.fanout_start, arrays.fanout_net,
+                   arrays.net_driver_row, arrays.net_is_pi, arrays.sink_start,
+                   arrays.sink_row, arrays.net_po_start, arrays.net_po):
+        column = np.ascontiguousarray(column, dtype="<i8")
+        digest.update(len(column).to_bytes(8, "little"))
+        digest.update(column)
+    text = digest.hexdigest()
+    _fingerprint_memo[netlist] = ((arrays.version, arrays.marks), text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +458,11 @@ def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
         gate_names=gate_names,
         sink_tokens=sink_tokens,
         net_index=rnet_net,
-        conn_starts=_csr(rnet_conn_count),
+        conn_starts=csr(rnet_conn_count),
         driver_x=rnet_driver[:, 0],
         driver_y=rnet_driver[:, 1],
         has_driver=rnet_has_driver.astype(bool),
-        dvia_starts=_csr(rnet_dvia_count),
+        dvia_starts=csr(rnet_dvia_count),
         dvia_x=dvia_rows[:, 0] if len(dvia_rows) else empty_f64,
         dvia_y=dvia_rows[:, 1] if len(dvia_rows) else empty_f64,
         dvia_lower=dvia_lower,
@@ -589,8 +480,8 @@ def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
         hint_tx=conn_hints[:, 2].copy(), hint_ty=conn_hints[:, 3].copy(),
         hint_src_present=conn_hint_mask[:, 0].astype(np.uint8),
         hint_tgt_present=conn_hint_mask[:, 1].astype(np.uint8),
-        seg_starts=_csr(conn_seg_count),
-        via_starts=_csr(conn_via_count),
+        seg_starts=csr(conn_seg_count),
+        via_starts=csr(conn_via_count),
         seg_layer=seg_layer,
         seg_x1=seg_rows[:, 1] if len(seg_rows) else empty_f64,
         seg_y1=seg_rows[:, 2] if len(seg_rows) else empty_f64,

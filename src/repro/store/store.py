@@ -77,11 +77,14 @@ from repro.store.codec import (
 
 logger = logging.getLogger("repro.store")
 
-#: Bump on ANY change to the on-disk entry layout or manifest schema.
-#: Entries written under another store format version are treated as plain
-#: misses (left intact for the older reader that wrote them, never
-#: quarantined): format drift is not corruption.
-STORE_FORMAT_VERSION = 1
+#: Bump on ANY change to the on-disk entry layout, the manifest schema or
+#: the meaning of a manifest field.  Entries written under another store
+#: format version are treated as plain misses (left intact for the older
+#: reader that wrote them, never quarantined): format drift is not
+#: corruption.  Version 2: ``record["netlist_fingerprint"]`` hashes the
+#: netlist's columns (see :func:`repro.store.codec.netlist_fingerprint`),
+#: not the JSON structure document version 1 hashed.
+STORE_FORMAT_VERSION = 2
 
 _MANIFEST = "manifest.json"
 _PAYLOAD = "payload.npz"

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.correction_cells import CorrectionCellInstance, correction_cell_name
 from repro.core.randomizer import RandomizationResult
-from repro.layout.arrays import RoutingArrays, _csr
+from repro.layout.arrays import RoutingArrays
 from repro.layout.floorplan import Floorplan, build_floorplan
 from repro.layout.geometry import Point, manhattan
 from repro.layout.layout import Layout
@@ -59,6 +59,7 @@ from repro.layout.router import (
     _new_vias,
     route,
 )
+from repro.netlist.arrays import csr
 from repro.netlist.cells import NUM_METAL_LAYERS
 from repro.netlist.netlist import Netlist
 from repro.utils.rng import make_rng
@@ -565,10 +566,10 @@ def routing_from_nets(routing: Mapping[str, RoutedNet],
         net_names=net_names,
         gate_names=gate_names,
         sink_tokens=list(sink_tokens),
-        conn_starts=_csr(columns.pop("conn_count")),
-        dvia_starts=_csr(columns.pop("dvia_count")),
-        seg_starts=_csr(columns.pop("seg_count")),
-        via_starts=_csr(columns.pop("via_count")),
+        conn_starts=csr(columns.pop("conn_count")),
+        dvia_starts=csr(columns.pop("dvia_count")),
+        seg_starts=csr(columns.pop("seg_count")),
+        via_starts=csr(columns.pop("via_count")),
         **columns,
     )
 

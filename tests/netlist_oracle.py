@@ -1,5 +1,5 @@
 """Netlist test oracles: the object netlist, per-edit construction, the
-JSON-document fingerprint and the by-name integer view.
+structure document the fingerprint covers and the by-name integer view.
 
 * :class:`ObjectNetlist` is the netlist model that
   :class:`repro.netlist.netlist.Netlist` replaced: it owns mutable
@@ -7,16 +7,21 @@ JSON-document fingerprint and the by-name integer view.
   them.  It is an independent oracle of the edit API; ``object_netlist``
   reads a column netlist into one and ``assert_same_netlist`` holds a
   column netlist equal to one (lookups, orders, ``topology_version``,
-  fingerprint and integer view).
+  document text, fingerprint and integer view).
 * ``generate_random_logic_reference`` is the benchmark generator that
   :func:`repro.circuits.random_logic.generate_random_logic` replaced: it
   builds the netlist one ``add_primary_input`` / ``add_gate`` /
   ``connect_pin`` / ``add_primary_output`` call at a time, so every
   structure and the ``topology_version`` edit count come from the public
   edit API.
-* ``netlist_fingerprint_reference`` is the fingerprint that
-  :func:`repro.store.codec.netlist_fingerprint` replaced: it builds the
-  nested JSON document and serialises it with ``json.dumps``.
+* ``netlist_document_text`` is the structure document that store format 1
+  hashed (``json.dumps`` of nested gate, net and port lists) and
+  ``netlist_fingerprint_reference`` that hash: the record of what the
+  fingerprint covers.  :func:`repro.store.codec.netlist_fingerprint` hashes
+  the netlist's columns instead and must be equal exactly when the
+  document texts are; ``netlist_from_document`` builds a column netlist
+  from a document by another edit history, and ``document_twin`` is that
+  rebuild of a netlist's own document.
 * ``netlist_arrays_reference`` is the by-name walk that
   :class:`repro.netlist.arrays.NetlistArrays` replaced with a snapshot of
   the netlist's columns.
@@ -495,8 +500,46 @@ def netlist_document_text(netlist) -> str:
 
 
 def netlist_fingerprint_reference(netlist) -> str:
-    """SHA-256 of the netlist's JSON document, as the store records it."""
+    """SHA-256 of the netlist's JSON document, as store format 1 recorded it."""
     return hashlib.sha256(netlist_document_text(netlist).encode("utf-8")).hexdigest()
+
+
+def netlist_from_document(doc: Dict[str, Any],
+                          library: Optional[CellLibrary] = None) -> Netlist:
+    """A column netlist whose document (``json.loads`` of
+    ``netlist_document_text``) is ``doc``, built by another edit history than
+    the generator's: every net first, then the primary inputs, the gates and
+    their ``dont_touch`` marks, each net's driver and sinks in order, the
+    primary outputs and, last, each net's outputs re-targeted in its order.
+    Only names, cells, the driver/sink pairs and the port lists are read."""
+    netlist = Netlist(doc["name"], library)
+    for name, *_ in doc["nets"]:
+        netlist.add_net(name)
+    for pi in doc["primary_inputs"]:
+        netlist.add_primary_input(pi)
+    for name, cell, _connections, dont_touch in doc["gates"]:
+        netlist.add_gate(name, cell)
+        if dont_touch:
+            netlist.set_dont_touch(name)
+    for name, driver, sinks, _is_pi, _outputs in doc["nets"]:
+        for gate, pin in ([driver] if driver is not None else []) + sinks:
+            netlist.connect_pin(gate, pin, name)
+    output_nets = dict(doc["output_nets"])
+    for po in doc["primary_outputs"]:
+        netlist.add_primary_output(po, output_nets[po])
+    for name, *_, outputs in doc["nets"]:
+        for po in outputs:
+            netlist.retarget_primary_output(po, name)
+    return netlist
+
+
+def document_twin(netlist) -> Netlist:
+    """A column netlist with the document of ``netlist`` (a ``Netlist`` or an
+    :class:`ObjectNetlist`), rebuilt by :func:`netlist_from_document`."""
+    text = netlist_document_text(netlist)
+    twin = netlist_from_document(json.loads(text), netlist.library)
+    assert netlist_document_text(twin) == text
+    return twin
 
 
 # -- the by-name integer view --------------------------------------------------
@@ -613,7 +656,8 @@ def object_netlist(netlist: Netlist) -> ObjectNetlist:
 
 def assert_same_netlist(netlist: Netlist, oracle: ObjectNetlist) -> None:
     """Equal lookups, iteration and connection orders, ports,
-    ``topology_version``, statistics, fingerprint and integer view."""
+    ``topology_version``, statistics, document text, integer view, and the
+    fingerprint of the oracle's document rebuilt as a column netlist."""
     assert netlist.name == oracle.name
     assert list(netlist.gates) == list(oracle.gates)
     assert list(netlist.nets) == list(oracle.nets)
@@ -633,7 +677,8 @@ def assert_same_netlist(netlist: Netlist, oracle: ObjectNetlist) -> None:
         assert netlist.fanin_gates(gate) == oracle.fanin_gates(gate)
         assert netlist.gate_output_net(gate) == oracle.gate_output_net(gate)
     assert netlist.validate() == oracle.validate()
-    assert netlist_fingerprint(netlist) == netlist_fingerprint_reference(oracle)
+    assert netlist_document_text(netlist) == netlist_document_text(oracle)
+    assert netlist_fingerprint(netlist) == netlist_fingerprint(document_twin(oracle))
     assert_arrays_match(netlist_arrays(netlist), netlist_arrays_reference(oracle))
 
 

@@ -1,12 +1,15 @@
-"""Bulk netlist construction, the formatted fingerprint and the one-read
+"""Bulk netlist construction, the column fingerprint and the one-read
 store decode, held to their oracles.
 
 * ``generate_random_logic`` fills the gate and net tables directly; it must
   give the netlist, pickle bytes and ``topology_version`` that the per-edit
-  constructor in ``tests/netlist_oracle.py`` gives.
-* ``netlist_fingerprint`` formats the fingerprint text itself; it must
-  hash what ``json.dumps`` of the fingerprint document hashes, edited
-  netlists and names that need JSON escaping included.
+  constructor in ``tests/netlist_oracle.py`` gives, the same structure
+  document text and the same fingerprint.
+* ``netlist_fingerprint`` hashes the netlist's name tables and integer
+  columns; a netlist rebuilt from its structure document by another edit
+  history must get the same fingerprint, and netlists whose names differ
+  (quotes, escapes, NUL, lone surrogates, raw-name order of the outputs)
+  must get distinct ones.
 * ``ArtifactStore.load`` reads ``payload.npz`` once and decodes the arrays
   from those bytes; they must equal ``np.load``'s in dtype, shape and bytes.
 """
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 import builtins
 import io
+import itertools
+import json
 import os
 import pickle
 import zipfile
@@ -23,7 +28,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from netlist_oracle import generate_random_logic_reference, netlist_fingerprint_reference
+from netlist_oracle import document_twin, generate_random_logic_reference, netlist_document_text
 from repro.api import ScenarioSpec, Workspace
 from repro.circuits import iscas85, superblue
 from repro.circuits.iscas85 import ISCAS85_PROFILES
@@ -48,7 +53,8 @@ def _assert_same_construction(name, seed, scale=None):
         reference = get_benchmark(name, seed=seed, scale=scale)
     assert pickle.dumps(built) == pickle.dumps(reference)
     assert built.topology_version == reference.topology_version
-    assert netlist_fingerprint(built) == netlist_fingerprint_reference(reference)
+    assert netlist_document_text(built) == netlist_document_text(reference)
+    assert netlist_fingerprint(built) == netlist_fingerprint(reference)
 
 
 @pytest.mark.parametrize("name", sorted(ISCAS85_PROFILES))
@@ -104,7 +110,16 @@ ESCAPED_NAMES = ('say "hi"', "back\\slash", "café", "tab\there", "nl\n",
 
 
 def _fingerprints_agree(netlist):
-    assert netlist_fingerprint(netlist) == netlist_fingerprint_reference(netlist)
+    """``netlist`` and its document rebuilt by another edit history: equal
+    texts (checked by ``document_twin``), equal fingerprints."""
+    assert netlist_fingerprint(document_twin(netlist)) == netlist_fingerprint(netlist)
+
+
+def _all_distinct(netlists):
+    """Distinct document texts, distinct fingerprints, one per netlist."""
+    texts = {netlist_document_text(netlist) for netlist in netlists}
+    fingerprints = {netlist_fingerprint(netlist) for netlist in netlists}
+    assert len(texts) == len(fingerprints) == len(netlists)
 
 
 def test_fingerprint_matches_oracle_after_edits():
@@ -123,8 +138,7 @@ def test_fingerprint_matches_oracle_after_edits():
     _fingerprints_agree(netlist)
 
 
-@pytest.mark.parametrize("odd", ESCAPED_NAMES)
-def test_fingerprint_escapes_names_like_json(odd):
+def _odd_netlist(odd):
     netlist = Netlist(f"top {odd}")
     netlist.add_primary_input(f"in{odd}")
     netlist.add_primary_input("b")
@@ -132,17 +146,35 @@ def test_fingerprint_escapes_names_like_json(odd):
     netlist.add_gate("g2", "INV_X1", {"A": f"n{odd}", "ZN": "out"})
     netlist.add_primary_output(f"po{odd}", f"n{odd}")
     netlist.add_primary_output("po", "out")
+    return netlist
+
+
+@pytest.mark.parametrize("odd", ESCAPED_NAMES)
+def test_fingerprint_escapes_names_like_json(odd):
+    """A name, its JSON escape, its neighbours and a plain name give
+    distinct fingerprints."""
+    netlist = _odd_netlist(odd)
     _fingerprints_agree(netlist)
+    escaped = json.dumps(odd)[1:-1]
+    neighbours = {odd, escaped, odd + "x", f"{odd}\x00", f'{odd}"', "plain"}
+    _all_distinct([_odd_netlist(name) for name in sorted(neighbours)])
 
 
 def test_fingerprint_sorts_raw_names_before_escaping():
-    """Escaping reorders names (``"\\x01"`` sorts before ``"A"``, its
-    escape after it); pairs keep the raw order."""
-    netlist = Netlist("order")
-    netlist.add_primary_input("a")
-    for po in ("A", "\x01", "é", "z"):
-        netlist.add_primary_output(po, "a")
-    _fingerprints_agree(netlist)
+    """Output pairs are hashed in raw-name order (``"\\x01"`` sorts before
+    ``"A"``, its escape after it); every declaration order and every
+    output-to-net map is its own document."""
+    netlists = []
+    for outputs in itertools.permutations(("A", "\x01", "é", "z")):
+        for nets in (("a", "a", "a", "a"), ("a", "b", "a", "b")):
+            netlist = Netlist("order")
+            netlist.add_primary_input("a")
+            netlist.add_primary_input("b")
+            for po, net in zip(outputs, nets):
+                netlist.add_primary_output(po, net)
+            _fingerprints_agree(netlist)
+            netlists.append(netlist)
+    _all_distinct(netlists)
 
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -152,13 +184,18 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.text(min_size=1, max_size=6), min_size=4, max_size=4, unique=True))
 def test_fingerprint_property_arbitrary_names(names):
-    source, other, net, port = names
-    netlist = Netlist(port)
-    netlist.add_primary_input(source)
-    netlist.add_primary_input(other)
-    netlist.add_gate(net, "NAND2_X1", {"A1": source, "A2": other, "ZN": net})
-    netlist.add_primary_output(port, net)
-    _fingerprints_agree(netlist)
+    """Every assignment of four arbitrary names to the netlist, an input
+    pair, the gate/net and the port is its own document."""
+    netlists = []
+    for source, other, net, port in itertools.permutations(names):
+        netlist = Netlist(port)
+        netlist.add_primary_input(source)
+        netlist.add_primary_input(other)
+        netlist.add_gate(net, "NAND2_X1", {"A1": source, "A2": other, "ZN": net})
+        netlist.add_primary_output(port, net)
+        _fingerprints_agree(netlist)
+        netlists.append(netlist)
+    _all_distinct(netlists)
 
 
 # -- one-read store decode ----------------------------------------------------

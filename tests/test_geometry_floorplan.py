@@ -3,7 +3,7 @@
 import pytest
 
 from repro.layout.floorplan import build_floorplan
-from repro.layout.geometry import Point, Rect, bounding_box, half_perimeter, manhattan
+from repro.layout.geometry import Point, Rect, manhattan
 from repro.netlist.cells import ROW_HEIGHT_UM, SITE_WIDTH_UM
 
 
@@ -36,16 +36,6 @@ class TestGeometry:
         a = Rect(0, 0, 2, 2)
         assert a.overlaps(Rect(1, 1, 3, 3))
         assert not a.overlaps(Rect(2, 0, 4, 2))  # touching is not overlapping
-
-    def test_bounding_box_and_hpwl(self):
-        points = [Point(0, 0), Point(2, 5), Point(1, 1)]
-        box = bounding_box(points)
-        assert (box.x_min, box.y_min, box.x_max, box.y_max) == (0, 0, 2, 5)
-        assert half_perimeter(points) == 7
-
-    def test_bounding_box_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bounding_box([])
 
 
 class TestFloorplan:

@@ -5,17 +5,23 @@ netlist, and every per-netlist structure against its by-name walk.
   ports, ``dont_touch``; failing edits included) to a
   :class:`~repro.netlist.netlist.Netlist` and to the object netlist
   :class:`netlist_oracle.ObjectNetlist`, and holds them equal: lookups,
-  iteration orders, ``topology_version``, fingerprint, ``netlist_arrays``
-  columns, copies and pickles.
+  iteration orders, ``topology_version``, document text, fingerprint,
+  ``netlist_arrays`` columns, copies and pickles.
+* A second property holds the store fingerprint to the structure
+  document: at every state of an edit sequence, over the netlist and
+  netlists rebuilt from renamed, reordered and ``dont_touch``-flipped
+  documents, two fingerprints are equal exactly when the document texts
+  are.
 * The placement skeleton (fresh and relabelled), the placer's ordering
-  graph and width column, the routing skeleton and the fingerprint text
-  read the columns; each equals the by-name walk it replaced
-  (``tests/build_oracle.py``, ``tests/netlist_oracle.py``) on every ISCAS
-  circuit, superblue18 at two scales and a c432 edited by ``move_sink``.
+  graph and width column and the routing skeleton read the columns; each
+  equals the by-name walk it replaced (``tests/build_oracle.py``) on every
+  ISCAS circuit, superblue18 at two scales and a c432 edited by
+  ``move_sink``.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
@@ -29,6 +35,7 @@ from netlist_oracle import (
     assert_same_netlist,
     generate_random_logic_reference,
     netlist_document_text,
+    netlist_from_document,
     object_netlist,
 )
 from repro.circuits import ISCAS85_PROFILES
@@ -140,6 +147,86 @@ def test_random_edits_match_the_object_netlist(case):
     assert_same_netlist(pickle.loads(pickle.dumps(netlist)), oracle)
 
 
+def _document_variants(doc, step):
+    """Documents near ``doc``: a gate and a net renamed (odd characters
+    included), a name boundary between two gates moved, two gates and two
+    nets swapped, a ``dont_touch`` mark flipped, a net's sinks and a net's
+    outputs reversed."""
+    gates, nets = doc["gates"], doc["nets"]
+    gate_names = {gate[0] for gate in gates}
+
+    def variant(edit):
+        copy = json.loads(json.dumps(doc))
+        edit(copy)
+        return copy
+
+    def rename_gate(copy, index, new):
+        old = copy["gates"][index][0]
+        copy["gates"][index][0] = new
+        for net in copy["nets"]:
+            for pair in ([net[1]] if net[1] else []) + net[2]:
+                if pair[0] == old:
+                    pair[0] = new
+
+    def rename_net(copy, index, new):
+        old = copy["nets"][index][0]
+        copy["nets"][index][0] = new
+        copy["primary_inputs"] = [new if pi == old else pi for pi in copy["primary_inputs"]]
+        copy["output_nets"] = [[po, new if net == old else net]
+                               for po, net in copy["output_nets"]]
+
+    g = step % len(gates)
+    n = step % len(nets)
+    yield variant(lambda copy: rename_gate(copy, g, gates[g][0] + "\x00'"))
+    yield variant(lambda copy: rename_net(copy, n, nets[n][0] + '"\ud800'))
+    if len(gates) > 1:
+        first, second = gates[g - 1][0], gates[g][0]
+        renamed = {first + second[0], second[1:]}
+        if len(second) > 1 and len(renamed) == 2 and not renamed & gate_names:
+            def shift(copy):
+                rename_gate(copy, g - 1, first + second[0])
+                rename_gate(copy, g, second[1:])
+            yield variant(shift)
+        yield variant(lambda copy: copy["gates"].insert(0, copy["gates"].pop(g)))
+    if len(nets) > 1:
+        yield variant(lambda copy: copy["nets"].insert(0, copy["nets"].pop(n)))
+    yield variant(lambda copy: copy["gates"][g].__setitem__(3, not gates[g][3]))
+    with_sinks = [i for i, net in enumerate(nets) if len(net[2]) > 1]
+    if with_sinks:
+        yield variant(lambda copy: copy["nets"][with_sinks[0]][2].reverse())
+    with_outputs = [i for i, net in enumerate(nets) if len(net[4]) > 1]
+    if with_outputs:
+        yield variant(lambda copy: copy["nets"][with_outputs[0]][4].reverse())
+
+
+@settings(max_examples=40, deadline=None)
+@given(edit_sequences())
+def test_fingerprints_are_equal_exactly_when_documents_are(case):
+    """At every state of an edit sequence, the netlist, its copy, its
+    pickle and netlists rebuilt from nearby documents (renames, reorders,
+    ``dont_touch``): two fingerprints are equal exactly when the two
+    document texts are."""
+    spec, edits = case
+    netlist = generate_random_logic_reference(spec)
+    fingerprint_of, text_of = {}, {}
+
+    def record(candidate):
+        text = netlist_document_text(candidate)
+        fingerprint = codec.netlist_fingerprint(candidate)
+        assert fingerprint_of.setdefault(text, fingerprint) == fingerprint
+        assert text_of.setdefault(fingerprint, text) == text
+
+    for step, edit in enumerate([None] + edits):
+        if edit is not None:
+            _outcome(netlist, step, edit)
+        record(netlist)
+        record(netlist.copy())
+        record(pickle.loads(pickle.dumps(netlist)))
+        doc = json.loads(netlist_document_text(netlist))
+        for variant in _document_variants(doc, step):
+            record(netlist_from_document(variant, netlist.library))
+
+
 def test_mappings_see_edits_made_after_a_snapshot(c432):
     """``netlist.gates``/``netlist.nets`` taken before a snapshot stay live
     after the netlist copies its shared name tables."""
@@ -245,9 +332,6 @@ def test_skeletons_match_the_by_name_walks(make):
     # The routing skeleton.
     _assert_fields(_RoutingSkeleton(netlist, first),
                    build_oracle.routing_skeleton_reference(netlist, first))
-    # The fingerprint text.
-    text = codec._structure_text(arrays, netlist.name, netlist.output_nets)
-    assert text == netlist_document_text(netlist)
 
 
 def test_skeletons_of_a_partial_placement(c432):

@@ -14,7 +14,7 @@ from build_oracle import (
     route_connection,
 )
 from repro.circuits.random_logic import RandomLogicSpec, generate_random_logic
-from repro.layout.geometry import Point, bounding_box, half_perimeter, manhattan
+from repro.layout.geometry import Point, manhattan
 from repro.layout.router import RouterConfig, _jog_counts, _select_pairs
 from repro.netlist.cells import NUM_METAL_LAYERS
 from repro.metrics.solution_space import (
@@ -39,19 +39,6 @@ class TestGeometryProperties:
     @given(points, points, points)
     def test_manhattan_triangle_inequality(self, a, b, c):
         assert manhattan(a, c) <= manhattan(a, b) + manhattan(b, c) + 1e-6
-
-    @given(st.lists(points, min_size=1, max_size=20))
-    def test_bounding_box_contains_all_points(self, pts):
-        box = bounding_box(pts)
-        for p in pts:
-            assert box.contains(p, tolerance=1e-6)
-
-    @given(st.lists(points, min_size=2, max_size=20))
-    def test_half_perimeter_bounds_pairwise_distance(self, pts):
-        hpwl = half_perimeter(pts)
-        for p in pts:
-            for q in pts:
-                assert manhattan(p, q) <= hpwl + 1e-6
 
 
 class TestSeedProperties:
