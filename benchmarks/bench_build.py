@@ -475,8 +475,8 @@ def bench_store_service(benchmark: str, num_seeds: int, repeat: int,
 
     Each of ``num_seeds`` jobs is its own single-seed spec (proximity at M4,
     the ``security`` and ``distances`` metrics), as ``repro serve`` clients
-    send them, and ``netlist_seed`` is not pinned: a hit regenerates its own
-    netlist, fingerprints it and decodes one payload.  The warm side replays
+    send them, and ``netlist_seed`` is not pinned: a hit decodes its own
+    netlist and its layout from one payload and fingerprints the netlist.  The warm side replays
     the jobs through ``Workspace.run_sweeps`` from a populated store; the
     rebuild side runs them in a workspace without a store.  Both are
     asserted to give the same results, and the warm side to build nothing.

@@ -413,14 +413,16 @@ def cmd_cache(args: argparse.Namespace) -> int:
         return 0
     if args.cache_op == "verify":
         report = store.verify()
-        bad = [item for item in report if not item["ok"]]
         for item in report:
-            status = "ok" if item["ok"] else "QUARANTINED"
             print(
                 f"{item['key'][:16]}  {item['benchmark']:14s} "
-                f"{item['scheme']:22s} {status}"
+                f"{item['scheme']:22s} {item['status']}"
             )
-        print(f"{len(report) - len(bad)}/{len(report)} entries verified")
+        stale = sum(item["status"] == "STALE_FORMAT" for item in report)
+        bad = sum(item["status"] == "QUARANTINED" for item in report)
+        print(f"{len(report) - stale - bad}/{len(report)} entries verified"
+              + (f", {stale} of another format (replaced by the next save)"
+                 if stale else ""))
         return 1 if bad else 0
     if args.cache_op == "export":
         keys = args.keys or None
@@ -611,8 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
     _cache_common(gc_parser)
 
     verify_parser = cache_sub.add_parser(
-        "verify", help="re-check every entry (checksum + full decode against "
-                       "a regenerated netlist); damaged entries quarantine"
+        "verify", help="re-check every entry (checksum, full decode, and its "
+                       "netlist regenerated and compared); damaged entries "
+                       "quarantine"
     )
     _cache_common(verify_parser)
 

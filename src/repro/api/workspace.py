@@ -45,9 +45,9 @@ every finished build is published to disk as it lands (workers included),
 and pool prewarms short-circuit on disk hits — both up front and again at
 dispatch time, so two processes sweeping against one shared store divide
 the work between them.  Loaded builds pass the full verification gates
-(payload checksum, format versions, regenerated-netlist fingerprint,
-``topology_version``) before they are trusted; anything that fails is
-quarantined on disk and rebuilt.  A *read-only* store
+(payload checksum, format and generator versions, the netlist's
+fingerprint and ``topology_version``) before they are trusted; anything
+that fails is quarantined on disk and rebuilt.  A *read-only* store
 (``REPRO_STORE_READONLY=1``) additionally forbids building: a miss raises
 :class:`~repro.exec.errors.BuildError`, which is how CI proves a rerun was
 served entirely from disk.
@@ -615,14 +615,24 @@ class Workspace:
     # -- disk tier ---------------------------------------------------------
 
     def _store_load(self, key: str, spec: ScenarioSpec):
-        """Fetch ``key`` from the disk tier (verified), or ``None``."""
+        """Fetch ``key`` from the disk tier (verified), or ``None``.
+
+        The build is decoded against the netlist tier's netlist when the
+        tier holds it; otherwise the store builds the netlist from the
+        payload and the tier keeps it, so hits on one netlist decode it
+        once and no hit runs the generator.
+        """
         store = self.store
         if store is None or not store.has(key):
             return None
-        netlist = self.netlist(
-            spec.benchmark, seed=spec.effective_netlist_seed, scale=spec.scale
-        )
-        return store.load(key, netlist)
+        tier_key = (spec.benchmark, spec.effective_netlist_seed, spec.scale)
+        with self._lock:
+            netlist = self._netlists.get(tier_key)
+        built = store.load(key, netlist)
+        if built is not None and netlist is None:
+            with self._lock:
+                self._netlists.setdefault(tier_key, built.layout.netlist)
+        return built
 
     def _store_save(self, key: str, build_dict: Mapping[str, Any],
                     built: Any) -> None:

@@ -146,10 +146,11 @@ def generate_random_logic(spec: RandomLogicSpec,
     cum_weights = list(accumulate(weight for _, weight in spec.cell_mix))
     total = cum_weights[-1] + 0.0
     last = len(cum_weights) - 1
-    #: cell name -> (input count, unconnected output pins past the first)
-    cells: Dict[str, Tuple[int, List[int]]] = {}
+    #: cell name -> (index in first-use order, input count, unconnected
+    #: output pins past the first)
+    cells: Dict[str, Tuple[int, int, List[int]]] = {}
     gate_names: List[str] = []
-    gate_cells: List[str] = []
+    gate_cell: List[int] = []
     fanin_net: List[int] = []
     fanout_net: List[int] = []
 
@@ -168,11 +169,11 @@ def generate_random_logic(spec: RandomLogicSpec,
         entry = cells.get(cell_name)
         if entry is None:
             cell = library[cell_name]
-            entry = cells[cell_name] = (len(cell.input_pins),
+            entry = cells[cell_name] = (len(cells), len(cell.input_pins),
                                         [-1] * (len(cell.output_pins) - 1))
         if sources is None:
             sources = []
-            for _pin in range(entry[0]):
+            for _pin in range(entry[1]):
                 source = pick_source(n)
                 # Avoid duplicate inputs where possible (keeps functions non-trivial).
                 retries = 0
@@ -181,12 +182,12 @@ def generate_random_logic(spec: RandomLogicSpec,
                     retries += 1
                 sources.append(source)
         gate_names.append(name)
-        gate_cells.append(cell_name)
+        gate_cell.append(entry[0])
         fanin_net += sources
         # The first output pin drives the gate's own net; any other stays
         # unconnected.
         fanout_net.append(num_pis + i)
-        fanout_net += entry[1]
+        fanout_net += entry[2]
 
     # Gate outputs no gate input loads, in creation order.
     loaded = bytearray(num_pis + num_gates)
@@ -196,7 +197,7 @@ def generate_random_logic(spec: RandomLogicSpec,
     net_names = pi_names + [f"n_{i}" for i in range(num_gates)]
     chosen = _choose_outputs(dangling, num_pis, num_gates, spec, rng)
     netlist = Netlist.from_columns(
-        spec.name, library, net_names, pi_names, gate_names, gate_cells,
+        spec.name, library, net_names, pi_names, gate_names, list(cells), gate_cell,
         fanin_net, fanout_net,
         {f"po_{index}": net_names[net] for index, net in enumerate(chosen)})
 

@@ -14,6 +14,14 @@ from repro.circuits.superblue import DEFAULT_SCALE, SUPERBLUE_PROFILES, superblu
 from repro.netlist.cells import CellLibrary
 from repro.netlist.netlist import Netlist
 
+#: Version of what :func:`get_benchmark` returns: bump it with any change
+#: that makes some name, seed and scale give another netlist.  A store
+#: entry holds the netlist it was built on and records this version; an
+#: entry of another version is a plain miss.
+#: ``tests/golden/netlist_fingerprints.json`` pins the generated netlists,
+#: so a change that keeps the version fails the tests.
+GENERATOR_VERSION = 1
+
 
 def available_benchmarks() -> List[str]:
     """Return every benchmark name :func:`get_benchmark` accepts."""

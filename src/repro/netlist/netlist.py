@@ -36,6 +36,7 @@ wire and only the driver→sink association is swapped.
 from __future__ import annotations
 
 import enum
+import weakref
 from array import array
 from bisect import bisect_right
 from collections.abc import Mapping
@@ -148,6 +149,25 @@ class CellPins:
                  tuple(self.input_position.get(pin, -1) for pin in in_pins))
                 for out_pin, kind, in_pins in cell.logic_ops
             ]
+
+
+#: One pin table per cell of each library, shared by every netlist on it:
+#: a library never replaces a cell (``CellLibrary.add`` refuses a duplicate
+#: name) and a :class:`Cell` is frozen.
+_PIN_TABLES: "weakref.WeakKeyDictionary[CellLibrary, Dict[str, CellPins]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def cell_pins(library: CellLibrary, cell_name: str) -> CellPins:
+    """The shared :class:`CellPins` of ``library[cell_name]``."""
+    tables = _PIN_TABLES.get(library)
+    if tables is None:
+        tables = _PIN_TABLES.setdefault(library, {})
+    table = tables.get(cell_name)
+    if table is None:
+        table = tables.setdefault(cell_name, CellPins(library[cell_name]))
+    return table
 
 
 class _Table(Mapping):
@@ -380,33 +400,38 @@ class Netlist:
         """Index of ``cell_name``'s pin table (added on first use)."""
         index = self._cell_id.get(cell_name)
         if index is None:
-            cell = self.library[cell_name]
+            table = cell_pins(self.library, cell_name)
             index = self._cell_id[cell_name] = len(self._cells)
-            self._cells.append(CellPins(cell))
+            self._cells.append(table)
         return index
 
     @classmethod
     def from_columns(cls, name: str, library: CellLibrary, net_names: List[str],
                      primary_inputs: List[str], gate_names: List[str],
-                     gate_cells: List[str], fanin_net: List[int], fanout_net: List[int],
+                     cell_names: List[str], gate_cell, fanin_net, fanout_net,
                      output_nets: Dict[str, str]) -> "Netlist":
         """A netlist built in bulk from its connectivity.
 
+        ``cell_names`` lists the cells in use in first-use (gate) order and
+        ``gate_cell`` holds each gate's cell as an index into it;
         ``fanin_net``/``fanout_net`` hold the net id (an index into
         ``net_names``, ``-1`` for unconnected) on every input/output pin of
-        every gate, gate by gate in the cell's pin order.  The result equals
-        declaring the primary inputs, adding each gate and connecting its
-        pins in pin order (inputs, then outputs), gate by gate, and then
-        declaring ``output_nets`` in order, with each net created where
-        ``net_names`` lists it; ``topology_version`` counts those edits.
-        Raises :class:`NetlistError` when a pin column does not match the
-        cells' pin counts; other inconsistencies (two drivers on a net, a
+        every gate, gate by gate in the cell's pin order.  The three columns
+        are integer sequences or arrays.  The result equals declaring the
+        primary inputs, adding each gate and connecting its pins in pin
+        order (inputs, then outputs), gate by gate, and then declaring
+        ``output_nets`` in order, with each net created where ``net_names``
+        lists it; ``topology_version`` counts those edits.  Raises
+        :class:`NetlistError` when the cell or a pin column does not match
+        the gates; other inconsistencies (two drivers on a net, a
         gate-driven primary input) are left to :meth:`validate`.
         """
         netlist = cls(name, library)
-        index = {cell_name: netlist._cell_table(cell_name)
-                 for cell_name in dict.fromkeys(gate_cells)}
-        cells = np.array(list(map(index.__getitem__, gate_cells)), dtype=np.int64)
+        cells = np.asarray(gate_cell, dtype=np.int64)
+        if len(cells) != len(gate_names):
+            raise NetlistError("the cell column does not match the gates")
+        for cell_name in cell_names:
+            netlist._cell_table(cell_name)
         tables = netlist._cells
         starts = []
         for pins in ([len(table.inputs) for table in tables],
@@ -423,8 +448,8 @@ class Netlist:
         netlist._gate_cell = array("q", cells.tobytes())
         netlist._dont_touch = bytearray(len(gate_names))
         netlist._fanin_start, netlist._fanout_start = fanin_start, fanout_start
-        netlist._fanin_net = array("q", fanin_net)
-        netlist._fanout_net = array("q", fanout_net)
+        netlist._fanin_net = array("q", np.asarray(fanin_net, dtype=np.int64).tobytes())
+        netlist._fanout_net = array("q", np.asarray(fanout_net, dtype=np.int64).tobytes())
         netlist._net_names = list(net_names)
         netlist._net_id = net_id = dict(zip(net_names, range(num_nets)))
         driver = np.full(num_nets, -1, dtype=np.int64)
@@ -771,7 +796,7 @@ class Netlist:
     def __setstate__(self, state):
         cell_names = state.pop("_cell_names")
         self.__dict__.update(state)
-        self._cells = [CellPins(self.library[name]) for name in cell_names]
+        self._cells = [cell_pins(self.library, name) for name in cell_names]
         self._cell_id = {name: i for i, name in enumerate(cell_names)}
         self._gate_id = {name: g for g, name in enumerate(self._gate_names)}
         self._net_id = {name: n for n, name in enumerate(self._net_names)}

@@ -1,14 +1,17 @@
 """Columnar (de)serialization of scheme builds for the artefact store.
 
-A stored build is split into two parts, mirroring the PR-6 skeleton/delta
+A stored build is split into three parts, mirroring the skeleton/delta
 protocol the pool workers already use:
 
+* the **netlist** the build was made on — one ASCII ``json.dumps`` of its
+  name tables and its ``gate_cell``/``fanin_net``/``fanout_net`` columns
+  (the ``netlist.*`` members, see :func:`_encode_netlist`), from which
+  :meth:`~repro.netlist.netlist.Netlist.from_columns` rebuilds it;
 * a **skeleton record** — the structural columns that are implied by the
   netlist and the routing topology: which net each routed entry belongs to,
   the sink reference of every 2-pin connection, the per-connection segment
-  and via counts.  Everything here is an *index* into the deterministic
-  regeneration of the benchmark netlist (``get_benchmark(benchmark,
-  netlist_seed, scale)``), so no gate or net name is ever stored twice;
+  and via counts.  Everything here is an *index* into the netlist's gate
+  and net name tables, so no gate or net name is stored twice;
 * the **coordinate columns** — flat ``float64`` arrays of placement
   positions and routed segment/via geometry.  ``float64`` survives the
   ``.npz`` round trip bit-exactly, which is what makes a disk-loaded build
@@ -16,12 +19,12 @@ protocol the pool workers already use:
 
 :func:`encode_build` flattens a :class:`~repro.api.schemes.SchemeBuild`
 into ``(record, arrays)`` — a JSON-compatible metadata record plus a dict
-of NumPy arrays — and :func:`decode_build` reverses it against a freshly
-regenerated netlist.  Both directions are column copies: the placement's
-and the routing's (:class:`~repro.layout.arrays.RoutingArrays`) columns go
-into the payload near-verbatim, with their integer name keys, and decode
-keeps the payload columns as the placement and routing columns of the
-loaded layout.
+of NumPy arrays — and :func:`decode_build` reverses it, against the
+netlist the caller passes or else the one the payload carries.  Both
+directions are column copies: the placement's and the routing's
+(:class:`~repro.layout.arrays.RoutingArrays`) columns go into the payload
+near-verbatim, with their integer name keys, and decode keeps the payload
+columns as the placement and routing columns of the loaded layout.
 
 Builds that carry state the columnar format cannot represent — today the
 ``proposed`` scheme's full :class:`~repro.core.flow.ProtectionResult` —
@@ -34,13 +37,15 @@ rebuild, never a crash.
 Bit-exactness gates baked into every decode:
 
 * the **netlist fingerprint** — a SHA-256 over a versioned byte layout of
-  the regenerated netlist's name tables and integer columns (gate order,
-  cells, connectivity, ports; see :func:`netlist_fingerprint`) must equal
-  the fingerprint recorded at encode time.  Any change to the benchmark
-  generators invalidates every entry they produced, by construction;
-* ``topology_version`` of the regenerated netlist and the recorded
-  placement/layout ``geometry_version`` counters are carried through, so
-  the columnar-view invalidation contract keeps working on loaded builds.
+  the netlist's name tables and integer columns (gate order, cells,
+  connectivity, ports; see :func:`netlist_fingerprint`) must equal the
+  fingerprint recorded at encode time, for the decoded netlist as for a
+  passed one.  A decode never runs the benchmark generators; the store
+  catches a change to them by its generator version and its deep
+  ``verify`` (see ``repro.store.store``);
+* ``topology_version`` of the netlist and the recorded placement/layout
+  ``geometry_version`` counters are carried through, so the
+  columnar-view invalidation contract keeps working on loaded builds.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from __future__ import annotations
 import hashlib
 import json
 import weakref
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +62,8 @@ from repro.layout.floorplan import Floorplan
 from repro.layout.geometry import Rect
 from repro.layout.layout import Layout
 from repro.layout.placer import PlacementResult, PlacerConfig
-from repro.netlist.arrays import csr, netlist_arrays
+from repro.netlist.arrays import NetlistArrays, csr, netlist_arrays
+from repro.netlist.cells import default_library
 from repro.netlist.netlist import Netlist
 
 #: Bump on ANY change to the payload schema or to the meaning of a stored
@@ -84,10 +90,9 @@ class CodecError(Exception):
 class StaleEntry(CodecError):
     """The payload decodes but its invalidation gates no longer match.
 
-    Raised when the regenerated netlist's fingerprint or
-    ``topology_version`` differs from the recorded one — i.e. the benchmark
-    generator (or a structural-edit path feeding it) changed since the
-    entry was written.
+    Raised when the fingerprint or ``topology_version`` of the netlist a
+    caller passes differs from the recorded one — i.e. the caller's
+    netlist is not the one the entry was built on.
     """
 
 
@@ -100,8 +105,8 @@ class StaleEntry(CodecError):
 #: and the ``dont_touch`` change count) — the contract the vectorized
 #: simulation engine keys its compiled-plan caches on.  A seed
 #: sweep saves N entries of ONE netlist, and a Workspace replays every seed
-#: of a pinned ``netlist_seed`` against one regenerated netlist; the memo
-#: hashes each such netlist once.  A load reads ``payload.npz`` once,
+#: of a pinned ``netlist_seed`` against one netlist; the memo hashes each
+#: such netlist once.  A load reads ``payload.npz`` once,
 #: checks those bytes against the manifest's SHA-256 and decodes the same
 #: bytes (see ``repro.store.store``); the fingerprint gates the decode.
 _fingerprint_memo: "weakref.WeakKeyDictionary[Netlist, Tuple[Tuple[int, int], str]]" = (
@@ -118,7 +123,7 @@ def netlist_fingerprint(netlist: Netlist) -> str:
 
     Gate and net *order* is part of the fingerprint: the codec stores
     positions and routing as indices into the netlist's gate and net name
-    tables, so a reordered regeneration is as stale as a rewired one.
+    tables, so a reordered netlist is as stale as a rewired one.
 
     The hashed bytes (layout version 2, read off
     :func:`~repro.netlist.arrays.netlist_arrays`) are, in order:
@@ -213,6 +218,68 @@ def _decode_jsonable(value: Any) -> Any:
     if isinstance(value, list):
         return [_decode_jsonable(v) for v in value]
     return value
+
+
+# ---------------------------------------------------------------------------
+# Netlist encoding
+# ---------------------------------------------------------------------------
+
+def _from_columns_shape(netlist: Netlist, tables: NetlistArrays) -> bool:
+    """Whether :meth:`Netlist.from_columns` rebuilds ``netlist`` from its
+    name tables and pin columns: no ``dont_touch`` mark, each net's sinks
+    in row order, the outputs declared in ``output_nets`` order and the
+    edit count of that construction.  Every generated benchmark is."""
+    fanin_net, po_net = tables.fanin_net, tables.po_net
+    rows = np.flatnonzero(fanin_net >= 0)
+    edits = (tables.num_nets + len(tables.primary_inputs) + tables.num_gates
+             + len(rows) + int((tables.fanout_net >= 0).sum())
+             + len(tables.primary_outputs))
+    return (not tables.dont_touch.any()
+            and tables.primary_outputs == list(netlist.output_nets)
+            and netlist.topology_version == edits
+            and np.array_equal(tables.sink_row,
+                               rows[np.argsort(fanin_net[rows], kind="stable")])
+            and np.array_equal(tables.net_po, np.argsort(po_net, kind="stable")))
+
+
+def _encode_netlist(netlist: Netlist, arrays: Dict[str, np.ndarray]) -> None:
+    """The ``netlist.*`` payload members: one ASCII ``json.dumps`` of the
+    name tables (``[name, gate names, net names, primary inputs,
+    [[output, net], ...] in output order, cell names in first-use order]``)
+    and the ``gate_cell``, ``fanin_net`` and ``fanout_net`` columns."""
+    tables = netlist_arrays(netlist)
+    if not _from_columns_shape(netlist, tables):
+        raise UnstorableBuild(
+            f"netlist {netlist.name!r} is not rebuilt by Netlist.from_columns "
+            "from its columns"
+        )
+    names = json.dumps([
+        netlist.name, tables.gate_names, tables.net_names, tables.primary_inputs,
+        list(netlist.output_nets.items()), [table.cell.name for table in tables.cells],
+    ]).encode("ascii")
+    arrays["netlist.names"] = np.frombuffer(names, dtype=np.uint8)
+    arrays["netlist.gate_cell"] = tables.gate_cell.astype(np.int64)
+    arrays["netlist.fanin_net"] = tables.fanin_net
+    arrays["netlist.fanout_net"] = tables.fanout_net
+
+
+def _decode_netlist(arrays: Mapping[str, np.ndarray]) -> Netlist:
+    """The netlist of a payload, built by :meth:`Netlist.from_columns` on
+    the default cell library (the library of every registered benchmark)."""
+    try:
+        (name, gate_names, net_names, primary_inputs, output_nets,
+         cell_names) = json.loads(_require(arrays, "netlist.names").tobytes())
+    except (ValueError, TypeError) as error:
+        raise CodecError(f"malformed netlist name tables: {error!r}")
+    gate_cell = _indices(arrays, "netlist.gate_cell", 0, len(cell_names))
+    fanin_net = _indices(arrays, "netlist.fanin_net", -1, len(net_names))
+    fanout_net = _indices(arrays, "netlist.fanout_net", -1, len(net_names))
+    try:
+        return Netlist.from_columns(
+            name, default_library(), net_names, primary_inputs, gate_names,
+            cell_names, gate_cell, fanin_net, fanout_net, dict(output_nets))
+    except (KeyError, TypeError, ValueError, IndexError) as error:  # NetlistError too
+        raise CodecError(f"netlist columns do not decode: {error!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +420,7 @@ def _indices(arrays: Mapping[str, np.ndarray], name: str, low: int,
     """An index column whose entries must lie in ``[low, high)``."""
     column = _require(arrays, name)
     if column.size and (column.min() < low or column.max() >= high):
-        raise CodecError(f"{name} index out of range for the regenerated netlist")
+        raise CodecError(f"{name} index out of range for the netlist")
     return column
 
 
@@ -379,7 +446,7 @@ def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
         raise CodecError(f"malformed placement record: {error!r}")
 
     # The payload columns become the placement and routing columns as they
-    # are; names stay integer keys into the regenerated netlist's tables.
+    # are; names stay integer keys into the netlist's tables.
     gate_order = _indices(arrays, prefix + "gate_order", 0, len(gate_names))
     gate_x = _require(arrays, prefix + "gate_x")
     gate_y = _require(arrays, prefix + "gate_y")
@@ -551,20 +618,23 @@ def encode_build(build: Any, netlist: Netlist
         "topology_version": netlist.topology_version,
         "layout": _encode_layout(build.layout, netlist, arrays, "layout."),
     }
+    _encode_netlist(netlist, arrays)
     return record, arrays
 
 
 def decode_build(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
-                 netlist: Netlist):
+                 netlist: Optional[Netlist] = None):
     """Rebuild a :class:`~repro.api.schemes.SchemeBuild` from its columns.
 
-    ``netlist`` must be the deterministic regeneration of the benchmark the
-    entry was built from; the recorded fingerprint and ``topology_version``
-    are verified against it before any object is materialized.
+    ``netlist`` is the benchmark netlist when the caller holds it; left
+    ``None`` it is built from the payload's ``netlist.*`` members.  Either
+    way the recorded fingerprint and ``topology_version`` are verified
+    against it before any layout is materialized.
 
     Raises:
-        CodecError: Malformed or truncated payload.
-        StaleEntry: The regenerated netlist no longer matches the recorded
+        CodecError: Malformed or truncated payload, or a decoded netlist
+            that does not match the record.
+        StaleEntry: The given netlist does not match the recorded
             fingerprint / topology version.
     """
     from repro.api.schemes import SchemeBuild
@@ -574,18 +644,22 @@ def decode_build(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
             f"codec version {record.get('codec_version')!r} != "
             f"{CODEC_FORMAT_VERSION}"
         )
+    if netlist is None:
+        netlist, mismatch, source = _decode_netlist(arrays), CodecError, "decoded"
+    else:
+        mismatch, source = StaleEntry, "given"
     expected = record.get("netlist_fingerprint")
     actual = netlist_fingerprint(netlist)
     if expected != actual:
-        raise StaleEntry(
-            f"netlist fingerprint changed ({str(expected)[:12]}… recorded, "
-            f"{actual[:12]}… regenerated) — benchmark generation has moved"
+        raise mismatch(
+            f"netlist fingerprint differs ({str(expected)[:12]}… recorded, "
+            f"{actual[:12]}… {source})"
         )
     recorded_topology = record.get("topology_version")
     if recorded_topology != netlist.topology_version:
-        raise StaleEntry(
-            f"topology_version changed ({recorded_topology} recorded, "
-            f"{netlist.topology_version} regenerated)"
+        raise mismatch(
+            f"topology_version differs ({recorded_topology} recorded, "
+            f"{netlist.topology_version} {source})"
         )
     layout = _decode_layout(record["layout"], arrays, netlist, "layout.")
     baseline_mode = record.get("baseline")

@@ -21,13 +21,21 @@ Contracts:
   deterministic in the key).
 * **Verification** — every load reads ``payload.npz`` once, hashes those
   bytes against the manifest's SHA-256 and decodes the arrays from the
-  same bytes; it gates on the store/codec format versions, and decodes
-  against a *freshly regenerated* netlist whose fingerprint and
-  ``topology_version`` must match the recorded ones.  Anything that fails —
-  unreadable manifest, checksum mismatch, truncated arrays, stale
-  fingerprint — quarantines the entry to a ``.bad`` sidecar (with a
-  ``reason.txt``) and reports a miss, so callers rebuild; a corrupt store
-  can cost time, never correctness, and never a crash.
+  same bytes; it gates on the store/codec format versions and the
+  generator version, and decodes the build against its netlist — the one
+  the caller holds, or else the one built from the payload's own columns —
+  whose fingerprint and ``topology_version`` must match the recorded ones.
+  Anything that fails — unreadable manifest, checksum mismatch, truncated
+  arrays, a netlist that does not match — quarantines the entry to a
+  ``.bad`` sidecar (with a ``reason.txt``) and reports a miss, so callers
+  rebuild; a corrupt store can cost time, never correctness, and never a
+  crash.  No load runs the benchmark generator: a generator change is
+  caught by :data:`~repro.circuits.registry.GENERATOR_VERSION` (recorded
+  in every manifest; the tests pin the generated fingerprints) and by
+  :meth:`ArtifactStore.verify`, which regenerates every entry's netlist.
+* **Upgrades** — an entry written under another store format or generator
+  version is a plain miss, and the next :meth:`ArtifactStore.save` of its
+  key replaces it.
 * **Eviction** — least-recently-used by manifest mtime (touched on every
   hit), driven by optional ``max_bytes`` / ``max_entries`` budgets applied
   after each save and on demand via :meth:`ArtifactStore.gc`.
@@ -66,6 +74,7 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.circuits.registry import GENERATOR_VERSION, get_benchmark
 from repro.store.codec import (
     CODEC_FORMAT_VERSION,
     CodecError,
@@ -73,18 +82,21 @@ from repro.store.codec import (
     UnstorableBuild,
     decode_build,
     encode_build,
+    netlist_fingerprint,
 )
 
 logger = logging.getLogger("repro.store")
 
 #: Bump on ANY change to the on-disk entry layout, the manifest schema or
 #: the meaning of a manifest field.  Entries written under another store
-#: format version are treated as plain misses (left intact for the older
-#: reader that wrote them, never quarantined): format drift is not
-#: corruption.  Version 2: ``record["netlist_fingerprint"]`` hashes the
-#: netlist's columns (see :func:`repro.store.codec.netlist_fingerprint`),
-#: not the JSON structure document version 1 hashed.
-STORE_FORMAT_VERSION = 2
+#: format version are treated as plain misses (never quarantined: format
+#: drift is not corruption); the next save of the key replaces them.
+#: Version 2:
+#: ``record["netlist_fingerprint"]`` hashes the netlist's columns (see
+#: :func:`repro.store.codec.netlist_fingerprint`), not the JSON structure
+#: document version 1 hashed.  Version 3: the payload carries the netlist
+#: (``netlist.*`` members) and the manifest its ``generator_version``.
+STORE_FORMAT_VERSION = 3
 
 _MANIFEST = "manifest.json"
 _PAYLOAD = "payload.npz"
@@ -128,16 +140,25 @@ def _parse_chaos(text: Optional[str]) -> Dict[str, float]:
     return plan
 
 
-def regenerate_netlist(build: Mapping[str, Any]):
-    """Deterministically regenerate the netlist a build dict describes."""
-    from repro.circuits.registry import get_benchmark
-
+def _netlist_identity(build: Mapping[str, Any]) -> Tuple[str, int, Any]:
+    """``(benchmark, netlist seed, scale)`` of a build dict."""
     netlist_seed = build.get("netlist_seed")
     if netlist_seed is None:
         netlist_seed = build["seed"]
-    return get_benchmark(
-        build["benchmark"], seed=int(netlist_seed), scale=build.get("scale")
-    )
+    return build["benchmark"], int(netlist_seed), build.get("scale")
+
+
+def regenerate_netlist(build: Mapping[str, Any]):
+    """Deterministically regenerate the netlist a build dict describes."""
+    benchmark, seed, scale = _netlist_identity(build)
+    return get_benchmark(benchmark, seed=seed, scale=scale)
+
+
+def _current(manifest: Mapping[str, Any]) -> bool:
+    """Whether a manifest was written under this store format and
+    generator version (else its entry is a plain miss)."""
+    return (manifest.get("store_format_version") == STORE_FORMAT_VERSION
+            and manifest.get("generator_version") == GENERATOR_VERSION)
 
 
 @dataclass
@@ -245,15 +266,22 @@ class ArtifactStore:
              netlist) -> bool:
         """Serialize ``build`` under ``key``; True iff this call installed it.
 
-        Read-only stores, already-present keys, lost install races and
-        unstorable builds all return ``False`` — saving is always best
-        effort and never raises for a representational reason.  Only an
-        unusable store root raises :class:`StoreError`.
+        An entry already under ``key`` is kept, unless it was written under
+        another store format or generator version: then it is replaced, by
+        the same stage-and-rename install.  Read-only stores, kept entries,
+        lost install races and unstorable builds all return ``False`` —
+        saving is always best effort and never raises for a
+        representational reason.  Only an unusable store root raises
+        :class:`StoreError`.
         """
         if self.readonly:
             return False
-        if self.has(key):
-            return False
+        replace = self.has(key)
+        if replace:
+            # A damaged manifest is left for a load to quarantine.
+            existing = self.manifest(key)
+            if existing is None or _current(existing):
+                return False
         try:
             record, arrays = encode_build(build, netlist)
         except UnstorableBuild as error:
@@ -288,6 +316,7 @@ class ArtifactStore:
             manifest = {
                 "store_format_version": STORE_FORMAT_VERSION,
                 "codec_format_version": CODEC_FORMAT_VERSION,
+                "generator_version": GENERATOR_VERSION,
                 "build_key": key,
                 "build": dict(build_dict),
                 "record": record,
@@ -304,6 +333,8 @@ class ArtifactStore:
                 os.fsync(handle.fileno())
             final = self._entry_dir(key)
             final.parent.mkdir(parents=True, exist_ok=True)
+            if replace:
+                self._retire_stale(key)
             try:
                 os.rename(stage, final)
             except OSError as error:
@@ -319,6 +350,23 @@ class ArtifactStore:
             return True
         finally:
             shutil.rmtree(stage, ignore_errors=True)
+
+    def _retire_stale(self, key: str) -> None:
+        """Delete the entry under ``key`` if it was written under another
+        store format or generator version.  It is moved into ``tmp/`` first,
+        so the install that follows sees the key free and readers never see
+        half an entry."""
+        entry = self._entry_dir(key)
+        existing = self.manifest(key)
+        if existing is None or _current(existing):
+            return
+        aside = Path(tempfile.mkdtemp(prefix=key[:12] + ".old.", dir=self.root / "tmp"))
+        try:
+            os.rename(entry, aside / key)
+        except OSError:
+            pass  # another writer moved it first
+        finally:
+            shutil.rmtree(aside, ignore_errors=True)
 
     # -- load --------------------------------------------------------------
 
@@ -350,9 +398,11 @@ class ArtifactStore:
     def load(self, key: str, netlist=None) -> Optional[Any]:
         """Decode the stored build for ``key``; ``None`` on any miss.
 
-        ``netlist`` is the regenerated benchmark netlist when the caller
-        already has it (the Workspace does); left ``None`` it is regenerated
-        from the manifest's build dict.  Every failure mode — missing entry,
+        ``netlist`` is the benchmark netlist when the caller already holds
+        it; left ``None`` it is built from the payload's own columns (see
+        :func:`repro.store.codec.decode_build`).  Either way its fingerprint
+        and ``topology_version`` are checked against the record; no load
+        runs the benchmark generator.  Every failure mode — missing entry,
         unreadable manifest, version drift, checksum mismatch, truncated or
         stale payload — returns ``None`` (quarantining the entry when it is
         damaged rather than merely from another format), so a load can cost
@@ -370,12 +420,14 @@ class ArtifactStore:
             self._quarantine(key, f"unreadable manifest: {error!r}")
             self.stats["misses"] += 1
             return None
-        if manifest.get("store_format_version") != STORE_FORMAT_VERSION:
+        if not _current(manifest):
             # Another (older/newer) writer's entry: a miss, not damage.
             logger.debug(
-                "store: %s written under store format %r (want %r) — miss",
-                key[:12], manifest.get("store_format_version"),
-                STORE_FORMAT_VERSION,
+                "store: %s written under store format %r, generator %r "
+                "(want %r, %r) — miss", key[:12],
+                manifest.get("store_format_version"),
+                manifest.get("generator_version"),
+                STORE_FORMAT_VERSION, GENERATOR_VERSION,
             )
             self.stats["misses"] += 1
             return None
@@ -403,8 +455,6 @@ class ArtifactStore:
                 self.stats["misses"] += 1
                 return None
         try:
-            if netlist is None:
-                netlist = regenerate_netlist(manifest.get("build", {}))
             arrays = _decode_npz(raw)
             del raw  # the arrays own their data; free the file image now
             build = decode_build(manifest["record"], arrays, netlist)
@@ -552,22 +602,64 @@ class ArtifactStore:
             pass
 
     def verify(self) -> List[Dict[str, Any]]:
-        """Re-check every entry (checksum + full decode); report per entry.
+        """Re-check every entry; report per entry.
 
-        Damaged entries are quarantined exactly as a hot-path load would.
+        An entry of this store format and generator version is loaded as a
+        hit loads it (checksum, full decode, the decoded netlist against the
+        record), and then its netlist is regenerated from the build dict
+        and its fingerprint and ``topology_version`` compared with the
+        record: the deep check that catches a generator change no load
+        would see.  Each report's ``status`` is ``"ok"``, ``"STALE_FORMAT"``
+        (written under another store format or generator version: left in
+        place for the next save to replace) or ``"QUARANTINED"`` (damaged or
+        regenerated differently: moved aside as a hot-path load would).
         """
         report: List[Dict[str, Any]] = []
+        regenerated: Dict[Tuple[str, int, Any], Tuple[str, int]] = {}
         for entry in self.entries():
-            hits_before = self.stats["hits"]
-            build = self.load(entry.key)
+            manifest = self.manifest(entry.key)
+            if manifest is not None and not _current(manifest):
+                status = "STALE_FORMAT"
+            else:
+                hits_before = self.stats["hits"]
+                build = self.load(entry.key)
+                ok = self.stats["hits"] > hits_before and build is not None
+                if ok and not self._regenerates(entry.key, manifest, regenerated):
+                    ok = False
+                status = "ok" if ok else "QUARANTINED"
             report.append({
                 "key": entry.key,
-                "ok": self.stats["hits"] > hits_before and build is not None,
+                "ok": status == "ok",
+                "status": status,
                 "bytes": entry.bytes,
                 "benchmark": entry.benchmark,
                 "scheme": entry.scheme,
             })
         return report
+
+    def _regenerates(self, key: str, manifest: Mapping[str, Any],
+                     memo: Dict[Tuple[str, int, Any], Tuple[str, int]]) -> bool:
+        """Whether the generator still makes the netlist ``key`` records;
+        quarantines the entry when not.  ``memo`` holds the regenerated
+        ``(fingerprint, topology_version)`` per netlist identity."""
+        record = manifest["record"]
+        try:
+            identity = _netlist_identity(manifest["build"])
+            if identity not in memo:
+                netlist = regenerate_netlist(manifest["build"])
+                memo[identity] = (netlist_fingerprint(netlist), netlist.topology_version)
+            fingerprint, topology = memo[identity]
+        except (KeyError, TypeError, ValueError) as error:
+            self._quarantine(key, f"netlist does not regenerate: {error!r}")
+            return False
+        if (fingerprint, topology) != (record.get("netlist_fingerprint"),
+                                       record.get("topology_version")):
+            self._quarantine(
+                key, f"stale: the generator makes another netlist "
+                f"({fingerprint[:12]}… regenerated, "
+                f"{str(record.get('netlist_fingerprint'))[:12]}… recorded)")
+            return False
+        return True
 
     # -- export / import ---------------------------------------------------
 
@@ -624,10 +716,11 @@ class ArtifactStore:
                     entry.key[:12],
                 )
                 continue
-            if manifest.get("store_format_version") != STORE_FORMAT_VERSION:
+            if not _current(manifest):
                 logger.warning(
-                    "store: import skipping %s (store format %r)",
+                    "store: import skipping %s (store format %r, generator %r)",
                     entry.key[:12], manifest.get("store_format_version"),
+                    manifest.get("generator_version"),
                 )
                 continue
             if (_sha256_file(entry.path / _PAYLOAD)

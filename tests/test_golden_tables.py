@@ -182,6 +182,60 @@ def test_golden_service_shape(name):
     )
 
 
+# -- generated netlists --------------------------------------------------------
+#
+# A store hit decodes its netlist from the payload and never runs the
+# generator, so a generator change must bump ``GENERATOR_VERSION`` (which
+# turns every stored entry into a miss).  This snapshot pins what the
+# generator makes; a change that keeps the version fails here.
+
+#: ``(benchmark, seed, scale)`` of every pinned netlist.
+GOLDEN_NETLISTS = (
+    [("c17", 0, None)]
+    + [(name, 0, None) for name in
+       ("c432", "c499", "c880", "c1355", "c1908", "c2670", "c3540", "c5315",
+        "c6288", "c7552")]
+    + [(name, seed, scale) for name in ("superblue18", "superblue5")
+       for scale in (0.002, 0.01) for seed in (0, 1)]
+)
+
+
+def netlist_fingerprints() -> Dict[str, Any]:
+    """``netlist_fingerprint`` and ``topology_version`` of every
+    :data:`GOLDEN_NETLISTS` entry, under the current generator version."""
+    from repro.circuits.registry import GENERATOR_VERSION, get_benchmark
+    from repro.store import netlist_fingerprint
+
+    netlists = {}
+    for name, seed, scale in GOLDEN_NETLISTS:
+        netlist = get_benchmark(name, seed=seed, scale=scale)
+        netlists[f"{name}:{seed}:{scale}"] = {
+            "netlist_fingerprint": netlist_fingerprint(netlist),
+            "topology_version": netlist.topology_version,
+        }
+    return {"generator_version": GENERATOR_VERSION, "netlists": netlists}
+
+
+def test_generated_netlists_match_their_snapshot():
+    """The generator makes the pinned netlists at the pinned version."""
+    from repro.circuits.iscas85 import ISCAS85_PROFILES
+
+    assert {name for name, _, _ in GOLDEN_NETLISTS} >= {"c17", *ISCAS85_PROFILES}
+    golden = json.loads((GOLDEN_DIR / "netlist_fingerprints.json").read_text())
+    fresh = netlist_fingerprints()
+    assert fresh["generator_version"] == golden["generator_version"], (
+        "GENERATOR_VERSION changed; regenerate the snapshot with "
+        "`python tests/test_golden_tables.py --regen`"
+    )
+    for name, pinned in golden["netlists"].items():
+        assert fresh["netlists"][name] == pinned, (
+            f"the generator makes another {name} netlist at version "
+            f"{fresh['generator_version']}: bump GENERATOR_VERSION in "
+            "repro/circuits/registry.py and regenerate the snapshot"
+        )
+    assert fresh == golden
+
+
 def regenerate() -> None:  # pragma: no cover - manual entry point
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, run in _experiments().items():
@@ -194,7 +248,8 @@ def regenerate() -> None:  # pragma: no cover - manual entry point
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
-    for name, payload in service_snapshots().items():
+    snapshots = dict(service_snapshots(), netlist_fingerprints=netlist_fingerprints())
+    for name, payload in snapshots.items():
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")

@@ -257,12 +257,15 @@ def test_bulk_construction_equals_the_edit_api():
     nets = ["a", "b", "clk", "x", "y", "q", "z"]
     netlist = Netlist.from_columns(
         "bulk", oracle.library, nets, ["a", "b", "clk"], ["g0", "c0", "f0", "g1"],
-        ["NAND2_X1", "CORRECTION_M6", "DFF_X1", "INV_X1"],
+        ["NAND2_X1", "CORRECTION_M6", "DFF_X1", "INV_X1"], [0, 1, 2, 3],
         [0, 1, 3, 0, 4, 2, 3], [3, 4, -1, 5, 6], {"o0": "q", "o1": "z", "o2": "q"})
     assert_same_netlist(netlist, oracle)
     with pytest.raises(NetlistError):
         Netlist.from_columns("bad", oracle.library, nets, [], ["g1"], ["INV_X1"],
-                             [0, 1], [6], {})
+                             [0], [0, 1], [6], {})
+    with pytest.raises(NetlistError):
+        Netlist.from_columns("bad", oracle.library, nets, [], ["g1", "g2"], ["INV_X1"],
+                             [0], [0], [6], {})
 
 
 def test_generation_with_a_multi_output_cell():

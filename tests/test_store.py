@@ -230,7 +230,7 @@ def test_store_save_load_roundtrip(tmp_path, reference_builds):
     assert not store.save(key, build, spec.build_dict(),
                           build.layout.netlist)
 
-    # A fresh store handle regenerates the netlist from the manifest alone.
+    # A fresh store handle builds the netlist from the payload alone.
     fresh = ArtifactStore(tmp_path / "store")
     loaded = fresh.load(key)
     assert loaded is not None
