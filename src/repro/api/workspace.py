@@ -44,10 +44,11 @@ Below the in-memory build cache sits an optional **disk tier**
 every finished build is published to disk as it lands (workers included),
 and pool prewarms short-circuit on disk hits — both up front and again at
 dispatch time, so two processes sweeping against one shared store divide
-the work between them.  Loaded builds pass the full verification gates
-(payload checksum, format and generator versions, the netlist's
-fingerprint and ``topology_version``) before they are trusted; anything
-that fails is quarantined on disk and rebuilt.  A *read-only* store
+the work between them.  Memory keeps a build the disk can serve again only
+while it is in use (see :class:`Workspace`).  Loaded builds pass the full
+verification gates (payload checksum, format and generator versions, the
+netlist's fingerprint and ``topology_version``) before they are trusted;
+anything that fails is quarantined on disk and rebuilt.  A *read-only* store
 (``REPRO_STORE_READONLY=1``) additionally forbids building: a miss raises
 :class:`~repro.exec.errors.BuildError`, which is how CI proves a rerun was
 served entirely from disk.
@@ -55,12 +56,14 @@ served entirely from disk.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
 import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -435,12 +438,51 @@ def default_jobs() -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
+def _pinning(method):
+    """Make ``method`` a call that pins what it resolves until it returns.
+
+    The outermost pinning call on a thread opens that thread's pin table;
+    every build and netlist the call (and the calls nested in it) looks up
+    or publishes is held there, and the table is dropped when the
+    outermost call returns.
+    """
+    @functools.wraps(method)
+    def call(self, *args, **kwargs):
+        pins = self._pins
+        if hasattr(pins, "held"):
+            return method(self, *args, **kwargs)
+        pins.held = {}
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            del pins.held
+    return call
+
+
 class Workspace:
     """Owns artefact caches and runs declarative scenarios.
 
     A workspace is cheap to create; everything it caches lives on the
     instance, so tests and services can hold isolated sessions.  Most code
     shares the process-wide :func:`default_workspace`.
+
+    Lookups go memory → disk → build.  What memory keeps depends on whether
+    the disk tier can serve a build again:
+
+    * a build loaded from the store, or saved to it, is held only while
+      something uses it — a caller's reference, or a pin taken by the
+      running :meth:`build`, :meth:`run_scenario`, :meth:`run_scenarios`,
+      :meth:`run_sweeps` or :meth:`prewarm` call that resolved it, released
+      when the outermost such call on that thread returns.  A caller that
+      still holds a build gets the same object back; once nothing does,
+      the next lookup is a store hit;
+    * a build the store cannot serve again (no store, an unstorable
+      ``proposed`` build, a save that failed) stays resident until
+      :meth:`clear`.
+
+    Netlists follow the builds: a netlist stays while a resident build's
+    layout or a pin holds it, so one call decodes or generates each netlist
+    once.  Scenario results are memoized for the workspace's lifetime.
 
     Args:
         jobs: Default worker-process count for the batch APIs.
@@ -479,9 +521,18 @@ class Workspace:
             store = ArtifactStore(store)
         self.store: Optional[ArtifactStore] = store
         self.last_report: Optional[SupervisorReport] = None
+        #: Builds the store cannot serve again (resident), and the ones it
+        #: can (held only while in use); see the class docstring.
         self._builds: Dict[str, Any] = {}
+        self._stored: weakref.WeakValueDictionary[str, Any] = (
+            weakref.WeakValueDictionary()
+        )
         self._scenarios: Dict[str, ScenarioResult] = {}
-        self._netlists: Dict[Tuple[str, int, Optional[float]], Netlist] = {}
+        self._netlists: weakref.WeakValueDictionary[
+            Tuple[str, int, Optional[float]], Netlist
+        ] = weakref.WeakValueDictionary()
+        #: Per-thread pin table of the running call (see :func:`_pinning`).
+        self._pins = threading.local()
         self._quarantined: Dict[str, BuildError] = {}
         self._failures: List[FailureRecord] = []
         self._lock = threading.RLock()
@@ -500,7 +551,7 @@ class Workspace:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._builds)
+            return len(self._builds) + len(self._stored)
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
@@ -514,10 +565,30 @@ class Workspace:
         """
         with self._lock:
             self._builds.clear()
+            self._stored.clear()
             self._scenarios.clear()
             self._netlists.clear()
             self._quarantined.clear()
             self._failures.clear()
+
+    def _pin(self, value: Any) -> Any:
+        """Hold ``value`` until the running call on this thread returns."""
+        held = getattr(self._pins, "held", None)
+        if held is not None:
+            held[id(value)] = value
+        return value
+
+    def _cached(self, key: str) -> Any:
+        """The build under ``key`` in either memory tier, pinned, or ``None``.
+
+        The caller holds the lock.
+        """
+        built = self._builds.get(key)
+        if built is None:
+            built = self._stored.get(key)
+            if built is None:
+                return None
+        return self._pin(built)
 
     # -- progress signaling ------------------------------------------------
 
@@ -577,16 +648,18 @@ class Workspace:
         The first thread to ask for a missing build key *claims* it (an
         event is parked in ``_inflight``); any other thread asking for the
         same key while the build runs gets the claimant's event back instead
-        of a claim, waits on it, and finds the build in the cache — so two
-        clients requesting the same scenario concurrently trigger exactly
-        one build.  Claimants must release via :meth:`_release_builds` on
+        of a claim, waits on it, and finds the build in the cache (or, once
+        nothing holds a stored build, in the store) — so two clients
+        requesting the same scenario concurrently trigger exactly one
+        build.  A key found in memory is pinned for the running call.
+        Claimants must release via :meth:`_release_builds` on
         every exit path (success *and* failure), else waiters would hang.
         """
         owned: List[str] = []
         foreign: Dict[str, threading.Event] = {}
         with self._lock:
             for key in keys:
-                if key in self._builds:
+                if self._cached(key) is not None:
                     continue
                 event = self._inflight.get(key)
                 if event is None:
@@ -619,8 +692,9 @@ class Workspace:
 
         The build is decoded against the netlist tier's netlist when the
         tier holds it; otherwise the store builds the netlist from the
-        payload and the tier keeps it, so hits on one netlist decode it
-        once and no hit runs the generator.
+        payload and the tier keeps it while the build holds it, so the hits
+        of one call on one netlist decode it once and no hit runs the
+        generator.
         """
         store = self.store
         if store is None or not store.has(key):
@@ -635,19 +709,26 @@ class Workspace:
         return built
 
     def _store_save(self, key: str, build_dict: Mapping[str, Any],
-                    built: Any) -> None:
-        """Publish a finished build to the disk tier (best effort)."""
+                    built: Any) -> bool:
+        """Publish a finished build to the disk tier (best effort).
+
+        True when the store can serve the build again: this call saved it,
+        or another writer did first.  False without a writable store, for
+        an unstorable build and when the save failed.
+        """
         store = self.store
         if store is None or store.readonly:
-            return
+            return False
         try:
-            store.save(key, built, build_dict, built.layout.netlist)
+            saved = store.save(key, built, build_dict, built.layout.netlist)
         except StoreError as error:
             warn_once(
                 _log, "workspace.store.save",
                 f"artefact store at {store.root} is unusable ({error}); "
                 "continuing with the in-memory cache only",
             )
+            return False
+        return saved is not None
 
     # -- failure bookkeeping -----------------------------------------------
 
@@ -681,26 +762,43 @@ class Workspace:
         return list(deduped.values())
 
     def has_build(self, spec: ScenarioSpec) -> bool:
+        """Whether :meth:`build` would serve ``spec`` without building it.
+
+        True when memory holds the build, in either tier, or the disk tier
+        has an entry for it.  Whether memory still holds a stored build
+        depends on who references it; the store's answer does not.
+        """
         key = spec.build_key()
         with self._lock:
-            return key in self._builds
+            if key in self._builds or key in self._stored:
+                return True
+        return self.store is not None and self.store.has(key)
 
     def netlist(self, benchmark: str, seed: int = 0,
                 scale: Optional[float] = None) -> Netlist:
-        """The benchmark netlist (cached; netlists are never mutated)."""
+        """The benchmark netlist (netlists are never mutated).
+
+        Served from the netlist tier while a resident build's layout or a
+        pin of a running call holds it; generated otherwise (see the class
+        docstring).
+        """
         key = (benchmark, seed, scale)
         with self._lock:
             cached = self._netlists.get(key)
         if cached is not None:
-            return cached
+            return self._pin(cached)
         netlist = get_benchmark(benchmark, seed=seed, scale=scale)
         with self._lock:
-            return self._netlists.setdefault(key, netlist)
+            return self._pin(self._netlists.setdefault(key, netlist))
 
+    @_pinning
     def build(self, spec: ScenarioSpec):
-        """The :class:`~repro.api.schemes.SchemeBuild` for ``spec`` (cached).
+        """The :class:`~repro.api.schemes.SchemeBuild` for ``spec``.
 
-        Lookups go memory → disk tier → build (see :meth:`_resolve`).
+        Lookups go memory → disk tier → build (see :meth:`_resolve`).  What
+        memory keeps afterwards follows the residency rule of the class
+        docstring: a build the store can serve again stays only while the
+        caller (or a running call) holds it.
         Cache misses run under the workspace's retry policy (and fault
         plan); a build that exhausts its attempt budget raises (and stays)
         a quarantined :class:`~repro.exec.errors.BuildError` — clear it
@@ -718,9 +816,10 @@ class Workspace:
         key = spec.build_key()
         while True:
             with self._lock:
-                if key in self._builds:
+                cached = self._cached(key)
+                if cached is not None:
                     self._stats["build_hits"] += 1
-                    return self._builds[key]
+                    return cached
                 error = self._quarantined.get(key)
                 if error is None:
                     owned, foreign = self._claim_builds([key])
@@ -739,7 +838,7 @@ class Workspace:
         if failed:
             raise failed[key]
         with self._lock:
-            return self._builds[key]
+            return self._cached(key)
 
     def protection(self, benchmark: str,
                    config: Optional[ProtectionConfig] = None,
@@ -769,14 +868,17 @@ class Workspace:
 
     # -- the publish path ----------------------------------------------------
 
-    #: ``_publish`` source → (counter it bumps, event it emits, saved to disk).
+    #: ``_publish`` source → (counter it bumps, event it emits, saved to
+    #: disk, held only while in use once the store can serve it).
     #: ``build``: built here (alone or in a seed batch) or by a pool worker;
-    #: ``store``: a verified disk hit; ``baseline``: the original layout a
-    #: proposed build carries.
-    _SOURCES: Dict[str, Tuple[Optional[str], Optional[str], bool]] = {
-        "build": ("builds_run", "build_completed", True),
-        "store": ("store_hits", "store_hit", False),
-        "baseline": (None, None, True),
+    #: ``store``: a verified disk hit, which the store can serve again by
+    #: definition; ``baseline``: the original layout a proposed build
+    #: carries, resident because that (unstorable, resident) build holds
+    #: its layout anyway.
+    _SOURCES: Dict[str, Tuple[Optional[str], Optional[str], bool, bool]] = {
+        "build": ("builds_run", "build_completed", True, True),
+        "store": ("store_hits", "store_hit", False, True),
+        "baseline": (None, None, True, False),
     }
 
     def _publish(self, key: str, spec: ScenarioSpec, built: Any, source: str,
@@ -786,27 +888,36 @@ class Workspace:
         Every executor publishes through here: a caller claims its keys
         (:meth:`_claim_builds`), :meth:`_resolve` serves them memory →
         store → build, and each artefact lands as it is ready.  The first
-        build published under a key wins.  Publishing clears the key's
-        quarantine, releases its in-flight waiters, bumps the ``source``'s
-        counter, emits its progress event (with ``fields``), saves fresh
-        builds to the disk tier and registers a proposed build's original
-        layout under the matching ``original`` key, so compare-scope
-        baselines of sibling scenarios reuse it instead of re-running
-        place+route.
+        build published under a key wins while memory holds it.  Publishing
+        pins the build for the running call, clears the key's quarantine,
+        releases its in-flight waiters, bumps the ``source``'s counter,
+        emits its progress event (with ``fields``), saves fresh builds to
+        the disk tier and registers a proposed build's original layout under
+        the matching ``original`` key, so compare-scope baselines of sibling
+        scenarios reuse it instead of re-running place+route.
+
+        A build lands resident; once the store can serve it again (a hit,
+        or a save that left an entry) it moves to the tier that holds it
+        only while it is in use, unless its source keeps it resident.
         """
-        counter, event, save = self._SOURCES[source]
+        counter, event, save, in_use_only = self._SOURCES[source]
         with self._lock:
-            built = self._builds.setdefault(key, built)
+            landed = self._cached(key)
+            if landed is None:
+                landed = self._pin(self._builds.setdefault(key, built))
             self._quarantined.pop(key, None)
             if counter is not None:
                 self._stats[counter] += 1
         self._release_builds([key])
         if event is not None:
             self._emit(event, key=key, label=build_label(spec), **fields)
-        if save:
-            self._store_save(key, spec.build_dict(), built)
-        if built.scheme == "proposed" and built.protection is not None:
-            self._publish(*self._baseline_of(spec, built), "baseline")
+        servable = self._store_save(key, spec.build_dict(), landed) if save else True
+        if servable and in_use_only:
+            with self._lock:
+                if self._builds.get(key) is landed:
+                    self._stored[key] = self._builds.pop(key)
+        if landed.scheme == "proposed" and landed.protection is not None:
+            self._publish(*self._baseline_of(spec, landed), "baseline")
 
     @staticmethod
     def _baseline_of(spec: ScenarioSpec, built) -> Tuple[str, ScenarioSpec, Any]:
@@ -1025,6 +1136,7 @@ class Workspace:
 
     # -- parallel prewarm --------------------------------------------------
 
+    @_pinning
     def prewarm(self, specs: Iterable[ScenarioSpec],
                 jobs: Optional[int] = None, *,
                 policy: Optional[RetryPolicy] = None,
@@ -1086,7 +1198,8 @@ class Workspace:
             with self._lock:
                 errors = [
                     self._quarantined[key] for key in foreign
-                    if key in self._quarantined and key not in self._builds
+                    if key in self._quarantined
+                    and key not in self._builds and key not in self._stored
                 ]
             if errors:
                 raise errors[0]
@@ -1134,7 +1247,7 @@ class Workspace:
                 return None
             published.add(task.key)
             with self._lock:
-                return self._builds[task.key]
+                return self._cached(task.key)
 
         def task_event(kind: str, task: TaskSpec, attempts: int) -> None:
             """Forward supervisor lifecycle edges to progress listeners.
@@ -1160,6 +1273,7 @@ class Workspace:
 
     # -- scenario execution ------------------------------------------------
 
+    @_pinning
     def run_scenario(self, spec: ScenarioSpec) -> ScenarioResult:
         """Execute one scenario (memoized by its content hash)."""
         ensure_builtins()
@@ -1184,6 +1298,7 @@ class Workspace:
         with self._lock:
             return self._scenarios.setdefault(spec_hash, result)
 
+    @_pinning
     def run_scenarios(self, specs: Sequence[ScenarioSpec],
                       jobs: Optional[int] = None, *,
                       on_error: Optional[str] = None) -> List[ScenarioResult]:
@@ -1217,6 +1332,7 @@ class Workspace:
         """Run one scenario across its seed sweep and aggregate the results."""
         return self.run_sweeps([spec], jobs=jobs, on_error=on_error)[0]
 
+    @_pinning
     def run_sweeps(self, specs: Sequence[ScenarioSpec],
                    jobs: Optional[int] = None, *,
                    on_error: Optional[str] = None) -> List[SweepResult]:

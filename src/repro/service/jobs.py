@@ -67,7 +67,7 @@ class Job:
         )
         self.cond = threading.Condition()
         self.events: List[Dict[str, Any]] = []
-        self.result: Optional[Any] = None          # SweepResult
+        #: The finished sweep's wire form.
         self.result_dict: Optional[Dict[str, Any]] = None
         # Progress-event filter targets: the per-seed build keys and spec
         # hashes this job expects.
@@ -115,7 +115,6 @@ class Job:
             except InvalidTransition:
                 pass  # already terminal (e.g. error after error)
             if result is not None:
-                self.result = result
                 self.result_dict = result.to_dict()
             entry = {"seq": len(self.events), "event": state_event,
                      "state": self.machine.state}

@@ -263,16 +263,17 @@ class ArtifactStore:
     # -- save --------------------------------------------------------------
 
     def save(self, key: str, build: Any, build_dict: Mapping[str, Any],
-             netlist) -> bool:
+             netlist) -> Optional[bool]:
         """Serialize ``build`` under ``key``; True iff this call installed it.
 
         An entry already under ``key`` is kept, unless it was written under
         another store format or generator version: then it is replaced, by
-        the same stage-and-rename install.  Read-only stores, kept entries,
-        lost install races and unstorable builds all return ``False`` —
-        saving is always best effort and never raises for a
-        representational reason.  Only an unusable store root raises
-        :class:`StoreError`.
+        the same stage-and-rename install.  Read-only stores, kept entries
+        and lost install races return ``False``; an unstorable build returns
+        ``None``, so a caller can tell "the store has no entry it could
+        serve" from "another writer saved it first".  Saving is always best
+        effort and never raises for a representational reason.  Only an
+        unusable store root raises :class:`StoreError`.
         """
         if self.readonly:
             return False
@@ -287,7 +288,7 @@ class ArtifactStore:
         except UnstorableBuild as error:
             self.stats["unstorable"] += 1
             logger.debug("store: %s not stored: %s", key[:12], error)
-            return False
+            return None
         self._ensure_layout()
         stage = Path(tempfile.mkdtemp(prefix=key[:12] + ".", dir=self.root / "tmp"))
         try:

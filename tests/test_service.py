@@ -521,3 +521,42 @@ def test_stopped_service_is_freed_by_reference_counting():
         assert [ref() is None for ref in refs] == [True, True, True]
     finally:
         gc.enable()
+
+
+def test_warm_jobs_leave_no_stored_build_or_netlist_resident(tmp_path):
+    """A live service over a warm store holds none of the builds or netlists
+    its finished jobs loaded: reference counting frees each one when the
+    job's call returns, so memory does not grow with the jobs served."""
+    specs = [{"benchmark": "c17", "scheme": "original", "attacks": ["proximity"],
+              "metrics": ["security", "distances"], "num_patterns": 64,
+              "seed": seed} for seed in range(6)]
+    store_dir = tmp_path / "store"
+    Workspace(store=store_dir).run_scenarios(
+        [ScenarioSpec.from_dict(spec) for spec in specs])
+    gc.collect()
+    gc.disable()
+    try:
+        workspace = Workspace(store=store_dir)
+        loaded = []
+        load = workspace.store.load
+
+        def tracking_load(key, netlist=None):
+            built = load(key, netlist)
+            loaded.extend([weakref.ref(built), weakref.ref(built.layout.netlist)])
+            return built
+
+        workspace.store.load = tracking_load
+        svc = ScenarioService(workspace).start()
+        try:
+            for spec in specs:
+                status, body = submit_and_wait(svc, spec)
+                assert status == 200 and body["status"] == "done"
+        finally:
+            svc.stop()
+        stats = workspace.stats()
+        assert stats["builds_run"] == 0 and stats["store_hits"] == len(specs)
+        assert len(loaded) == 2 * len(specs)
+        assert [ref() for ref in loaded] == [None] * len(loaded)
+        assert len(workspace) == 0
+    finally:
+        gc.enable()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import http.client
+import sys
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -122,6 +123,43 @@ def test_concurrent_sweeps_share_builds():
     assert results["overlap"].seeds == (1, 2, 3)
     # Union of the two sweeps is seeds {0,1,2,3}: four builds, not six.
     assert ws.stats()["builds_run"] == 4
+
+
+def test_threads_holding_stored_builds_share_them(tmp_path):
+    """Eight threads over a warm store, switching every microsecond: while
+    a thread holds a build, every lookup of its key returns that object;
+    nothing is rebuilt, and once no thread holds them memory holds none."""
+    specs = [ScenarioSpec(benchmark="c17", scheme="original",
+                          metrics=("distances",), seed=seed) for seed in range(3)]
+    Workspace(store=tmp_path).run_scenarios(specs)
+    ws = Workspace(store=tmp_path)
+    problems: List[str] = []
+
+    def churn() -> None:
+        for step in range(30):
+            spec = specs[step % len(specs)]
+            held = ws.build(spec)
+            for _ in range(3):
+                if ws.build(spec) is not held:
+                    problems.append(f"seed {spec.seed}: a held build came back "
+                                    "as another object")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert problems == []
+    stats = ws.stats()
+    assert stats["builds_run"] == 0
+    assert stats["build_hits"] + stats["build_misses"] == 8 * 30 * 4
+    assert len(ws) == 0
 
 
 # -- service-layer dedup ---------------------------------------------------

@@ -8,10 +8,11 @@ Each route must announce itself to progress listeners and count itself in
 edges every key receives (in order, per key — pools interleave keys
 nondeterministically) and the workspace counters afterwards.
 
-The three bug tests at the bottom pin behaviour the routes once disagreed
+The three bug tests after them pin behaviour the routes once disagreed
 on: a pooled single whose worker failed to save it still lands in the
 store, a serial sweep probes the store once per key, and a store hit inside
-``build()`` emits ``store_hit``.
+``build()`` emits ``store_hit``.  The residency tests at the bottom pin what
+memory keeps once a build has landed.
 """
 
 from __future__ import annotations
@@ -86,10 +87,22 @@ def test_warm_build(tmp_path):
     Workspace(store=tmp_path).build(single())
     ws = Workspace(store=tmp_path)
     recorder = Recorder(ws, [single()])
-    ws.build(single())
-    ws.build(single())
+    held = ws.build(single())
+    assert ws.build(single()) is held
     assert recorder.events == {"c17:original:seed0": ["store_hit"]}
     assert ws.stats() == stats(build_hits=1, build_misses=1, store_hits=1)
+
+
+def test_warm_build_dropped_reference(tmp_path):
+    """Memory keeps a stored build only while it is held: once the caller
+    drops it, the next build() is a second store hit, not a rebuild."""
+    Workspace(store=tmp_path).build(single())
+    ws = Workspace(store=tmp_path)
+    recorder = Recorder(ws, [single()])
+    ws.build(single())
+    ws.build(single())
+    assert recorder.events == {"c17:original:seed0": ["store_hit", "store_hit"]}
+    assert ws.stats() == stats(build_misses=2, store_hits=2)
 
 
 def test_serial_unbatched_sweep_cold_then_warm(tmp_path):
@@ -262,3 +275,61 @@ def test_store_hit_inside_build_is_announced(tmp_path, route):
         ws.run_scenario(ScenarioSpec(benchmark="c17", scheme="pin_swapping",
                                      metrics=("via_delta",), seed=2))
     assert recorder.events.get("c17:original:seed2") == ["store_hit"]
+
+
+# -- residency ---------------------------------------------------------------
+#
+# Memory keeps a build the store can serve again only while something holds
+# it; a build nothing else can bring back stays resident.
+
+
+def test_unstorable_proposed_build_stays_resident(tmp_path):
+    proposed = ScenarioSpec(benchmark="c17", scheme="proposed",
+                            scheme_params={"oer_patterns": 64}, seed=1)
+    ws = Workspace(store=tmp_path)
+    ws.build(proposed)
+    ws.build(proposed)
+    assert ws.stats() == stats(build_hits=1, build_misses=1, store_misses=1,
+                               builds_run=1)
+    assert not ArtifactStore(tmp_path).has(proposed.build_key())
+
+
+def test_build_whose_save_fails_stays_resident(tmp_path):
+    ws = Workspace(store=_UnwritableStore(tmp_path))
+    ws.build(single(3))
+    ws.build(single(3))
+    assert ws.stats() == stats(build_hits=1, build_misses=1, store_misses=1,
+                               builds_run=1)
+    assert len(ws) == 1
+
+
+def test_build_without_store_stays_resident():
+    ws = Workspace(store=None)
+    ws.build(single())
+    ws.build(single())
+    assert ws.stats() == stats(build_hits=1, build_misses=1, builds_run=1)
+    assert len(ws) == 1
+
+
+def test_held_build_and_its_netlist_come_back_identical(tmp_path):
+    Workspace(store=tmp_path).run_scenarios([single(0), single(1)])
+    ws = Workspace(store=tmp_path)
+    held = ws.build(single(0))
+    ws.run_scenarios([single(0), single(1)])
+    assert ws.build(single(0)) is held
+    assert ws.netlist("c17", seed=0) is held.layout.netlist
+    assert ws.stats()["store_hits"] == 2 and ws.stats()["builds_run"] == 0
+    # The seed-1 build was pinned by run_scenarios only.
+    assert len(ws) == 1
+
+
+def test_one_call_loads_each_stored_build_once(tmp_path):
+    other = ScenarioSpec(benchmark="c17", scheme="original",
+                         attacks=("proximity",), metrics=("security",), seed=0)
+    assert other.build_key() == single(0).build_key()
+    Workspace(store=tmp_path).build(single(0))
+    ws = Workspace(store=tmp_path)
+    ws.run_scenarios([single(0), other])
+    assert ws.stats() == stats(build_hits=1, build_misses=1, scenario_misses=2,
+                               store_hits=1)
+    assert len(ws) == 0
