@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import logging
 import os
@@ -524,6 +525,43 @@ def bench_store_service(benchmark: str, num_seeds: int, repeat: int,
     }
 
 
+def bench_store_io(benchmark: str, scale, repeat: int) -> Dict[str, object]:
+    """One store entry's save and load, per entry, and its payload size.
+
+    The save side is :meth:`ArtifactStore.save` of one ``original`` build
+    under a fresh key each run (encode, write and hash ``payload.bin``,
+    fsync, manifest, install); the load side is a cold
+    :meth:`ArtifactStore.load` with no netlist passed (read, checksum,
+    column decode, netlist rebuild and fingerprint check).  The loaded
+    build is asserted equal to the saved one before timing.
+    """
+    spec = ScenarioSpec(benchmark=benchmark, scheme="original", scale=scale, seed=1)
+    build = Workspace(jobs=1).build(spec)
+    root = Path(tempfile.mkdtemp(prefix="bench_store_io."))
+    try:
+        store = ArtifactStore(root)
+        key = spec.build_key()
+        assert store.save(key, build, spec.build_dict(), build.layout.netlist)
+        loaded = store.load(key)
+        assert loaded.layout.placement == build.layout.placement
+        assert loaded.layout.routing == build.layout.routing
+        keys = (f"{index:064x}" for index in itertools.count())
+        save_s = _timeit(lambda: store.save(next(keys), build, spec.build_dict(),
+                                            build.layout.netlist), repeat)
+        load_s = _timeit(lambda: store.load(key), repeat)
+        payload_bytes = store.manifest(key)["payload_bytes"]
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    return {
+        "benchmark": benchmark,
+        "scale": scale,
+        "scheme": "original",
+        "payload_bytes": payload_bytes,
+        "save_ms": round(save_s * 1e3, 2),
+        "load_ms": round(load_s * 1e3, 2),
+    }
+
+
 def _randomizer_outcome(result) -> tuple:
     """Every field of a randomization result the randomizer promises."""
     erroneous = result.erroneous
@@ -667,6 +705,10 @@ def main(argv=None) -> int:
     store.append(bench_store_service(
         "c880", 4 if args.smoke else 32, repeat=args.repeat,
     ))
+    store_io = [
+        bench_store_io(name, scale, repeat=3 * args.repeat)
+        for name, scale in (("c880", None), ("superblue18", 0.01))
+    ]
 
     generated_utc = datetime.now(timezone.utc).isoformat(timespec="seconds")
     payload = {
@@ -692,7 +734,11 @@ def main(argv=None) -> int:
                 "its service-shape row replays single-seed c880 jobs with "
                 "unpinned netlist seeds against rebuilding them without a "
                 "store, timed with the cyclic GC on (gc_paused false); every "
-                "other row pauses the GC while timing.  "
+                "other row pauses the GC while timing.  store_io times one "
+                "entry's ArtifactStore.save (fresh key each run, fsync "
+                "included) and cold ArtifactStore.load (checksum, column "
+                "decode, netlist rebuild), per entry, with its payload.bin "
+                "size.  "
                 "Rows marked oversubscribed ran more pool workers (jobs) than "
                 "meta.host.cpu_count; their sweep numbers are not pool "
                 "speedups.  A seed_batch sweep pins its netlist, so it "
@@ -712,6 +758,7 @@ def main(argv=None) -> int:
         "seed_sweep": sweep,
         "seed_batch": seed_batch,
         "store": store,
+        "store_io": store_io,
     }
     args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _log.info("wrote %s", args.output)
@@ -765,6 +812,12 @@ def main(argv=None) -> int:
             entry["num_seeds"], entry["warm_disk_hit_s_per_seed"],
             entry["cold_build_s_per_seed"], entry["warm_speedup"],
             entry["store_bytes"],
+        )
+    for entry in store_io:
+        _log.info(
+            "store_io %s@%s: save %sms, load %sms per entry (%d payload bytes)",
+            entry["benchmark"], entry["scale"], entry["save_ms"],
+            entry["load_ms"], entry["payload_bytes"],
         )
     return 0
 

@@ -32,7 +32,8 @@ HOST_KEYS = (
 #: Required top-level result sections per artefact kind.
 SECTIONS = {
     "layout": ("configs", "largest_config_speedups"),
-    "build": ("build_path", "seed_sweep", "seed_batch", "store", "protect"),
+    "build": ("build_path", "seed_sweep", "seed_batch", "store", "protect",
+              "store_io"),
     "sim": ("simulation", "attack", "ppa", "speedups_vs_seed"),
 }
 
@@ -88,6 +89,13 @@ def check_payload(payload: Any, kind: str) -> List[str]:
                 f"{type(payload[section]).__name__}"
             )
 
+    if kind == "build" and isinstance(payload.get("store_io"), list):
+        if not payload["store_io"]:
+            problems.append("'store_io' is empty")
+        for index, row in enumerate(payload["store_io"]):
+            for key in ("benchmark", "payload_bytes", "save_ms", "load_ms"):
+                if not isinstance(row, dict) or key not in row:
+                    problems.append(f"store_io[{index}].{key} missing")
     if kind == "layout" and isinstance(payload.get("configs"), list):
         if not payload["configs"]:
             problems.append("'configs' is empty")

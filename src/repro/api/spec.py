@@ -19,7 +19,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.registry import ATTACKS, DEFENSES, METRICS, ensure_builtins
 from repro.netlist.cells import NUM_METAL_LAYERS
@@ -306,7 +306,17 @@ class ScenarioSpec:
 
     def content_hash(self) -> str:
         """Stable hash of the canonical spec (cache key, provenance tag)."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        return self._memo_hash("_content_hash", self.canonical_json)
+
+    def _memo_hash(self, name: str, text: Callable[[], str]) -> str:
+        """SHA-256 of ``text()``, computed once per instance and kept in its
+        ``__dict__`` under ``name``, outside the dataclass fields: ``==``,
+        ``hash``, ``repr`` and ``to_dict`` never see it, and a
+        ``dataclasses.replace`` copy starts without it."""
+        if name not in self.__dict__:
+            object.__setattr__(
+                self, name, hashlib.sha256(text().encode("utf-8")).hexdigest())
+        return self.__dict__[name]
 
     @property
     def short_hash(self) -> str:
@@ -357,8 +367,8 @@ class ScenarioSpec:
         }
 
     def build_key(self) -> str:
-        payload = json.dumps(self.build_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return self._memo_hash("_build_key", lambda: json.dumps(
+            self.build_dict(), sort_keys=True, separators=(",", ":")))
 
     @classmethod
     def from_build_dict(cls, build: Mapping[str, Any]) -> "ScenarioSpec":
@@ -400,7 +410,7 @@ class ScenarioSpec:
 
         if self.benchmark not in available_benchmarks():
             raise UnknownBenchmarkError(self.benchmark)
-        self.canonical_dict()
+        self.content_hash()
         return self
 
 

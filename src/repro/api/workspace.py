@@ -1269,6 +1269,8 @@ class Workspace:
             short_circuit=probe_store, on_task_event=task_event,
         )
         self.last_report = supervisor.run(tasks)
+        for outcome in self.last_report.outcomes.values():
+            outcome.value = None  # published already; the report pins no build
         return self.last_report.failed()
 
     # -- scenario execution ------------------------------------------------

@@ -22,7 +22,7 @@ Endpoints (all JSON unless noted)::
                                      SSE with Accept: text/event-stream
     GET  /v1/store                   store catalogue (keys + build dicts)
     GET  /v1/store/{key}/manifest    wire manifest (payload URL + sha256)
-    GET  /v1/store/{key}/payload     raw payload.npz bytes
+    GET  /v1/store/{key}/payload     raw payload.bin bytes
 """
 
 from __future__ import annotations

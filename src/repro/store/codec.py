@@ -13,9 +13,9 @@ protocol the pool workers already use:
   and via counts.  Everything here is an *index* into the netlist's gate
   and net name tables, so no gate or net name is stored twice;
 * the **coordinate columns** — flat ``float64`` arrays of placement
-  positions and routed segment/via geometry.  ``float64`` survives the
-  ``.npz`` round trip bit-exactly, which is what makes a disk-loaded build
-  indistinguishable from the in-memory one.
+  positions and routed segment/via geometry.  The store writes each
+  column's raw bytes (``payload.bin``, see ``repro.store.store``), so a
+  disk-loaded build is bit-identical to the in-memory one.
 
 :func:`encode_build` flattens a :class:`~repro.api.schemes.SchemeBuild`
 into ``(record, arrays)`` — a JSON-compatible metadata record plus a dict
@@ -106,7 +106,7 @@ class StaleEntry(CodecError):
 #: simulation engine keys its compiled-plan caches on.  A seed
 #: sweep saves N entries of ONE netlist, and a Workspace replays every seed
 #: of a pinned ``netlist_seed`` against one netlist; the memo hashes each
-#: such netlist once.  A load reads ``payload.npz`` once,
+#: such netlist once.  A load reads ``payload.bin`` once,
 #: checks those bytes against the manifest's SHA-256 and decodes the same
 #: bytes (see ``repro.store.store``); the fingerprint gates the decode.
 _fingerprint_memo: "weakref.WeakKeyDictionary[Netlist, Tuple[Tuple[int, int], str]]" = (

@@ -8,7 +8,7 @@ build_key`), laid out as::
         tmp/                             # staging area for atomic installs
         objects/<key[:2]>/<key>/
             manifest.json                # build dict, versions, checksums
-            payload.npz                  # columnar arrays (repro.store.codec)
+            payload.bin                  # one flat column file (repro.store.codec)
         objects/<key[:2]>/<key>.bad/     # quarantined corrupt/stale entries
 
 Contracts:
@@ -19,12 +19,13 @@ Contracts:
   disk (the rename loser discards its staging copy and keeps its in-memory
   build — results are bit-identical either way because builds are
   deterministic in the key).
-* **Verification** — every load reads ``payload.npz`` once, hashes those
-  bytes against the manifest's SHA-256 and decodes the arrays from the
-  same bytes; it gates on the store/codec format versions and the
-  generator version, and decodes the build against its netlist — the one
-  the caller holds, or else the one built from the payload's own columns —
-  whose fingerprint and ``topology_version`` must match the recorded ones.
+* **Verification** — every load reads ``payload.bin`` once, hashes those
+  bytes against the manifest's SHA-256 and copies the columns out of the
+  same bytes (:func:`_decode_payload`); it gates on the store/codec format
+  versions and the generator version, and decodes the build against its
+  netlist — the one the caller holds, or else the one built from the
+  payload's own columns — whose fingerprint and ``topology_version`` must
+  match the recorded ones.
   Anything that fails — unreadable manifest, checksum mismatch, truncated
   arrays, a netlist that does not match — quarantines the entry to a
   ``.bad`` sidecar (with a ``reason.txt``) and reports a miss, so callers
@@ -33,9 +34,10 @@ Contracts:
   caught by :data:`~repro.circuits.registry.GENERATOR_VERSION` (recorded
   in every manifest; the tests pin the generated fingerprints) and by
   :meth:`ArtifactStore.verify`, which regenerates every entry's netlist.
-* **Upgrades** — an entry written under another store format or generator
-  version is a plain miss, and the next :meth:`ArtifactStore.save` of its
-  key replaces it.
+* **Upgrades** — an entry is recognised by its manifest, whatever its
+  payload file is called.  One written under another store format or
+  generator version is a plain miss, and the next
+  :meth:`ArtifactStore.save` of its key replaces it.
 * **Eviction** — least-recently-used by manifest mtime (touched on every
   hit), driven by optional ``max_bytes`` / ``max_entries`` budgets applied
   after each save and on demand via :meth:`ArtifactStore.gc`.
@@ -48,15 +50,14 @@ Environment:
   treats a miss as a hard error instead of building (resumable-sweep
   verification mode).
 * ``REPRO_STORE_CHAOS`` — test hook, e.g. ``slow_write=0.5``: payloads are
-  staged in two halves with a sleep in between, widening the torn-write
-  window the concurrency tests kill workers inside.
+  staged in two halves with an fsync and a sleep in between, widening the
+  torn-write window the concurrency tests kill workers inside.
 """
 
 from __future__ import annotations
 
 import errno
 import hashlib
-import io
 import json
 import logging
 import math
@@ -66,11 +67,9 @@ import shutil
 import struct
 import tempfile
 import time
-import zipfile
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -96,10 +95,12 @@ logger = logging.getLogger("repro.store")
 #: :func:`repro.store.codec.netlist_fingerprint`), not the JSON structure
 #: document version 1 hashed.  Version 3: the payload carries the netlist
 #: (``netlist.*`` members) and the manifest its ``generator_version``.
-STORE_FORMAT_VERSION = 3
+#: Version 4: the payload is ``payload.bin``, one flat column file (see
+#: :func:`_payload_chunks`), not a ``payload.npz`` zip.
+STORE_FORMAT_VERSION = 4
 
 _MANIFEST = "manifest.json"
-_PAYLOAD = "payload.npz"
+_PAYLOAD = "payload.bin"
 _BAD_SUFFIX = ".bad"
 
 
@@ -185,13 +186,11 @@ class ArtifactStore:
 
     def __init__(self, root: os.PathLike, *, readonly: Optional[bool] = None,
                  max_bytes: Optional[int] = None,
-                 max_entries: Optional[int] = None,
-                 verify_checksums: bool = True):
+                 max_entries: Optional[int] = None):
         self.root = Path(root)
         if readonly is None:
             readonly = _env_flag("REPRO_STORE_READONLY")
         self.readonly = bool(readonly)
-        self.verify_checksums = bool(verify_checksums)
         self._chaos = _parse_chaos(os.environ.get("REPRO_STORE_CHAOS"))
         self.stats: Dict[str, int] = {
             "hits": 0, "misses": 0, "saves": 0, "save_races": 0,
@@ -285,6 +284,7 @@ class ArtifactStore:
                 return False
         try:
             record, arrays = encode_build(build, netlist)
+            chunks = _payload_chunks(arrays)
         except UnstorableBuild as error:
             self.stats["unstorable"] += 1
             logger.debug("store: %s not stored: %s", key[:12], error)
@@ -292,26 +292,21 @@ class ArtifactStore:
         self._ensure_layout()
         stage = Path(tempfile.mkdtemp(prefix=key[:12] + ".", dir=self.root / "tmp"))
         try:
-            payload_path = stage / _PAYLOAD
-            buffer = io.BytesIO()
-            # np.savez (not _compressed): load reads the payload in one
-            # pass and accepts only ZIP_STORED members (see _decode_npz).
-            np.savez(buffer, **arrays)
-            raw = buffer.getvalue()
+            # One walk over the columns: each chunk is hashed as it is written.
+            digest, size = hashlib.sha256(), 0
             slow = self._chaos.get("slow_write")
-            with open(payload_path, "wb") as handle:
-                if slow:
-                    # Chaos hook: leave a half-written payload visible in the
-                    # staging dir for a while so kill-mid-write tests can
-                    # interrupt inside the torn-write window.
-                    half = len(raw) // 2
-                    handle.write(raw[:half])
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                    time.sleep(float(slow))
-                    handle.write(raw[half:])
-                else:
-                    handle.write(raw)
+            with open(stage / _PAYLOAD, "wb") as handle:
+                for index, chunk in enumerate(chunks):
+                    if slow and index == len(chunks) // 2:
+                        # Chaos hook: leave a half-written payload visible in
+                        # the staging dir for a while so kill-mid-write tests
+                        # can interrupt inside the torn-write window.
+                        handle.flush()
+                        os.fsync(handle.fileno())
+                        time.sleep(float(slow))
+                    digest.update(chunk)
+                    handle.write(chunk)
+                    size += len(chunk)
                 handle.flush()
                 os.fsync(handle.fileno())
             manifest = {
@@ -321,8 +316,8 @@ class ArtifactStore:
                 "build_key": key,
                 "build": dict(build_dict),
                 "record": record,
-                "payload_sha256": hashlib.sha256(raw).hexdigest(),
-                "payload_bytes": len(raw),
+                "payload_sha256": digest.hexdigest(),
+                "payload_bytes": size,
                 "created_utc": time.strftime(
                     "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
                 ),
@@ -346,7 +341,7 @@ class ArtifactStore:
                     return False
                 raise StoreError(f"cannot install store entry {key}: {error}")
             self.stats["saves"] += 1
-            logger.debug("store: saved %s (%d bytes)", key[:12], len(raw))
+            logger.debug("store: saved %s (%d bytes)", key[:12], size)
             self._auto_evict()
             return True
         finally:
@@ -372,8 +367,8 @@ class ArtifactStore:
     # -- load --------------------------------------------------------------
 
     def has(self, key: str) -> bool:
-        entry = self._entry_dir(key)
-        return (entry / _MANIFEST).exists() and (entry / _PAYLOAD).exists()
+        """Whether an entry of any store format (its manifest) is under ``key``."""
+        return (self._entry_dir(key) / _MANIFEST).exists()
 
     def manifest(self, key: str) -> Optional[Dict[str, Any]]:
         """Return the raw manifest dict for ``key`` (``None`` on any miss).
@@ -383,18 +378,15 @@ class ArtifactStore:
         wire; clients verify the payload themselves against
         ``payload_sha256``.
         """
-        if not self.has(key):
-            return None
         try:
             return json.loads((self._entry_dir(key) / _MANIFEST).read_text())
         except (OSError, json.JSONDecodeError):
             return None
 
     def payload_path(self, key: str) -> Optional[Path]:
-        """Path of the stored ``payload.npz`` for ``key``, or ``None``."""
-        if not self.has(key):
-            return None
-        return self._entry_dir(key) / _PAYLOAD
+        """Path of the stored ``payload.bin`` for ``key``, or ``None``."""
+        path = self._entry_dir(key) / _PAYLOAD
+        return path if self.has(key) and path.exists() else None
 
     def load(self, key: str, netlist=None) -> Optional[Any]:
         """Decode the stored build for ``key``; ``None`` on any miss.
@@ -404,19 +396,18 @@ class ArtifactStore:
         :func:`repro.store.codec.decode_build`).  Either way its fingerprint
         and ``topology_version`` are checked against the record; no load
         runs the benchmark generator.  Every failure mode — missing entry,
-        unreadable manifest, version drift, checksum mismatch, truncated or
-        stale payload — returns ``None`` (quarantining the entry when it is
-        damaged rather than merely from another format), so a load can cost
-        a rebuild, never a crash.
+        unreadable manifest, version drift, missing payload, checksum
+        mismatch, truncated or stale payload — returns ``None``
+        (quarantining the entry when it is damaged rather than merely from
+        another format), so a load can cost a rebuild, never a crash.
         """
         entry = self._entry_dir(key)
         manifest_path = entry / _MANIFEST
-        payload_path = entry / _PAYLOAD
-        if not manifest_path.exists() or not payload_path.exists():
-            self.stats["misses"] += 1
-            return None
         try:
             manifest = json.loads(manifest_path.read_text())
+        except FileNotFoundError:
+            self.stats["misses"] += 1
+            return None
         except (OSError, json.JSONDecodeError) as error:
             self._quarantine(key, f"unreadable manifest: {error!r}")
             self.stats["misses"] += 1
@@ -440,31 +431,29 @@ class ArtifactStore:
             return None
         # One read: the bytes whose checksum is verified are the bytes decoded.
         try:
-            raw = payload_path.read_bytes()
+            raw = (entry / _PAYLOAD).read_bytes()
         except OSError as error:
             self._quarantine(key, f"unreadable payload: {error!r}")
             self.stats["misses"] += 1
             return None
-        if self.verify_checksums:
-            actual = hashlib.sha256(raw).hexdigest()
-            if actual != manifest.get("payload_sha256"):
-                self._quarantine(
-                    key,
-                    f"payload checksum mismatch ({actual[:12]}… != "
-                    f"{str(manifest.get('payload_sha256'))[:12]}…)",
-                )
-                self.stats["misses"] += 1
-                return None
+        actual = hashlib.sha256(raw).hexdigest()
+        if actual != manifest.get("payload_sha256"):
+            self._quarantine(
+                key,
+                f"payload checksum mismatch ({actual[:12]}… != "
+                f"{str(manifest.get('payload_sha256'))[:12]}…)",
+            )
+            self.stats["misses"] += 1
+            return None
         try:
-            arrays = _decode_npz(raw)
+            arrays = _decode_payload(raw)
             del raw  # the arrays own their data; free the file image now
             build = decode_build(manifest["record"], arrays, netlist)
         except StaleEntry as error:
             self._quarantine(key, f"stale: {error}")
             self.stats["misses"] += 1
             return None
-        except (CodecError, KeyError, ValueError, OSError,
-                zipfile.BadZipFile) as error:
+        except (CodecError, KeyError, ValueError, OSError) as error:
             self._quarantine(key, f"undecodable payload: {error!r}")
             self.stats["misses"] += 1
             return None
@@ -506,20 +495,16 @@ class ArtifactStore:
 
     def open_arrays(self, key: str) -> Optional[Dict[str, np.ndarray]]:
         """The raw payload columns for ``key``, or ``None`` if unreadable."""
-        entry = self._entry_dir(key)
-        payload_path = entry / _PAYLOAD
-        if not payload_path.exists():
-            return None
         try:
-            return _decode_npz(payload_path.read_bytes())
-        except (OSError, ValueError, zipfile.BadZipFile) as error:
+            return _decode_payload((self._entry_dir(key) / _PAYLOAD).read_bytes())
+        except (OSError, ValueError) as error:
             logger.warning("store: cannot open arrays for %s: %r", key[:12], error)
             return None
 
     # -- catalogue / maintenance -------------------------------------------
 
     def entries(self) -> List[StoreEntry]:
-        """All intact entries, least-recently-used first."""
+        """Every entry (any store format), least-recently-used first."""
         found: List[StoreEntry] = []
         objects = self._objects_dir()
         if not objects.exists():
@@ -531,12 +516,9 @@ class ArtifactStore:
                 if not entry.is_dir() or entry.name.endswith(_BAD_SUFFIX):
                     continue
                 manifest_path = entry / _MANIFEST
-                payload_path = entry / _PAYLOAD
-                if not manifest_path.exists() or not payload_path.exists():
-                    continue
                 try:
                     stat = manifest_path.stat()
-                    size = payload_path.stat().st_size + stat.st_size
+                    size = sum(path.stat().st_size for path in entry.iterdir())
                     build = json.loads(manifest_path.read_text()).get("build", {})
                 except (OSError, json.JSONDecodeError):
                     continue
@@ -675,21 +657,7 @@ class ArtifactStore:
                 continue
             if dest_store.has(entry.key):
                 continue
-            stage = Path(tempfile.mkdtemp(
-                prefix=entry.key[:12] + ".", dir=dest_store.root / "tmp"
-            ))
-            try:
-                shutil.copy2(entry.path / _MANIFEST, stage / _MANIFEST)
-                shutil.copy2(entry.path / _PAYLOAD, stage / _PAYLOAD)
-                final = dest_store._entry_dir(entry.key)
-                final.parent.mkdir(parents=True, exist_ok=True)
-                try:
-                    os.rename(stage, final)
-                    copied += 1
-                except OSError:
-                    pass
-            finally:
-                shutil.rmtree(stage, ignore_errors=True)
+            copied += dest_store._install_copy(entry)
         missing = (
             sorted(wanted - {e.key for e in self.entries()}) if wanted else []
         )
@@ -724,114 +692,133 @@ class ArtifactStore:
                     manifest.get("generator_version"),
                 )
                 continue
-            if (_sha256_file(entry.path / _PAYLOAD)
-                    != manifest.get("payload_sha256")):
+            try:
+                intact = (_sha256_file(entry.path / _PAYLOAD)
+                          == manifest.get("payload_sha256"))
+            except OSError:
+                intact = False
+            if not intact:
                 logger.warning(
                     "store: import skipping %s (checksum mismatch)",
                     entry.key[:12],
                 )
                 continue
             self._ensure_layout()
-            stage = Path(tempfile.mkdtemp(
-                prefix=entry.key[:12] + ".", dir=self.root / "tmp"
-            ))
-            try:
-                shutil.copy2(entry.path / _MANIFEST, stage / _MANIFEST)
-                shutil.copy2(entry.path / _PAYLOAD, stage / _PAYLOAD)
-                final = self._entry_dir(entry.key)
-                final.parent.mkdir(parents=True, exist_ok=True)
-                try:
-                    os.rename(stage, final)
-                    imported += 1
-                except OSError:
-                    pass
-            finally:
-                shutil.rmtree(stage, ignore_errors=True)
+            imported += self._install_copy(entry)
         if imported:
             self._auto_evict()
         return imported
 
+    def _install_copy(self, entry: StoreEntry) -> bool:
+        """Copy ``entry``'s files in under its key; True iff installed."""
+        stage = Path(tempfile.mkdtemp(prefix=entry.key[:12] + ".", dir=self.root / "tmp"))
+        try:
+            for path in entry.path.iterdir():
+                shutil.copy2(path, stage / path.name)
+            final = self._entry_dir(entry.key)
+            final.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                os.rename(stage, final)
+            except OSError:
+                return False
+            return True
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+
 
 # ---------------------------------------------------------------------------
-# .npz decoding from one in-memory image
+# The payload: one flat column file
 # ---------------------------------------------------------------------------
 
-_NPY_MAGIC = b"\x93NUMPY"
+#: First bytes of every ``payload.bin``.
+_PAYLOAD_MAGIC = b"repro columns 1\n"
 
-#: The ``.npy`` header ``np.savez`` writes for a plain array: a dtype string,
-#: the memory order and an integer shape, padded with spaces.
-_PLAIN_NPY_HEADER = re.compile(
-    r"\{'descr': '([^']+)', 'fortran_order': (False|True), "
-    r"'shape': \(((?:\d+, )*(?:\d+,?)?)\), \} *\n"
-)
+#: The header and every column start on a multiple of this many bytes.
+_ALIGN = 64
+_ZEROS = bytes(_ALIGN)
 
-
-def _local_header(local_header, info: zipfile.ZipInfo) -> Tuple[int, int]:
-    """``(name length, data offset)`` of member ``info``, read from its
-    30-byte local file header."""
-    if len(local_header) != 30 or local_header[:4] != b"PK\x03\x04":
-        raise zipfile.BadZipFile(f"bad local header for {info.filename!r}")
-    name_len, extra_len = struct.unpack("<HH", local_header[26:30])
-    return name_len, info.header_offset + 30 + name_len + extra_len
+#: A column's ``dtype.str``: byte order, a kind a column may hold (booleans,
+#: integers, floats, complex numbers, byte or unicode strings) and a size.
+_COLUMN_DESCR = re.compile(r"[<>|][biufcSU][0-9]+")
 
 
-def _decode_npz(raw: bytes) -> Dict[str, np.ndarray]:
-    """Every member of the ``.npz`` image ``raw``, decoded from ``raw`` itself.
-
-    The zip directory is parsed once.  Each member must be what
-    :meth:`ArtifactStore.save` writes: stored (uncompressed), with the
-    plain ``.npy`` header ``np.savez`` gives an array of numbers, booleans
-    or strings.  It is checked as :mod:`zipfile` checks it (local header
-    signature and name, length, CRC-32) and its array copied straight out
-    of ``raw``; anything else raises :class:`zipfile.BadZipFile` or
-    :class:`ValueError`, so :meth:`ArtifactStore.load` quarantines the
-    entry.  Every array owns its data, as ``np.load``'s do, so none keeps
-    ``raw`` alive.
-    """
-    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
-        return {
-            info.filename[:-4] if info.filename.endswith(".npy") else info.filename:
-                _plain_npy_member(raw, info)
-            for info in archive.infolist()
-        }
+def _padded(size: int) -> int:
+    return size + (-size % _ALIGN)
 
 
-def _plain_npy_member(raw: bytes, info: zipfile.ZipInfo) -> np.ndarray:
-    """The stored member ``info`` of ``raw`` as an array."""
-    if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
-        raise zipfile.BadZipFile(f"{info.filename!r} is not a stored member")
-    header = info.header_offset
-    name_len, offset = _local_header(raw[header:header + 30], info)
-    encoding = "utf-8" if info.flag_bits & 0x800 else "cp437"
-    if raw[header + 30:header + 30 + name_len] != info.orig_filename.encode(encoding):
-        raise zipfile.BadZipFile(f"local name differs for {info.filename!r}")
-    end = offset + info.compress_size
-    if end > len(raw) or zlib.crc32(memoryview(raw)[offset:end]) != info.CRC:
-        raise zipfile.BadZipFile(f"bad CRC-32 for {info.filename!r}")
-    magic = raw[offset:offset + 12]
-    if len(magic) < 12 or magic[:6] != _NPY_MAGIC or magic[6] not in (1, 2):
-        raise ValueError(f"{info.filename!r} is not a .npy v1/v2 array")
-    if magic[6] == 1:
-        header_start, (header_len,) = offset + 10, struct.unpack("<H", magic[8:10])
-    else:
-        header_start, (header_len,) = offset + 12, struct.unpack("<I", magic[8:12])
-    data_start = header_start + header_len
-    match = _PLAIN_NPY_HEADER.fullmatch(
-        raw[header_start:data_start].decode("latin1")
-    )
-    if match is None:
-        raise ValueError(f"{info.filename!r} does not have a plain .npy header")
+def _column_dtype(name: str, descr: Any) -> np.dtype:
+    """The dtype ``descr`` spells, if a column may hold it; else
+    :class:`ValueError`."""
     try:
-        dtype = np.dtype(match[1])
-    except TypeError as error:
-        raise ValueError(f"{info.filename!r} has dtype {match[1]!r}") from error
-    if dtype.kind not in "biufcSU" or dtype.itemsize == 0:
-        raise ValueError(f"{info.filename!r} holds {dtype}, which is never stored")
-    shape = tuple(int(size) for size in match[3].split(",") if size.strip())
-    count = math.prod(shape)
-    if data_start + count * dtype.itemsize != end:
-        raise ValueError(f"{info.filename!r} size differs from its header")
-    array = np.frombuffer(raw, dtype=dtype, count=count, offset=data_start).copy()
-    if match[2] == "True":
-        return array.reshape(shape[::-1]).transpose()
-    return array.reshape(shape)
+        dtype = np.dtype(descr) if _COLUMN_DESCR.fullmatch(descr) else None
+    except (TypeError, ValueError, OverflowError):
+        dtype = None
+    if dtype is None or dtype.str != descr or dtype.itemsize == 0:
+        raise ValueError(f"column {name!r} holds {str(descr)[:40]!r}, which is never stored")
+    return dtype
+
+
+def _payload_chunks(arrays: Mapping[str, Any]) -> List[Any]:
+    """``arrays`` as the byte chunks of one column file, in file order.
+
+    The file is ``_PAYLOAD_MAGIC``, the byte length of the column table as a
+    little-endian u64, the table — one ASCII JSON list of ``[name,
+    dtype.str, shape, offset]`` — and zeros up to a multiple of ``_ALIGN``.
+    Each column's C-order bytes follow at its offset, counted from the end
+    of that header, each padded with zeros to a multiple of ``_ALIGN``.  A
+    column :func:`_decode_payload` would refuse raises :class:`UnstorableBuild`.
+    """
+    table, chunks, offset = [], [], 0
+    for name, array in arrays.items():
+        column = np.asarray(array, order="C")
+        if not _COLUMN_DESCR.fullmatch(column.dtype.str) or column.dtype.itemsize == 0:
+            raise UnstorableBuild(f"column {name!r} holds {column.dtype}")
+        table.append([name, column.dtype.str, list(column.shape), offset])
+        chunks += [column.reshape(-1).view(np.uint8), _ZEROS[:-column.nbytes % _ALIGN]]
+        offset += _padded(column.nbytes)
+    text = json.dumps(table, separators=(",", ":")).encode("ascii")
+    header = _PAYLOAD_MAGIC + struct.pack("<Q", len(text)) + text
+    return [header + _ZEROS[:-len(header) % _ALIGN]] + chunks
+
+
+def _decode_payload(raw: bytes) -> Dict[str, np.ndarray]:
+    """Every column of the column file ``raw`` (see :func:`_payload_chunks`).
+
+    The table must describe exactly the bytes that follow it: each offset
+    the running padded sum, each dtype one :func:`_column_dtype` accepts,
+    and the file ending where the last padded column ends.  Anything else
+    raises :class:`ValueError`.  Each column is copied out, so every array
+    owns its data and none keeps ``raw`` alive.
+    """
+    start = len(_PAYLOAD_MAGIC) + 8
+    if len(raw) < start or raw[:len(_PAYLOAD_MAGIC)] != _PAYLOAD_MAGIC:
+        raise ValueError("not a column file")
+    (size,) = struct.unpack_from("<Q", raw, len(_PAYLOAD_MAGIC))
+    if start + size > len(raw):
+        raise ValueError("the column table runs past the end of the file")
+    try:
+        table = json.loads(raw[start:start + size].decode("ascii"))
+    except (ValueError, RecursionError) as error:
+        raise ValueError(f"unreadable column table: {error}") from None
+    if not isinstance(table, list) or not all(
+            isinstance(entry, list) and len(entry) == 4 for entry in table):
+        raise ValueError("the column table is not a list of 4-item rows")
+    base, offset = _padded(start + size), 0
+    columns: Dict[str, np.ndarray] = {}
+    for name, descr, shape, at in table:
+        if (not isinstance(name, str) or name in columns
+                or type(at) is not int or at != offset
+                or not isinstance(shape, list)
+                or not all(type(n) is int and n >= 0 for n in shape)):
+            raise ValueError(f"column {str(name)[:80]!r} does not fit the table")
+        dtype = _column_dtype(name, descr)
+        count = math.prod(shape)
+        if base + offset + count * dtype.itemsize > len(raw):
+            raise ValueError(f"column {name!r} runs past the end of the file")
+        columns[name] = np.frombuffer(
+            raw, dtype=dtype, count=count, offset=base + offset,
+        ).reshape(shape).copy()
+        offset += _padded(count * dtype.itemsize)
+    if base + offset != len(raw):
+        raise ValueError(f"the file holds {len(raw)} bytes, its table {base + offset}")
+    return columns

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import pickle
 import re
 import typing
 from contextlib import redirect_stdout
@@ -207,6 +208,38 @@ class TestScenarioSpec:
         changed = dataclasses.replace(base, attacks=("proximity",), metrics=())
         assert changed.build_key() == base.build_key()
         assert changed.content_hash() != base.content_hash()
+
+    def test_hashes_are_computed_once_and_stay_out_of_the_fields(self, monkeypatch):
+        spec = self.spec()
+        before = (repr(spec), spec.to_dict(), hash(spec), spec.canonical_json())
+        calls = []
+        canonical = ScenarioSpec.canonical_dict
+
+        def counting(self):
+            calls.append(self)
+            return canonical(self)
+
+        monkeypatch.setattr(ScenarioSpec, "canonical_dict", counting)
+        spec.validate()
+        for _ in range(3):
+            content, key = spec.content_hash(), spec.build_key()
+        assert len(calls) == 2  # validate() + content_hash(), then build_key()
+        monkeypatch.setattr(ScenarioSpec, "canonical_dict", canonical)
+
+        fresh = ScenarioSpec.from_dict(spec.to_dict())
+        assert (content, key) == (fresh.content_hash(), fresh.build_key())
+        assert (repr(spec), spec.to_dict(), hash(spec), spec.canonical_json()) == before
+        assert spec == fresh and hash(spec) == hash(fresh)
+        revived = pickle.loads(pickle.dumps(spec))
+        assert revived == spec
+        assert (revived.content_hash(), revived.build_key()) == (content, key)
+
+        # A copy with other fields starts without the memo.
+        for copy in (dataclasses.replace(spec, seed=2), spec.with_seeds([3, 4])):
+            assert "_content_hash" not in vars(copy) and "_build_key" not in vars(copy)
+        moved = dataclasses.replace(spec, seed=2)
+        assert moved.content_hash() == ScenarioSpec.from_dict(moved.to_dict()).content_hash()
+        assert moved.content_hash() != content and moved.build_key() != key
 
     def test_layout_alias_and_validation(self):
         spec = ScenarioSpec(benchmark="c432", layouts=("proposed",))

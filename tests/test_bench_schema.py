@@ -8,6 +8,7 @@ missing host block, dropped section) fails fast locally too.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -51,3 +52,14 @@ def test_missing_host_keys_are_reported():
     problems = check_payload(payload, "layout")
     assert any(p.startswith("meta.host.numpy") for p in problems)
     assert any(p.startswith("meta.host.git_rev") for p in problems)
+
+
+def test_build_artifact_requires_store_io_rows():
+    payload = json.loads((REPO_ROOT / "BENCH_build.json").read_text())
+    assert payload["store_io"], "BENCH_build.json has no store_io rows"
+    without = {key: value for key, value in payload.items() if key != "store_io"}
+    assert "missing section 'store_io'" in check_payload(without, "build")
+    broken = dict(payload, store_io=[{"benchmark": "c880", "save_ms": 1.0}])
+    problems = check_payload(broken, "build")
+    assert "store_io[0].payload_bytes missing" in problems
+    assert "store_io[0].load_ms missing" in problems

@@ -10,25 +10,32 @@ store decode, held to their oracles.
   history must get the same fingerprint, and netlists whose names differ
   (quotes, escapes, NUL, lone surrogates, raw-name order of the outputs)
   must get distinct ones.
-* ``ArtifactStore.load`` reads ``payload.npz`` once and decodes the arrays
-  from those bytes; they must equal ``np.load``'s in dtype, shape and bytes.
+* ``ArtifactStore.load`` reads ``payload.bin`` once and copies the columns
+  out of those bytes; they must equal the independent reader's in
+  ``tests/store_oracle.py`` in dtype, shape and bytes, and the decoder must
+  refuse any damaged file with ``ValueError`` only.
 """
 
 from __future__ import annotations
 
 import builtins
+import hashlib
 import io
 import itertools
 import json
 import os
 import pickle
-import zipfile
+import shutil
+import struct
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from netlist_oracle import document_twin, generate_random_logic_reference, netlist_document_text
+from store_oracle import read_payload
 from repro.api import ScenarioSpec, Workspace
 from repro.circuits import iscas85, superblue
 from repro.circuits.iscas85 import ISCAS85_PROFILES
@@ -37,7 +44,7 @@ from repro.circuits.registry import get_benchmark
 from repro.circuits.superblue import SUPERBLUE_PROFILES
 from repro.netlist.netlist import Netlist
 from repro.store import ArtifactStore, netlist_fingerprint
-from repro.store.store import _decode_npz
+from repro.store.store import _PAYLOAD_MAGIC, _decode_payload, _payload_chunks
 
 #: Superblue scales of the default config, the goldens, ``quick_config()``
 #: and the end-to-end bench.
@@ -200,38 +207,87 @@ def test_fingerprint_property_arbitrary_names(names):
 
 # -- one-read store decode ----------------------------------------------------
 
+def _column_file(**arrays) -> bytes:
+    return b"".join(bytes(chunk) for chunk in _payload_chunks(arrays))
+
+
+def _assert_like_the_reader(raw: bytes, arrays=None):
+    decoded = _decode_payload(raw)
+    reference = read_payload(raw)
+    assert list(decoded) == list(reference)
+    for name, expected in reference.items():
+        got = decoded[name]
+        assert got.dtype == expected.dtype, name
+        assert got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
+        assert got.flags.c_contiguous and got.flags.owndata and got.flags.writeable, name
+        if arrays is not None:
+            assert got.dtype == arrays[name].dtype, name
+            assert np.array_equal(got, arrays[name]), name
+
+
+SAMPLE_COLUMNS = dict(
+    ints=np.arange(7), floats=np.linspace(0.0, 1.0, 12).reshape(3, 4),
+    text=np.array(["a", "béc"]), empty=np.zeros((0, 5), dtype=np.int16),
+    scalar=np.array(2.5), fortran=np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+    flags=np.array([True, False]), big_endian=np.arange(4, dtype=">i4"),
+    no_strings=np.array([], dtype=np.str_), raw=np.frombuffer(b"bytes\x00", dtype="S2"),
+)
+
+
+def test_payload_decode_matches_the_reader():
+    raw = _column_file(**SAMPLE_COLUMNS)
+    assert len(raw) % 64 == 0
+    _assert_like_the_reader(raw, SAMPLE_COLUMNS)
+    _assert_like_the_reader(_column_file(), {})
+
+
+def _with_table(raw: bytes, edit) -> bytes:
+    """``raw`` with its column table replaced by ``edit(table)``, the
+    header re-padded and the column bytes kept as they were."""
+    magic = len(_PAYLOAD_MAGIC)
+    (length,) = struct.unpack("<Q", raw[magic:magic + 8])
+    end = magic + 8 + length
+    text = json.dumps(edit(json.loads(raw[magic + 8:end]))).encode("ascii")
+    header = raw[:magic] + struct.pack("<Q", len(text)) + text
+    return header + bytes(-len(header) % 64) + raw[-(-end // 64) * 64:]
+
+
+def _set(index, field, value):
+    def edit(table):
+        table[index][field] = value
+        return table
+    return edit
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _column_file(**SAMPLE_COLUMNS)[:-64], id="truncated"),
+    pytest.param(lambda: _column_file(**SAMPLE_COLUMNS) + bytes(64), id="trailing"),
+    pytest.param(lambda: _with_table(_column_file(**SAMPLE_COLUMNS), _set(1, 3, 6400)),
+                 id="gapped"),
+    pytest.param(lambda: _with_table(_column_file(**SAMPLE_COLUMNS), _set(1, 3, 0)),
+                 id="overlapping"),
+    pytest.param(lambda: _with_table(_column_file(ints=np.arange(8)), _set(0, 1, "|O")),
+                 id="objects"),
+    pytest.param(lambda: _with_table(_column_file(ints=np.arange(8)), _set(0, 1, "<V8")),
+                 id="records"),
+    pytest.param(lambda: _with_table(_column_file(ints=np.arange(8)), _set(0, 2, [9])),
+                 id="shape"),
+])
+def test_payload_decode_refuses_what_save_never_writes(make):
+    with pytest.raises(ValueError):
+        _decode_payload(make())
+
+
 def _npz(**arrays) -> bytes:
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     return buffer.getvalue()
 
 
-def _assert_like_np_load(raw: bytes):
-    decoded = _decode_npz(raw)
-    with np.load(io.BytesIO(raw), allow_pickle=False) as reference:
-        assert sorted(decoded) == sorted(reference.files)
-        for name in reference.files:
-            expected, got = reference[name], decoded[name]
-            assert got.dtype == expected.dtype, name
-            assert got.shape == expected.shape, name
-            assert got.tobytes("A") == expected.tobytes("A"), name
-            assert got.flags.f_contiguous == expected.flags.f_contiguous, name
-            assert got.flags.writeable, name
-
-
-def test_npz_decode_matches_np_load():
-    _assert_like_np_load(_npz(
-        ints=np.arange(7), floats=np.linspace(0.0, 1.0, 12).reshape(3, 4),
-        text=np.array(["a", "béc"]), empty=np.zeros((0, 5), dtype=np.int16),
-        scalar=np.array(2.5), fortran=np.asfortranarray(np.arange(6.0).reshape(2, 3)),
-        flags=np.array([True, False]), big_endian=np.arange(4, dtype=">i4"),
-        no_strings=np.array([], dtype=np.str_),
-    ))
-
-
 def _flipped_data_byte() -> bytes:
     raw = bytearray(_npz(values=np.arange(100, dtype=np.int64)))
-    raw[len(raw) // 3] ^= 0xFF  # inside the member data: CRC-32 mismatch
+    raw[len(raw) // 3] ^= 0xFF
     return bytes(raw)
 
 
@@ -241,19 +297,39 @@ def _compressed() -> bytes:
     return buffer.getvalue()
 
 
-@pytest.mark.parametrize("make, error", [
-    pytest.param(_flipped_data_byte, zipfile.BadZipFile, id="crc"),
-    pytest.param(_compressed, zipfile.BadZipFile, id="compressed"),
-    # Headers save never writes: a structured dtype and an object array.
+@pytest.mark.parametrize("make", [
+    pytest.param(_flipped_data_byte, id="crc"),
+    pytest.param(_compressed, id="compressed"),
     pytest.param(lambda: _npz(records=np.zeros(2, dtype=[("x", "<f8"), ("y", "<i4")])),
-                 ValueError, id="records"),
-    pytest.param(lambda: _npz(objects=np.array([{"a": 1}], dtype=object)),
-                 ValueError, id="objects"),
-    pytest.param(lambda: b"", zipfile.BadZipFile, id="empty"),
+                 id="records"),
+    pytest.param(lambda: _npz(objects=np.array([{"a": 1}], dtype=object)), id="objects"),
+    pytest.param(lambda: b"", id="empty"),
 ])
-def test_npz_decode_refuses_what_save_never_writes(make, error):
-    with pytest.raises(error):
-        _decode_npz(make())
+def test_npz_decode_refuses_what_save_never_writes(make):
+    """A ``.npz`` image (what store format 3 wrote: plain, damaged,
+    compressed, with a structured or object member) or an empty file is
+    never read as a column file."""
+    with pytest.raises(ValueError):
+        _decode_payload(make())
+
+
+def test_save_refuses_a_column_it_could_not_decode(tmp_path, monkeypatch):
+    """``save`` checks each column's dtype as the decoder does and reports a
+    build it cannot write as unstorable."""
+    from repro.store import store as store_module
+
+    spec = ScenarioSpec(benchmark="c17", scheme="original", seed=1)
+    build = Workspace(store=None).build(spec)
+    encode = store_module.encode_build
+
+    def with_an_object_column(*args):
+        record, arrays = encode(*args)
+        return record, dict(arrays, odd=np.array([{}], dtype=object))
+
+    monkeypatch.setattr(store_module, "encode_build", with_an_object_column)
+    store = ArtifactStore(tmp_path / "store")
+    assert store.save(spec.build_key(), build, spec.build_dict(), build.layout.netlist) is None
+    assert store.stats["unstorable"] == 1 and not store.has(spec.build_key())
 
 
 def test_store_load_reads_the_payload_once(tmp_path, monkeypatch):
@@ -262,8 +338,7 @@ def test_store_load_reads_the_payload_once(tmp_path, monkeypatch):
     Workspace(store=ArtifactStore(root)).build(spec)
     store = ArtifactStore(root)
     (key,) = [entry.key for entry in store.entries()]
-    with np.load(store.payload_path(key), allow_pickle=False) as payload:
-        reference = {name: payload[name] for name in payload.files}
+    reference = read_payload(store.payload_path(key).read_bytes())
     assert {name: (a.dtype, a.shape, a.tobytes()) for name, a in reference.items()} == {
         name: (a.dtype, a.shape, a.tobytes())
         for name, a in store.open_arrays(key).items()
@@ -281,5 +356,87 @@ def test_store_load_reads_the_payload_once(tmp_path, monkeypatch):
     monkeypatch.setattr(builtins, "open", counting_open)
     monkeypatch.setattr(np, "load", mock.Mock(side_effect=AssertionError("np.load")))
     assert store.load(key) is not None
-    assert opened.count("payload.npz") == 1
+    assert opened.count("payload.bin") == 1
     assert store.stats["hits"] == 1 and store.stats["quarantined"] == 0
+
+
+# -- decoder fuzz -------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def c17_entry(tmp_path_factory):
+    """A store holding one c17 build: ``(root, key, payload bytes)``."""
+    spec = ScenarioSpec(benchmark="c17", scheme="original", seed=1)
+    root = tmp_path_factory.mktemp("fuzz") / "store"
+    Workspace(store=ArtifactStore(root)).build(spec)
+    store = ArtifactStore(root)
+    return root, spec.build_key(), store.payload_path(spec.build_key()).read_bytes()
+
+
+def _table_end(raw: bytes) -> int:
+    magic = len(_PAYLOAD_MAGIC)
+    return magic + 8 + struct.unpack("<Q", raw[magic:magic + 8])[0]
+
+
+def _mutations(raw: bytes):
+    """Damage to a column file; each strategy draws ``(must_refuse, bytes)``."""
+    table_end = _table_end(raw)
+    size = len(read_payload(raw))
+    offsets = st.tuples(st.integers(0, size - 1), st.integers(-3, 3).filter(bool))
+    return st.one_of(
+        st.integers(0, len(raw) - 1).map(lambda n: (True, raw[:n])),
+        st.binary(min_size=1, max_size=130).map(lambda extra: (True, raw + extra)),
+        st.tuples(st.integers(0, table_end - 1), st.integers(1, 255)).map(
+            lambda flip: (False, raw[:flip[0]] + bytes([raw[flip[0]] ^ flip[1]])
+                          + raw[flip[0] + 1:])),
+        offsets.map(lambda shift: (True, _with_table(
+            raw, lambda table: _shift(table, shift[0], 64 * shift[1] + 8 * (shift[1] % 2))))),
+        st.integers(0, size - 1).map(
+            lambda index: (True, _with_table(raw, _set(index, 1, "|O")))),
+        st.tuples(st.integers(0, size - 1), st.integers(1, 5)).map(
+            lambda grow: (True, _with_table(raw, lambda table: _grow(table, *grow)))),
+    )
+
+
+def _shift(table, index, delta):
+    table[index][3] += delta
+    return table
+
+
+def _grow(table, index, extra):
+    """Give column ``index`` more elements than its bytes hold."""
+    shape = table[index][2]
+    table[index][2] = [shape[0] + extra * 1000] + shape[1:] if shape else [extra * 1000]
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_payload_raises_value_error_and_is_quarantined(c17_entry, data):
+    """Truncations, trailing bytes, flips in the magic/length/table, gapped
+    or overlapping offsets, an object dtype and a shape its bytes cannot
+    hold: the decoder raises only ``ValueError``, and a load of the damaged
+    entry (checksum recomputed) returns ``None``, quarantines it with a
+    reason and never raises."""
+    root, key, raw = c17_entry
+    must_refuse, damaged = data.draw(_mutations(raw))
+    try:
+        _decode_payload(damaged)
+        refused = False
+    except ValueError:
+        refused = True
+    assert refused or not must_refuse
+
+    copy = Path(tempfile.mkdtemp(dir=root.parent)) / "store"
+    shutil.copytree(root, copy)
+    store = ArtifactStore(copy)
+    entry = store._entry_dir(key)
+    (entry / "payload.bin").write_bytes(damaged)
+    manifest = json.loads((entry / "manifest.json").read_text())
+    manifest["payload_sha256"] = hashlib.sha256(damaged).hexdigest()
+    (entry / "manifest.json").write_text(json.dumps(manifest))
+    build = store.load(key)
+    if refused:
+        assert build is None
+        (bad,) = store.quarantined()
+        assert (bad / "reason.txt").read_text().strip()
+    shutil.rmtree(copy.parent)

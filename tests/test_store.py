@@ -1,7 +1,7 @@
 """Persistent artefact store (:mod:`repro.store`): codec, disk tier, CLI.
 
 The contract under test is bit-exactness: a build that round-trips through
-the columnar ``.npz`` codec — in memory or via the disk store — must be
+the columnar codec — in memory or via the disk store's column file — must be
 structurally identical to the freshly built artefact, down to float bits
 and metadata value types.  Damage (corrupt payloads, stale entries) must
 degrade to a rebuild, never a crash.
@@ -9,12 +9,14 @@ degrade to a rebuild, never a crash.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from store_oracle import read_payload
 from repro.api import BuildError, ScenarioSpec, Workspace
 from repro.store import (
     CODEC_FORMAT_VERSION,
@@ -252,7 +254,7 @@ def test_corrupt_payload_is_quarantined_not_fatal(tmp_path, reference_builds):
     spec, build = reference_builds["layout_randomization"]
     key = _save(store, spec, build)
 
-    payload = store._entry_dir(key) / "payload.npz"
+    payload = store._entry_dir(key) / "payload.bin"
     raw = bytearray(payload.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
     payload.write_bytes(bytes(raw))
@@ -276,13 +278,11 @@ def test_truncated_payload_with_fixed_checksum_is_quarantined(
     key = _save(store, spec, build)
 
     entry = store._entry_dir(key)
-    payload = entry / "payload.npz"
+    payload = entry / "payload.bin"
     truncated = payload.read_bytes()[: payload.stat().st_size // 2]
     payload.write_bytes(truncated)
     manifest_path = entry / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    import hashlib
-
     manifest["payload_sha256"] = hashlib.sha256(truncated).hexdigest()
     manifest_path.write_text(json.dumps(manifest))
 
@@ -398,6 +398,28 @@ def test_open_arrays_and_mmap_agree(tmp_path, reference_builds):
         assert np.array_equal(plain[name], array), name
 
 
+@pytest.mark.parametrize("scheme", STORABLE_SCHEMES)
+def test_payload_file_reads_back_with_the_independent_reader(
+        tmp_path, reference_builds, scheme):
+    """The saved ``payload.bin`` holds exactly ``encode_build``'s columns,
+    as the reader in ``tests/store_oracle.py`` and the store's decoder
+    both see them; its checksum and size are the manifest's."""
+    store = ArtifactStore(tmp_path / "store")
+    spec, build = reference_builds[scheme]
+    key = _save(store, spec, build)
+    raw = store.payload_path(key).read_bytes()
+    manifest = store.manifest(key)
+    assert manifest["payload_sha256"] == hashlib.sha256(raw).hexdigest()
+    assert manifest["payload_bytes"] == len(raw) and len(raw) % 64 == 0
+    _record, arrays = encode_build(build, build.layout.netlist)
+    read, decoded = read_payload(raw), store.open_arrays(key)
+    assert list(read) == list(decoded) == list(arrays)
+    for name, array in arrays.items():
+        for got in (read[name], decoded[name]):
+            assert got.dtype == array.dtype and got.shape == array.shape, name
+            assert got.tobytes() == np.ascontiguousarray(array).tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # Workspace integration: memory -> disk -> build
 # ---------------------------------------------------------------------------
@@ -463,7 +485,7 @@ def test_workspace_rebuilds_after_disk_corruption(tmp_path):
     first = Workspace(jobs=1, store=ArtifactStore(root))
     reference = _result_dict(first.run_scenario(spec))
 
-    payload = ArtifactStore(root)._entry_dir(spec.build_key()) / "payload.npz"
+    payload = ArtifactStore(root)._entry_dir(spec.build_key()) / "payload.bin"
     raw = bytearray(payload.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
     payload.write_bytes(bytes(raw))
@@ -568,7 +590,7 @@ def test_cli_cache_verify_flags_damage(tmp_path, reference_builds, capsys):
     root = _populated_store(tmp_path, reference_builds)
     store = ArtifactStore(root)
     victim = store.entries()[0]
-    payload = victim.path / "payload.npz"
+    payload = victim.path / "payload.bin"
     raw = bytearray(payload.read_bytes())
     raw[-100] ^= 0xFF
     payload.write_bytes(bytes(raw))

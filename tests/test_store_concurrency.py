@@ -130,7 +130,7 @@ def test_kill_mid_write_never_publishes_torn_entry(tmp_path):
             if tmp_dir.exists():
                 staged = next(
                     (p for d in tmp_dir.iterdir() if d.is_dir()
-                     for p in d.glob("payload.npz")),
+                     for p in d.glob("payload.bin")),
                     None,
                 )
             if staged is not None:

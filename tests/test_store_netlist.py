@@ -8,8 +8,9 @@ benchmark generator.
 * Names with quotes, escapes, NUL and lone surrogates round-trip.
 * A warm Workspace replay runs no generator and decodes each distinct
   netlist once.
-* An entry of another store format or generator version is a plain miss
-  that the next save replaces; ``verify`` reports it as ``STALE_FORMAT``,
+* An entry of another store format or generator version (a format-3
+  ``payload.npz`` entry included) is a plain miss that the next save
+  replaces; ``verify`` reports it as ``STALE_FORMAT``,
   and regenerates every other entry's netlist (the deep check no load runs).
 """
 
@@ -41,14 +42,16 @@ from repro.store import (
     netlist_fingerprint,
 )
 from repro.store import codec, store as store_module
-from repro.store.store import _decode_npz
+from repro.store.store import _decode_payload, _payload_chunks
 
 
-def _through_npz(arrays):
-    """``arrays`` after a ``np.savez`` and the store's one-read decode."""
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    return _decode_npz(buffer.getvalue())
+def _column_file(arrays) -> bytes:
+    return b"".join(bytes(chunk) for chunk in _payload_chunks(arrays))
+
+
+def _through_payload(arrays):
+    """``arrays`` after the store's column file and its one-read decode."""
+    return _decode_payload(_column_file(arrays))
 
 
 def _assert_same_netlist(got: Netlist, want: Netlist) -> None:
@@ -69,7 +72,7 @@ def test_decode_builds_the_netlist_from_the_payload(plain_ws, name, seed, scale)
                                         netlist_seed=seed, scale=scale))
     netlist = build.layout.netlist
     record, arrays = encode_build(build, netlist)
-    decoded = decode_build(record, _through_npz(arrays))
+    decoded = decode_build(record, _through_payload(arrays))
     _assert_same_netlist(decoded.layout.netlist, netlist)
     assert_builds_equal(build, decoded)
 
@@ -77,7 +80,7 @@ def test_decode_builds_the_netlist_from_the_payload(plain_ws, name, seed, scale)
 def _names_round_trip(netlist: Netlist) -> None:
     arrays = {}
     codec._encode_netlist(netlist, arrays)
-    _assert_same_netlist(codec._decode_netlist(_through_npz(arrays)), netlist)
+    _assert_same_netlist(codec._decode_netlist(_through_payload(arrays)), netlist)
 
 
 @pytest.mark.parametrize("odd", ESCAPED_NAMES)
@@ -100,12 +103,11 @@ def test_decoded_netlist_that_differs_is_damage(plain_ws, tmp_path):
     key = spec.build_key()
     assert store.save(key, build, spec.build_dict(), build.layout.netlist)
     entry = store._entry_dir(key)
-    buffer = io.BytesIO()
-    np.savez(buffer, **dict(_decode_npz((entry / "payload.npz").read_bytes()),
+    raw = _column_file(dict(_decode_payload((entry / "payload.bin").read_bytes()),
                             **{"netlist.fanin_net": fanin}))
-    (entry / "payload.npz").write_bytes(buffer.getvalue())
+    (entry / "payload.bin").write_bytes(raw)
     manifest = json.loads((entry / "manifest.json").read_text())
-    manifest["payload_sha256"] = hashlib.sha256(buffer.getvalue()).hexdigest()
+    manifest["payload_sha256"] = hashlib.sha256(raw).hexdigest()
     (entry / "manifest.json").write_text(json.dumps(manifest))
     assert store.load(key) is None
     (bad,) = store.quarantined()
@@ -204,6 +206,57 @@ def test_older_store_warms_after_one_round(tmp_path, capsys, fields):
         assert manifest["store_format_version"] == STORE_FORMAT_VERSION
         assert manifest["generator_version"] == GENERATOR_VERSION
     assert [item["status"] for item in store.verify()] == ["ok"] * 3
+
+
+def _as_format_3(root) -> None:
+    """Rewrite every entry under ``root`` as store format 3 wrote it: the
+    same columns in a ``payload.npz`` zip (``np.savez``) and a format-3
+    manifest checksumming it."""
+    for entry in (root / "objects").glob("*/*"):
+        buffer = io.BytesIO()
+        np.savez(buffer, **_decode_payload((entry / "payload.bin").read_bytes()))
+        (entry / "payload.bin").unlink()
+        (entry / "payload.npz").write_bytes(buffer.getvalue())
+        manifest = json.loads((entry / "manifest.json").read_text())
+        manifest.update(store_format_version=3,
+                        payload_sha256=hashlib.sha256(buffer.getvalue()).hexdigest(),
+                        payload_bytes=len(buffer.getvalue()))
+        (entry / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_format_3_store_warms_after_one_round(tmp_path):
+    """An entry is recognised by its manifest, not by its payload's file
+    name: a format-3 entry (``payload.npz``) is listed as ``STALE_FORMAT``,
+    counted with all its bytes, replaced by the next save (never a save
+    race) and evictable."""
+    root = tmp_path / "store"
+    spec = ScenarioSpec(benchmark="c432", scheme="original", seeds=(0, 1, 2),
+                        metrics=["distances"])
+    Workspace(jobs=1, store=root).run_sweeps([spec], jobs=1)
+    _as_format_3(root)
+    keys = sorted(single.build_key() for single in spec.expand_seeds())
+
+    old = ArtifactStore(root)
+    assert sorted(entry.key for entry in old.entries()) == keys
+    assert all(old.has(key) and old.payload_path(key) is None for key in keys)
+    assert all(entry.bytes > (entry.path / "manifest.json").stat().st_size
+               for entry in old.entries())
+    assert [item["status"] for item in old.verify()] == ["STALE_FORMAT"] * 3
+    assert old.load(keys[0]) is None and old.quarantined() == []
+
+    first = Workspace(jobs=1, store=root)
+    first.run_sweeps([spec], jobs=1)
+    assert first.stats()["builds_run"] == 3
+    assert first.store.stats["saves"] == 3 and first.store.stats["save_races"] == 0
+    second = Workspace(jobs=1, store=root)
+    second.run_sweeps([spec], jobs=1)
+    assert second.stats()["builds_run"] == 0 and second.stats()["store_hits"] == 3
+    assert not list((root / "objects").glob("*/*/payload.npz"))
+    assert list((root / "tmp").iterdir()) == []
+
+    _as_format_3(root)
+    assert ArtifactStore(root).gc(max_entries=1)["removed"] == 2
+    assert len(ArtifactStore(root).entries()) == 1
 
 
 def test_verify_regenerates_each_netlist_once(tmp_path, monkeypatch):

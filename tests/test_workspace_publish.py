@@ -333,3 +333,17 @@ def test_one_call_loads_each_stored_build_once(tmp_path):
     assert ws.stats() == stats(build_hits=1, build_misses=1, scenario_misses=2,
                                store_hits=1)
     assert len(ws) == 0
+
+
+def test_pooled_prewarm_keeps_no_build_in_its_report(tmp_path):
+    """The kept ``last_report`` drops each published value: after a pooled
+    prewarm into a store nothing pins the builds it made."""
+    specs = [single(5), single(6)]
+    ws = Workspace(store=tmp_path)
+    ws.prewarm(specs, jobs=2)
+    assert sorted(ws.last_report.outcomes) == sorted(s.build_key() for s in specs)
+    assert all(outcome.value is None and outcome.ok and outcome.attempts >= 1
+               for outcome in ws.last_report.outcomes.values())
+    assert ws.last_report.failed() == {}
+    assert len(ws) == 0
+    assert all(ArtifactStore(tmp_path).has(s.build_key()) for s in specs)
